@@ -10,8 +10,7 @@ Subcommands:
 
 Exit codes: 0 all checks passed; 1 a check failed or a solve did not
 converge; 2 malformed configuration or incompatible geometry.  Runs are
-deterministic for a fixed config and seed; ``LINGROW_THREADS`` caps the
-fan-out over independent per-delta audits (default 1).
+deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .config import ConfigError, RunConfig, load_config
 from .energy import FidelityProblem
@@ -37,14 +35,6 @@ __all__ = ["main", "run_main", "cmd_density_check", "cmd_solve", "cmd_moser",
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("LINGROW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -138,12 +128,8 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
 def _moser_payload(cfg: RunConfig, trace: SolveTrace, out_dir: str) -> dict:
     problem = cfg.require_problem()
     ball, eps0 = _resolve_ball(cfg, problem)
-
-    def audit(rec):
-        return moser_report(rec.u, ball, s_values=cfg.s_values, epsilon0=eps0)
-
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        reports = list(pool.map(audit, trace.records))
+    reports = [moser_report(rec.u, ball, s_values=cfg.s_values,
+                            epsilon0=eps0) for rec in trace.records]
 
     sup_lines = ["delta,interior_sup"]
     all_passed = True

@@ -64,6 +64,25 @@ def _expect(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _count(value, name: str, least: int) -> int:
+    """An integer of at least ``least``; booleans and floats are rejected."""
+    _expect(isinstance(value, int) and not isinstance(value, bool)
+            and value >= least, f"'{name}' must be an integer >= {least}")
+    return value
+
+
+# conversions of the solver section's keys, by SolverConfig field
+_SOLVER_FIELDS = {
+    "mu": float,
+    "delta_schedule": tuple,
+    "residual_tol": lambda v: None if v is None else float(v),
+    "max_iters": int,
+    "armijo_slope": float,
+    "armijo_backtrack": float,
+    "spectral_steps": bool,
+}
+
+
 def _parse_field(spec, grid: Grid2, rng: np.random.Generator,
                  base_dir: str) -> Field:
     _expect(isinstance(spec, dict), "field description must be an object")
@@ -154,7 +173,8 @@ def parse_config(raw: dict, base_dir: str = ".",
                  seed_override: int | None = None) -> RunConfig:
     _expect(isinstance(raw, dict), "config must be a JSON object")
     cfg = RunConfig()
-    cfg.seed = int(raw.get("seed", 0)) if seed_override is None else seed_override
+    cfg.seed = _count(raw.get("seed", 0) if seed_override is None
+                      else seed_override, "seed", 0)
     rng = np.random.default_rng(cfg.seed)
 
     if "density" in raw:
@@ -179,16 +199,10 @@ def parse_config(raw: dict, base_dir: str = ".",
         s = raw["solver"]
         _expect(isinstance(s, dict), "'solver' must be an object")
         try:
-            cfg.solver = SolverConfig(
-                mu=float(s.get("mu", 1.5)),
-                delta_schedule=tuple(s.get("delta_schedule",
-                                           (1e-1, 1e-2, 1e-3, 1e-4))),
-                residual_tol=(None if s.get("residual_tol") is None
-                              else float(s["residual_tol"])),
-                max_iters=int(s.get("max_iters", 50000)),
-                armijo_slope=float(s.get("armijo_slope", 1e-4)),
-                armijo_backtrack=float(s.get("armijo_backtrack", 0.5)),
-                spectral_steps=bool(s.get("spectral_steps", True)))
+            # only the keys given; SolverConfig supplies the defaults
+            cfg.solver = SolverConfig(**{
+                key: convert(s[key])
+                for key, convert in _SOLVER_FIELDS.items() if key in s})
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad solver section: {err}") from err
     _expect(1.0 < cfg.solver.mu < 2.0,
@@ -225,7 +239,8 @@ def parse_config(raw: dict, base_dir: str = ".",
         _expect(isinstance(s, list) and s, "'s_values' must be a non-empty list")
         cfg.s_values = tuple(float(x) for x in s)
     if "minimality_trials" in raw:
-        cfg.minimality_trials = int(raw["minimality_trials"])
+        cfg.minimality_trials = _count(raw["minimality_trials"],
+                                       "minimality_trials", 1)
     return cfg
 
 

@@ -18,14 +18,15 @@ to the cell values (finite-difference checkable).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import (Ball, DirichletGhost, Field, Grid2, Mask, NeumannZero,
                     divergence_adjoint, gradient_forward)
-from .profiles import (RadialProfile, combined, phi_mu, profile_d1,
-                       profile_d2, profile_eval, recession_slope, slope_ratio)
+from .profiles import (ProfileAt, RadialProfile, combined, profile_d2,
+                       profile_eval, recession_slope)
 
 __all__ = [
     "DirichletProblem",
@@ -152,66 +153,140 @@ def _check_field(problem, w: Field) -> None:
 
 
 # ---------------------------------------------------------------------------
-# fast kernels on raw arrays (shared by the public API and the solver)
+# fused kernels on raw arrays (shared by the public API and the solver)
 
-class DirichletOps:
-    """Energy / residual / curvature-diagonal kernels on raw (nx, ny, N)."""
+class StencilPoint:
+    """Everything the kernels derive from one forward-difference pass at w.
 
-    def __init__(self, problem: DirichletProblem,
-                 reg: RegularizationState | None):
+    ``ops.evaluate(w)`` takes the pass once: the slopes ``(gx, gy, t)`` and
+    the energy.  ``residual()`` and ``curvature_diag()`` are then derived
+    from ``d1(t)/t`` and ``d2(t)`` on that same state, with ``d1(t)/t``
+    computed at most once for both, so the solver pays no extra gradient
+    pass for the residual and the preconditioner at an accepted step.
+    """
+
+    __slots__ = ("ops", "w", "gx", "gy", "at", "energy", "_ratio")
+
+    def __init__(self, ops, w: np.ndarray, gx: np.ndarray, gy: np.ndarray,
+                 at: ProfileAt, energy: float):
+        if not math.isfinite(energy):
+            # the hot path skips per-array validation; a non-finite value
+            # anywhere in w makes the energy sum non-finite and is caught here
+            raise ValueError(f"energy is not finite ({energy!r}) at this "
+                             "iterate")
+        self.ops = ops
+        self.w = w
+        self.gx = gx
+        self.gy = gy
+        self.at = at
+        self.energy = energy
+        self._ratio = None
+
+    def ratio(self) -> np.ndarray:
+        """``d1(t)/t`` per difference cell."""
+        if self._ratio is None:
+            self._ratio = self.at.slope_ratio(self.ops.d2_origin)
+        return self._ratio
+
+    def kappa(self) -> np.ndarray:
+        """``max(d2(t), d1(t)/t)``: the curvature bound per difference cell."""
+        d2 = self.at.d2()
+        return np.maximum(d2, self.ratio(), out=d2)
+
+    def residual(self) -> np.ndarray:
+        return self.ops._residual(self)
+
+    def curvature_diag(self) -> np.ndarray:
+        return self.ops._curvature_diag(self)
+
+
+class _Ops:
+    """Kernels shared by both problem classes; subclasses supply the
+    boundary rule (``_grad``) and the assembly of each quantity."""
+
+    def __init__(self, problem, reg: RegularizationState | None):
         self.problem = problem
         self.profile = _check_state(problem, reg)
+        self.d2_origin = profile_d2(self.profile, 0.0)
         g = problem.grid
         self.h = g.h
         self.h2 = g.h * g.h
+
+    def _slopes(self, w: np.ndarray):
+        """The one forward-difference pass: ``(gx, gy)`` and the slopes
+        ``t = |grad w|`` per difference cell."""
+        gx, gy = self._grad(w)
+        t = np.einsum("ijc,ijc->ij", gx, gx)
+        t += np.einsum("ijc,ijc->ij", gy, gy)
+        np.sqrt(t, out=t)
+        return gx, gy, ProfileAt(self.profile, t)
+
+    def energy(self, w: np.ndarray) -> float:
+        return self.evaluate(w).energy
+
+    def residual(self, w: np.ndarray) -> np.ndarray:
+        return self.evaluate(w).residual()
+
+    def curvature_diag(self, w: np.ndarray) -> np.ndarray:
+        """Per-cell upper bound on the energy Hessian diagonal."""
+        return self.evaluate(w).curvature_diag()
+
+
+class DirichletOps(_Ops):
+    """Fused energy / residual / curvature-diagonal kernels on raw
+    (nx, ny, N) arrays, with the datum on a frozen ghost ring."""
+
+    def __init__(self, problem: DirichletProblem,
+                 reg: RegularizationState | None):
+        super().__init__(problem, reg)
+        g = problem.grid
         # uniform weight making the difference-cell sum integrate exactly
         self.rho = g.nx * g.ny / float((g.nx + 1) * (g.ny + 1))
         self._ext = problem.ghost.u0_ext.astype(float).copy()
 
-    def _grad(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _grad(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ext = self._ext
         ext[1:-1, 1:-1, :] = w
-        gx = (ext[1:, :-1, :] - ext[:-1, :-1, :]) / self.h
-        gy = (ext[:-1, 1:, :] - ext[:-1, :-1, :]) / self.h
-        t = np.sqrt(np.einsum("ijc,ijc->ij", gx, gx)
-                    + np.einsum("ijc,ijc->ij", gy, gy))
-        return gx, gy, t
+        gx = ext[1:, :-1, :] - ext[:-1, :-1, :]
+        gx /= self.h
+        gy = ext[:-1, 1:, :] - ext[:-1, :-1, :]
+        gy /= self.h
+        return gx, gy
 
-    def energy(self, w: np.ndarray) -> float:
-        _, _, t = self._grad(w)
-        return self.rho * self.h2 * float(np.sum(profile_eval(self.profile, t)))
+    def evaluate(self, w: np.ndarray) -> StencilPoint:
+        gx, gy, at = self._slopes(w)
+        energy = self.rho * self.h2 * float(np.sum(at.value()))
+        return StencilPoint(self, w, gx, gy, at, energy)
 
-    def residual(self, w: np.ndarray) -> np.ndarray:
-        gx, gy, t = self._grad(w)
-        coef = slope_ratio(self.profile, t)[:, :, None]
-        dfx = coef * gx
-        dfy = coef * gy
-        scale = self.rho * self.h2 / self.h
-        return scale * (dfx[:-1, 1:, :] - dfx[1:, 1:, :]
-                        + dfy[1:, :-1, :] - dfy[1:, 1:, :])
+    def _residual(self, pt: StencilPoint) -> np.ndarray:
+        coef = pt.ratio()[:, :, None]
+        dfx = coef * pt.gx
+        dfy = coef * pt.gy
+        out = dfx[:-1, 1:, :] - dfx[1:, 1:, :]
+        out += dfy[1:, :-1, :]
+        out -= dfy[1:, 1:, :]
+        out *= self.rho * self.h2 / self.h
+        return out
 
-    def curvature_diag(self, w: np.ndarray) -> np.ndarray:
-        """Per-cell upper bound on the energy Hessian diagonal, shape (nx, ny, 1)."""
-        _, _, t = self._grad(w)
-        kap = np.maximum(profile_d2(self.profile, t),
-                         slope_ratio(self.profile, t))
-        diag = self.rho * (kap[:-1, 1:] + 2.0 * kap[1:, 1:] + kap[1:, :-1])
+    def _curvature_diag(self, pt: StencilPoint) -> np.ndarray:
+        kap = pt.kappa()
+        # rho * (kap[:-1, 1:] + 2 kap[1:, 1:] + kap[1:, :-1])
+        diag = 2.0 * kap[1:, 1:]
+        np.add(kap[:-1, 1:], diag, out=diag)
+        diag += kap[1:, :-1]
+        diag *= self.rho
         return diag[:, :, None]
 
     def default_init(self) -> np.ndarray:
         return self._ext[1:-1, 1:-1, :].copy()
 
 
-class FidelityOps:
-    """Same kernels for the Neumann + data-term energy."""
+class FidelityOps(_Ops):
+    """The same fused kernels for the Neumann + data-term energy."""
 
     def __init__(self, problem: FidelityProblem,
                  reg: RegularizationState | None):
-        self.problem = problem
-        self.profile = _check_state(problem, reg)
-        g = problem.grid
-        self.h = g.h
-        self.h2 = g.h * g.h
+        super().__init__(problem, reg)
         self.lam = problem.lam
         self.outside = (~problem.mask.member)[:, :, None]
         if reg is None:
@@ -219,39 +294,42 @@ class FidelityOps:
         else:
             self.fd = clip_data(problem.f, reg.delta).values
 
-    def _grad(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _grad(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         gx = np.zeros_like(w)
         gy = np.zeros_like(w)
-        gx[:-1, :, :] = (w[1:, :, :] - w[:-1, :, :]) / self.h
-        gy[:, :-1, :] = (w[:, 1:, :] - w[:, :-1, :]) / self.h
-        t = np.sqrt(np.einsum("ijc,ijc->ij", gx, gx)
-                    + np.einsum("ijc,ijc->ij", gy, gy))
-        return gx, gy, t
+        np.subtract(w[1:, :, :], w[:-1, :, :], out=gx[:-1, :, :])
+        gx[:-1, :, :] /= self.h
+        np.subtract(w[:, 1:, :], w[:, :-1, :], out=gy[:, :-1, :])
+        gy[:, :-1, :] /= self.h
+        return gx, gy
 
-    def energy(self, w: np.ndarray) -> float:
-        _, _, t = self._grad(w)
-        reg_term = self.h2 * float(np.sum(profile_eval(self.profile, t)))
-        diff = (w - self.fd) * self.outside
-        return reg_term + self.lam * self.h2 * float(np.sum(diff * diff))
+    def evaluate(self, w: np.ndarray) -> StencilPoint:
+        gx, gy, at = self._slopes(w)
+        reg_term = self.h2 * float(np.sum(at.value()))
+        diff = w - self.fd
+        diff *= self.outside
+        diff *= diff
+        energy = reg_term + self.lam * self.h2 * float(np.sum(diff))
+        return StencilPoint(self, w, gx, gy, at, energy)
 
-    def residual(self, w: np.ndarray) -> np.ndarray:
-        gx, gy, t = self._grad(w)
-        coef = slope_ratio(self.profile, t)[:, :, None]
-        dfx = coef * gx
-        dfy = coef * gy
+    def _residual(self, pt: StencilPoint) -> np.ndarray:
+        coef = pt.ratio()[:, :, None]
+        dfx = coef * pt.gx
+        dfy = coef * pt.gy
         out = dfx.copy()
         out[1:, :, :] -= dfx[:-1, :, :]
         out += dfy
         out[:, 1:, :] -= dfy[:, :-1, :]
         out *= -self.h2 / self.h
-        out += 2.0 * self.lam * self.h2 * (w - self.fd) * self.outside
+        data = pt.w - self.fd
+        data *= 2.0 * self.lam * self.h2
+        data *= self.outside
+        out += data
         return out
 
-    def curvature_diag(self, w: np.ndarray) -> np.ndarray:
-        _, _, t = self._grad(w)
-        kap = np.maximum(profile_d2(self.profile, t),
-                         slope_ratio(self.profile, t))
-        diag = np.zeros_like(t)
+    def _curvature_diag(self, pt: StencilPoint) -> np.ndarray:
+        kap = pt.kappa()
+        diag = np.zeros_like(kap)
         diag[:-1, :] += kap[:-1, :]
         diag[1:, :] += kap[:-1, :]
         diag[:, :-1] += kap[:, :-1]
@@ -327,8 +405,6 @@ def total_variation(p, w: Field) -> float:
     _check_field(p, w)
     if isinstance(p, DirichletProblem):
         ops = DirichletOps(p, None)
-        _, _, t = ops._grad(w.values)
-        return ops.rho * ops.h2 * float(np.sum(t))
+        return ops.rho * ops.h2 * float(np.sum(ops._slopes(w.values)[2].t))
     ops = FidelityOps(p, None)
-    _, _, t = ops._grad(w.values)
-    return ops.h2 * float(np.sum(t))
+    return ops.h2 * float(np.sum(ops._slopes(w.values)[2].t))

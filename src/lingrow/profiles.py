@@ -123,8 +123,12 @@ def combined(delta: float, mu: float, base: RadialProfile) -> RadialProfile:
 
 
 def _check_t(t) -> tuple[np.ndarray, bool]:
+    """Validated slopes as an array of at least one dimension, so that the
+    closed forms below can work in place; the flag says t was a scalar."""
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
+    if scalar:
+        arr = arr.reshape(1)
     if not np.all(np.isfinite(arr)):
         raise ValueError("t must be finite")
     if np.any(arr < 0.0):
@@ -132,77 +136,169 @@ def _check_t(t) -> tuple[np.ndarray, bool]:
     return arr, scalar
 
 
-def _phi_eval(mu: float, t: np.ndarray) -> np.ndarray:
-    L = np.log1p(t)
+# the derivative orders (0 value, 1 slope, 2 curvature) that read each
+# intermediate shared by ``ProfileAt``
+_SHARED_BY = {"_log1p": (0, 1), "_tt": (0, 2), "_root": (0, 1)}
+
+
+class ProfileAt:
+    """A profile evaluated on one array of slopes ``t``, without validation.
+
+    This is the internal fast path of the stencil kernels: ``t`` must be
+    finite and non-negative, which the caller guarantees.  ``log1p(t)``,
+    ``t^2`` and ``sqrt(1 + t^2)`` are each computed once and shared by the
+    value, the slope and the curvature; each is dropped as soon as every
+    order that reads it has been evaluated, so a long-lived instance holds
+    no more arrays than it still needs.  The public ``profile_*`` functions
+    validate ``t`` and then run this same code.
+    """
+
+    __slots__ = ("p", "t", "_done", "_log1p", "_tt", "_root")
+
+    def __init__(self, p: RadialProfile, t: np.ndarray):
+        self.p = p
+        self.t = t
+        self._done: set[int] = set()
+        self._log1p = self._tt = self._root = None
+
+    def log1p(self) -> np.ndarray:
+        if self._log1p is None:
+            self._log1p = np.log1p(self.t)
+        return self._log1p
+
+    def tt(self) -> np.ndarray:
+        if self._tt is None:
+            self._tt = self.t * self.t
+        return self._tt
+
+    def root(self) -> np.ndarray:
+        """``sqrt(1 + t^2)``."""
+        if self._root is None:
+            root = 1.0 + self.tt()
+            self._root = np.sqrt(root, out=root)
+        return self._root
+
+    def _order(self, order: int) -> np.ndarray:
+        out = _eval_impl(self.p, self, order)
+        self._done.add(order)
+        for name, orders in _SHARED_BY.items():
+            if self._done.issuperset(orders):
+                setattr(self, name, None)
+        return out
+
+    def value(self) -> np.ndarray:
+        return self._order(0)
+
+    def d1(self) -> np.ndarray:
+        return self._order(1)
+
+    def d2(self) -> np.ndarray:
+        return self._order(2)
+
+    def slope_ratio(self, d2_origin: float) -> np.ndarray:
+        """``d1(t)/t``, with ``d2_origin = d2(0)`` below the origin cutoff."""
+        t = self.t
+        small = t < _ORIGIN_CUTOFF
+        if not small.any():
+            return self.d1() / t
+        return np.where(small, d2_origin, self.d1() / np.where(small, 1.0, t))
+
+
+# The closed forms return fresh arrays and update them in place; each
+# in-place step applies the same operation to the same operands as the
+# plain expression it replaces, so the values are bit-identical to it.
+
+def _phi_eval(mu: float, at: ProfileAt) -> np.ndarray:
+    t = at.t
+    L = at.log1p()
     eps = mu - 2.0
     if abs(eps) < _MU2_WINDOW:
         # series in (mu - 2) around the logarithmic form t - log(1+t)
         c1 = 0.5 * L * L + L - t
         c2 = t - L - 0.5 * L * L - L * L * L / 6.0
         return (t - L) + eps * (c1 + eps * c2)
-    return (t + np.expm1(-eps * L) / eps) / (mu - 1.0)
+    # (t + expm1(-eps * L) / eps) / (mu - 1)
+    v = -eps * L
+    np.expm1(v, out=v)
+    v /= eps
+    v += t
+    v /= mu - 1.0
+    return v
 
 
-def _phi_d1(mu: float, t: np.ndarray) -> np.ndarray:
-    return -np.expm1((1.0 - mu) * np.log1p(t)) / (mu - 1.0)
+def _phi_d1(mu: float, at: ProfileAt) -> np.ndarray:
+    # -expm1((1 - mu) * L) / (mu - 1)
+    v = (1.0 - mu) * at.log1p()
+    np.expm1(v, out=v)
+    np.negative(v, out=v)
+    v /= mu - 1.0
+    return v
 
 
-def _phi_d2(mu: float, t: np.ndarray) -> np.ndarray:
-    return (1.0 + t) ** (-mu)
+def _phi_d2(mu: float, at: ProfileAt) -> np.ndarray:
+    v = 1.0 + at.t
+    v **= -mu
+    return v
 
 
-def _ms_eval(t: np.ndarray) -> np.ndarray:
-    tt = t * t
-    return tt / (1.0 + np.sqrt(1.0 + tt))
+def _ms_eval(mu: None, at: ProfileAt) -> np.ndarray:
+    v = 1.0 + at.root()
+    np.divide(at.tt(), v, out=v)
+    return v
 
 
-def _ms_d1(t: np.ndarray) -> np.ndarray:
-    return t / np.sqrt(1.0 + t * t)
+def _ms_d1(mu: None, at: ProfileAt) -> np.ndarray:
+    return at.t / at.root()
 
 
-def _ms_d2(t: np.ndarray) -> np.ndarray:
-    return (1.0 + t * t) ** (-1.5)
+def _ms_d2(mu: None, at: ProfileAt) -> np.ndarray:
+    v = 1.0 + at.tt()
+    v **= -1.5
+    return v
 
 
-def _eval_impl(p: RadialProfile, t: np.ndarray, order: int) -> np.ndarray:
-    if p.kind == "phi_mu":
-        f = (_phi_eval, _phi_d1, _phi_d2)[order]
-        return f(p.mu, t)
-    if p.kind == "minimal_surface":
-        f = (_ms_eval, _ms_d1, _ms_d2)[order]
-        return f(t)
-    # combined: delta * phi_mu + base, evaluated term by term
-    return p.delta * _eval_impl(phi_mu(p.mu), t, order) + _eval_impl(p.base, t, order)
+_TERMS = {
+    "phi_mu": (_phi_eval, _phi_d1, _phi_d2),
+    "minimal_surface": (_ms_eval, _ms_d1, _ms_d2),
+}
+
+
+def _eval_impl(p: RadialProfile, at: ProfileAt, order: int) -> np.ndarray:
+    if p.kind == "combined":
+        # delta * phi_mu + base, evaluated term by term
+        v = _TERMS["phi_mu"][order](p.mu, at)
+        v *= p.delta
+        v += _TERMS[p.base.kind][order](p.base.mu, at)
+        return v
+    return _TERMS[p.kind][order](p.mu, at)
 
 
 def profile_eval(p: RadialProfile, t):
     """Profile value at ``t >= 0`` (scalar or array)."""
     arr, scalar = _check_t(t)
-    out = _eval_impl(p, arr, 0)
-    return float(out) if scalar else out
+    out = ProfileAt(p, arr).value()
+    return float(out[0]) if scalar else out
 
 
 def profile_d1(p: RadialProfile, t):
     """First derivative; non-negative, non-decreasing, bounded."""
     arr, scalar = _check_t(t)
-    out = _eval_impl(p, arr, 1)
-    return float(out) if scalar else out
+    out = ProfileAt(p, arr).d1()
+    return float(out[0]) if scalar else out
 
 
 def profile_d2(p: RadialProfile, t):
     """Second derivative; non-negative, decaying at infinity."""
     arr, scalar = _check_t(t)
-    out = _eval_impl(p, arr, 2)
-    return float(out) if scalar else out
+    out = ProfileAt(p, arr).d2()
+    return float(out[0]) if scalar else out
 
 
 def slope_ratio(p: RadialProfile, t):
     """``d1(t)/t`` with its limit ``d2(0)`` used below the origin cutoff."""
     arr, scalar = _check_t(t)
-    small = arr < _ORIGIN_CUTOFF
-    safe = np.where(small, 1.0, arr)
-    out = np.where(small, profile_d2(p, 0.0), _eval_impl(p, arr, 1) / safe)
-    return float(out) if scalar else out
+    out = ProfileAt(p, arr).slope_ratio(profile_d2(p, 0.0))
+    return float(out[0]) if scalar else out
 
 
 def recession_slope(p: RadialProfile) -> float:

@@ -8,6 +8,14 @@ verifies every step, so accepted energies are non-increasing, but the
 badly conditioned small-delta rungs converge orders of magnitude faster
 than with unit trial steps.
 
+Cost per iteration: every energy evaluation is one fused stencil pass
+(``ops.evaluate``: one forward difference, the slopes and the energy).  The
+Armijo trial that is accepted hands that state forward, so the residual and
+the preconditioner at the new iterate come from ``d1/t`` and ``d2`` on it
+without another gradient pass.  An accepted step therefore costs one
+gradient pass plus one per backtrack, and a rung costs
+``1 + iterations + backtracks`` passes in all.
+
 ``continuation_solve`` walks a decreasing delta schedule, warm-starting each
 rung from the previous solution and re-clipping the datum at each delta.
 ``verify_minimality`` audits a candidate by random energy-increase trials.
@@ -90,16 +98,22 @@ class SolverError(RuntimeError):
 
 def _armijo(ops, w: np.ndarray, e: float, d: np.ndarray, slope: float,
             t0: float, cfg: SolverConfig):
-    """Backtrack from trial step t0; returns (w_new, e_new, backtracks) or None."""
+    """Backtrack from trial step t0; returns (point, backtracks), with
+    point None when no trial step is accepted.
+
+    The accepted point carries its stencil state, so the residual and the
+    preconditioner there cost no further gradient pass.
+    """
     t = t0
     for b in range(_MAX_BACKTRACKS):
-        w_new = w + t * d
-        e_new = ops.energy(w_new)
+        point = ops.evaluate(w + t * d)
+        e_new = point.energy
         slack = 4.0 * _EPS * (abs(e) + abs(e_new) + 1.0)
         if e_new <= e + cfg.armijo_slope * t * slope + slack:
-            return w_new, e_new, b
+            return point, b
+        point = None  # release the rejected state before the next trial
         t *= cfg.armijo_backtrack
-    return None
+    return None, _MAX_BACKTRACKS
 
 
 def minimize_fixed_delta(problem, reg: RegularizationState | None,
@@ -113,12 +127,12 @@ def minimize_fixed_delta(problem, reg: RegularizationState | None,
     ops = assemble_ops(problem, reg)
     if init.grid != problem.grid or init.channels != problem.channels:
         raise ValueError("init does not match the problem")
-    w = init.values.astype(float).copy()
-    e = ops.energy(w)
+    point = ops.evaluate(init.values.astype(float).copy())
+    w, e = point.w, point.energy
     tol = cfg.residual_tol if cfg.residual_tol is not None \
         else 1e-8 * (1.0 + abs(e))
 
-    r = ops.residual(w)
+    r = point.residual()
     w_prev = r_prev = None
     backtracks = 0
     iters = 0
@@ -131,7 +145,7 @@ def minimize_fixed_delta(problem, reg: RegularizationState | None,
             return Field(problem.grid, w), stats
         if iters == cfg.max_iters:
             break
-        diag = ops.curvature_diag(w)
+        diag = point.curvature_diag()
         diag = np.maximum(diag, 1e-8 * float(diag.max()))
         d = -r / diag
         slope = float(np.sum(r * d))
@@ -148,14 +162,16 @@ def minimize_fixed_delta(problem, reg: RegularizationState | None,
             den = float(np.sum(g * g / diag))
             if num > 0.0 and den > 0.0:
                 t0 = min(max(num / den, 1e-6), 1e8)
-        accepted = _armijo(ops, w, e, d, slope, t0, cfg)
-        if accepted is None:
+        # drop the state at w before the trials allocate theirs
+        point = None
+        point, b = _armijo(ops, w, e, d, slope, t0, cfg)
+        if point is None:
             stalled = True
             break
         w_prev, r_prev = w, r
-        w, e, b = accepted
+        w, e = point.w, point.energy
         backtracks += b
-        r = ops.residual(w)
+        r = point.residual()
 
     stats = SolveStats(iters, rmax, e, tol, backtracks, False)
     reason = "line search stalled" if stalled else "iteration budget exhausted"

@@ -222,17 +222,14 @@ class TestMoser:
         assert rc == 2
         assert "lingrow:" in capsys.readouterr().err
 
-    def test_thread_count_does_not_change_outputs(self, tmp_path,
-                                                  monkeypatch):
-        cfg = denoise_config(noise=0.5, nx=32, tol=1e-9)
-        cfg["ball"] = {"center": [0.5, 0.5], "r0": 0.3, "j_max": 3}
-        cfg["s_values"] = [0.0, 1.0]
-        monkeypatch.delenv("LINGROW_THREADS", raising=False)
-        rc1, out1 = run(tmp_path, "moser", cfg, out="serial")
-        monkeypatch.setenv("LINGROW_THREADS", "2")
-        rc2, out2 = run(tmp_path, "moser", cfg, out="threaded")
-        assert rc1 == rc2
-        assert tree_bytes(out1) == tree_bytes(out2)
+    def test_minimality_trials_zero_exits_two_before_solving(
+            self, tmp_path, capsys):
+        cfg = denoise_config()
+        cfg["minimality_trials"] = 0
+        rc, out = run(tmp_path, "solve", cfg)
+        assert rc == 2
+        assert "minimality_trials" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFullReport:

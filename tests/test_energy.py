@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lingrow.energy import (DirichletProblem, FidelityProblem,
-                            RegularizationState, clip_data, energy_dirichlet,
+                            RegularizationState, assemble_ops, clip_data, energy_dirichlet,
                             energy_fidelity, energy_relaxed, euler_residual,
                             relaxed_boundary_penalty, total_variation)
 from lingrow.grids import DirichletGhost, Field, Grid2, Mask
@@ -199,6 +199,78 @@ def test_relaxed_energy_at_datum_equals_plain_energy():
     assert relaxed == pytest.approx(
         energy_relaxed(problem, w) - relaxed_boundary_penalty(problem, w),
         rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# fused kernel: one forward-difference pass feeds all three quantities
+
+
+def _fused_cases():
+    for channels in (1, 2):
+        yield random_dirichlet(n=9, channels=channels, seed=20 + channels)
+    yield random_fidelity(n=9, seed=23)
+
+
+@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("delta", [None, 0.05])
+def test_fused_evaluation_is_bit_identical_to_the_kernels(case, delta):
+    problem, w = list(_fused_cases())[case]
+    values = w.values.copy()
+    values[:3, :3, :] = 0.0  # flat cells exercise the origin limit of d1/t
+    before = values.copy()
+    reg = None if delta is None else \
+        RegularizationState(delta, 1.5, problem.kind)
+    ops = assemble_ops(problem, reg)
+    point = ops.evaluate(values)
+    # curvature first: deriving one quantity must not disturb the other
+    diag = point.curvature_diag()
+    res = point.residual()
+    assert point.energy == ops.energy(values)
+    assert np.array_equal(res, ops.residual(values))
+    assert np.array_equal(diag, ops.curvature_diag(values))
+    assert np.array_equal(values, before)  # w is not written
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "fidelity"])
+def test_curvature_diag_bounds_the_hessian_diagonal(kind):
+    """The Hessian diagonal, d(residual_k)/d(w_k) by central differences,
+    never exceeds the bound, and meets it on a flat field, where every
+    difference cell has curvature d2(0) in all directions."""
+    if kind == "dirichlet":
+        problem, w = random_dirichlet(n=8, channels=2, seed=31)
+        flat = DirichletProblem.from_field(Field.full(problem.grid, 1.5, 2),
+                                           problem.density)
+    else:
+        problem, w = random_fidelity(n=8, seed=32)
+        flat = FidelityProblem(problem.grid, Field.full(problem.grid, 1.5),
+                               problem.mask, problem.lam, problem.density)
+    reg = RegularizationState(0.1, 1.5, kind)
+    rng = np.random.default_rng(33)
+    for prob, values, exact in ((problem, w.values, False),
+                                (flat, np.full(w.values.shape, 1.5), True)):
+        ops = assemble_ops(prob, reg)
+        diag = ops.curvature_diag(values)
+        for _ in range(12):
+            idx = (rng.integers(0, 8), rng.integers(0, 8),
+                   rng.integers(0, values.shape[2]))
+            step = 1e-7
+            hi, lo = values.copy(), values.copy()
+            hi[idx] += step
+            lo[idx] -= step
+            hkk = (ops.residual(hi)[idx] - ops.residual(lo)[idx]) / (2 * step)
+            bound = diag[idx[0], idx[1], 0]
+            assert hkk <= bound * (1.0 + 1e-6), idx
+            if exact:
+                assert hkk == pytest.approx(bound, rel=1e-5), idx
+
+
+def test_non_finite_iterate_raises():
+    problem, w = random_dirichlet()
+    values = w.values.copy()
+    values[2, 3, 0] = np.inf
+    with pytest.raises(ValueError, match="not finite"), \
+            np.errstate(invalid="ignore"):
+        assemble_ops(problem, None).evaluate(values)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from lingrow.instances import (affine_fn, constant_fn, dirichlet_boundary_spike,
                                inverse_sqrt_fn, make_field, make_function,
                                snap_to_cell)
 from lingrow.pgmio import field_to_csv, write_pgm
+from lingrow.solver import SolverConfig
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +202,30 @@ def test_seed_override_controls_noise():
     (lambda r: r.update(ball={"auto": True}), "needs 'x0'"),
     (lambda r: r.update(ball={"center": [0.5, 0.5], "r0": -1.0}), "bad ball"),
     (lambda r: r.update(s_values=[]), "non-empty"),
+    (lambda r: r.update(seed="x"), "'seed' must be an integer"),
+    (lambda r: r.update(seed=1.5), "'seed' must be an integer"),
+    (lambda r: r.update(seed=-1), "'seed' must be an integer >= 0"),
+    (lambda r: r.update(minimality_trials=0), "'minimality_trials' must be"),
+    (lambda r: r.update(minimality_trials="x"), "'minimality_trials' must be"),
 ])
 def test_parse_config_errors(mutate, fragment):
     raw = base_config()
     mutate(raw)
     with pytest.raises(ConfigError, match=fragment):
         parse_config(raw)
+
+
+def test_solver_section_defaults_come_from_solver_config():
+    raw = base_config()
+    raw["solver"] = {"max_iters": 7}
+    assert parse_config(raw).solver == SolverConfig(max_iters=7)
+    del raw["solver"]
+    assert parse_config(raw).solver == SolverConfig()
+
+
+def test_negative_seed_override_is_a_config_error():
+    with pytest.raises(ConfigError, match="'seed'"):
+        parse_config(base_config(), seed_override=-3)
 
 
 def test_problem_requires_grid():

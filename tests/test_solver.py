@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lingrow import solver
 from lingrow.energy import (DirichletProblem, FidelityProblem,
                             RegularizationState, energy_fidelity,
                             euler_residual)
@@ -207,6 +208,40 @@ def test_continuation_error_annotated_with_delta():
     cfg = SolverConfig(mu=1.5, max_iters=2, residual_tol=1e-14)
     with pytest.raises(SolverError, match=r"delta=0\.1:"):
         continuation_solve(problem, cfg)
+
+
+def test_one_gradient_pass_per_energy_evaluation(monkeypatch):
+    """An accepted step reuses its line-search state for the residual and
+    the preconditioner: gradient passes = energies = 1 + iters + backtracks."""
+    counts = {"grad": 0, "energy": 0}
+    real_assemble = solver.assemble_ops
+
+    def counting_assemble(problem, reg):
+        ops = real_assemble(problem, reg)
+        grad, evaluate = ops._grad, ops.evaluate
+
+        def counted_grad(w):
+            counts["grad"] += 1
+            return grad(w)
+
+        def counted_evaluate(w):
+            counts["energy"] += 1
+            return evaluate(w)
+
+        ops._grad, ops.evaluate = counted_grad, counted_evaluate
+        return ops
+
+    monkeypatch.setattr(solver, "assemble_ops", counting_assemble)
+    problem = denoise_problem(n=12)
+    reg = RegularizationState(0.1, 1.5, "fidelity")
+    init = Field(problem.grid,
+                 solver.assemble_ops(problem, reg).default_init())
+    counts.update(grad=0, energy=0)
+    _, stats = minimize_fixed_delta(problem, reg, init,
+                                    SolverConfig(residual_tol=1e-10))
+    assert stats.converged and stats.iters > 10
+    assert counts["grad"] == counts["energy"] \
+        == 1 + stats.iters + stats.backtracks
 
 
 def test_init_mismatch_rejected():
