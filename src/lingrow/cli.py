@@ -97,7 +97,8 @@ def _write_trace(cfg: RunConfig, trace: SolveTrace, out_dir: str) -> dict:
         entries.append({
             "delta": rec.delta, "energy": rec.energy,
             "plain_energy": rec.plain_energy, "residual": rec.residual,
-            "iters": rec.iters, "tv": rec.tv,
+            "iters": rec.iters, "backtracks": rec.backtracks,
+            "krylov_iters": rec.krylov_iters, "tv": rec.tv,
             "interior_sup": rec.interior_sup,
             "pgm": name if rec.u.channels == 1 else None,
             "pgm_lo": lo, "pgm_hi": hi,

@@ -71,6 +71,22 @@ def _count(value, name: str, least: int) -> int:
     return value
 
 
+def _real(value, name: str, least: float | None = None,
+          strict: bool = False) -> float:
+    """A finite number, optionally bounded below (strictly or not);
+    booleans and strings are rejected."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and np.isfinite(value)
+    if least is None:
+        _expect(ok, f"'{name}' must be a finite number")
+    elif strict:
+        _expect(ok and value > least, f"'{name}' must be a number > {least:g}")
+    else:
+        _expect(ok and value >= least,
+                f"'{name}' must be a number >= {least:g}")
+    return float(value)
+
+
 # conversions of the solver section's keys, by SolverConfig field
 _SOLVER_FIELDS = {
     "mu": float,
@@ -79,7 +95,6 @@ _SOLVER_FIELDS = {
     "max_iters": int,
     "armijo_slope": float,
     "armijo_backtrack": float,
-    "spectral_steps": bool,
 }
 
 
@@ -138,7 +153,7 @@ def _parse_problem(spec, grid: Grid2 | None, rng: np.random.Generator,
     kind = spec.get("kind")
     try:
         density = RadialProfile.from_dict(spec["density"])
-    except (KeyError, ValueError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad problem density: {err}") from err
     if kind == "dirichlet":
         _expect("u0" in spec, "dirichlet problem needs 'u0'")
@@ -148,7 +163,7 @@ def _parse_problem(spec, grid: Grid2 | None, rng: np.random.Generator,
             syn = dict(u0_spec["synthetic"])
             if "center" in syn:
                 syn["center"] = snap_to_cell(grid, tuple(syn["center"]))
-            _expect(float(syn.get("noise", 0.0)) == 0.0,
+            _expect(_real(syn.get("noise", 0.0), "noise") == 0.0,
                     "dirichlet data must be noise-free")
             try:
                 ghost = DirichletGhost.from_function(grid, make_function(syn))
@@ -184,8 +199,10 @@ def parse_config(raw: dict, base_dir: str = ".",
             raise ConfigError(f"bad density: {err}") from err
     dc = raw.get("density_check", {})
     _expect(isinstance(dc, dict), "'density_check' must be an object")
-    cfg.density_t_max = float(dc.get("t_max", 100.0))
-    cfg.density_samples = int(dc.get("samples", 1000))
+    cfg.density_t_max = _real(dc.get("t_max", 100.0), "density_check.t_max",
+                              0.0, strict=True)
+    cfg.density_samples = _count(dc.get("samples", 1000),
+                                 "density_check.samples", 100)
 
     if "grid" in raw:
         g = raw["grid"]
@@ -198,6 +215,8 @@ def parse_config(raw: dict, base_dir: str = ".",
     if "solver" in raw:
         s = raw["solver"]
         _expect(isinstance(s, dict), "'solver' must be an object")
+        unknown = sorted(set(s) - set(_SOLVER_FIELDS))
+        _expect(not unknown, "unknown solver key(s): " + ", ".join(unknown))
         try:
             # only the keys given; SolverConfig supplies the defaults
             cfg.solver = SolverConfig(**{
@@ -214,22 +233,23 @@ def parse_config(raw: dict, base_dir: str = ".",
     if "ball" in raw:
         b = raw["ball"]
         _expect(isinstance(b, dict), "'ball' must be an object")
-        cfg.ball_n = int(b.get("n", 2))
-        cfg.ball_j_max = int(b.get("j_max", 6))
+        cfg.ball_n = _count(b.get("n", 2), "ball.n", 2)
+        cfg.ball_j_max = _count(b.get("j_max", 6), "ball.j_max", 1)
         if b.get("auto"):
             _expect("x0" in b, "auto ball selection needs 'x0'")
             x0 = b["x0"]
             _expect(isinstance(x0, list) and len(x0) == 2, "'x0' needs 2 numbers")
-            cfg.ball_auto_x0 = (float(x0[0]), float(x0[1]))
+            cfg.ball_auto_x0 = (_real(x0[0], "x0"), _real(x0[1], "x0"))
         else:
             _expect("center" in b and "r0" in b,
                     "ball needs 'center' and 'r0' (or 'auto' with 'x0')")
             c = b["center"]
             _expect(isinstance(c, list) and len(c) == 2,
                     "'center' needs 2 numbers")
+            center = (_real(c[0], "center"), _real(c[1], "center"))
+            r0 = _real(b["r0"], "r0")
             try:
-                cfg.ball = BallFamily((float(c[0]), float(c[1])),
-                                      float(b["r0"]), n=cfg.ball_n,
+                cfg.ball = BallFamily(center, r0, n=cfg.ball_n,
                                       j_max=cfg.ball_j_max)
             except ValueError as err:
                 raise ConfigError(f"bad ball: {err}") from err
@@ -237,7 +257,7 @@ def parse_config(raw: dict, base_dir: str = ".",
     if "s_values" in raw:
         s = raw["s_values"]
         _expect(isinstance(s, list) and s, "'s_values' must be a non-empty list")
-        cfg.s_values = tuple(float(x) for x in s)
+        cfg.s_values = tuple(_real(x, "s_values", 0.0) for x in s)
     if "minimality_trials" in raw:
         cfg.minimality_trials = _count(raw["minimality_trials"],
                                        "minimality_trials", 1)

@@ -13,7 +13,8 @@ Two problem classes:
 A ``RegularizationState`` adds ``delta * phi_mu`` to the density, producing
 the strictly elliptic energies the continuation solver walks down.
 ``euler_residual`` is the exact gradient of the discrete energy with respect
-to the cell values (finite-difference checkable).
+to the cell values (finite-difference checkable), and ``Hessian`` its
+matrix-free derivative, which the Newton solver inverts.
 """
 
 from __future__ import annotations
@@ -199,6 +200,79 @@ class StencilPoint:
     def curvature_diag(self) -> np.ndarray:
         return self.ops._curvature_diag(self)
 
+    def hessian(self, theta: float = 0.0) -> "Hessian":
+        """The energy Hessian at w, with the radial curvature floored at
+        ``theta * d1/t`` (``theta = 0`` is the exact Hessian)."""
+        return Hessian(self, theta)
+
+
+class Hessian:
+    """The energy Hessian at a ``StencilPoint``, as a matrix-free operator.
+
+    Per difference cell the density's Hessian is ``A = a I + b g g^T`` on
+    the cell's 2N slopes ``g``, with ``a = d1/t`` and
+    ``b = (d2' - a)/t^2``, where ``d2' = max(d2, theta * a)`` floors the
+    radial curvature (``b = 0`` below the origin cutoff, where ``A`` is
+    ``d2(0) I``).  ``theta = 1`` gives the lagged-diffusivity operator
+    ``a I`` wherever ``d2 <= a``; ``theta = 0`` the exact Hessian.  ``apply``
+    runs the forward difference and the divergence of the residual on a
+    perturbation (zero ghost ring), and adds the data mass of the fidelity
+    term.  It is exact for N channels, coupling included.
+    """
+
+    __slots__ = ("ops", "gx", "gy", "a", "b")
+
+    def __init__(self, pt: StencilPoint, theta: float):
+        self.ops = pt.ops
+        self.gx, self.gy = pt.gx, pt.gy
+        self.a = pt.ratio()
+        self.b = pt.at.radial_excess(self.a, theta)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """``H v``."""
+        return self._product(v, coupled=True)
+
+    def apply_channelwise(self, v: np.ndarray) -> np.ndarray:
+        """``H v`` without the coupling between channels: the operator the
+        multigrid preconditioner is built on (``H`` for one channel)."""
+        return self._product(v, coupled=False)
+
+    def _product(self, v: np.ndarray, coupled: bool) -> np.ndarray:
+        ops = self.ops
+        vx, vy = ops._dgrad(v)
+        s = self.gx * vx
+        s += self.gy * vy
+        if coupled and s.shape[2] > 1:
+            s = s.sum(axis=2, keepdims=True)
+        s *= self.b[:, :, None]
+        a = self.a[:, :, None]
+        vx *= a
+        vx += s * self.gx
+        vy *= a
+        vy += s * self.gy
+        del s
+        out = ops._div(vx, vy)
+        if ops.mass is not None:
+            out += ops.mass * v
+        return out
+
+    def cell_tensors(self):
+        """Per-channel 2x2 cell tensors ``a I + b g_c g_c^T`` for the
+        multigrid preconditioner, in difference units (the cell weight
+        included, ``1/h^2`` folded out) on the ghost-ring layout of
+        ``multigrid.Multigrid``, plus the diagonal mass.  Dropping the
+        coupling between channels keeps each tensor positive definite,
+        because ``|g_c| <= t``."""
+        a = self.a[:, :, None]
+        b = self.b[:, :, None]
+        gx, gy = self.gx, self.gy
+        txx = b * gx * gx
+        txx += a
+        tyy = b * gy * gy
+        tyy += a
+        txy = b * gx * gy
+        return self.ops._ring_tensors(txx, txy, tyy)
+
 
 class _Ops:
     """Kernels shared by both problem classes; subclasses supply the
@@ -208,6 +282,7 @@ class _Ops:
         self.problem = problem
         self.profile = _check_state(problem, reg)
         self.d2_origin = profile_d2(self.profile, 0.0)
+        self.mass = None  # diagonal of the data term's Hessian, if any
         g = problem.grid
         self.h = g.h
         self.h2 = g.h * g.h
@@ -253,6 +328,28 @@ class DirichletOps(_Ops):
         gy /= self.h
         return gx, gy
 
+    def _dgrad(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_grad`` of a perturbation, which vanishes on the ghost ring."""
+        nx, ny, n = v.shape
+        gx = np.zeros((nx + 1, ny + 1, n))
+        gx[:-1, 1:] = v
+        gx[1:, 1:] -= v
+        gx /= self.h
+        gy = np.zeros((nx + 1, ny + 1, n))
+        gy[1:, :-1] = v
+        gy[1:, 1:] -= v
+        gy /= self.h
+        return gx, gy
+
+    def _div(self, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+        """The adjoint of ``_grad`` applied to per-cell fluxes, times the
+        cell weight and area: the energy gradient with respect to w."""
+        out = fx[:-1, 1:, :] - fx[1:, 1:, :]
+        out += fy[1:, :-1, :]
+        out -= fy[1:, 1:, :]
+        out *= self.rho * self.h2 / self.h
+        return out
+
     def evaluate(self, w: np.ndarray) -> StencilPoint:
         gx, gy, at = self._slopes(w)
         energy = self.rho * self.h2 * float(np.sum(at.value()))
@@ -260,13 +357,7 @@ class DirichletOps(_Ops):
 
     def _residual(self, pt: StencilPoint) -> np.ndarray:
         coef = pt.ratio()[:, :, None]
-        dfx = coef * pt.gx
-        dfy = coef * pt.gy
-        out = dfx[:-1, 1:, :] - dfx[1:, 1:, :]
-        out += dfy[1:, :-1, :]
-        out -= dfy[1:, 1:, :]
-        out *= self.rho * self.h2 / self.h
-        return out
+        return self._div(coef * pt.gx, coef * pt.gy)
 
     def _curvature_diag(self, pt: StencilPoint) -> np.ndarray:
         kap = pt.kappa()
@@ -276,6 +367,10 @@ class DirichletOps(_Ops):
         diag += kap[1:, :-1]
         diag *= self.rho
         return diag[:, :, None]
+
+    def _ring_tensors(self, txx, txy, tyy):
+        # the difference cells already sit on the ghost-ring layout
+        return self.rho * txx, self.rho * txy, self.rho * tyy, None
 
     def default_init(self) -> np.ndarray:
         return self._ext[1:-1, 1:-1, :].copy()
@@ -289,6 +384,7 @@ class FidelityOps(_Ops):
         super().__init__(problem, reg)
         self.lam = problem.lam
         self.outside = (~problem.mask.member)[:, :, None]
+        self.mass = 2.0 * self.lam * self.h2 * self.outside
         if reg is None:
             self.fd = problem.f.values.copy()
         else:
@@ -303,6 +399,18 @@ class FidelityOps(_Ops):
         gy[:, :-1, :] /= self.h
         return gx, gy
 
+    _dgrad = _grad  # Neumann differences carry no datum
+
+    def _div(self, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+        """The adjoint of ``_grad`` applied to per-cell fluxes, times the
+        cell area: the energy gradient of the regularizer."""
+        out = fx.copy()
+        out[1:, :, :] -= fx[:-1, :, :]
+        out += fy
+        out[:, 1:, :] -= fy[:, :-1, :]
+        out *= -self.h2 / self.h
+        return out
+
     def evaluate(self, w: np.ndarray) -> StencilPoint:
         gx, gy, at = self._slopes(w)
         reg_term = self.h2 * float(np.sum(at.value()))
@@ -314,13 +422,7 @@ class FidelityOps(_Ops):
 
     def _residual(self, pt: StencilPoint) -> np.ndarray:
         coef = pt.ratio()[:, :, None]
-        dfx = coef * pt.gx
-        dfy = coef * pt.gy
-        out = dfx.copy()
-        out[1:, :, :] -= dfx[:-1, :, :]
-        out += dfy
-        out[:, 1:, :] -= dfy[:, :-1, :]
-        out *= -self.h2 / self.h
+        out = self._div(coef * pt.gx, coef * pt.gy)
         data = pt.w - self.fd
         data *= 2.0 * self.lam * self.h2
         data *= self.outside
@@ -334,8 +436,22 @@ class FidelityOps(_Ops):
         diag[1:, :] += kap[:-1, :]
         diag[:, :-1] += kap[:, :-1]
         diag[:, 1:] += kap[:, :-1]
-        diag = diag[:, :, None] + 2.0 * self.lam * self.h2 * self.outside
-        return diag
+        return diag[:, :, None] + self.mass
+
+    def _ring_tensors(self, txx, txy, tyy):
+        # cell (i, j) links w[i, j] to w[i+1, j] and w[i, j+1]: it is cell
+        # (i+1, j+1) of the ghost-ring layout, where the ring row and column
+        # carry nothing, and a difference that would leave the grid (last
+        # row in x, last column in y) carries no curvature
+        def ring(t):
+            out = np.zeros((t.shape[0] + 1, t.shape[1] + 1, t.shape[2]))
+            out[1:, 1:] = t
+            return out
+
+        txx, txy, tyy = ring(txx), ring(txy), ring(tyy)
+        txx[-1] = 0.0
+        tyy[:, -1] = 0.0
+        return txx, txy, tyy, self.mass
 
     def default_init(self) -> np.ndarray:
         fill = float(np.mean(self.fd[self.outside])) if self.outside.any() else 0.0

@@ -203,6 +203,19 @@ class ProfileAt:
             return self.d1() / t
         return np.where(small, d2_origin, self.d1() / np.where(small, 1.0, t))
 
+    def radial_excess(self, ratio: np.ndarray, theta: float) -> np.ndarray:
+        """``(max(d2, theta * ratio) - ratio) / t^2`` for ``ratio = d1/t``:
+        the coefficient of ``P P^T`` in the Hessian of ``F(|P|)`` with the
+        radial curvature floored at ``theta * ratio``; 0 below the origin
+        cutoff, where the Hessian is ``d2(0) I``."""
+        t = self.t
+        out = np.maximum(self.d2(), theta * ratio)
+        out -= ratio
+        small = t < _ORIGIN_CUTOFF
+        out /= np.where(small, 1.0, t * t)
+        out[small] = 0.0
+        return out
+
 
 # The closed forms return fresh arrays and update them in place; each
 # in-place step applies the same operation to the same operands as the

@@ -1,20 +1,26 @@
-"""Minimization of the discrete energies by preconditioned descent.
+"""Minimization of the discrete energies by inexact Newton.
 
-``minimize_fixed_delta`` walks the energy downhill along the negative Euler
-residual, rescaled by a diagonal preconditioner built from the density's
-curvature bounds, with Armijo backtracking.  The trial step starts from a
-spectral (Barzilai-Borwein) secant estimate instead of 1; Armijo still
-verifies every step, so accepted energies are non-increasing, but the
-badly conditioned small-delta rungs converge orders of magnitude faster
-than with unit trial steps.
+``minimize_fixed_delta`` takes Newton steps on one rung of the ladder.  Each
+step solves ``H d = -r`` for the Euler residual ``r`` and the energy Hessian
+``H`` (matrix-free, ``energy.Hessian``) by conjugate gradients, stopped at
+the relative residual ``eta`` of Eisenstat and Walker's second choice
+(SIAM J. Sci. Comput. 17, 1996), and preconditioned by one V-cycle of
+Galerkin aggregation multigrid (``multigrid.Multigrid``).  An Armijo line
+search from the full step verifies every step, so accepted energies are
+non-increasing.  Far from the minimizer the radial curvature in ``H`` is
+floored at ``theta * d1/t``: ``theta`` starts at 1 on each rung (the
+lagged-diffusivity operator), drops tenfold after each step accepted at once,
+rises tenfold per backtrack (at most a hundredfold, and never above 1), and
+becomes 0 (exact Newton) below 1e-6.
+The step count then stays nearly flat as the mesh is refined.
 
-Cost per iteration: every energy evaluation is one fused stencil pass
-(``ops.evaluate``: one forward difference, the slopes and the energy).  The
-Armijo trial that is accepted hands that state forward, so the residual and
-the preconditioner at the new iterate come from ``d1/t`` and ``d2`` on it
-without another gradient pass.  An accepted step therefore costs one
-gradient pass plus one per backtrack, and a rung costs
-``1 + iterations + backtracks`` passes in all.
+Cost of one step: the fused stencil pass of the accepted trial
+(``ops.evaluate``) gives the energy, the residual and the Hessian
+coefficients at the new iterate; one more pass per backtrack; one
+multigrid hierarchy (cell tensors pooled level by level down to 1x1); and
+per CG iteration one Hessian product and one V-cycle (two products and two
+Jacobi sweeps per level).  A rung costs ``1 + iterations + backtracks``
+energy evaluations and ``iterations`` Hessian builds.
 
 ``continuation_solve`` walks a decreasing delta schedule, warm-starting each
 rung from the previous solution and re-clipping the datum at each delta.
@@ -30,6 +36,7 @@ import numpy as np
 from .energy import (DirichletProblem, FidelityProblem, RegularizationState,
                      assemble_ops, total_variation)
 from .grids import Ball, Field, sup_on
+from .multigrid import Multigrid
 
 __all__ = [
     "SolverConfig",
@@ -46,6 +53,12 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _MAX_BACKTRACKS = 60
+# Eisenstat-Walker choice 2: eta = gamma (|r_k| / |r_k-1|)^2, at most 0.5
+_EW_GAMMA = 0.9
+_ETA_MAX = 0.5
+_MAX_KRYLOV = 200
+# curvature floor: 1 on entry to a rung, 0 (exact Newton) below this
+_THETA_MIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -56,7 +69,6 @@ class SolverConfig:
     max_iters: int = 50000
     armijo_slope: float = 1e-4
     armijo_backtrack: float = 0.5
-    spectral_steps: bool = True
 
     def __post_init__(self) -> None:
         sched = tuple(float(d) for d in self.delta_schedule)
@@ -84,6 +96,7 @@ class SolveStats:
     energy: float
     tol: float
     backtracks: int
+    krylov_iters: int  # conjugate-gradient iterations over all steps
     converged: bool
 
 
@@ -102,7 +115,7 @@ def _armijo(ops, w: np.ndarray, e: float, d: np.ndarray, slope: float,
     point None when no trial step is accepted.
 
     The accepted point carries its stencil state, so the residual and the
-    preconditioner there cost no further gradient pass.
+    Hessian there cost no further gradient pass.
     """
     t = t0
     for b in range(_MAX_BACKTRACKS):
@@ -114,6 +127,41 @@ def _armijo(ops, w: np.ndarray, e: float, d: np.ndarray, slope: float,
         point = None  # release the rejected state before the next trial
         t *= cfg.armijo_backtrack
     return None, _MAX_BACKTRACKS
+
+
+def _pcg(hess, precond: Multigrid, r: np.ndarray, eta: float):
+    """Preconditioned CG on ``H d = -r`` from ``d = 0``, stopped once
+    ``|H d + r|_2 <= eta |r|_2``; returns (d, iterations).
+
+    Every iterate minimizes the quadratic model over a Krylov space, so
+    ``r . d < 0`` whenever H is positive definite.
+    """
+    d = np.zeros_like(r)
+    res = -r
+    target = eta * float(np.sqrt(np.vdot(r, r)))
+    p = precond.vcycle(res)
+    rz = float(np.vdot(res, p))
+    for k in range(1, _MAX_KRYLOV + 1):
+        q = hess.apply(p)
+        pq = float(np.vdot(p, q))
+        if not (pq > 0.0 and rz > 0.0):
+            # no curvature left along p (round-off at tiny residuals)
+            return (d if k > 1 else p), k - 1
+        alpha = rz / pq
+        q *= alpha
+        res -= q
+        np.multiply(p, alpha, out=q)
+        d += q
+        q = None  # freed before the V-cycle allocates
+        if float(np.sqrt(np.vdot(res, res))) <= target:
+            return d, k
+        z = precond.vcycle(res)
+        rz_new = float(np.vdot(res, z))
+        p *= rz_new / rz
+        p += z
+        z = None
+        rz = rz_new
+    return d, _MAX_KRYLOV
 
 
 def minimize_fixed_delta(problem, reg: RegularizationState | None,
@@ -133,47 +181,44 @@ def minimize_fixed_delta(problem, reg: RegularizationState | None,
         else 1e-8 * (1.0 + abs(e))
 
     r = point.residual()
-    w_prev = r_prev = None
-    backtracks = 0
+    backtracks = krylov = 0
     iters = 0
     rmax = np.inf
     stalled = False
+    theta, eta, rnorm_prev = 1.0, _ETA_MAX, None
     for iters in range(cfg.max_iters + 1):
         rmax = float(np.max(np.abs(r)))
         if rmax <= tol:
-            stats = SolveStats(iters, rmax, e, tol, backtracks, True)
+            stats = SolveStats(iters, rmax, e, tol, backtracks, krylov, True)
             return Field(problem.grid, w), stats
         if iters == cfg.max_iters:
             break
-        diag = point.curvature_diag()
-        diag = np.maximum(diag, 1e-8 * float(diag.max()))
-        d = -r / diag
-        slope = float(np.sum(r * d))
+        rnorm = float(np.sqrt(np.vdot(r, r)))
+        if rnorm_prev is not None:
+            eta = min(_EW_GAMMA * (rnorm / rnorm_prev) ** 2, _ETA_MAX)
+        rnorm_prev = rnorm
+        hess = point.hessian(theta)
+        point = None  # the trials below allocate their own state
+        mg = Multigrid(hess.cell_tensors(), hess.apply_channelwise)
+        d, k = _pcg(hess, mg, r, max(eta, 0.5 * tol / rnorm))
+        hess = mg = None
+        krylov += k
+        slope = float(np.vdot(r, d))
         if slope >= 0.0:
             stalled = True
             break
-        t0 = 1.0
-        if cfg.spectral_steps and w_prev is not None:
-            # secant estimate of the inverse curvature along the last step,
-            # measured in the preconditioned metric
-            s = w - w_prev
-            g = r - r_prev
-            num = float(np.sum(s * g))
-            den = float(np.sum(g * g / diag))
-            if num > 0.0 and den > 0.0:
-                t0 = min(max(num / den, 1e-6), 1e8)
-        # drop the state at w before the trials allocate theirs
-        point = None
-        point, b = _armijo(ops, w, e, d, slope, t0, cfg)
+        point, b = _armijo(ops, w, e, d, slope, 1.0, cfg)
         if point is None:
             stalled = True
             break
-        w_prev, r_prev = w, r
         w, e = point.w, point.energy
         backtracks += b
         r = point.residual()
+        theta = theta / 10.0 if b == 0 else min(1.0, theta * 10.0 ** min(b, 2))
+        if theta < _THETA_MIN:
+            theta = 0.0
 
-    stats = SolveStats(iters, rmax, e, tol, backtracks, False)
+    stats = SolveStats(iters, rmax, e, tol, backtracks, krylov, False)
     reason = "line search stalled" if stalled else "iteration budget exhausted"
     raise SolverError(
         f"{reason} at residual {rmax:.3e} (tol {tol:.3e})",
@@ -195,6 +240,8 @@ class DeltaRecord:
     iters: int
     tv: float
     interior_sup: float
+    backtracks: int
+    krylov_iters: int
 
 
 @dataclass
@@ -244,7 +291,8 @@ def continuation_solve(problem, cfg: SolverConfig = SolverConfig(),
             delta=delta, u=u, energy=stats.energy, plain_energy=plain,
             residual=stats.final_residual, iters=stats.iters,
             tv=total_variation(problem, u),
-            interior_sup=sup_on(u, ball)))
+            interior_sup=sup_on(u, ball), backtracks=stats.backtracks,
+            krylov_iters=stats.krylov_iters))
     return trace
 
 

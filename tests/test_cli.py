@@ -108,6 +108,17 @@ class TestDensityCheck:
         assert rc == 2
         assert capsys.readouterr().err.startswith("lingrow:")
 
+    def test_bad_sample_count_exits_two_with_one_line(self, tmp_path,
+                                                      capsys):
+        cfg = density_config(kind="phi_mu", mu=2.0)
+        cfg["density_check"]["samples"] = "x"
+        rc, out = run(tmp_path, "density-check", cfg)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lingrow: 'density_check.samples'")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["density-check", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "out")])
@@ -128,6 +139,10 @@ class TestSolve:
         assert np.max(np.abs(u.values - 2.5)) <= 1e-8
         trace = read_json(out / "trace.json")
         assert [r["delta"] for r in trace["records"]] == [0.1, 0.01]
+        for rec in trace["records"]:
+            counts = [rec["krylov_iters"], rec["iters"], rec["backtracks"]]
+            assert all(isinstance(c, int) for c in counts)
+            assert counts[0] >= counts[1] >= 0 and counts[2] >= 0
         assert trace["minimality"]["passed"] is True
         for rec in trace["records"]:
             ints, maxval = read_pgm(out / rec["pgm"])

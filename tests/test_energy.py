@@ -274,6 +274,63 @@ def test_non_finite_iterate_raises():
 
 
 # ---------------------------------------------------------------------------
+# Hessian operator
+
+
+@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("delta", [None, 0.05])
+def test_hessian_matches_residual_differences(case, delta):
+    """apply(v) is the directional derivative of the residual, channel
+    coupling and the data term included."""
+    problem, w = list(_fused_cases())[case]
+    reg = None if delta is None else \
+        RegularizationState(delta, 1.5, problem.kind)
+    ops = assemble_ops(problem, reg)
+    values = w.values.copy()
+    values[:2, :2, :] = 0.5  # flat cells exercise the origin limit
+    hv_of = ops.evaluate(values).hessian().apply
+    rng = np.random.default_rng(case)
+    for _ in range(3):
+        v = rng.normal(size=values.shape)
+        # small, because phi_mu's Hessian has a |P| kink at the flat cells
+        step = 1e-8
+        fd = (ops.residual(values + step * v)
+              - ops.residual(values - step * v)) / (2 * step)
+        hv = hv_of(v)
+        assert np.max(np.abs(hv - fd)) <= 1e-6 * np.max(np.abs(hv))
+
+
+@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("theta", [0.0, 0.1, 1.0])
+def test_hessian_is_symmetric_and_positive(case, theta):
+    problem, w = list(_fused_cases())[case]
+    ops = assemble_ops(problem, RegularizationState(0.05, 1.5, problem.kind))
+    hess = ops.evaluate(w.values).hessian(theta)
+    rng = np.random.default_rng(7 + case)
+    u = rng.normal(size=w.values.shape)
+    v = rng.normal(size=w.values.shape)
+    uhv = float(np.sum(u * hess.apply(v)))
+    vhu = float(np.sum(v * hess.apply(u)))
+    assert uhv == pytest.approx(vhu, rel=1e-12, abs=1e-14)
+    assert float(np.sum(u * hess.apply(u))) > 0.0
+
+
+def test_curvature_floor_one_is_lagged_diffusivity():
+    """theta = 1 floors the radial curvature at d1/t, which for a density
+    with d2 <= d1/t leaves the isotropic operator (d1/t) I per cell."""
+    problem, w = random_fidelity(n=8, seed=3)
+    ops = assemble_ops(problem, RegularizationState(0.1, 1.5, "fidelity"))
+    point = ops.evaluate(w.values)
+    hess = point.hessian(1.0)
+    assert np.all(hess.b == 0.0)
+    v = np.random.default_rng(4).normal(size=w.values.shape)
+    ratio = point.ratio()[:, :, None]
+    vx, vy = ops._dgrad(v)
+    lagged = ops._div(ratio * vx, ratio * vy) + ops.mass * v
+    assert np.allclose(hess.apply(v), lagged, rtol=1e-13, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
 # Euler residual = exact energy gradient
 
 

@@ -207,6 +207,31 @@ def test_seed_override_controls_noise():
     (lambda r: r.update(seed=-1), "'seed' must be an integer >= 0"),
     (lambda r: r.update(minimality_trials=0), "'minimality_trials' must be"),
     (lambda r: r.update(minimality_trials="x"), "'minimality_trials' must be"),
+    (lambda r: r.update(density_check={"samples": "x"}),
+     "'density_check.samples' must be an integer >= 100"),
+    (lambda r: r.update(density_check={"samples": 10}),
+     "'density_check.samples' must be"),
+    (lambda r: r.update(density_check={"t_max": -1}),
+     "'density_check.t_max' must be a number > 0"),
+    (lambda r: r.update(density_check={"t_max": "x"}),
+     "'density_check.t_max' must be"),
+    (lambda r: r.update(s_values=["a"]), "'s_values' must be a number >= 0"),
+    (lambda r: r.update(s_values=[1.0, -2.0]), "'s_values' must be"),
+    (lambda r: r["ball"].update(n="x"), "'ball.n' must be an integer >= 2"),
+    (lambda r: r["ball"].update(n=1), "'ball.n' must be"),
+    (lambda r: r["ball"].update(j_max=2.5), "'ball.j_max' must be an integer"),
+    (lambda r: r.update(ball={"auto": True, "x0": ["a", 0.5]}),
+     "'x0' must be a finite number"),
+    (lambda r: r.update(ball={"center": [0.5, None], "r0": 0.2}),
+     "'center' must be"),
+    (lambda r: r.update(ball={"center": [0.5, 0.5], "r0": "big"}),
+     "'r0' must be"),
+    (lambda r: r["problem"]["u0"]["synthetic"].update(noise="x"),
+     "'noise' must be"),
+    (lambda r: r.update(solver={"max_iter": 5}),
+     "unknown solver key\\(s\\): max_iter"),
+    (lambda r: r.update(solver={"mu": 1.5, "spectral_steps": False}),
+     "unknown solver key\\(s\\): spectral_steps"),
 ])
 def test_parse_config_errors(mutate, fragment):
     raw = base_config()
