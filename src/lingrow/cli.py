@@ -72,6 +72,12 @@ def _resolve_ball(cfg: RunConfig, problem) -> tuple[BallFamily, float | None]:
         raise MoserGeometryError(
             f"ball of radius {ball.r0:g} at {ball.center} is not strictly "
             "inside the domain")
+    # the smallest ball of the family; the solve takes its sup
+    inner = ball.limit_ball()
+    if not problem.grid.cells_in_ball(inner).any():
+        raise MoserGeometryError(
+            f"ball of radius {inner.radius:g} at {ball.center} holds no "
+            "cell centre")
     return ball, eps0
 
 
@@ -227,3 +233,7 @@ def main(argv=None) -> int:
 
 def run_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run_main()

@@ -230,19 +230,11 @@ class Hessian:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """``H v``."""
-        return self._product(v, coupled=True)
-
-    def apply_channelwise(self, v: np.ndarray) -> np.ndarray:
-        """``H v`` without the coupling between channels: the operator the
-        multigrid preconditioner is built on (``H`` for one channel)."""
-        return self._product(v, coupled=False)
-
-    def _product(self, v: np.ndarray, coupled: bool) -> np.ndarray:
         ops = self.ops
         vx, vy = ops._dgrad(v)
         s = self.gx * vx
         s += self.gy * vy
-        if coupled and s.shape[2] > 1:
+        if s.shape[2] > 1:
             s = s.sum(axis=2, keepdims=True)
         s *= self.b[:, :, None]
         a = self.a[:, :, None]
@@ -257,12 +249,12 @@ class Hessian:
         return out
 
     def cell_tensors(self):
-        """Per-channel 2x2 cell tensors ``a I + b g_c g_c^T`` for the
-        multigrid preconditioner, in difference units (the cell weight
-        included, ``1/h^2`` folded out) on the ghost-ring layout of
-        ``multigrid.Multigrid``, plus the diagonal mass.  Dropping the
-        coupling between channels keeps each tensor positive definite,
-        because ``|g_c| <= t``."""
+        """Per-channel 2x2 cell tensors ``a I + b g_c g_c^T`` in difference
+        units (the cell weight included, ``1/h^2`` folded out) on the
+        ghost-ring layout of ``multigrid.Level``, plus the diagonal mass.
+        For one channel they give ``H`` itself; for several they drop the
+        coupling between channels, which keeps each tensor positive
+        definite, because ``|g_c| <= t``."""
         a = self.a[:, :, None]
         b = self.b[:, :, None]
         gx, gy = self.gx, self.gy

@@ -9,20 +9,29 @@ to ``(i+1, j)`` and ``(i, j+1)`` (ring node ``(p+1, q+1)`` is value
 semi-definite 2x2 tensor ``T`` per cell, plus a diagonal mass.  Arrays
 carry a trailing channel axis; the channels do not couple.
 
-The coarse operator ``P^T A P`` of 2x2 piecewise-constant aggregates
-(``ceil(m/2)`` per axis, so odd sizes and ``mx != my`` work) is again of this
-form, one level down.  Fine cell ``i`` lands in coarse cell ``(i+1)//2``;
-its x difference survives only when its two nodes lie in different
-aggregates (``i`` even, or the last cell, whose right node is the ring), and
-likewise in y.  So the coarse tensors are sums of the fine ones with the
-vanishing differences masked out, one parity class at a time, and no
-stencil is ever formed.
+The finest level is stored once per Newton step, built from the Hessian's
+cell tensors (``Level``); for one channel it is the Hessian itself, so its
+``apply`` serves as the conjugate-gradient product as well as the
+smoother's.  The coarse operator ``P^T A P`` of 2x2 piecewise-constant
+aggregates (``ceil(m/2)`` per axis, so odd sizes and ``mx != my`` work) is
+again of this form, one level down.  Fine cell ``i`` lands in coarse cell
+``(i+1)//2``; its x difference survives only when its two nodes lie in
+different aggregates (``i`` even, or the last cell, whose right node is the
+ring), and likewise in y.  So the coarse tensors are sums of the fine ones
+with the vanishing differences masked out, one parity class at a time, and
+no stencil is ever formed.
 
-One V-cycle smooths with damped Jacobi on the exact diagonal, the same
-sweep before and after the coarse correction, and solves the 1x1 level
-exactly; it is a symmetric positive definite preconditioner (every level
-has ``A <= 3 D``, and the damping keeps ``omega * 3 < 2``).  A singular
-1x1 level, a pure Neumann operator without mass, gets its pseudo-inverse.
+Coarsening stops at the first level with at most ``_DENSE_MAX`` cells per
+axis, which is solved exactly: its matrix is assembled per channel and
+inverted once per hierarchy through a Cholesky factor
+(``Level.dense_inverse``).  A singular level, a pure Neumann operator
+without mass (it annihilates constants), gets its pseudo-inverse, and a
+nearly singular one (little mass) stays exact.  One V-cycle smooths with
+damped Jacobi on the exact diagonal, the same sweep before and after the
+coarse correction; it is a symmetric positive definite preconditioner
+(every level has ``A <= 3 D``, and the damping keeps ``omega * 3 < 2``).
+A grid no larger than the dense threshold is a single level, where the
+V-cycle is ``A^-1``.
 """
 
 from __future__ import annotations
@@ -33,6 +42,8 @@ __all__ = ["Level", "Multigrid", "prolong", "restrict"]
 
 # Jacobi damping; each level satisfies A <= 3 D (three nodes per element)
 _OMEGA = 0.65
+# the coarsest level has at most this many cells per axis
+_DENSE_MAX = 8
 
 
 class Level:
@@ -50,7 +61,7 @@ class Level:
         diag += tyy[1:, :-1]
         if mass is not None:
             diag += mass
-        # 0 where a level has nothing to invert (its pseudo-inverse)
+        # 0 where a level has nothing to invert (a lone Neumann cell)
         self.inv_diag = np.divide(1.0, diag, out=np.zeros_like(diag),
                                   where=diag > 0.0)
 
@@ -95,6 +106,48 @@ class Level:
         return Level(pool(self.txx * jx), pool(self.txy * (jx & jy)),
                      pool(self.tyy * jy), mass)
 
+    def dense_inverse(self):
+        """``A^-1`` per channel for ``m`` cells in C order, as a factor
+        ``(inv, z, rho)``: ``A^-1 r = inv r + z (z . r) / rho`` (shapes
+        ``(channels, m, m)``, ``(m, channels)``, ``(channels,)``); the
+        pseudo-inverse where ``A`` annihilates constants.
+
+        ``A`` may be singular or nearly so on constants (a Neumann operator
+        with little or no mass), so the Cholesky factor is of
+        ``B = A + c 11^T / m``, ``c = tr(A) / m``, and the constant mode
+        is restored by Sherman-Morrison: with ``s = A 1`` we have
+        ``B 1 = s + c 1``, hence ``A^-1 = B^-1 + z z^T / (s . z)`` for
+        ``z = 1 - B^-1 s``.  The differences of a constant are exactly 0,
+        so ``s`` holds only the mass and the ring links, and ``s . z`` is
+        accurate however small; the rank-one term is kept apart because
+        it can exceed ``B^-1`` by many orders.  Where ``s = 0``,
+        ``z = 1`` and ``rho = -c m`` give ``A^+ = B^-1 - 11^T / (c m)``.
+        """
+        mx, my = self.shape
+        m = mx * my
+        eye = np.eye(m).reshape(mx, my, m)
+        ones = np.ones((mx, my, 1))
+        invs, zs, rhos = [], [], []
+        for ch in range(self.txx.shape[2]):
+            one = slice(ch, ch + 1)
+            sub = Level(self.txx[..., one], self.txy[..., one],
+                        self.tyy[..., one],
+                        None if self.mass is None else self.mass[..., one])
+            a = sub.apply(eye).reshape(m, m)
+            shift = np.trace(a) / m
+            a += shift / m
+            low_inv = np.linalg.inv(np.linalg.cholesky(a))
+            # products by einsum, not BLAS: a process's first BLAS matrix
+            # product costs resident memory out of all proportion to these
+            inv = np.einsum("ki,kj->ij", low_inv, low_inv)
+            s = sub.apply(ones).ravel()
+            z = 1.0 - np.einsum("ij,j->i", inv, s)
+            rho = float(np.dot(s, z))
+            invs.append(inv)
+            zs.append(z)
+            rhos.append(rho if rho > 0.0 else -shift * m)
+        return np.stack(invs), np.stack(zs, axis=1), np.array(rhos)
+
 
 def restrict(r: np.ndarray) -> np.ndarray:
     """``P^T r``: sums over the 2x2 aggregates."""
@@ -116,33 +169,21 @@ def prolong(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Finest:
-    """The finest level: the operator's own product and the diagonal of
-    its cell tensors, which are dropped once pooled."""
-
-    __slots__ = ("apply", "shape", "inv_diag")
-
-    def __init__(self, apply, level: Level):
-        self.apply = apply
-        self.shape, self.inv_diag = level.shape, level.inv_diag
-
-
 class Multigrid:
-    """The level hierarchy of an operator down to 1x1, built once per
-    Newton step from its cell tensors ``(txx, txy, tyy, mass)``.
+    """The level hierarchy of an operator, built once per Newton step from
+    its finest ``Level`` down to the first level with at most
+    ``_DENSE_MAX`` cells per axis, whose inverse is stored dense.
 
-    ``apply`` is the operator's product, which the finest level uses so
-    that the fine tensors need not be kept.  ``vcycle`` is a loop over the
-    list of levels, so nothing but this object holds the level arrays, and
-    they go when it does.
+    ``vcycle`` is a loop over the list of levels, so nothing but this
+    object holds the level arrays, and they go when it does.
     """
 
-    def __init__(self, tensors, apply):
-        fine = Level(*tensors)
-        self.levels = [_Finest(apply, fine)]
-        while fine.shape != (1, 1):
+    def __init__(self, fine: Level):
+        self.levels = [fine]
+        while max(fine.shape) > _DENSE_MAX:
             fine = fine.coarsen()
             self.levels.append(fine)
+        self.coarse_inv = fine.dense_inverse()
 
     def vcycle(self, r: np.ndarray) -> np.ndarray:
         """One V-cycle from a zero guess: an approximation of ``A^-1 r``."""
@@ -154,7 +195,11 @@ class Multigrid:
             res = level.apply(x)
             np.subtract(r, res, out=res)
             r = restrict(res)
-        x = self.levels[-1].inv_diag * r
+        inv, z, rho = self.coarse_inv
+        rc = r.reshape(z.shape)
+        x = np.einsum("cij,jc->ic", inv, rc)
+        x += z * (np.einsum("ic,ic->c", z, rc) / rho)
+        x = x.reshape(r.shape)
         for level, r, x_fine in reversed(stack):
             x = prolong(x, x_fine)
             res = level.apply(x)

@@ -17,10 +17,14 @@ The step count then stays nearly flat as the mesh is refined.
 Cost of one step: the fused stencil pass of the accepted trial
 (``ops.evaluate``) gives the energy, the residual and the Hessian
 coefficients at the new iterate; one more pass per backtrack; one
-multigrid hierarchy (cell tensors pooled level by level down to 1x1); and
-per CG iteration one Hessian product and one V-cycle (two products and two
-Jacobi sweeps per level).  A rung costs ``1 + iterations + backtracks``
-energy evaluations and ``iterations`` Hessian builds.
+multigrid hierarchy (the fine level stored from the Hessian's cell
+tensors, pooled level by level down to at most 8x8 cells, whose dense
+inverse is formed once); and per CG iteration one fine product and one
+V-cycle (two products and two Jacobi sweeps per level above the coarsest,
+one small dense product there).  For one channel the CG product is the
+stored fine level's; several channels use the coupled ``Hessian.apply``.
+A rung costs ``1 + iterations + backtracks`` energy evaluations and
+``iterations`` Hessian builds.
 
 ``continuation_solve`` walks a decreasing delta schedule, warm-starting each
 rung from the previous solution and re-clipping the datum at each delta.
@@ -36,7 +40,7 @@ import numpy as np
 from .energy import (DirichletProblem, FidelityProblem, RegularizationState,
                      assemble_ops, total_variation)
 from .grids import Ball, Field, sup_on
-from .multigrid import Multigrid
+from .multigrid import Level, Multigrid
 
 __all__ = [
     "SolverConfig",
@@ -199,9 +203,13 @@ def minimize_fixed_delta(problem, reg: RegularizationState | None,
         rnorm_prev = rnorm
         hess = point.hessian(theta)
         point = None  # the trials below allocate their own state
-        mg = Multigrid(hess.cell_tensors(), hess.apply_channelwise)
-        d, k = _pcg(hess, mg, r, max(eta, 0.5 * tol / rnorm))
-        hess = mg = None
+        mg = Multigrid(Level(*hess.cell_tensors()))
+        # the stored fine level is H for one channel; several channels
+        # need the coupled product
+        op = mg.levels[0] if r.shape[2] == 1 else hess
+        hess = None
+        d, k = _pcg(op, mg, r, max(eta, 0.5 * tol / rnorm))
+        op = mg = None
         krylov += k
         slope = float(np.vdot(r, d))
         if slope >= 0.0:

@@ -8,10 +8,14 @@ independently computed dense-Newton solution.
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lingrow
+from lingrow import cli
 from lingrow.cli import main
 from lingrow.grids import Field, Grid2
 from lingrow.pgmio import field_from_csv, read_pgm
@@ -237,6 +241,23 @@ class TestMoser:
         assert rc == 2
         assert "lingrow:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["moser", "full-report"])
+    def test_ball_without_cell_centres_exits_two_before_solving(
+            self, tmp_path, capsys, monkeypatch, command):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve started")
+
+        monkeypatch.setattr(cli, "continuation_solve", no_solve)
+        cfg = denoise_config()
+        cfg["density"] = {"kind": "minimal_surface"}
+        cfg["ball"] = {"center": [0.5, 0.5], "r0": 0.01}
+        rc, out = run(tmp_path, command, cfg)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lingrow:") and "cell centre" in err
+        assert len(err.splitlines()) == 1
+        assert not (out / "trace.json").exists()
+
     def test_minimality_trials_zero_exits_two_before_solving(
             self, tmp_path, capsys):
         cfg = denoise_config()
@@ -290,3 +311,18 @@ class TestFullReport:
         assert (out / "trace.csv").exists()
         assert (out / "sup_vs_delta.csv").exists()
         assert (out / "moser_0p01.csv").exists()
+
+
+@pytest.mark.parametrize("module", ["lingrow", "lingrow.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    cfg = write_config(tmp_path, density_config(kind="minimal_surface"))
+    src = os.path.dirname(os.path.dirname(lingrow.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "density-check", "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "condition_report.json").exists()

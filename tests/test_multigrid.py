@@ -1,4 +1,5 @@
-"""Galerkin aggregation multigrid: coarse operators, V-cycle, singular case."""
+"""Galerkin aggregation multigrid: coarse operators, V-cycle, dense coarse
+level, singular case."""
 
 import numpy as np
 import pytest
@@ -11,21 +12,34 @@ from lingrow.profiles import minimal_surface, phi_mu
 from lingrow.solver import _pcg
 
 
-def hessian_on_9x13(kind, channels=1):
-    """The exact Hessian at a random state on an odd, non-square grid."""
+def hessian_on(kind, channels=1, shape=(9, 13)):
+    """The exact Hessian at a random state; the default grid is odd and
+    non-square."""
     rng = np.random.default_rng(17 + channels)
-    g = Grid2(9, 13, 1.0 / 13)
+    nx, ny = shape
+    g = Grid2(nx, ny, 1.0 / ny)
     if kind == "dirichlet":
         problem = DirichletProblem(
-            g, DirichletGhost(rng.normal(size=(11, 15, channels))),
+            g, DirichletGhost(rng.normal(size=(nx + 2, ny + 2, channels))),
             phi_mu(2.0))
     else:
         problem = FidelityProblem(
-            g, Field(g, rng.normal(size=(9, 13, 1))),
+            g, Field(g, rng.normal(size=(nx, ny, 1))),
             Mask.from_rect(g, 0.2, 0.3, 0.5, 0.7), 0.7, minimal_surface())
     ops = assemble_ops(problem, RegularizationState(0.05, 1.5, kind))
-    w = rng.normal(size=(9, 13, channels))
+    w = rng.normal(size=(nx, ny, channels))
     return ops.evaluate(w).hessian()
+
+
+def multigrid_of(hess):
+    return Multigrid(Level(*hess.cell_tensors()))
+
+
+def dense_matrix(apply, shape):
+    """The matrix of a linear map on one-channel fields, cells in C order."""
+    m = shape[0] * shape[1]
+    cols = [apply(e.reshape(shape + (1,))).ravel() for e in np.eye(m)]
+    return np.array(cols).T
 
 
 CASES = [("dirichlet", 1), ("dirichlet", 2), ("fidelity", 1)]
@@ -33,9 +47,9 @@ CASES = [("dirichlet", 1), ("dirichlet", 2), ("fidelity", 1)]
 
 @pytest.mark.parametrize("kind,channels", CASES)
 def test_fine_level_is_the_channelwise_hessian(kind, channels):
-    """The cell tensors give the channel-wise product, which is H for one
-    channel; for several it drops the coupling but keeps H's diagonal."""
-    hess = hessian_on_9x13(kind, channels)
+    """The cell tensors give H for one channel; for several they give each
+    channel's own block of H, dropping only the coupling between them."""
+    hess = hessian_on(kind, channels)
     fine = Level(*hess.cell_tensors())
     rng = np.random.default_rng(3)
     v = rng.normal(size=(9, 13, channels))
@@ -52,24 +66,40 @@ def test_fine_level_is_the_channelwise_hessian(kind, channels):
         only[:, :, c] = v[:, :, c]
         assert np.allclose(fine.apply(only)[:, :, c],
                            hess.apply(only)[:, :, c], rtol=1e-12, atol=1e-10)
-    assert np.allclose(fine.apply(v), hess.apply_channelwise(v), rtol=1e-12,
-                       atol=1e-12 * np.max(np.abs(fine.apply(v))))
+        assert np.allclose(fine.apply(v)[:, :, c], fine.apply(only)[:, :, c],
+                           rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "fidelity"])
+def test_scalar_cg_operator_is_the_hessian(kind):
+    """For one channel the solver's CG product is the stored fine level;
+    it equals ``Hessian.apply`` to round-off on a multi-level grid."""
+    hess = hessian_on(kind, 1, shape=(40, 33))
+    mg = multigrid_of(hess)
+    assert len(mg.levels) > 2
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        v = rng.normal(size=(40, 33, 1))
+        hv = hess.apply(v)
+        diff = np.linalg.norm(mg.levels[0].apply(v) - hv)
+        assert diff <= 1e-12 * np.linalg.norm(hv)
 
 
 @pytest.mark.parametrize("kind,channels", CASES)
 def test_coarse_levels_are_galerkin_products(kind, channels):
-    """Every coarse operator equals P^T A P of the level above it."""
-    hess = hessian_on_9x13(kind, channels)
-    mg = Multigrid(hess.cell_tensors(), hess.apply_channelwise)
-    shapes = [lev.shape for lev in mg.levels]
-    assert shapes == [(9, 13), (5, 7), (3, 4), (2, 2), (1, 1)]
+    """Coarsening stops at the first level with at most 8 cells per axis,
+    and every coarse operator equals P^T A P of the level above it."""
     rng = np.random.default_rng(5)
-    for fine, coarse in zip(mg.levels, mg.levels[1:]):
-        v = rng.normal(size=coarse.shape + (channels,))
-        pv = prolong(v, np.zeros(fine.shape + (channels,)))
-        galerkin = restrict(fine.apply(pv))
-        assert np.allclose(coarse.apply(v), galerkin, rtol=1e-12,
-                           atol=1e-12 * np.max(np.abs(galerkin)))
+    for shape, pin in (((9, 13), [(9, 13), (5, 7)]),
+                       ((19, 27), [(19, 27), (10, 14), (5, 7)])):
+        mg = multigrid_of(hessian_on(kind, channels, shape))
+        assert [lev.shape for lev in mg.levels] == pin
+        for fine, coarse in zip(mg.levels, mg.levels[1:]):
+            v = rng.normal(size=coarse.shape + (channels,))
+            pv = prolong(v, np.zeros(fine.shape + (channels,)))
+            galerkin = restrict(fine.apply(pv))
+            assert np.allclose(coarse.apply(v), galerkin, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(galerkin)))
 
 
 def test_restrict_is_the_transpose_of_prolong():
@@ -83,27 +113,85 @@ def test_restrict_is_the_transpose_of_prolong():
 
 @pytest.mark.parametrize("kind,channels", CASES)
 def test_vcycle_is_symmetric_positive_definite(kind, channels):
-    hess = hessian_on_9x13(kind, channels)
-    mg = Multigrid(hess.cell_tensors(), hess.apply_channelwise)
-    rng = np.random.default_rng(8)
-    for _ in range(3):
-        u = rng.normal(size=(9, 13, channels))
-        v = rng.normal(size=(9, 13, channels))
-        assert float(np.sum(u * mg.vcycle(v))) == pytest.approx(
-            float(np.sum(v * mg.vcycle(u))), rel=1e-11)
-        assert float(np.sum(u * mg.vcycle(u))) > 0.0
+    for shape in ((9, 13), (19, 27)):
+        mg = multigrid_of(hessian_on(kind, channels, shape))
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            u = rng.normal(size=shape + (channels,))
+            v = rng.normal(size=shape + (channels,))
+            assert float(np.sum(u * mg.vcycle(v))) == pytest.approx(
+                float(np.sum(v * mg.vcycle(u))), rel=1e-11)
+            assert float(np.sum(u * mg.vcycle(u))) > 0.0
+
+
+@pytest.mark.parametrize("kind,channels", CASES)
+@pytest.mark.parametrize("shape", [(8, 8), (3, 7)])
+def test_small_grid_vcycle_is_the_exact_inverse(kind, channels, shape):
+    """A grid with at most 8 cells per axis is one dense level: the V-cycle
+    returns ``A^-1 r`` per channel, and PCG on one channel converges in
+    one iteration."""
+    hess = hessian_on(kind, channels, shape)
+    fine = Level(*hess.cell_tensors())
+    mg = Multigrid(fine)
+    assert len(mg.levels) == 1
+    rng = np.random.default_rng(10)
+    r = rng.normal(size=shape + (channels,))
+    x = mg.vcycle(r)
+    for c in range(channels):
+        one = slice(c, c + 1)
+        block = Level(fine.txx[..., one], fine.txy[..., one],
+                      fine.tyy[..., one],
+                      None if fine.mass is None else fine.mass[..., one])
+        a = dense_matrix(block.apply, shape)
+        ref = np.linalg.solve(a, r[:, :, c].ravel())
+        assert np.allclose(x[:, :, c].ravel(), ref, rtol=1e-10,
+                           atol=1e-10 * np.max(np.abs(ref)))
+    if channels == 1:
+        d, iters = _pcg(fine, mg, r, 1e-10)
+        assert iters == 1
+        assert np.linalg.norm(hess.apply(d) + r) <= 1e-10 * np.linalg.norm(r)
 
 
 def test_singular_neumann_system_is_solved():
-    """Without the data mass the operator is singular on constants and the
-    1x1 level is 0; PCG still solves a consistent (zero-mean) system."""
-    txx, txy, tyy, _ = hessian_on_9x13("fidelity").cell_tensors()
+    """Without the data mass the operator is singular on constants: the
+    dense coarsest level stores its pseudo-inverse, and PCG still solves a
+    consistent (zero-mean) system."""
+    txx, txy, tyy, _ = hessian_on("fidelity").cell_tensors()
     neumann = Level(txx, txy, tyy, None)
-    mg = Multigrid((txx, txy, tyy, None), neumann.apply)
-    assert np.all(mg.levels[-1].inv_diag == 0.0)
+    mg = Multigrid(neumann)
+    coarse = mg.levels[-1]
+    assert coarse.shape == (5, 7)
+    assert not np.any(coarse.apply(np.ones((5, 7, 1))))
+    a = dense_matrix(coarse.apply, coarse.shape)
+    pinv = dense_matrix(Multigrid(coarse).vcycle, coarse.shape)
+    assert np.allclose(pinv, np.linalg.pinv(a), rtol=1e-9,
+                       atol=1e-9 * np.max(np.abs(pinv)))
     rng = np.random.default_rng(9)
     r = rng.normal(size=(9, 13, 1))
     r -= r.mean()
     d, iters = _pcg(neumann, mg, r, 1e-10)
     assert iters < 100
     assert np.max(np.abs(neumann.apply(d) + r)) <= 1e-8 * np.max(np.abs(r))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-12, 1e-20])
+def test_nearly_singular_coarse_level_is_inverted(scale):
+    """A Neumann operator pinned by a tiny mass on one cell: the dense
+    level solves to round-off and keeps the non-constant modes exact,
+    although its inverse on constants exceeds the rest by ``1 / scale``.
+    (The constant itself is determined by ``1 . r`` only up to its
+    round-off over the mass.)"""
+    txx, txy, tyy, _ = hessian_on("fidelity", shape=(7, 8)).cell_tensors()
+    mass = np.zeros((7, 8, 1))
+    mass[3, 2] = scale * float(np.max(txx))
+    level = Level(txx, txy, tyy, mass)
+    x = np.random.default_rng(11).normal(size=(7, 8, 1))
+    x += 2.0
+    r = level.apply(x)
+    got = Multigrid(level).vcycle(r)
+    res = level.apply(got) - r
+    assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(r)
+    assert np.allclose(got - got.mean(), x - x.mean(), rtol=0.0,
+                       atol=1e-6 * np.max(np.abs(x)))
+    if scale >= 1e-3:
+        assert np.allclose(got, x, rtol=1e-8)

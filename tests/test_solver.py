@@ -8,7 +8,8 @@ from lingrow.energy import (DirichletProblem, FidelityProblem,
                             RegularizationState, energy_fidelity,
                             euler_residual)
 from lingrow.grids import Ball, DirichletGhost, Field, Grid2, Mask
-from lingrow.instances import dirichlet_boundary_spike
+from lingrow.instances import (dirichlet_boundary_spike,
+                               fidelity_inverse_sqrt)
 from lingrow.profiles import minimal_surface, phi_mu
 from lingrow.solver import (SolverConfig, SolveTrace, SolverError,
                             continuation_solve, default_interior_ball,
@@ -206,6 +207,25 @@ def test_two_channel_dirichlet_ladder_matches_newton():
         assert np.max(np.abs(rec.u.values - ref)) <= 1e-6
 
 
+def test_two_channel_multilevel_ladder_matches_newton():
+    """The same oracle on a grid past the dense coarse threshold, so the
+    coupled CG product runs under a multi-level V-cycle."""
+    rng = np.random.default_rng(47)
+    g = Grid2(10, 9, 1.0 / 10)
+    problem = DirichletProblem(g, DirichletGhost(rng.normal(size=(12, 11, 2))),
+                               minimal_surface())
+    cfg = SolverConfig(mu=1.5, delta_schedule=(0.1, 0.01),
+                       residual_tol=1e-11)
+    trace = continuation_solve(problem, cfg)
+    start = problem.u0_interior().values
+    for rec in trace.records:
+        reg = RegularizationState(rec.delta, 1.5, "dirichlet")
+        res = lambda v: euler_residual(problem, reg,
+                                       Field(problem.grid, v)).values
+        ref = newton_solve(res, start, tol=1e-12)
+        assert np.max(np.abs(rec.u.values - ref)) <= 1e-6
+
+
 def test_masked_fidelity_with_one_data_cell_converges():
     """A mask over every cell but one (a mask may not cover them all): the
     data term pins one cell, so the Hessian is nearly singular on constants
@@ -225,6 +245,23 @@ def test_masked_fidelity_with_one_data_cell_converges():
     assert np.max(np.abs(u.values - problem.f.values[4, 3, 0])) <= 1e-6
 
 
+def test_tiny_data_weight_with_one_data_cell_converges():
+    """A one-cell data term with ``lam = 1e-12``: its mass is about 1e-14
+    of the cell tensors, so every multigrid level is nearly singular on
+    constants, and the dense coarsest level must stay exact there."""
+    g = Grid2(16, 16, 1.0 / 16)
+    rng = np.random.default_rng(43)
+    member = np.ones((16, 16), dtype=bool)
+    member[8, 3] = False
+    problem = FidelityProblem(g, Field(g, rng.normal(size=(16, 16, 1))),
+                              Mask(g, member), 1e-12, minimal_surface())
+    reg = RegularizationState(0.1, 1.5, "fidelity")
+    init = Field(g, rng.normal(size=(16, 16, 1)))
+    _, stats = minimize_fixed_delta(problem, reg, init,
+                                    SolverConfig(residual_tol=1e-10))
+    assert stats.converged
+
+
 def test_newton_steps_are_mesh_independent():
     """Refining the spike ladder from 64^2 to 128^2 costs at most half as
     many Newton steps again; the descent it replaced needed about twice."""
@@ -234,6 +271,18 @@ def test_newton_steps_are_mesh_independent():
                                    SolverConfig(mu=1.5))
         steps.append(sum(rec.iters for rec in trace.records))
     assert steps[1] <= 1.5 * steps[0], steps
+
+
+def test_krylov_iterations_on_the_64_ladders():
+    """Regression guard on the preconditioner's strength: total CG
+    iterations over the 64^2 ladders stay at or below 166 (spike) and 131
+    (fidelity), the counts of the Jacobi-to-1x1 V-cycle; the dense coarse
+    level takes 141 and 94."""
+    for make, bound in ((dirichlet_boundary_spike, 166),
+                        (fidelity_inverse_sqrt, 131)):
+        trace = continuation_solve(make(64, 64), SolverConfig(mu=1.5))
+        total = sum(rec.krylov_iters for rec in trace.records)
+        assert total <= bound, (make.__name__, total)
 
 
 # ---------------------------------------------------------------------------
