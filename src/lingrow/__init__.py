@@ -4,8 +4,7 @@ from .energy import (DirichletProblem, FidelityProblem, RegularizationState,
                      clip_data, energy_dirichlet, energy_fidelity,
                      energy_relaxed, euler_residual, relaxed_boundary_penalty,
                      total_variation)
-from .grids import (Ball, DirichletGhost, Field, Grid2, Mask, NeumannZero,
-                    divergence_adjoint, gradient_forward, lp_on, sup_on)
+from .grids import Ball, DirichletGhost, Field, Grid2, Mask, lp_on, sup_on
 from .moser import (BallFamily, MoserGeometryError, MoserReport,
                     caccioppoli_check, exponents, masses, moser_report,
                     radii, select_radius, sup_bound, verify_recursion)

@@ -21,13 +21,13 @@ import os
 import sys
 
 from .config import ConfigError, RunConfig, load_config
-from .energy import FidelityProblem
-from .moser import (BallFamily, MoserGeometryError, moser_report,
-                    select_radius)
+from .energy import FidelityProblem, RegularizationState
+from .moser import (BallFamily, MoserGeometryError, check_geometry,
+                    moser_report, select_radius)
 from .pgmio import field_to_csv, write_pgm
 from .profiles import certify_conditions
 from .solver import (SolverError, SolveTrace, continuation_solve,
-                     default_interior_ball, verify_minimality)
+                     verify_minimality)
 
 __all__ = ["main", "run_main", "cmd_density_check", "cmd_solve", "cmd_moser",
            "cmd_full_report"]
@@ -68,16 +68,8 @@ def _resolve_ball(cfg: RunConfig, problem) -> tuple[BallFamily, float | None]:
                           j_max=cfg.ball_j_max)
     else:
         raise ConfigError("config needs a 'ball' section for this command")
-    if not problem.grid.contains_ball(ball.ball(0)):
-        raise MoserGeometryError(
-            f"ball of radius {ball.r0:g} at {ball.center} is not strictly "
-            "inside the domain")
-    # the smallest ball of the family; the solve takes its sup
-    inner = ball.limit_ball()
-    if not problem.grid.cells_in_ball(inner).any():
-        raise MoserGeometryError(
-            f"ball of radius {inner.radius:g} at {ball.center} holds no "
-            "cell centre")
+    # the audit's geometry is checked before the solve, not after it
+    check_geometry(problem.grid, ball)
     return ball, eps0
 
 
@@ -111,7 +103,6 @@ def _write_trace(cfg: RunConfig, trace: SolveTrace, out_dir: str) -> dict:
         })
     final = trace.final
     field_to_csv(os.path.join(out_dir, "solution_final.csv"), final.u)
-    from .energy import RegularizationState
     reg = RegularizationState(final.delta, cfg.solver.mu, problem.kind)
     audit = verify_minimality(problem, reg, final.u,
                               trials=cfg.minimality_trials, seed=cfg.seed)
@@ -132,9 +123,8 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _moser_payload(cfg: RunConfig, trace: SolveTrace, out_dir: str) -> dict:
-    problem = cfg.require_problem()
-    ball, eps0 = _resolve_ball(cfg, problem)
+def _moser_payload(cfg: RunConfig, trace: SolveTrace, out_dir: str,
+                   ball: BallFamily, eps0: float | None) -> dict:
     reports = [moser_report(rec.u, ball, s_values=cfg.s_values,
                             epsilon0=eps0) for rec in trace.records]
 
@@ -158,26 +148,24 @@ def _moser_payload(cfg: RunConfig, trace: SolveTrace, out_dir: str) -> dict:
 
 
 def cmd_moser(cfg: RunConfig, out_dir: str) -> int:
-    problem = cfg.require_problem()
-    ball, _ = _resolve_ball(cfg, problem)
+    ball, eps0 = _resolve_ball(cfg, cfg.require_problem())
     try:
         trace = _run_solve(cfg, ball=ball)
     except SolverError:
         return EXIT_CHECK_FAILED
-    payload = _moser_payload(cfg, trace, out_dir)
+    payload = _moser_payload(cfg, trace, out_dir, ball, eps0)
     _write_json(os.path.join(out_dir, "moser_summary.json"),
                 {"passed": payload["passed"], "ball": payload["ball"]})
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
 
 def cmd_full_report(cfg: RunConfig, out_dir: str) -> int:
+    ball, eps0 = _resolve_ball(cfg, cfg.require_problem())
     density_report = certify_conditions(cfg.require_density(),
                                         cfg.density_t_max,
                                         cfg.density_samples)
     _write_json(os.path.join(out_dir, "condition_report.json"),
                 density_report.to_dict())
-    problem = cfg.require_problem()
-    ball, _ = _resolve_ball(cfg, problem)
     try:
         trace = _run_solve(cfg, ball=ball)
     except SolverError as err:
@@ -186,7 +174,7 @@ def cmd_full_report(cfg: RunConfig, out_dir: str) -> int:
                      density_report.all_passed})
         return EXIT_CHECK_FAILED
     trace_payload = _write_trace(cfg, trace, out_dir)
-    moser_payload = _moser_payload(cfg, trace, out_dir)
+    moser_payload = _moser_payload(cfg, trace, out_dir, ball, eps0)
     ok = (density_report.all_passed and trace_payload["minimality"]["passed"]
           and moser_payload["passed"])
     _write_json(os.path.join(out_dir, "report.json"), {

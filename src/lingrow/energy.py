@@ -1,14 +1,19 @@
 """Discrete energies of linear growth and their Euler residuals.
 
-Two problem classes:
+Two problem classes, one discrete calculus: both take their slopes from
+the difference pair of ``grids`` (``ring_differences`` and its adjoint) on
+the (nx+1) x (ny+1) difference cells of the ring layout, and differ only in
+data:
 
 * ``DirichletProblem``: minimize the integral of ``F(grad w)`` with the
-  boundary datum imposed through a frozen ghost ring.  The difference cells
-  reach one step past every edge; their sum is normalized by
+  boundary datum frozen on the ghost ring; its constant ring differences
+  are added to every gradient.  The cell sum is normalized by
   ``nx*ny / ((nx+1)*(ny+1))`` so the energy of an affine field is exactly
   ``area * F(A)`` and affine data are exact critical points.
 * ``FidelityProblem``: minimize ``F(grad w)`` plus ``lam * (w - f_delta)^2``
-  off the missing-data mask, with homogeneous Neumann differences.
+  off the missing-data mask, with homogeneous Neumann differences: a mask
+  keeps only the differences between two values, and the dead slots have
+  slope 0, where every density vanishes.
 
 A ``RegularizationState`` adds ``delta * phi_mu`` to the density, producing
 the strictly elliptic energies the continuation solver walks down.
@@ -24,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (Ball, DirichletGhost, Field, Grid2, Mask, NeumannZero,
-                    divergence_adjoint, gradient_forward)
+from .grids import (DirichletGhost, Field, Grid2, Mask, neumann_live,
+                    ring_adjoint, ring_differences)
 from .profiles import (ProfileAt, RadialProfile, combined, profile_d2,
                        profile_eval, recession_slope)
 
@@ -156,6 +161,26 @@ def _check_field(problem, w: Field) -> None:
 # ---------------------------------------------------------------------------
 # fused kernels on raw arrays (shared by the public API and the solver)
 
+def _slopes(v: np.ndarray, h: float, offset=None, live=None):
+    """Forward differences of cell values over h on the ring layout, and
+    the slope ``t = |grad v|`` per difference cell.  A Dirichlet datum's
+    constant ring differences (``offset``) are added before the division;
+    ``live`` zeroes the dead slots of the Neumann rule, where ``t = 0``."""
+    gx, gy = ring_differences(v)
+    if offset is not None:
+        gx += offset[0]
+        gy += offset[1]
+    if live is not None:
+        gx *= live[0]
+        gy *= live[1]
+    gx /= h
+    gy /= h
+    t = np.einsum("ijc,ijc->ij", gx, gx)
+    t += np.einsum("ijc,ijc->ij", gy, gy)
+    np.sqrt(t, out=t)
+    return gx, gy, t
+
+
 class StencilPoint:
     """Everything the kernels derive from one forward-difference pass at w.
 
@@ -189,16 +214,31 @@ class StencilPoint:
             self._ratio = self.at.slope_ratio(self.ops.d2_origin)
         return self._ratio
 
-    def kappa(self) -> np.ndarray:
-        """``max(d2(t), d1(t)/t)``: the curvature bound per difference cell."""
-        d2 = self.at.d2()
-        return np.maximum(d2, self.ratio(), out=d2)
-
     def residual(self) -> np.ndarray:
-        return self.ops._residual(self)
+        ops = self.ops
+        coef = self.ratio()[:, :, None]
+        out = ops._divergence(coef * self.gx, coef * self.gy)
+        if ops.mass is not None:
+            # the data term's gradient: its Hessian, the mass, times w - fd
+            out += ops.mass * (self.w - ops.fd)
+        return out
 
     def curvature_diag(self) -> np.ndarray:
-        return self.ops._curvature_diag(self)
+        """The diagonal of the operator with tensor ``max(d2, d1/t) I`` per
+        live difference: an upper bound on the Hessian diagonal."""
+        ops = self.ops
+        d2 = self.at.d2()
+        kx = ky = np.maximum(d2, self.ratio(), out=d2)[:, :, None]
+        if ops.live is not None:
+            kx = kx * ops.live[0]
+            ky = ky * ops.live[1]
+        diag = kx[1:, 1:] + ky[1:, 1:]
+        diag += kx[:-1, 1:]
+        diag += ky[1:, :-1]
+        diag *= ops.rho
+        if ops.mass is not None:
+            diag += ops.mass
+        return diag
 
     def hessian(self, theta: float = 0.0) -> "Hessian":
         """The energy Hessian at w, with the radial curvature floored at
@@ -216,59 +256,80 @@ class Hessian:
     ``d2(0) I``).  ``theta = 1`` gives the lagged-diffusivity operator
     ``a I`` wherever ``d2 <= a``; ``theta = 0`` the exact Hessian.  ``apply``
     runs the forward difference and the divergence of the residual on a
-    perturbation (zero ghost ring), and adds the data mass of the fidelity
-    term.  It is exact for N channels, coupling included.
+    perturbation (no datum: it vanishes on the ring), and adds the data
+    mass of the fidelity term.  It is exact for N channels, coupling
+    included.  ``ax`` and ``ay`` are ``a`` per direction, 0 in the dead
+    slots of the Neumann rule, where ``g`` is 0 too, so a dead slot
+    carries nothing (``a = d1/t`` itself is not 0 at ``t = 0``).
     """
 
-    __slots__ = ("ops", "gx", "gy", "a", "b")
+    __slots__ = ("ops", "gx", "gy", "a", "b", "ax", "ay")
 
     def __init__(self, pt: StencilPoint, theta: float):
         self.ops = pt.ops
         self.gx, self.gy = pt.gx, pt.gy
         self.a = pt.ratio()
         self.b = pt.at.radial_excess(self.a, theta)
+        self.ax = self.ay = self.a[:, :, None]
+        if self.ops.live is not None:
+            self.ax = self.ax * self.ops.live[0]
+            self.ay = self.ay * self.ops.live[1]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """``H v``."""
         ops = self.ops
-        vx, vy = ops._dgrad(v)
+        vx, vy = ring_differences(v)
+        vx /= ops.h
+        vy /= ops.h
         s = self.gx * vx
         s += self.gy * vy
         if s.shape[2] > 1:
             s = s.sum(axis=2, keepdims=True)
         s *= self.b[:, :, None]
-        a = self.a[:, :, None]
-        vx *= a
+        vx *= self.ax
         vx += s * self.gx
-        vy *= a
+        vy *= self.ay
         vy += s * self.gy
         del s
-        out = ops._div(vx, vy)
+        out = ops._divergence(vx, vy)
         if ops.mass is not None:
             out += ops.mass * v
         return out
 
     def cell_tensors(self):
         """Per-channel 2x2 cell tensors ``a I + b g_c g_c^T`` in difference
-        units (the cell weight included, ``1/h^2`` folded out) on the
-        ghost-ring layout of ``multigrid.Level``, plus the diagonal mass.
-        For one channel they give ``H`` itself; for several they drop the
-        coupling between channels, which keeps each tensor positive
-        definite, because ``|g_c| <= t``."""
-        a = self.a[:, :, None]
+        units (the cell weight included, ``1/h^2`` folded out) on the ring
+        layout of ``multigrid.Level``, plus the diagonal mass.  For one
+        channel they give ``H`` itself; for several they drop the coupling
+        between channels, which keeps each tensor positive definite,
+        because ``|g_c| <= t``."""
+        ops = self.ops
         b = self.b[:, :, None]
         gx, gy = self.gx, self.gy
         txx = b * gx * gx
-        txx += a
+        txx += self.ax
         tyy = b * gy * gy
-        tyy += a
+        tyy += self.ay
         txy = b * gx * gy
-        return self.ops._ring_tensors(txx, txy, tyy)
+        return ops.rho * txx, ops.rho * txy, ops.rho * tyy, ops.mass
 
 
 class _Ops:
-    """Kernels shared by both problem classes; subclasses supply the
-    boundary rule (``_grad``) and the assembly of each quantity."""
+    """Fused energy / residual / curvature-diagonal kernels on raw
+    (nx, ny, N) arrays, for both problem classes.
+
+    Slopes live on the ring layout of ``grids.ring_differences``, and the
+    boundary rule is data: ``offset``, the constant ring differences of a
+    Dirichlet datum, or ``live``, the masks of the Neumann differences that
+    link two values; a dead slot has slope 0, and ``F(0) = 0``, so it adds
+    nothing to the energy.  The cell weight is ``rho * h^2``.  Subclasses
+    set these and supply the data term (its energy, its Hessian ``mass``
+    and its datum ``fd``) and the default initial field.
+    """
+
+    offset = None
+    live = None
+    rho = 1.0
 
     def __init__(self, problem, reg: RegularizationState | None):
         self.problem = problem
@@ -279,14 +340,21 @@ class _Ops:
         self.h = g.h
         self.h2 = g.h * g.h
 
-    def _slopes(self, w: np.ndarray):
-        """The one forward-difference pass: ``(gx, gy)`` and the slopes
-        ``t = |grad w|`` per difference cell."""
-        gx, gy = self._grad(w)
-        t = np.einsum("ijc,ijc->ij", gx, gx)
-        t += np.einsum("ijc,ijc->ij", gy, gy)
-        np.sqrt(t, out=t)
-        return gx, gy, ProfileAt(self.profile, t)
+    def _divergence(self, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+        """The adjoint of the forward difference applied to per-cell fluxes
+        (0 in dead slots), times the cell weight: the energy gradient with
+        respect to w."""
+        out = ring_adjoint(fx, fy)
+        out *= self.rho * self.h2 / self.h
+        return out
+
+    def evaluate(self, w: np.ndarray) -> StencilPoint:
+        gx, gy, t = _slopes(w, self.h, self.offset, self.live)
+        at = ProfileAt(self.profile, t)
+        energy = self.rho * self.h2 * float(np.sum(at.value()))
+        if self.mass is not None:
+            energy += self._data_energy(w)
+        return StencilPoint(self, w, gx, gy, at, energy)
 
     def energy(self, w: np.ndarray) -> float:
         return self.evaluate(w).energy
@@ -300,8 +368,7 @@ class _Ops:
 
 
 class DirichletOps(_Ops):
-    """Fused energy / residual / curvature-diagonal kernels on raw
-    (nx, ny, N) arrays, with the datum on a frozen ghost ring."""
+    """The kernels with the datum frozen on the ghost ring."""
 
     def __init__(self, problem: DirichletProblem,
                  reg: RegularizationState | None):
@@ -309,71 +376,19 @@ class DirichletOps(_Ops):
         g = problem.grid
         # uniform weight making the difference-cell sum integrate exactly
         self.rho = g.nx * g.ny / float((g.nx + 1) * (g.ny + 1))
-        self._ext = problem.ghost.u0_ext.astype(float).copy()
-
-    def _grad(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ext = self._ext
-        ext[1:-1, 1:-1, :] = w
-        gx = ext[1:, :-1, :] - ext[:-1, :-1, :]
-        gx /= self.h
-        gy = ext[:-1, 1:, :] - ext[:-1, :-1, :]
-        gy /= self.h
-        return gx, gy
-
-    def _dgrad(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``_grad`` of a perturbation, which vanishes on the ghost ring."""
-        nx, ny, n = v.shape
-        gx = np.zeros((nx + 1, ny + 1, n))
-        gx[:-1, 1:] = v
-        gx[1:, 1:] -= v
-        gx /= self.h
-        gy = np.zeros((nx + 1, ny + 1, n))
-        gy[1:, :-1] = v
-        gy[1:, 1:] -= v
-        gy /= self.h
-        return gx, gy
-
-    def _div(self, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
-        """The adjoint of ``_grad`` applied to per-cell fluxes, times the
-        cell weight and area: the energy gradient with respect to w."""
-        out = fx[:-1, 1:, :] - fx[1:, 1:, :]
-        out += fy[1:, :-1, :]
-        out -= fy[1:, 1:, :]
-        out *= self.rho * self.h2 / self.h
-        return out
-
-    def evaluate(self, w: np.ndarray) -> StencilPoint:
-        gx, gy, at = self._slopes(w)
-        energy = self.rho * self.h2 * float(np.sum(at.value()))
-        return StencilPoint(self, w, gx, gy, at, energy)
-
-    def _residual(self, pt: StencilPoint) -> np.ndarray:
-        coef = pt.ratio()[:, :, None]
-        return self._div(coef * pt.gx, coef * pt.gy)
-
-    def _curvature_diag(self, pt: StencilPoint) -> np.ndarray:
-        kap = pt.kappa()
-        # rho * (kap[:-1, 1:] + 2 kap[1:, 1:] + kap[1:, :-1])
-        diag = 2.0 * kap[1:, 1:]
-        np.add(kap[:-1, 1:], diag, out=diag)
-        diag += kap[1:, :-1]
-        diag *= self.rho
-        return diag[:, :, None]
-
-    def _ring_tensors(self, txx, txy, tyy):
-        # the difference cells already sit on the ghost-ring layout
-        return self.rho * txx, self.rho * txy, self.rho * tyy, None
+        self.offset = problem.ghost.ring_offset()
 
     def default_init(self) -> np.ndarray:
-        return self._ext[1:-1, 1:-1, :].copy()
+        return self.problem.ghost.u0_ext[1:-1, 1:-1, :].astype(float)
 
 
 class FidelityOps(_Ops):
-    """The same fused kernels for the Neumann + data-term energy."""
+    """The kernels for homogeneous Neumann data plus the data term."""
 
     def __init__(self, problem: FidelityProblem,
                  reg: RegularizationState | None):
         super().__init__(problem, reg)
+        self.live = neumann_live(problem.grid)
         self.lam = problem.lam
         self.outside = (~problem.mask.member)[:, :, None]
         self.mass = 2.0 * self.lam * self.h2 * self.outside
@@ -382,68 +397,11 @@ class FidelityOps(_Ops):
         else:
             self.fd = clip_data(problem.f, reg.delta).values
 
-    def _grad(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        gx = np.zeros_like(w)
-        gy = np.zeros_like(w)
-        np.subtract(w[1:, :, :], w[:-1, :, :], out=gx[:-1, :, :])
-        gx[:-1, :, :] /= self.h
-        np.subtract(w[:, 1:, :], w[:, :-1, :], out=gy[:, :-1, :])
-        gy[:, :-1, :] /= self.h
-        return gx, gy
-
-    _dgrad = _grad  # Neumann differences carry no datum
-
-    def _div(self, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
-        """The adjoint of ``_grad`` applied to per-cell fluxes, times the
-        cell area: the energy gradient of the regularizer."""
-        out = fx.copy()
-        out[1:, :, :] -= fx[:-1, :, :]
-        out += fy
-        out[:, 1:, :] -= fy[:, :-1, :]
-        out *= -self.h2 / self.h
-        return out
-
-    def evaluate(self, w: np.ndarray) -> StencilPoint:
-        gx, gy, at = self._slopes(w)
-        reg_term = self.h2 * float(np.sum(at.value()))
+    def _data_energy(self, w: np.ndarray) -> float:
         diff = w - self.fd
         diff *= self.outside
         diff *= diff
-        energy = reg_term + self.lam * self.h2 * float(np.sum(diff))
-        return StencilPoint(self, w, gx, gy, at, energy)
-
-    def _residual(self, pt: StencilPoint) -> np.ndarray:
-        coef = pt.ratio()[:, :, None]
-        out = self._div(coef * pt.gx, coef * pt.gy)
-        data = pt.w - self.fd
-        data *= 2.0 * self.lam * self.h2
-        data *= self.outside
-        out += data
-        return out
-
-    def _curvature_diag(self, pt: StencilPoint) -> np.ndarray:
-        kap = pt.kappa()
-        diag = np.zeros_like(kap)
-        diag[:-1, :] += kap[:-1, :]
-        diag[1:, :] += kap[:-1, :]
-        diag[:, :-1] += kap[:, :-1]
-        diag[:, 1:] += kap[:, :-1]
-        return diag[:, :, None] + self.mass
-
-    def _ring_tensors(self, txx, txy, tyy):
-        # cell (i, j) links w[i, j] to w[i+1, j] and w[i, j+1]: it is cell
-        # (i+1, j+1) of the ghost-ring layout, where the ring row and column
-        # carry nothing, and a difference that would leave the grid (last
-        # row in x, last column in y) carries no curvature
-        def ring(t):
-            out = np.zeros((t.shape[0] + 1, t.shape[1] + 1, t.shape[2]))
-            out[1:, 1:] = t
-            return out
-
-        txx, txy, tyy = ring(txx), ring(txy), ring(tyy)
-        txx[-1] = 0.0
-        tyy[:, -1] = 0.0
-        return txx, txy, tyy, self.mass
+        return self.lam * self.h2 * float(np.sum(diff))
 
     def default_init(self) -> np.ndarray:
         fill = float(np.mean(self.fd[self.outside])) if self.outside.any() else 0.0
@@ -502,8 +460,7 @@ def relaxed_boundary_penalty(p: DirichletProblem, w: Field) -> float:
 def energy_relaxed(p: DirichletProblem, w: Field) -> float:
     """Interior regularizer (Neumann differences) plus the boundary penalty."""
     _check_field(p, w)
-    g = gradient_forward(w, NeumannZero())
-    t = np.sqrt(np.sum(g * g, axis=(2, 3)))
+    t = _slopes(w.values, p.grid.h, live=neumann_live(p.grid))[2]
     interior = p.grid.h ** 2 * float(np.sum(profile_eval(p.density, t)))
     return interior + relaxed_boundary_penalty(p, w)
 
@@ -511,8 +468,6 @@ def energy_relaxed(p: DirichletProblem, w: Field) -> float:
 def total_variation(p, w: Field) -> float:
     """Discrete integral of |grad w| under the problem's boundary rule."""
     _check_field(p, w)
-    if isinstance(p, DirichletProblem):
-        ops = DirichletOps(p, None)
-        return ops.rho * ops.h2 * float(np.sum(ops._slopes(w.values)[2].t))
-    ops = FidelityOps(p, None)
-    return ops.h2 * float(np.sum(ops._slopes(w.values)[2].t))
+    ops = assemble_ops(p, None)
+    t = _slopes(w.values, ops.h, ops.offset, ops.live)[2]
+    return ops.rho * ops.h2 * float(np.sum(t))

@@ -1,18 +1,21 @@
-"""Uniform 2D cell-centered grids, fields, and discrete calculus.
+"""Uniform 2D cell-centered grids, fields, and the discrete calculus.
 
 The domain is the rectangle (0, nx*h) x (0, ny*h) with cell centers at
-((i+0.5)h, (j+0.5)h).  Gradients are forward differences; how they close at
-the boundary is decided by a boundary rule:
+((i+0.5)h, (j+0.5)h).  Differences of cell values are formed in one place,
+``ring_differences``, and ``ring_adjoint`` is its exact adjoint.  They work
+on the ring layout: the (nx, ny) values are surrounded by a ring of nodes,
+and the (nx+1) x (ny+1) difference cells reach one step past every edge;
+cell (I, J) links ring node (I, J) to (I+1, J) and to (I, J+1), where ring
+node (i+1, j+1) is value (i, j).  The ring nodes are zero, so the pair is
+linear, and a boundary rule is data on that layout:
 
-* ``DirichletGhost`` surrounds the domain with one ghost ring frozen to the
-  boundary datum sampled at ghost centers.  The gradient then lives on the
-  (nx+1) x (ny+1) difference cells reaching one step past every edge, so the
-  datum pins the solution on all four sides.
-* ``NeumannZero`` extends one-sidedly by zero differences at the far edges
-  (homogeneous Neumann); the gradient lives on the nx x ny cells.
-
-``divergence_adjoint`` is the exact negative adjoint of ``gradient_forward``
-under plain summation, per rule.
+* ``DirichletGhost`` freezes the ring to the boundary datum sampled at
+  ghost centers; ``ring_offset`` gives the datum's constant differences,
+  which are added to those of the values.  The datum pins the solution on
+  all four sides.
+* ``neumann_live`` masks the differences of homogeneous Neumann data: only
+  those between two values stay, so the ring row and column and the
+  differences that would leave the grid are zero.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ __all__ = [
     "Mask",
     "Ball",
     "DirichletGhost",
-    "NeumannZero",
-    "gradient_forward",
-    "divergence_adjoint",
+    "neumann_live",
+    "ring_differences",
+    "ring_adjoint",
     "sup_on",
     "lp_on",
     "lp_on_log",
@@ -211,76 +214,52 @@ class DirichletGhost:
     def interior(self, grid: Grid2) -> Field:
         return Field(grid, self.u0_ext[1:-1, 1:-1, :].copy())
 
-
-class NeumannZero:
-    """Boundary rule: zero one-sided differences at the far edges."""
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NeumannZero)
-
-
-def _extend(values: np.ndarray, rule: DirichletGhost) -> np.ndarray:
-    ext = rule.u0_ext.copy()
-    if ext.shape != (values.shape[0] + 2, values.shape[1] + 2, values.shape[2]):
-        raise ValueError("ghost ring shape does not match the field")
-    ext[1:-1, 1:-1, :] = values
-    return ext
+    def ring_offset(self) -> tuple[np.ndarray, np.ndarray]:
+        """The datum's part of the differences on the ring layout: the
+        differences of the ring with zero values inside, shape
+        ``(nx+1, ny+1, N)`` each.  Added to ``ring_differences(v)`` they
+        give the differences of ``v`` inside this ring."""
+        ring = self.u0_ext.astype(float)
+        ring[1:-1, 1:-1, :] = 0.0
+        # the ring's nodes as values, one ring further out
+        dx, dy = ring_differences(ring)
+        return dx[1:-1, 1:-1].copy(), dy[1:-1, 1:-1].copy()
 
 
-def gradient_forward(u: Field, rule) -> np.ndarray:
-    """Forward-difference gradient under the given boundary rule.
-
-    Returns shape (nx+1, ny+1, N, 2) for ``DirichletGhost`` (difference cells
-    reach one step past every edge) and (nx, ny, N, 2) for ``NeumannZero``
-    (far-edge slots are zero).  Exact on affine fields under the Dirichlet
-    rule with a matching datum.
-    """
-    h = u.grid.h
-    v = u.values
-    if isinstance(rule, DirichletGhost):
-        ext = _extend(v, rule)
-        gx = (ext[1:, :-1, :] - ext[:-1, :-1, :]) / h
-        gy = (ext[:-1, 1:, :] - ext[:-1, :-1, :]) / h
-        return np.stack([gx, gy], axis=-1)
-    if isinstance(rule, NeumannZero):
-        gx = np.zeros_like(v)
-        gy = np.zeros_like(v)
-        gx[:-1, :, :] = (v[1:, :, :] - v[:-1, :, :]) / h
-        gy[:, :-1, :] = (v[:, 1:, :] - v[:, :-1, :]) / h
-        return np.stack([gx, gy], axis=-1)
-    raise TypeError("rule must be DirichletGhost or NeumannZero")
+def ring_differences(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward differences ``(dx, dy)`` of cell values ``v`` (shape
+    ``(mx, my, N)``) over a zero ring: arrays of shape ``(mx+1, my+1, N)``
+    with ``dx[I, J] = ring[I+1, J] - ring[I, J]`` and
+    ``dy[I, J] = ring[I, J+1] - ring[I, J]``, where ring node
+    ``(i+1, j+1)`` is ``v[i, j]`` and every other ring node is 0."""
+    mx, my, n = v.shape
+    dx = np.zeros((mx + 1, my + 1, n))
+    dx[:-1, 1:] = v
+    dx[1:, 1:] -= v
+    dy = np.zeros((mx + 1, my + 1, n))
+    dy[1:, :-1] = v
+    dy[1:, 1:] -= v
+    return dx, dy
 
 
-def divergence_adjoint(g: np.ndarray, grid: Grid2, rule) -> Field:
-    """Exact negative adjoint of ``gradient_forward`` under plain sums.
+def ring_adjoint(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """The exact adjoint of ``ring_differences`` under plain sums:
+    ``sum(dx * fx + dy * fy) == sum(v * ring_adjoint(fx, fy))``."""
+    out = fx[:-1, 1:] - fx[1:, 1:]
+    out += fy[1:, :-1]
+    out -= fy[1:, 1:]
+    return out
 
-    For every admissible u:  sum(gradient_forward(u) : g) =
-    -sum(u * divergence_adjoint(g)).  Dead far-edge slots of the Neumann rule
-    are ignored.
-    """
-    g = np.asarray(g, dtype=float)
-    h = grid.h
-    if isinstance(rule, DirichletGhost):
-        if g.shape[0] != grid.nx + 1 or g.shape[1] != grid.ny + 1:
-            raise ValueError("gradient shape does not match the Dirichlet rule")
-        gx = g[..., 0]
-        gy = g[..., 1]
-        out = (gx[1:, 1:] - gx[:-1, 1:] + gy[1:, 1:] - gy[1:, :-1]) / h
-        return Field(grid, out)
-    if isinstance(rule, NeumannZero):
-        if g.shape[0] != grid.nx or g.shape[1] != grid.ny:
-            raise ValueError("gradient shape does not match the Neumann rule")
-        gx = g[..., 0].copy()
-        gy = g[..., 1].copy()
-        gx[-1, :] = 0.0
-        gy[:, -1] = 0.0
-        out = np.zeros_like(gx)
-        out += gx
-        out[1:, :] -= gx[:-1, :]
-        out += gy
-        out[:, 1:] -= gy[:, :-1]
-        return Field(grid, out / h)
-    raise TypeError("rule must be DirichletGhost or NeumannZero")
+
+def neumann_live(grid: Grid2) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean masks of shape ``(nx+1, ny+1, 1)`` for the ``dx`` and ``dy``
+    of ``ring_differences`` that link two values: the homogeneous Neumann
+    rule keeps these and zeroes the rest."""
+    live_x = np.zeros((grid.nx + 1, grid.ny + 1, 1), dtype=bool)
+    live_x[1:-1, 1:] = True
+    live_y = np.zeros((grid.nx + 1, grid.ny + 1, 1), dtype=bool)
+    live_y[1:, 1:-1] = True
+    return live_x, live_y
 
 
 def _ball_cells(u: Field, b: Ball) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Ball, Field, Grid2, Mask, lp_on, lp_on_log, sup_on
+from .grids import Ball, Field, Grid2, Mask, lp_on_log, sup_on
 
 __all__ = [
     "BallFamily",
@@ -40,6 +40,7 @@ __all__ = [
     "caccioppoli_check",
     "select_radius",
     "MoserGeometryError",
+    "check_geometry",
     "MoserReport",
     "moser_report",
     "min_cells_per_ball",
@@ -103,6 +104,24 @@ def exponents(bf: BallFamily) -> np.ndarray:
 def _check_family(u: Field, bf: BallFamily) -> None:
     if not u.grid.contains_ball(bf.ball(0)):
         raise MoserGeometryError("outer ball is not contained in the domain")
+
+
+def check_geometry(grid: Grid2, bf: BallFamily) -> None:
+    """Raise ``MoserGeometryError`` unless ``moser_report`` can audit the
+    family on this grid: the outer ball strictly inside the domain and at
+    least ``min_cells_per_ball`` cell centres in the innermost ball.  The
+    limit ball, whose sup the bound compares, is at least half as wide, so
+    it then holds a cell centre too.  Only the grid is needed, so a run can
+    check before it solves."""
+    if not grid.contains_ball(bf.ball(0)):
+        raise MoserGeometryError(
+            f"ball of radius {bf.r0:g} at {bf.center} is not strictly "
+            "inside the domain")
+    count = int(grid.cells_in_ball(bf.ball(bf.j_max)).sum())
+    if count < min_cells_per_ball:
+        raise MoserGeometryError(
+            f"innermost ball holds {count} cell centres; "
+            f"at least {min_cells_per_ball} required")
 
 
 def _log_masses(u: Field, bf: BallFamily) -> np.ndarray:
@@ -353,13 +372,8 @@ def moser_report(u: Field, bf: BallFamily, s_values=(0.0, 1.0, 3.0),
                  epsilon0: float | None = None,
                  enforce_cells: bool = True) -> MoserReport:
     """Run the full audit for one solution field."""
-    _check_family(u, bf)
     if enforce_cells:
-        count = int(u.grid.cells_in_ball(bf.ball(bf.j_max)).sum())
-        if count < min_cells_per_ball:
-            raise MoserGeometryError(
-                f"innermost ball holds {count} cells; "
-                f"at least {min_cells_per_ball} required")
+        check_geometry(u.grid, bf)
     rec = verify_recursion(u, bf)
     return MoserReport(
         center=bf.center, r0=bf.r0, r_inf=bf.r_inf, n=bf.n, j_max=bf.j_max,

@@ -1,10 +1,11 @@
 """Galerkin aggregation multigrid for the Newton systems, in numpy.
 
 An operator on an ``(mx, my)`` grid of cell values is stored as a sum of
-three-node elements on a zero ghost ring: difference cell ``(i, j)`` of the
-ring layout, ``0 <= i <= mx``, ``0 <= j <= my``, links ring node ``(i, j)``
-to ``(i+1, j)`` and ``(i, j+1)`` (ring node ``(p+1, q+1)`` is value
-``(p, q)``; ring nodes are 0) and adds ``d^T T d`` for the differences
+three-node elements on the zero ring of ``grids.ring_differences``:
+difference cell ``(i, j)`` of the ring layout, ``0 <= i <= mx``,
+``0 <= j <= my``, links ring node ``(i, j)`` to ``(i+1, j)`` and
+``(i, j+1)`` (ring node ``(p+1, q+1)`` is value ``(p, q)``; ring nodes
+are 0) and adds ``d^T T d`` for the differences
 ``d = (v[i+1, j] - v[i, j], v[i, j+1] - v[i, j])`` and a symmetric positive
 semi-definite 2x2 tensor ``T`` per cell, plus a diagonal mass.  Arrays
 carry a trailing channel axis; the channels do not couple.
@@ -38,6 +39,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .grids import ring_adjoint, ring_differences
+
 __all__ = ["Level", "Multigrid", "prolong", "restrict"]
 
 # Jacobi damping; each level satisfies A <= 3 D (three nodes per element)
@@ -66,23 +69,15 @@ class Level:
                                   where=diag > 0.0)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        mx, my, n = v.shape
-        dx = np.zeros((mx + 1, my + 1, n))
-        dx[:-1, 1:] = v
-        dx[1:, 1:] -= v
-        dy = np.zeros((mx + 1, my + 1, n))
-        dy[1:, :-1] = v
-        dy[1:, 1:] -= v
+        dx, dy = ring_differences(v)
         fx = self.txx * dx
         dx *= self.txy
         fx += self.txy * dy
         dy *= self.tyy
         dy += dx  # fy
         del dx
-        out = fx[:-1, 1:] - fx[1:, 1:]
+        out = ring_adjoint(fx, dy)
         del fx
-        out += dy[1:, :-1]
-        out -= dy[1:, 1:]
         if self.mass is not None:
             out += self.mass * v
         return out

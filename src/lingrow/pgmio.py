@@ -139,29 +139,41 @@ def field_to_csv(path: str | os.PathLike, u: Field) -> None:
 
 
 def field_from_csv(path: str | os.PathLike) -> Field:
-    xs: list[float] = []
-    ys: list[float] = []
-    rows: list[tuple[float, float, int, float]] = []
+    """Read the table ``field_to_csv`` writes.
+
+    ``h`` is twice the smallest x.  Every row must sit at a cell centre
+    ``((i+0.5)h, (j+0.5)h)`` (to 1e-9 h) with a channel >= 0, and every
+    cell and channel must appear exactly once; anything else raises
+    ``ValueError``.
+    """
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "x,y,channel,value":
+        if fh.readline().strip() != "x,y,channel,value":
             raise ValueError("unexpected CSV header")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            sx, sy, sc, sv = line.split(",")
-            rows.append((float(sx), float(sy), int(sc), float(sv)))
+        rows = [line.split(",") for line in fh if line.strip()]
     if not rows:
         raise ValueError("empty CSV field")
-    xs = sorted({r[0] for r in rows})
-    ys = sorted({r[1] for r in rows})
-    channels = max(r[2] for r in rows) + 1
-    h = 2.0 * xs[0]
-    grid = Grid2(len(xs), len(ys), h)
-    ix = {x: i for i, x in enumerate(xs)}
-    iy = {y: j for j, y in enumerate(ys)}
-    values = np.zeros((grid.nx, grid.ny, channels))
-    for x, y, c, v in rows:
-        values[ix[x], iy[y], c] = v
-    return Field(grid, values)
+    if any(len(r) != 4 for r in rows):
+        raise ValueError("CSV rows must have four columns")
+    x, y, v = (np.array([float(r[k]) for r in rows]) for k in (0, 1, 3))
+    c = np.array([int(r[2]) for r in rows])
+    h = 2.0 * float(np.min(x))
+    if not (h > 0.0 and np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("CSV coordinates must be positive and finite")
+    i = np.rint(x / h - 0.5)
+    j = np.rint(y / h - 0.5)
+    off = np.maximum(np.abs(x - (i + 0.5) * h), np.abs(y - (j + 0.5) * h))
+    if np.min(j) < 0.0 or np.max(off) > 1e-9 * h:
+        raise ValueError(f"CSV coordinates are not cell centres (i+0.5)*h "
+                         f"for h = {h!r}")
+    if np.min(c) < 0:
+        raise ValueError("CSV channel must be non-negative")
+    nx, ny, nc = int(i.max()) + 1, int(j.max()) + 1, int(c.max()) + 1
+    if nx * ny * nc > len(rows):
+        raise ValueError(f"CSV table has {len(rows)} rows; {nx}x{ny} cells "
+                         f"with {nc} channels need {nx * ny * nc}")
+    i, j = i.astype(np.int64), j.astype(np.int64)
+    if np.bincount((i * ny + j) * nc + c).max() > 1:
+        raise ValueError("CSV table repeats a cell and channel")
+    values = np.empty((nx, ny, nc))
+    values[i, j, c] = v
+    return Field(Grid2(nx, ny, h), values)

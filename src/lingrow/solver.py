@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import (DirichletProblem, FidelityProblem, RegularizationState,
-                     assemble_ops, total_variation)
+from .energy import (DirichletProblem, RegularizationState, assemble_ops,
+                     total_variation)
 from .grids import Ball, Field, sup_on
 from .multigrid import Level, Multigrid
 
@@ -354,6 +354,12 @@ def verify_minimality(problem, reg: RegularizationState | None, u: Field,
     rng = np.random.default_rng(seed)
     dirichlet = isinstance(problem, DirichletProblem)
 
+    def margin(psi: np.ndarray) -> float:
+        if dirichlet:
+            psi[0, :, :] = psi[-1, :, :] = 0.0
+            psi[:, 0, :] = psi[:, -1, :] = 0.0
+        return ops.energy(w + psi) - e0
+
     margins = np.empty(trials + 1)
     for i in range(trials):
         psi = rng.uniform(-1.0, 1.0, size=w.shape)
@@ -361,21 +367,11 @@ def verify_minimality(problem, reg: RegularizationState | None, u: Field,
             psi = _smooth(psi)
         m = float(np.max(np.abs(psi)))
         psi *= amplitude / m
-        if dirichlet:
-            psi[0, :, :] = psi[-1, :, :] = 0.0
-            psi[:, 0, :] = psi[:, -1, :] = 0.0
-        margins[i] = ops.energy(w + psi) - e0
+        margins[i] = margin(psi)
 
     r = ops.residual(w)
     rmax = float(np.max(np.abs(r)))
-    if rmax > 0.0:
-        psi = -amplitude * r / rmax
-        if dirichlet:
-            psi[0, :, :] = psi[-1, :, :] = 0.0
-            psi[:, 0, :] = psi[:, -1, :] = 0.0
-        margins[trials] = ops.energy(w + psi) - e0
-    else:
-        margins[trials] = 0.0
+    margins[trials] = margin(-amplitude * r / rmax) if rmax > 0.0 else 0.0
 
     worst = float(np.min(margins))
     return MinimalityReport(trials=trials + 1, amplitude=amplitude,

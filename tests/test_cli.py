@@ -18,7 +18,7 @@ import lingrow
 from lingrow import cli
 from lingrow.cli import main
 from lingrow.grids import Field, Grid2
-from lingrow.pgmio import field_from_csv, read_pgm
+from lingrow.pgmio import field_from_csv, field_to_csv, read_pgm
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -198,6 +198,23 @@ class TestSolve:
         assert not (out / "solution_final.csv").exists()
 
 
+    def test_malformed_csv_datum_exits_two_with_one_line(self, tmp_path,
+                                                         capsys):
+        u = Field(Grid2(8, 8, 1.0 / 8), np.ones((8, 8, 1)))
+        field_to_csv(tmp_path / "f.csv", u)
+        lines = (tmp_path / "f.csv").read_text().splitlines()
+        (tmp_path / "f.csv").write_text("\n".join(lines + [lines[9]]) + "\n")
+        cfg = denoise_config()
+        cfg["problem"]["f"] = {"csv": {"path": "f.csv"}}
+        rc, out = run(tmp_path, "solve", cfg)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lingrow: bad CSV field:")
+        assert "repeats a cell and channel" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+
 class TestMoser:
     def test_zero_data_audit_passes(self, tmp_path):
         rc, out = run(tmp_path, "moser", zero_moser_config())
@@ -257,6 +274,26 @@ class TestMoser:
         assert err.startswith("lingrow:") and "cell centre" in err
         assert len(err.splitlines()) == 1
         assert not (out / "trace.json").exists()
+
+    @pytest.mark.parametrize("command", ["moser", "full-report"])
+    def test_thin_innermost_ball_exits_two_before_solving(
+            self, tmp_path, capsys, monkeypatch, command):
+        """Too few cells in the innermost ball is found before the solve:
+        no trace, solution or image is written."""
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve started")
+
+        monkeypatch.setattr(cli, "continuation_solve", no_solve)
+        cfg = denoise_config(nx=16)
+        cfg["density"] = {"kind": "minimal_surface"}
+        cfg["ball"] = {"center": [0.5, 0.5], "r0": 0.2, "j_max": 3}
+        rc, out = run(tmp_path, command, cfg)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lingrow:")
+        assert "innermost ball holds 12 cell centres" in err
+        assert len(err.splitlines()) == 1
+        assert os.listdir(out) == []
 
     def test_minimality_trials_zero_exits_two_before_solving(
             self, tmp_path, capsys):

@@ -9,7 +9,8 @@ from lingrow.energy import (DirichletProblem, FidelityProblem,
                             RegularizationState, assemble_ops, clip_data, energy_dirichlet,
                             energy_fidelity, energy_relaxed, euler_residual,
                             relaxed_boundary_penalty, total_variation)
-from lingrow.grids import DirichletGhost, Field, Grid2, Mask
+from lingrow.grids import (DirichletGhost, Field, Grid2, Mask, neumann_live,
+                           ring_adjoint, ring_differences)
 from lingrow.profiles import (certify_conditions, minimal_surface, phi_mu,
                               profile_eval)
 
@@ -325,8 +326,11 @@ def test_curvature_floor_one_is_lagged_diffusivity():
     assert np.all(hess.b == 0.0)
     v = np.random.default_rng(4).normal(size=w.values.shape)
     ratio = point.ratio()[:, :, None]
-    vx, vy = ops._dgrad(v)
-    lagged = ops._div(ratio * vx, ratio * vy) + ops.mass * v
+    vx, vy = ring_differences(v)
+    live_x, live_y = neumann_live(problem.grid)
+    # the cell weight h^2 cancels the 1/h of both differences
+    lagged = ring_adjoint(ratio * live_x * vx, ratio * live_y * vy) \
+        + ops.mass * v
     assert np.allclose(hess.apply(v), lagged, rtol=1e-13, atol=1e-15)
 
 

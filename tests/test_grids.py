@@ -1,4 +1,4 @@
-"""Grids, fields, masks, balls, difference operators, and ball norms."""
+"""Grids, fields, masks, balls, the difference pair, and ball norms."""
 
 import math
 
@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lingrow.grids import (Ball, DirichletGhost, Field, Grid2, Mask,
-                           NeumannZero, divergence_adjoint, gradient_forward,
-                           lp_on, lp_on_log, sup_on)
+from lingrow.grids import (Ball, DirichletGhost, Field, Grid2, Mask, lp_on,
+                           lp_on_log, neumann_live, ring_adjoint,
+                           ring_differences, sup_on)
 
 from .oracles import naive_ball_integral
 
@@ -75,72 +75,117 @@ def test_ball_validation():
 
 
 # ---------------------------------------------------------------------------
-# difference operators
+# the difference pair on the ring layout and the two boundary rules
+
+
+def dirichlet_slopes(u, ghost):
+    """Differences of u inside the ghost ring, over h."""
+    dx, dy = ring_differences(u.values)
+    ox, oy = ghost.ring_offset()
+    return (dx + ox) / u.grid.h, (dy + oy) / u.grid.h
+
+
+def neumann_slopes(u):
+    dx, dy = ring_differences(u.values)
+    live_x, live_y = neumann_live(u.grid)
+    return dx * live_x / u.grid.h, dy * live_y / u.grid.h
+
+
+def test_dirichlet_offset_is_the_ghost_ring_subtraction():
+    """The datum's ring differences added to the values' differences give
+    the differences of the extended array bit for bit."""
+    rng = np.random.default_rng(1)
+    for nx, ny in ((9, 13), (16, 16), (7, 5)):
+        for channels in (1, 2, 3):
+            ghost = DirichletGhost(rng.normal(size=(nx + 2, ny + 2,
+                                                    channels)))
+            v = rng.normal(size=(nx, ny, channels))
+            ext = ghost.u0_ext.copy()
+            ext[1:-1, 1:-1] = v
+            dx, dy = ring_differences(v)
+            ox, oy = ghost.ring_offset()
+            assert dx.shape == ox.shape == (nx + 1, ny + 1, channels)
+            assert np.array_equal(dx + ox, ext[1:, :-1] - ext[:-1, :-1])
+            assert np.array_equal(dy + oy, ext[:-1, 1:] - ext[:-1, :-1])
 
 
 def test_gradient_exact_on_affine_dirichlet():
-    g = unit_grid(8)
+    g = Grid2(9, 13, 1.0 / 13)
     fn = lambda x, y: 3.0 * x - 2.0 * y + 0.5
     u = Field.from_function(g, fn)
-    ghost = DirichletGhost.from_function(g, fn)
-    grad = gradient_forward(u, ghost)
-    assert np.max(np.abs(grad[:, :, 0, 0] - 3.0)) <= 1e-12
-    assert np.max(np.abs(grad[:, :, 0, 1] + 2.0)) <= 1e-12
+    gx, gy = dirichlet_slopes(u, DirichletGhost.from_function(g, fn))
+    assert gx.shape == (10, 14, 1)
+    assert np.max(np.abs(gx - 3.0)) <= 1e-12
+    assert np.max(np.abs(gy + 2.0)) <= 1e-12
 
 
 def test_gradient_exact_on_affine_neumann_interior():
-    g = unit_grid(8)
+    g = Grid2(9, 13, 1.0 / 13)
     u = Field.from_function(g, lambda x, y: x + 2.0 * y)
-    grad = gradient_forward(u, NeumannZero())
-    # far row/column carries the one-sided zero slots
-    assert np.max(np.abs(grad[:-1, :, 0, 0] - 1.0)) <= 1e-12
-    assert np.max(np.abs(grad[:, :-1, 0, 1] - 2.0)) <= 1e-12
-    assert np.all(grad[-1, :, 0, 0] == 0.0)
-    assert np.all(grad[:, -1, 0, 1] == 0.0)
+    gx, gy = neumann_slopes(u)
+    # value (i, j) is ring node (i+1, j+1): the live x differences are
+    # rows 1 .. nx-1, the live y differences columns 1 .. ny-1
+    assert np.max(np.abs(gx[1:-1, 1:] - 1.0)) <= 1e-12
+    assert np.max(np.abs(gy[1:, 1:-1] - 2.0)) <= 1e-12
+
+
+def test_neumann_dead_slots_are_exact_zeros():
+    rng = np.random.default_rng(2)
+    g = Grid2(5, 7, 0.2)
+    live_x, live_y = neumann_live(g)
+    assert live_x.sum() == (g.nx - 1) * g.ny
+    assert live_y.sum() == g.nx * (g.ny - 1)
+    gx, gy = neumann_slopes(Field(g, rng.normal(size=(5, 7, 3))))
+    assert np.all(gx[~live_x[:, :, 0]] == 0.0)
+    assert np.all(gy[~live_y[:, :, 0]] == 0.0)
+    assert np.all(gx[0] == 0.0) and np.all(gx[-1] == 0.0)
+    assert np.all(gx[:, 0] == 0.0)
+    assert np.all(gy[:, 0] == 0.0) and np.all(gy[:, -1] == 0.0)
+    assert np.all(gy[0] == 0.0)
+    assert np.all(gx[live_x[:, :, 0]] != 0.0)
 
 
 def test_gradient_of_constant_is_zero():
-    g = unit_grid(6)
-    u = Field.full(g, 4.0)
-    assert np.all(gradient_forward(u, NeumannZero()) == 0.0)
-    ghost = DirichletGhost.from_function(g, lambda x, y: 4.0)
-    assert np.all(gradient_forward(u, ghost) == 0.0)
+    g = Grid2(6, 9, 0.1)
+    u = Field.full(g, 4.0, channels=2)
+    for d in neumann_slopes(u):
+        assert np.all(d == 0.0)
+    for d in dirichlet_slopes(u, DirichletGhost.from_field(u)):
+        assert np.all(d == 0.0)
 
 
 def test_adjoint_identity_both_rules():
+    """sum(D u : f) = sum(u * D^T f) for the zero-ring pair, which is the
+    linear part of the Dirichlet rule, and for the masked Neumann
+    differences M D, whose adjoint is D^T M."""
     rng = np.random.default_rng(42)
-    g = Grid2(5, 5, 0.2)
-    zero_ghost = DirichletGhost.from_field(Field.zeros(g, 2))
-    for _ in range(20):
-        u = Field(g, rng.normal(size=(5, 5, 2)))
-        gf = gradient_forward(u, zero_ghost)
-        w = rng.normal(size=gf.shape)
-        div = divergence_adjoint(w, g, zero_ghost)
-        lhs = float(np.sum(gf * w))
-        rhs = -float(np.sum(u.values * div.values))
-        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+    for nx, ny in ((5, 7), (9, 13)):
+        g = Grid2(nx, ny, 1.0 / ny)
+        live_x, live_y = neumann_live(g)
+        for channels in (1, 2, 3):
+            for _ in range(5):
+                u = rng.normal(size=(nx, ny, channels))
+                fx, fy = rng.normal(size=(2, nx + 1, ny + 1, channels))
+                dx, dy = ring_differences(u)
+                lhs = float(np.sum(dx * fx + dy * fy))
+                rhs = float(np.sum(u * ring_adjoint(fx, fy)))
+                assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
-        u1 = Field(g, rng.normal(size=(5, 5, 1)))
-        nz = NeumannZero()
-        gf = gradient_forward(u1, nz)
-        w = rng.normal(size=gf.shape)
-        div = divergence_adjoint(w, g, nz)
-        lhs = float(np.sum(gf * w))
-        rhs = -float(np.sum(u1.values * div.values))
-        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+                lhs = float(np.sum(live_x * dx * fx + live_y * dy * fy))
+                rhs = float(np.sum(u * ring_adjoint(live_x * fx,
+                                                    live_y * fy)))
+                assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
 def test_constant_flux_telescopes_to_zero():
-    g = Grid2(4, 4, 0.25)
-    ghost = DirichletGhost.from_field(Field.zeros(g))
-    const = np.ones((5, 5, 1, 2))
-    div = divergence_adjoint(const, g, ghost)
-    assert np.all(div.values == 0.0)
-    # Neumann: interior cells telescope; the far edges carry boundary slots
-    nz = NeumannZero()
-    const = np.ones((4, 4, 1, 2))
-    div = divergence_adjoint(const, g, nz)
-    assert np.all(div.values[1:-1, 1:-1, :] == 0.0)
+    g = Grid2(4, 6, 0.25)
+    ones = np.ones((5, 7, 1))
+    assert np.all(ring_adjoint(ones, ones) == 0.0)
+    # Neumann: interior cells telescope; the edges carry the dead slots
+    live_x, live_y = neumann_live(g)
+    div = ring_adjoint(ones * live_x, ones * live_y)
+    assert np.all(div[1:-1, 1:-1] == 0.0)
+    assert np.any(div != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +282,6 @@ def test_gradient_exact_on_random_affine(n):
     ax, ay, c = rng.normal(size=3)
     fn = lambda x, y: ax * x + ay * y + c
     u = Field.from_function(g, fn)
-    grad = gradient_forward(u, DirichletGhost.from_function(g, fn))
-    assert np.max(np.abs(grad[:, :, 0, 0] - ax)) <= 1e-11 * (1.0 + abs(ax))
-    assert np.max(np.abs(grad[:, :, 0, 1] - ay)) <= 1e-11 * (1.0 + abs(ay))
+    gx, gy = dirichlet_slopes(u, DirichletGhost.from_function(g, fn))
+    assert np.max(np.abs(gx - ax)) <= 1e-11 * (1.0 + abs(ax))
+    assert np.max(np.abs(gy - ay)) <= 1e-11 * (1.0 + abs(ay))

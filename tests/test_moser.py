@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lingrow.grids import Ball, Field, Grid2, Mask
 from lingrow.moser import (BallFamily, MoserGeometryError, caccioppoli_check,
-                           exponents, masses, min_cells_per_ball, moser_report,
-                           radii, select_radius, sup_bound, verify_recursion)
+                           check_geometry, exponents, masses,
+                           min_cells_per_ball, moser_report, radii,
+                           select_radius, sup_bound, verify_recursion)
 
 from .oracles import naive_ball_integral
 
@@ -330,3 +332,28 @@ def test_moser_report_enforces_cell_count():
     rep = moser_report(u, bf, s_values=(), enforce_cells=False)
     assert rep.recursion.passed
     assert min_cells_per_ball == 50
+
+
+def test_check_geometry_needs_only_the_grid():
+    g = Grid2(16, 16, 1.0 / 16)
+    with pytest.raises(MoserGeometryError, match="holds 12 cell centres"):
+        check_geometry(g, BallFamily((0.5, 0.5), 0.2, j_max=3))
+    with pytest.raises(MoserGeometryError, match="not strictly inside"):
+        check_geometry(g, BallFamily((0.1, 0.5), 0.2, j_max=3))
+    check_geometry(Grid2(32, 32, 1.0 / 32), BallFamily((0.5, 0.5), 0.3,
+                                                         j_max=3))
+
+
+@given(st.integers(16, 64), st.floats(0.2, 0.8), st.floats(0.2, 0.8),
+       st.floats(0.05, 0.4), st.integers(2, 4), st.integers(1, 8))
+def test_checked_family_has_a_cell_in_its_limit_ball(n, cx, cy, r0, dim,
+                                                     j_max):
+    """The limit ball is at least half as wide as the innermost one, so a
+    family that passes the check can always take its sup."""
+    g = Grid2(n, n, 1.0 / n)
+    bf = BallFamily((cx, cy), r0, n=dim, j_max=j_max)
+    try:
+        check_geometry(g, bf)
+    except MoserGeometryError:
+        return
+    assert g.cells_in_ball(bf.limit_ball()).any()

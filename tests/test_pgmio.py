@@ -137,3 +137,53 @@ def test_csv_rejects_bad_input(tmp_path):
     path.write_text("x,y,channel,value\n")
     with pytest.raises(ValueError, match="empty CSV field"):
         field_from_csv(path)
+
+
+def csv_lines(tmp_path, channels=1):
+    """The rows of a 3x4 field's table, header first."""
+    path = tmp_path / "u.csv"
+    field_to_csv(path, random_field(seed=5, nx=3, ny=4, channels=channels,
+                                    h=0.1))
+    return path, path.read_text().splitlines()
+
+
+def test_csv_rejects_a_missing_row(tmp_path):
+    path, lines = csv_lines(tmp_path)
+    path.write_text("\n".join(lines[:5] + lines[6:]) + "\n")
+    with pytest.raises(ValueError, match="11 rows; 3x4 cells with 1 "
+                                         "channels need 12"):
+        field_from_csv(path)
+
+
+def test_csv_rejects_a_negative_channel(tmp_path):
+    path, lines = csv_lines(tmp_path)
+    x, y, _, v = lines[1].split(",")
+    lines.append(f"{x},{y},-1,{v}")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="channel must be non-negative"):
+        field_from_csv(path)
+
+
+def test_csv_rejects_a_duplicate_row(tmp_path):
+    path, lines = csv_lines(tmp_path, channels=2)
+    path.write_text("\n".join(lines + [lines[7]]) + "\n")
+    with pytest.raises(ValueError, match="repeats a cell and channel"):
+        field_from_csv(path)
+
+
+def test_csv_rejects_off_centre_coordinates(tmp_path):
+    path, lines = csv_lines(tmp_path)
+    _, y, ch, v = lines[4].split(",")
+    lines[4] = f"0.13,{y},{ch},{v}"  # between the centres 0.05 and 0.15
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="not cell centres"):
+        field_from_csv(path)
+
+
+def test_csv_accepts_rounded_cell_centres(tmp_path):
+    path = tmp_path / "u.csv"
+    path.write_text("x,y,channel,value\n0.05,0.05,0,1\n0.05,0.15,0,2\n"
+                    "0.15,0.05,0,3\n0.15,0.15,0,4\n")
+    u = field_from_csv(path)
+    assert u.grid == Grid2(2, 2, 0.1)
+    assert u.values[:, :, 0].tolist() == [[1.0, 2.0], [3.0, 4.0]]
