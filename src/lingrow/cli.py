@@ -97,6 +97,7 @@ def _write_trace(cfg: RunConfig, trace: SolveTrace, out_dir: str) -> dict:
             "plain_energy": rec.plain_energy, "residual": rec.residual,
             "iters": rec.iters, "backtracks": rec.backtracks,
             "krylov_iters": rec.krylov_iters, "tv": rec.tv,
+            "coarse": [c.to_dict() for c in rec.coarse],
             "interior_sup": rec.interior_sup,
             "pgm": name if rec.u.channels == 1 else None,
             "pgm_lo": lo, "pgm_hi": hi,
@@ -212,11 +213,16 @@ def main(argv=None) -> int:
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](cfg, args.out)
     except (ConfigError, MoserGeometryError) as err:
-        print(f"lingrow: {err}", file=sys.stderr)
+        _complain(err)
         return EXIT_BAD_CONFIG
     except SolverError as err:
-        print(f"lingrow: {err}", file=sys.stderr)
+        _complain(err)
         return EXIT_CHECK_FAILED
+
+
+def _complain(err: Exception) -> None:
+    """One stderr line, whatever line breaks the message quotes."""
+    print("lingrow: " + "\\n".join(str(err).splitlines()), file=sys.stderr)
 
 
 def run_main() -> None:

@@ -30,6 +30,10 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
+# what converting a JSON value of the wrong type, size or range raises
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, OverflowError)
+
+
 @dataclass
 class RunConfig:
     seed: int = 0
@@ -103,22 +107,26 @@ def _parse_field(spec, grid: Grid2, rng: np.random.Generator,
     _expect(isinstance(spec, dict), "field description must be an object")
     if "synthetic" in spec:
         try:
-            return make_field(grid, spec["synthetic"], rng, snap_center=True)
-        except (KeyError, ValueError) as err:
+            # sampled silently: the field rejects a sample that is not
+            # finite, with one message
+            with np.errstate(all="ignore"):
+                return make_field(grid, spec["synthetic"], rng,
+                                  snap_center=True)
+        except _MALFORMED as err:
             raise ConfigError(f"bad synthetic field: {err}") from err
     if "pgm" in spec:
         p = spec["pgm"]
         try:
             f = field_from_pgm(os.path.join(base_dir, p["path"]), grid.h,
                                float(p["lo"]), float(p["hi"]))
-        except (OSError, KeyError, ValueError) as err:
+        except (OSError, *_MALFORMED) as err:
             raise ConfigError(f"bad PGM field: {err}") from err
         _expect(f.grid == grid, "PGM dimensions do not match the grid")
         return f
     if "csv" in spec:
         try:
             f = field_from_csv(os.path.join(base_dir, spec["csv"]["path"]))
-        except (OSError, KeyError, ValueError) as err:
+        except (OSError, *_MALFORMED) as err:
             raise ConfigError(f"bad CSV field: {err}") from err
         _expect(f.grid == grid, "CSV grid does not match the config grid")
         return f
@@ -134,12 +142,12 @@ def _parse_mask(spec, grid: Grid2, base_dir: str) -> Mask:
         _expect(isinstance(r, list) and len(r) == 4, "mask rect needs 4 numbers")
         try:
             return Mask.from_rect(grid, *map(float, r))
-        except ValueError as err:
+        except _MALFORMED as err:
             raise ConfigError(f"bad mask rect: {err}") from err
     if "pgm" in spec:
         try:
             m = mask_from_pgm(os.path.join(base_dir, spec["pgm"]["path"]), grid.h)
-        except (OSError, KeyError, ValueError) as err:
+        except (OSError, *_MALFORMED) as err:
             raise ConfigError(f"bad mask PGM: {err}") from err
         _expect(m.grid == grid, "mask dimensions do not match the grid")
         return m
@@ -153,23 +161,27 @@ def _parse_problem(spec, grid: Grid2 | None, rng: np.random.Generator,
     kind = spec.get("kind")
     try:
         density = RadialProfile.from_dict(spec["density"])
-    except (KeyError, TypeError, ValueError) as err:
+    except _MALFORMED as err:
         raise ConfigError(f"bad problem density: {err}") from err
     if kind == "dirichlet":
         _expect("u0" in spec, "dirichlet problem needs 'u0'")
         u0_spec = spec["u0"]
         if isinstance(u0_spec, dict) and "synthetic" in u0_spec:
             # analytic data can be sampled on the ghost ring directly
-            syn = dict(u0_spec["synthetic"])
-            if "center" in syn:
-                syn["center"] = snap_to_cell(grid, tuple(syn["center"]))
+            syn = u0_spec["synthetic"]
+            _expect(isinstance(syn, dict), "synthetic datum must be an object")
             _expect(_real(syn.get("noise", 0.0), "noise") == 0.0,
                     "dirichlet data must be noise-free")
             try:
-                ghost = DirichletGhost.from_function(grid, make_function(syn))
-            except ValueError as err:
+                syn = dict(syn)
+                if "center" in syn:
+                    syn["center"] = snap_to_cell(grid, tuple(syn["center"]))
+                with np.errstate(all="ignore"):  # as in _parse_field
+                    ghost = DirichletGhost.from_function(grid,
+                                                         make_function(syn))
+                return DirichletProblem(grid, ghost, density)
+            except _MALFORMED as err:
                 raise ConfigError(f"bad synthetic datum: {err}") from err
-            return DirichletProblem(grid, ghost, density)
         u0 = _parse_field(u0_spec, grid, rng, base_dir)
         return DirichletProblem.from_field(u0, density)
     if kind == "fidelity":
@@ -179,7 +191,7 @@ def _parse_problem(spec, grid: Grid2 | None, rng: np.random.Generator,
         lam = spec.get("lambda", 1.0)
         try:
             return FidelityProblem(grid, f, mask, float(lam), density)
-        except (TypeError, ValueError) as err:
+        except _MALFORMED as err:
             raise ConfigError(f"bad fidelity problem: {err}") from err
     raise ConfigError("problem kind must be 'dirichlet' or 'fidelity'")
 
@@ -195,7 +207,7 @@ def parse_config(raw: dict, base_dir: str = ".",
     if "density" in raw:
         try:
             cfg.density = RadialProfile.from_dict(raw["density"])
-        except (KeyError, TypeError, ValueError) as err:
+        except _MALFORMED as err:
             raise ConfigError(f"bad density: {err}") from err
     dc = raw.get("density_check", {})
     _expect(isinstance(dc, dict), "'density_check' must be an object")
@@ -209,7 +221,7 @@ def parse_config(raw: dict, base_dir: str = ".",
         _expect(isinstance(g, dict), "'grid' must be an object")
         try:
             cfg.grid = Grid2(int(g["nx"]), int(g["ny"]), float(g["h"]))
-        except (KeyError, TypeError, ValueError) as err:
+        except _MALFORMED as err:
             raise ConfigError(f"bad grid: {err}") from err
 
     if "solver" in raw:
@@ -222,7 +234,7 @@ def parse_config(raw: dict, base_dir: str = ".",
             cfg.solver = SolverConfig(**{
                 key: convert(s[key])
                 for key, convert in _SOLVER_FIELDS.items() if key in s})
-        except (TypeError, ValueError) as err:
+        except _MALFORMED as err:
             raise ConfigError(f"bad solver section: {err}") from err
     _expect(1.0 < cfg.solver.mu < 2.0,
             "solver mu must lie strictly between 1 and 2")

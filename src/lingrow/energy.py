@@ -109,6 +109,20 @@ class DirichletProblem:
     def from_field(cls, u0: Field, density: RadialProfile) -> "DirichletProblem":
         return cls(u0.grid, DirichletGhost.from_field(u0), density)
 
+    def coarsen(self) -> "DirichletProblem":
+        """The same problem with half the cells per axis (both counts even).
+
+        The ghost ring takes the pairwise mean along each edge and keeps
+        its corners; the cells take the 2x2 means of the datum, which is
+        where the coarse problem's cold start begins.
+        """
+        u = self.ghost.u0_ext
+        u = np.concatenate((u[:1], _pair_means(u[1:-1], 0), u[-1:]), axis=0)
+        u = np.concatenate((u[:, :1], _pair_means(u[:, 1:-1], 1), u[:, -1:]),
+                           axis=1)
+        return DirichletProblem(_coarse_grid(self.grid), DirichletGhost(u),
+                                self.density)
+
 
 @dataclass
 class FidelityProblem:
@@ -133,6 +147,43 @@ class FidelityProblem:
     @property
     def kind(self) -> str:
         return "fidelity"
+
+    def coarsen(self) -> "FidelityProblem":
+        """The same problem with half the cells per axis (both counts even).
+
+        A coarse cell is masked only when all four of its fine cells are;
+        its datum is the mean of their unmasked data (of all four when
+        none is unmasked, where the datum does not enter the energy).
+        ``lam`` and the density are unchanged.
+        """
+        grid = _coarse_grid(self.grid)
+        live = (~self.mask.member)[:, :, None]
+        count = _block_sums(live.astype(float))
+        total = _block_sums(np.where(live, self.f.values, 0.0))
+        masked = count == 0.0
+        f = np.where(masked, 0.25 * _block_sums(self.f.values),
+                     total / np.maximum(count, 1.0))
+        return FidelityProblem(grid, Field(grid, f), Mask(grid, masked[:, :, 0]),
+                               self.lam, self.density)
+
+
+def _coarse_grid(g: Grid2) -> Grid2:
+    if g.nx % 2 or g.ny % 2:
+        raise ValueError("only a grid with even cell counts coarsens")
+    return Grid2(g.nx // 2, g.ny // 2, 2.0 * g.h)
+
+
+def _pair_means(a: np.ndarray, axis: int) -> np.ndarray:
+    """Means of consecutive pairs along an axis of even length."""
+    s = a.shape
+    return a.reshape(s[:axis] + (s[axis] // 2, 2) + s[axis + 1:]).mean(
+        axis=axis + 1)
+
+
+def _block_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the 2x2 blocks of an (nx, ny, N) array with even nx, ny."""
+    nx, ny, n = a.shape
+    return a.reshape(nx // 2, 2, ny // 2, 2, n).sum(axis=(1, 3))
 
 
 def clip_data(f: Field, delta: float) -> Field:

@@ -303,7 +303,11 @@ def select_radius(f: Field, mask: Mask, lam: float,
     g = f.grid
     if not (0.0 < x0[0] < g.lx and 0.0 < x0[1] < g.ly):
         raise MoserGeometryError("x0 must lie inside the domain")
-    eps0 = 1.0 / (16.0 * lam * lam)
+    lam2 = 16.0 * lam * lam
+    eps0 = 1.0 / lam2 if lam2 > 0.0 else math.inf
+    if math.isinf(eps0):
+        raise MoserGeometryError(f"lam = {lam!r} is too small for a "
+                                 "finite eps0 = 1/(16 lam^2)")
     dist = g.boundary_distance(x0[0], x0[1])
     r = dist / 2.0
     X, Y = g.centers()

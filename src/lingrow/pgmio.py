@@ -127,15 +127,19 @@ def mask_from_pgm(path: str | os.PathLike, h: float) -> Mask:
 
 
 def field_to_csv(path: str | os.PathLike, u: Field) -> None:
-    xs = [float(x) for x in u.grid.xs()]
-    ys = [float(y) for y in u.grid.ys()]
+    """Write one ``x,y,channel,value`` row per cell and channel, in the
+    order of ``u.values`` (x outermost), every number as its ``repr``.
+
+    The rows of one x are joined and written together, so the table is
+    never held in memory whole."""
+    ys = [repr(float(y)) for y in u.grid.ys()]
+    tails = [f",{y},{c}," for y in ys for c in range(u.channels)]
     with open(path, "w", newline="\n") as fh:
         fh.write("x,y,channel,value\n")
-        for i in range(u.grid.nx):
-            for j in range(u.grid.ny):
-                for c in range(u.channels):
-                    v = float(u.values[i, j, c])
-                    fh.write(f"{xs[i]!r},{ys[j]!r},{c},{v!r}\n")
+        for x, column in zip(u.grid.xs().tolist(), u.values):
+            x = repr(x)
+            fh.write("".join(f"{x}{t}{v!r}\n" for t, v
+                             in zip(tails, column.ravel().tolist())))
 
 
 def field_from_csv(path: str | os.PathLike) -> Field:

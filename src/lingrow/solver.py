@@ -28,6 +28,15 @@ A rung costs ``1 + iterations + backtracks`` energy evaluations and
 
 ``continuation_solve`` walks a decreasing delta schedule, warm-starting each
 rung from the previous solution and re-clipping the datum at each delta.
+A cold start begins rung 0 by nested iteration (the full-multigrid start of
+Brandt, Math. Comp. 31, 1977): the problem is halved while both cell counts
+are even and at least 16 cells per axis remain, rung 0 is solved on the
+coarsest copy from its default start, and each solution, interpolated
+bilinearly, starts the next finer copy and finally the fine rung.  A step
+on a copy costs about a quarter of one on the next finer grid: on the 128^2
+edge spike the coarse solves (11, 7 and 7 steps at 16^2, 32^2 and 64^2)
+cost about as much as three fine steps, and the fine rung 0, started near
+its minimizer instead of at the datum, takes 9 Newton steps instead of 29.
 ``verify_minimality`` audits a candidate by random energy-increase trials.
 """
 
@@ -46,6 +55,7 @@ __all__ = [
     "SolverConfig",
     "SolveStats",
     "DeltaRecord",
+    "CoarseSolve",
     "SolveTrace",
     "SolverError",
     "minimize_fixed_delta",
@@ -63,6 +73,8 @@ _ETA_MAX = 0.5
 _MAX_KRYLOV = 200
 # curvature floor: 1 on entry to a rung, 0 (exact Newton) below this
 _THETA_MIN = 1e-6
+# the nested start's coarsest copy keeps at least this many cells per axis
+_NEST_MIN = 16
 
 
 @dataclass(frozen=True)
@@ -176,6 +188,13 @@ def minimize_fixed_delta(problem, reg: RegularizationState | None,
     raises ``SolverError`` (carrying the best iterate) when the iteration
     budget is exhausted or the line search stalls short of it.
     """
+    return _newton(problem, reg, init, cfg)
+
+
+def _newton(problem, reg: RegularizationState | None, init: Field,
+            cfg: SolverConfig):
+    """The Newton-CG iteration of ``minimize_fixed_delta``; the nested start
+    calls it directly, so a coarse level is not counted as a rung."""
     ops = assemble_ops(problem, reg)
     if init.grid != problem.grid or init.channels != problem.channels:
         raise ValueError("init does not match the problem")
@@ -238,6 +257,68 @@ def default_interior_ball(grid) -> Ball:
     return Ball((grid.lx / 2.0, grid.ly / 2.0), 0.25 * min(grid.lx, grid.ly))
 
 
+@dataclass(frozen=True)
+class CoarseSolve:
+    """One coarse level of rung 0's nested start: its grid and its cost."""
+
+    nx: int
+    ny: int
+    iters: int
+    krylov_iters: int
+    converged: bool
+
+    def to_dict(self) -> dict:
+        return {"grid": [self.nx, self.ny], "iters": self.iters,
+                "krylov_iters": self.krylov_iters,
+                "converged": self.converged}
+
+
+def _interpolate(v: np.ndarray) -> np.ndarray:
+    """Bilinear cell-centred prolongation onto the grid with twice the
+    cells per axis: each fine cell takes 9/16 of its coarse cell, 3/16 of
+    each of the two coarse neighbours on its side and 1/16 of the
+    diagonal one between them, with the values replicated one cell past
+    each edge."""
+    p = np.pad(v, ((1, 1), (1, 1), (0, 0)), mode="edge")
+    mx, my = v.shape[:2]
+    px = np.empty((2 * mx,) + p.shape[1:])
+    px[0::2] = 0.75 * p[1:-1] + 0.25 * p[:-2]
+    px[1::2] = 0.75 * p[1:-1] + 0.25 * p[2:]
+    out = np.empty((2 * mx, 2 * my, v.shape[2]))
+    out[:, 0::2] = 0.75 * px[:, 1:-1] + 0.25 * px[:, :-2]
+    out[:, 1::2] = 0.75 * px[:, 1:-1] + 0.25 * px[:, 2:]
+    return out
+
+
+def _nested_start(problem, reg: RegularizationState, cfg: SolverConfig):
+    """Rung 0's cold start by nested iteration (the full-multigrid start).
+
+    The problem is halved while both cell counts are even and the halved
+    grid keeps at least ``_NEST_MIN`` cells per axis.  Rung 0 is solved on
+    the coarsest copy from its default start, and each solution,
+    interpolated bilinearly, starts the next finer copy; the last one
+    starts the fine rung.  A coarse level that fails hands its best
+    iterate up: only the fine rung decides success.  Returns the fine
+    start and the coarse solves, coarsest first.
+    """
+    chain = [problem]
+    g = problem.grid
+    while g.nx % 2 == 0 and g.ny % 2 == 0 and min(g.nx, g.ny) >= 2 * _NEST_MIN:
+        chain.append(chain[-1].coarsen())
+        g = chain[-1].grid
+    w = assemble_ops(chain[-1], reg).default_init()
+    solves = []
+    for coarse in reversed(chain[1:]):
+        try:
+            u, stats = _newton(coarse, reg, Field(coarse.grid, w), cfg)
+        except SolverError as err:
+            u, stats = err.best, err.stats
+        solves.append(CoarseSolve(coarse.grid.nx, coarse.grid.ny, stats.iters,
+                                  stats.krylov_iters, stats.converged))
+        w = _interpolate(u.values)
+    return Field(problem.grid, w), tuple(solves)
+
+
 @dataclass
 class DeltaRecord:
     delta: float
@@ -250,6 +331,8 @@ class DeltaRecord:
     interior_sup: float
     backtracks: int
     krylov_iters: int
+    # the nested start's coarse solves, coarsest first (rung 0 only)
+    coarse: tuple[CoarseSolve, ...] = ()
 
 
 @dataclass
@@ -287,8 +370,9 @@ def continuation_solve(problem, cfg: SolverConfig = SolverConfig(),
     u = init
     for delta in cfg.delta_schedule:
         reg = RegularizationState(delta, cfg.mu, problem.kind)
+        coarse = ()
         if u is None:
-            u = Field(problem.grid, assemble_ops(problem, reg).default_init())
+            u, coarse = _nested_start(problem, reg, cfg)
         try:
             u, stats = minimize_fixed_delta(problem, reg, u, cfg)
         except SolverError as err:
@@ -300,7 +384,7 @@ def continuation_solve(problem, cfg: SolverConfig = SolverConfig(),
             residual=stats.final_residual, iters=stats.iters,
             tv=total_variation(problem, u),
             interior_sup=sup_on(u, ball), backtracks=stats.backtracks,
-            krylov_iters=stats.krylov_iters))
+            krylov_iters=stats.krylov_iters, coarse=coarse))
     return trace
 
 

@@ -123,6 +123,15 @@ class TestDensityCheck:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_line_breaks_in_a_message_stay_on_one_line(self, tmp_path,
+                                                       capsys):
+        cfg = density_config(kind="phi_mu", mu=2.0)
+        cfg["solver"] = {"a\rb\nc": 1}
+        rc, _ = run(tmp_path, "density-check", cfg)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "lingrow: unknown solver key(s): a\\nb\\nc\n"
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["density-check", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "out")])
@@ -153,6 +162,16 @@ class TestSolve:
             assert ints.shape == (8, 8)
             assert np.all(ints <= maxval)
         assert (out / "trace.csv").read_text().startswith("delta,")
+
+    def test_trace_lists_the_nested_start_of_rung_0(self, tmp_path):
+        rc, out = run(tmp_path, "solve", denoise_config(
+            nx=32, noise=0.5, tol=1e-10))
+        assert rc == 0
+        records = read_json(out / "trace.json")["records"]
+        (coarse,) = records[0]["coarse"]
+        assert coarse["grid"] == [16, 16] and coarse["converged"] is True
+        assert coarse["krylov_iters"] >= coarse["iters"] >= 1
+        assert records[1]["coarse"] == []
 
     def test_affine_dirichlet_is_a_fixed_point(self, tmp_path):
         rc, out = run(tmp_path, "solve", affine_dirichlet_config())

@@ -409,3 +409,62 @@ def test_channel_mismatch_rejected():
     bad = Field.zeros(problem.grid, 1)
     with pytest.raises(ValueError):
         energy_dirichlet(problem, reg, bad)
+
+
+# ---------------------------------------------------------------------------
+# restriction onto the grid with half the cells (the nested start's data)
+
+
+def test_dirichlet_coarsen_takes_edge_pair_means_and_keeps_corners():
+    rng = np.random.default_rng(12)
+    g = Grid2(4, 6, 0.25)
+    ext = rng.normal(size=(6, 8, 2))
+    coarse = DirichletProblem(g, DirichletGhost(ext), phi_mu(2.0)).coarsen()
+    assert coarse.grid == Grid2(2, 3, 0.5)
+    u = coarse.ghost.u0_ext
+    assert u.shape == (4, 5, 2)
+    for i, j in ((0, 0), (0, 4), (3, 0), (3, 4)):
+        fi, fj = (0 if i == 0 else 5), (0 if j == 0 else 7)
+        assert np.array_equal(u[i, j], ext[fi, fj])
+    for j in range(1, 4):
+        assert np.allclose(u[0, j], 0.5 * (ext[0, 2 * j - 1] + ext[0, 2 * j]),
+                           rtol=0.0, atol=1e-15)
+        assert np.allclose(u[3, j], 0.5 * (ext[5, 2 * j - 1] + ext[5, 2 * j]),
+                           rtol=0.0, atol=1e-15)
+    for i in range(1, 3):
+        assert np.allclose(u[i, 0], 0.5 * (ext[2 * i - 1, 0] + ext[2 * i, 0]),
+                           rtol=0.0, atol=1e-15)
+        assert np.allclose(u[i, 4], 0.5 * (ext[2 * i - 1, 7] + ext[2 * i, 7]),
+                           rtol=0.0, atol=1e-15)
+    # the cells, where the coarse cold start begins, hold the 2x2 means
+    for i in range(2):
+        for j in range(3):
+            block = ext[2 * i + 1:2 * i + 3, 2 * j + 1:2 * j + 3]
+            assert np.allclose(u[i + 1, j + 1], block.mean(axis=(0, 1)),
+                               rtol=0.0, atol=1e-15)
+
+
+def test_fidelity_coarsen_masks_all_masked_blocks_and_averages_the_rest():
+    g = Grid2(4, 4, 0.25)
+    f = np.arange(16.0).reshape(4, 4)
+    member = np.zeros((4, 4), dtype=bool)
+    member[0:2, 0:2] = True           # block (0, 0): all four masked
+    member[0, 2] = member[1, 2] = member[1, 3] = True  # block (0, 1): three
+    member[3, 3] = True               # block (1, 1): one
+    problem = FidelityProblem(g, Field(g, f), Mask(g, member), 0.7,
+                              minimal_surface())
+    coarse = problem.coarsen()
+    assert coarse.grid == Grid2(2, 2, 0.5)
+    assert coarse.lam == 0.7 and coarse.density is problem.density
+    assert coarse.mask.member.tolist() == [[True, False], [False, False]]
+    c = coarse.f.values[:, :, 0]
+    assert c[0, 1] == f[0, 3]                                # lone datum
+    assert c[1, 0] == pytest.approx(f[2:4, 0:2].mean(), abs=1e-15)
+    assert c[1, 1] == pytest.approx((f[2, 2] + f[2, 3] + f[3, 2]) / 3.0,
+                                    abs=1e-15)
+    # a masked coarse cell takes the mean of all four (it has no data term)
+    assert c[0, 0] == pytest.approx(f[0:2, 0:2].mean(), abs=1e-15)
+    with pytest.raises(ValueError):
+        FidelityProblem(Grid2(3, 4, 0.25), Field.zeros(Grid2(3, 4, 0.25)),
+                        Mask.empty(Grid2(3, 4, 0.25)), 0.7,
+                        minimal_surface()).coarsen()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -232,12 +233,50 @@ def test_seed_override_controls_noise():
      "unknown solver key\\(s\\): max_iter"),
     (lambda r: r.update(solver={"mu": 1.5, "spectral_steps": False}),
      "unknown solver key\\(s\\): spectral_steps"),
+    # values of the wrong type or range inside the converted sections
+    (lambda r: r.update(grid={"nx": float("inf"), "ny": 16, "h": 0.0625}),
+     "bad grid: cannot convert float infinity"),
+    (lambda r: r.update(solver={"max_iters": float("inf")}),
+     "bad solver section: cannot convert float infinity"),
+    (lambda r: r["problem"]["u0"].update(synthetic=None),
+     "synthetic datum must be an object"),
+    (lambda r: r["problem"]["u0"]["synthetic"].update(center="ab"),
+     "bad synthetic datum"),
+    (lambda r: r["problem"]["u0"]["synthetic"].update(ax=None),
+     "bad synthetic datum"),
+    (lambda r: r["problem"]["u0"].update(synthetic={
+        "kind": "edge_spike", "background": [[[[0.0]]], 1.0, 1.0]}),
+     "bad synthetic datum"),
+    (lambda r: r["problem"].update(
+        kind="fidelity", f={"synthetic": {"kind": "inverse_sqrt_spike",
+                                          "center": [0.5]}}),
+     "bad synthetic field"),
+    (lambda r: r["problem"].update(
+        kind="fidelity", f={"synthetic": {"kind": "constant", "value": 1.0}},
+        mask={"rect": [[0.1], 0.2, 0.3, 0.4]}),
+     "bad mask rect"),
 ])
 def test_parse_config_errors(mutate, fragment):
     raw = base_config()
     mutate(raw)
     with pytest.raises(ConfigError, match=fragment):
         parse_config(raw)
+
+
+@pytest.mark.parametrize("problem", [
+    {"u0": {"synthetic": {"kind": "edge_spike", "width": 0.0,
+                          "center": [0.5, 0.0]}}},
+    {"kind": "fidelity", "f": {"synthetic": {"kind": "affine", "ax": 1e308,
+                                             "c": 1e308}}},
+], ids=["zero-width-spike", "overflowing-affine"])
+def test_a_non_finite_synthetic_datum_warns_nothing(problem):
+    """The sample is rejected with one message, and numpy prints nothing."""
+    raw = base_config()
+    raw["problem"].update(problem)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_config(raw)
 
 
 def test_solver_section_defaults_come_from_solver_config():

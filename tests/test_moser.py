@@ -258,6 +258,12 @@ def test_select_radius_zero_data():
     assert 2.0 * 0.5 * math.sqrt(eps0) == 0.5
 
 
+def test_select_radius_rejects_a_weight_with_no_finite_eps0():
+    g = Grid2(16, 16, 1.0 / 16)
+    with pytest.raises(MoserGeometryError, match="too small"):
+        select_radius(Field.zeros(g), Mask.empty(g), 1e-181, (0.25, 0.45))
+
+
 def test_select_radius_excludes_spike():
     g = Grid2(128, 128, 1.0 / 128)
     x1 = (0.8, 0.8)

@@ -129,6 +129,27 @@ def test_csv_round_trip_exact(tmp_path):
     assert np.array_equal(back.values, u.values)
 
 
+def test_csv_matches_the_per_cell_loop(tmp_path):
+    """The table is byte for byte what a loop writing one ``repr`` row per
+    cell and channel gives, also for tiny, huge and signed-zero values."""
+    u = random_field(nx=5, ny=3, h=0.3, seed=6, channels=2)
+    u.values[0, 0, 0] = 1e-05
+    u.values[1, 2, 1] = 1e+16
+    u.values[4, 1, 0] = -0.0
+    u.values[2, 0, 1] = 3.0
+    path = tmp_path / "u.csv"
+    field_to_csv(path, u)
+    xs, ys = u.grid.xs(), u.grid.ys()
+    rows = ["x,y,channel,value\n"]
+    for i in range(5):
+        for j in range(3):
+            for c in range(2):
+                rows.append(f"{float(xs[i])!r},{float(ys[j])!r},{c},"
+                            f"{float(u.values[i, j, c])!r}\n")
+    assert path.read_bytes() == "".join(rows).encode("ascii")
+    assert b",-0.0\n" in path.read_bytes()
+
+
 def test_csv_rejects_bad_input(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,0,3\n")

@@ -1,5 +1,7 @@
 """Continuation solver: Newton steps, traces, Newton oracle, minimality."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -262,27 +264,145 @@ def test_tiny_data_weight_with_one_data_cell_converges():
     assert stats.converged
 
 
-def test_newton_steps_are_mesh_independent():
+@pytest.fixture(scope="module")
+def spike_ladders():
+    """The 64^2 and 128^2 edge-spike ladders at the defaults, solved once."""
+    return {n: continuation_solve(dirichlet_boundary_spike(n, n),
+                                  SolverConfig(mu=1.5)) for n in (64, 128)}
+
+
+def test_newton_steps_are_mesh_independent(spike_ladders):
     """Refining the spike ladder from 64^2 to 128^2 costs at most half as
     many Newton steps again; the descent it replaced needed about twice."""
-    steps = []
-    for n in (64, 128):
-        trace = continuation_solve(dirichlet_boundary_spike(n, n),
-                                   SolverConfig(mu=1.5))
-        steps.append(sum(rec.iters for rec in trace.records))
+    steps = [sum(rec.iters for rec in spike_ladders[n].records)
+             for n in (64, 128)]
     assert steps[1] <= 1.5 * steps[0], steps
 
 
-def test_krylov_iterations_on_the_64_ladders():
+def test_krylov_iterations_on_the_64_ladders(spike_ladders):
     """Regression guard on the preconditioner's strength: total CG
     iterations over the 64^2 ladders stay at or below 166 (spike) and 131
     (fidelity), the counts of the Jacobi-to-1x1 V-cycle; the dense coarse
     level takes 141 and 94."""
-    for make, bound in ((dirichlet_boundary_spike, 166),
-                        (fidelity_inverse_sqrt, 131)):
-        trace = continuation_solve(make(64, 64), SolverConfig(mu=1.5))
+    for name, trace, bound in (
+            ("spike", spike_ladders[64], 166),
+            ("fidelity", continuation_solve(fidelity_inverse_sqrt(64, 64),
+                                            SolverConfig(mu=1.5)), 131)):
         total = sum(rec.krylov_iters for rec in trace.records)
-        assert total <= bound, (make.__name__, total)
+        assert total <= bound, (name, total)
+
+
+# ---------------------------------------------------------------------------
+# the nested start of rung 0
+
+
+def cold_ladder(problem, cfg):
+    """The rung solutions of the ladder with rung 0 started cold, from the
+    problem's default start, and no nested start."""
+    u, out = None, []
+    for delta in cfg.delta_schedule:
+        reg = RegularizationState(delta, cfg.mu, problem.kind)
+        if u is None:
+            u = Field(problem.grid,
+                      solver.assemble_ops(problem, reg).default_init())
+        u, _ = minimize_fixed_delta(problem, reg, u, cfg)
+        out.append(u)
+    return out
+
+
+def test_nested_start_cuts_the_fine_rung_0(spike_ladders):
+    """The cold-started rung 0 of the 128^2 spike took 29 Newton steps;
+    started from its solutions at 16^2, 32^2 and 64^2 it takes at most 10."""
+    records = spike_ladders[128].records
+    coarse = records[0].coarse
+    assert [(c.nx, c.ny) for c in coarse] == [(16, 16), (32, 32), (64, 64)]
+    assert all(c.converged and c.iters >= 1 for c in coarse)
+    assert records[0].iters <= 10, records[0].iters
+    assert all(rec.coarse == () for rec in records[1:])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dirichlet_boundary_spike(33, 20),
+    lambda: denoise_problem(n=12, seed=9),
+], ids=["odd-33x20", "fidelity-12x12"])
+def test_grids_without_a_coarse_copy_keep_the_cold_start(make):
+    """An odd cell count, or a halved grid under 16 cells per axis, gives no
+    coarse level, and every rung is bit-identical to the cold ladder."""
+    problem = make()
+    cfg = SolverConfig(mu=1.5)
+    trace = continuation_solve(problem, cfg)
+    assert trace.records[0].coarse == ()
+    for rec, u in zip(trace.records, cold_ladder(problem, cfg)):
+        assert np.array_equal(rec.u.values, u.values)
+
+
+def test_interpolation_weights_are_9_3_3_1():
+    v = np.zeros((3, 4, 1))
+    v[1, 2, 0] = 16.0
+    out = solver._interpolate(v)
+    assert out.shape == (6, 8, 1)
+    # the four fine cells of coarse cell (1, 2), then their neighbours
+    assert out[2:4, 4:6, 0].tolist() == [[9.0, 9.0], [9.0, 9.0]]
+    assert out[1, 4, 0] == out[4, 5, 0] == out[2, 3, 0] == out[3, 6, 0] == 3.0
+    assert out[1, 3, 0] == out[4, 6, 0] == 1.0
+    assert out[0, 4, 0] == out[2, 2, 0] == 0.0
+    # edge replication: a constant stays constant up to the edges, and an
+    # affine field is reproduced away from them
+    assert np.array_equal(solver._interpolate(np.full((3, 4, 2), 0.5)),
+                          np.full((6, 8, 2), 0.5))
+    fn = lambda x, y: 1.0 + 2.0 * x - 3.0 * y
+    coarse = Field.from_function(Grid2(4, 6, 0.5), fn).values
+    exact = Field.from_function(Grid2(8, 12, 0.25), fn).values
+    out = solver._interpolate(coarse)
+    assert np.max(np.abs(out - exact)[1:-1, 1:-1]) <= 1e-14
+
+
+def test_failing_coarse_level_hands_its_best_iterate_up(monkeypatch):
+    """A coarse level out of budget still starts the next level from its
+    best iterate; the fine rung alone decides success."""
+    problem = dirichlet_boundary_spike(32, 32)
+    cfg = SolverConfig(mu=1.5)
+    expected = continuation_solve(problem, cfg)
+    real = solver._newton
+
+    def one_step_on_coarse_grids(p, reg, init, c):
+        if p.grid != problem.grid:
+            c = dataclasses.replace(c, max_iters=1)
+        return real(p, reg, init, c)
+
+    monkeypatch.setattr(solver, "_newton", one_step_on_coarse_grids)
+    trace = continuation_solve(problem, cfg)
+    (coarse,) = trace.records[0].coarse
+    assert (coarse.nx, coarse.ny, coarse.iters) == (16, 16, 1)
+    assert not coarse.converged and coarse.krylov_iters >= 1
+    for rec, ref in zip(trace.records, expected.records):
+        assert rec.residual <= 1e-8 * (1.0 + abs(rec.energy))
+        assert np.max(np.abs(rec.u.values - ref.u.values)) <= 1e-6
+
+
+def test_fine_rung_failure_after_a_nested_start_names_its_rung():
+    problem = dirichlet_boundary_spike(32, 32)
+    cfg = SolverConfig(mu=1.5, max_iters=2)
+    with pytest.raises(SolverError,
+                       match=r"^delta=0\.1: iteration budget") as info:
+        continuation_solve(problem, cfg)
+    assert info.value.best.grid == problem.grid
+    assert info.value.stats.iters == 2
+
+
+def test_two_channel_nested_ladder_matches_the_cold_ladder():
+    """Two coupled channels on 32^2 run the nested start through a 16^2
+    copy and reach the cold ladder's minimizers."""
+    rng = np.random.default_rng(53)
+    g = Grid2(32, 32, 1.0 / 32)
+    problem = DirichletProblem(g, DirichletGhost(rng.normal(size=(34, 34, 2))),
+                               minimal_surface())
+    cfg = SolverConfig(mu=1.5, delta_schedule=(0.1, 0.01),
+                       residual_tol=1e-11)
+    trace = continuation_solve(problem, cfg)
+    assert [(c.nx, c.ny) for c in trace.records[0].coarse] == [(16, 16)]
+    for rec, u in zip(trace.records, cold_ladder(problem, cfg)):
+        assert np.max(np.abs(rec.u.values - u.values)) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
