@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,8 +30,11 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-# what converting a JSON value of the wrong type, size or range raises
+# what converting a JSON value of the wrong type, size or range raises; a
+# ``ConfigError`` from a validator inside a section's conversion is one of
+# them, so its message gains the section's prefix
 _MALFORMED = (KeyError, IndexError, TypeError, ValueError, OverflowError)
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass
@@ -78,9 +81,9 @@ def _count(value, name: str, least: int) -> int:
 def _real(value, name: str, least: float | None = None,
           strict: bool = False) -> float:
     """A finite number, optionally bounded below (strictly or not);
-    booleans and strings are rejected."""
+    booleans, strings and integers too large for a float are rejected."""
     ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and np.isfinite(value)
+        and abs(value) <= _FLOAT_MAX  # False for NaN and the infinities
     if least is None:
         _expect(ok, f"'{name}' must be a finite number")
     elif strict:
@@ -89,17 +92,6 @@ def _real(value, name: str, least: float | None = None,
         _expect(ok and value >= least,
                 f"'{name}' must be a number >= {least:g}")
     return float(value)
-
-
-# conversions of the solver section's keys, by SolverConfig field
-_SOLVER_FIELDS = {
-    "mu": float,
-    "delta_schedule": tuple,
-    "residual_tol": lambda v: None if v is None else float(v),
-    "max_iters": int,
-    "armijo_slope": float,
-    "armijo_backtrack": float,
-}
 
 
 def _parse_field(spec, grid: Grid2, rng: np.random.Generator,
@@ -118,7 +110,8 @@ def _parse_field(spec, grid: Grid2, rng: np.random.Generator,
         p = spec["pgm"]
         try:
             f = field_from_pgm(os.path.join(base_dir, p["path"]), grid.h,
-                               float(p["lo"]), float(p["hi"]))
+                               _real(p["lo"], "pgm.lo"),
+                               _real(p["hi"], "pgm.hi"))
         except (OSError, *_MALFORMED) as err:
             raise ConfigError(f"bad PGM field: {err}") from err
         _expect(f.grid == grid, "PGM dimensions do not match the grid")
@@ -141,7 +134,7 @@ def _parse_mask(spec, grid: Grid2, base_dir: str) -> Mask:
         r = spec["rect"]
         _expect(isinstance(r, list) and len(r) == 4, "mask rect needs 4 numbers")
         try:
-            return Mask.from_rect(grid, *map(float, r))
+            return Mask.from_rect(grid, *(_real(x, "mask.rect") for x in r))
         except _MALFORMED as err:
             raise ConfigError(f"bad mask rect: {err}") from err
     if "pgm" in spec:
@@ -188,9 +181,9 @@ def _parse_problem(spec, grid: Grid2 | None, rng: np.random.Generator,
         _expect("f" in spec, "fidelity problem needs 'f'")
         f = _parse_field(spec["f"], grid, rng, base_dir)
         mask = _parse_mask(spec.get("mask"), grid, base_dir)
-        lam = spec.get("lambda", 1.0)
         try:
-            return FidelityProblem(grid, f, mask, float(lam), density)
+            lam = _real(spec.get("lambda", 1.0), "lambda", 0.0, strict=True)
+            return FidelityProblem(grid, f, mask, lam, density)
         except _MALFORMED as err:
             raise ConfigError(f"bad fidelity problem: {err}") from err
     raise ConfigError("problem kind must be 'dirichlet' or 'fidelity'")
@@ -220,20 +213,36 @@ def parse_config(raw: dict, base_dir: str = ".",
         g = raw["grid"]
         _expect(isinstance(g, dict), "'grid' must be an object")
         try:
-            cfg.grid = Grid2(int(g["nx"]), int(g["ny"]), float(g["h"]))
+            cfg.grid = Grid2(_count(g["nx"], "grid.nx", 2),
+                             _count(g["ny"], "grid.ny", 2),
+                             _real(g["h"], "grid.h", 0.0, strict=True))
         except _MALFORMED as err:
             raise ConfigError(f"bad grid: {err}") from err
 
     if "solver" in raw:
         s = raw["solver"]
         _expect(isinstance(s, dict), "'solver' must be an object")
-        unknown = sorted(set(s) - set(_SOLVER_FIELDS))
+        unknown = sorted(set(s) - {f.name for f in fields(SolverConfig)})
         _expect(not unknown, "unknown solver key(s): " + ", ".join(unknown))
         try:
-            # only the keys given; SolverConfig supplies the defaults
-            cfg.solver = SolverConfig(**{
-                key: convert(s[key])
-                for key, convert in _SOLVER_FIELDS.items() if key in s})
+            # only the keys given; SolverConfig supplies the defaults and
+            # checks the ranges
+            given = {}
+            if "mu" in s:
+                given["mu"] = _real(s["mu"], "solver.mu")
+            if "delta_schedule" in s:
+                sched = s["delta_schedule"]
+                _expect(isinstance(sched, list),
+                        "'solver.delta_schedule' must be a list of numbers")
+                given["delta_schedule"] = tuple(
+                    _real(d, "solver.delta_schedule") for d in sched)
+            if s.get("residual_tol") is not None:
+                given["residual_tol"] = _real(s["residual_tol"],
+                                              "solver.residual_tol")
+            if "max_iters" in s:
+                given["max_iters"] = _count(s["max_iters"],
+                                            "solver.max_iters", 1)
+            cfg.solver = SolverConfig(**given)
         except _MALFORMED as err:
             raise ConfigError(f"bad solver section: {err}") from err
     _expect(1.0 < cfg.solver.mu < 2.0,

@@ -47,12 +47,6 @@ __all__ = [
     "total_variation",
 ]
 
-# the fields live on 2D grids, so the admissible exponent window for the
-# regularizer is 1 < mu < 1 + 2/n with n = 2 for the Dirichlet class and
-# 1 < mu < 2 for the fidelity class (the same interval in this dimension)
-_SPACE_DIM = 2
-
-
 @dataclass(frozen=True)
 class RegularizationState:
     """One rung of the continuation ladder: density becomes
@@ -65,14 +59,13 @@ class RegularizationState:
     def __post_init__(self) -> None:
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
-        if self.kind == "dirichlet":
-            hi = 1.0 + 2.0 / _SPACE_DIM
-        elif self.kind == "fidelity":
-            hi = 2.0
-        else:
+        if self.kind not in ("dirichlet", "fidelity"):
             raise ValueError("kind must be 'dirichlet' or 'fidelity'")
-        if not (1.0 < self.mu < hi):
-            raise ValueError(f"mu must lie in (1, {hi:g}) for {self.kind}")
+        # the regularizer's exponent window: 1 < mu < 1 + 2/n for the
+        # Dirichlet class and 1 < mu < 2 for the fidelity class, the same
+        # interval on these 2D grids
+        if not (1.0 < self.mu < 2.0):
+            raise ValueError("mu must lie in (1, 2)")
 
     def apply(self, base: RadialProfile) -> RadialProfile:
         return combined(self.delta, self.mu, base)
@@ -236,10 +229,10 @@ class StencilPoint:
     """Everything the kernels derive from one forward-difference pass at w.
 
     ``ops.evaluate(w)`` takes the pass once: the slopes ``(gx, gy, t)`` and
-    the energy.  ``residual()`` and ``curvature_diag()`` are then derived
-    from ``d1(t)/t`` and ``d2(t)`` on that same state, with ``d1(t)/t``
-    computed at most once for both, so the solver pays no extra gradient
-    pass for the residual and the preconditioner at an accepted step.
+    the energy.  ``residual()`` and ``hessian()`` are then derived on that
+    same state and share ``d1(t)/t``, computed at most once for both, so the
+    solver pays no extra gradient pass for the residual and the Hessian at
+    an accepted step.
     """
 
     __slots__ = ("ops", "w", "gx", "gy", "at", "energy", "_ratio")
@@ -273,23 +266,6 @@ class StencilPoint:
             # the data term's gradient: its Hessian, the mass, times w - fd
             out += ops.mass * (self.w - ops.fd)
         return out
-
-    def curvature_diag(self) -> np.ndarray:
-        """The diagonal of the operator with tensor ``max(d2, d1/t) I`` per
-        live difference: an upper bound on the Hessian diagonal."""
-        ops = self.ops
-        d2 = self.at.d2()
-        kx = ky = np.maximum(d2, self.ratio(), out=d2)[:, :, None]
-        if ops.live is not None:
-            kx = kx * ops.live[0]
-            ky = ky * ops.live[1]
-        diag = kx[1:, 1:] + ky[1:, 1:]
-        diag += kx[:-1, 1:]
-        diag += ky[1:, :-1]
-        diag *= ops.rho
-        if ops.mass is not None:
-            diag += ops.mass
-        return diag
 
     def hessian(self, theta: float = 0.0) -> "Hessian":
         """The energy Hessian at w, with the radial curvature floored at
@@ -366,8 +342,8 @@ class Hessian:
 
 
 class _Ops:
-    """Fused energy / residual / curvature-diagonal kernels on raw
-    (nx, ny, N) arrays, for both problem classes.
+    """Fused energy and residual kernels on raw (nx, ny, N) arrays, for
+    both problem classes.
 
     Slopes live on the ring layout of ``grids.ring_differences``, and the
     boundary rule is data: ``offset``, the constant ring differences of a
@@ -412,10 +388,6 @@ class _Ops:
 
     def residual(self, w: np.ndarray) -> np.ndarray:
         return self.evaluate(w).residual()
-
-    def curvature_diag(self, w: np.ndarray) -> np.ndarray:
-        """Per-cell upper bound on the energy Hessian diagonal."""
-        return self.evaluate(w).curvature_diag()
 
 
 class DirichletOps(_Ops):

@@ -222,8 +222,7 @@ class CaccioppoliCheck:
                 "note": self.note}
 
 
-def caccioppoli_check(u: Field, bf: BallFamily, s: float,
-                      density=None) -> CaccioppoliCheck:
+def caccioppoli_check(u: Field, bf: BallFamily, s: float) -> CaccioppoliCheck:
     """Measure the cutoff-inequality constant per ball level.
 
     With the radial ramp eta_j (1 on B_{j+1}, 0 outside B_j, linear in the
@@ -232,9 +231,9 @@ def caccioppoli_check(u: Field, bf: BallFamily, s: float,
         c_j = (integral |u|^((s+1)q) eta^(2q))^(1/q)
               / ((s+1) * (integral |u|^s eta^2 + integral |u|^(s+1) eta |grad eta|))
 
-    The density argument is carried for report metadata only; the measured
-    quantity depends on u, the balls, and s alone.  Passes when the level
-    constants vary by no more than 50% relative to their smallest value.
+    The measured quantity depends on u, the balls, and s alone.  Passes when
+    the level constants vary by no more than 50% relative to their smallest
+    value.
     """
     if s < 0.0:
         raise ValueError("s must be non-negative")
@@ -373,11 +372,9 @@ class MoserReport:
 
 
 def moser_report(u: Field, bf: BallFamily, s_values=(0.0, 1.0, 3.0),
-                 epsilon0: float | None = None,
-                 enforce_cells: bool = True) -> MoserReport:
+                 epsilon0: float | None = None) -> MoserReport:
     """Run the full audit for one solution field."""
-    if enforce_cells:
-        check_geometry(u.grid, bf)
+    check_geometry(u.grid, bf)
     rec = verify_recursion(u, bf)
     return MoserReport(
         center=bf.center, r0=bf.r0, r_inf=bf.r_inf, n=bf.n, j_max=bf.j_max,

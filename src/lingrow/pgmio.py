@@ -102,8 +102,9 @@ def read_pgm(path: str | os.PathLike) -> tuple[np.ndarray, int]:
                 raise ValueError("truncated P2 body")
             raster = np.array([int(t) for t in data[: w * h]],
                               dtype=np.int64).reshape(h, w)
-        if raster.max(initial=0) > maxval:
-            raise ValueError("PGM sample exceeds declared maxval")
+        if raster.min(initial=0) < 0 or raster.max(initial=0) > maxval:
+            raise ValueError("PGM sample is negative or exceeds declared "
+                             "maxval")
     # undo the top-to-bottom raster: values[i, j] with y increasing
     return raster[::-1, :].T.copy(), maxval
 

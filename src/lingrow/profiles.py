@@ -136,29 +136,21 @@ def _check_t(t) -> tuple[np.ndarray, bool]:
     return arr, scalar
 
 
-# the derivative orders (0 value, 1 slope, 2 curvature) that read each
-# intermediate shared by ``ProfileAt``
-_SHARED_BY = {"_log1p": (0, 1), "_tt": (0, 2), "_root": (0, 1)}
-
-
 class ProfileAt:
     """A profile evaluated on one array of slopes ``t``, without validation.
 
     This is the internal fast path of the stencil kernels: ``t`` must be
     finite and non-negative, which the caller guarantees.  ``log1p(t)``,
-    ``t^2`` and ``sqrt(1 + t^2)`` are each computed once and shared by the
-    value, the slope and the curvature; each is dropped as soon as every
-    order that reads it has been evaluated, so a long-lived instance holds
-    no more arrays than it still needs.  The public ``profile_*`` functions
-    validate ``t`` and then run this same code.
+    ``t^2`` and ``sqrt(1 + t^2)`` are each computed at most once and shared
+    by the value, the slope and the curvature.  The public ``profile_*``
+    functions validate ``t`` and then run this same code.
     """
 
-    __slots__ = ("p", "t", "_done", "_log1p", "_tt", "_root")
+    __slots__ = ("p", "t", "_log1p", "_tt", "_root")
 
     def __init__(self, p: RadialProfile, t: np.ndarray):
         self.p = p
         self.t = t
-        self._done: set[int] = set()
         self._log1p = self._tt = self._root = None
 
     def log1p(self) -> np.ndarray:
@@ -178,22 +170,14 @@ class ProfileAt:
             self._root = np.sqrt(root, out=root)
         return self._root
 
-    def _order(self, order: int) -> np.ndarray:
-        out = _eval_impl(self.p, self, order)
-        self._done.add(order)
-        for name, orders in _SHARED_BY.items():
-            if self._done.issuperset(orders):
-                setattr(self, name, None)
-        return out
-
     def value(self) -> np.ndarray:
-        return self._order(0)
+        return _eval_impl(self.p, self, 0)
 
     def d1(self) -> np.ndarray:
-        return self._order(1)
+        return _eval_impl(self.p, self, 1)
 
     def d2(self) -> np.ndarray:
-        return self._order(2)
+        return _eval_impl(self.p, self, 2)
 
     def slope_ratio(self, d2_origin: float) -> np.ndarray:
         """``d1(t)/t``, with ``d2_origin = d2(0)`` below the origin cutoff."""

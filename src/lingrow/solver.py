@@ -6,12 +6,13 @@ step solves ``H d = -r`` for the Euler residual ``r`` and the energy Hessian
 the relative residual ``eta`` of Eisenstat and Walker's second choice
 (SIAM J. Sci. Comput. 17, 1996), and preconditioned by one V-cycle of
 Galerkin aggregation multigrid (``multigrid.Multigrid``).  An Armijo line
-search from the full step verifies every step, so accepted energies are
-non-increasing.  Far from the minimizer the radial curvature in ``H`` is
-floored at ``theta * d1/t``: ``theta`` starts at 1 on each rung (the
-lagged-diffusivity operator), drops tenfold after each step accepted at once,
-rises tenfold per backtrack (at most a hundredfold, and never above 1), and
-becomes 0 (exact Newton) below 1e-6.
+search from the full step (sufficient decrease 1e-4 of the slope, halving
+per backtrack; fixed, not options) verifies every step, so accepted
+energies are non-increasing.  Far from the minimizer the radial curvature
+in ``H`` is floored at ``theta * d1/t``: ``theta`` starts at 1 on each rung
+(the lagged-diffusivity operator), drops tenfold after each step accepted
+at once, rises tenfold per backtrack (at most a hundredfold, and never
+above 1), and becomes 0 (exact Newton) below 1e-6.
 The step count then stays nearly flat as the mesh is refined.
 
 Cost of one step: the fused stencil pass of the accepted trial
@@ -66,6 +67,9 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+# Armijo line search: sufficient-decrease slope, step factor per backtrack
+_ARMIJO_SLOPE = 1e-4
+_ARMIJO_BACKTRACK = 0.5
 _MAX_BACKTRACKS = 60
 # Eisenstat-Walker choice 2: eta = gamma (|r_k| / |r_k-1|)^2, at most 0.5
 _EW_GAMMA = 0.9
@@ -83,8 +87,6 @@ class SolverConfig:
     delta_schedule: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4)
     residual_tol: float | None = None  # None: 1e-8 * (1 + |E(init)|)
     max_iters: int = 50000
-    armijo_slope: float = 1e-4
-    armijo_backtrack: float = 0.5
 
     def __post_init__(self) -> None:
         sched = tuple(float(d) for d in self.delta_schedule)
@@ -99,10 +101,6 @@ class SolverConfig:
             raise ValueError("residual_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not (0.0 < self.armijo_slope < 1.0):
-            raise ValueError("armijo_slope must lie in (0, 1)")
-        if not (0.0 < self.armijo_backtrack < 1.0):
-            raise ValueError("armijo_backtrack must lie in (0, 1)")
 
 
 @dataclass
@@ -125,23 +123,22 @@ class SolverError(RuntimeError):
         self.stats = stats
 
 
-def _armijo(ops, w: np.ndarray, e: float, d: np.ndarray, slope: float,
-            t0: float, cfg: SolverConfig):
-    """Backtrack from trial step t0; returns (point, backtracks), with
+def _armijo(ops, w: np.ndarray, e: float, d: np.ndarray, slope: float):
+    """Backtrack from the full step; returns (point, backtracks), with
     point None when no trial step is accepted.
 
     The accepted point carries its stencil state, so the residual and the
     Hessian there cost no further gradient pass.
     """
-    t = t0
+    t = 1.0
     for b in range(_MAX_BACKTRACKS):
         point = ops.evaluate(w + t * d)
         e_new = point.energy
         slack = 4.0 * _EPS * (abs(e) + abs(e_new) + 1.0)
-        if e_new <= e + cfg.armijo_slope * t * slope + slack:
+        if e_new <= e + _ARMIJO_SLOPE * t * slope + slack:
             return point, b
         point = None  # release the rejected state before the next trial
-        t *= cfg.armijo_backtrack
+        t *= _ARMIJO_BACKTRACK
     return None, _MAX_BACKTRACKS
 
 
@@ -234,7 +231,7 @@ def _newton(problem, reg: RegularizationState | None, init: Field,
         if slope >= 0.0:
             stalled = True
             break
-        point, b = _armijo(ops, w, e, d, slope, 1.0, cfg)
+        point, b = _armijo(ops, w, e, d, slope)
         if point is None:
             stalled = True
             break

@@ -233,6 +233,20 @@ class TestSolve:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_negative_pgm_sample_exits_two_with_one_line(self, tmp_path,
+                                                         capsys):
+        pixels = " ".join(["5"] * 63 + ["-7"])
+        (tmp_path / "f.pgm").write_text(f"P2\n8 8\n255\n{pixels}\n")
+        cfg = denoise_config()
+        cfg["problem"]["f"] = {"pgm": {"path": "f.pgm", "lo": 0, "hi": 1}}
+        rc, out = run(tmp_path, "solve", cfg)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lingrow: bad PGM field:")
+        assert "negative" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestMoser:
     def test_zero_data_audit_passes(self, tmp_path):

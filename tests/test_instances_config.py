@@ -235,9 +235,31 @@ def test_seed_override_controls_noise():
      "unknown solver key\\(s\\): spectral_steps"),
     # values of the wrong type or range inside the converted sections
     (lambda r: r.update(grid={"nx": float("inf"), "ny": 16, "h": 0.0625}),
-     "bad grid: cannot convert float infinity"),
+     "bad grid: 'grid.nx' must be an integer >= 2"),
     (lambda r: r.update(solver={"max_iters": float("inf")}),
-     "bad solver section: cannot convert float infinity"),
+     "bad solver section: 'solver.max_iters' must be an integer >= 1"),
+    # numbers must be JSON numbers and counts integers: none is coerced
+    (lambda r: r["grid"].update(nx=16.9), "'grid.nx' must be an integer"),
+    (lambda r: r["grid"].update(nx="16"), "'grid.nx' must be an integer"),
+    (lambda r: r["grid"].update(h=True), "'grid.h' must be a number > 0"),
+    (lambda r: r.update(solver={"max_iters": 2.9}),
+     "'solver.max_iters' must be an int"),
+    (lambda r: r.update(solver={"max_iters": True}),
+     "'solver.max_iters' must be an int"),
+    (lambda r: r.update(solver={"delta_schedule": {"0.1": 1}}),
+     "'solver.delta_schedule' must be a list of numbers"),
+    (lambda r: r.update(solver={"mu": "1.5"}),
+     "'solver.mu' must be a finite number"),
+    (lambda r: r.update(solver={"residual_tol": "1e-9"}),
+     "'solver.residual_tol' must be a finite number"),
+    (lambda r: r["problem"].update(
+        kind="fidelity", f={"synthetic": {"kind": "constant", "value": 1.0}},
+        **{"lambda": "0.5"}),
+     "'lambda' must be a number > 0"),
+    (lambda r: r["problem"].update(
+        kind="fidelity", f={"synthetic": {"kind": "constant", "value": 1.0}},
+        mask={"rect": ["0.1", 0.2, 0.3, 0.4]}),
+     "'mask.rect' must be a finite number"),
     (lambda r: r["problem"]["u0"].update(synthetic=None),
      "synthetic datum must be an object"),
     (lambda r: r["problem"]["u0"]["synthetic"].update(center="ab"),
@@ -260,6 +282,18 @@ def test_parse_config_errors(mutate, fragment):
     raw = base_config()
     mutate(raw)
     with pytest.raises(ConfigError, match=fragment):
+        parse_config(raw)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda r: r.update(s_values=[10 ** 400]),
+    lambda r: r.update(density_check={"t_max": 10 ** 400}),
+    lambda r: r["ball"].update(r0=-10 ** 400),
+], ids=["s_values", "t_max", "r0"])
+def test_an_integer_too_large_for_a_float_is_a_config_error(mutate):
+    raw = base_config()
+    mutate(raw)
+    with pytest.raises(ConfigError, match="must be a"):
         parse_config(raw)
 
 

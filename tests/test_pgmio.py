@@ -100,6 +100,11 @@ def test_read_rejects_bad_files(tmp_path):
     with pytest.raises(ValueError, match="exceeds declared maxval"):
         read_pgm(bad)
 
+    # a sample below 0 is rejected, not mapped below lo
+    bad.write_bytes(b"P2\n2 2\n255\n0 1 -7 3\n")
+    with pytest.raises(ValueError, match="negative"):
+        field_from_pgm(bad, 0.5, 0.0, 1.0)
+
 
 def test_header_comments(tmp_path):
     path = tmp_path / "c.pgm"

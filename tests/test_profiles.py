@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lingrow.profiles import (RadialProfile, certify_conditions, combined,
-                              density_grad, density_hess_quadform,
+from lingrow.profiles import (ProfileAt, RadialProfile, certify_conditions,
+                              combined, density_grad, density_hess_quadform,
                               minimal_surface, phi_mu, profile_d1, profile_d2,
                               profile_eval, recession_slope)
 
@@ -216,6 +216,28 @@ def test_combined_additivity_is_exact():
         lhs = fn(p, ts)
         rhs = 0.25 * fn(phi_mu(1.5), ts) + fn(base, ts)
         assert np.array_equal(lhs, rhs), order
+
+
+def test_profile_at_computes_each_shared_intermediate_once(monkeypatch):
+    """value, d1 and d2 on one ``ProfileAt`` of a combined profile share
+    ``log1p(t)``, ``t^2`` and ``sqrt(1 + t^2)``: every read of each gets
+    the array of the first, and the orders equal the public functions."""
+    p = combined(0.1, 1.5, minimal_surface())
+    t = np.geomspace(1e-3, 1e3, 25)
+    expected = [fn(p, t) for fn in (profile_eval, profile_d1, profile_d2)]
+    reads = {"log1p": [], "tt": [], "root": []}
+    for name, seen in reads.items():
+        def recording(self, _method=getattr(ProfileAt, name), _seen=seen):
+            out = _method(self)
+            _seen.append(out)
+            return out
+        monkeypatch.setattr(ProfileAt, name, recording)
+    at = ProfileAt(p, t)
+    for order, want in zip((at.value, at.d1, at.d2), expected):
+        assert np.array_equal(order(), want)
+    for name, seen in reads.items():
+        assert len(seen) >= 2, name  # read by at least two orders
+        assert all(a is seen[0] for a in seen), name
 
 
 # ---------------------------------------------------------------------------

@@ -43,10 +43,6 @@ def test_config_validation():
         SolverConfig(residual_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(armijo_slope=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(armijo_backtrack=0.0)
 
 
 def test_empty_trace_final_raises():
