@@ -9,13 +9,15 @@ Subcommands:
 * ``full-report``: all of the above plus a combined summary.
 
 Exit codes: 0 all checks passed; 1 a check failed or a solve did not
-converge; 2 malformed configuration or incompatible geometry.  Runs are
-deterministic for a fixed config and seed.
+converge; 2 malformed configuration, incompatible geometry or an output
+directory that cannot be created.  Runs are deterministic for a fixed
+config and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -35,6 +37,30 @@ __all__ = ["main", "run_main", "cmd_density_check", "cmd_solve", "cmd_moser",
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Make glibc keep freed arrays in the heap for the rest of the process.
+
+    A solve allocates and frees thousands of 128-133 KiB temporaries, right
+    at glibc's default 128 KiB mmap threshold: each freed one is unmapped or
+    trimmed, and the next allocation faults its pages back in.  Fixed
+    thresholds (both are needed: either alone leaves the dynamic threshold
+    off and the churn on) keep them.  Without a glibc ``mallopt`` (macOS,
+    Windows; musl's is a no-op) nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -207,10 +233,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     args = parser.parse_args(argv)
+    _keep_freed_memory()
 
     try:
         cfg = load_config(args.config, seed_override=args.seed)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as err:
+            _complain(f"cannot create output directory {args.out!r}: "
+                      f"{err.strerror}")
+            return EXIT_BAD_CONFIG
         return _COMMANDS[args.command](cfg, args.out)
     except (ConfigError, MoserGeometryError) as err:
         _complain(err)
@@ -220,7 +252,7 @@ def main(argv=None) -> int:
         return EXIT_CHECK_FAILED
 
 
-def _complain(err: Exception) -> None:
+def _complain(err: Exception | str) -> None:
     """One stderr line, whatever line breaks the message quotes."""
     print("lingrow: " + "\\n".join(str(err).splitlines()), file=sys.stderr)
 

@@ -94,11 +94,46 @@ def _real(value, name: str, least: float | None = None,
     return float(value)
 
 
+def _parse_density(spec) -> RadialProfile:
+    """A density whose numbers, a nested ``base``'s included, are JSON
+    numbers: none is converted."""
+    part = spec
+    while isinstance(part, dict):
+        for key in ("mu", "delta"):
+            if key in part:
+                _real(part[key], key)
+        part = part.get("base")
+    return RadialProfile.from_dict(spec)
+
+
+# the numbers of a synthetic datum, and its points with their lengths
+_SYNTHETIC_NUMBERS = ("value", "ax", "ay", "c", "height", "width", "cap",
+                      "noise")
+_SYNTHETIC_POINTS = {"center": 2, "background": 3}
+
+
+def _check_synthetic(spec) -> None:
+    """Every number of a synthetic datum is a JSON number: none is
+    converted by ``make_function`` or ``make_field``."""
+    _expect(isinstance(spec, dict), "synthetic datum must be an object")
+    for key in _SYNTHETIC_NUMBERS:
+        if key in spec:
+            _real(spec[key], key)
+    for key, length in _SYNTHETIC_POINTS.items():
+        if key in spec:
+            point = spec[key]
+            _expect(isinstance(point, list) and len(point) == length,
+                    f"'{key}' needs {length} numbers")
+            for x in point:
+                _real(x, key)
+
+
 def _parse_field(spec, grid: Grid2, rng: np.random.Generator,
                  base_dir: str) -> Field:
     _expect(isinstance(spec, dict), "field description must be an object")
     if "synthetic" in spec:
         try:
+            _check_synthetic(spec["synthetic"])
             # sampled silently: the field rejects a sample that is not
             # finite, with one message
             with np.errstate(all="ignore"):
@@ -153,7 +188,7 @@ def _parse_problem(spec, grid: Grid2 | None, rng: np.random.Generator,
     _expect(grid is not None, "'problem' needs a 'grid' section")
     kind = spec.get("kind")
     try:
-        density = RadialProfile.from_dict(spec["density"])
+        density = _parse_density(spec["density"])
     except _MALFORMED as err:
         raise ConfigError(f"bad problem density: {err}") from err
     if kind == "dirichlet":
@@ -162,10 +197,10 @@ def _parse_problem(spec, grid: Grid2 | None, rng: np.random.Generator,
         if isinstance(u0_spec, dict) and "synthetic" in u0_spec:
             # analytic data can be sampled on the ghost ring directly
             syn = u0_spec["synthetic"]
-            _expect(isinstance(syn, dict), "synthetic datum must be an object")
-            _expect(_real(syn.get("noise", 0.0), "noise") == 0.0,
-                    "dirichlet data must be noise-free")
             try:
+                _check_synthetic(syn)
+                _expect(syn.get("noise", 0.0) == 0.0,
+                        "dirichlet data must be noise-free")
                 syn = dict(syn)
                 if "center" in syn:
                     syn["center"] = snap_to_cell(grid, tuple(syn["center"]))
@@ -199,7 +234,7 @@ def parse_config(raw: dict, base_dir: str = ".",
 
     if "density" in raw:
         try:
-            cfg.density = RadialProfile.from_dict(raw["density"])
+            cfg.density = _parse_density(raw["density"])
         except _MALFORMED as err:
             raise ConfigError(f"bad density: {err}") from err
     dc = raw.get("density_check", {})

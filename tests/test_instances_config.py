@@ -277,6 +277,49 @@ def test_seed_override_controls_noise():
         kind="fidelity", f={"synthetic": {"kind": "constant", "value": 1.0}},
         mask={"rect": [[0.1], 0.2, 0.3, 0.4]}),
      "bad mask rect"),
+    # nor are the numbers of a density or of a synthetic datum
+    (lambda r: r.update(density={"kind": "phi_mu", "mu": "1.5"}),
+     "bad density: 'mu' must be a finite number"),
+    (lambda r: r["problem"].update(density={
+        "kind": "combined", "delta": "0.1", "mu": 1.5,
+        "base": {"kind": "minimal_surface"}}),
+     "bad problem density: 'delta' must be a finite number"),
+    (lambda r: r.update(density={
+        "kind": "combined", "delta": 0.1, "mu": 1.5,
+        "base": {"kind": "phi_mu", "mu": "2"}}),
+     "bad density: 'mu' must be a finite"),
+    (lambda r: r["problem"]["u0"].update(synthetic={
+        "kind": "edge_spike", "height": "100"}),
+     "bad synthetic datum: 'height' must be a finite number"),
+    (lambda r: r["problem"]["u0"].update(synthetic={
+        "kind": "edge_spike", "height": True}),
+     "'height' must be a finite"),
+    (lambda r: r["problem"]["u0"].update(synthetic={
+        "kind": "edge_spike", "width": "0.1"}),
+     "'width' must be a finite number"),
+    (lambda r: r["problem"]["u0"].update(synthetic={
+        "kind": "edge_spike", "center": ["0.5", 0.0]}),
+     "'center' must be a finite number"),
+    (lambda r: r["problem"]["u0"]["synthetic"].update(center="ab"),
+     "'center' needs 2 numbers"),
+    (lambda r: r["problem"]["u0"].update(synthetic={
+        "kind": "edge_spike", "background": [2.0, 1.0, "1"]}),
+     "'background' must be a finite number"),
+    (lambda r: r["problem"]["u0"]["synthetic"].update(ay=False),
+     "'ay' must be a finite number"),
+    (lambda r: r["problem"].update(
+        kind="fidelity", f={"synthetic": {"kind": "constant", "value": 1.0,
+                                          "noise": "0.1"}}),
+     "bad synthetic field: 'noise' must be a finite number"),
+    (lambda r: r["problem"].update(
+        kind="fidelity", f={"synthetic": {"kind": "constant",
+                                          "value": "1.0"}}),
+     "'value' must be a finite number"),
+    (lambda r: r["problem"].update(
+        kind="fidelity", f={"synthetic": {"kind": "inverse_sqrt_spike",
+                                          "center": [0.5, 0.5],
+                                          "cap": "100"}}),
+     "'cap' must be a finite number"),
 ])
 def test_parse_config_errors(mutate, fragment):
     raw = base_config()
