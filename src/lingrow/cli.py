@@ -9,9 +9,10 @@ Subcommands:
 * ``full-report``: all of the above plus a combined summary.
 
 Exit codes: 0 all checks passed; 1 a check failed or a solve did not
-converge; 2 malformed configuration, incompatible geometry or an output
-directory that cannot be created.  Runs are deterministic for a fixed
-config and seed.
+converge (its error then goes to ``trace.json``, ``moser_summary.json`` or
+``report.json``); 2 malformed configuration, incompatible geometry or an
+output directory that cannot be created.  Runs are deterministic for a
+fixed config and seed.
 """
 
 from __future__ import annotations
@@ -99,10 +100,17 @@ def _resolve_ball(cfg: RunConfig, problem) -> tuple[BallFamily, float | None]:
     return ball, eps0
 
 
-def _run_solve(cfg: RunConfig, ball=None) -> SolveTrace:
+def _run_solve(cfg: RunConfig, out_dir: str, summary: str, ball=None,
+               **extra) -> SolveTrace | None:
+    """The continuation solve.  A failed one writes its error, with
+    ``extra``, to the command's ``summary`` file and returns None."""
     problem = cfg.require_problem()
     interior = ball.limit_ball() if ball is not None else None
-    return continuation_solve(problem, cfg.solver, interior_ball=interior)
+    try:
+        return continuation_solve(problem, cfg.solver, interior_ball=interior)
+    except SolverError as err:
+        _write_json(os.path.join(out_dir, summary), {"error": str(err), **extra})
+        return None
 
 
 def _write_trace(cfg: RunConfig, trace: SolveTrace, out_dir: str) -> dict:
@@ -139,11 +147,8 @@ def _write_trace(cfg: RunConfig, trace: SolveTrace, out_dir: str) -> dict:
 
 
 def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
-    try:
-        trace = _run_solve(cfg)
-    except SolverError as err:
-        _write_json(os.path.join(out_dir, "trace.json"),
-                    {"error": str(err)})
+    trace = _run_solve(cfg, out_dir, "trace.json")
+    if trace is None:
         return EXIT_CHECK_FAILED
     payload = _write_trace(cfg, trace, out_dir)
     ok = payload["minimality"]["passed"]
@@ -176,9 +181,8 @@ def _moser_payload(cfg: RunConfig, trace: SolveTrace, out_dir: str,
 
 def cmd_moser(cfg: RunConfig, out_dir: str) -> int:
     ball, eps0 = _resolve_ball(cfg, cfg.require_problem())
-    try:
-        trace = _run_solve(cfg, ball=ball)
-    except SolverError:
+    trace = _run_solve(cfg, out_dir, "moser_summary.json", ball=ball)
+    if trace is None:
         return EXIT_CHECK_FAILED
     payload = _moser_payload(cfg, trace, out_dir, ball, eps0)
     _write_json(os.path.join(out_dir, "moser_summary.json"),
@@ -193,12 +197,9 @@ def cmd_full_report(cfg: RunConfig, out_dir: str) -> int:
                                         cfg.density_samples)
     _write_json(os.path.join(out_dir, "condition_report.json"),
                 density_report.to_dict())
-    try:
-        trace = _run_solve(cfg, ball=ball)
-    except SolverError as err:
-        _write_json(os.path.join(out_dir, "report.json"),
-                    {"error": str(err), "density_passed":
-                     density_report.all_passed})
+    trace = _run_solve(cfg, out_dir, "report.json", ball=ball,
+                       density_passed=density_report.all_passed)
+    if trace is None:
         return EXIT_CHECK_FAILED
     trace_payload = _write_trace(cfg, trace, out_dir)
     moser_payload = _moser_payload(cfg, trace, out_dir, ball, eps0)
@@ -247,9 +248,6 @@ def main(argv=None) -> int:
     except (ConfigError, MoserGeometryError) as err:
         _complain(err)
         return EXIT_BAD_CONFIG
-    except SolverError as err:
-        _complain(err)
-        return EXIT_CHECK_FAILED
 
 
 def _complain(err: Exception | str) -> None:

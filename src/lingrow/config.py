@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -30,10 +31,6 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-# what converting a JSON value of the wrong type, size or range raises; a
-# ``ConfigError`` from a validator inside a section's conversion is one of
-# them, so its message gains the section's prefix
-_MALFORMED = (KeyError, IndexError, TypeError, ValueError, OverflowError)
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -69,6 +66,22 @@ class RunConfig:
 def _expect(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
+
+
+@contextmanager
+def _section(prefix: str, *also: type[Exception]):
+    """Turn what converting a JSON value of the wrong type, size or range
+    raises, and the exceptions in ``also``, into one ``ConfigError``:
+    ``prefix: reason``, where a missing key reads ``missing key 'name'``.
+    A ``ConfigError`` from a validator inside is a ``ValueError``, so its
+    message gains the prefix."""
+    try:
+        yield
+    except (*also, KeyError, IndexError, TypeError, ValueError,
+            OverflowError) as err:
+        reason = f"missing key {err.args[0]!r}" if isinstance(err, KeyError) \
+            else err
+        raise ConfigError(f"{prefix}: {reason}") from err
 
 
 def _count(value, name: str, least: int) -> int:
@@ -132,30 +145,24 @@ def _parse_field(spec, grid: Grid2, rng: np.random.Generator,
                  base_dir: str) -> Field:
     _expect(isinstance(spec, dict), "field description must be an object")
     if "synthetic" in spec:
-        try:
+        with _section("bad synthetic field"):
             _check_synthetic(spec["synthetic"])
             # sampled silently: the field rejects a sample that is not
             # finite, with one message
             with np.errstate(all="ignore"):
                 return make_field(grid, spec["synthetic"], rng,
                                   snap_center=True)
-        except _MALFORMED as err:
-            raise ConfigError(f"bad synthetic field: {err}") from err
     if "pgm" in spec:
         p = spec["pgm"]
-        try:
+        with _section("bad PGM field", OSError):
             f = field_from_pgm(os.path.join(base_dir, p["path"]), grid.h,
                                _real(p["lo"], "pgm.lo"),
                                _real(p["hi"], "pgm.hi"))
-        except (OSError, *_MALFORMED) as err:
-            raise ConfigError(f"bad PGM field: {err}") from err
         _expect(f.grid == grid, "PGM dimensions do not match the grid")
         return f
     if "csv" in spec:
-        try:
+        with _section("bad CSV field", OSError):
             f = field_from_csv(os.path.join(base_dir, spec["csv"]["path"]))
-        except (OSError, *_MALFORMED) as err:
-            raise ConfigError(f"bad CSV field: {err}") from err
         _expect(f.grid == grid, "CSV grid does not match the config grid")
         return f
     raise ConfigError("field must be 'synthetic', 'pgm', or 'csv'")
@@ -168,15 +175,11 @@ def _parse_mask(spec, grid: Grid2, base_dir: str) -> Mask:
     if "rect" in spec:
         r = spec["rect"]
         _expect(isinstance(r, list) and len(r) == 4, "mask rect needs 4 numbers")
-        try:
+        with _section("bad mask rect"):
             return Mask.from_rect(grid, *(_real(x, "mask.rect") for x in r))
-        except _MALFORMED as err:
-            raise ConfigError(f"bad mask rect: {err}") from err
     if "pgm" in spec:
-        try:
+        with _section("bad mask PGM", OSError):
             m = mask_from_pgm(os.path.join(base_dir, spec["pgm"]["path"]), grid.h)
-        except (OSError, *_MALFORMED) as err:
-            raise ConfigError(f"bad mask PGM: {err}") from err
         _expect(m.grid == grid, "mask dimensions do not match the grid")
         return m
     raise ConfigError("mask must be 'rect' or 'pgm'")
@@ -187,17 +190,15 @@ def _parse_problem(spec, grid: Grid2 | None, rng: np.random.Generator,
     _expect(isinstance(spec, dict), "'problem' must be an object")
     _expect(grid is not None, "'problem' needs a 'grid' section")
     kind = spec.get("kind")
-    try:
+    with _section("bad problem density"):
         density = _parse_density(spec["density"])
-    except _MALFORMED as err:
-        raise ConfigError(f"bad problem density: {err}") from err
     if kind == "dirichlet":
         _expect("u0" in spec, "dirichlet problem needs 'u0'")
         u0_spec = spec["u0"]
         if isinstance(u0_spec, dict) and "synthetic" in u0_spec:
             # analytic data can be sampled on the ghost ring directly
             syn = u0_spec["synthetic"]
-            try:
+            with _section("bad synthetic datum"):
                 _check_synthetic(syn)
                 _expect(syn.get("noise", 0.0) == 0.0,
                         "dirichlet data must be noise-free")
@@ -208,19 +209,15 @@ def _parse_problem(spec, grid: Grid2 | None, rng: np.random.Generator,
                     ghost = DirichletGhost.from_function(grid,
                                                          make_function(syn))
                 return DirichletProblem(grid, ghost, density)
-            except _MALFORMED as err:
-                raise ConfigError(f"bad synthetic datum: {err}") from err
         u0 = _parse_field(u0_spec, grid, rng, base_dir)
         return DirichletProblem.from_field(u0, density)
     if kind == "fidelity":
         _expect("f" in spec, "fidelity problem needs 'f'")
         f = _parse_field(spec["f"], grid, rng, base_dir)
         mask = _parse_mask(spec.get("mask"), grid, base_dir)
-        try:
+        with _section("bad fidelity problem"):
             lam = _real(spec.get("lambda", 1.0), "lambda", 0.0, strict=True)
             return FidelityProblem(grid, f, mask, lam, density)
-        except _MALFORMED as err:
-            raise ConfigError(f"bad fidelity problem: {err}") from err
     raise ConfigError("problem kind must be 'dirichlet' or 'fidelity'")
 
 
@@ -233,10 +230,8 @@ def parse_config(raw: dict, base_dir: str = ".",
     rng = np.random.default_rng(cfg.seed)
 
     if "density" in raw:
-        try:
+        with _section("bad density"):
             cfg.density = _parse_density(raw["density"])
-        except _MALFORMED as err:
-            raise ConfigError(f"bad density: {err}") from err
     dc = raw.get("density_check", {})
     _expect(isinstance(dc, dict), "'density_check' must be an object")
     cfg.density_t_max = _real(dc.get("t_max", 100.0), "density_check.t_max",
@@ -247,19 +242,17 @@ def parse_config(raw: dict, base_dir: str = ".",
     if "grid" in raw:
         g = raw["grid"]
         _expect(isinstance(g, dict), "'grid' must be an object")
-        try:
+        with _section("bad grid"):
             cfg.grid = Grid2(_count(g["nx"], "grid.nx", 2),
                              _count(g["ny"], "grid.ny", 2),
                              _real(g["h"], "grid.h", 0.0, strict=True))
-        except _MALFORMED as err:
-            raise ConfigError(f"bad grid: {err}") from err
 
     if "solver" in raw:
         s = raw["solver"]
         _expect(isinstance(s, dict), "'solver' must be an object")
         unknown = sorted(set(s) - {f.name for f in fields(SolverConfig)})
         _expect(not unknown, "unknown solver key(s): " + ", ".join(unknown))
-        try:
+        with _section("bad solver section"):
             # only the keys given; SolverConfig supplies the defaults and
             # checks the ranges
             given = {}
@@ -278,10 +271,6 @@ def parse_config(raw: dict, base_dir: str = ".",
                 given["max_iters"] = _count(s["max_iters"],
                                             "solver.max_iters", 1)
             cfg.solver = SolverConfig(**given)
-        except _MALFORMED as err:
-            raise ConfigError(f"bad solver section: {err}") from err
-    _expect(1.0 < cfg.solver.mu < 2.0,
-            "solver mu must lie strictly between 1 and 2")
 
     if "problem" in raw:
         cfg.problem = _parse_problem(raw["problem"], cfg.grid, rng, base_dir)
@@ -304,11 +293,9 @@ def parse_config(raw: dict, base_dir: str = ".",
                     "'center' needs 2 numbers")
             center = (_real(c[0], "center"), _real(c[1], "center"))
             r0 = _real(b["r0"], "r0")
-            try:
+            with _section("bad ball"):
                 cfg.ball = BallFamily(center, r0, n=cfg.ball_n,
                                       j_max=cfg.ball_j_max)
-            except ValueError as err:
-                raise ConfigError(f"bad ball: {err}") from err
 
     if "s_values" in raw:
         s = raw["s_values"]

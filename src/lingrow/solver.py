@@ -89,6 +89,8 @@ class SolverConfig:
     max_iters: int = 50000
 
     def __post_init__(self) -> None:
+        if not (1.0 < self.mu < 2.0):
+            raise ValueError("mu must lie strictly between 1 and 2")
         sched = tuple(float(d) for d in self.delta_schedule)
         if not sched:
             raise ValueError("delta schedule must be non-empty")

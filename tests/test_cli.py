@@ -100,9 +100,12 @@ class TestDensityCheck:
         assert report["constants"]["mu_certified"] == pytest.approx(2.0,
                                                                     abs=0.05)
 
-    def test_minimal_surface_certifies_mu_three(self, tmp_path):
-        rc, out = run(tmp_path, "density-check", density_config(
-            kind="minimal_surface"))
+    # a t_max far below the tail still reads the asymptotics up to 1e4
+    @pytest.mark.parametrize("t_max", [50.0, 0.001])
+    def test_minimal_surface_certifies_mu_three(self, tmp_path, t_max):
+        cfg = density_config(kind="minimal_surface")
+        cfg["density_check"]["t_max"] = t_max
+        rc, out = run(tmp_path, "density-check", cfg)
         assert rc == 0
         report = read_json(out / "condition_report.json")
         assert report["constants"]["mu_certified"] == pytest.approx(3.0,
@@ -207,15 +210,26 @@ class TestSolve:
         ref = field_from_csv(os.path.join(FIXTURES, "oracle8_solution.csv"))
         assert np.max(np.abs(got.values - ref.values)) > 1e-3
 
-    def test_exhausted_budget_exits_one_with_error_note(self, tmp_path,
-                                                        capsys):
-        cfg = denoise_config(noise=1.0, schedule=(0.1,), tol=1e-14,
+    @pytest.mark.parametrize("command, summary, keys", [
+        ("solve", "trace.json", {"error"}),
+        ("moser", "moser_summary.json", {"error"}),
+        ("full-report", "report.json", {"error", "density_passed"}),
+    ])
+    def test_exhausted_budget_exits_one_with_error_note(
+            self, tmp_path, capsys, command, summary, keys):
+        """Each command writes the failed solve to its summary file, and
+        nothing to stderr."""
+        cfg = denoise_config(nx=16, noise=1.0, schedule=(0.1,), tol=1e-14,
                              max_iters=2)
-        rc, out = run(tmp_path, "solve", cfg)
+        cfg["density"] = {"kind": "minimal_surface"}
+        cfg["ball"] = {"center": [0.5, 0.5], "r0": 0.45, "j_max": 1}
+        rc, out = run(tmp_path, command, cfg)
         assert rc == 1
-        trace = read_json(out / "trace.json")
-        assert set(trace) == {"error"}
-        assert "delta=0.1" in trace["error"]
+        assert capsys.readouterr().err == ""
+        note = read_json(out / summary)
+        assert set(note) == keys
+        assert "delta=0.1" in note["error"]
+        assert note.get("density_passed", True) is True
         assert not (out / "solution_final.csv").exists()
 
 
@@ -294,6 +308,12 @@ class TestMoser:
         assert ball["r0"] == 0.25
         assert ball["epsilon0"] == 0.0625
         assert ball["j_max"] == 3
+
+    def test_moser_without_a_ball_exits_two(self, tmp_path, capsys):
+        rc, out = run(tmp_path, "moser", denoise_config())
+        assert rc == 2
+        assert "needs a 'ball' section" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
     def test_auto_ball_needs_fidelity(self, tmp_path, capsys):
         cfg = affine_dirichlet_config()

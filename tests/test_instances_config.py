@@ -188,6 +188,11 @@ def test_seed_override_controls_noise():
 @pytest.mark.parametrize("mutate,fragment", [
     (lambda r: r.update(density={"kind": "phi_mu", "mu": 0.5}), "bad density"),
     (lambda r: r.update(density={"kind": "phi_mu"}), "bad density"),
+    (lambda r: r.update(density={"kind": "phi_mu"}),
+     "bad density: missing key 'mu'"),
+    (lambda r: r["problem"].update(
+        kind="fidelity", f={"synthetic": {"kind": "constant"}}),
+     "bad synthetic field: missing key 'value'"),
     (lambda r: r.update(grid={"nx": 1, "ny": 4, "h": 0.1}), "bad grid"),
     (lambda r: r.update(solver={"mu": 2.5}), "between 1 and 2"),
     (lambda r: r.update(solver={"mu": 1.5, "delta_schedule": [0.01, 0.1]}),
@@ -440,3 +445,38 @@ def test_pgm_and_csv_fields_resolved_relative_to_config(tmp_path):
     path.write_text(json.dumps(raw))
     with pytest.raises(ConfigError, match="does not match"):
         load_config(path)
+
+
+def test_mask_pgm_and_dirichlet_datum_from_files(tmp_path):
+    g = Grid2(8, 8, 0.125)
+    u = Field.from_function(g, lambda x, y: x - 0.5 * y)
+    inside = Field.from_function(g, lambda x, y: (x > 0.5) * (y < 0.25))
+    write_pgm(tmp_path / "m.pgm", inside, 0.0, 1.0, maxval=255)
+    write_pgm(tmp_path / "u.pgm", u, -0.5, 1.0)
+    field_to_csv(tmp_path / "u.csv", u)
+
+    raw = {
+        "grid": {"nx": 8, "ny": 8, "h": 0.125},
+        "problem": {
+            "kind": "fidelity",
+            "density": {"kind": "minimal_surface"},
+            "f": {"csv": {"path": "u.csv"}},
+            "mask": {"pgm": {"path": "m.pgm"}},
+        },
+    }
+    cfg = parse_config(raw, base_dir=str(tmp_path))
+    # nonzero samples are members
+    assert np.array_equal(cfg.problem.mask.member, inside.values[:, :, 0] > 0)
+    assert cfg.problem.mask.count == 8
+
+    raw["problem"] = {"kind": "dirichlet",
+                      "density": {"kind": "minimal_surface"},
+                      "u0": {"csv": {"path": "u.csv"}}}
+    cfg = parse_config(raw, base_dir=str(tmp_path))
+    assert isinstance(cfg.problem, DirichletProblem)
+    assert np.array_equal(cfg.problem.ghost.interior(g).values, u.values)
+
+    raw["problem"]["u0"] = {"pgm": {"path": "u.pgm", "lo": -0.5, "hi": 1.0}}
+    cfg = parse_config(raw, base_dir=str(tmp_path))
+    got = cfg.problem.ghost.interior(g).values
+    assert np.max(np.abs(got - u.values)) <= 1.5 / 65535

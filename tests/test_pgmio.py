@@ -113,6 +113,10 @@ def test_header_comments(tmp_path):
     assert maxval == 9
     # raster rows are top to bottom: (1, 2) is the top edge
     assert np.array_equal(ints, np.array([[3, 1], [4, 2]]))
+    # a comment may also end a token with no space before it
+    path.write_bytes(b"P2 2#width\n2 9#maxval\n1 2 3 4\n")
+    again, maxval = read_pgm(path)
+    assert maxval == 9 and np.array_equal(again, ints)
 
 
 def test_mask_from_pgm(tmp_path):
@@ -162,6 +166,12 @@ def test_csv_rejects_bad_input(tmp_path):
         field_from_csv(path)
     path.write_text("x,y,channel,value\n")
     with pytest.raises(ValueError, match="empty CSV field"):
+        field_from_csv(path)
+    path.write_text("x,y,channel,value\n0.05,0.05,0\n")
+    with pytest.raises(ValueError, match="four columns"):
+        field_from_csv(path)
+    path.write_text("x,y,channel,value\n0.05,inf,0,1\n")
+    with pytest.raises(ValueError, match="positive and finite"):
         field_from_csv(path)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lingrow import profiles
 from lingrow.profiles import (ProfileAt, RadialProfile, certify_conditions,
                               combined, density_grad, density_hess_quadform,
                               minimal_surface, phi_mu, profile_d1, profile_d2,
@@ -281,6 +282,34 @@ def test_certify_combined_profiles():
     rep = certify_conditions(combined(0.05, 1.9, phi_mu(1.2)), 100.0, 1000)
     assert rep.all_passed
     assert rep.constants.mu_certified == 1.9
+
+
+@pytest.mark.parametrize("t_max", [1e-3, 1.0, 10.0])
+@pytest.mark.parametrize("p, mu", [
+    (minimal_surface(), 3.0),
+    (combined(0.1, 1.5, minimal_surface()), 1.5),
+], ids=["minimal_surface", "combined_ms"])
+def test_small_t_max_still_reads_the_tail(p, mu, t_max):
+    # the asymptotic conditions are read up to 1e4 whatever the sample range
+    rep = certify_conditions(p, t_max, 100)
+    assert rep.all_passed, [k for k, c in rep.checks.items() if not c.passed]
+    assert rep.constants.mu_certified == mu
+
+
+def test_a_quotient_still_rising_on_the_tail_is_unbounded():
+    assert not profiles._bounded_on_ray(np.log1p, 100.0)
+    assert profiles._bounded_on_ray(lambda t: 1.0 / (1.0 + t), 100.0)
+    # flat within round-off counts as bounded
+    assert profiles._bounded_on_ray(lambda t: 2.0 + 1e-15 * t / t[-1], 1.0)
+
+
+@pytest.mark.parametrize("t_max", [1.0, 100.0])
+def test_underflowing_floor_certifies_no_mu(t_max):
+    # (1+t)^-1000 underflows to 0 beyond t ~ 2, so no power bounds the
+    # floor from below on the tail
+    rep = certify_conditions(phi_mu(1000.0), t_max, 100)
+    assert not rep.checks["mu_ellipticity"].passed
+    assert rep.constants.mu_certified is None
 
 
 def test_report_serializes_one_entry_per_condition():

@@ -416,6 +416,67 @@ def test_budget_exhaustion_carries_best():
     assert err.stats.iters == 2
 
 
+@pytest.mark.parametrize("scale", [1.0, -1e20],
+                         ids=["ascent", "overlong"])
+def test_newton_stalls_when_no_step_descends(monkeypatch, scale):
+    """An ascent direction fails the slope test; a descent direction far
+    too long exhausts the Armijo backtracks.  Either way the rung stops
+    with "line search stalled" and the start as its best iterate."""
+    monkeypatch.setattr(solver, "_pcg",
+                        lambda op, mg, r, eta: (scale * r, 1))
+    problem = denoise_problem(seed=3)
+    reg = RegularizationState(0.01, 1.5, "fidelity")
+    init = Field.zeros(problem.grid)
+    with pytest.raises(SolverError, match="^line search stalled") as info:
+        minimize_fixed_delta(problem, reg, init, SolverConfig(mu=1.5))
+    err = info.value
+    assert np.array_equal(err.best.values, init.values)
+    assert err.stats.iters == 0 and err.stats.krylov_iters == 1
+    assert not err.stats.converged
+
+
+def test_armijo_gives_up_after_its_backtracks():
+    problem = denoise_problem(seed=3)
+    ops = energy.assemble_ops(problem, RegularizationState(0.01, 1.5,
+                                                          "fidelity"))
+    point = ops.evaluate(Field.zeros(problem.grid).values)
+    r = point.residual()
+    # still a long step after 60 halvings: every trial raises the energy
+    d = -1e20 * r
+    assert solver._armijo(ops, point.w, point.energy, d,
+                          float(np.vdot(r, d))) == (None, 60)
+
+
+class _Identity:
+    def vcycle(self, v):
+        return v.copy()
+
+
+class _Diagonal:
+    def __init__(self, diag):
+        self.diag = diag
+
+    def apply(self, v):
+        return self.diag * v
+
+
+def test_pcg_stops_where_the_operator_has_no_curvature():
+    r = np.ones(5)
+    d, k = solver._pcg(_Diagonal(-np.ones(5)), _Identity(), r, 0.1)
+    # the preconditioned steepest-descent direction, no CG step taken
+    assert k == 0 and np.array_equal(d, -r)
+
+
+def test_pcg_stops_at_its_iteration_cap():
+    diag = np.geomspace(1.0, 1e8, 1000)
+    r = np.ones(1000)
+    d, k = solver._pcg(_Diagonal(diag), _Identity(), r, 1e-30)
+    assert k == solver._MAX_KRYLOV
+    # a capped solve is still a descent direction of the quadratic model
+    assert float(np.vdot(r, d)) < 0.0
+    assert 0.5 * float(np.vdot(d, diag * d)) + float(np.vdot(r, d)) < 0.0
+
+
 def test_continuation_error_annotated_with_delta():
     problem = denoise_problem(seed=3)
     cfg = SolverConfig(mu=1.5, max_iters=2, residual_tol=1e-14)
