@@ -100,11 +100,18 @@ class TestDensityCheck:
         assert report["constants"]["mu_certified"] == pytest.approx(2.0,
                                                                     abs=0.05)
 
-    # a t_max far below the tail still reads the asymptotics up to 1e4
-    @pytest.mark.parametrize("t_max", [50.0, 0.001])
-    def test_minimal_surface_certifies_mu_three(self, tmp_path, t_max):
+    def test_minimal_surface_certifies_mu_three(self, tmp_path):
+        rc, out = run(tmp_path, "density-check", density_config(
+            kind="minimal_surface"))
+        assert rc == 0
+        report = read_json(out / "condition_report.json")
+        assert report["constants"]["mu_certified"] == pytest.approx(3.0,
+                                                                    abs=0.05)
+
+    def test_a_t_max_below_the_tail_still_certifies_mu_three(self, tmp_path):
+        """The asymptotics are read up to 1e4 whatever t_max is."""
         cfg = density_config(kind="minimal_surface")
-        cfg["density_check"]["t_max"] = t_max
+        cfg["density_check"]["t_max"] = 0.001
         rc, out = run(tmp_path, "density-check", cfg)
         assert rc == 0
         report = read_json(out / "condition_report.json")
@@ -210,12 +217,24 @@ class TestSolve:
         ref = field_from_csv(os.path.join(FIXTURES, "oracle8_solution.csv"))
         assert np.max(np.abs(got.values - ref.values)) > 1e-3
 
+    def test_exhausted_budget_exits_one_with_error_note(self, tmp_path,
+                                                        capsys):
+        cfg = denoise_config(noise=1.0, schedule=(0.1,), tol=1e-14,
+                             max_iters=2)
+        rc, out = run(tmp_path, "solve", cfg)
+        assert rc == 1
+        assert capsys.readouterr().err == ""
+        trace = read_json(out / "trace.json")
+        assert set(trace) == {"error"}
+        assert "delta=0.1" in trace["error"]
+        assert not (out / "solution_final.csv").exists()
+
     @pytest.mark.parametrize("command, summary, keys", [
         ("solve", "trace.json", {"error"}),
         ("moser", "moser_summary.json", {"error"}),
         ("full-report", "report.json", {"error", "density_passed"}),
     ])
-    def test_exhausted_budget_exits_one_with_error_note(
+    def test_every_command_notes_an_exhausted_budget(
             self, tmp_path, capsys, command, summary, keys):
         """Each command writes the failed solve to its summary file, and
         nothing to stderr."""
