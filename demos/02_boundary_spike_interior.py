@@ -21,7 +21,7 @@ from lingrow.solver import SolverConfig, continuation_solve
 # the instance: pyramid of height 100 at (0.5, 0), affine background 2+x+y
 
 problem = dirichlet_boundary_spike(nx=64, ny=64)
-u0 = problem.ghost.interior(problem.grid)
+u0 = problem.u0_interior()
 print("datum sup:", round(float(np.max(u0.values)), 2),
       " background at center about 3")
 

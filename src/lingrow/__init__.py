@@ -3,7 +3,7 @@
 from .energy import (DirichletProblem, FidelityProblem, RegularizationState,
                      clip_data, energy_relaxed, relaxed_boundary_penalty,
                      total_variation)
-from .grids import Ball, DirichletGhost, Field, Grid2, Mask, sup_on
+from .grids import Ball, Field, Grid2, Mask, sup_on
 from .moser import (BallFamily, MoserGeometryError, MoserReport,
                     caccioppoli_check, exponents, masses, moser_report,
                     radii, select_radius, sup_bound, verify_recursion)

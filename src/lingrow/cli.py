@@ -2,11 +2,12 @@
 
 Subcommands:
 
-* ``density-check``: certify the configured density's structural conditions.
+* ``density-check``: certify the top-level density (else the problem's).
 * ``solve``: run the delta-continuation solve; write the trace, per-delta
   solution images, and the final solution at full precision as CSV.
 * ``moser``: solve, then audit interior boundedness on every rung.
-* ``full-report``: all of the above plus a combined summary.
+* ``full-report``: all of the above, for the problem's density, plus a
+  combined summary.
 
 Exit codes: 0 all checks passed; 1 a check failed or a solve did not
 converge (its error then goes to ``trace.json``, ``moser_summary.json`` or
@@ -191,9 +192,9 @@ def cmd_moser(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_full_report(cfg: RunConfig, out_dir: str) -> int:
-    ball, eps0 = _resolve_ball(cfg, cfg.require_problem())
-    density_report = certify_conditions(cfg.require_density(),
-                                        cfg.density_t_max,
+    problem = cfg.require_problem()
+    ball, eps0 = _resolve_ball(cfg, problem)
+    density_report = certify_conditions(problem.density, cfg.density_t_max,
                                         cfg.density_samples)
     _write_json(os.path.join(out_dir, "condition_report.json"),
                 density_report.to_dict())

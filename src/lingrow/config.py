@@ -1,7 +1,7 @@
 """JSON run configuration -> problem objects.
 
 A config is one JSON object; which sections are required depends on the
-command.  ``density`` (or the problem's density) feeds the certification;
+command.  ``density`` (or the problem's density) feeds ``density-check``;
 ``grid`` + ``problem`` + ``solver`` feed the continuation solve; ``ball``
 (explicit, or ``auto`` around ``x0`` for fidelity problems) feeds the
 interior-boundedness audit.  Malformed configs raise ``ConfigError``.
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .energy import DirichletProblem, FidelityProblem
-from .grids import DirichletGhost, Field, Grid2, Mask
+from .grids import Field, Grid2, Mask
 from .instances import make_field, make_function, snap_to_cell
 from .moser import BallFamily
 from .pgmio import field_from_csv, field_from_pgm, mask_from_pgm
@@ -206,9 +206,8 @@ def _parse_problem(spec, grid: Grid2 | None, rng: np.random.Generator,
                 if "center" in syn:
                     syn["center"] = snap_to_cell(grid, tuple(syn["center"]))
                 with np.errstate(all="ignore"):  # as in _parse_field
-                    ghost = DirichletGhost.from_function(grid,
-                                                         make_function(syn))
-                return DirichletProblem(grid, ghost, density)
+                    return DirichletProblem.from_function(
+                        grid, make_function(syn), density)
         u0 = _parse_field(u0_spec, grid, rng, base_dir)
         return DirichletProblem.from_field(u0, density)
     if kind == "fidelity":
@@ -236,6 +235,9 @@ def parse_config(raw: dict, base_dir: str = ".",
     _expect(isinstance(dc, dict), "'density_check' must be an object")
     cfg.density_t_max = _real(dc.get("t_max", 100.0), "density_check.t_max",
                               0.0, strict=True)
+    # far below where the profiles' closed forms overflow on the tail
+    _expect(cfg.density_t_max <= 1e8,
+            "'density_check.t_max' must be at most 1e8")
     cfg.density_samples = _count(dc.get("samples", 1000),
                                  "density_check.samples", 100)
 

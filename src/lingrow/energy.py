@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (DirichletGhost, Field, Grid2, Mask, neumann_live,
-                    ring_adjoint, ring_differences)
+from .grids import (Field, Grid2, Mask, neumann_live, ring_adjoint,
+                    ring_differences)
 from .profiles import (ProfileAt, RadialProfile, combined, profile_d2,
                        profile_eval, recession_slope)
 
@@ -73,34 +73,65 @@ class RegularizationState:
 
 @dataclass
 class DirichletProblem:
+    """The datum ``u0_ext`` is frozen on the ghost ring around the cell
+    values: shape ``(nx+2, ny+2, N)``, its cells being the datum inside."""
+
     grid: Grid2
-    ghost: DirichletGhost
+    u0_ext: np.ndarray
     density: RadialProfile
 
     def __post_init__(self) -> None:
         expect = (self.grid.nx + 2, self.grid.ny + 2)
-        if self.ghost.u0_ext.shape[:2] != expect:
+        if self.u0_ext.ndim != 3 or self.u0_ext.shape[:2] != expect:
             raise ValueError("ghost ring shape does not match the grid")
 
     @property
     def channels(self) -> int:
-        return self.ghost.u0_ext.shape[2]
+        return self.u0_ext.shape[2]
 
     @property
     def kind(self) -> str:
         return "dirichlet"
 
     def u0_interior(self) -> Field:
-        return self.ghost.interior(self.grid)
+        return Field(self.grid, self.u0_ext[1:-1, 1:-1, :].copy())
 
     @classmethod
     def from_function(cls, grid: Grid2, fn, density: RadialProfile,
                       channels: int = 1) -> "DirichletProblem":
-        return cls(grid, DirichletGhost.from_function(grid, fn, channels), density)
+        """Sample ``fn(x, y)`` (scalar or one value per channel) at the cell
+        and ghost centers; the datum must be finite and have ``channels``
+        channels."""
+        X, Y = np.meshgrid(grid.xs_ext(), grid.ys_ext(), indexing="ij")
+        out = np.asarray(fn(X, Y), dtype=float)
+        if out.ndim == 0:  # constant function
+            out = np.full(X.shape, float(out))
+        if out.ndim == 2:
+            out = out[:, :, None]
+        if not np.all(np.isfinite(out)):
+            raise ValueError("boundary datum must be finite")
+        problem = cls(grid, out, density)
+        if problem.channels != channels:
+            raise ValueError(f"boundary datum has {problem.channels} "
+                             f"channels, not {channels}")
+        return problem
 
     @classmethod
     def from_field(cls, u0: Field, density: RadialProfile) -> "DirichletProblem":
-        return cls(u0.grid, DirichletGhost.from_field(u0), density)
+        """Extend a cell field by edge replication into the ghost ring."""
+        ext = np.pad(u0.values, ((1, 1), (1, 1), (0, 0)), mode="edge")
+        return cls(u0.grid, ext, density)
+
+    def ring_offset(self) -> tuple[np.ndarray, np.ndarray]:
+        """The datum's part of the differences on the ring layout: the
+        differences of the ring with zero values inside, shape
+        ``(nx+1, ny+1, N)`` each.  Added to ``ring_differences(v)`` they
+        give the differences of ``v`` inside this ring."""
+        ring = self.u0_ext.astype(float)
+        ring[1:-1, 1:-1, :] = 0.0
+        # the ring's nodes as values, one ring further out
+        dx, dy = ring_differences(ring)
+        return dx[1:-1, 1:-1].copy(), dy[1:-1, 1:-1].copy()
 
     def coarsen(self) -> "DirichletProblem":
         """The same problem with half the cells per axis (both counts even).
@@ -109,12 +140,11 @@ class DirichletProblem:
         its corners; the cells take the 2x2 means of the datum, which is
         where the coarse problem's cold start begins.
         """
-        u = self.ghost.u0_ext
+        u = self.u0_ext
         u = np.concatenate((u[:1], _pair_means(u[1:-1], 0), u[-1:]), axis=0)
         u = np.concatenate((u[:, :1], _pair_means(u[:, 1:-1], 1), u[:, -1:]),
                            axis=1)
-        return DirichletProblem(_coarse_grid(self.grid), DirichletGhost(u),
-                                self.density)
+        return DirichletProblem(_coarse_grid(self.grid), u, self.density)
 
 
 @dataclass
@@ -399,10 +429,10 @@ class DirichletOps(_Ops):
         g = problem.grid
         # uniform weight making the difference-cell sum integrate exactly
         self.rho = g.nx * g.ny / float((g.nx + 1) * (g.ny + 1))
-        self.offset = problem.ghost.ring_offset()
+        self.offset = problem.ring_offset()
 
     def default_init(self) -> np.ndarray:
-        return self.problem.ghost.u0_ext[1:-1, 1:-1, :].astype(float)
+        return self.problem.u0_ext[1:-1, 1:-1, :].astype(float)
 
 
 class FidelityOps(_Ops):
@@ -472,7 +502,7 @@ def relaxed_boundary_penalty(p: DirichletProblem, w: Field) -> float:
     """
     _check_field(p, w)
     k = recession_slope(p.density)
-    u0 = p.ghost.u0_ext[1:-1, 1:-1, :]
+    u0 = p.u0_ext[1:-1, 1:-1, :]
     jump = np.sqrt(np.sum((u0 - w.values) ** 2, axis=2))
     ring = np.zeros(jump.shape, dtype=bool)
     ring[0, :] = ring[-1, :] = True

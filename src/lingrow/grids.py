@@ -7,15 +7,12 @@ on the ring layout: the (nx, ny) values are surrounded by a ring of nodes,
 and the (nx+1) x (ny+1) difference cells reach one step past every edge;
 cell (I, J) links ring node (I, J) to (I+1, J) and to (I, J+1), where ring
 node (i+1, j+1) is value (i, j).  The ring nodes are zero, so the pair is
-linear, and a boundary rule is data on that layout:
-
-* ``DirichletGhost`` freezes the ring to the boundary datum sampled at
-  ghost centers; ``ring_offset`` gives the datum's constant differences,
-  which are added to those of the values.  The datum pins the solution on
-  all four sides.
-* ``neumann_live`` masks the differences of homogeneous Neumann data: only
-  those between two values stay, so the ring row and column and the
-  differences that would leave the grid are zero.
+linear, and a boundary rule is data on that layout: a Dirichlet datum adds
+its constant ring differences to those of the values
+(``energy.DirichletProblem.ring_offset``), and ``neumann_live`` masks the
+differences of homogeneous Neumann data: only those between two values
+stay, so the ring row and column and the differences that would leave the
+grid are zero.
 """
 
 from __future__ import annotations
@@ -29,12 +26,10 @@ __all__ = [
     "Field",
     "Mask",
     "Ball",
-    "DirichletGhost",
     "neumann_live",
     "ring_differences",
     "ring_adjoint",
     "sup_on",
-    "lp_on",
     "lp_on_log",
 ]
 
@@ -129,8 +124,9 @@ class Field:
         return cls(grid, np.full((grid.nx, grid.ny, channels), float(value)))
 
     @classmethod
-    def from_function(cls, grid: Grid2, fn, channels: int = 1) -> "Field":
-        """Sample ``fn(x, y)`` (scalar or length-``channels``) at cell centers."""
+    def from_function(cls, grid: Grid2, fn) -> "Field":
+        """Sample ``fn(x, y)`` (scalar or one value per channel) at cell
+        centers."""
         X, Y = grid.centers()
         out = np.asarray(fn(X, Y), dtype=float)
         if out.ndim == 0:  # constant function
@@ -185,45 +181,6 @@ class Ball:
     def __post_init__(self) -> None:
         if not (self.radius > 0.0):
             raise ValueError("ball radius must be positive")
-
-
-@dataclass(frozen=True)
-class DirichletGhost:
-    """Boundary rule: ghost ring frozen to the datum, shape (nx+2, ny+2, N)."""
-
-    u0_ext: np.ndarray
-
-    @staticmethod
-    def from_function(grid: Grid2, fn, channels: int = 1) -> "DirichletGhost":
-        X, Y = np.meshgrid(grid.xs_ext(), grid.ys_ext(), indexing="ij")
-        out = np.asarray(fn(X, Y), dtype=float)
-        if out.ndim == 0:  # constant function
-            out = np.full((grid.nx + 2, grid.ny + 2), float(out))
-        if out.ndim == 2:
-            out = out[:, :, None]
-        if not np.all(np.isfinite(out)):
-            raise ValueError("boundary datum must be finite")
-        return DirichletGhost(out)
-
-    @staticmethod
-    def from_field(u0: Field) -> "DirichletGhost":
-        """Extend a cell field by edge replication into the ghost ring."""
-        ext = np.pad(u0.values, ((1, 1), (1, 1), (0, 0)), mode="edge")
-        return DirichletGhost(ext)
-
-    def interior(self, grid: Grid2) -> Field:
-        return Field(grid, self.u0_ext[1:-1, 1:-1, :].copy())
-
-    def ring_offset(self) -> tuple[np.ndarray, np.ndarray]:
-        """The datum's part of the differences on the ring layout: the
-        differences of the ring with zero values inside, shape
-        ``(nx+1, ny+1, N)`` each.  Added to ``ring_differences(v)`` they
-        give the differences of ``v`` inside this ring."""
-        ring = self.u0_ext.astype(float)
-        ring[1:-1, 1:-1, :] = 0.0
-        # the ring's nodes as values, one ring further out
-        dx, dy = ring_differences(ring)
-        return dx[1:-1, 1:-1].copy(), dy[1:-1, 1:-1].copy()
 
 
 def ring_differences(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -293,11 +250,3 @@ def lp_on_log(u: Field, b: Ball, p: float) -> float:
     scaled = mag / m
     s = float(np.sum(scaled ** p))
     return p * np.log(m) + np.log(s) + 2.0 * np.log(u.grid.h)
-
-
-def lp_on(u: Field, b: Ball, p: float) -> float:
-    """Midpoint-rule integral of |u|^p over cells strictly inside the ball."""
-    lg = lp_on_log(u, b, p)
-    if lg == -np.inf:
-        return 0.0
-    return float(np.exp(lg))

@@ -19,7 +19,6 @@ radius used by the fidelity analysis.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -356,9 +355,6 @@ class MoserReport:
             "epsilon0": self.epsilon0,
             "passed": self.passed,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def to_csv(self) -> str:
         """Per-level table: j, R_j, s_j, a_j, c_j (c blank at the last level)."""

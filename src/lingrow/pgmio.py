@@ -25,34 +25,22 @@ __all__ = [
     "field_from_csv",
 ]
 
+_MAXVAL = 65535  # PGM's largest maxval, which write_pgm always uses
 
-def write_pgm(path: str | os.PathLike, u: Field, lo: float, hi: float,
-              maxval: int = 65535, binary: bool = True) -> None:
-    """Quantize a scalar field onto [lo, hi] and write P5 (or P2) PGM."""
+
+def write_pgm(path: str | os.PathLike, u: Field, lo: float, hi: float) -> None:
+    """Quantize a scalar field onto [lo, hi] and write a 16-bit P5 PGM."""
     if u.channels != 1:
         raise ValueError("PGM export is for scalar fields")
-    if maxval not in (255, 65535):
-        raise ValueError("maxval must be 255 or 65535")
     if not (hi > lo):
         raise ValueError("declared range must have hi > lo")
     v = u.values[:, :, 0]
-    scaled = np.clip(np.rint((v - lo) / (hi - lo) * maxval), 0, maxval)
+    scaled = np.clip(np.rint((v - lo) / (hi - lo) * _MAXVAL), 0, _MAXVAL)
     # raster: rows top to bottom = y decreasing; columns = x increasing
-    raster = scaled.T[::-1, :].astype(np.uint16 if maxval > 255 else np.uint8)
-    header = f"P5\n{u.grid.nx} {u.grid.ny}\n{maxval}\n" if binary \
-        else f"P2\n{u.grid.nx} {u.grid.ny}\n{maxval}\n"
+    raster = scaled.T[::-1, :].astype(">u2")
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if binary:
-            if maxval > 255:
-                fh.write(raster.astype(">u2").tobytes())
-            else:
-                fh.write(raster.tobytes())
-        else:
-            body = "\n".join(" ".join(str(int(x)) for x in row)
-                             for row in raster)
-            fh.write(body.encode("ascii"))
-            fh.write(b"\n")
+        fh.write(f"P5\n{u.grid.nx} {u.grid.ny}\n{_MAXVAL}\n".encode("ascii"))
+        fh.write(raster.tobytes())
 
 
 def _read_tokens(fh: io.BufferedReader, count: int) -> list[bytes]:
@@ -89,7 +77,7 @@ def read_pgm(path: str | os.PathLike) -> tuple[np.ndarray, int]:
         if magic not in (b"P2", b"P5"):
             raise ValueError("not a P2/P5 PGM file")
         w, h, maxval = (int(t) for t in _read_tokens(fh, 3))
-        if w < 1 or h < 1 or not (0 < maxval <= 65535):
+        if w < 1 or h < 1 or not (0 < maxval <= _MAXVAL):
             raise ValueError("invalid PGM dimensions or maxval")
         if magic == b"P5":
             dtype = ">u2" if maxval > 255 else np.uint8

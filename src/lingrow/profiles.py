@@ -18,7 +18,6 @@ mu-ellipticity lower bound).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -56,7 +55,7 @@ class RadialProfile:
 
     ``kind`` is one of ``"phi_mu"``, ``"minimal_surface"``, ``"combined"``.
     ``mu`` is required for ``phi_mu`` and ``combined``; ``delta`` and ``base``
-    only for ``combined``.  ``base`` may not itself be combined.
+    only for ``combined``, whose ``base`` may be any profile.
     """
 
     kind: str
@@ -80,8 +79,6 @@ class RadialProfile:
                 raise ValueError("combined requires delta in (0, 1)")
             if not isinstance(self.base, RadialProfile):
                 raise ValueError("combined requires a base profile")
-            if self.base.kind == "combined":
-                raise ValueError("combined base must not itself be combined")
         else:
             raise ValueError(f"unknown profile kind {self.kind!r}")
 
@@ -265,7 +262,7 @@ def _eval_impl(p: RadialProfile, at: ProfileAt, order: int) -> np.ndarray:
         # delta * phi_mu + base, evaluated term by term
         v = _TERMS["phi_mu"][order](p.mu, at)
         v *= p.delta
-        v += _TERMS[p.base.kind][order](p.base.mu, at)
+        v += _eval_impl(p.base, at, order)
         return v
     return _TERMS[p.kind][order](p.mu, at)
 
@@ -413,9 +410,6 @@ class ConditionReport:
             "checks": {k: c.to_dict() for k, c in self.checks.items()},
             "constants": self.constants.to_dict() if self.constants else None,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 def _sample_grid(t_max: float, samples: int) -> np.ndarray:

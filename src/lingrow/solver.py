@@ -344,9 +344,6 @@ class SolveTrace:
             raise ValueError("empty trace")
         return self.records[-1]
 
-    def deltas(self) -> list[float]:
-        return [r.delta for r in self.records]
-
     def to_csv(self) -> str:
         lines = ["delta,energy,plain_energy,residual,iters,tv,interior_sup"]
         for r in self.records:

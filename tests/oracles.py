@@ -89,7 +89,7 @@ def naive_energy_dirichlet(problem, reg, w: np.ndarray) -> float:
     g = problem.grid
     h = g.h
     dens = problem.density if reg is None else reg.apply(problem.density)
-    ext = problem.ghost.u0_ext.copy()
+    ext = problem.u0_ext.copy()
     ext[1:-1, 1:-1, :] = w
     rho = g.nx * g.ny / float((g.nx + 1) * (g.ny + 1))
     total = 0.0

@@ -214,7 +214,7 @@ def test_criterion_4_newton_equivalence(small_fidelity_run,
             ("fidelity", small_fidelity_run,
              lambda p: p.f.values.copy()),
             ("dirichlet", small_dirichlet_run,
-             lambda p: p.ghost.interior(p.grid).values.copy())):
+             lambda p: p.u0_interior().values)):
         for rec in trace.records:
             reg = RegularizationState(rec.delta, 1.5, problem.kind)
             res = lambda v: euler_residual(problem, reg,

@@ -118,6 +118,23 @@ class TestDensityCheck:
         assert report["constants"]["mu_certified"] == pytest.approx(3.0,
                                                                     abs=0.05)
 
+    def test_t_max_at_its_bound_certifies(self, tmp_path):
+        cfg = density_config(kind="minimal_surface")
+        cfg["density_check"]["t_max"] = 1e8
+        rc, out = run(tmp_path, "density-check", cfg)
+        assert rc == 0
+        assert read_json(out / "condition_report.json")["t_max"] == 1e8
+
+    def test_t_max_past_its_bound_exits_two_with_one_line(self, tmp_path,
+                                                          capsys):
+        cfg = density_config(kind="minimal_surface")
+        cfg["density_check"]["t_max"] = 1e9
+        rc, out = run(tmp_path, "density-check", cfg)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "lingrow: 'density_check.t_max' must be at most 1e8\n"
+        assert not out.exists()
+
     def test_sub_linear_mu_rejected_at_parse(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "density-check", density_config(
             kind="phi_mu", mu=0.5))
@@ -184,6 +201,19 @@ class TestSolve:
         assert coarse["grid"] == [16, 16] and coarse["converged"] is True
         assert coarse["krylov_iters"] >= coarse["iters"] >= 1
         assert records[1]["coarse"] == []
+
+    def test_a_combined_problem_density_solves(self, tmp_path):
+        """The solve adds its own delta term to a density that is already
+        combined."""
+        cfg = denoise_config(nx=16, noise=0.5, tol=1e-10)
+        cfg["problem"]["density"] = {"kind": "combined", "delta": 0.1,
+                                     "mu": 1.5,
+                                     "base": {"kind": "minimal_surface"}}
+        rc, out = run(tmp_path, "solve", cfg)
+        assert rc == 0
+        trace = read_json(out / "trace.json")
+        assert [r["delta"] for r in trace["records"]] == [0.1, 0.01]
+        assert trace["minimality"]["passed"] is True
 
     def test_affine_dirichlet_is_a_fixed_point(self, tmp_path):
         rc, out = run(tmp_path, "solve", affine_dirichlet_config())
@@ -425,6 +455,22 @@ class TestFullReport:
         first, second = tree_bytes(out1), tree_bytes(out2)
         assert sorted(first) == sorted(second)
         assert first == second
+
+    def test_certifies_the_density_the_problem_minimizes(self, tmp_path):
+        """density-check certifies the top-level density; full-report the
+        problem's, which is the one its solve minimizes."""
+        cfg = self.full_config()
+        cfg["density"] = {"kind": "phi_mu", "mu": 1.5}
+        rc, out = run(tmp_path, "density-check", cfg, out="check")
+        assert rc == 0
+        report = read_json(out / "condition_report.json")
+        assert report["profile"] == {"kind": "phi_mu", "mu": 1.5}
+        rc, out = run(tmp_path, "full-report", cfg, out="full")
+        report = read_json(out / "condition_report.json")
+        assert report["profile"] == {"kind": "minimal_surface"}
+        summary = read_json(out / "report.json")
+        assert summary["density_passed"] is report["all_passed"] is True
+        assert rc == (0 if summary["passed"] else 1)
 
     def test_report_summarizes_all_checks(self, tmp_path):
         rc, out = run(tmp_path, "full-report", self.full_config())

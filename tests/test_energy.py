@@ -9,8 +9,8 @@ from lingrow.energy import (DirichletProblem, FidelityProblem,
                             RegularizationState, assemble_ops, clip_data, energy_dirichlet,
                             energy_fidelity, energy_relaxed, euler_residual,
                             relaxed_boundary_penalty, total_variation)
-from lingrow.grids import (DirichletGhost, Field, Grid2, Mask, neumann_live,
-                           ring_adjoint, ring_differences)
+from lingrow.grids import (Field, Grid2, Mask, neumann_live, ring_adjoint,
+                           ring_differences)
 from lingrow.profiles import (certify_conditions, minimal_surface, phi_mu,
                               profile_eval)
 
@@ -163,6 +163,24 @@ def test_fidelity_rejects_vector_fields():
     f = Field(g, np.zeros((4, 4, 2)))
     with pytest.raises(ValueError):
         FidelityProblem(g, f, Mask.empty(g), 1.0, minimal_surface())
+
+
+def test_dirichlet_datum_sampled_from_a_function():
+    g = Grid2(4, 5, 0.25)
+    const = DirichletProblem.from_function(g, lambda x, y: 3.0, phi_mu(2.0))
+    assert const.u0_ext.shape == (6, 7, 1) and np.all(const.u0_ext == 3.0)
+    pair = lambda x, y: np.stack([x, y], axis=-1)
+    vector = DirichletProblem.from_function(g, pair, phi_mu(2.0), channels=2)
+    assert vector.channels == 2
+    assert np.array_equal(vector.u0_ext[:, 0, 0], g.xs_ext())
+    assert np.array_equal(vector.u0_interior().values[0, :, 1], g.ys())
+    with pytest.raises(ValueError, match="2 channels, not 1"):
+        DirichletProblem.from_function(g, pair, phi_mu(2.0))
+    with pytest.raises(ValueError, match="finite"):
+        DirichletProblem.from_function(g, lambda x, y: np.inf * x,
+                                       phi_mu(2.0))
+    with pytest.raises(ValueError, match="ghost ring shape"):
+        DirichletProblem(g, np.zeros((6, 6, 1)), phi_mu(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +406,9 @@ def test_dirichlet_coarsen_takes_edge_pair_means_and_keeps_corners():
     rng = np.random.default_rng(12)
     g = Grid2(4, 6, 0.25)
     ext = rng.normal(size=(6, 8, 2))
-    coarse = DirichletProblem(g, DirichletGhost(ext), phi_mu(2.0)).coarsen()
+    coarse = DirichletProblem(g, ext, phi_mu(2.0)).coarsen()
     assert coarse.grid == Grid2(2, 3, 0.5)
-    u = coarse.ghost.u0_ext
+    u = coarse.u0_ext
     assert u.shape == (4, 5, 2)
     for i, j in ((0, 0), (0, 4), (3, 0), (3, 4)):
         fi, fj = (0 if i == 0 else 5), (0 if j == 0 else 7)

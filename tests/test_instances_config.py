@@ -451,7 +451,7 @@ def test_mask_pgm_and_dirichlet_datum_from_files(tmp_path):
     g = Grid2(8, 8, 0.125)
     u = Field.from_function(g, lambda x, y: x - 0.5 * y)
     inside = Field.from_function(g, lambda x, y: (x > 0.5) * (y < 0.25))
-    write_pgm(tmp_path / "m.pgm", inside, 0.0, 1.0, maxval=255)
+    write_pgm(tmp_path / "m.pgm", inside, 0.0, 1.0)
     write_pgm(tmp_path / "u.pgm", u, -0.5, 1.0)
     field_to_csv(tmp_path / "u.csv", u)
 
@@ -474,9 +474,9 @@ def test_mask_pgm_and_dirichlet_datum_from_files(tmp_path):
                       "u0": {"csv": {"path": "u.csv"}}}
     cfg = parse_config(raw, base_dir=str(tmp_path))
     assert isinstance(cfg.problem, DirichletProblem)
-    assert np.array_equal(cfg.problem.ghost.interior(g).values, u.values)
+    assert np.array_equal(cfg.problem.u0_interior().values, u.values)
 
     raw["problem"]["u0"] = {"pgm": {"path": "u.pgm", "lo": -0.5, "hi": 1.0}}
     cfg = parse_config(raw, base_dir=str(tmp_path))
-    got = cfg.problem.ghost.interior(g).values
+    got = cfg.problem.u0_interior().values
     assert np.max(np.abs(got - u.values)) <= 1.5 / 65535

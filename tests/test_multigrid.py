@@ -6,7 +6,7 @@ import pytest
 
 from lingrow.energy import (DirichletProblem, FidelityProblem,
                             RegularizationState, assemble_ops)
-from lingrow.grids import DirichletGhost, Field, Grid2, Mask
+from lingrow.grids import Field, Grid2, Mask
 from lingrow.multigrid import Level, Multigrid, prolong, restrict
 from lingrow.profiles import minimal_surface, phi_mu
 from lingrow.solver import _pcg
@@ -20,8 +20,7 @@ def hessian_on(kind, channels=1, shape=(9, 13)):
     g = Grid2(nx, ny, 1.0 / ny)
     if kind == "dirichlet":
         problem = DirichletProblem(
-            g, DirichletGhost(rng.normal(size=(nx + 2, ny + 2, channels))),
-            phi_mu(2.0))
+            g, rng.normal(size=(nx + 2, ny + 2, channels)), phi_mu(2.0))
     else:
         problem = FidelityProblem(
             g, Field(g, rng.normal(size=(nx, ny, 1))),

@@ -14,12 +14,29 @@ def random_field(nx=7, ny=5, h=0.1, seed=0, channels=1):
     return Field(g, rng.normal(size=(nx, ny, channels)))
 
 
+def write_by_hand(path, ints, maxval, magic="P5"):
+    """A P5 or P2 file of ints shaped (width, height) with y up; write_pgm
+    writes 16-bit P5 only."""
+    raster = ints.T[::-1, :]
+    header = f"{magic}\n{ints.shape[0]} {ints.shape[1]}\n{maxval}\n".encode()
+    if magic == "P2":
+        body = "\n".join(" ".join(str(int(x)) for x in row) for row in raster)
+        path.write_bytes(header + body.encode() + b"\n")
+    else:
+        dtype = ">u2" if maxval > 255 else np.uint8
+        path.write_bytes(header + raster.astype(dtype).tobytes())
+
+
 @pytest.mark.parametrize("maxval", [255, 65535])
 def test_pgm_round_trip_quantization(tmp_path, maxval):
     u = random_field(seed=1)
     lo, hi = -4.0, 4.0
     path = tmp_path / "u.pgm"
-    write_pgm(path, u, lo, hi, maxval=maxval)
+    if maxval == 65535:
+        write_pgm(path, u, lo, hi)
+    else:
+        ints = np.rint((u.values[:, :, 0] - lo) / (hi - lo) * maxval)
+        write_by_hand(path, ints, maxval)
     back = field_from_pgm(path, u.grid.h, lo, hi)
     assert back.grid == u.grid
     tol = (hi - lo) / maxval / 2.0 * (1.0 + 1e-12)
@@ -29,9 +46,10 @@ def test_pgm_round_trip_quantization(tmp_path, maxval):
 def test_p2_and_p5_agree(tmp_path):
     u = random_field(seed=2)
     a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
-    write_pgm(a, u, -4.0, 4.0, binary=True)
-    write_pgm(b, u, -4.0, 4.0, binary=False)
+    write_pgm(a, u, -4.0, 4.0)
+    assert a.read_bytes().startswith(b"P5\n7 5\n65535\n")
     ia, ma = read_pgm(a)
+    write_by_hand(b, ia, ma, magic="P2")
     ib, mb = read_pgm(b)
     assert ma == mb == 65535
     assert np.array_equal(ia, ib)
@@ -42,23 +60,24 @@ def test_raster_orientation(tmp_path):
     g = Grid2(2, 3, 1.0)
     u = Field.from_function(g, lambda x, y: y)
     path = tmp_path / "o.pgm"
-    write_pgm(path, u, 0.0, 2.5, maxval=255)
+    write_pgm(path, u, 0.0, 2.5)
     raw = path.read_bytes()
-    header_end = raw.index(b"255\n") + 4
-    body = np.frombuffer(raw[header_end:], dtype=np.uint8).reshape(3, 2)
-    assert body[0, 0] == 255 and body[-1, 0] == 51  # y=2.5 on top, y=0.5 below
+    header_end = raw.index(b"65535\n") + 6
+    body = np.frombuffer(raw[header_end:], dtype=">u2").reshape(3, 2)
+    # y=2.5 on top, y=0.5 below
+    assert body[0, 0] == 65535 and body[-1, 0] == 13107
     ints, _ = read_pgm(path)
     assert ints.shape == (2, 3)
-    assert np.all(ints[:, 2] == 255) and np.all(ints[:, 0] == 51)
+    assert np.all(ints[:, 2] == 65535) and np.all(ints[:, 0] == 13107)
 
 
 def test_out_of_range_values_clip(tmp_path):
     g = Grid2(2, 2, 1.0)
     u = Field(g, np.array([[-10.0, 0.0], [0.5, 10.0]])[:, :, None])
     path = tmp_path / "c.pgm"
-    write_pgm(path, u, 0.0, 1.0, maxval=255)
+    write_pgm(path, u, 0.0, 1.0)
     ints, _ = read_pgm(path)
-    assert ints[0, 0] == 0 and ints[1, 1] == 255
+    assert ints[0, 0] == 0 and ints[1, 1] == 65535
 
 
 def test_write_validation(tmp_path):
@@ -66,8 +85,6 @@ def test_write_validation(tmp_path):
     path = tmp_path / "x.pgm"
     with pytest.raises(ValueError):
         write_pgm(path, random_field(channels=2), 0.0, 1.0)
-    with pytest.raises(ValueError):
-        write_pgm(path, u, 0.0, 1.0, maxval=1000)
     with pytest.raises(ValueError):
         write_pgm(path, u, 1.0, 1.0)
     with pytest.raises(ValueError):

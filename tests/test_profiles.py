@@ -314,7 +314,7 @@ def test_underflowing_floor_certifies_no_mu(t_max):
 
 def test_report_serializes_one_entry_per_condition():
     rep = certify_conditions(phi_mu(2.0), 100.0, 1000)
-    payload = json.loads(rep.to_json())
+    payload = json.loads(json.dumps(rep.to_dict()))
     assert payload["all_passed"] is True
     assert set(payload["checks"]) == {
         "value_zero_at_origin", "slope_zero_at_origin", "convexity",
@@ -342,9 +342,15 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         combined(1.0, 1.5, minimal_surface())
     with pytest.raises(ValueError):
-        combined(0.1, 1.5, combined(0.1, 1.5, minimal_surface()))
-    with pytest.raises(ValueError):
         RadialProfile("unknown")
+    # a combined base is allowed: the nested density is the sum of its terms
+    nested = combined(0.1, 1.5, combined(0.2, 1.3, minimal_surface()))
+    t = np.array([0.0, 0.5, 3.0, 40.0])
+    for fn in (profile_eval, profile_d1, profile_d2):
+        terms = (0.1 * fn(phi_mu(1.5), t) + 0.2 * fn(phi_mu(1.3), t)
+                 + fn(minimal_surface(), t))
+        assert np.allclose(fn(nested, t), terms, rtol=1e-14, atol=0.0)
+    assert recession_slope(nested) == pytest.approx(0.1 / 0.5 + 0.2 / 0.3 + 1.0)
 
 
 def test_negative_argument_rejected():

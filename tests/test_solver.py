@@ -9,7 +9,7 @@ from lingrow import energy, solver
 from lingrow.energy import (DirichletProblem, FidelityProblem,
                             RegularizationState, energy_fidelity,
                             euler_residual)
-from lingrow.grids import Ball, DirichletGhost, Field, Grid2, Mask
+from lingrow.grids import Ball, Field, Grid2, Mask
 from lingrow.instances import (dirichlet_boundary_spike,
                                fidelity_inverse_sqrt)
 from lingrow.profiles import minimal_surface, phi_mu
@@ -105,7 +105,7 @@ def test_trace_records_and_monotonicity():
     problem = denoise_problem(n=12, seed=9)
     cfg = SolverConfig(mu=1.5, residual_tol=1e-10)
     trace = continuation_solve(problem, cfg)
-    assert trace.deltas() == [1e-1, 1e-2, 1e-3, 1e-4]
+    assert [r.delta for r in trace.records] == [1e-1, 1e-2, 1e-3, 1e-4]
     for rec in trace.records:
         assert rec.residual <= 1e-10
         assert rec.plain_energy <= rec.energy  # the delta term is nonnegative
@@ -133,9 +133,8 @@ def test_translation_covariance():
     ext = rng.normal(size=(12, 12, 1))
     base = minimal_surface()
     cfg = SolverConfig(mu=1.5, residual_tol=1e-12)
-    t1 = continuation_solve(DirichletProblem(g, DirichletGhost(ext), base), cfg)
-    t2 = continuation_solve(
-        DirichletProblem(g, DirichletGhost(ext + 3.0), base), cfg)
+    t1 = continuation_solve(DirichletProblem(g, ext, base), cfg)
+    t2 = continuation_solve(DirichletProblem(g, ext + 3.0, base), cfg)
     shift = t2.final.u.values - (t1.final.u.values + 3.0)
     assert np.max(np.abs(shift)) <= 1e-9
 
@@ -191,7 +190,7 @@ def test_denoising_solution_independent_of_init():
 def test_two_channel_dirichlet_ladder_matches_newton():
     rng = np.random.default_rng(41)
     g = Grid2(6, 7, 1.0 / 7)
-    problem = DirichletProblem(g, DirichletGhost(rng.normal(size=(8, 9, 2))),
+    problem = DirichletProblem(g, rng.normal(size=(8, 9, 2)),
                                minimal_surface())
     cfg = SolverConfig(mu=1.5, delta_schedule=(0.1, 0.01),
                        residual_tol=1e-11)
@@ -210,7 +209,7 @@ def test_two_channel_multilevel_ladder_matches_newton():
     coupled CG product runs under a multi-level V-cycle."""
     rng = np.random.default_rng(47)
     g = Grid2(10, 9, 1.0 / 10)
-    problem = DirichletProblem(g, DirichletGhost(rng.normal(size=(12, 11, 2))),
+    problem = DirichletProblem(g, rng.normal(size=(12, 11, 2)),
                                minimal_surface())
     cfg = SolverConfig(mu=1.5, delta_schedule=(0.1, 0.01),
                        residual_tol=1e-11)
@@ -391,7 +390,7 @@ def test_two_channel_nested_ladder_matches_the_cold_ladder():
     copy and reach the cold ladder's minimizers."""
     rng = np.random.default_rng(53)
     g = Grid2(32, 32, 1.0 / 32)
-    problem = DirichletProblem(g, DirichletGhost(rng.normal(size=(34, 34, 2))),
+    problem = DirichletProblem(g, rng.normal(size=(34, 34, 2)),
                                minimal_surface())
     cfg = SolverConfig(mu=1.5, delta_schedule=(0.1, 0.01),
                        residual_tol=1e-11)
