@@ -84,6 +84,32 @@ def _section(prefix: str, *also: type[Exception]):
         raise ConfigError(f"{prefix}: {reason}") from err
 
 
+def _keys(spec, section: str, *allowed: str) -> dict:
+    """``spec``, an object with no key outside ``allowed``: a misspelt key
+    would otherwise be ignored and its default used."""
+    _expect(isinstance(spec, dict), f"'{section}' must be an object")
+    unknown = sorted(str(k) for k in spec if k not in allowed)
+    _expect(not unknown, f"unknown {section} key(s): " + ", ".join(unknown))
+    return spec
+
+
+def _kind_keys(spec: dict, section: str, kinds: dict, *common: str) -> None:
+    """``_keys`` with the keys that ``kinds`` lists for ``spec``'s kind; an
+    unknown kind is left for its constructor to name."""
+    kind = spec.get("kind")
+    if isinstance(kind, str) and kind in kinds:
+        _keys(spec, section, "kind", *common, *kinds[kind])
+
+
+# the keys of each kind of density, problem and synthetic datum
+_DENSITY_KEYS = {"phi_mu": ("mu",), "minimal_surface": (),
+                 "combined": ("mu", "delta", "base")}
+_PROBLEM_KEYS = {"dirichlet": ("u0",), "fidelity": ("f", "mask", "lambda")}
+_SYNTHETIC_KEYS = {"constant": ("value",), "affine": ("ax", "ay", "c"),
+                   "edge_spike": ("height", "width", "center", "background"),
+                   "inverse_sqrt_spike": ("center", "cap")}
+
+
 def _count(value, name: str, least: int) -> int:
     """An integer of at least ``least``; booleans and floats are rejected."""
     _expect(isinstance(value, int) and not isinstance(value, bool)
@@ -112,6 +138,7 @@ def _parse_density(spec) -> RadialProfile:
     numbers: none is converted."""
     part = spec
     while isinstance(part, dict):
+        _kind_keys(part, "density", _DENSITY_KEYS)
         for key in ("mu", "delta"):
             if key in part:
                 _real(part[key], key)
@@ -139,12 +166,14 @@ def _check_synthetic(spec) -> None:
                     f"'{key}' needs {length} numbers")
             for x in point:
                 _real(x, key)
+    _kind_keys(spec, "synthetic datum", _SYNTHETIC_KEYS, "noise")
 
 
 def _parse_field(spec, grid: Grid2, rng: np.random.Generator,
                  base_dir: str) -> Field:
     _expect(isinstance(spec, dict), "field description must be an object")
     if "synthetic" in spec:
+        _keys(spec, "field", "synthetic")
         with _section("bad synthetic field"):
             _check_synthetic(spec["synthetic"])
             # sampled silently: the field rejects a sample that is not
@@ -153,7 +182,8 @@ def _parse_field(spec, grid: Grid2, rng: np.random.Generator,
                 return make_field(grid, spec["synthetic"], rng,
                                   snap_center=True)
     if "pgm" in spec:
-        p = spec["pgm"]
+        p = _keys(_keys(spec, "field", "pgm")["pgm"], "pgm field", "path",
+                  "lo", "hi")
         with _section("bad PGM field", OSError):
             f = field_from_pgm(os.path.join(base_dir, p["path"]), grid.h,
                                _real(p["lo"], "pgm.lo"),
@@ -161,6 +191,7 @@ def _parse_field(spec, grid: Grid2, rng: np.random.Generator,
         _expect(f.grid == grid, "PGM dimensions do not match the grid")
         return f
     if "csv" in spec:
+        _keys(_keys(spec, "field", "csv")["csv"], "csv field", "path")
         with _section("bad CSV field", OSError):
             f = field_from_csv(os.path.join(base_dir, spec["csv"]["path"]))
         _expect(f.grid == grid, "CSV grid does not match the config grid")
@@ -173,11 +204,12 @@ def _parse_mask(spec, grid: Grid2, base_dir: str) -> Mask:
         return Mask.empty(grid)
     _expect(isinstance(spec, dict), "mask description must be an object")
     if "rect" in spec:
-        r = spec["rect"]
+        r = _keys(spec, "mask", "rect")["rect"]
         _expect(isinstance(r, list) and len(r) == 4, "mask rect needs 4 numbers")
         with _section("bad mask rect"):
             return Mask.from_rect(grid, *(_real(x, "mask.rect") for x in r))
     if "pgm" in spec:
+        _keys(_keys(spec, "mask", "pgm")["pgm"], "pgm mask", "path")
         with _section("bad mask PGM", OSError):
             m = mask_from_pgm(os.path.join(base_dir, spec["pgm"]["path"]), grid.h)
         _expect(m.grid == grid, "mask dimensions do not match the grid")
@@ -190,6 +222,7 @@ def _parse_problem(spec, grid: Grid2 | None, rng: np.random.Generator,
     _expect(isinstance(spec, dict), "'problem' must be an object")
     _expect(grid is not None, "'problem' needs a 'grid' section")
     kind = spec.get("kind")
+    _kind_keys(spec, "problem", _PROBLEM_KEYS, "density")
     with _section("bad problem density"):
         density = _parse_density(spec["density"])
     if kind == "dirichlet":
@@ -197,6 +230,7 @@ def _parse_problem(spec, grid: Grid2 | None, rng: np.random.Generator,
         u0_spec = spec["u0"]
         if isinstance(u0_spec, dict) and "synthetic" in u0_spec:
             # analytic data can be sampled on the ghost ring directly
+            _keys(u0_spec, "field", "synthetic")
             syn = u0_spec["synthetic"]
             with _section("bad synthetic datum"):
                 _check_synthetic(syn)
@@ -222,7 +256,8 @@ def _parse_problem(spec, grid: Grid2 | None, rng: np.random.Generator,
 
 def parse_config(raw: dict, base_dir: str = ".",
                  seed_override: int | None = None) -> RunConfig:
-    _expect(isinstance(raw, dict), "config must be a JSON object")
+    _keys(raw, "config", "seed", "density", "density_check", "grid",
+          "solver", "problem", "ball", "s_values", "minimality_trials")
     cfg = RunConfig()
     cfg.seed = _count(raw.get("seed", 0) if seed_override is None
                       else seed_override, "seed", 0)
@@ -231,8 +266,8 @@ def parse_config(raw: dict, base_dir: str = ".",
     if "density" in raw:
         with _section("bad density"):
             cfg.density = _parse_density(raw["density"])
-    dc = raw.get("density_check", {})
-    _expect(isinstance(dc, dict), "'density_check' must be an object")
+    dc = _keys(raw.get("density_check", {}), "density_check", "t_max",
+               "samples")
     cfg.density_t_max = _real(dc.get("t_max", 100.0), "density_check.t_max",
                               0.0, strict=True)
     # far below where the profiles' closed forms overflow on the tail
@@ -242,18 +277,15 @@ def parse_config(raw: dict, base_dir: str = ".",
                                  "density_check.samples", 100)
 
     if "grid" in raw:
-        g = raw["grid"]
-        _expect(isinstance(g, dict), "'grid' must be an object")
+        g = _keys(raw["grid"], "grid", "nx", "ny", "h")
         with _section("bad grid"):
             cfg.grid = Grid2(_count(g["nx"], "grid.nx", 2),
                              _count(g["ny"], "grid.ny", 2),
                              _real(g["h"], "grid.h", 0.0, strict=True))
 
     if "solver" in raw:
-        s = raw["solver"]
-        _expect(isinstance(s, dict), "'solver' must be an object")
-        unknown = sorted(set(s) - {f.name for f in fields(SolverConfig)})
-        _expect(not unknown, "unknown solver key(s): " + ", ".join(unknown))
+        s = _keys(raw["solver"], "solver",
+                  *(f.name for f in fields(SolverConfig)))
         with _section("bad solver section"):
             # only the keys given; SolverConfig supplies the defaults and
             # checks the ranges
@@ -280,6 +312,8 @@ def parse_config(raw: dict, base_dir: str = ".",
     if "ball" in raw:
         b = raw["ball"]
         _expect(isinstance(b, dict), "'ball' must be an object")
+        _keys(b, "ball", "auto", "n", "j_max",
+              *(("x0",) if b.get("auto") else ("center", "r0")))
         cfg.ball_n = _count(b.get("n", 2), "ball.n", 2)
         cfg.ball_j_max = _count(b.get("j_max", 6), "ball.j_max", 1)
         if b.get("auto"):

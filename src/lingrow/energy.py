@@ -39,8 +39,6 @@ __all__ = [
     "FidelityProblem",
     "RegularizationState",
     "clip_data",
-    "energy_dirichlet",
-    "energy_fidelity",
     "energy_relaxed",
     "relaxed_boundary_penalty",
     "euler_residual",
@@ -471,20 +469,6 @@ def assemble_ops(problem, reg: RegularizationState | None):
 
 # ---------------------------------------------------------------------------
 # public API
-
-def energy_dirichlet(p: DirichletProblem, reg: RegularizationState | None,
-                     w: Field) -> float:
-    """Discrete Dirichlet energy of w; ``reg=None`` drops the delta term."""
-    _check_field(p, w)
-    return DirichletOps(p, reg).energy(w.values)
-
-
-def energy_fidelity(p: FidelityProblem, reg: RegularizationState | None,
-                    w: Field) -> float:
-    """Regularizer plus ``lam * sum h^2 (w - f_delta)^2`` off the mask."""
-    _check_field(p, w)
-    return FidelityOps(p, reg).energy(w.values)
-
 
 def euler_residual(p, reg: RegularizationState | None, w: Field) -> Field:
     """Exact gradient of the discrete energy with respect to cell values."""

@@ -60,10 +60,6 @@ class Grid2:
     def ly(self) -> float:
         return self.ny * self.h
 
-    @property
-    def cell_count(self) -> int:
-        return self.nx * self.ny
-
     def xs(self) -> np.ndarray:
         return (np.arange(self.nx) + 0.5) * self.h
 
@@ -131,16 +127,11 @@ class Field:
         out = np.asarray(fn(X, Y), dtype=float)
         if out.ndim == 0:  # constant function
             out = np.full((grid.nx, grid.ny), float(out))
-        if out.shape == (grid.nx, grid.ny):
-            out = out[:, :, None]
         return cls(grid, out)
 
     def magnitude(self) -> np.ndarray:
         """Per-cell euclidean norm across channels, shape (nx, ny)."""
         return np.sqrt(np.sum(self.values * self.values, axis=2))
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
 
 
 @dataclass
@@ -157,10 +148,6 @@ class Mask:
         if m.all():
             raise ValueError("mask must leave at least one cell uncovered")
         self.member = m
-
-    @property
-    def count(self) -> int:
-        return int(self.member.sum())
 
     @classmethod
     def empty(cls, grid: Grid2) -> "Mask":

@@ -51,7 +51,7 @@ min_cells_per_ball = 50
 
 
 class MoserGeometryError(ValueError):
-    """Ball family or radius search incompatible with the grid geometry."""
+    """Ball family or radius search that the grid or a float cannot hold."""
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,12 @@ class BallFamily:
             raise ValueError("dimension parameter n must be at least 2")
         if self.j_max < 1:
             raise ValueError("j_max must be at least 1")
+        try:  # a float power that overflows raises, never returns inf
+            self.q ** self.j_max, self.q ** (2 * self.n * (self.n - 1))
+        except OverflowError:
+            raise MoserGeometryError(
+                "ball family too deep or too wide: (n/(n-1))^j_max or "
+                "(n/(n-1))^(2n(n-1)) is not a finite float") from None
 
     @property
     def q(self) -> float:
@@ -100,9 +106,11 @@ def exponents(bf: BallFamily) -> np.ndarray:
     return bf.q ** j - 1.0
 
 
-def _check_family(u: Field, bf: BallFamily) -> None:
-    if not u.grid.contains_ball(bf.ball(0)):
-        raise MoserGeometryError("outer ball is not contained in the domain")
+def _check_outer_ball(grid: Grid2, bf: BallFamily) -> None:
+    if not grid.contains_ball(bf.ball(0)):
+        raise MoserGeometryError(
+            f"ball of radius {bf.r0:g} at {bf.center} is not strictly "
+            "inside the domain")
 
 
 def check_geometry(grid: Grid2, bf: BallFamily) -> None:
@@ -112,10 +120,7 @@ def check_geometry(grid: Grid2, bf: BallFamily) -> None:
     limit ball, whose sup the bound compares, is at least half as wide, so
     it then holds a cell centre too.  Only the grid is needed, so a run can
     check before it solves."""
-    if not grid.contains_ball(bf.ball(0)):
-        raise MoserGeometryError(
-            f"ball of radius {bf.r0:g} at {bf.center} is not strictly "
-            "inside the domain")
+    _check_outer_ball(grid, bf)
     count = int(grid.cells_in_ball(bf.ball(bf.j_max)).sum())
     if count < min_cells_per_ball:
         raise MoserGeometryError(
@@ -123,21 +128,22 @@ def check_geometry(grid: Grid2, bf: BallFamily) -> None:
             f"at least {min_cells_per_ball} required")
 
 
-def _log_masses(u: Field, bf: BallFamily) -> np.ndarray:
-    """log a_j, computed in log space so large exponents cannot overflow."""
-    _check_family(u, bf)
+def _log_masses(u: Field, bf: BallFamily) -> tuple[np.ndarray, np.ndarray]:
+    """log a_j, computed in log space so large exponents cannot overflow,
+    and a_j, capped at e^700."""
+    _check_outer_ball(u.grid, bf)
     rr = radii(bf)
     out = np.empty(bf.j_max + 1)
     for j in range(bf.j_max + 1):
         p = bf.q ** j
         lg = lp_on_log(u, Ball(bf.center, rr[j]), p)
         out[j] = max(0.0, lg)  # max(1, integral) in log space
-    return out
+    return out, np.exp(np.minimum(out, 700.0))
 
 
 def masses(u: Field, bf: BallFamily) -> np.ndarray:
     """Truncated level masses a_j = max(1, integral of |u|^(q^j) over B_j)."""
-    return np.exp(np.minimum(_log_masses(u, bf), 700.0))
+    return _log_masses(u, bf)[1]
 
 
 @dataclass
@@ -158,7 +164,10 @@ def verify_recursion(u: Field, bf: BallFamily) -> RecursionCheck:
     Passes when the level constants show no growth trend across the last
     half of the levels (consecutive ratios <= 1.05).
     """
-    log_a = _log_masses(u, bf)
+    return _recursion(_log_masses(u, bf)[0], bf)
+
+
+def _recursion(log_a: np.ndarray, bf: BallFamily) -> RecursionCheck:
     q = bf.q
     j = np.arange(bf.j_max)
     log_c = log_a[1:] / q - 2.0 * j * math.log(q) - log_a[:-1]
@@ -191,7 +200,7 @@ def sup_bound(check: RecursionCheck, u: Field, bf: BallFamily) -> SupBoundCheck:
     the whole domain; observed = sup of |u| over the limit ball.  For n = 2
     the middle factor is exactly 16.
     """
-    _check_family(u, bf)
+    _check_outer_ball(u.grid, bf)
     q = bf.q
     n = bf.n
     prefactor = q ** (2 * n * (n - 1))
@@ -236,7 +245,7 @@ def caccioppoli_check(u: Field, bf: BallFamily, s: float) -> CaccioppoliCheck:
     """
     if s < 0.0:
         raise ValueError("s must be non-negative")
-    _check_family(u, bf)
+    _check_outer_ball(u.grid, bf)
     g = u.grid
     h2 = g.h * g.h
     X, Y = g.centers()
@@ -308,13 +317,11 @@ def select_radius(f: Field, mask: Mask, lam: float,
                                  "finite eps0 = 1/(16 lam^2)")
     dist = g.boundary_distance(x0[0], x0[1])
     r = dist / 2.0
-    X, Y = g.centers()
-    r2_cell = (X - x0[0]) ** 2 + (Y - x0[1]) ** 2
     f2 = f.magnitude() ** 2
     outside = ~mask.member
     h2 = g.h * g.h
     while r > 3.0 * g.h:
-        inside = r2_cell < r * r
+        inside = g.cells_in_ball(Ball(x0, r))
         data_mass = h2 * float(np.sum(f2[inside & outside]))
         if data_mass < eps0:
             return r, eps0
@@ -371,10 +378,11 @@ def moser_report(u: Field, bf: BallFamily, s_values=(0.0, 1.0, 3.0),
                  epsilon0: float | None = None) -> MoserReport:
     """Run the full audit for one solution field."""
     check_geometry(u.grid, bf)
-    rec = verify_recursion(u, bf)
+    log_a, a = _log_masses(u, bf)
+    rec = _recursion(log_a, bf)
     return MoserReport(
         center=bf.center, r0=bf.r0, r_inf=bf.r_inf, n=bf.n, j_max=bf.j_max,
-        radii=radii(bf), exponents=exponents(bf), masses=masses(u, bf),
+        radii=radii(bf), exponents=exponents(bf), masses=a,
         recursion=rec, bound=sup_bound(rec, u, bf),
         caccioppoli=[caccioppoli_check(u, bf, s) for s in s_values],
         epsilon0=epsilon0)

@@ -309,10 +309,7 @@ def density_grad(p: RadialProfile, P) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if not np.all(np.isfinite(P)):
         raise ValueError("P must be finite")
-    t = float(np.sqrt(np.sum(P * P)))
-    if t < _ORIGIN_CUTOFF:
-        return profile_d2(p, 0.0) * P
-    return (profile_d1(p, t) / t) * P
+    return slope_ratio(p, float(np.sqrt(np.sum(P * P)))) * P
 
 
 def density_hess_quadform(p: RadialProfile, P, Q) -> float:
@@ -334,8 +331,7 @@ def density_hess_quadform(p: RadialProfile, P, Q) -> float:
         return profile_d2(p, 0.0) * q2
     pq = float(np.sum(P * Q))
     radial2 = (pq / t) ** 2
-    ratio = profile_d1(p, t) / t if t >= _ORIGIN_CUTOFF else profile_d2(p, 0.0)
-    return ratio * (q2 - radial2) + profile_d2(p, t) * radial2
+    return slope_ratio(p, t) * (q2 - radial2) + profile_d2(p, t) * radial2
 
 
 @dataclass(frozen=True)
@@ -472,7 +468,10 @@ def _certify_mu(p: RadialProfile, t: np.ndarray, floor: np.ndarray,
 
     A candidate mu supports a positive constant exactly when it is at least
     the asymptotic decay rate of the floor, so candidates are screened
-    against the rate read on the tail (with half a scan step of slack).  The
+    against the rate read on the tail (with half a scan step of slack).
+    The candidates are the exponents of the nest's ``phi_mu`` terms, the
+    smallest first (the floor of a sum decays like its slowest term),
+    whatever the nesting; a density without one is scanned instead.  The
     reported nu6 is the minimum of ``floor * (1+t)^mu`` over the full
     sample grid.  Returns (mu, nu6) or None, also for a floor that vanishes
     on the grid: it does not increase, so it vanishes on the tail as well.
@@ -480,10 +479,11 @@ def _certify_mu(p: RadialProfile, t: np.ndarray, floor: np.ndarray,
     beta = _floor_decay_exponent(p, t_max)
     if not math.isfinite(beta):
         return None
-    if p.kind in ("phi_mu", "combined"):
-        candidates = [p.mu]
-    else:
-        candidates = [round(m, 2) for m in np.arange(1.05, 6.001, _MU_SCAN_STEP)]
+    nest = [p]
+    while nest[-1].base is not None:
+        nest.append(nest[-1].base)
+    candidates = sorted(q.mu for q in nest if q.mu is not None) or [
+        round(m, 2) for m in np.arange(1.05, 6.001, _MU_SCAN_STEP)]
     for mu in candidates:
         if mu >= beta - 0.5 * _MU_SCAN_STEP:
             nu6 = float(np.min(floor * np.exp(mu * np.log1p(t))))

@@ -174,6 +174,15 @@ class TestDensityCheck:
 
 
 class TestSolve:
+    def test_a_misspelt_key_exits_two_with_one_line(self, tmp_path, capsys):
+        cfg = denoise_config()
+        cfg["problem"]["lamda"] = 0.5
+        rc, out = run(tmp_path, "solve", cfg)
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "lingrow: unknown problem key(s): lamda\n"
+        assert not out.exists()
+
     def test_constant_denoising_artifacts(self, tmp_path):
         rc, out = run(tmp_path, "solve", denoise_config())
         assert rc == 0
@@ -414,6 +423,28 @@ class TestMoser:
         assert "innermost ball holds 12 cell centres" in err
         assert len(err.splitlines()) == 1
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("ball", [
+        {"center": [0.5, 0.5], "r0": 0.3, "j_max": 1024},
+        {"center": [0.5, 0.5], "r0": 0.3, "n": 3, "j_max": 2000},
+        {"center": [0.5, 0.5], "r0": 0.3, "n": 10 ** 400},
+        {"auto": True, "x0": [0.5, 0.5], "j_max": 1024},
+    ], ids=["n2-j1024", "n3-j2000", "n-huge", "auto-j1024"])
+    def test_a_family_too_deep_for_a_float_exits_two_before_solving(
+            self, tmp_path, capsys, monkeypatch, ball):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve started")
+
+        monkeypatch.setattr(cli, "continuation_solve", no_solve)
+        cfg = zero_moser_config()
+        cfg["ball"] = ball
+        rc, out = run(tmp_path, "moser", cfg)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lingrow:") and "ball family too deep" in err
+        assert len(err.splitlines()) == 1
+        # an explicit family fails at parse time, before --out is made
+        assert not out.exists() or os.listdir(out) == []
 
     def test_minimality_trials_zero_exits_two_before_solving(
             self, tmp_path, capsys):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from lingrow.energy import (DirichletProblem, FidelityProblem,
-                            RegularizationState, assemble_ops, clip_data, energy_dirichlet,
-                            energy_fidelity, energy_relaxed, euler_residual,
+                            RegularizationState, assemble_ops, clip_data,
+                            energy_relaxed, euler_residual,
                             relaxed_boundary_penalty, total_variation)
 from lingrow.grids import (Field, Grid2, Mask, neumann_live, ring_adjoint,
                            ring_differences)
@@ -106,9 +106,10 @@ def test_clip_distance_monotone_in_delta():
 def test_zero_field_zero_energy():
     g = unit_grid(8)
     problem = DirichletProblem.from_field(Field.zeros(g), phi_mu(2.0))
-    assert energy_dirichlet(problem, None, Field.zeros(g)) == 0.0
+    zero = Field.zeros(g).values
+    assert assemble_ops(problem, None).energy(zero) == 0.0
     reg = RegularizationState(0.1, 1.5, "dirichlet")
-    assert energy_dirichlet(problem, reg, Field.zeros(g)) == 0.0
+    assert assemble_ops(problem, reg).energy(zero) == 0.0
 
 
 def test_affine_dirichlet_energy_is_exact():
@@ -120,10 +121,11 @@ def test_affine_dirichlet_energy_is_exact():
     t = math.hypot(2.0, -1.0)
     reg = RegularizationState(0.1, 1.5, "dirichlet")
     expected = area * profile_eval(reg.apply(problem.density), t)
-    assert energy_dirichlet(problem, reg, w) == pytest.approx(expected, rel=1e-13)
+    assert assemble_ops(problem, reg).energy(w.values) == pytest.approx(
+        expected, rel=1e-13)
     expected_plain = area * profile_eval(problem.density, t)
-    assert energy_dirichlet(problem, None, w) == pytest.approx(expected_plain,
-                                                               rel=1e-13)
+    assert assemble_ops(problem, None).energy(w.values) == pytest.approx(
+        expected_plain, rel=1e-13)
 
 
 def test_dirichlet_energy_matches_naive_loop():
@@ -131,7 +133,7 @@ def test_dirichlet_energy_matches_naive_loop():
         problem, w = random_dirichlet(channels=channels, seed=seed)
         reg = RegularizationState(0.1, 1.5, "dirichlet")
         for r in (None, reg):
-            a = energy_dirichlet(problem, r, w)
+            a = assemble_ops(problem, r).energy(w.values)
             b = naive_energy_dirichlet(problem, r, w.values)
             assert a == pytest.approx(b, rel=1e-12)
 
@@ -140,7 +142,7 @@ def test_fidelity_energy_matches_naive_loop():
     problem, w = random_fidelity()
     reg = RegularizationState(0.1, 1.5, "fidelity")
     for r in (None, reg):
-        a = energy_fidelity(problem, r, w)
+        a = assemble_ops(problem, r).energy(w.values)
         b = naive_energy_fidelity(problem, r, w.values)
         assert a == pytest.approx(b, rel=1e-12)
 
@@ -150,12 +152,12 @@ def test_fidelity_energy_trivial_cases():
     f = Field.full(g, 2.0)
     problem = FidelityProblem(g, f, Mask.empty(g), 0.7, minimal_surface())
     reg = RegularizationState(0.1, 1.5, "fidelity")
-    assert energy_fidelity(problem, reg, Field.full(g, 2.0)) == 0.0
+    assert assemble_ops(problem, reg).energy(Field.full(g, 2.0).values) == 0.0
 
     f1 = Field.full(g, 1.0)
     problem = FidelityProblem(g, f1, Mask.empty(g), 0.7, minimal_surface())
-    e = energy_fidelity(problem, reg, Field.zeros(g))
-    assert e == pytest.approx(0.7 * g.h ** 2 * g.cell_count, rel=1e-13)
+    e = assemble_ops(problem, reg).energy(Field.zeros(g).values)
+    assert e == pytest.approx(0.7 * g.h ** 2 * g.nx * g.ny, rel=1e-13)
 
 
 def test_fidelity_rejects_vector_fields():
@@ -331,11 +333,10 @@ def test_residual_matches_energy_gradient(kind):
     if kind == "dirichlet":
         problem, w = random_dirichlet(seed=5)
         reg = RegularizationState(0.1, 1.5, "dirichlet")
-        energy = lambda v: energy_dirichlet(problem, reg, Field(problem.grid, v))
     else:
         problem, w = random_fidelity(seed=6)
         reg = RegularizationState(0.1, 1.5, "fidelity")
-        energy = lambda v: energy_fidelity(problem, reg, Field(problem.grid, v))
+    energy = assemble_ops(problem, reg).energy
     res = euler_residual(problem, reg, w).values
     for _ in range(20):
         idx = (rng.integers(0, 8), rng.integers(0, 8), 0)
@@ -361,11 +362,11 @@ def test_energy_convex_along_segments(kind):
     if kind == "dirichlet":
         problem, w1 = random_dirichlet(seed=7)
         reg = RegularizationState(0.1, 1.5, "dirichlet")
-        energy = lambda v: energy_dirichlet(problem, reg, v)
     else:
         problem, w1 = random_fidelity(seed=8)
         reg = RegularizationState(0.1, 1.5, "fidelity")
-        energy = lambda v: energy_fidelity(problem, reg, v)
+    ops = assemble_ops(problem, reg)
+    energy = lambda w: ops.energy(w.values)
     w2 = Field(problem.grid, rng.normal(size=w1.values.shape))
     e1, e2 = energy(w1), energy(w2)
     for t in (0.25, 0.5, 0.75):
@@ -378,7 +379,7 @@ def test_growth_sandwich_transfers_to_energy():
     c = certify_conditions(problem.density, 100.0, 1000).constants
     area = problem.grid.lx * problem.grid.ly
     tv = total_variation(problem, w)
-    e = energy_dirichlet(problem, None, w)
+    e = assemble_ops(problem, None).energy(w.values)
     assert c.nu1 * tv - c.nu2 * area - 1e-10 <= e <= c.nu3 * tv + c.nu4 * area + 1e-10
 
 
@@ -394,8 +395,8 @@ def test_channel_mismatch_rejected():
     problem, _ = random_dirichlet(channels=2, seed=10)
     reg = RegularizationState(0.1, 1.5, "dirichlet")
     bad = Field.zeros(problem.grid, 1)
-    with pytest.raises(ValueError):
-        energy_dirichlet(problem, reg, bad)
+    with pytest.raises(ValueError, match="channel count"):
+        euler_residual(problem, reg, bad)
 
 
 # ---------------------------------------------------------------------------

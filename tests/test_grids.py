@@ -42,7 +42,7 @@ def test_grid_geometry():
     g = Grid2(4, 8, 0.25)
     assert g.lx == pytest.approx(1.0)
     assert g.ly == pytest.approx(2.0)
-    assert g.cell_count == 32
+    assert g.nx * g.ny == 32
     assert np.allclose(g.xs(), [0.125, 0.375, 0.625, 0.875])
     assert len(g.xs_ext()) == 6
     assert g.xs_ext()[0] == pytest.approx(-0.125)
@@ -64,9 +64,9 @@ def test_field_validation_and_promotion():
 def test_mask_rules():
     g = unit_grid(4)
     m = Mask.from_rect(g, 0.0, 0.0, 0.5, 0.5)
-    assert m.count == 4
-    assert m.count + np.sum(~m.member) == g.cell_count
-    assert Mask.empty(g).count == 0
+    assert int(m.member.sum()) == 4
+    assert int(m.member.sum()) + np.sum(~m.member) == g.nx * g.ny
+    assert int(Mask.empty(g).member.sum()) == 0
     with pytest.raises(ValueError):
         Mask(g, np.ones((4, 4), dtype=bool))  # covering everything
 
@@ -283,7 +283,7 @@ def test_mask_complement_counts(nx, ny, h):
     if member.all():
         member[0, 0] = False
     m = Mask(g, member)
-    assert m.count + int(np.sum(~m.member)) == g.cell_count
+    assert int(m.member.sum()) + int(np.sum(~m.member)) == g.nx * g.ny
 
 
 @given(st.integers(3, 10))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -97,13 +98,13 @@ def test_fidelity_inverse_sqrt_instance():
     problem = fidelity_inverse_sqrt()
     assert isinstance(problem, FidelityProblem)
     assert problem.lam == 0.5
-    assert problem.mask.count == Mask.from_rect(
-        problem.grid, 0.1, 0.4, 0.3, 0.6).count
+    assert int(problem.mask.member.sum()) == int(Mask.from_rect(
+        problem.grid, 0.1, 0.4, 0.3, 0.6).member.sum())
     assert float(np.max(problem.f.values)) >= 98.0  # cap plus noise
     again = fidelity_inverse_sqrt()
     assert np.array_equal(problem.f.values, again.f.values)
     pure = fidelity_inverse_sqrt(mask_rect=None)
-    assert pure.mask.count == 0
+    assert int(pure.mask.member.sum()) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +163,7 @@ def test_parse_fidelity_with_mask_and_auto_ball():
     cfg = parse_config(raw)
     p = cfg.problem
     assert isinstance(p, FidelityProblem) and p.lam == 0.5
-    assert p.mask.count == 64
+    assert int(p.mask.member.sum()) == 64
     assert cfg.ball is None and cfg.ball_auto_x0 == (0.5, 0.5)
 
 
@@ -185,13 +186,20 @@ def test_seed_override_controls_noise():
     assert np.array_equal(b.problem.f.values, c.problem.f.values)
 
 
+def as_fidelity(raw, **entries):
+    """Turn the base config's problem into a fidelity problem with
+    ``entries``; the Dirichlet ``u0`` goes, as it is not a fidelity key."""
+    del raw["problem"]["u0"]
+    raw["problem"].update(kind="fidelity", **entries)
+
+
 @pytest.mark.parametrize("mutate,fragment", [
     (lambda r: r.update(density={"kind": "phi_mu", "mu": 0.5}), "bad density"),
     (lambda r: r.update(density={"kind": "phi_mu"}), "bad density"),
     (lambda r: r.update(density={"kind": "phi_mu"}),
      "bad density: missing key 'mu'"),
-    (lambda r: r["problem"].update(
-        kind="fidelity", f={"synthetic": {"kind": "constant"}}),
+    (lambda r: as_fidelity(
+        r, f={"synthetic": {"kind": "constant"}}),
      "bad synthetic field: missing key 'value'"),
     (lambda r: r.update(grid={"nx": 1, "ny": 4, "h": 0.1}), "bad grid"),
     (lambda r: r.update(solver={"mu": 2.5}), "between 1 and 2"),
@@ -257,12 +265,12 @@ def test_seed_override_controls_noise():
      "'solver.mu' must be a finite number"),
     (lambda r: r.update(solver={"residual_tol": "1e-9"}),
      "'solver.residual_tol' must be a finite number"),
-    (lambda r: r["problem"].update(
-        kind="fidelity", f={"synthetic": {"kind": "constant", "value": 1.0}},
+    (lambda r: as_fidelity(
+        r, f={"synthetic": {"kind": "constant", "value": 1.0}},
         **{"lambda": "0.5"}),
      "'lambda' must be a number > 0"),
-    (lambda r: r["problem"].update(
-        kind="fidelity", f={"synthetic": {"kind": "constant", "value": 1.0}},
+    (lambda r: as_fidelity(
+        r, f={"synthetic": {"kind": "constant", "value": 1.0}},
         mask={"rect": ["0.1", 0.2, 0.3, 0.4]}),
      "'mask.rect' must be a finite number"),
     (lambda r: r["problem"]["u0"].update(synthetic=None),
@@ -274,12 +282,12 @@ def test_seed_override_controls_noise():
     (lambda r: r["problem"]["u0"].update(synthetic={
         "kind": "edge_spike", "background": [[[[0.0]]], 1.0, 1.0]}),
      "bad synthetic datum"),
-    (lambda r: r["problem"].update(
-        kind="fidelity", f={"synthetic": {"kind": "inverse_sqrt_spike",
+    (lambda r: as_fidelity(
+        r, f={"synthetic": {"kind": "inverse_sqrt_spike",
                                           "center": [0.5]}}),
      "bad synthetic field"),
-    (lambda r: r["problem"].update(
-        kind="fidelity", f={"synthetic": {"kind": "constant", "value": 1.0}},
+    (lambda r: as_fidelity(
+        r, f={"synthetic": {"kind": "constant", "value": 1.0}},
         mask={"rect": [[0.1], 0.2, 0.3, 0.4]}),
      "bad mask rect"),
     # nor are the numbers of a density or of a synthetic datum
@@ -312,16 +320,16 @@ def test_seed_override_controls_noise():
      "'background' must be a finite number"),
     (lambda r: r["problem"]["u0"]["synthetic"].update(ay=False),
      "'ay' must be a finite number"),
-    (lambda r: r["problem"].update(
-        kind="fidelity", f={"synthetic": {"kind": "constant", "value": 1.0,
+    (lambda r: as_fidelity(
+        r, f={"synthetic": {"kind": "constant", "value": 1.0,
                                           "noise": "0.1"}}),
      "bad synthetic field: 'noise' must be a finite number"),
-    (lambda r: r["problem"].update(
-        kind="fidelity", f={"synthetic": {"kind": "constant",
+    (lambda r: as_fidelity(
+        r, f={"synthetic": {"kind": "constant",
                                           "value": "1.0"}}),
      "'value' must be a finite number"),
-    (lambda r: r["problem"].update(
-        kind="fidelity", f={"synthetic": {"kind": "inverse_sqrt_spike",
+    (lambda r: as_fidelity(
+        r, f={"synthetic": {"kind": "inverse_sqrt_spike",
                                           "center": [0.5, 0.5],
                                           "cap": "100"}}),
      "'cap' must be a finite number"),
@@ -330,6 +338,59 @@ def test_parse_config_errors(mutate, fragment):
     raw = base_config()
     mutate(raw)
     with pytest.raises(ConfigError, match=fragment):
+        parse_config(raw)
+
+
+CONSTANT = {"synthetic": {"kind": "constant", "value": 1.0}}
+COMBINED_MS = {"kind": "combined", "delta": 0.1, "mu": 1.5,
+               "base": {"kind": "minimal_surface"}}
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda r: r.update(minimality_trial=5, s_value=[1.0]),
+     "unknown config key(s): minimality_trial, s_value"),
+    (lambda r: r["density_check"].update(t_mx=10.0),
+     "unknown density_check key(s): t_mx"),
+    (lambda r: r["grid"].update(hx=0.1), "unknown grid key(s): hx"),
+    (lambda r: r["problem"].update(f=CONSTANT), "unknown problem key(s): f"),
+    (lambda r: as_fidelity(r, f=CONSTANT, lamda=0.5),
+     "unknown problem key(s): lamda"),
+    (lambda r: r["problem"]["u0"].update(csv={"path": "u0.csv"}),
+     "unknown field key(s): csv"),
+    (lambda r: as_fidelity(r, f={"pgm": {"path": "f.pgm", "lo": 0.0,
+                                         "hi": 1.0, "gamma": 2.0}}),
+     "unknown pgm field key(s): gamma"),
+    (lambda r: as_fidelity(r, f={"csv": {"path": "f.csv", "sep": ";"}}),
+     "unknown csv field key(s): sep"),
+    (lambda r: as_fidelity(r, f=CONSTANT, mask={
+        "rect": [0.1, 0.1, 0.4, 0.4], "pgm": {"path": "m.pgm"}}),
+     "unknown mask key(s): pgm"),
+    (lambda r: as_fidelity(r, f=CONSTANT, mask={
+        "pgm": {"path": "m.pgm", "invert": True}}),
+     "unknown pgm mask key(s): invert"),
+    (lambda r: r["ball"].update(jmax=3), "unknown ball key(s): jmax"),
+    (lambda r: r.update(ball={"auto": True, "x0": [0.5, 0.5], "r0": 0.2}),
+     "unknown ball key(s): r0"),
+    (lambda r: r.update(density=dict(COMBINED_MS, delat=0.1)),
+     "unknown density key(s): delat"),
+    (lambda r: r["problem"].update(density=dict(
+        COMBINED_MS, base={"kind": "phi_mu", "mu": 1.2, "delta": 0.1})),
+     "unknown density key(s): delta"),
+    (lambda r: r["problem"]["u0"].update(
+        synthetic={"kind": "edge_spike", "hieght": 5.0}),
+     "unknown synthetic datum key(s): hieght"),
+    (lambda r: as_fidelity(r, f={"synthetic": {
+        "kind": "constant", "value": 1.0, "noize": 0.1}}),
+     "unknown synthetic datum key(s): noize"),
+], ids=["top-level", "density_check", "grid", "dirichlet-problem",
+        "fidelity-problem", "field-two-sources", "pgm-field", "csv-field",
+        "mask-two-sources", "pgm-mask", "explicit-ball", "auto-ball",
+        "density", "nested-density", "synthetic", "synthetic-noise"])
+def test_an_unknown_key_is_a_config_error(mutate, message):
+    """A misspelt key is named, never ignored in favour of its default."""
+    raw = base_config()
+    mutate(raw)
+    with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config(raw)
 
 
@@ -345,16 +406,16 @@ def test_an_integer_too_large_for_a_float_is_a_config_error(mutate):
         parse_config(raw)
 
 
-@pytest.mark.parametrize("problem", [
-    {"u0": {"synthetic": {"kind": "edge_spike", "width": 0.0,
-                          "center": [0.5, 0.0]}}},
-    {"kind": "fidelity", "f": {"synthetic": {"kind": "affine", "ax": 1e308,
-                                             "c": 1e308}}},
+@pytest.mark.parametrize("mutate", [
+    lambda r: r["problem"].update(u0={"synthetic": {
+        "kind": "edge_spike", "width": 0.0, "center": [0.5, 0.0]}}),
+    lambda r: as_fidelity(r, f={"synthetic": {"kind": "affine", "ax": 1e308,
+                                              "c": 1e308}}),
 ], ids=["zero-width-spike", "overflowing-affine"])
-def test_a_non_finite_synthetic_datum_warns_nothing(problem):
+def test_a_non_finite_synthetic_datum_warns_nothing(mutate):
     """The sample is rejected with one message, and numpy prints nothing."""
     raw = base_config()
-    raw["problem"].update(problem)
+    mutate(raw)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match="must be finite"):
@@ -467,7 +528,7 @@ def test_mask_pgm_and_dirichlet_datum_from_files(tmp_path):
     cfg = parse_config(raw, base_dir=str(tmp_path))
     # nonzero samples are members
     assert np.array_equal(cfg.problem.mask.member, inside.values[:, :, 0] > 0)
-    assert cfg.problem.mask.count == 8
+    assert int(cfg.problem.mask.member.sum()) == 8
 
     raw["problem"] = {"kind": "dirichlet",
                       "density": {"kind": "minimal_surface"},

@@ -82,6 +82,33 @@ def test_family_validation():
     assert bf.limit_ball().radius == 0.5
 
 
+@pytest.mark.parametrize("n, j_max", [(2, 1024), (3, 2000), (10 ** 400, 1),
+                                      (356, 6)],
+                         ids=["n2-j1024", "n3-j2000", "n-huge", "n356"])
+def test_family_too_deep_for_a_float_rejected(n, j_max):
+    """The top exponent q^j_max and the sup bound's prefactor q^(2n(n-1))
+    must be finite floats."""
+    with pytest.raises(MoserGeometryError, match="too deep or too wide"):
+        BallFamily((0.5, 0.5), 0.3, n=n, j_max=j_max)
+
+
+def test_widest_family_a_float_holds_is_bounded():
+    g = Grid2(32, 32, 1.0 / 32)
+    u = Field(g, np.random.default_rng(9).uniform(0.0, 2.0, (32, 32, 1)))
+    bf = BallFamily((0.5, 0.5), 0.3, n=355, j_max=6)
+    bound = sup_bound(verify_recursion(u, bf), u, bf)
+    assert bound.prefactor < math.inf and bound.passed
+
+
+def test_deepest_family_a_float_holds_is_audited():
+    bf = BallFamily((0.5, 0.5), 0.3, j_max=1023)
+    assert exponents(bf)[-1] == 2.0 ** 1023 - 1.0
+    rng = np.random.default_rng(8)
+    u = Field(Grid2(32, 32, 1.0 / 32), rng.uniform(0.0, 3.0, (32, 32, 1)))
+    rep = moser_report(u, bf, s_values=(0.0,))
+    assert np.all(np.isfinite(rep.masses)) and rep.bound.predicted < math.inf
+
+
 # ---------------------------------------------------------------------------
 # masses
 

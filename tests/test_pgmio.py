@@ -143,7 +143,7 @@ def test_mask_from_pgm(tmp_path):
     assert mask.grid == Grid2(3, 2, 0.5)
     # bottom raster row is y = 0: cells (0,0)=7 and (1,1)=255 are members
     assert mask.member[0, 0] and mask.member[1, 1]
-    assert mask.count == 2
+    assert int(mask.member.sum()) == 2
 
 
 def test_csv_round_trip_exact(tmp_path):

@@ -279,9 +279,26 @@ def test_certify_combined_profiles():
     assert rep.constants.mu_certified == 1.5
     assert 0.1 < rep.constants.nu6 < 0.11
 
+    # the smallest exponent of the nest, not the outer one
     rep = certify_conditions(combined(0.05, 1.9, phi_mu(1.2)), 100.0, 1000)
     assert rep.all_passed
-    assert rep.constants.mu_certified == 1.9
+    assert rep.constants.mu_certified == 1.2
+
+
+@pytest.mark.parametrize("t_max", [10.0, 100.0, 1000.0])
+@pytest.mark.parametrize("p, mu", [
+    (combined(0.2, 1.3, combined(0.1, 1.5, minimal_surface())), 1.3),
+    (combined(0.1, 1.5, combined(0.2, 1.3, minimal_surface())), 1.3),
+    (combined(0.1, 1.5, phi_mu(1.2)), 1.2),
+    (combined(0.1, 1.2, phi_mu(1.5)), 1.5),
+], ids=["ms-inner-1.5", "ms-inner-1.3", "phi-inner-1.2", "phi-inner-1.5"])
+def test_a_combined_density_certifies_its_smallest_sustained_exponent(
+        p, mu, t_max):
+    """The same sum certifies the same exponent however it is nested; an
+    exponent the floor does not sustain on the tail is passed over."""
+    rep = certify_conditions(p, t_max, 1000)
+    assert rep.all_passed, [k for k, c in rep.checks.items() if not c.passed]
+    assert rep.constants.mu_certified == mu
 
 
 @pytest.mark.parametrize("t_max", [1e-3, 1.0, 10.0])

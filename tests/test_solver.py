@@ -7,7 +7,7 @@ import pytest
 
 from lingrow import energy, solver
 from lingrow.energy import (DirichletProblem, FidelityProblem,
-                            RegularizationState, energy_fidelity,
+                            RegularizationState, assemble_ops,
                             euler_residual)
 from lingrow.grids import Ball, Field, Grid2, Mask
 from lingrow.instances import (dirichlet_boundary_spike,
@@ -89,11 +89,12 @@ def test_descent_reduces_energy():
     problem = denoise_problem()
     reg = RegularizationState(0.1, 1.5, "fidelity")
     init = Field.zeros(problem.grid)
-    e0 = energy_fidelity(problem, reg, init)
+    ops = assemble_ops(problem, reg)
+    e0 = ops.energy(init.values)
     u, stats = minimize_fixed_delta(problem, reg, init)
     assert stats.converged
     assert stats.energy <= e0 + 1e-12 * (1.0 + abs(e0))
-    assert stats.energy == pytest.approx(energy_fidelity(problem, reg, u),
+    assert stats.energy == pytest.approx(ops.energy(u.values),
                                          rel=1e-12)
 
 
