@@ -48,6 +48,9 @@ __all__ = [
 # smallest admissible cell count inside the innermost ball for the
 # level integrals to mean anything
 min_cells_per_ball = 50
+# caccioppoli_check skips every annulus thinner than two cells
+_THIN_ANNULI = ("no annulus is at least two cells wide; enlarge r0 or "
+                "refine the grid")
 
 
 class MoserGeometryError(ValueError):
@@ -115,17 +118,21 @@ def _check_outer_ball(grid: Grid2, bf: BallFamily) -> None:
 
 def check_geometry(grid: Grid2, bf: BallFamily) -> None:
     """Raise ``MoserGeometryError`` unless ``moser_report`` can audit the
-    family on this grid: the outer ball strictly inside the domain and at
-    least ``min_cells_per_ball`` cell centres in the innermost ball.  The
-    limit ball, whose sup the bound compares, is at least half as wide, so
-    it then holds a cell centre too.  Only the grid is needed, so a run can
-    check before it solves."""
+    family on this grid: the outer ball strictly inside the domain, at
+    least ``min_cells_per_ball`` cell centres in the innermost ball, and a
+    first annulus at least two cells wide, which ``caccioppoli_check``
+    needs.  The limit ball, whose sup the bound compares, is at least half
+    as wide as the innermost one, so it then holds a cell centre too.  Only
+    the grid is needed, so a run can check before it solves."""
     _check_outer_ball(grid, bf)
     count = int(grid.cells_in_ball(bf.ball(bf.j_max)).sum())
     if count < min_cells_per_ball:
         raise MoserGeometryError(
             f"innermost ball holds {count} cell centres; "
             f"at least {min_cells_per_ball} required")
+    r0, r1 = radii(bf)[:2]
+    if r0 - r1 < 2.0 * grid.h:
+        raise MoserGeometryError(_THIN_ANNULI)
 
 
 def _log_masses(u: Field, bf: BallFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -277,9 +284,7 @@ def caccioppoli_check(u: Field, bf: BallFamily, s: float) -> CaccioppoliCheck:
         else:
             levels.append(lhs / ((s + 1.0) * bracket))
     if not levels:
-        raise MoserGeometryError(
-            "no annulus is at least two cells wide; enlarge r0 or refine "
-            "the grid")
+        raise MoserGeometryError(_THIN_ANNULI)
     c_levels = np.asarray(levels)
     note = "" if len(levels) == bf.j_max else \
         f"levels beyond {len(levels) - 1} have sub-grid annuli and were skipped"

@@ -10,6 +10,7 @@ the domain.  CSV rows are ``x,y,channel,value`` at cell centers.
 from __future__ import annotations
 
 import io
+import itertools
 import os
 
 import numpy as np
@@ -131,38 +132,63 @@ def field_to_csv(path: str | os.PathLike, u: Field) -> None:
                              in zip(tails, column.ravel().tolist())))
 
 
+# one CSV row as the reader parses it
+_CSV_ROW = np.dtype([("x", float), ("y", float), ("channel", np.int64),
+                     ("value", float)])
+
+
+def _csv_rows(fh: io.TextIOBase):
+    """The non-blank lines of ``fh``, each checked for four fields.
+
+    A row must be ASCII and free of U+001C-U+001F: ``np.loadtxt`` reads
+    some non-ASCII letters as digits and those four separators as blanks,
+    where ``float`` and ``int`` reject them."""
+    for line in fh:
+        if not line.strip():
+            continue
+        if line.count(",") != 3:
+            raise ValueError("CSV rows must have four columns")
+        if (not line.isascii() or "\x1c" in line or "\x1d" in line
+                or "\x1e" in line or "\x1f" in line):
+            raise ValueError("CSV rows must be ASCII without U+001C-U+001F")
+        yield line
+
+
 def field_from_csv(path: str | os.PathLike) -> Field:
     """Read the table ``field_to_csv`` writes.
 
     ``h`` is twice the smallest x.  Every row must sit at a cell centre
-    ``((i+0.5)h, (j+0.5)h)`` (to 1e-9 h) with a channel >= 0, and every
-    cell and channel must appear exactly once; anything else raises
-    ``ValueError``.
+    ``((i+0.5)h, (j+0.5)h)`` (to 1e-9 h) with an integer channel >= 0, and
+    every cell and channel must appear exactly once; anything else raises
+    ``ValueError``.  One ``np.loadtxt`` pass parses the rows as they are
+    read, so no Python object per row is kept.
     """
     with open(path) as fh:
         if fh.readline().strip() != "x,y,channel,value":
             raise ValueError("unexpected CSV header")
-        rows = [line.split(",") for line in fh if line.strip()]
-    if not rows:
-        raise ValueError("empty CSV field")
-    if any(len(r) != 4 for r in rows):
-        raise ValueError("CSV rows must have four columns")
-    x, y, v = (np.array([float(r[k]) for r in rows]) for k in (0, 1, 3))
-    c = np.array([int(r[2]) for r in rows])
+        rows = _csv_rows(fh)
+        first = next(rows, None)
+        if first is None:  # loadtxt would warn and return an empty table
+            raise ValueError("empty CSV field")
+        table = np.loadtxt(itertools.chain((first,), rows), dtype=_CSV_ROW,
+                           delimiter=",", comments=None, ndmin=1)
+    x, y, c, v = (table[k] for k in _CSV_ROW.names)
     h = 2.0 * float(np.min(x))
     if not (h > 0.0 and np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("CSV coordinates must be positive and finite")
-    i = np.rint(x / h - 0.5)
-    j = np.rint(y / h - 0.5)
-    off = np.maximum(np.abs(x - (i + 0.5) * h), np.abs(y - (j + 0.5) * h))
+    with np.errstate(over="ignore"):  # a subnormal h: off is inf, rejected
+        i = np.rint(x / h - 0.5)
+        j = np.rint(y / h - 0.5)
+        off = np.maximum(np.abs(x - (i + 0.5) * h),
+                         np.abs(y - (j + 0.5) * h))
     if np.min(j) < 0.0 or np.max(off) > 1e-9 * h:
         raise ValueError(f"CSV coordinates are not cell centres (i+0.5)*h "
                          f"for h = {h!r}")
     if np.min(c) < 0:
         raise ValueError("CSV channel must be non-negative")
     nx, ny, nc = int(i.max()) + 1, int(j.max()) + 1, int(c.max()) + 1
-    if nx * ny * nc > len(rows):
-        raise ValueError(f"CSV table has {len(rows)} rows; {nx}x{ny} cells "
+    if nx * ny * nc > len(table):
+        raise ValueError(f"CSV table has {len(table)} rows; {nx}x{ny} cells "
                          f"with {nc} channels need {nx * ny * nc}")
     i, j = i.astype(np.int64), j.astype(np.int64)
     if np.bincount((i * ny + j) * nc + c).max() > 1:

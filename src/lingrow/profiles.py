@@ -418,7 +418,9 @@ def _sample_grid(t_max: float, samples: int) -> np.ndarray:
         np.linspace(0.0, min(1.0, t_max), n_lin),
         np.geomspace(lo, t_max, n_log),
     ])
-    return np.unique(grid)
+    # sorted and deduplicated by hand: np.unique imports numpy.ma
+    grid.sort()
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
 # The asymptotic conditions are read on a ray that ends at least here: every

@@ -12,6 +12,7 @@ import numpy as np
 from scipy import integrate
 
 from lingrow.energy import clip_data
+from lingrow.grids import Field, Grid2
 from lingrow.profiles import profile_eval
 
 # ---------------------------------------------------------------------------
@@ -173,3 +174,43 @@ def newton_solve(residual, w0: np.ndarray, tol: float = 1e-11,
             t *= 0.5
         w, r = w_new, r_new
     raise RuntimeError(f"newton stalled at residual {np.max(np.abs(r)):.3e}")
+
+
+# ---------------------------------------------------------------------------
+# the CSV field reader that keeps every row as Python strings
+
+
+def csv_field_by_rows(path) -> Field:
+    """Read an ``x,y,channel,value`` table row by row with ``float`` and
+    ``int``, with the checks and messages of ``pgmio.field_from_csv``."""
+    with open(path) as fh:
+        if fh.readline().strip() != "x,y,channel,value":
+            raise ValueError("unexpected CSV header")
+        rows = [line.split(",") for line in fh if line.strip()]
+    if not rows:
+        raise ValueError("empty CSV field")
+    if any(len(r) != 4 for r in rows):
+        raise ValueError("CSV rows must have four columns")
+    x, y, v = (np.array([float(r[k]) for r in rows]) for k in (0, 1, 3))
+    c = np.array([int(r[2]) for r in rows])
+    h = 2.0 * float(np.min(x))
+    if not (h > 0.0 and np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("CSV coordinates must be positive and finite")
+    i = np.rint(x / h - 0.5)
+    j = np.rint(y / h - 0.5)
+    off = np.maximum(np.abs(x - (i + 0.5) * h), np.abs(y - (j + 0.5) * h))
+    if np.min(j) < 0.0 or np.max(off) > 1e-9 * h:
+        raise ValueError(f"CSV coordinates are not cell centres (i+0.5)*h "
+                         f"for h = {h!r}")
+    if np.min(c) < 0:
+        raise ValueError("CSV channel must be non-negative")
+    nx, ny, nc = int(i.max()) + 1, int(j.max()) + 1, int(c.max()) + 1
+    if nx * ny * nc > len(rows):
+        raise ValueError(f"CSV table has {len(rows)} rows; {nx}x{ny} cells "
+                         f"with {nc} channels need {nx * ny * nc}")
+    i, j = i.astype(np.int64), j.astype(np.int64)
+    if np.bincount((i * ny + j) * nc + c).max() > 1:
+        raise ValueError("CSV table repeats a cell and channel")
+    values = np.empty((nx, ny, nc))
+    values[i, j, c] = v
+    return Field(Grid2(nx, ny, h), values)

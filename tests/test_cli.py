@@ -276,8 +276,9 @@ class TestSolve:
     def test_every_command_notes_an_exhausted_budget(
             self, tmp_path, capsys, command, summary, keys):
         """Each command writes the failed solve to its summary file, and
-        nothing to stderr."""
-        cfg = denoise_config(nx=16, noise=1.0, schedule=(0.1,), tol=1e-14,
+        nothing to stderr.  At 20x20 the first annulus of the ball is two
+        cells wide, so the audit's geometry passes before the solve."""
+        cfg = denoise_config(nx=20, noise=1.0, schedule=(0.1,), tol=1e-14,
                              max_iters=2)
         cfg["density"] = {"kind": "minimal_surface"}
         cfg["ball"] = {"center": [0.5, 0.5], "r0": 0.45, "j_max": 1}
@@ -446,6 +447,26 @@ class TestMoser:
         # an explicit family fails at parse time, before --out is made
         assert not out.exists() or os.listdir(out) == []
 
+    @pytest.mark.parametrize("command", ["moser", "full-report"])
+    def test_annuli_thinner_than_two_cells_exit_two_before_solving(
+            self, tmp_path, capsys, monkeypatch, command):
+        """A wide family (n 355: R_0 - R_1 = r0/n^2) passes the cell count,
+        but no annulus can carry the Caccioppoli cutoff; this is found
+        before the solve, with no artifact and no numpy warning."""
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve started")
+
+        monkeypatch.setattr(cli, "continuation_solve", no_solve)
+        cfg = zero_moser_config()
+        cfg["ball"] = {"center": [0.5, 0.5], "r0": 0.3, "n": 355,
+                       "j_max": 20000}
+        rc, out = run(tmp_path, command, cfg)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "lingrow: no annulus is at least two cells wide; enlarge r0 or "
+            "refine the grid\n")
+        assert os.listdir(out) == []
+
     def test_minimality_trials_zero_exits_two_before_solving(
             self, tmp_path, capsys):
         cfg = denoise_config()
@@ -536,6 +557,34 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
     run_python("-m", module, "density-check", "--config", cfg,
                "--out", str(tmp_path / "out"))
     assert (tmp_path / "out" / "condition_report.json").exists()
+
+
+@pytest.mark.parametrize("datum", ["dirichlet", "fidelity-csv"])
+def test_a_full_report_does_not_import_numpy_ma(tmp_path, datum):
+    """``np.unique`` imports ``numpy.ma``, 1.3 MB of resident memory; a
+    full-report, which reads its datum, certifies its density and audits
+    its solve, needs it nowhere.  20x20 is about the smallest grid on which
+    a ball family's first annulus is two cells wide."""
+    if datum == "dirichlet":
+        cfg = affine_dirichlet_config(nx=20)
+    else:
+        cfg = denoise_config(nx=20)
+        rng = np.random.default_rng(4)
+        field_to_csv(tmp_path / "f.csv", Field(Grid2(20, 20, 1.0 / 20),
+                                               rng.normal(size=(20, 20, 1))))
+        cfg["problem"]["f"] = {"csv": {"path": "f.csv"}}
+    cfg["ball"] = {"center": [0.5, 0.5], "r0": 0.45, "j_max": 2}
+    code = """
+import sys
+from lingrow.cli import main
+rc = main(sys.argv[1:])
+print(rc, "numpy.ma" in sys.modules)
+"""
+    rc, imported = run_python("-c", code, "full-report", "--config",
+                              write_config(tmp_path, cfg), "--out",
+                              str(tmp_path / "out"))
+    assert rc == "0"
+    assert imported == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -375,6 +375,26 @@ def test_check_geometry_needs_only_the_grid():
                                                          j_max=3))
 
 
+@given(st.integers(16, 64), st.floats(0.05, 0.45), st.integers(2, 6),
+       st.integers(1, 6))
+def test_check_geometry_rejects_the_families_caccioppoli_cannot_measure(
+        n, r0, dim, j_max):
+    """check_geometry names thin annuli exactly when caccioppoli_check
+    would raise on them after the solve."""
+    g = Grid2(n, n, 1.0 / n)
+    bf = BallFamily((0.5, 0.5), r0, n=dim, j_max=j_max)
+    u = Field.full(g, 1.0)
+    try:
+        check_geometry(g, bf)
+    except MoserGeometryError as err:
+        if "annulus" not in str(err):
+            return
+        with pytest.raises(MoserGeometryError, match="no annulus"):
+            caccioppoli_check(u, bf, 0.0)
+        return
+    caccioppoli_check(u, bf, 0.0)
+
+
 @given(st.integers(16, 64), st.floats(0.2, 0.8), st.floats(0.2, 0.8),
        st.floats(0.05, 0.4), st.integers(2, 4), st.integers(1, 8))
 def test_checked_family_has_a_cell_in_its_limit_ball(n, cx, cy, r0, dim,
