@@ -177,13 +177,10 @@ def ring_differences(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``dy[I, J] = ring[I, J+1] - ring[I, J]``, where ring node
     ``(i+1, j+1)`` is ``v[i, j]`` and every other ring node is 0."""
     mx, my, n = v.shape
-    dx = np.zeros((mx + 1, my + 1, n))
-    dx[:-1, 1:] = v
-    dx[1:, 1:] -= v
-    dy = np.zeros((mx + 1, my + 1, n))
-    dy[1:, :-1] = v
-    dy[1:, 1:] -= v
-    return dx, dy
+    ring = np.zeros((mx + 2, my + 2, n))
+    ring[1:-1, 1:-1] = v
+    base = ring[:-1, :-1]
+    return ring[1:, :-1] - base, ring[:-1, 1:] - base
 
 
 def ring_adjoint(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:

@@ -178,10 +178,12 @@ def _recursion(log_a: np.ndarray, bf: BallFamily) -> RecursionCheck:
     q = bf.q
     j = np.arange(bf.j_max)
     log_c = log_a[1:] / q - 2.0 * j * math.log(q) - log_a[:-1]
-    c = np.exp(log_c)
-    tail = c[len(c) // 2:]
-    grow = tail[1:] / np.maximum(tail[:-1], 1e-300)
-    passed = bool(np.all(grow <= 1.05))
+    # a c_j past the float range reads inf; the growth test needs only logs
+    with np.errstate(over="ignore"):
+        c = np.exp(log_c)
+    tail = log_c[len(log_c) // 2:]
+    grow = tail[1:] - np.maximum(tail[:-1], math.log(1e-300))
+    passed = bool(np.all(grow <= math.log(1.05)))
     note = "" if passed else "growth trend across the last levels"
     return RecursionCheck(c=c, c_max=float(np.max(c)), passed=passed, note=note)
 

@@ -19,16 +19,18 @@ again of this form, one level down.  Fine cell ``i`` lands in coarse cell
 ``(i+1)//2``; its x difference survives only when its two nodes lie in
 different aggregates (``i`` even, or the last cell, whose right node is the
 ring), and likewise in y.  So the coarse tensors are sums of the fine ones
-with the vanishing differences masked out, one parity class at a time, and
-no stencil is ever formed.
+with the vanishing differences masked out, pooled one axis at a time by
+strided slices (even rows copied, odd rows added onto the next coarse
+row), and no stencil is ever formed.
 
 Coarsening stops at the first level with at most ``_DENSE_MAX`` cells per
-axis, which is solved exactly: its matrix is assembled per channel and
-inverted once per hierarchy through a Cholesky factor
+axis, which is solved exactly: its matrix is assembled per channel, shifted
+on the constants and inverted once per hierarchy by one ``np.linalg.inv``
 (``Level.dense_inverse``).  A singular level, a pure Neumann operator
 without mass (it annihilates constants), gets its pseudo-inverse, and a
 nearly singular one (little mass) stays exact.  One V-cycle smooths with
-damped Jacobi on the exact diagonal, the same sweep before and after the
+damped Jacobi on the exact diagonal (each level stores the damped inverse
+diagonal, so a sweep is one multiply), the same sweep before and after the
 coarse correction; it is a symmetric positive definite preconditioner
 (every level has ``A <= 3 D``, and the damping keeps ``omega * 3 < 2``).
 A grid no larger than the dense threshold is a single level, where the
@@ -52,7 +54,7 @@ _DENSE_MAX = 8
 class Level:
     """One level's operator: cell tensors on the ring layout and a mass."""
 
-    __slots__ = ("txx", "txy", "tyy", "mass", "shape", "inv_diag")
+    __slots__ = ("txx", "txy", "tyy", "mass", "shape", "inv_diag", "jacobi")
 
     def __init__(self, txx: np.ndarray, txy: np.ndarray, tyy: np.ndarray,
                  mass: np.ndarray | None):
@@ -67,6 +69,8 @@ class Level:
         # 0 where a level has nothing to invert (a lone Neumann cell)
         self.inv_diag = np.divide(1.0, diag, out=np.zeros_like(diag),
                                   where=diag > 0.0)
+        # the damped Jacobi sweep's factor
+        self.jacobi = _OMEGA * self.inv_diag
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         dx, dy = ring_differences(v)
@@ -84,22 +88,14 @@ class Level:
 
     def coarsen(self) -> "Level":
         mx, my = self.shape
-        cx, cy = -(-mx // 2), -(-my // 2)
         jx = np.arange(mx + 1) % 2 == 0
         jx[-1] = True
         jy = np.arange(my + 1) % 2 == 0
         jy[-1] = True
         jx, jy = jx[:, None, None], jy[None, :, None]
-
-        def pool(t):
-            # coarse cell I sums fine cells 2I-1 and 2I
-            out = np.zeros((2 * (cx + 1), 2 * (cy + 1), t.shape[2]))
-            out[1:mx + 2, 1:my + 2] = t
-            return out.reshape(cx + 1, 2, cy + 1, 2, -1).sum(axis=(1, 3))
-
         mass = None if self.mass is None else restrict(self.mass)
-        return Level(pool(self.txx * jx), pool(self.txy * (jx & jy)),
-                     pool(self.tyy * jy), mass)
+        return Level(_pool(self.txx * jx), _pool(self.txy * (jx & jy)),
+                     _pool(self.tyy * jy), mass)
 
     def dense_inverse(self):
         """``A^-1`` per channel for ``m`` cells in C order, as a factor
@@ -108,7 +104,7 @@ class Level:
         pseudo-inverse where ``A`` annihilates constants.
 
         ``A`` may be singular or nearly so on constants (a Neumann operator
-        with little or no mass), so the Cholesky factor is of
+        with little or no mass), so the inverse formed is that of
         ``B = A + c 11^T / m``, ``c = tr(A) / m``, and the constant mode
         is restored by Sherman-Morrison: with ``s = A 1`` we have
         ``B 1 = s + c 1``, hence ``A^-1 = B^-1 + z z^T / (s . z)`` for
@@ -131,17 +127,29 @@ class Level:
             a = sub.apply(eye).reshape(m, m)
             shift = np.trace(a) / m
             a += shift / m
-            low_inv = np.linalg.inv(np.linalg.cholesky(a))
-            # products by einsum, not BLAS: a process's first BLAS matrix
-            # product costs resident memory out of all proportion to these
-            inv = np.einsum("ki,kj->ij", low_inv, low_inv)
+            inv = np.linalg.inv(a)
             s = sub.apply(ones).ravel()
-            z = 1.0 - np.einsum("ij,j->i", inv, s)
+            z = 1.0 - inv @ s
             rho = float(np.dot(s, z))
             invs.append(inv)
             zs.append(z)
             rhos.append(rho if rho > 0.0 else -shift * m)
         return np.stack(invs), np.stack(zs, axis=1), np.array(rhos)
+
+
+def _pool(t: np.ndarray) -> np.ndarray:
+    """Coarse ring cell ``I`` sums fine ring cells ``2I-1`` and ``2I`` of
+    each axis: even rows are copied, odd rows added onto the next one."""
+    nx, ny = t.shape[0], t.shape[1]
+    rows = np.empty((nx // 2 + 1,) + t.shape[1:])
+    rows[:(nx + 1) // 2] = t[0::2]
+    rows[(nx + 1) // 2:] = 0.0
+    rows[1:] += t[1::2]
+    out = np.empty((rows.shape[0], ny // 2 + 1, t.shape[2]))
+    out[:, :(ny + 1) // 2] = rows[:, 0::2]
+    out[:, (ny + 1) // 2:] = 0.0
+    out[:, 1:] += rows[:, 1::2]
+    return out
 
 
 def restrict(r: np.ndarray) -> np.ndarray:
@@ -184,8 +192,7 @@ class Multigrid:
         """One V-cycle from a zero guess: an approximation of ``A^-1 r``."""
         stack = []
         for level in self.levels[:-1]:
-            x = level.inv_diag * r
-            x *= _OMEGA
+            x = level.jacobi * r
             stack.append((level, r, x))
             res = level.apply(x)
             np.subtract(r, res, out=res)
@@ -199,7 +206,6 @@ class Multigrid:
             x = prolong(x, x_fine)
             res = level.apply(x)
             np.subtract(r, res, out=res)
-            res *= level.inv_diag
-            res *= _OMEGA
+            res *= level.jacobi
             x += res
         return x

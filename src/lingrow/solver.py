@@ -9,26 +9,33 @@ Galerkin aggregation multigrid (``multigrid.Multigrid``).  An Armijo line
 search from the full step (sufficient decrease 1e-4 of the slope, halving
 per backtrack; fixed, not options) verifies every step, so accepted
 energies are non-increasing.  Far from the minimizer the radial curvature
-in ``H`` is floored at ``theta * d1/t``: ``theta`` starts at 1 on each rung
-(the lagged-diffusivity operator), drops tenfold after each step accepted
-at once, rises tenfold per backtrack (at most a hundredfold, and never
-above 1), and becomes 0 (exact Newton) below 1e-6.
+in ``H`` is floored at ``theta * d1/t``: ``theta`` starts at 1 on a cold
+rung (the lagged-diffusivity operator), drops tenfold after each step
+accepted at once, rises tenfold per backtrack (at most a hundredfold, and
+never above 1), and becomes 0 (exact Newton) below 1e-6.
 The step count then stays nearly flat as the mesh is refined.
 
 Cost of one step: the fused stencil pass of the accepted trial
 (``ops.evaluate``) gives the energy, the residual and the Hessian
 coefficients at the new iterate; one more pass per backtrack; one
 multigrid hierarchy (the fine level stored from the Hessian's cell
-tensors, pooled level by level down to at most 8x8 cells, whose dense
-inverse is formed once); and per CG iteration one fine product and one
-V-cycle (two products and two Jacobi sweeps per level above the coarsest,
-one small dense product there).  For one channel the CG product is the
+tensors, pooled level by level by strided slice sums down to at most 8x8
+cells, whose dense inverse is formed once: about 1 ms at 128^2); and per
+CG iteration one fine product and one V-cycle (two products and two
+Jacobi sweeps, one multiply each, per level above the coarsest, one small
+dense product there).  For one channel the CG product is the
 stored fine level's; several channels use the coupled ``Hessian.apply``.
 A rung costs ``1 + iterations + backtracks`` energy evaluations and
 ``iterations`` Hessian builds.
 
 ``continuation_solve`` walks a decreasing delta schedule, warm-starting each
 rung from the previous solution and re-clipping the datum at each delta.
+A warm rung is entered at ``theta`` 1e-2, not 1: its start is the previous
+rung's minimizer on the same grid, so the lagged-diffusivity steps that a
+cold start needs would only walk the floor down again (the 128^2 edge spike
+takes 9/6/3/3 Newton steps where entering every rung at 1 took 9/9/5/4).
+Rung 0, the nested start's coarse copies and ``minimize_fixed_delta``
+enter at 1.
 A cold start begins rung 0 by nested iteration (the full-multigrid start of
 Brandt, Math. Comp. 31, 1977): the problem is halved while both cell counts
 are even and at least 16 cells per axis remain, rung 0 is solved on the
@@ -75,7 +82,9 @@ _MAX_BACKTRACKS = 60
 _EW_GAMMA = 0.9
 _ETA_MAX = 0.5
 _MAX_KRYLOV = 200
-# curvature floor: 1 on entry to a rung, 0 (exact Newton) below this
+# curvature floor: 1 on entry to a cold rung, _THETA_WARM on entry to a rung
+# started from the previous rung's solution, 0 (exact Newton) below _THETA_MIN
+_THETA_WARM = 1e-2
 _THETA_MIN = 1e-6
 # the nested start's coarsest copy keeps at least this many cells per axis
 _NEST_MIN = 16
@@ -191,9 +200,10 @@ def minimize_fixed_delta(problem, reg: RegularizationState | None,
 
 
 def _newton(problem, reg: RegularizationState | None, init: Field,
-            cfg: SolverConfig):
-    """The Newton-CG iteration of ``minimize_fixed_delta``; the nested start
-    calls it directly, so a coarse level is not counted as a rung."""
+            cfg: SolverConfig, theta: float = 1.0):
+    """The Newton-CG iteration of ``minimize_fixed_delta``, entered at the
+    curvature floor ``theta``; the nested start calls it directly, so a
+    coarse level is not counted as a rung."""
     ops = assemble_ops(problem, reg)
     if init.grid != problem.grid or init.channels != problem.channels:
         raise ValueError("init does not match the problem")
@@ -207,7 +217,7 @@ def _newton(problem, reg: RegularizationState | None, init: Field,
     iters = 0
     rmax = np.inf
     stalled = False
-    theta, eta, rnorm_prev = 1.0, _ETA_MAX, None
+    eta, rnorm_prev = _ETA_MAX, None
     for iters in range(cfg.max_iters + 1):
         rmax = float(np.max(np.abs(r)))
         if rmax <= tol:
@@ -364,13 +374,14 @@ def continuation_solve(problem, cfg: SolverConfig = SolverConfig(),
     ball = interior_ball or default_interior_ball(problem.grid)
     trace = SolveTrace()
     u = init
-    for delta in cfg.delta_schedule:
+    for rung, delta in enumerate(cfg.delta_schedule):
         reg = RegularizationState(delta, cfg.mu, problem.kind)
         coarse = ()
         if u is None:
             u, coarse = _nested_start(problem, reg, cfg)
         try:
-            u, stats = minimize_fixed_delta(problem, reg, u, cfg)
+            u, stats = _newton(problem, reg, u, cfg,
+                               1.0 if rung == 0 else _THETA_WARM)
         except SolverError as err:
             raise SolverError(f"delta={delta:g}: {err}", err.best,
                               err.stats) from err

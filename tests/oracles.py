@@ -214,3 +214,42 @@ def csv_field_by_rows(path) -> Field:
     values = np.empty((nx, ny, nc))
     values[i, j, c] = v
     return Field(Grid2(nx, ny, h), values)
+
+
+# ---------------------------------------------------------------------------
+# the ring differences and the coarse-tensor pooling in their two-array and
+# zero-padded reshape-sum forms
+
+
+def ring_differences_two_arrays(v: np.ndarray):
+    """``(dx, dy)`` of ``grids.ring_differences``, each built in its own
+    zeroed array: the values are written in, then subtracted once more."""
+    mx, my, n = v.shape
+    dx = np.zeros((mx + 1, my + 1, n))
+    dx[:-1, 1:] = v
+    dx[1:, 1:] -= v
+    dy = np.zeros((mx + 1, my + 1, n))
+    dy[1:, :-1] = v
+    dy[1:, 1:] -= v
+    return dx, dy
+
+
+def coarse_tensors_by_reshape(level):
+    """``(txx, txy, tyy)`` of ``level.coarsen()``: the masked fine tensors
+    zero-padded to even sizes and summed over 2x2 blocks by a reshape."""
+    mx, my = level.shape
+    cx, cy = -(-mx // 2), -(-my // 2)
+    jx = np.arange(mx + 1) % 2 == 0
+    jx[-1] = True
+    jy = np.arange(my + 1) % 2 == 0
+    jy[-1] = True
+    jx, jy = jx[:, None, None], jy[None, :, None]
+
+    def pool(t):
+        # coarse cell I sums fine cells 2I-1 and 2I
+        out = np.zeros((2 * (cx + 1), 2 * (cy + 1), t.shape[2]))
+        out[1:mx + 2, 1:my + 2] = t
+        return out.reshape(cx + 1, 2, cy + 1, 2, -1).sum(axis=(1, 3))
+
+    return (pool(level.txx * jx), pool(level.txy * (jx & jy)),
+            pool(level.tyy * jy))

@@ -18,9 +18,11 @@ import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from lingrow import cli
+from lingrow.config import parse_config
 from lingrow.energy import DirichletProblem, FidelityProblem
 from lingrow.grids import Ball
 from lingrow.solver import SolverConfig, SolverError, SolveStats
@@ -29,7 +31,7 @@ FIDELITY = {
     "seed": 3,
     "density": {"kind": "phi_mu", "mu": 1.5},
     "density_check": {"t_max": 50.0, "samples": 200},
-    "grid": {"nx": 16, "ny": 16, "h": 0.0625},
+    "grid": {"nx": 64, "ny": 64, "h": 0.015625},
     "solver": {"mu": 1.5, "delta_schedule": [0.1, 0.01],
                "residual_tol": 1e-9, "max_iters": 100},
     "problem": {"kind": "fidelity",
@@ -47,7 +49,7 @@ FIDELITY = {
 
 DIRICHLET = {
     "seed": 0,
-    "grid": {"nx": 16, "ny": 12, "h": 0.0625},
+    "grid": {"nx": 32, "ny": 24, "h": 0.03125},
     "solver": {"mu": 1.5},
     "problem": {"kind": "dirichlet",
                 "density": {"kind": "minimal_surface"},
@@ -56,6 +58,18 @@ DIRICHLET = {
                                      "background": [2.0, 1.0, 1.0]}}},
     "ball": {"center": [0.5, 0.375], "r0": 0.3, "j_max": 2},
 }
+
+
+@pytest.mark.parametrize("base", [FIDELITY, DIRICHLET],
+                         ids=["fidelity", "dirichlet"])
+def test_base_configs_reach_the_solve(base):
+    """Unmutated, both configs pass the ball geometry that ``moser`` and
+    ``full-report`` check before they solve, so the fuzzed examples of
+    those commands reach the stubbed solve and its interior-ball checks."""
+    cfg = parse_config(copy.deepcopy(base))
+    problem = cfg.require_problem()
+    ball, _ = cli._resolve_ball(cfg, problem)
+    assert problem.grid.contains_ball(ball.limit_ball())
 
 
 def paths(node, prefix=()):

@@ -11,7 +11,7 @@ from lingrow.grids import (Ball, Field, Grid2, Mask, lp_on_log, neumann_live,
                            ring_adjoint, ring_differences, sup_on)
 from lingrow.profiles import minimal_surface
 
-from .oracles import naive_ball_integral
+from .oracles import naive_ball_integral, ring_differences_two_arrays
 
 
 def unit_grid(n):
@@ -95,6 +95,25 @@ def neumann_slopes(u):
     dx, dy = ring_differences(u.values)
     live_x, live_y = neumann_live(u.grid)
     return dx * live_x / u.grid.h, dy * live_y / u.grid.h
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (9, 13), (128, 128)])
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_ring_differences_match_the_two_array_form_bit_for_bit(shape,
+                                                              channels):
+    """The one zero-ringed copy gives the same bits, signed zeros and
+    non-finite values included, as one zeroed array per difference."""
+    rng = np.random.default_rng(shape[0] * 10 + channels)
+    v = rng.normal(size=shape + (channels,))
+    v.flat[::5] = -0.0
+    v.flat[1::7] = 1e308
+    v.flat[2::11] = -np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = ring_differences(v)
+        ref = ring_differences_two_arrays(v)
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape == (shape[0] + 1, shape[1] + 1, channels)
+        assert a.tobytes() == b.tobytes()
 
 
 def test_dirichlet_offset_is_the_ghost_ring_subtraction():

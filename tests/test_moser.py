@@ -13,6 +13,7 @@ from lingrow.moser import (BallFamily, MoserGeometryError, caccioppoli_check,
                            check_geometry, exponents, masses,
                            min_cells_per_ball, moser_report, radii,
                            select_radius, sup_bound, verify_recursion)
+from lingrow.moser import _recursion
 
 from .oracles import naive_ball_integral
 
@@ -170,6 +171,22 @@ def test_recursion_zero_field():
     assert check.passed and check.note == ""
     assert np.allclose(check.c, 4.0 ** -np.arange(6.0), rtol=1e-12)
     assert check.c_max == pytest.approx(1.0, rel=1e-14)
+
+
+def test_recursion_past_the_float_range_warns_nothing():
+    """A level constant beyond exp(709) reads inf without an overflow
+    warning (the suite turns warnings into errors), and the growth test on
+    its logarithms fails the trend with no inf/inf."""
+    bf = BallFamily((0.0, 0.0), 1.0, n=2, j_max=4)
+    rising = _recursion(np.array([0.0, 0.0, 0.0, 0.0, 2000.0]), bf)
+    assert rising.c[-1] == np.inf and rising.c_max == np.inf
+    assert np.all(np.isfinite(rising.c[:-1]))
+    assert not rising.passed
+    assert rising.note == "growth trend across the last levels"
+    # an overflowing level followed by a falling one is no growth
+    falling = _recursion(np.array([0.0, 0.0, 0.0, 2000.0, 0.0]), bf)
+    assert falling.c[2] == np.inf and falling.c[3] == 0.0
+    assert falling.passed
 
 
 def test_sup_bound_zero_field():

@@ -11,6 +11,8 @@ from lingrow.multigrid import Level, Multigrid, prolong, restrict
 from lingrow.profiles import minimal_surface, phi_mu
 from lingrow.solver import _pcg
 
+from .oracles import coarse_tensors_by_reshape
+
 
 def hessian_on(kind, channels=1, shape=(9, 13)):
     """The exact Hessian at a random state; the default grid is odd and
@@ -101,6 +103,29 @@ def test_coarse_levels_are_galerkin_products(kind, channels):
             galerkin = restrict(fine.apply(pv))
             assert np.allclose(coarse.apply(v), galerkin, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(galerkin)))
+
+
+@pytest.mark.parametrize("kind,channels", CASES)
+@pytest.mark.parametrize("shape", [(9, 13), (16, 16), (19, 27), (40, 33),
+                                   (2, 3)])
+def test_coarse_tensors_match_the_reshape_pooling(kind, channels, shape):
+    """The strided slice sums give the zero-padded reshape-sum's coarse
+    tensors on odd and even shapes, to round-off in the order of the four
+    terms."""
+    fine = Level(*hessian_on(kind, channels, shape).cell_tensors())
+    coarse = fine.coarsen()
+    for got, ref in zip((coarse.txx, coarse.txy, coarse.tyy),
+                        coarse_tensors_by_reshape(fine)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kind,channels", CASES)
+@pytest.mark.parametrize("shape", [(8, 8), (3, 7), (19, 27)])
+def test_coarsest_inverse_is_symmetric(kind, channels, shape):
+    inv = multigrid_of(hessian_on(kind, channels, shape)).coarse_inv[0]
+    for block in inv:
+        assert np.max(np.abs(block - block.T)) <= 1e-14 * np.max(np.abs(block))
 
 
 def test_restrict_is_the_transpose_of_prolong():

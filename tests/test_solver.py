@@ -275,6 +275,14 @@ def test_newton_steps_are_mesh_independent(spike_ladders):
     assert steps[1] <= 1.5 * steps[0], steps
 
 
+def test_warm_rungs_enter_below_the_lagged_diffusivity(spike_ladders):
+    """Rungs after the first start from the previous rung's solution and
+    enter at the curvature floor 1e-2, not 1: the 64^2 spike ladder takes
+    6/4/3/3 Newton steps where entering every rung at 1 took 6/6/4/4."""
+    steps = [rec.iters for rec in spike_ladders[64].records]
+    assert sum(steps) <= 16, steps
+
+
 def test_krylov_iterations_on_the_64_ladders(spike_ladders):
     """Regression guard on the preconditioner's strength: total CG
     iterations over the 64^2 ladders stay at or below 166 (spike) and 131
@@ -294,14 +302,17 @@ def test_krylov_iterations_on_the_64_ladders(spike_ladders):
 
 def cold_ladder(problem, cfg):
     """The rung solutions of the ladder with rung 0 started cold, from the
-    problem's default start, and no nested start."""
+    problem's default start, and no nested start; the later rungs enter at
+    the warm curvature floor, as in ``continuation_solve``."""
     u, out = None, []
     for delta in cfg.delta_schedule:
         reg = RegularizationState(delta, cfg.mu, problem.kind)
         if u is None:
             u = Field(problem.grid,
                       solver.assemble_ops(problem, reg).default_init())
-        u, _ = minimize_fixed_delta(problem, reg, u, cfg)
+            u, _ = minimize_fixed_delta(problem, reg, u, cfg)
+        else:
+            u, _ = solver._newton(problem, reg, u, cfg, solver._THETA_WARM)
         out.append(u)
     return out
 
@@ -361,10 +372,10 @@ def test_failing_coarse_level_hands_its_best_iterate_up(monkeypatch):
     expected = continuation_solve(problem, cfg)
     real = solver._newton
 
-    def one_step_on_coarse_grids(p, reg, init, c):
+    def one_step_on_coarse_grids(p, reg, init, c, theta=1.0):
         if p.grid != problem.grid:
             c = dataclasses.replace(c, max_iters=1)
-        return real(p, reg, init, c)
+        return real(p, reg, init, c, theta)
 
     monkeypatch.setattr(solver, "_newton", one_step_on_coarse_grids)
     trace = continuation_solve(problem, cfg)
