@@ -17,9 +17,10 @@ data:
 
 A ``RegularizationState`` adds ``delta * phi_mu`` to the density, producing
 the strictly elliptic energies the continuation solver walks down.
-``euler_residual`` is the exact gradient of the discrete energy with respect
-to the cell values (finite-difference checkable), and ``Hessian`` its
-matrix-free derivative, which the Newton solver inverts.
+``assemble_ops(problem, reg)`` holds the kernels: its ``residual`` is the
+exact gradient of the discrete energy with respect to the cell values
+(finite-difference checkable), and ``Hessian`` its matrix-free derivative,
+which the Newton solver inverts.
 """
 
 from __future__ import annotations
@@ -31,17 +32,13 @@ import numpy as np
 
 from .grids import (Field, Grid2, Mask, neumann_live, ring_adjoint,
                     ring_differences)
-from .profiles import (ProfileAt, RadialProfile, combined, profile_d2,
-                       profile_eval, recession_slope)
+from .profiles import ProfileAt, RadialProfile, combined, profile_d2
 
 __all__ = [
     "DirichletProblem",
     "FidelityProblem",
     "RegularizationState",
     "clip_data",
-    "energy_relaxed",
-    "relaxed_boundary_penalty",
-    "euler_residual",
     "total_variation",
 ]
 
@@ -465,41 +462,6 @@ def assemble_ops(problem, reg: RegularizationState | None):
     if isinstance(problem, FidelityProblem):
         return FidelityOps(problem, reg)
     raise TypeError("problem must be DirichletProblem or FidelityProblem")
-
-
-# ---------------------------------------------------------------------------
-# public API
-
-def euler_residual(p, reg: RegularizationState | None, w: Field) -> Field:
-    """Exact gradient of the discrete energy with respect to cell values."""
-    _check_field(p, w)
-    return Field(p.grid, assemble_ops(p, reg).residual(w.values))
-
-
-def relaxed_boundary_penalty(p: DirichletProblem, w: Field) -> float:
-    """Boundary penalty ``sum h * k * |u0 - w|`` over the perimeter cells.
-
-    k is the slope at infinity of the base density, and each cell of the
-    boundary ring is counted once.  Together with the interior gradient sum
-    this is the relaxed form of the Dirichlet energy: mismatching the datum
-    costs area (the slope) rather than being forbidden.
-    """
-    _check_field(p, w)
-    k = recession_slope(p.density)
-    u0 = p.u0_ext[1:-1, 1:-1, :]
-    jump = np.sqrt(np.sum((u0 - w.values) ** 2, axis=2))
-    ring = np.zeros(jump.shape, dtype=bool)
-    ring[0, :] = ring[-1, :] = True
-    ring[:, 0] = ring[:, -1] = True
-    return float(p.grid.h * k * jump[ring].sum())
-
-
-def energy_relaxed(p: DirichletProblem, w: Field) -> float:
-    """Interior regularizer (Neumann differences) plus the boundary penalty."""
-    _check_field(p, w)
-    t = _slopes(w.values, p.grid.h, live=neumann_live(p.grid))[2]
-    interior = p.grid.h ** 2 * float(np.sum(profile_eval(p.density, t)))
-    return interior + relaxed_boundary_penalty(p, w)
 
 
 def total_variation(p, w: Field) -> float:

@@ -11,10 +11,10 @@ constant; iterating it to the limit ball of radius ``R0 (n-1)/n`` yields
     sup |u| on the limit ball <= c^(n-1) (n/(n-1))^(2n(n-1))
                                  * max(1, ||u||_{L^{n/(n-1)}}).
 
-``verify_recursion`` measures the per-level constants, ``sup_bound``
-evaluates the limit inequality, ``caccioppoli_check`` measures the cutoff
-inequality the recursion rests on, and ``select_radius`` picks the data-mass
-radius used by the fidelity analysis.
+``moser_report`` measures the level masses and the per-level constants,
+``sup_bound`` evaluates the limit inequality, ``caccioppoli_check`` measures
+the cutoff inequality the recursion rests on, and ``select_radius`` picks the
+data-mass radius used by the fidelity analysis.
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ __all__ = [
     "BallFamily",
     "radii",
     "exponents",
-    "masses",
     "RecursionCheck",
-    "verify_recursion",
     "SupBoundCheck",
     "sup_bound",
     "CaccioppoliCheck",
@@ -138,7 +136,6 @@ def check_geometry(grid: Grid2, bf: BallFamily) -> None:
 def _log_masses(u: Field, bf: BallFamily) -> tuple[np.ndarray, np.ndarray]:
     """log a_j, computed in log space so large exponents cannot overflow,
     and a_j, capped at e^700."""
-    _check_outer_ball(u.grid, bf)
     rr = radii(bf)
     out = np.empty(bf.j_max + 1)
     for j in range(bf.j_max + 1):
@@ -146,11 +143,6 @@ def _log_masses(u: Field, bf: BallFamily) -> tuple[np.ndarray, np.ndarray]:
         lg = lp_on_log(u, Ball(bf.center, rr[j]), p)
         out[j] = max(0.0, lg)  # max(1, integral) in log space
     return out, np.exp(np.minimum(out, 700.0))
-
-
-def masses(u: Field, bf: BallFamily) -> np.ndarray:
-    """Truncated level masses a_j = max(1, integral of |u|^(q^j) over B_j)."""
-    return _log_masses(u, bf)[1]
 
 
 @dataclass
@@ -165,16 +157,13 @@ class RecursionCheck:
                 "passed": bool(self.passed), "note": self.note}
 
 
-def verify_recursion(u: Field, bf: BallFamily) -> RecursionCheck:
-    """Measure c_j = a_{j+1}^((n-1)/n) / ((n/(n-1))^(2j) a_j) per level.
+def _recursion(log_a: np.ndarray, bf: BallFamily) -> RecursionCheck:
+    """Measure c_j = a_{j+1}^((n-1)/n) / ((n/(n-1))^(2j) a_j) per level
+    from ``log_a``, the log masses.
 
     Passes when the level constants show no growth trend across the last
     half of the levels (consecutive ratios <= 1.05).
     """
-    return _recursion(_log_masses(u, bf)[0], bf)
-
-
-def _recursion(log_a: np.ndarray, bf: BallFamily) -> RecursionCheck:
     q = bf.q
     j = np.arange(bf.j_max)
     log_c = log_a[1:] / q - 2.0 * j * math.log(q) - log_a[:-1]

@@ -43,7 +43,7 @@ import numpy as np
 
 from .grids import ring_adjoint, ring_differences
 
-__all__ = ["Level", "Multigrid", "prolong", "restrict"]
+__all__ = ["Level", "Multigrid"]
 
 # Jacobi damping; each level satisfies A <= 3 D (three nodes per element)
 _OMEGA = 0.65

@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from .grids import Field, Grid2, Mask
+from .grids import _MAX_CELLS, Field, Grid2, Mask
 
 __all__ = [
     "write_pgm",
@@ -80,6 +80,8 @@ def read_pgm(path: str | os.PathLike) -> tuple[np.ndarray, int]:
         w, h, maxval = (int(t) for t in _read_tokens(fh, 3))
         if w < 1 or h < 1 or not (0 < maxval <= _MAXVAL):
             raise ValueError("invalid PGM dimensions or maxval")
+        if w * h > _MAX_CELLS:
+            raise ValueError("PGM dimensions exceed the grid cell-count cap")
         if magic == b"P5":
             dtype = ">u2" if maxval > 255 else np.uint8
             count = w * h
@@ -89,8 +91,12 @@ def read_pgm(path: str | os.PathLike) -> tuple[np.ndarray, int]:
             data = fh.read().split()
             if len(data) < w * h:
                 raise ValueError("truncated P2 body")
-            raster = np.array([int(t) for t in data[: w * h]],
-                              dtype=np.int64).reshape(h, w)
+            try:
+                raster = np.array([int(t) for t in data[: w * h]],
+                                  dtype=np.int64).reshape(h, w)
+            except OverflowError:  # a sample past int64 is past maxval
+                raise ValueError("PGM sample is negative or exceeds "
+                                 "declared maxval") from None
         if raster.min(initial=0) < 0 or raster.max(initial=0) > maxval:
             raise ValueError("PGM sample is negative or exceeds declared "
                              "maxval")

@@ -31,8 +31,6 @@ __all__ = [
     "profile_eval",
     "profile_d1",
     "profile_d2",
-    "density_grad",
-    "density_hess_quadform",
     "recession_slope",
     "GrowthConstants",
     "ConditionCheck",
@@ -302,36 +300,6 @@ def recession_slope(p: RadialProfile) -> float:
     if p.kind == "minimal_surface":
         return 1.0
     return p.delta / (p.mu - 1.0) + recession_slope(p.base)
-
-
-def density_grad(p: RadialProfile, P) -> np.ndarray:
-    """Gradient of ``F(P) = profile(|P|)`` with respect to the matrix P."""
-    P = np.asarray(P, dtype=float)
-    if not np.all(np.isfinite(P)):
-        raise ValueError("P must be finite")
-    return slope_ratio(p, float(np.sqrt(np.sum(P * P)))) * P
-
-
-def density_hess_quadform(p: RadialProfile, P, Q) -> float:
-    """Second derivative of F at P applied to (Q, Q).
-
-    Splits Q into its radial component along P and the tangential rest:
-    ``d1(|P|)/|P|`` acts tangentially, ``d2(|P|)`` radially.  At P = 0 the
-    form collapses to ``d2(0) |Q|^2``.
-    """
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    if P.shape != Q.shape:
-        raise ValueError("P and Q must have the same shape")
-    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
-        raise ValueError("P and Q must be finite")
-    q2 = float(np.sum(Q * Q))
-    t = float(np.sqrt(np.sum(P * P)))
-    if t == 0.0:
-        return profile_d2(p, 0.0) * q2
-    pq = float(np.sum(P * Q))
-    radial2 = (pq / t) ** 2
-    return slope_ratio(p, t) * (q2 - radial2) + profile_d2(p, t) * radial2
 
 
 @dataclass(frozen=True)

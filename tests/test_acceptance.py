@@ -17,15 +17,13 @@ import pytest
 
 from lingrow.cli import main
 from lingrow.energy import (DirichletProblem, FidelityProblem,
-                            RegularizationState, assemble_ops, clip_data,
-                            euler_residual)
+                            RegularizationState, assemble_ops, clip_data)
 from lingrow.grids import Field, Grid2, Mask
 from lingrow.instances import dirichlet_boundary_spike, fidelity_inverse_sqrt
 from lingrow.moser import (BallFamily, exponents, moser_report, radii,
-                           select_radius, sup_bound, verify_recursion)
-from lingrow.profiles import (certify_conditions, density_grad,
-                              density_hess_quadform, minimal_surface, phi_mu,
-                              profile_eval)
+                           select_radius)
+from lingrow.profiles import (ProfileAt, certify_conditions, minimal_surface,
+                              phi_mu, profile_eval, slope_ratio)
 from lingrow.solver import SolverConfig, continuation_solve, verify_minimality
 from .oracles import (energy_grad_fd, grad_fd, hess_quadform_fd, newton_solve,
                       phi_dblquad, phi_quad)
@@ -157,13 +155,17 @@ def test_criterion_2_derivative_consistency():
         Q /= np.linalg.norm(Q)
         t = float(np.linalg.norm(P))
 
-        g = density_grad(p, P)
+        # the residual's flux and the Hessian's cell form a|Q|^2 + b(P.Q)^2,
+        # exactly as energy.StencilPoint and energy.Hessian build them
+        a = slope_ratio(p, np.array([t]))
+        b = ProfileAt(p, np.array([t])).radial_excess(a, 0.0)
+        g = a[0] * P
         g_fd = grad_fd(F, P, 0.01 * t)
         rel_g = float(np.max(np.abs(g - g_fd)) / np.max(np.abs(g)))
         if rel_g > 1e-5:
             failures.append(f"pair {i}: gradient rel err {rel_g:.2e}")
 
-        q = density_hess_quadform(p, P, Q)
+        q = float(a[0] * np.sum(Q * Q) + b[0] * np.sum(P * Q) ** 2)
         q_fd = hess_quadform_fd(F, P, Q, min(t / 3.0, 3e-3 * (1.0 + t)))
         rel_q = abs(q - q_fd) / abs(q)
         if rel_q > 1e-5:
@@ -193,9 +195,10 @@ def test_criterion_3_euler_exactness():
     }
     for kind, problem in problems.items():
         reg = RegularizationState(0.05, 1.5, kind)
-        res = euler_residual(problem, reg, w).values
+        ops = assemble_ops(problem, reg)
+        res = ops.residual(w.values)
         scale = float(np.max(np.abs(res)))
-        energy = assemble_ops(problem, reg).energy
+        energy = ops.energy
         worst = 0.0
         for i in range(8):
             for j in range(8):
@@ -217,9 +220,8 @@ def test_criterion_4_newton_equivalence(small_fidelity_run,
              lambda p: p.u0_interior().values)):
         for rec in trace.records:
             reg = RegularizationState(rec.delta, 1.5, problem.kind)
-            res = lambda v: euler_residual(problem, reg,
-                                           Field(problem.grid, v)).values
-            ref = newton_solve(res, start(problem), tol=1e-12)
+            ref = newton_solve(assemble_ops(problem, reg).residual,
+                               start(problem), tol=1e-12)
             sup = float(np.max(np.abs(rec.u.values - ref)))
             if sup > 1e-6:
                 failures.append(
@@ -347,10 +349,9 @@ def test_criterion_8_sequence_formulas():
                 failures.append(f"n={n} j={j}: exponent off closed form")
     grid = Grid2(32, 32, 1.0 / 32)
     fam2 = BallFamily((0.5, 0.5), 0.3, n=2, j_max=4)
-    check = sup_bound(verify_recursion(Field.zeros(grid), fam2),
-                      Field.zeros(grid), fam2)
-    if check.prefactor != 16.0:
-        failures.append(f"n=2 prefactor {check.prefactor!r} is not 16")
+    prefactor = moser_report(Field.zeros(grid), fam2).bound.prefactor
+    if prefactor != 16.0:
+        failures.append(f"n=2 prefactor {prefactor!r} is not 16")
     verdict(8, "sequence closed forms", failures)
 
 

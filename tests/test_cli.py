@@ -7,6 +7,7 @@ independently computed dense-Newton solution.
 """
 
 import json
+import math
 import os
 import platform
 import subprocess
@@ -76,12 +77,20 @@ def run(tmp_path, command, payload, out="out", extra=()):
     cfg = write_config(tmp_path, payload)
     out_dir = tmp_path / out
     rc = main([command, "--config", cfg, "--out", str(out_dir), *extra])
+    if out_dir.is_dir():
+        for name in os.listdir(out_dir):
+            if name.endswith(".json"):
+                read_json(out_dir / name)
     return rc, out_dir
 
 
 def read_json(path):
+    """Parse strict JSON: a report may not hold Infinity or NaN."""
+    def reject(constant):
+        raise ValueError(f"{path} holds {constant}")
+
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=reject)
 
 
 def tree_bytes(root):
@@ -536,6 +545,22 @@ class TestFullReport:
         assert (out / "trace.csv").exists()
         assert (out / "sup_vs_delta.csv").exists()
         assert (out / "moser_0p01.csv").exists()
+
+
+def test_reports_write_non_finite_floats_as_null(tmp_path):
+    """A recursion constant past the float range is inf; a report writes it,
+    and nan, as null, and a finite payload exactly as ``json.dump`` does."""
+    path = tmp_path / "r.json"
+    cli._write_json(str(path), {"c": [1.0, math.inf, np.float64(-np.inf)],
+                                "x": math.nan, "t": (2.5, math.inf),
+                                "ok": True, "note": "", "n": 3})
+    assert read_json(path) == {"c": [1.0, None, None], "x": None,
+                               "t": [2.5, None], "ok": True, "note": "",
+                               "n": 3}
+    finite = {"b": [0.1, np.float64(1e-300)], "a": {"z": 2, "y": None}}
+    cli._write_json(str(path), finite)
+    assert path.read_text() == json.dumps(finite, indent=2,
+                                          sort_keys=True) + "\n"
 
 
 def run_python(*args):

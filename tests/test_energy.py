@@ -1,4 +1,4 @@
-"""Energy assembly, data clipping, boundary penalty, and Euler residuals."""
+"""Energy assembly, data clipping, and Euler residuals."""
 
 import math
 
@@ -7,8 +7,7 @@ import pytest
 
 from lingrow.energy import (DirichletProblem, FidelityProblem,
                             RegularizationState, assemble_ops, clip_data,
-                            energy_relaxed, euler_residual,
-                            relaxed_boundary_penalty, total_variation)
+                            total_variation)
 from lingrow.grids import (Field, Grid2, Mask, neumann_live, ring_adjoint,
                            ring_differences)
 from lingrow.profiles import (certify_conditions, minimal_surface, phi_mu,
@@ -186,43 +185,6 @@ def test_dirichlet_datum_sampled_from_a_function():
 
 
 # ---------------------------------------------------------------------------
-# relaxed boundary penalty
-
-
-def test_boundary_penalty_zero_when_matching():
-    problem, _ = random_dirichlet(seed=3)
-    w = problem.u0_interior()
-    assert relaxed_boundary_penalty(problem, w) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_boundary_penalty_hand_sum():
-    # unit square, 10 cells per side, jump of 1 along the x=0 edge only,
-    # recession slope 1 (mu = 2): penalty = 10 faces * h * 1 = 1.0
-    g = unit_grid(10)
-    problem = DirichletProblem.from_function(g, lambda x, y: 0.0 * x, phi_mu(2.0))
-    w = Field(g, np.zeros((10, 10, 1)))
-    vals = w.values.copy()
-    vals[0, :, 0] = -1.0  # u0 - w = 1 along the x=0 column
-    w = Field(g, vals)
-    pen = relaxed_boundary_penalty(problem, w)
-    assert pen == pytest.approx(1.0, rel=1e-13)
-    # 1-homogeneity: doubling the jump doubles the penalty
-    w2 = Field(g, 2.0 * w.values)
-    assert relaxed_boundary_penalty(problem, w2) == pytest.approx(2.0, rel=1e-13)
-
-
-def test_relaxed_energy_at_datum_equals_plain_energy():
-    problem, _ = random_dirichlet(seed=4)
-    w = problem.u0_interior()
-    relaxed = energy_relaxed(problem, w)
-    assert relaxed >= 0.0
-    # zero jump -> penalty-free; interior part uses the free boundary rule
-    assert relaxed == pytest.approx(
-        energy_relaxed(problem, w) - relaxed_boundary_penalty(problem, w),
-        rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # fused kernel: one forward-difference pass feeds all three quantities
 
 
@@ -336,8 +298,9 @@ def test_residual_matches_energy_gradient(kind):
     else:
         problem, w = random_fidelity(seed=6)
         reg = RegularizationState(0.1, 1.5, "fidelity")
-    energy = assemble_ops(problem, reg).energy
-    res = euler_residual(problem, reg, w).values
+    ops = assemble_ops(problem, reg)
+    energy = ops.energy
+    res = ops.residual(w.values)
     for _ in range(20):
         idx = (rng.integers(0, 8), rng.integers(0, 8), 0)
         fd = energy_grad_fd(energy, w.values, idx, 6e-6)
@@ -349,7 +312,7 @@ def test_residual_zero_for_constant_dirichlet():
     problem = DirichletProblem.from_function(g, lambda x, y: 3.0, phi_mu(2.0))
     w = Field.full(g, 3.0)
     reg = RegularizationState(0.1, 1.5, "dirichlet")
-    assert np.all(euler_residual(problem, reg, w).values == 0.0)
+    assert np.all(assemble_ops(problem, reg).residual(w.values) == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +356,9 @@ def test_total_variation_of_affine_field():
 
 def test_channel_mismatch_rejected():
     problem, _ = random_dirichlet(channels=2, seed=10)
-    reg = RegularizationState(0.1, 1.5, "dirichlet")
     bad = Field.zeros(problem.grid, 1)
     with pytest.raises(ValueError, match="channel count"):
-        euler_residual(problem, reg, bad)
+        total_variation(problem, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,11 @@ def test_read_rejects_bad_files(tmp_path):
     with pytest.raises(ValueError):
         read_pgm(bad)
 
+    # sizes whose product is past int64 are checked before the body is read
+    bad.write_bytes(b"P5 99999999999999999999999999\n3 2\n255\n\x00\x01")
+    with pytest.raises(ValueError, match="cell-count cap"):
+        read_pgm(bad)
+
     bad.write_bytes(b"P2\n2 2\n255\n0 1 2\n")
     with pytest.raises(ValueError, match="truncated P2 body"):
         read_pgm(bad)
@@ -123,11 +128,60 @@ def test_read_rejects_bad_files(tmp_path):
     bad.write_bytes(b"P2\n2 2\n10\n0 1 2 11\n")
     with pytest.raises(ValueError, match="exceeds declared maxval"):
         read_pgm(bad)
+    bad.write_bytes(b"P2\n2 2\n10\n0 1 2 99999999999999999999\n")
+    with pytest.raises(ValueError, match="exceeds declared maxval"):
+        read_pgm(bad)
 
     # a sample below 0 is rejected, not mapped below lo
     bad.write_bytes(b"P2\n2 2\n255\n0 1 -7 3\n")
     with pytest.raises(ValueError, match="negative"):
         field_from_pgm(bad, 0.5, 0.0, 1.0)
+
+
+# header and sample numbers: small ones, sizes past the grid cap, numbers
+# past int64 either way, and text that int() rejects
+PGM_NUMBER = st.one_of(st.integers(-1, 4), st.integers(2 ** 12, 2 ** 30),
+                       st.integers(2 ** 62, 2 ** 90),
+                       st.integers(-2 ** 90, -2 ** 62),
+                       st.sampled_from([255, 65535, 65536, "1_0", "0x10",
+                                        "nan", "\u0663"]))
+
+
+@st.composite
+def pgm_bytes(draw):
+    """Any bytes, or a valid P2 or P5 file of at most 3 x 3 samples with up
+    to three of its numbers (a P5 file's header numbers) replaced from
+    ``PGM_NUMBER``, and maybe cut short."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=64))
+    w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    maxval = draw(st.sampled_from([9, 255, 65535]))
+    samples = draw(st.lists(st.integers(0, maxval), min_size=w * h,
+                            max_size=w * h))
+    p2 = draw(st.booleans())
+    tokens = [w, h, maxval, *samples] if p2 else [w, h, maxval]
+    for _ in range(draw(st.integers(0, 3))):
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(PGM_NUMBER)
+    data = (b"P2 " if p2 else b"P5\n") + " ".join(map(str, tokens)).encode()
+    if not p2:
+        dtype = ">u2" if maxval > 255 else np.uint8
+        data += b"\n" + np.array(samples, dtype=dtype).tobytes()
+    if draw(st.integers(0, 3)) == 0:
+        data = data[:draw(st.integers(0, len(data)))]
+    return data
+
+
+@settings(max_examples=200)
+@given(pgm_bytes())
+def test_pgm_readers_raise_only_value_error(data):
+    """Whatever the bytes, the readers return or raise ``ValueError``, which
+    the command line reports as exit code 2 with one line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.pgm")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        outcome(read_pgm, path)
+        outcome(lambda p: field_from_pgm(p, 0.1, 0.0, 1.0), path)
 
 
 def test_header_comments(tmp_path):

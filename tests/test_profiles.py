@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 
 from lingrow import profiles
 from lingrow.profiles import (ProfileAt, RadialProfile, certify_conditions,
-                              combined, density_grad, density_hess_quadform,
-                              minimal_surface, phi_mu, profile_d1, profile_d2,
-                              profile_eval, recession_slope)
+                              combined, minimal_surface, phi_mu, profile_d1,
+                              profile_d2, profile_eval, recession_slope,
+                              slope_ratio)
 
 from .oracles import d1_fd, d2_fd, grad_fd, hess_quadform_fd, phi_dblquad, phi_quad
 
@@ -20,6 +20,22 @@ MU_SET = (1.2, 1.5, 2.0, 2.5, 3.0)
 
 def rel_err(a, b):
     return abs(a - b) / max(abs(b), 1e-300)
+
+
+def cell_flux(p, P):
+    """The gradient of ``F(P) = profile(|P|)`` as the residual forms it per
+    difference cell: ``d1(|P|)/|P| * P``."""
+    return slope_ratio(p, float(np.sqrt(np.sum(P * P)))) * P
+
+
+def cell_form(p, P, Q):
+    """The Hessian of ``F`` at P applied to (Q, Q) as ``energy.Hessian``
+    forms it per difference cell at theta 0: ``a |Q|^2 + b (P.Q)^2`` with
+    ``a = d1/t`` and ``b`` the radial excess ``(d2 - a)/t^2``."""
+    at = ProfileAt(p, np.array([np.sqrt(np.sum(P * P))]))
+    a = at.slope_ratio(profile_d2(p, 0.0))
+    b = at.radial_excess(a, 0.0)
+    return float(a[0] * np.sum(Q * Q) + b[0] * np.sum(P * Q) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -62,22 +78,21 @@ def test_second_derivative_values():
 
 
 def test_density_grad_values():
-    assert np.all(density_grad(phi_mu(2.0), np.zeros((1, 2))) == 0.0)
-    g = density_grad(phi_mu(2.0), np.array([[1.0, 0.0]]))
+    assert np.all(cell_flux(phi_mu(2.0), np.zeros((1, 2))) == 0.0)
+    g = cell_flux(phi_mu(2.0), np.array([[1.0, 0.0]]))
     assert g[0, 0] == pytest.approx(0.5, rel=1e-14)
     assert g[0, 1] == 0.0
-    g = density_grad(minimal_surface(), np.array([[3.0, 4.0]]))
+    g = cell_flux(minimal_surface(), np.array([[3.0, 4.0]]))
     assert g[0, 0] == pytest.approx(3.0 / math.sqrt(26.0), rel=1e-12)
     assert g[0, 1] == pytest.approx(4.0 / math.sqrt(26.0), rel=1e-12)
 
 
 def test_hess_quadform_values():
     P = np.array([[1.0, 0.0]])
-    assert density_hess_quadform(phi_mu(2.0), P, np.zeros((1, 2))) == 0.0
-    v = density_hess_quadform(phi_mu(2.0), np.zeros((1, 2)),
-                              np.array([[1.0, 1.0]]))
+    assert cell_form(phi_mu(2.0), P, np.zeros((1, 2))) == 0.0
+    v = cell_form(phi_mu(2.0), np.zeros((1, 2)), np.array([[1.0, 1.0]]))
     assert v == pytest.approx(2.0, rel=1e-14)
-    v = density_hess_quadform(phi_mu(3.0), P, np.array([[0.0, 1.0]]))
+    v = cell_form(phi_mu(3.0), P, np.array([[0.0, 1.0]]))
     assert v == pytest.approx(0.375, rel=1e-14)
 
 
@@ -150,11 +165,11 @@ def test_matrix_gradient_and_hessian_match_finite_differences():
         Q /= np.linalg.norm(Q)
         t = float(np.linalg.norm(P))
         hg = min(t / 3.0, 0.01 * (1.0 + t))
-        g = density_grad(p, P)
+        g = cell_flux(p, P)
         g_fd = grad_fd(F, P, hg)
         assert np.max(np.abs(g - g_fd)) <= 1e-4 * max(np.max(np.abs(g)), 1e-300)
         hh = min(t / 3.0, 3e-3 * (1.0 + t))
-        q = density_hess_quadform(p, P, Q)
+        q = cell_form(p, P, Q)
         q_fd = hess_quadform_fd(F, P, Q, hh)
         assert rel_err(q_fd, q) <= 1e-4
 
@@ -169,7 +184,7 @@ def test_hessian_sandwich_between_radial_bounds():
             lo = min(profile_d2(p, t), profile_d1(p, t) / t)
             hi = max(profile_d2(p, t), profile_d1(p, t) / t)
             q2 = float(np.sum(Q * Q))
-            v = density_hess_quadform(p, P, Q)
+            v = cell_form(p, P, Q)
             assert lo * q2 - 1e-12 <= v <= hi * q2 + 1e-12
 
 
@@ -188,7 +203,7 @@ def test_ellipticity_corridor_with_fitted_constants():
             Q = rng.normal(size=(1, 2))
             t = float(np.linalg.norm(P))
             q2 = float(np.sum(Q * Q))
-            v = density_hess_quadform(p, P, Q)
+            v = cell_form(p, P, Q)
             lower = c.nu6 * (1.0 + t) ** (-c.mu_certified) * q2
             upper = c.nu5 * (1.0 + t) ** (-1.0) * q2
             assert v >= lower * (1.0 - 1e-9)
@@ -203,7 +218,7 @@ def test_coercivity_and_gradient_bound():
         for _ in range(200):
             P = rng.normal(size=(1, 2)) * 10.0 ** rng.uniform(-3, 2)
             t = float(np.linalg.norm(P))
-            g = density_grad(p, P)
+            g = cell_flux(p, P)
             dot = float(np.sum(g * P))
             assert dot >= c.nu1 * t - c.nu2 - 1e-9 * (1.0 + t)
             assert float(np.linalg.norm(g)) <= k + 1e-9

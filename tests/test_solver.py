@@ -7,8 +7,7 @@ import pytest
 
 from lingrow import energy, solver
 from lingrow.energy import (DirichletProblem, FidelityProblem,
-                            RegularizationState, assemble_ops,
-                            euler_residual)
+                            RegularizationState, assemble_ops)
 from lingrow.grids import Ball, Field, Grid2, Mask
 from lingrow.instances import (dirichlet_boundary_spike,
                                fidelity_inverse_sqrt)
@@ -156,8 +155,8 @@ def test_single_rung_matches_newton():
     init = Field.zeros(problem.grid)
     u, _ = minimize_fixed_delta(problem, reg, init, cfg)
 
-    res = lambda v: euler_residual(problem, reg, Field(problem.grid, v)).values
-    ref = newton_solve(res, init.values, tol=1e-11)
+    ref = newton_solve(assemble_ops(problem, reg).residual, init.values,
+                       tol=1e-11)
     assert np.max(np.abs(u.values - ref)) <= 1e-6
 
 
@@ -168,9 +167,8 @@ def test_smallest_rungs_match_newton():
     h2 = problem.grid.h ** 2
     for rec in trace.records[-2:]:
         reg = RegularizationState(rec.delta, 1.5, "fidelity")
-        res = lambda v: euler_residual(problem, reg,
-                                       Field(problem.grid, v)).values
-        ref = newton_solve(res, rec.u.values, tol=1e-12)
+        ref = newton_solve(assemble_ops(problem, reg).residual, rec.u.values,
+                           tol=1e-12)
         l2 = float(np.sqrt(np.sum((rec.u.values - ref) ** 2) * h2))
         assert l2 <= 1e-6
 
@@ -199,9 +197,8 @@ def test_two_channel_dirichlet_ladder_matches_newton():
     start = problem.u0_interior().values
     for rec in trace.records:
         reg = RegularizationState(rec.delta, 1.5, "dirichlet")
-        res = lambda v: euler_residual(problem, reg,
-                                       Field(problem.grid, v)).values
-        ref = newton_solve(res, start, tol=1e-12)
+        ref = newton_solve(assemble_ops(problem, reg).residual, start,
+                           tol=1e-12)
         assert np.max(np.abs(rec.u.values - ref)) <= 1e-6
 
 
@@ -218,9 +215,8 @@ def test_two_channel_multilevel_ladder_matches_newton():
     start = problem.u0_interior().values
     for rec in trace.records:
         reg = RegularizationState(rec.delta, 1.5, "dirichlet")
-        res = lambda v: euler_residual(problem, reg,
-                                       Field(problem.grid, v)).values
-        ref = newton_solve(res, start, tol=1e-12)
+        ref = newton_solve(assemble_ops(problem, reg).residual, start,
+                           tol=1e-12)
         assert np.max(np.abs(rec.u.values - ref)) <= 1e-6
 
 
