@@ -11,9 +11,9 @@ Subcommands:
 
 Exit codes: 0 all checks passed; 1 a check failed or a solve did not
 converge (its error then goes to ``trace.json``, ``moser_summary.json`` or
-``report.json``); 2 malformed configuration, incompatible geometry or an
-output directory that cannot be created.  Runs are deterministic for a
-fixed config and seed.
+``report.json``); 2 malformed configuration, incompatible geometry, an
+output directory that cannot be created or a report file that cannot be
+written.  Runs are deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -257,7 +257,12 @@ def main(argv=None) -> int:
             _complain(f"cannot create output directory {args.out!r}: "
                       f"{err.strerror}")
             return EXIT_BAD_CONFIG
-        return _COMMANDS[args.command](cfg, args.out)
+        try:
+            return _COMMANDS[args.command](cfg, args.out)
+        except OSError as err:  # a report file that cannot be written
+            path = args.out if err.filename is None else err.filename
+            _complain(f"cannot write {path!r}: {err.strerror}")
+            return EXIT_BAD_CONFIG
     except (ConfigError, MoserGeometryError) as err:
         _complain(err)
         return EXIT_BAD_CONFIG

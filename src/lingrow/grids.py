@@ -30,7 +30,6 @@ __all__ = [
     "ring_differences",
     "ring_adjoint",
     "sup_on",
-    "lp_on_log",
 ]
 
 _MAX_CELLS = 2 ** 24
@@ -81,10 +80,15 @@ class Grid2:
         return (cx - b.radius > 0.0 and cx + b.radius < self.lx
                 and cy - b.radius > 0.0 and cy + b.radius < self.ly)
 
+    def sq_distances(self, point: tuple[float, float]) -> np.ndarray:
+        """Squared distances of the cell centers to ``point``, shape
+        (nx, ny)."""
+        X, Y = self.centers()
+        return (X - point[0]) ** 2 + (Y - point[1]) ** 2
+
     def cells_in_ball(self, b: "Ball") -> np.ndarray:
         """Boolean (nx, ny) array: cell center strictly inside the ball."""
-        X, Y = self.centers()
-        return (X - b.center[0]) ** 2 + (Y - b.center[1]) ** 2 < b.radius ** 2
+        return self.sq_distances(b.center) < b.radius ** 2
 
     def boundary_distance(self, x: float, y: float) -> float:
         return min(x, self.lx - x, y, self.ly - y)
@@ -203,34 +207,11 @@ def neumann_live(grid: Grid2) -> tuple[np.ndarray, np.ndarray]:
     return live_x, live_y
 
 
-def _ball_cells(u: Field, b: Ball) -> np.ndarray:
+def sup_on(u: Field, b: Ball) -> float:
+    """Max of the per-cell magnitude over cells strictly inside the ball."""
     if not u.grid.contains_ball(b):
         raise ValueError("ball is not contained in the domain")
     inside = u.grid.cells_in_ball(b)
     if not inside.any():
         raise ValueError("ball contains no cell centers")
-    return inside
-
-
-def sup_on(u: Field, b: Ball) -> float:
-    """Max of the per-cell magnitude over cells strictly inside the ball."""
-    inside = _ball_cells(u, b)
     return float(np.max(u.magnitude()[inside]))
-
-
-def lp_on_log(u: Field, b: Ball, p: float) -> float:
-    """log of the midpoint-rule integral of |u|^p over the ball.
-
-    Factored through the maximum so large exponents neither overflow nor
-    underflow.  Returns -inf when u vanishes on the ball.
-    """
-    if p <= 0.0:
-        raise ValueError("p must be positive")
-    inside = _ball_cells(u, b)
-    mag = u.magnitude()[inside]
-    m = float(np.max(mag))
-    if m == 0.0:
-        return -np.inf
-    scaled = mag / m
-    s = float(np.sum(scaled ** p))
-    return p * np.log(m) + np.log(s) + 2.0 * np.log(u.grid.h)

@@ -12,9 +12,14 @@ constant; iterating it to the limit ball of radius ``R0 (n-1)/n`` yields
                                  * max(1, ||u||_{L^{n/(n-1)}}).
 
 ``moser_report`` measures the level masses and the per-level constants,
-``sup_bound`` evaluates the limit inequality, ``caccioppoli_check`` measures
-the cutoff inequality the recursion rests on, and ``select_radius`` picks the
-data-mass radius used by the fidelity analysis.
+evaluates the limit inequality and measures the cutoff inequality the
+recursion rests on; ``select_radius`` picks the data-mass radius used by the
+fidelity analysis.
+
+A report computes the squared distances of the cell centres to the family's
+centre and the cell magnitudes once: the level masses gather the outer
+ball's cells from them, the sup bound reads the limit ball's, and the cutoff
+checks build each level's ramp once, from their square root, for every s.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Ball, Field, Grid2, Mask, lp_on_log, sup_on
+from .grids import Ball, Field, Grid2, Mask
 
 __all__ = [
     "BallFamily",
@@ -32,9 +37,7 @@ __all__ = [
     "exponents",
     "RecursionCheck",
     "SupBoundCheck",
-    "sup_bound",
     "CaccioppoliCheck",
-    "caccioppoli_check",
     "select_radius",
     "MoserGeometryError",
     "check_geometry",
@@ -46,9 +49,6 @@ __all__ = [
 # smallest admissible cell count inside the innermost ball for the
 # level integrals to mean anything
 min_cells_per_ball = 50
-# caccioppoli_check skips every annulus thinner than two cells
-_THIN_ANNULI = ("no annulus is at least two cells wide; enlarge r0 or "
-                "refine the grid")
 
 
 class MoserGeometryError(ValueError):
@@ -107,22 +107,18 @@ def exponents(bf: BallFamily) -> np.ndarray:
     return bf.q ** j - 1.0
 
 
-def _check_outer_ball(grid: Grid2, bf: BallFamily) -> None:
-    if not grid.contains_ball(bf.ball(0)):
-        raise MoserGeometryError(
-            f"ball of radius {bf.r0:g} at {bf.center} is not strictly "
-            "inside the domain")
-
-
 def check_geometry(grid: Grid2, bf: BallFamily) -> None:
     """Raise ``MoserGeometryError`` unless ``moser_report`` can audit the
     family on this grid: the outer ball strictly inside the domain, at
     least ``min_cells_per_ball`` cell centres in the innermost ball, and a
-    first annulus at least two cells wide, which ``caccioppoli_check``
-    needs.  The limit ball, whose sup the bound compares, is at least half
-    as wide as the innermost one, so it then holds a cell centre too.  Only
-    the grid is needed, so a run can check before it solves."""
-    _check_outer_ball(grid, bf)
+    first annulus at least two cells wide, which the cutoff checks need.
+    The limit ball, whose sup the bound compares, is at least half as wide
+    as the innermost one, so it then holds a cell centre too.  Only the grid
+    is needed, so a run can check before it solves."""
+    if not grid.contains_ball(bf.ball(0)):
+        raise MoserGeometryError(
+            f"ball of radius {bf.r0:g} at {bf.center} is not strictly "
+            "inside the domain")
     count = int(grid.cells_in_ball(bf.ball(bf.j_max)).sum())
     if count < min_cells_per_ball:
         raise MoserGeometryError(
@@ -130,19 +126,29 @@ def check_geometry(grid: Grid2, bf: BallFamily) -> None:
             f"at least {min_cells_per_ball} required")
     r0, r1 = radii(bf)[:2]
     if r0 - r1 < 2.0 * grid.h:
-        raise MoserGeometryError(_THIN_ANNULI)
+        raise MoserGeometryError("no annulus is at least two cells wide; "
+                                 "enlarge r0 or refine the grid")
 
 
-def _log_masses(u: Field, bf: BallFamily) -> tuple[np.ndarray, np.ndarray]:
-    """log a_j, computed in log space so large exponents cannot overflow,
-    and a_j, capped at e^700."""
-    rr = radii(bf)
-    out = np.empty(bf.j_max + 1)
-    for j in range(bf.j_max + 1):
-        p = bf.q ** j
-        lg = lp_on_log(u, Ball(bf.center, rr[j]), p)
-        out[j] = max(0.0, lg)  # max(1, integral) in log space
-    return out, np.exp(np.minimum(out, 700.0))
+def _log_masses(mag: np.ndarray, d2: np.ndarray, rr: np.ndarray, q: float,
+                h: float) -> np.ndarray:
+    """log a_j for the radii ``rr``, from the cell magnitudes ``mag`` and
+    squared centre distances ``d2``.  The midpoint-rule integral of
+    |u|^(q^j) is factored through its maximum, so large exponents neither
+    overflow nor underflow.  The outer ball's cells are gathered once in C
+    order; an inner ball's are the same cells in the same order as a mask
+    of the whole grid would give, so each sum is too."""
+    inside = d2 < rr[0] ** 2
+    outer_mag, outer_d2 = mag[inside], d2[inside]
+    out = np.zeros(len(rr))  # log max(1, integral); 0 where u vanishes
+    for j, r in enumerate(rr):
+        p = q ** j
+        mj = outer_mag[outer_d2 < r ** 2]
+        m = float(np.max(mj))
+        if m > 0.0:
+            s = float(np.sum((mj / m) ** p))
+            out[j] = max(0.0, p * np.log(m) + np.log(s) + 2.0 * np.log(h))
+    return out
 
 
 @dataclass
@@ -191,24 +197,22 @@ class SupBoundCheck:
                 "passed": bool(self.passed)}
 
 
-def sup_bound(check: RecursionCheck, u: Field, bf: BallFamily) -> SupBoundCheck:
+def _sup_bound(check: RecursionCheck, mag: np.ndarray, d2: np.ndarray,
+               bf: BallFamily, h: float) -> SupBoundCheck:
     """Evaluate the limit inequality with the measured recursion constant.
 
     predicted = c_max^(n-1) * (n/(n-1))^(2n(n-1)) * max(1, ||u||_{L^q}) over
     the whole domain; observed = sup of |u| over the limit ball.  For n = 2
     the middle factor is exactly 16.
     """
-    _check_outer_ball(u.grid, bf)
     q = bf.q
     n = bf.n
     prefactor = q ** (2 * n * (n - 1))
     # L^q norm over the whole domain via the largest inscribed concentric ball
     # would undercount; integrate over all cells directly.
-    mag = u.magnitude()
-    h2 = u.grid.h ** 2
-    lq = float(np.sum(mag ** q) * h2) ** (1.0 / q)
+    lq = float(np.sum(mag ** q) * h ** 2) ** (1.0 / q)
     predicted = check.c_max ** (n - 1) * prefactor * max(1.0, lq)
-    observed = sup_on(u, bf.limit_ball())
+    observed = float(np.max(mag[d2 < bf.r_inf ** 2]))
     return SupBoundCheck(predicted=predicted, observed=observed, lq_norm=lq,
                          prefactor=float(prefactor),
                          passed=bool(predicted >= observed))
@@ -228,11 +232,12 @@ class CaccioppoliCheck:
                 "note": self.note}
 
 
-def caccioppoli_check(u: Field, bf: BallFamily, s: float) -> CaccioppoliCheck:
-    """Measure the cutoff-inequality constant per ball level.
+def _caccioppoli(mag: np.ndarray, r_cell: np.ndarray, rr: np.ndarray,
+                 q: float, h: float, s_values) -> list[CaccioppoliCheck]:
+    """Measure the cutoff-inequality constant per ball level for each s.
 
     With the radial ramp eta_j (1 on B_{j+1}, 0 outside B_j, linear in the
-    annulus, |grad eta_j| = 1/(R_j - R_{j+1})):
+    annulus, |grad eta_j| = 1/(R_j - R_{j+1})) of the cell radii ``r_cell``:
 
         c_j = (integral |u|^((s+1)q) eta^(2q))^(1/q)
               / ((s+1) * (integral |u|^s eta^2 + integral |u|^(s+1) eta |grad eta|))
@@ -241,55 +246,50 @@ def caccioppoli_check(u: Field, bf: BallFamily, s: float) -> CaccioppoliCheck:
     the level constants vary by no more than 50% relative to their smallest
     value.
     """
-    if s < 0.0:
-        raise ValueError("s must be non-negative")
-    _check_outer_ball(u.grid, bf)
-    g = u.grid
-    h2 = g.h * g.h
-    X, Y = g.centers()
-    r_cell = np.sqrt((X - bf.center[0]) ** 2 + (Y - bf.center[1]) ** 2)
-    mag = u.magnitude()
-    q = bf.q
-    rr = radii(bf)
-
-    us = np.ones_like(mag) if s == 0.0 else mag ** s
-    us1 = mag ** (s + 1.0)
+    h2 = h * h
+    powers = [(np.ones_like(mag) if s == 0.0 else mag ** s, mag ** (s + 1.0))
+              for s in s_values]
+    levels = [[] for _ in s_values]
+    failed = [False for _ in s_values]
     # Levels whose annulus is thinner than two cells cannot resolve the
     # cutoff ramp, so the measured constant there reflects rasterization,
-    # not the inequality; they are skipped.
-    levels = []
-    failed = False
-    for j in range(bf.j_max):
-        r_hi, r_lo = rr[j], rr[j + 1]
-        if r_hi - r_lo < 2.0 * g.h:
+    # not the inequality; they are skipped.  check_geometry ensures the
+    # first annulus is wide enough.
+    for r_hi, r_lo in zip(rr[:-1], rr[1:]):
+        if r_hi - r_lo < 2.0 * h:
             break
         eta = np.clip((r_hi - r_cell) / (r_hi - r_lo), 0.0, 1.0)
         geta = np.where((r_cell > r_lo) & (r_cell < r_hi),
                         1.0 / (r_hi - r_lo), 0.0)
-        lhs = (h2 * float(np.sum(us1 ** q * eta ** (2.0 * q)))) ** (1.0 / q)
-        bracket = h2 * float(np.sum(us * eta * eta)) \
-            + h2 * float(np.sum(us1 * eta * geta))
-        if bracket == 0.0:
-            levels.append(0.0 if lhs == 0.0 else math.inf)
-            failed = failed or lhs != 0.0
-        else:
-            levels.append(lhs / ((s + 1.0) * bracket))
-    if not levels:
-        raise MoserGeometryError(_THIN_ANNULI)
-    c_levels = np.asarray(levels)
-    note = "" if len(levels) == bf.j_max else \
-        f"levels beyond {len(levels) - 1} have sub-grid annuli and were skipped"
+        eta2q = eta ** (2.0 * q)
+        for k, (s, (us, us1)) in enumerate(zip(s_values, powers)):
+            lhs = (h2 * float(np.sum(us1 ** q * eta2q))) ** (1.0 / q)
+            bracket = h2 * float(np.sum(us * eta * eta)) \
+                + h2 * float(np.sum(us1 * eta * geta))
+            if bracket == 0.0:
+                levels[k].append(0.0 if lhs == 0.0 else math.inf)
+                failed[k] = failed[k] or lhs != 0.0
+            else:
+                levels[k].append(lhs / ((s + 1.0) * bracket))
 
-    finite = c_levels[np.isfinite(c_levels)]
-    if failed or len(finite) == 0:
-        return CaccioppoliCheck(s=float(s), c_levels=c_levels,
-                                variation=math.inf, passed=False,
-                                note="zero bracket with nonzero level integral")
-    lo = float(np.min(finite))
-    hi = float(np.max(finite))
-    variation = 0.0 if hi == 0.0 else (hi - lo) / max(lo, 1e-300)
-    return CaccioppoliCheck(s=float(s), c_levels=c_levels, variation=variation,
-                            passed=bool(variation <= 0.5), note=note)
+    checks = []
+    for s, c_levels, bad in zip(s_values, map(np.asarray, levels), failed):
+        note = "" if len(c_levels) == len(rr) - 1 else (
+            f"levels beyond {len(c_levels) - 1} have sub-grid annuli and "
+            "were skipped")
+        finite = c_levels[np.isfinite(c_levels)]
+        if bad or len(finite) == 0:
+            checks.append(CaccioppoliCheck(
+                s=float(s), c_levels=c_levels, variation=math.inf,
+                passed=False, note="zero bracket with nonzero level integral"))
+            continue
+        lo = float(np.min(finite))
+        hi = float(np.max(finite))
+        variation = 0.0 if hi == 0.0 else (hi - lo) / max(lo, 1e-300)
+        checks.append(CaccioppoliCheck(
+            s=float(s), c_levels=c_levels, variation=variation,
+            passed=bool(variation <= 0.5), note=note))
+    return checks
 
 
 def select_radius(f: Field, mask: Mask, lam: float,
@@ -315,10 +315,10 @@ def select_radius(f: Field, mask: Mask, lam: float,
     r = dist / 2.0
     f2 = f.magnitude() ** 2
     outside = ~mask.member
+    d2 = g.sq_distances(x0)
     h2 = g.h * g.h
     while r > 3.0 * g.h:
-        inside = g.cells_in_ball(Ball(x0, r))
-        data_mass = h2 * float(np.sum(f2[inside & outside]))
+        data_mass = h2 * float(np.sum(f2[(d2 < r ** 2) & outside]))
         if data_mass < eps0:
             return r, eps0
         r /= 2.0
@@ -372,13 +372,22 @@ class MoserReport:
 
 def moser_report(u: Field, bf: BallFamily, s_values=(0.0, 1.0, 3.0),
                  epsilon0: float | None = None) -> MoserReport:
-    """Run the full audit for one solution field."""
-    check_geometry(u.grid, bf)
-    log_a, a = _log_masses(u, bf)
+    """Run the full audit for one solution field: the level masses (a_j
+    capped at e^700), the recursion constants, the sup bound and one cutoff
+    check per ``s`` in ``s_values``, each non-negative."""
+    if any(s < 0.0 for s in s_values):
+        raise ValueError("s must be non-negative")
+    g = u.grid
+    check_geometry(g, bf)
+    rr = radii(bf)
+    d2 = g.sq_distances(bf.center)
+    mag = u.magnitude()
+    log_a = _log_masses(mag, d2, rr, bf.q, g.h)
     rec = _recursion(log_a, bf)
     return MoserReport(
         center=bf.center, r0=bf.r0, r_inf=bf.r_inf, n=bf.n, j_max=bf.j_max,
-        radii=radii(bf), exponents=exponents(bf), masses=a,
-        recursion=rec, bound=sup_bound(rec, u, bf),
-        caccioppoli=[caccioppoli_check(u, bf, s) for s in s_values],
+        radii=rr, exponents=exponents(bf),
+        masses=np.exp(np.minimum(log_a, 700.0)), recursion=rec,
+        bound=_sup_bound(rec, mag, d2, bf, g.h),
+        caccioppoli=_caccioppoli(mag, np.sqrt(d2), rr, bf.q, g.h, s_values),
         epsilon0=epsilon0)

@@ -12,7 +12,9 @@ import numpy as np
 from scipy import integrate
 
 from lingrow.energy import clip_data
-from lingrow.grids import Field, Grid2
+from lingrow.grids import Ball, Field, Grid2
+from lingrow.moser import (CaccioppoliCheck, MoserReport, SupBoundCheck,
+                           _recursion, check_geometry, exponents, radii)
 from lingrow.profiles import profile_eval
 
 # ---------------------------------------------------------------------------
@@ -137,6 +139,96 @@ def naive_ball_integral(u, center, radius: float, p: float) -> float:
                     m += u.values[i, j, c] ** 2
                 total += math.sqrt(m) ** p * g.h * g.h
     return total
+
+
+# ---------------------------------------------------------------------------
+# the Moser audit with its own cell mask per ball
+
+
+def _ball_magnitudes(u, b):
+    """Cell magnitudes strictly inside ``b``, from a mask of the whole grid."""
+    g = u.grid
+    X, Y = g.centers()
+    inside = (X - b.center[0]) ** 2 + (Y - b.center[1]) ** 2 < b.radius ** 2
+    return u.magnitude()[inside]
+
+
+def moser_report_per_ball(u, bf, s_values=(0.0, 1.0, 3.0), epsilon0=None):
+    """``moser.moser_report`` with every ball's cells, the sup and each
+    cutoff ramp computed afresh from the grid, one level and one ``s`` at a
+    time, and with the same floating-point operations in the same order, so
+    the two reports agree bit for bit."""
+    check_geometry(u.grid, bf)
+    g = u.grid
+    rr = radii(bf)
+    log_a = np.empty(bf.j_max + 1)
+    for j in range(bf.j_max + 1):
+        p = bf.q ** j
+        mag = _ball_magnitudes(u, Ball(bf.center, rr[j]))
+        m = float(np.max(mag))
+        lg = -np.inf
+        if m != 0.0:
+            lg = (p * np.log(m) + np.log(float(np.sum((mag / m) ** p)))
+                  + 2.0 * np.log(g.h))
+        log_a[j] = max(0.0, lg)
+    rec = _recursion(log_a, bf)
+
+    q, n = bf.q, bf.n
+    prefactor = q ** (2 * n * (n - 1))
+    lq = float(np.sum(u.magnitude() ** q) * g.h ** 2) ** (1.0 / q)
+    predicted = rec.c_max ** (n - 1) * prefactor * max(1.0, lq)
+    observed = float(np.max(_ball_magnitudes(u, bf.limit_ball())))
+    bound = SupBoundCheck(predicted=predicted, observed=observed, lq_norm=lq,
+                          prefactor=float(prefactor),
+                          passed=bool(predicted >= observed))
+
+    checks = []
+    for s in s_values:
+        if s < 0.0:
+            raise ValueError("s must be non-negative")
+        X, Y = g.centers()
+        r_cell = np.sqrt((X - bf.center[0]) ** 2 + (Y - bf.center[1]) ** 2)
+        mag = u.magnitude()
+        us = np.ones_like(mag) if s == 0.0 else mag ** s
+        us1 = mag ** (s + 1.0)
+        levels = []
+        failed = False
+        for j in range(bf.j_max):
+            r_hi, r_lo = rr[j], rr[j + 1]
+            if r_hi - r_lo < 2.0 * g.h:
+                break
+            eta = np.clip((r_hi - r_cell) / (r_hi - r_lo), 0.0, 1.0)
+            geta = np.where((r_cell > r_lo) & (r_cell < r_hi),
+                            1.0 / (r_hi - r_lo), 0.0)
+            lhs = (g.h * g.h * float(np.sum(us1 ** q * eta ** (2.0 * q)))) \
+                ** (1.0 / q)
+            bracket = g.h * g.h * float(np.sum(us * eta * eta)) \
+                + g.h * g.h * float(np.sum(us1 * eta * geta))
+            if bracket == 0.0:
+                levels.append(0.0 if lhs == 0.0 else math.inf)
+                failed = failed or lhs != 0.0
+            else:
+                levels.append(lhs / ((s + 1.0) * bracket))
+        c = np.asarray(levels)
+        note = "" if len(levels) == bf.j_max else \
+            f"levels beyond {len(levels) - 1} have sub-grid annuli and were skipped"
+        finite = c[np.isfinite(c)]
+        if failed or len(finite) == 0:
+            checks.append(CaccioppoliCheck(
+                s=float(s), c_levels=c, variation=math.inf, passed=False,
+                note="zero bracket with nonzero level integral"))
+            continue
+        lo, hi = float(np.min(finite)), float(np.max(finite))
+        variation = 0.0 if hi == 0.0 else (hi - lo) / max(lo, 1e-300)
+        checks.append(CaccioppoliCheck(s=float(s), c_levels=c,
+                                       variation=variation,
+                                       passed=bool(variation <= 0.5),
+                                       note=note))
+    return MoserReport(
+        center=bf.center, r0=bf.r0, r_inf=bf.r_inf, n=bf.n, j_max=bf.j_max,
+        radii=rr, exponents=exponents(bf),
+        masses=np.exp(np.minimum(log_a, 700.0)), recursion=rec, bound=bound,
+        caccioppoli=checks, epsilon0=epsilon0)
 
 
 # ---------------------------------------------------------------------------

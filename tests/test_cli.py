@@ -347,6 +347,16 @@ class TestSolve:
         assert len(err.splitlines()) == 1
         assert (tmp_path / "afile").read_text() == ""
 
+    def test_a_report_that_cannot_be_written_exits_two_with_one_line(
+            self, tmp_path, capsys):
+        target = tmp_path / "out" / "trace.csv"
+        target.mkdir(parents=True)
+        rc, _ = run(tmp_path, "solve", denoise_config())
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"lingrow: cannot write {str(target)!r}: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestMoser:
     def test_zero_data_audit_passes(self, tmp_path):

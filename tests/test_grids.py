@@ -1,4 +1,5 @@
-"""Grids, fields, masks, balls, the difference pair, and ball norms."""
+"""Grids, fields, masks, balls, the difference pair, the ball sup, and the
+ball integrals behind the Moser audit's level masses."""
 
 import math
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lingrow.energy import DirichletProblem
-from lingrow.grids import (Ball, Field, Grid2, Mask, lp_on_log, neumann_live,
+from lingrow.grids import (Ball, Field, Grid2, Mask, neumann_live,
                            ring_adjoint, ring_differences, sup_on)
+from lingrow.moser import BallFamily, moser_report, radii
 from lingrow.profiles import minimal_surface
 
 from .oracles import naive_ball_integral, ring_differences_two_arrays
@@ -18,9 +20,11 @@ def unit_grid(n):
     return Grid2(n, n, 1.0 / n)
 
 
-def ball_integral(u, b, p):
-    """Midpoint-rule integral of |u|^p over the ball."""
-    return math.exp(lp_on_log(u, b, p))
+def level_masses(u, center, r0, j_max):
+    """``moser_report``'s level masses a_j = max(1, integral of |u|^(2^j)
+    over B_j) for the n = 2 family around ``center`` with outer radius r0."""
+    bf = BallFamily(center, r0, n=2, j_max=j_max)
+    return moser_report(u, bf, s_values=()).masses
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +229,9 @@ def test_sup_and_lp_on_zero_field():
     b = Ball((0.5, 0.5), 0.3)
     u = Field.zeros(g)
     assert sup_on(u, b) == 0.0
-    assert ball_integral(u, b, 1.0) == 0.0
+    # a vanishing integral is mass 1, the floor max(1, 0)
+    zero = Field.zeros(unit_grid(32))
+    assert np.array_equal(level_masses(zero, (0.5, 0.5), 0.3, 2), np.ones(3))
 
 
 def test_lp_on_constant_matches_discrete_area():
@@ -234,8 +240,9 @@ def test_lp_on_constant_matches_discrete_area():
     u = Field.full(g, 3.0)
     area = float(np.sum(g.cells_in_ball(b))) * g.h ** 2
     assert abs(area - math.pi * 0.25) <= 3.0 * g.h
-    assert ball_integral(u, b, 1.0) == pytest.approx(3.0 * area, rel=1e-12)
-    assert ball_integral(u, b, 1.0) == pytest.approx(
+    a0 = level_masses(u, b.center, b.radius, 1)[0]
+    assert a0 == pytest.approx(3.0 * area, rel=1e-12)
+    assert a0 == pytest.approx(
         naive_ball_integral(u, b.center, b.radius, 1.0), rel=1e-12)
 
 
@@ -248,22 +255,30 @@ def test_sup_of_radial_distance_field():
 
 
 def test_lp_monotone_in_radius_and_exponent():
-    g = unit_grid(32)
-    u = Field.from_function(g, lambda x, y: 1.0 + x + y)  # |u| >= 1
-    vals = [ball_integral(u, Ball((0.5, 0.5), r), 2.0)
-            for r in (0.2, 0.3, 0.4)]
+    # |u| >= 10, so every integral here is above the mass floor of 1
+    g = unit_grid(64)
+    u = Field.from_function(g, lambda x, y: 10.0 * (1.0 + x + y))
+    vals = [level_masses(u, (0.5, 0.5), r, 1)[0] for r in (0.2, 0.3, 0.4)]
     assert vals[0] < vals[1] < vals[2]
-    b = Ball((0.5, 0.5), 0.3)
-    assert (ball_integral(u, b, 1.0) <= ball_integral(u, b, 2.0)
-            <= ball_integral(u, b, 4.0))
+    # B_0 of r0 0.3, B_1 of r0 0.4 and B_2 of r0 0.48 all have radius 0.3,
+    # with exponents 1, 2 and 4
+    fams = [BallFamily((0.5, 0.5), r0, j_max=2) for r0 in (0.3, 0.4, 0.48)]
+    assert [radii(bf)[j] for j, bf in enumerate(fams)] == pytest.approx(
+        [0.3] * 3)
+    by_p = [moser_report(u, bf, s_values=()).masses[j]
+            for j, bf in enumerate(fams)]
+    assert by_p[0] <= by_p[1] <= by_p[2]
 
 
 def test_lp_on_log_handles_huge_exponents():
     g = unit_grid(32)
     u = Field.full(g, 1000.0)
-    b = Ball((0.5, 0.5), 0.25)
-    lg = lp_on_log(u, b, 16.0)
-    area = float(np.sum(g.cells_in_ball(b))) * g.h ** 2
+    # level 4 (exponent 16) of the family with r0 = 0.25 * 32/17 has
+    # radius 0.25
+    bf = BallFamily((0.5, 0.5), 0.25 * 32.0 / 17.0, n=2, j_max=4)
+    lg = math.log(moser_report(u, bf, s_values=()).masses[4])
+    area = float(np.sum(g.cells_in_ball(bf.ball(4)))) * g.h ** 2
+    assert bf.ball(4).radius == pytest.approx(0.25, rel=1e-15)
     assert lg == pytest.approx(16.0 * math.log(1000.0) + math.log(area),
                                rel=1e-12)
     assert math.isfinite(lg)
@@ -276,18 +291,21 @@ def test_ball_errors():
         sup_on(u, Ball((0.5, 0.5), 0.6))  # sticks out of the domain
     with pytest.raises(ValueError):
         sup_on(u, Ball((0.5, 0.5), 1e-4))  # holds no cell centers
-    with pytest.raises(ValueError):
-        ball_integral(u, Ball((0.5, 0.5), 0.3), 0.0)
+    with pytest.raises(ValueError):  # too few cells for the level masses
+        level_masses(u, (0.5, 0.5), 0.3, 1)
 
 
 def test_lp_matches_naive_oracle_on_random_field():
     rng = np.random.default_rng(9)
     g = unit_grid(24)
-    u = Field(g, rng.normal(size=(24, 24, 2)))
-    b = Ball((0.4, 0.6), 0.3)
-    for p in (1.0, 2.0, 3.5):
-        assert ball_integral(u, b, p) == pytest.approx(
-            naive_ball_integral(u, b.center, b.radius, p), rel=1e-12)
+    u = Field(g, 3.0 * rng.normal(size=(24, 24, 2)))
+    center, r0 = (0.4, 0.6), 0.35
+    a = level_masses(u, center, r0, 2)
+    rr = radii(BallFamily(center, r0, n=2, j_max=2))
+    for j, p in enumerate((1.0, 2.0, 4.0)):
+        ref = naive_ball_integral(u, center, rr[j], p)
+        assert ref > 1.0  # above the mass floor
+        assert a[j] == pytest.approx(ref, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

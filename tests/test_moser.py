@@ -1,4 +1,5 @@
-"""Ball iteration audit: radii, exponents, masses, recursion, sup bound."""
+"""Ball iteration audit: radii, exponents, masses, recursion, sup bound,
+cutoff checks, and the whole report against the per-ball oracle."""
 
 import json
 import math
@@ -9,12 +10,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lingrow.grids import Ball, Field, Grid2, Mask
-from lingrow.moser import (BallFamily, MoserGeometryError, caccioppoli_check,
-                           check_geometry, exponents, min_cells_per_ball,
-                           moser_report, radii, select_radius, sup_bound)
-from lingrow.moser import _log_masses, _recursion
+from lingrow.instances import dirichlet_boundary_spike
+from lingrow.moser import (BallFamily, MoserGeometryError, check_geometry,
+                           exponents, min_cells_per_ball, moser_report, radii,
+                           select_radius)
+from lingrow.moser import _log_masses, _recursion, _sup_bound
+from lingrow.solver import SolverConfig, continuation_solve
 
-from .oracles import naive_ball_integral
+from .oracles import moser_report_per_ball, naive_ball_integral
 
 
 def big_grid(n=64, h=0.1):
@@ -23,6 +26,11 @@ def big_grid(n=64, h=0.1):
 
 def centered_family(**kw):
     return BallFamily(center=(3.2, 3.2), r0=2.0, **kw)
+
+
+def caccioppoli_check(u, bf, s):
+    """The report's cutoff check for one s."""
+    return moser_report(u, bf, s_values=(s,)).caccioppoli[0]
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +106,9 @@ def test_widest_family_a_float_holds_is_bounded():
     bf = BallFamily((0.5, 0.5), 0.3, n=355, j_max=6)
     # its annuli are far thinner than a cell, so moser_report refuses it;
     # the recursion and the bound still hold a float
-    bound = sup_bound(_recursion(_log_masses(u, bf)[0], bf), u, bf)
+    mag, d2 = u.magnitude(), g.sq_distances(bf.center)
+    log_a = _log_masses(mag, d2, radii(bf), bf.q, g.h)
+    bound = _sup_bound(_recursion(log_a, bf), mag, d2, bf, g.h)
     assert bound.prefactor < math.inf and bound.passed
 
 
@@ -281,7 +291,7 @@ def test_caccioppoli_rejects_sub_grid_families():
     # no annulus on a 16x16 grid can span two cells for a contained family
     g = Grid2(16, 16, 1.0 / 16)
     u = Field.full(g, 1.0)
-    with pytest.raises(MoserGeometryError):
+    with pytest.raises(MoserGeometryError, match="no annulus"):
         caccioppoli_check(u, BallFamily((0.5, 0.5), 0.45, j_max=3), 0.0)
 
 
@@ -398,20 +408,21 @@ def test_check_geometry_needs_only_the_grid():
        st.integers(1, 6))
 def test_check_geometry_rejects_the_families_caccioppoli_cannot_measure(
         n, r0, dim, j_max):
-    """check_geometry names thin annuli exactly when caccioppoli_check
-    would raise on them after the solve."""
+    """moser_report names thin annuli exactly when the first annulus is
+    thinner than two cells, and otherwise measures the cutoff constant on
+    at least one level."""
     g = Grid2(n, n, 1.0 / n)
     bf = BallFamily((0.5, 0.5), r0, n=dim, j_max=j_max)
     u = Field.full(g, 1.0)
+    r_0, r_1 = radii(bf)[:2]
+    thin = r_0 - r_1 < 2.0 * g.h
     try:
-        check_geometry(g, bf)
+        check = caccioppoli_check(u, bf, 0.0)
     except MoserGeometryError as err:
-        if "annulus" not in str(err):
-            return
-        with pytest.raises(MoserGeometryError, match="no annulus"):
-            caccioppoli_check(u, bf, 0.0)
+        if "annulus" in str(err):
+            assert thin
         return
-    caccioppoli_check(u, bf, 0.0)
+    assert not thin and len(check.c_levels) >= 1
 
 
 @given(st.integers(16, 64), st.floats(0.2, 0.8), st.floats(0.2, 0.8),
@@ -427,3 +438,53 @@ def test_checked_family_has_a_cell_in_its_limit_ball(n, cx, cy, r0, dim,
     except MoserGeometryError:
         return
     assert g.cells_in_ball(bf.limit_ball()).any()
+
+
+# ---------------------------------------------------------------------------
+# one geometry per report against a mask per ball
+
+
+@pytest.fixture(scope="module")
+def spike_rungs_64():
+    trace = continuation_solve(dirichlet_boundary_spike(64, 64),
+                               SolverConfig(mu=1.5))
+    return [rec.u for rec in trace.records]
+
+
+def _vanishing_inside(g):
+    """5 outside radius 0.35 of the centre, 0 inside: every inner ball of
+    the r0 0.45 family sees a zero field."""
+    return Field.from_function(
+        g, lambda x, y: np.where(np.hypot(x - 0.5, y - 0.5) < 0.35, 0.0, 5.0))
+
+
+@pytest.mark.parametrize("case", ["spike-ladder-64", "two-channel",
+                                  "vanishing-inner-balls",
+                                  "skipped-levels", "deep-n5"])
+def test_moser_report_matches_the_per_ball_oracle(case, request):
+    """Reports built on one shared geometry equal, byte for byte, those
+    built from a fresh mask per ball, level and s."""
+    rng = np.random.default_rng(5)
+    if case == "spike-ladder-64":
+        fields = request.getfixturevalue("spike_rungs_64")
+        bf = BallFamily((0.5, 0.5), 0.3, n=2, j_max=8)
+    elif case == "two-channel":
+        g = Grid2(48, 48, 1.0 / 48)
+        fields = [Field(g, rng.uniform(-2.0, 2.0, (48, 48, 2)))]
+        bf = BallFamily((0.45, 0.55), 0.4, n=2, j_max=4)
+    elif case == "vanishing-inner-balls":
+        fields = [_vanishing_inside(Grid2(64, 64, 1.0 / 64))]
+        bf = BallFamily((0.5, 0.5), 0.45, n=2, j_max=4)
+    elif case == "skipped-levels":
+        g = Grid2(32, 32, 1.0 / 32)
+        fields = [Field(g, rng.uniform(0.5, 2.0, (32, 32, 1)))]
+        bf = BallFamily((0.5, 0.5), 0.4, n=2, j_max=3)
+    else:
+        g = Grid2(128, 128, 1.0 / 128)
+        fields = [Field(g, rng.uniform(0.5, 2.0, (128, 128, 1)))]
+        bf = BallFamily((0.5, 0.5), 0.45, n=5, j_max=300)
+    for u in fields:
+        rep = moser_report(u, bf, epsilon0=0.25)
+        ref = moser_report_per_ball(u, bf, epsilon0=0.25)
+        assert json.dumps(rep.to_dict()) == json.dumps(ref.to_dict())
+        assert rep.to_csv() == ref.to_csv()
