@@ -19,7 +19,7 @@ from lingrow.solver import SolverConfig, continuation_solve, verify_minimality
 # ---------------------------------------------------------------------------
 # the instance: spike at (0.8, 0.8), mask over [0.1, 0.4] x [0.3, 0.6]
 
-problem = fidelity_inverse_sqrt(nx=64, ny=64, lam=0.5)
+problem = fidelity_inverse_sqrt(nx=64, ny=64)
 print("datum sup:", round(float(np.max(problem.f.values)), 1),
       " masked cells:", int(problem.mask.member.sum()))
 
@@ -61,7 +61,7 @@ print(f"\nminimality: {'PASS' if audit.passed else 'FAIL'} "
 # points land on the same solution
 from lingrow.grids import Field
 
-pure = fidelity_inverse_sqrt(nx=64, ny=64, lam=0.5, mask_rect=None)
+pure = fidelity_inverse_sqrt(nx=64, ny=64, mask_rect=None)
 cfg = SolverConfig(mu=1.5, delta_schedule=(0.1, 0.01), residual_tol=1e-10)
 finals = []
 for seed in (101, 202):

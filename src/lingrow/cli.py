@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 all checks passed; 1 a check failed or a solve did not
 converge (its error then goes to ``trace.json``, ``moser_summary.json`` or
-``report.json``); 2 malformed configuration, incompatible geometry, an
+``report.json``); 2 malformed configuration (data whose energy overflows
+a float and a data weight above 1e8 included), incompatible geometry, an
 output directory that cannot be created or a report file that cannot be
 written.  Runs are deterministic for a fixed config and seed.
 """

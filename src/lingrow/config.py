@@ -243,7 +243,8 @@ def _parse_problem(spec, grid: Grid2 | None, rng: np.random.Generator,
                     return DirichletProblem.from_function(
                         grid, make_function(syn), density)
         u0 = _parse_field(u0_spec, grid, rng, base_dir)
-        return DirichletProblem.from_field(u0, density)
+        with _section("bad dirichlet datum"):
+            return DirichletProblem.from_field(u0, density)
     if kind == "fidelity":
         _expect("f" in spec, "fidelity problem needs 'f'")
         f = _parse_field(spec["f"], grid, rng, base_dir)

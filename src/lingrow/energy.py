@@ -15,6 +15,9 @@ data:
   keeps only the differences between two values, and the dead slots have
   slope 0, where every density vanishes.
 
+Both classes reject data whose energy without the delta term overflows a
+float, and the fidelity class a weight ``lam`` above 1e8.
+
 A ``RegularizationState`` adds ``delta * phi_mu`` to the density, producing
 the strictly elliptic energies the continuation solver walks down.
 ``assemble_ops(problem, reg)`` holds the kernels: its ``residual`` is the
@@ -39,7 +42,6 @@ __all__ = [
     "FidelityProblem",
     "RegularizationState",
     "clip_data",
-    "total_variation",
 ]
 
 @dataclass(frozen=True)
@@ -79,6 +81,7 @@ class DirichletProblem:
         expect = (self.grid.nx + 2, self.grid.ny + 2)
         if self.u0_ext.ndim != 3 or self.u0_ext.shape[:2] != expect:
             raise ValueError("ghost ring shape does not match the grid")
+        _check_representable(self)
 
     @property
     def channels(self) -> int:
@@ -155,8 +158,10 @@ class FidelityProblem:
             raise ValueError("data and mask must live on the problem grid")
         if self.f.channels != 1:
             raise ValueError("fidelity problems are scalar")
-        if not (self.lam > 0.0):
-            raise ValueError("lam must be positive")
+        if not (0.0 < self.lam <= _LAM_MAX):
+            raise ValueError("lam must lie in (0, 1e8]")
+        # at the zero field the energy is the size of the data term
+        _check_representable(self, np.zeros_like(self.f.values))
 
     @property
     def channels(self) -> int:
@@ -183,6 +188,26 @@ class FidelityProblem:
                      total / np.maximum(count, 1.0))
         return FidelityProblem(grid, Field(grid, f), Mask(grid, masked[:, :, 0]),
                                self.lam, self.density)
+
+
+# past this data weight the data term swamps the density in floats: at 16^2
+# the ladder at lam = 1e10 cannot meet its residual tolerance in 200 Newton
+# steps, and at lam = 1e20 the coarsest multigrid level is singular
+_LAM_MAX = 1e8
+
+
+def _check_representable(problem, *starts: np.ndarray) -> None:
+    """Reject data too large for the kernels: the energy without the delta
+    term must be a finite float at the solver's default start and at each
+    of ``starts``."""
+    ops = assemble_ops(problem, None)
+    for w in (ops.default_init(),) + starts:
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                ops.evaluate(w)
+            except ValueError:
+                raise ValueError("the data are too large: their energy "
+                                 "overflows a float") from None
 
 
 def _coarse_grid(g: Grid2) -> Grid2:
@@ -218,13 +243,6 @@ def _check_state(problem, reg: RegularizationState | None) -> RadialProfile:
     if reg.kind != problem.kind:
         raise ValueError(f"regularization state is for {reg.kind!r} problems")
     return reg.apply(problem.density)
-
-
-def _check_field(problem, w: Field) -> None:
-    if w.grid != problem.grid:
-        raise ValueError("field grid does not match the problem")
-    if w.channels != problem.channels:
-        raise ValueError("field channel count does not match the problem")
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +294,11 @@ class StencilPoint:
         self.at = at
         self.energy = energy
         self._ratio = None
+
+    def total_variation(self) -> float:
+        """Discrete integral of ``|grad w|`` under the problem's boundary
+        rule: the cell-weighted sum of the slopes of this pass."""
+        return self.ops.rho * self.ops.h2 * float(np.sum(self.at.t))
 
     def ratio(self) -> np.ndarray:
         """``d1(t)/t`` per difference cell."""
@@ -462,11 +485,3 @@ def assemble_ops(problem, reg: RegularizationState | None):
     if isinstance(problem, FidelityProblem):
         return FidelityOps(problem, reg)
     raise TypeError("problem must be DirichletProblem or FidelityProblem")
-
-
-def total_variation(p, w: Field) -> float:
-    """Discrete integral of |grad w| under the problem's boundary rule."""
-    _check_field(p, w)
-    ops = assemble_ops(p, None)
-    t = _slopes(w.values, ops.h, ops.offset, ops.live)[2]
-    return ops.rho * ops.h2 * float(np.sum(t))

@@ -50,6 +50,11 @@ class Grid2:
             raise ValueError("grid exceeds the cell-count cap")
         if not (self.h > 0.0 and np.isfinite(self.h)):
             raise ValueError("h must be positive and finite")
+        # squared distances across the domain must stay floats
+        side = float(max(self.nx, self.ny) * self.h)
+        if not np.isfinite(side * side):
+            raise ValueError("h is too large: the squared side of the "
+                             "domain overflows a float")
 
     @property
     def lx(self) -> float:

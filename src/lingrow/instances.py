@@ -17,7 +17,7 @@ import numpy as np
 
 from .energy import DirichletProblem, FidelityProblem
 from .grids import Field, Grid2, Mask
-from .profiles import RadialProfile, minimal_surface
+from .profiles import minimal_surface
 
 __all__ = [
     "constant_fn",
@@ -110,40 +110,36 @@ def snap_to_cell(grid: Grid2, point) -> tuple[float, float]:
     return ((i + 0.5) * grid.h, (j + 0.5) * grid.h)
 
 
-def dirichlet_boundary_spike(nx: int = 128, ny: int = 128,
-                             height: float = 100.0, width: float = 0.1,
-                             density: RadialProfile | None = None,
-                             spike_center=(0.5, 0.0),
-                             background=(2.0, 1.0, 1.0)) -> DirichletProblem:
+def dirichlet_boundary_spike(nx: int = 128, ny: int = 128) -> DirichletProblem:
     """Unit-square Dirichlet problem with a tall pyramid on one edge.
 
-    The datum is the pyramid on top of a gentle affine background
-    ``c + ax x + ay y``.  The background keeps the interior solution of
-    order one, so relative stability statistics on interior balls measure
-    the spike's (lack of) influence rather than noise around zero.
+    The datum is a pyramid of height 100 and base radius 0.1 centred at
+    (0.5, 0) on top of the gentle affine background ``2 + x + y``; the
+    density is the minimal-surface one.  The background keeps the interior
+    solution of order one, so relative stability statistics on interior
+    balls measure the spike's (lack of) influence rather than noise around
+    zero.
     """
     grid = Grid2(nx, ny, 1.0 / nx)
-    fn = edge_spike_fn(height, width, spike_center, background)
-    return DirichletProblem.from_function(grid, fn,
-                                          density or minimal_surface())
+    fn = edge_spike_fn(100.0, 0.1, (0.5, 0.0), (2.0, 1.0, 1.0))
+    return DirichletProblem.from_function(grid, fn, minimal_surface())
 
 
-def fidelity_inverse_sqrt(nx: int = 128, ny: int = 128, lam: float = 0.5,
-                          cap: float = 100.0, noise: float = 0.5,
-                          seed: int = 0,
-                          spike_center=(0.8, 0.8),
-                          mask_rect=(0.1, 0.4, 0.3, 0.6),
-                          density: RadialProfile | None = None) -> FidelityProblem:
+def fidelity_inverse_sqrt(nx: int = 128, ny: int = 128,
+                          mask_rect=(0.1, 0.4, 0.3, 0.6)) -> FidelityProblem:
     """Denoising/inpainting instance with a capped inverse-sqrt spike.
 
-    ``mask_rect=None`` gives pure denoising.  The spike center is snapped to
-    a cell center so the sampled sup equals the cap.
+    The datum is ``min(100, |x - c|^(-1/2))`` around c = (0.8, 0.8),
+    snapped to a cell center so the sampled sup equals the cap, plus
+    Gaussian noise of standard deviation 0.5 drawn from seed 0; the data
+    weight is 0.5 and the density the minimal-surface one.
+    ``mask_rect=None`` gives pure denoising.
     """
     grid = Grid2(nx, ny, 1.0 / nx)
-    rng = np.random.default_rng(seed)
-    center = snap_to_cell(grid, spike_center)
+    center = snap_to_cell(grid, (0.8, 0.8))
     f = make_field(grid, {"kind": "inverse_sqrt_spike", "center": center,
-                          "cap": cap, "noise": noise}, rng)
+                          "cap": 100.0, "noise": 0.5},
+                   np.random.default_rng(0))
     mask = Mask.empty(grid) if mask_rect is None \
         else Mask.from_rect(grid, *mask_rect)
-    return FidelityProblem(grid, f, mask, lam, density or minimal_surface())
+    return FidelityProblem(grid, f, mask, 0.5, minimal_surface())

@@ -232,6 +232,9 @@ class CaccioppoliCheck:
                 "note": self.note}
 
 
+# a power of |u| past the float range makes a level integral inf or nan;
+# that s then fails with its own note, not with a warning
+@np.errstate(over="ignore", invalid="ignore")
 def _caccioppoli(mag: np.ndarray, r_cell: np.ndarray, rr: np.ndarray,
                  q: float, h: float, s_values) -> list[CaccioppoliCheck]:
     """Measure the cutoff-inequality constant per ball level for each s.
@@ -266,7 +269,9 @@ def _caccioppoli(mag: np.ndarray, r_cell: np.ndarray, rr: np.ndarray,
             lhs = (h2 * float(np.sum(us1 ** q * eta2q))) ** (1.0 / q)
             bracket = h2 * float(np.sum(us * eta * eta)) \
                 + h2 * float(np.sum(us1 * eta * geta))
-            if bracket == 0.0:
+            if not (math.isfinite(lhs) and math.isfinite(bracket)):
+                levels[k].append(math.nan)  # the only source of a nan level
+            elif bracket == 0.0:
                 levels[k].append(0.0 if lhs == 0.0 else math.inf)
                 failed[k] = failed[k] or lhs != 0.0
             else:
@@ -277,6 +282,13 @@ def _caccioppoli(mag: np.ndarray, r_cell: np.ndarray, rr: np.ndarray,
         note = "" if len(c_levels) == len(rr) - 1 else (
             f"levels beyond {len(c_levels) - 1} have sub-grid annuli and "
             "were skipped")
+        if np.isnan(c_levels).any():
+            checks.append(CaccioppoliCheck(
+                s=float(s), c_levels=np.full(len(c_levels), math.nan),
+                variation=math.nan, passed=False,
+                note=f"the level integrals of |u|^(s+1) overflow a float "
+                     f"at s = {s:g}"))
+            continue
         finite = c_levels[np.isfinite(c_levels)]
         if bad or len(finite) == 0:
             checks.append(CaccioppoliCheck(

@@ -209,7 +209,17 @@ def _phi_eval(mu: float, at: ProfileAt) -> np.ndarray:
         c1 = 0.5 * L * L + L - t
         c2 = t - L - 0.5 * L * L - L * L * L / 6.0
         return (t - L) + eps * (c1 + eps * c2)
-    # (t + expm1(-eps * L) / eps) / (mu - 1)
+    if mu < 1.5:
+        # ((1+t) expm1(-(mu-1) L) / (mu-1) + t) / (mu - 2): the form below
+        # divides a difference that has already cancelled by mu - 1
+        v = (1.0 - mu) * L
+        np.expm1(v, out=v)
+        v /= mu - 1.0
+        v *= 1.0 + t
+        v += t
+        v /= eps
+        return v
+    # (t + expm1(-eps * L) / eps) / (mu - 1), accurate near mu = 2
     v = -eps * L
     np.expm1(v, out=v)
     v /= eps

@@ -54,8 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import (DirichletProblem, RegularizationState, assemble_ops,
-                     total_variation)
+from .energy import DirichletProblem, RegularizationState, assemble_ops
 from .grids import Ball, Field, sup_on
 from .multigrid import Level, Multigrid
 
@@ -88,6 +87,8 @@ _THETA_WARM = 1e-2
 _THETA_MIN = 1e-6
 # the nested start's coarsest copy keeps at least this many cells per axis
 _NEST_MIN = 16
+# sup-norm of every perturbation of the minimality audit
+_AMPLITUDE = 0.1
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class SolverConfig:
     mu: float = 1.5
     delta_schedule: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4)
     residual_tol: float | None = None  # None: 1e-8 * (1 + |E(init)|)
-    max_iters: int = 50000
+    max_iters: int = 200
 
     def __post_init__(self) -> None:
         if not (1.0 < self.mu < 2.0):
@@ -139,16 +140,22 @@ def _armijo(ops, w: np.ndarray, e: float, d: np.ndarray, slope: float):
     point None when no trial step is accepted.
 
     The accepted point carries its stencil state, so the residual and the
-    Hessian there cost no further gradient pass.
+    Hessian there cost no further gradient pass.  A trial whose energy
+    overflows is rejected like one that does not decrease, silently.
     """
     t = 1.0
     for b in range(_MAX_BACKTRACKS):
-        point = ops.evaluate(w + t * d)
-        e_new = point.energy
-        slack = 4.0 * _EPS * (abs(e) + abs(e_new) + 1.0)
-        if e_new <= e + _ARMIJO_SLOPE * t * slope + slack:
-            return point, b
-        point = None  # release the rejected state before the next trial
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                point = ops.evaluate(w + t * d)
+        except ValueError:  # the energy is not finite
+            pass
+        else:
+            e_new = point.energy
+            slack = 4.0 * _EPS * (abs(e) + abs(e_new) + 1.0)
+            if e_new <= e + _ARMIJO_SLOPE * t * slope + slack:
+                return point, b
+            point = None  # release the rejected state before the next trial
         t *= _ARMIJO_BACKTRACK
     return None, _MAX_BACKTRACKS
 
@@ -372,6 +379,7 @@ def continuation_solve(problem, cfg: SolverConfig = SolverConfig(),
     ``SolverError`` from a rung is re-raised annotated with its delta.
     """
     ball = interior_ball or default_interior_ball(problem.grid)
+    plain_ops = assemble_ops(problem, None)
     trace = SolveTrace()
     u = init
     for rung, delta in enumerate(cfg.delta_schedule):
@@ -385,13 +393,14 @@ def continuation_solve(problem, cfg: SolverConfig = SolverConfig(),
         except SolverError as err:
             raise SolverError(f"delta={delta:g}: {err}", err.best,
                               err.stats) from err
-        plain = assemble_ops(problem, None).energy(u.values)
+        plain = plain_ops.evaluate(u.values)
         trace.records.append(DeltaRecord(
-            delta=delta, u=u, energy=stats.energy, plain_energy=plain,
+            delta=delta, u=u, energy=stats.energy, plain_energy=plain.energy,
             residual=stats.final_residual, iters=stats.iters,
-            tv=total_variation(problem, u),
+            tv=plain.total_variation(),
             interior_sup=sup_on(u, ball), backtracks=stats.backtracks,
             krylov_iters=stats.krylov_iters, coarse=coarse))
+        plain = None  # its slope arrays would outlive the next rung's solve
     return trace
 
 
@@ -424,23 +433,23 @@ def _smooth(psi: np.ndarray) -> np.ndarray:
 
 
 def verify_minimality(problem, reg: RegularizationState | None, u: Field,
-                      trials: int = 100, amplitude: float = 0.1,
-                      seed: int = 0) -> MinimalityReport:
+                      trials: int = 100, seed: int = 0) -> MinimalityReport:
     """Energy-increase audit around u.
 
-    Random cell perturbations (half of them smoothed), plus one trial along
-    the negative residual direction so that non-minimizers are caught even
-    when random directions miss the descent cone.  Dirichlet perturbations
+    Random cell perturbations of sup-norm ``_AMPLITUDE`` (half of them
+    smoothed), plus one of the same size along the negative residual
+    direction so that non-minimizers are caught even when random
+    directions miss the descent cone.  Dirichlet perturbations
     vanish on the outermost cell ring.  Passes when every margin
     ``energy(u + psi) - energy(u)`` stays above ``-1e-9 * (1 + |energy(u)|)``.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if not (amplitude > 0.0):
-        raise ValueError("amplitude must be positive")
     ops = assemble_ops(problem, reg)
     w = u.values
-    e0 = ops.energy(w)
+    point = ops.evaluate(w)
+    e0, r = point.energy, point.residual()
+    point = None
     threshold = 1e-9 * (1.0 + abs(e0))
     rng = np.random.default_rng(seed)
     dirichlet = isinstance(problem, DirichletProblem)
@@ -457,14 +466,13 @@ def verify_minimality(problem, reg: RegularizationState | None, u: Field,
         if i % 2 == 1:
             psi = _smooth(psi)
         m = float(np.max(np.abs(psi)))
-        psi *= amplitude / m
+        psi *= _AMPLITUDE / m
         margins[i] = margin(psi)
 
-    r = ops.residual(w)
     rmax = float(np.max(np.abs(r)))
-    margins[trials] = margin(-amplitude * r / rmax) if rmax > 0.0 else 0.0
+    margins[trials] = margin(-_AMPLITUDE * r / rmax) if rmax > 0.0 else 0.0
 
     worst = float(np.min(margins))
-    return MinimalityReport(trials=trials + 1, amplitude=amplitude,
+    return MinimalityReport(trials=trials + 1, amplitude=_AMPLITUDE,
                             worst_margin=worst, threshold=threshold,
                             passed=worst >= -threshold, margins=margins)

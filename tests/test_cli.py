@@ -331,6 +331,45 @@ class TestSolve:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("problem, reason", [
+        ({"f": {"synthetic": {"kind": "constant", "value": 1e160}}},
+         "bad fidelity problem: the data are too large"),
+        ({"f": {"synthetic": {"kind": "inverse_sqrt_spike",
+                              "center": [0.8, 0.8], "cap": 1e300}}},
+         "bad fidelity problem: the data are too large"),
+        ({"f": {"synthetic": {"kind": "constant", "value": 1.0,
+                              "noise": 1e300}}},
+         "bad fidelity problem: the data are too large"),
+        ({"kind": "dirichlet",
+          "u0": {"synthetic": {"kind": "edge_spike", "height": 1e200}}},
+         "bad synthetic datum: the data are too large"),
+        ({"kind": "dirichlet",
+          "u0": {"synthetic": {"kind": "affine", "ax": 1e200}}},
+         "bad synthetic datum: the data are too large"),
+        ({"kind": "dirichlet", "u0": {"csv": {"path": "u0.csv"}}},
+         "bad dirichlet datum: the data are too large"),
+        ({"lambda": 1e20}, "bad fidelity problem: lam must lie in (0, 1e8]"),
+    ], ids=["f-1e160", "cap-1e300", "noise-1e300", "spike-1e200",
+            "affine-1e200", "csv-dirichlet-1e200", "lambda-1e20"])
+    def test_data_past_the_float_range_exit_two_before_solving(
+            self, tmp_path, capsys, problem, reason):
+        """Data whose energy without the delta term overflows a float, or
+        a data weight above 1e8, are a malformed config, caught before the
+        solve."""
+        spike = np.zeros((16, 16, 1))
+        spike[8, 8, 0] = 1e200
+        field_to_csv(tmp_path / "u0.csv", Field(Grid2(16, 16, 1.0 / 16), spike))
+        cfg = denoise_config(nx=16)
+        if problem.get("kind") == "dirichlet":
+            del cfg["problem"]["f"], cfg["problem"]["lambda"]
+        cfg["problem"].update(problem)
+        rc, out = run(tmp_path, "solve", cfg)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lingrow: " + reason), err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("out", ["afile", "afile/sub"],
                              ids=["file", "below-a-file"])
     def test_out_that_cannot_be_a_directory_exits_two_before_solving(
@@ -376,6 +415,24 @@ class TestMoser:
         assert lines[0] == "delta,interior_sup"
         assert [float(ln.split(",")[1]) for ln in lines[1:]] == [0.0, 0.0]
 
+    def test_an_overflowing_cutoff_power_fails_its_check_silently(
+            self, tmp_path, capsys):
+        """At s = 1e300 the powers of |u| = 2.5 overflow: that check fails
+        with a note naming the overflow and null constants, without a
+        warning, and s = 1 is audited as before."""
+        cfg = zero_moser_config()
+        cfg["problem"]["f"]["synthetic"]["value"] = 2.5
+        cfg["s_values"] = [1.0, 1e300]
+        rc, out = run(tmp_path, "moser", cfg)
+        assert rc == 1
+        assert capsys.readouterr().err == ""
+        ordinary, huge = read_json(out / "moser_0p01.json")["caccioppoli"]
+        assert ordinary["passed"] is True
+        assert huge["passed"] is False
+        assert "overflow" in huge["note"]
+        assert huge["variation"] is None
+        assert huge["c_levels"] and set(huge["c_levels"]) == {None}
+
     def test_auto_ball_selection(self, tmp_path):
         cfg = zero_moser_config()
         cfg["ball"] = {"auto": True, "x0": [0.5, 0.5], "j_max": 3}
@@ -399,6 +456,17 @@ class TestMoser:
         rc, _ = run(tmp_path, "moser", cfg)
         assert rc == 2
         assert "fidelity" in capsys.readouterr().err
+
+    def test_a_grid_whose_squared_side_overflows_exits_two(self, tmp_path,
+                                                          capsys):
+        cfg = zero_moser_config()
+        cfg["grid"]["h"] = 1e300
+        rc, out = run(tmp_path, "moser", cfg)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "lingrow: bad grid: h is too large: the squared side of the "
+            "domain overflows a float\n")
+        assert not out.exists()
 
     def test_ball_off_the_grid_exits_two(self, tmp_path, capsys):
         cfg = zero_moser_config()

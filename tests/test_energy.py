@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from lingrow.energy import (DirichletProblem, FidelityProblem,
-                            RegularizationState, assemble_ops, clip_data,
-                            total_variation)
+                            RegularizationState, assemble_ops, clip_data)
 from lingrow.grids import (Field, Grid2, Mask, neumann_live, ring_adjoint,
                            ring_differences)
 from lingrow.profiles import (certify_conditions, minimal_surface, phi_mu,
@@ -341,8 +340,8 @@ def test_growth_sandwich_transfers_to_energy():
     problem, w = random_dirichlet(seed=9, density=phi_mu(1.5))
     c = certify_conditions(problem.density, 100.0, 1000).constants
     area = problem.grid.lx * problem.grid.ly
-    tv = total_variation(problem, w)
-    e = assemble_ops(problem, None).energy(w.values)
+    point = assemble_ops(problem, None).evaluate(w.values)
+    tv, e = point.total_variation(), point.energy
     assert c.nu1 * tv - c.nu2 * area - 1e-10 <= e <= c.nu3 * tv + c.nu4 * area + 1e-10
 
 
@@ -351,14 +350,8 @@ def test_total_variation_of_affine_field():
     fn = lambda x, y: 3.0 * x + 4.0 * y
     problem = DirichletProblem.from_function(g, fn, phi_mu(2.0))
     w = Field.from_function(g, fn)
-    assert total_variation(problem, w) == pytest.approx(5.0, rel=1e-12)
-
-
-def test_channel_mismatch_rejected():
-    problem, _ = random_dirichlet(channels=2, seed=10)
-    bad = Field.zeros(problem.grid, 1)
-    with pytest.raises(ValueError, match="channel count"):
-        total_variation(problem, bad)
+    tv = assemble_ops(problem, None).evaluate(w.values).total_variation()
+    assert tv == pytest.approx(5.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,16 @@ def test_near_two_series_window():
             assert abs(v - q) <= 1e-10 * (1.0 + abs(q)), (mu, r)
 
 
+@pytest.mark.parametrize("gap", [1e-10, 1e-6, 1e-3])
+def test_phi_mu_next_to_one_matches_quadrature(gap):
+    """Below mu = 1.5 the closed form is regrouped so that no difference
+    cancels as mu -> 1."""
+    mu = 1.0 + gap
+    for r in (0.1, 1.0, 10.0, 100.0, 1e4):
+        assert rel_err(profile_eval(phi_mu(mu), r), phi_quad(mu, r)) \
+            <= 1e-11, (gap, r)
+
+
 def test_continuity_across_mu_equals_two():
     ts = np.geomspace(1e-2, 100.0, 20)
     base = profile_eval(phi_mu(2.0), ts)

@@ -491,41 +491,111 @@ def test_continuation_error_annotated_with_delta():
         continuation_solve(problem, cfg)
 
 
-def test_newton_step_counts(monkeypatch):
-    """The accepted trial's state feeds the residual and the Hessian:
-    energy evaluations = 1 + iters + backtracks, Hessian builds = iters."""
-    counts = {"energy": 0, "hessian": 0}
+def count_evaluations(monkeypatch, counts, plain):
+    """Count in ``counts`` the kernels ``solver`` assembles and their
+    evaluations: those without a delta term when ``plain``, else those
+    with one."""
     real_assemble = solver.assemble_ops
-    real_hessian = energy.StencilPoint.hessian
 
     def counting_assemble(problem, reg):
         ops = real_assemble(problem, reg)
-        evaluate = ops.evaluate
+        if (reg is None) == plain:
+            counts["assemble"] += 1
+            evaluate = ops.evaluate
 
-        def counted_evaluate(w):
-            counts["energy"] += 1
-            return evaluate(w)
+            def counted_evaluate(w):
+                counts["evaluate"] += 1
+                return evaluate(w)
 
-        ops.evaluate = counted_evaluate
+            ops.evaluate = counted_evaluate
         return ops
+
+    monkeypatch.setattr(solver, "assemble_ops", counting_assemble)
+
+
+def test_newton_step_counts(monkeypatch):
+    """The accepted trial's state feeds the residual and the Hessian:
+    energy evaluations = 1 + iters + backtracks, Hessian builds = iters."""
+    counts = {"assemble": 0, "evaluate": 0, "hessian": 0}
+    real_hessian = energy.StencilPoint.hessian
 
     def counted_hessian(point, theta=0.0):
         counts["hessian"] += 1
         return real_hessian(point, theta)
 
-    monkeypatch.setattr(solver, "assemble_ops", counting_assemble)
+    count_evaluations(monkeypatch, counts, plain=False)
     monkeypatch.setattr(energy.StencilPoint, "hessian", counted_hessian)
     problem = denoise_problem(n=12)
     reg = RegularizationState(0.01, 1.5, "fidelity")
-    init = Field(problem.grid,
-                 solver.assemble_ops(problem, reg).default_init())
-    counts.update(energy=0, hessian=0)
+    init = Field(problem.grid, assemble_ops(problem, reg).default_init())
     _, stats = minimize_fixed_delta(problem, reg, init,
                                     SolverConfig(residual_tol=1e-10))
     assert stats.converged and stats.iters >= 3 and stats.backtracks >= 1
-    assert counts["energy"] == 1 + stats.iters + stats.backtracks
+    assert counts["evaluate"] == 1 + stats.iters + stats.backtracks
     assert counts["hessian"] == stats.iters
     assert stats.krylov_iters >= stats.iters
+
+
+def test_ladder_evaluates_the_plain_energy_once_per_rung(monkeypatch):
+    """A 4-rung ladder assembles the kernels without the delta term once,
+    and one evaluation per rung gives both its plain energy and its total
+    variation."""
+    counts = {"assemble": 0, "evaluate": 0}
+    count_evaluations(monkeypatch, counts, plain=True)
+    problem = denoise_problem(n=12)
+    trace = continuation_solve(problem, SolverConfig(mu=1.5))
+    assert len(trace.records) == 4
+    assert counts == {"assemble": 1, "evaluate": 4}
+    ops = assemble_ops(problem, None)
+    for rec in trace.records:
+        assert rec.plain_energy == ops.energy(rec.u.values)
+
+
+def test_minimality_audit_evaluates_its_centre_once(monkeypatch):
+    """One evaluation at u gives the audit's reference energy and its
+    residual direction; each trial costs one more."""
+    problem = denoise_problem(seed=19)
+    reg = RegularizationState(0.1, 1.5, "fidelity")
+    u, _ = minimize_fixed_delta(problem, reg, Field.zeros(problem.grid))
+    counts = {"assemble": 0, "evaluate": 0}
+    count_evaluations(monkeypatch, counts, plain=False)
+    report = verify_minimality(problem, reg, u, trials=10)
+    assert report.trials == 11
+    assert counts == {"assemble": 1, "evaluate": 12}
+
+
+def test_an_overflowing_trial_is_a_rejected_trial():
+    """A trial step whose energy overflows is rejected like one that does
+    not decrease, with no warning: the line search backtracks instead of
+    raising."""
+    problem = denoise_problem()
+    reg = RegularizationState(0.1, 1.5, "fidelity")
+    ops = solver.assemble_ops(problem, reg)
+    point = ops.evaluate(ops.default_init())
+    r = point.residual()
+    d = -1e300 * r / np.max(np.abs(r))
+    accepted, backtracks = solver._armijo(ops, point.w, point.energy, d,
+                                          float(np.vdot(r, d)))
+    assert accepted is None
+    assert backtracks == solver._MAX_BACKTRACKS
+
+
+def test_the_newton_budget_defaults_to_200_steps():
+    """Every rung the tests converge takes at most 16 Newton steps; an
+    unreachable tolerance ends the rung after the default budget."""
+    assert SolverConfig().max_iters == 200
+    with pytest.raises(SolverError, match="iteration budget") as info:
+        continuation_solve(dirichlet_boundary_spike(16, 16),
+                           SolverConfig(residual_tol=1e-300))
+    assert info.value.stats.iters == 200
+
+
+def test_a_ladder_at_mu_next_to_one_converges():
+    """At mu - 1 = 1e-10 the regularizer keeps its accuracy, so every rung
+    reaches its tolerance."""
+    trace = continuation_solve(fidelity_inverse_sqrt(16, 16),
+                               SolverConfig(mu=1.0 + 1e-10, max_iters=30))
+    assert all(rec.iters <= 16 for rec in trace.records)
 
 
 def test_init_mismatch_rejected():
@@ -544,7 +614,7 @@ def test_minimality_of_solved_instance():
     problem = denoise_problem(seed=19)
     reg = RegularizationState(0.1, 1.5, "fidelity")
     u, _ = minimize_fixed_delta(problem, reg, Field.zeros(problem.grid))
-    report = verify_minimality(problem, reg, u, trials=100, amplitude=0.1)
+    report = verify_minimality(problem, reg, u, trials=100)
     assert report.passed
     assert report.trials == 101
     assert report.worst_margin >= -report.threshold
@@ -556,7 +626,7 @@ def test_minimality_margin_exactly_zero_at_constant_datum():
     problem = DirichletProblem.from_function(g, lambda x, y: 4.0, phi_mu(2.0))
     u = problem.u0_interior()
     reg = RegularizationState(0.1, 1.5, "dirichlet")
-    report = verify_minimality(problem, reg, u, trials=10, amplitude=0.1)
+    report = verify_minimality(problem, reg, u, trials=10)
     # the residual vanishes identically, so the residual-direction trial is
     # the zero perturbation and its margin is exactly 0
     assert report.margins[-1] == 0.0
@@ -570,7 +640,7 @@ def test_minimality_catches_perturbed_solution():
     vals = u.values.copy()
     vals[4, 4, 0] += 0.1
     bad = Field(problem.grid, vals)
-    report = verify_minimality(problem, reg, bad, trials=20, amplitude=0.1)
+    report = verify_minimality(problem, reg, bad, trials=20)
     assert not report.passed
     assert report.margins[-1] < 0.0  # energy decreases along -residual
 
@@ -580,8 +650,6 @@ def test_minimality_validation():
     u = Field.zeros(problem.grid)
     with pytest.raises(ValueError):
         verify_minimality(problem, None, u, trials=0)
-    with pytest.raises(ValueError):
-        verify_minimality(problem, None, u, amplitude=0.0)
 
 
 def test_minimality_dirichlet_ring_is_untouched():
@@ -590,6 +658,5 @@ def test_minimality_dirichlet_ring_is_untouched():
         g, lambda x, y: x + y, minimal_surface())
     u = problem.u0_interior()
     reg = RegularizationState(0.1, 1.5, "dirichlet")
-    report = verify_minimality(problem, reg, u, trials=30, amplitude=0.2,
-                               seed=4)
+    report = verify_minimality(problem, reg, u, trials=30, seed=4)
     assert report.passed
