@@ -2,8 +2,8 @@
 
 Two problem classes, one discrete calculus: both take their slopes from
 the difference pair of ``grids`` (``ring_differences`` and its adjoint) on
-the (nx+1) x (ny+1) difference cells of the ring layout, and differ only in
-data:
+the padded layout, whose (nx+1) x (ny+1) difference cells reach one step
+past every edge, and differ only in data:
 
 * ``DirichletProblem``: minimize the integral of ``F(grad w)`` with the
   boundary datum frozen on the ghost ring; its constant ring differences
@@ -16,14 +16,18 @@ data:
   slope 0, where every density vanishes.
 
 Both classes reject data whose energy without the delta term overflows a
-float, and the fidelity class a weight ``lam`` above 1e8.
+float, and the fidelity class a weight ``lam`` outside [1e-12, 1e8].
 
 A ``RegularizationState`` adds ``delta * phi_mu`` to the density, producing
 the strictly elliptic energies the continuation solver walks down.
 ``assemble_ops(problem, reg)`` holds the kernels: its ``residual`` is the
 exact gradient of the discrete energy with respect to the cell values
 (finite-difference checkable), and ``Hessian`` its matrix-free derivative,
-which the Newton solver inverts.
+which the Newton solver inverts.  ``evaluate``, the residual and the
+Hessian work on padded arrays (``grids.pad``); ``energy`` and ``residual``
+take and give ``(nx, ny, N)`` cell values.  Every sum that gives a number
+runs over the cells in C order, so it has the bits of the same sum on the
+unpadded layout.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (Field, Grid2, Mask, neumann_live, ring_adjoint,
+from .grids import (Field, Grid2, Mask, neumann_live, pad, ring_adjoint,
                     ring_differences)
 from .profiles import ProfileAt, RadialProfile, combined, profile_d2
 
@@ -121,15 +125,17 @@ class DirichletProblem:
         return cls(u0.grid, ext, density)
 
     def ring_offset(self) -> tuple[np.ndarray, np.ndarray]:
-        """The datum's part of the differences on the ring layout: the
+        """The datum's part of the differences on the padded layout: the
         differences of the ring with zero values inside, shape
-        ``(nx+1, ny+1, N)`` each.  Added to ``ring_differences(v)`` they
-        give the differences of ``v`` inside this ring."""
+        ``(nx+1, ny+2, N)`` each, 0 in the slot ``J = ny+1``.  Added to
+        ``ring_differences(pad(v))`` they give the differences of ``v``
+        inside this ring."""
         ring = self.u0_ext.astype(float)
         ring[1:-1, 1:-1, :] = 0.0
-        # the ring's nodes as values, one ring further out
         dx, dy = ring_differences(ring)
-        return dx[1:-1, 1:-1].copy(), dy[1:-1, 1:-1].copy()
+        dx[:, -1] = 0.0
+        dy[:, -1] = 0.0
+        return dx, dy
 
     def coarsen(self) -> "DirichletProblem":
         """The same problem with half the cells per axis (both counts even).
@@ -158,8 +164,8 @@ class FidelityProblem:
             raise ValueError("data and mask must live on the problem grid")
         if self.f.channels != 1:
             raise ValueError("fidelity problems are scalar")
-        if not (0.0 < self.lam <= _LAM_MAX):
-            raise ValueError("lam must lie in (0, 1e8]")
+        if not (_LAM_MIN <= self.lam <= _LAM_MAX):
+            raise ValueError("lam must lie in [1e-12, 1e8]")
         # at the zero field the energy is the size of the data term
         _check_representable(self, np.zeros_like(self.f.values))
 
@@ -194,6 +200,10 @@ class FidelityProblem:
 # the ladder at lam = 1e10 cannot meet its residual tolerance in 200 Newton
 # steps, and at lam = 1e20 the coarsest multigrid level is singular
 _LAM_MAX = 1e8
+# below this one the data term vanishes in floats against the density: at
+# 16^2 the mass of lam = 1e-12 is about 1e-14 of the cell tensors, and at
+# lam = 1e-30 the 32^2 inverse-sqrt ladder stalls in its line search
+_LAM_MIN = 1e-12
 
 
 def _check_representable(problem, *starts: np.ndarray) -> None:
@@ -204,7 +214,7 @@ def _check_representable(problem, *starts: np.ndarray) -> None:
     for w in (ops.default_init(),) + starts:
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                ops.evaluate(w)
+                ops.evaluate(pad(w))
             except ValueError:
                 raise ValueError("the data are too large: their energy "
                                  "overflows a float") from None
@@ -248,12 +258,12 @@ def _check_state(problem, reg: RegularizationState | None) -> RadialProfile:
 # ---------------------------------------------------------------------------
 # fused kernels on raw arrays (shared by the public API and the solver)
 
-def _slopes(v: np.ndarray, h: float, offset=None, live=None):
-    """Forward differences of cell values over h on the ring layout, and
-    the slope ``t = |grad v|`` per difference cell.  A Dirichlet datum's
-    constant ring differences (``offset``) are added before the division;
-    ``live`` zeroes the dead slots of the Neumann rule, where ``t = 0``."""
-    gx, gy = ring_differences(v)
+def _slopes(p: np.ndarray, h: float, offset=None, live=None):
+    """Forward differences of padded cell values over h, and the slope
+    ``t = |grad v|`` per difference cell.  A Dirichlet datum's constant ring
+    differences (``offset``) are added before the division; ``live`` zeroes
+    the dead slots of the Neumann rule, where ``t = 0``."""
+    gx, gy = ring_differences(p)
     if offset is not None:
         gx += offset[0]
         gy += offset[1]
@@ -268,8 +278,16 @@ def _slopes(v: np.ndarray, h: float, offset=None, live=None):
     return gx, gy, t
 
 
+def _sum_cells(a: np.ndarray) -> float:
+    """The sum over the difference cells of ``a`` (shape ``(mx+1, my+2)``),
+    slot ``J = my+1`` left out, in C order from a contiguous copy: the
+    pairwise sum of the same values without the slot, bit for bit."""
+    return float(np.sum(a[:, :-1].copy()))
+
+
 class StencilPoint:
-    """Everything the kernels derive from one forward-difference pass at w.
+    """Everything the kernels derive from one forward-difference pass at
+    the padded values w.
 
     ``ops.evaluate(w)`` takes the pass once: the slopes ``(gx, gy, t)`` and
     the energy.  ``residual()`` and ``hessian()`` are then derived on that
@@ -298,15 +316,18 @@ class StencilPoint:
     def total_variation(self) -> float:
         """Discrete integral of ``|grad w|`` under the problem's boundary
         rule: the cell-weighted sum of the slopes of this pass."""
-        return self.ops.rho * self.ops.h2 * float(np.sum(self.at.t))
+        return self.ops.rho * self.ops.h2 * _sum_cells(self.at.t)
 
     def ratio(self) -> np.ndarray:
-        """``d1(t)/t`` per difference cell."""
+        """``d1(t)/t`` per difference cell, 0 in the slot ``J = my+1``."""
         if self._ratio is None:
-            self._ratio = self.at.slope_ratio(self.ops.d2_origin)
+            ratio = self.at.slope_ratio(self.ops.d2_origin)
+            ratio[:, -1] = 0.0
+            self._ratio = ratio
         return self._ratio
 
     def residual(self) -> np.ndarray:
+        """The energy gradient at w, padded."""
         ops = self.ops
         coef = self.ratio()[:, :, None]
         out = ops._divergence(coef * self.gx, coef * self.gy)
@@ -322,7 +343,8 @@ class StencilPoint:
 
 
 class Hessian:
-    """The energy Hessian at a ``StencilPoint``, as a matrix-free operator.
+    """The energy Hessian at a ``StencilPoint``, as a matrix-free operator
+    on padded arrays.
 
     Per difference cell the density's Hessian is ``A = a I + b g g^T`` on
     the cell's 2N slopes ``g``, with ``a = d1/t`` and
@@ -333,9 +355,10 @@ class Hessian:
     runs the forward difference and the divergence of the residual on a
     perturbation (no datum: it vanishes on the ring), and adds the data
     mass of the fidelity term.  It is exact for N channels, coupling
-    included.  ``ax`` and ``ay`` are ``a`` per direction, 0 in the dead
-    slots of the Neumann rule, where ``g`` is 0 too, so a dead slot
-    carries nothing (``a = d1/t`` itself is not 0 at ``t = 0``).
+    included.  ``ax`` and ``ay`` are ``a`` per direction, 0 in the slot
+    ``J = my+1`` and in the dead slots of the Neumann rule, where ``g`` is
+    0 too, so such a slot carries nothing (``a = d1/t`` itself is not 0 at
+    ``t = 0``).
     """
 
     __slots__ = ("ops", "gx", "gy", "a", "b", "ax", "ay")
@@ -373,7 +396,7 @@ class Hessian:
 
     def cell_tensors(self):
         """Per-channel 2x2 cell tensors ``a I + b g_c g_c^T`` in difference
-        units (the cell weight included, ``1/h^2`` folded out) on the ring
+        units (the cell weight included, ``1/h^2`` folded out) on the padded
         layout of ``multigrid.Level``, plus the diagonal mass.  For one
         channel they give ``H`` itself; for several they drop the coupling
         between channels, which keeps each tensor positive definite,
@@ -390,16 +413,18 @@ class Hessian:
 
 
 class _Ops:
-    """Fused energy and residual kernels on raw (nx, ny, N) arrays, for
-    both problem classes.
+    """Fused energy and residual kernels for both problem classes.
 
-    Slopes live on the ring layout of ``grids.ring_differences``, and the
-    boundary rule is data: ``offset``, the constant ring differences of a
-    Dirichlet datum, or ``live``, the masks of the Neumann differences that
-    link two values; a dead slot has slope 0, and ``F(0) = 0``, so it adds
-    nothing to the energy.  The cell weight is ``rho * h^2``.  Subclasses
-    set these and supply the data term (its energy, its Hessian ``mass``
-    and its datum ``fd``) and the default initial field.
+    ``evaluate`` takes padded ``(nx+2, ny+2, N)`` values (``grids.pad``);
+    ``energy`` and ``residual`` take ``(nx, ny, N)`` cell values and convert
+    at the boundary.  Slopes live on the difference cells of
+    ``grids.ring_differences``, and the boundary rule is data: ``offset``,
+    the constant ring differences of a Dirichlet datum, or ``live``, the
+    masks of the Neumann differences that link two values; a dead slot has
+    slope 0, and ``F(0) = 0``, so it adds nothing to the energy.  The cell
+    weight is ``rho * h^2``.  Subclasses set these and supply the data term
+    (its energy, its padded Hessian ``mass`` and its padded datum ``fd``)
+    and the default initial field, as cell values.
     """
 
     offset = None
@@ -426,16 +451,16 @@ class _Ops:
     def evaluate(self, w: np.ndarray) -> StencilPoint:
         gx, gy, t = _slopes(w, self.h, self.offset, self.live)
         at = ProfileAt(self.profile, t)
-        energy = self.rho * self.h2 * float(np.sum(at.value()))
+        energy = self.rho * self.h2 * _sum_cells(at.value())
         if self.mass is not None:
             energy += self._data_energy(w)
         return StencilPoint(self, w, gx, gy, at, energy)
 
     def energy(self, w: np.ndarray) -> float:
-        return self.evaluate(w).energy
+        return self.evaluate(pad(w)).energy
 
     def residual(self, w: np.ndarray) -> np.ndarray:
-        return self.evaluate(w).residual()
+        return self.evaluate(pad(w)).residual()[1:-1, 1:-1]
 
 
 class DirichletOps(_Ops):
@@ -462,21 +487,20 @@ class FidelityOps(_Ops):
         self.live = neumann_live(problem.grid)
         self.lam = problem.lam
         self.outside = (~problem.mask.member)[:, :, None]
-        self.mass = 2.0 * self.lam * self.h2 * self.outside
-        if reg is None:
-            self.fd = problem.f.values.copy()
-        else:
-            self.fd = clip_data(problem.f, reg.delta).values
+        self.mass = pad(2.0 * self.lam * self.h2 * self.outside)
+        f = problem.f if reg is None else clip_data(problem.f, reg.delta)
+        self.fd = pad(f.values)
 
     def _data_energy(self, w: np.ndarray) -> float:
-        diff = w - self.fd
+        diff = w[1:-1, 1:-1] - self.fd[1:-1, 1:-1]
         diff *= self.outside
         diff *= diff
         return self.lam * self.h2 * float(np.sum(diff))
 
     def default_init(self) -> np.ndarray:
-        fill = float(np.mean(self.fd[self.outside])) if self.outside.any() else 0.0
-        return np.where(self.outside, self.fd, fill)
+        fd = self.fd[1:-1, 1:-1]
+        fill = float(np.mean(fd[self.outside])) if self.outside.any() else 0.0
+        return np.where(self.outside, fd, fill)
 
 
 def assemble_ops(problem, reg: RegularizationState | None):

@@ -1,14 +1,21 @@
 """Uniform 2D cell-centered grids, fields, and the discrete calculus.
 
 The domain is the rectangle (0, nx*h) x (0, ny*h) with cell centers at
-((i+0.5)h, (j+0.5)h).  Differences of cell values are formed in one place,
-``ring_differences``, and ``ring_adjoint`` is its exact adjoint.  They work
-on the ring layout: the (nx, ny) values are surrounded by a ring of nodes,
-and the (nx+1) x (ny+1) difference cells reach one step past every edge;
-cell (I, J) links ring node (I, J) to (I+1, J) and to (I, J+1), where ring
-node (i+1, j+1) is value (i, j).  The ring nodes are zero, so the pair is
-linear, and a boundary rule is data on that layout: a Dirichlet datum adds
-its constant ring differences to those of the values
+((i+0.5)h, (j+0.5)h).  ``Field`` holds cell values as ``(nx, ny, N)``
+arrays.  The kernels hold them on the padded node layout instead (``pad``):
+a C-contiguous ``(mx+2, my+2, N)`` array whose ring of nodes is zero, node
+``(i+1, j+1)`` being value ``(i, j)``.  Read as ``L = (mx+2)(my+2)`` rows of
+``N``, a forward difference is one contiguous slice difference: ``S = my+2``
+rows apart in x, one row apart in y.
+
+Differences of cell values are formed in one place, ``ring_differences``,
+and ``ring_adjoint`` is its exact adjoint.  Difference cell ``(I, J)``,
+``0 <= I <= mx``, links node ``(I, J)`` to ``(I+1, J)`` and to
+``(I, J+1)`` and sits on the row of node ``(I, J)``, so a difference array
+has shape ``(mx+1, my+2, N)``.  Its last slot ``J = my+1`` links two ring
+nodes and is 0; tensors and masks keep it so.  The ring is zero, so the
+pair is linear, and a boundary rule is data on this layout: a Dirichlet
+datum adds its constant ring differences to those of the values
 (``energy.DirichletProblem.ring_offset``), and ``neumann_live`` masks the
 differences of homogeneous Neumann data: only those between two values
 stay, so the ring row and column and the differences that would leave the
@@ -27,6 +34,7 @@ __all__ = [
     "Mask",
     "Ball",
     "neumann_live",
+    "pad",
     "ring_differences",
     "ring_adjoint",
     "sup_on",
@@ -179,36 +187,57 @@ class Ball:
             raise ValueError("ball radius must be positive")
 
 
-def ring_differences(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward differences ``(dx, dy)`` of cell values ``v`` (shape
-    ``(mx, my, N)``) over a zero ring: arrays of shape ``(mx+1, my+1, N)``
-    with ``dx[I, J] = ring[I+1, J] - ring[I, J]`` and
-    ``dy[I, J] = ring[I, J+1] - ring[I, J]``, where ring node
-    ``(i+1, j+1)`` is ``v[i, j]`` and every other ring node is 0."""
+def pad(v: np.ndarray) -> np.ndarray:
+    """Cell values ``v`` (shape ``(mx, my, N)``) on the padded node layout:
+    a new C-contiguous ``(mx+2, my+2, N)`` array with a zero ring."""
     mx, my, n = v.shape
-    ring = np.zeros((mx + 2, my + 2, n))
-    ring[1:-1, 1:-1] = v
-    base = ring[:-1, :-1]
-    return ring[1:, :-1] - base, ring[:-1, 1:] - base
+    p = np.zeros((mx + 2, my + 2, n))
+    p[1:-1, 1:-1] = v
+    return p
+
+
+def ring_differences(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward differences ``(dx, dy)`` of a padded array ``p`` (shape
+    ``(mx+2, my+2, N)``): arrays of shape ``(mx+1, my+2, N)`` with
+    ``dx[I, J] = p[I+1, J] - p[I, J]`` and ``dy[I, J] = p[I, J+1] - p[I, J]``
+    for ``J <= my``, and 0 in the slot ``J = my+1`` when the ring of ``p``
+    is zero."""
+    rows, s, n = p.shape
+    flat = p.reshape(rows * s, n)
+    m = (rows - 1) * s
+    dx = flat[s:] - flat[:m]
+    dy = flat[1:m + 1] - flat[:m]
+    return dx.reshape(rows - 1, s, n), dy.reshape(rows - 1, s, n)
 
 
 def ring_adjoint(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
-    """The exact adjoint of ``ring_differences`` under plain sums:
-    ``sum(dx * fx + dy * fy) == sum(v * ring_adjoint(fx, fy))``."""
-    out = fx[:-1, 1:] - fx[1:, 1:]
-    out += fy[1:, :-1]
-    out -= fy[1:, 1:]
+    """The exact adjoint of ``ring_differences`` on arrays with a zero ring,
+    under plain sums: ``sum(dx * fx + dy * fy) == sum(p * ring_adjoint(fx,
+    fy))``.  The result is padded, with a zero ring."""
+    rows, s, n = fx.shape
+    m = rows * s
+    fx, fy = fx.reshape(m, n), fy.reshape(m, n)
+    out = np.empty((m + s, n))
+    body = out[s:m]
+    np.subtract(fx[:m - s], fx[s:], out=body)
+    body += fy[s - 1:m - 1]
+    body -= fy[s:]
+    out[:s] = 0.0
+    out[m:] = 0.0
+    out = out.reshape(rows + 1, s, n)
+    out[:, 0] = 0.0
+    out[:, -1] = 0.0
     return out
 
 
 def neumann_live(grid: Grid2) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean masks of shape ``(nx+1, ny+1, 1)`` for the ``dx`` and ``dy``
+    """Boolean masks of shape ``(nx+1, ny+2, 1)`` for the ``dx`` and ``dy``
     of ``ring_differences`` that link two values: the homogeneous Neumann
     rule keeps these and zeroes the rest."""
-    live_x = np.zeros((grid.nx + 1, grid.ny + 1, 1), dtype=bool)
-    live_x[1:-1, 1:] = True
-    live_y = np.zeros((grid.nx + 1, grid.ny + 1, 1), dtype=bool)
-    live_y[1:, 1:-1] = True
+    live_x = np.zeros((grid.nx + 1, grid.ny + 2, 1), dtype=bool)
+    live_x[1:-1, 1:-1] = True
+    live_y = np.zeros((grid.nx + 1, grid.ny + 2, 1), dtype=bool)
+    live_y[1:, 1:-2] = True
     return live_x, live_y
 
 

@@ -17,9 +17,11 @@ recursion rests on; ``select_radius`` picks the data-mass radius used by the
 fidelity analysis.
 
 A report computes the squared distances of the cell centres to the family's
-centre and the cell magnitudes once: the level masses gather the outer
-ball's cells from them, the sup bound reads the limit ball's, and the cutoff
-checks build each level's ramp once, from their square root, for every s.
+centre and the cell magnitudes once, and gathers the outer ball's cells from
+them once: the level masses and the cutoff checks, whose ramps vanish
+outside the outer ball, read only those cells, and the sup bound reads the
+limit ball's.  The cutoff checks build each level's ramp once, from the
+square roots of the gathered distances, for every s.
 """
 
 from __future__ import annotations
@@ -130,16 +132,14 @@ def check_geometry(grid: Grid2, bf: BallFamily) -> None:
                                  "enlarge r0 or refine the grid")
 
 
-def _log_masses(mag: np.ndarray, d2: np.ndarray, rr: np.ndarray, q: float,
-                h: float) -> np.ndarray:
-    """log a_j for the radii ``rr``, from the cell magnitudes ``mag`` and
-    squared centre distances ``d2``.  The midpoint-rule integral of
-    |u|^(q^j) is factored through its maximum, so large exponents neither
-    overflow nor underflow.  The outer ball's cells are gathered once in C
-    order; an inner ball's are the same cells in the same order as a mask
-    of the whole grid would give, so each sum is too."""
-    inside = d2 < rr[0] ** 2
-    outer_mag, outer_d2 = mag[inside], d2[inside]
+def _log_masses(outer_mag: np.ndarray, outer_d2: np.ndarray, rr: np.ndarray,
+                q: float, h: float) -> np.ndarray:
+    """log a_j for the radii ``rr``, from the magnitudes ``outer_mag`` and
+    squared centre distances ``outer_d2`` of the outer ball's cells,
+    gathered in C order.  The midpoint-rule integral of |u|^(q^j) is
+    factored through its maximum, so large exponents neither overflow nor
+    underflow.  An inner ball's cells are the same cells in the same order
+    as a mask of the whole grid would give, so each sum is too."""
     out = np.zeros(len(rr))  # log max(1, integral); 0 where u vanishes
     for j, r in enumerate(rr):
         p = q ** j
@@ -240,7 +240,8 @@ def _caccioppoli(mag: np.ndarray, r_cell: np.ndarray, rr: np.ndarray,
     """Measure the cutoff-inequality constant per ball level for each s.
 
     With the radial ramp eta_j (1 on B_{j+1}, 0 outside B_j, linear in the
-    annulus, |grad eta_j| = 1/(R_j - R_{j+1})) of the cell radii ``r_cell``:
+    annulus, |grad eta_j| = 1/(R_j - R_{j+1})) of the cell radii ``r_cell``,
+    over the outer ball's cells ``mag`` (the ramps vanish outside it):
 
         c_j = (integral |u|^((s+1)q) eta^(2q))^(1/q)
               / ((s+1) * (integral |u|^s eta^2 + integral |u|^(s+1) eta |grad eta|))
@@ -250,8 +251,11 @@ def _caccioppoli(mag: np.ndarray, r_cell: np.ndarray, rr: np.ndarray,
     value.
     """
     h2 = h * h
-    powers = [(np.ones_like(mag) if s == 0.0 else mag ** s, mag ** (s + 1.0))
-              for s in s_values]
+    powers = []
+    for s in s_values:
+        us1 = mag ** (s + 1.0)
+        powers.append((np.ones_like(mag) if s == 0.0 else mag ** s, us1,
+                       us1 ** q))
     levels = [[] for _ in s_values]
     failed = [False for _ in s_values]
     # Levels whose annulus is thinner than two cells cannot resolve the
@@ -265,8 +269,8 @@ def _caccioppoli(mag: np.ndarray, r_cell: np.ndarray, rr: np.ndarray,
         geta = np.where((r_cell > r_lo) & (r_cell < r_hi),
                         1.0 / (r_hi - r_lo), 0.0)
         eta2q = eta ** (2.0 * q)
-        for k, (s, (us, us1)) in enumerate(zip(s_values, powers)):
-            lhs = (h2 * float(np.sum(us1 ** q * eta2q))) ** (1.0 / q)
+        for k, (s, (us, us1, us1q)) in enumerate(zip(s_values, powers)):
+            lhs = (h2 * float(np.sum(us1q * eta2q))) ** (1.0 / q)
             bracket = h2 * float(np.sum(us * eta * eta)) \
                 + h2 * float(np.sum(us1 * eta * geta))
             if not (math.isfinite(lhs) and math.isfinite(bracket)):
@@ -394,12 +398,15 @@ def moser_report(u: Field, bf: BallFamily, s_values=(0.0, 1.0, 3.0),
     rr = radii(bf)
     d2 = g.sq_distances(bf.center)
     mag = u.magnitude()
-    log_a = _log_masses(mag, d2, rr, bf.q, g.h)
+    inside = d2 < rr[0] ** 2
+    outer_mag, outer_d2 = mag[inside], d2[inside]
+    log_a = _log_masses(outer_mag, outer_d2, rr, bf.q, g.h)
     rec = _recursion(log_a, bf)
     return MoserReport(
         center=bf.center, r0=bf.r0, r_inf=bf.r_inf, n=bf.n, j_max=bf.j_max,
         radii=rr, exponents=exponents(bf),
         masses=np.exp(np.minimum(log_a, 700.0)), recursion=rec,
         bound=_sup_bound(rec, mag, d2, bf, g.h),
-        caccioppoli=_caccioppoli(mag, np.sqrt(d2), rr, bf.q, g.h, s_values),
+        caccioppoli=_caccioppoli(outer_mag, np.sqrt(outer_d2), rr, bf.q, g.h,
+                                 s_values),
         epsilon0=epsilon0)

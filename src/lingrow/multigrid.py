@@ -1,14 +1,15 @@
 """Galerkin aggregation multigrid for the Newton systems, in numpy.
 
 An operator on an ``(mx, my)`` grid of cell values is stored as a sum of
-three-node elements on the zero ring of ``grids.ring_differences``:
-difference cell ``(i, j)`` of the ring layout, ``0 <= i <= mx``,
-``0 <= j <= my``, links ring node ``(i, j)`` to ``(i+1, j)`` and
-``(i, j+1)`` (ring node ``(p+1, q+1)`` is value ``(p, q)``; ring nodes
-are 0) and adds ``d^T T d`` for the differences
-``d = (v[i+1, j] - v[i, j], v[i, j+1] - v[i, j])`` and a symmetric positive
-semi-definite 2x2 tensor ``T`` per cell, plus a diagonal mass.  Arrays
-carry a trailing channel axis; the channels do not couple.
+three-node elements on the padded layout of ``grids``: difference cell
+``(I, J)``, ``0 <= I <= mx``, ``0 <= J <= my``, links node ``(I, J)`` to
+``(I+1, J)`` and ``(I, J+1)`` (node ``(p+1, q+1)`` is value ``(p, q)``; the
+ring nodes are 0) and adds ``d^T T d`` for the differences
+``d = (v[I+1, J] - v[I, J], v[I, J+1] - v[I, J])`` and a symmetric positive
+semi-definite 2x2 tensor ``T`` per cell, plus a diagonal mass.  The tensors
+are ``(mx+1, my+2, N)`` arrays, 0 in the slot ``J = my+1``; the mass, the
+Jacobi factor and every vector are padded ``(mx+2, my+2, N)`` arrays with a
+zero ring.  The channels do not couple.
 
 The finest level is stored once per Newton step, built from the Hessian's
 cell tensors (``Level``); for one channel it is the Hessian itself, so its
@@ -21,7 +22,8 @@ different aggregates (``i`` even, or the last cell, whose right node is the
 ring), and likewise in y.  So the coarse tensors are sums of the fine ones
 with the vanishing differences masked out, pooled one axis at a time by
 strided slices (even rows copied, odd rows added onto the next coarse
-row), and no stencil is ever formed.
+row), and no stencil is ever formed.  ``restrict`` and ``prolong`` read
+and write the interiors of padded arrays.
 
 Coarsening stops at the first level with at most ``_DENSE_MAX`` cells per
 axis, which is solved exactly: its matrix is assembled per channel, shifted
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import ring_adjoint, ring_differences
+from .grids import pad, ring_adjoint, ring_differences
 
 __all__ = ["Level", "Multigrid"]
 
@@ -52,21 +54,32 @@ _DENSE_MAX = 8
 
 
 class Level:
-    """One level's operator: cell tensors on the ring layout and a mass."""
+    """One level's operator: cell tensors and a mass on the padded layout."""
 
     __slots__ = ("txx", "txy", "tyy", "mass", "shape", "inv_diag", "jacobi")
 
     def __init__(self, txx: np.ndarray, txy: np.ndarray, tyy: np.ndarray,
                  mass: np.ndarray | None):
         self.txx, self.txy, self.tyy, self.mass = txx, txy, tyy, mass
-        self.shape = (txx.shape[0] - 1, txx.shape[1] - 1)
-        diag = txx[1:, 1:] + 2.0 * txy[1:, 1:]
-        diag += tyy[1:, 1:]
-        diag += txx[:-1, 1:]
-        diag += tyy[1:, :-1]
+        rows, s, n = txx.shape
+        self.shape = (rows - 1, s - 2)
+        m = rows * s
+        xx, xy, yy = (t.reshape(m, n) for t in (txx, txy, tyy))
+        # node k collects its own cell (both differences -1), the cell
+        # before it in x (+1 in x) and the one before it in y (+1 in y)
+        diag = np.zeros((m + s, n))
+        body = diag[s:m]
+        np.add(xx[s:], 2.0 * xy[s:], out=body)
+        body += yy[s:]
+        body += xx[:m - s]
+        body += yy[s - 1:m - 1]
+        diag = diag.reshape(rows + 1, s, n)
+        diag[:, 0] = 0.0
+        diag[:, -1] = 0.0
         if mass is not None:
             diag += mass
-        # 0 where a level has nothing to invert (a lone Neumann cell)
+        # 0 on the ring, and where a level has nothing to invert (a lone
+        # Neumann cell)
         self.inv_diag = np.divide(1.0, diag, out=np.zeros_like(diag),
                                   where=diag > 0.0)
         # the damped Jacobi sweep's factor
@@ -90,8 +103,8 @@ class Level:
         mx, my = self.shape
         jx = np.arange(mx + 1) % 2 == 0
         jx[-1] = True
-        jy = np.arange(my + 1) % 2 == 0
-        jy[-1] = True
+        jy = np.arange(my + 2) % 2 == 0  # _pool leaves out the slot my+1
+        jy[my] = True
         jx, jy = jx[:, None, None], jy[None, :, None]
         mass = None if self.mass is None else restrict(self.mass)
         return Level(_pool(self.txx * jx), _pool(self.txy * (jx & jy)),
@@ -116,19 +129,19 @@ class Level:
         """
         mx, my = self.shape
         m = mx * my
-        eye = np.eye(m).reshape(mx, my, m)
-        ones = np.ones((mx, my, 1))
+        eye = pad(np.eye(m).reshape(mx, my, m))
+        ones = pad(np.ones((mx, my, 1)))
         invs, zs, rhos = [], [], []
         for ch in range(self.txx.shape[2]):
             one = slice(ch, ch + 1)
             sub = Level(self.txx[..., one], self.txy[..., one],
                         self.tyy[..., one],
                         None if self.mass is None else self.mass[..., one])
-            a = sub.apply(eye).reshape(m, m)
+            a = sub.apply(eye)[1:-1, 1:-1].reshape(m, m)
             shift = np.trace(a) / m
             a += shift / m
             inv = np.linalg.inv(a)
-            s = sub.apply(ones).ravel()
+            s = sub.apply(ones)[1:-1, 1:-1].ravel()
             z = 1.0 - inv @ s
             rho = float(np.dot(s, z))
             invs.append(inv)
@@ -138,37 +151,53 @@ class Level:
 
 
 def _pool(t: np.ndarray) -> np.ndarray:
-    """Coarse ring cell ``I`` sums fine ring cells ``2I-1`` and ``2I`` of
-    each axis: even rows are copied, odd rows added onto the next one."""
-    nx, ny = t.shape[0], t.shape[1]
+    """Coarse cell ``I`` sums fine cells ``2I-1`` and ``2I`` of each axis:
+    even rows are copied, odd rows added onto the next one.  The fine slot
+    ``J = my+1`` is left out, and the coarse one is 0."""
+    nx, ny = t.shape[0], t.shape[1] - 1
     rows = np.empty((nx // 2 + 1,) + t.shape[1:])
     rows[:(nx + 1) // 2] = t[0::2]
     rows[(nx + 1) // 2:] = 0.0
     rows[1:] += t[1::2]
-    out = np.empty((rows.shape[0], ny // 2 + 1, t.shape[2]))
-    out[:, :(ny + 1) // 2] = rows[:, 0::2]
+    out = np.empty((rows.shape[0], ny // 2 + 2, t.shape[2]))
+    out[:, :(ny + 1) // 2] = rows[:, 0:ny:2]
     out[:, (ny + 1) // 2:] = 0.0
-    out[:, 1:] += rows[:, 1::2]
+    out[:, 1:ny // 2 + 1] += rows[:, 1:ny:2]
     return out
 
 
 def restrict(r: np.ndarray) -> np.ndarray:
-    """``P^T r``: sums over the 2x2 aggregates."""
-    hx, hy = r.shape[0] // 2, r.shape[1] // 2
-    out = r[0::2, 0::2].copy()
-    out[:hx] += r[1::2, 0::2]
-    out[:, :hy] += r[0::2, 1::2]
-    out[:hx, :hy] += r[1::2, 1::2]
-    return out
+    """``P^T r``: sums over the 2x2 aggregates, padded in and out.  Coarse
+    node ``(I, J)`` sums fine nodes ``2I-1`` and ``2I`` of each axis, where
+    an odd size reaches the zero ring."""
+    cx, cy = (r.shape[0] - 1) // 2, (r.shape[1] - 1) // 2
+    odd_x, even_x = slice(1, 2 * cx, 2), slice(2, 2 * cx + 1, 2)
+    odd_y, even_y = slice(1, 2 * cy, 2), slice(2, 2 * cy + 1, 2)
+    out = np.add(r[odd_x, odd_y], r[even_x, odd_y])
+    out += r[odd_x, even_y]
+    out += r[even_x, even_y]
+    return pad(out)
 
 
 def prolong(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out += P x``: each aggregate's value added on its cells."""
-    hx, hy = out.shape[0] // 2, out.shape[1] // 2
-    out[0::2, 0::2] += x
-    out[1::2, 0::2] += x[:hx]
-    out[0::2, 1::2] += x[:, :hy]
-    out[1::2, 1::2] += x[:hx, :hy]
+    """``out += P x``: each aggregate's value added on its cells, padded in
+    and out.  The piecewise-constant copy of ``x`` is built in one array,
+    each coarse node repeated along y and then along x, and added in one
+    pass; its ring, where an odd size puts a coarse value, is zeroed."""
+    rows, s, n = out.shape
+    cr, cs = x.shape[0], x.shape[1]
+    along_y = np.empty((cr, cs, 2, n))
+    along_y[:, :, 0] = x
+    along_y[:, :, 1] = x
+    along_y = along_y.reshape(cr, 2 * cs, n)[:, 1:s + 1]
+    up = np.empty((cr, 2, s, n))
+    up[:, 0] = along_y
+    up[:, 1] = along_y
+    # fine node I takes coarse node (I+1)//2
+    up = up.reshape(2 * cr, s, n)[1:rows + 1]
+    up[-1] = 0.0
+    up[:, -1] = 0.0
+    out += up
     return out
 
 
@@ -189,7 +218,8 @@ class Multigrid:
         self.coarse_inv = fine.dense_inverse()
 
     def vcycle(self, r: np.ndarray) -> np.ndarray:
-        """One V-cycle from a zero guess: an approximation of ``A^-1 r``."""
+        """One V-cycle from a zero guess: an approximation of ``A^-1 r``,
+        padded like ``r``."""
         stack = []
         for level in self.levels[:-1]:
             x = level.jacobi * r
@@ -198,10 +228,11 @@ class Multigrid:
             np.subtract(r, res, out=res)
             r = restrict(res)
         inv, z, rho = self.coarse_inv
-        rc = r.reshape(z.shape)
+        cells = r[1:-1, 1:-1]
+        rc = cells.reshape(z.shape)
         x = np.einsum("cij,jc->ic", inv, rc)
         x += z * (np.einsum("ic,ic->c", z, rc) / rho)
-        x = x.reshape(r.shape)
+        x = pad(x.reshape(cells.shape))
         for level, r, x_fine in reversed(stack):
             x = prolong(x, x_fine)
             res = level.apply(x)

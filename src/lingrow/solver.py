@@ -26,7 +26,12 @@ Jacobi sweeps, one multiply each, per level above the coarsest, one small
 dense product there).  For one channel the CG product is the
 stored fine level's; several channels use the coupled ``Hessian.apply``.
 A rung costs ``1 + iterations + backtracks`` energy evaluations and
-``iterations`` Hessian builds.
+``iterations`` Hessian builds.  The iterate, the Newton direction, the
+residual and every CG and V-cycle vector stay on the padded layout
+(``grids.pad``), so a product is one contiguous difference pair with no
+copy of its input (``Level.apply`` about 0.09 ms at 128^2, against 0.15 ms
+on the unpadded layout); the inner products run over the cells in C order,
+from contiguous copies, so they have the bits of the unpadded ones.
 
 ``continuation_solve`` walks a decreasing delta schedule, warm-starting each
 rung from the previous solution and re-clipping the datum at each delta.
@@ -55,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import DirichletProblem, RegularizationState, assemble_ops
-from .grids import Ball, Field, sup_on
+from .grids import Ball, Field, pad, sup_on
 from .multigrid import Level, Multigrid
 
 __all__ = [
@@ -160,21 +165,28 @@ def _armijo(ops, w: np.ndarray, e: float, d: np.ndarray, slope: float):
     return None, _MAX_BACKTRACKS
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a . b`` over the cells of two padded arrays, from contiguous copies
+    in C order: the same sum, bit for bit, as over the unpadded arrays."""
+    return float(np.vdot(a[1:-1, 1:-1].copy(), b[1:-1, 1:-1].copy()))
+
+
 def _pcg(hess, precond: Multigrid, r: np.ndarray, eta: float):
     """Preconditioned CG on ``H d = -r`` from ``d = 0``, stopped once
-    ``|H d + r|_2 <= eta |r|_2``; returns (d, iterations).
+    ``|H d + r|_2 <= eta |r|_2``; returns (d, iterations).  Every vector is
+    padded.
 
     Every iterate minimizes the quadratic model over a Krylov space, so
     ``r . d < 0`` whenever H is positive definite.
     """
     d = np.zeros_like(r)
     res = -r
-    target = eta * float(np.sqrt(np.vdot(r, r)))
+    target = eta * float(np.sqrt(_dot(r, r)))
     p = precond.vcycle(res)
-    rz = float(np.vdot(res, p))
+    rz = _dot(res, p)
     for k in range(1, _MAX_KRYLOV + 1):
         q = hess.apply(p)
-        pq = float(np.vdot(p, q))
+        pq = _dot(p, q)
         if not (pq > 0.0 and rz > 0.0):
             # no curvature left along p (round-off at tiny residuals)
             return (d if k > 1 else p), k - 1
@@ -184,10 +196,10 @@ def _pcg(hess, precond: Multigrid, r: np.ndarray, eta: float):
         np.multiply(p, alpha, out=q)
         d += q
         q = None  # freed before the V-cycle allocates
-        if float(np.sqrt(np.vdot(res, res))) <= target:
+        if float(np.sqrt(_dot(res, res))) <= target:
             return d, k
         z = precond.vcycle(res)
-        rz_new = float(np.vdot(res, z))
+        rz_new = _dot(res, z)
         p *= rz_new / rz
         p += z
         z = None
@@ -210,11 +222,12 @@ def _newton(problem, reg: RegularizationState | None, init: Field,
             cfg: SolverConfig, theta: float = 1.0):
     """The Newton-CG iteration of ``minimize_fixed_delta``, entered at the
     curvature floor ``theta``; the nested start calls it directly, so a
-    coarse level is not counted as a rung."""
+    coarse level is not counted as a rung.  Iterates, directions and
+    residuals are padded (``grids.pad``)."""
     ops = assemble_ops(problem, reg)
     if init.grid != problem.grid or init.channels != problem.channels:
         raise ValueError("init does not match the problem")
-    point = ops.evaluate(init.values.astype(float).copy())
+    point = ops.evaluate(pad(init.values))
     w, e = point.w, point.energy
     tol = cfg.residual_tol if cfg.residual_tol is not None \
         else 1e-8 * (1.0 + abs(e))
@@ -229,10 +242,10 @@ def _newton(problem, reg: RegularizationState | None, init: Field,
         rmax = float(np.max(np.abs(r)))
         if rmax <= tol:
             stats = SolveStats(iters, rmax, e, tol, backtracks, krylov, True)
-            return Field(problem.grid, w), stats
+            return Field(problem.grid, w[1:-1, 1:-1].copy()), stats
         if iters == cfg.max_iters:
             break
-        rnorm = float(np.sqrt(np.vdot(r, r)))
+        rnorm = float(np.sqrt(_dot(r, r)))
         if rnorm_prev is not None:
             eta = min(_EW_GAMMA * (rnorm / rnorm_prev) ** 2, _ETA_MAX)
         rnorm_prev = rnorm
@@ -246,7 +259,7 @@ def _newton(problem, reg: RegularizationState | None, init: Field,
         d, k = _pcg(op, mg, r, max(eta, 0.5 * tol / rnorm))
         op = mg = None
         krylov += k
-        slope = float(np.vdot(r, d))
+        slope = _dot(r, d)
         if slope >= 0.0:
             stalled = True
             break
@@ -265,7 +278,7 @@ def _newton(problem, reg: RegularizationState | None, init: Field,
     reason = "line search stalled" if stalled else "iteration budget exhausted"
     raise SolverError(
         f"{reason} at residual {rmax:.3e} (tol {tol:.3e})",
-        Field(problem.grid, w), stats)
+        Field(problem.grid, w[1:-1, 1:-1].copy()), stats)
 
 
 def default_interior_ball(grid) -> Ball:
@@ -393,7 +406,7 @@ def continuation_solve(problem, cfg: SolverConfig = SolverConfig(),
         except SolverError as err:
             raise SolverError(f"delta={delta:g}: {err}", err.best,
                               err.stats) from err
-        plain = plain_ops.evaluate(u.values)
+        plain = plain_ops.evaluate(pad(u.values))
         trace.records.append(DeltaRecord(
             delta=delta, u=u, energy=stats.energy, plain_energy=plain.energy,
             residual=stats.final_residual, iters=stats.iters,
@@ -422,13 +435,21 @@ class MinimalityReport:
 
 
 def _smooth(psi: np.ndarray) -> np.ndarray:
+    """Two passes of the five-point mean on padded values: each cell adds
+    its x and then its y neighbours, one contiguous shifted add each, and
+    the ring, which the shifts reach, is zeroed after each pass."""
+    rows, s, n = psi.shape
     for _ in range(2):
         acc = psi.copy()
-        acc[1:, :, :] += psi[:-1, :, :]
-        acc[:-1, :, :] += psi[1:, :, :]
-        acc[:, 1:, :] += psi[:, :-1, :]
-        acc[:, :-1, :] += psi[:, 1:, :]
-        psi = acc / 5.0
+        flat, src = acc.reshape(rows * s, n), psi.reshape(rows * s, n)
+        flat[s:] += src[:-s]
+        flat[:-s] += src[s:]
+        flat[1:] += src[:-1]
+        flat[:-1] += src[1:]
+        acc /= 5.0
+        acc[0] = acc[-1] = 0.0
+        acc[:, 0] = acc[:, -1] = 0.0
+        psi = acc
     return psi
 
 
@@ -442,11 +463,12 @@ def verify_minimality(problem, reg: RegularizationState | None, u: Field,
     directions miss the descent cone.  Dirichlet perturbations
     vanish on the outermost cell ring.  Passes when every margin
     ``energy(u + psi) - energy(u)`` stays above ``-1e-9 * (1 + |energy(u)|)``.
+    The trials run on padded values, one at a time.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     ops = assemble_ops(problem, reg)
-    w = u.values
+    w = pad(u.values)
     point = ops.evaluate(w)
     e0, r = point.energy, point.residual()
     point = None
@@ -456,13 +478,14 @@ def verify_minimality(problem, reg: RegularizationState | None, u: Field,
 
     def margin(psi: np.ndarray) -> float:
         if dirichlet:
-            psi[0, :, :] = psi[-1, :, :] = 0.0
-            psi[:, 0, :] = psi[:, -1, :] = 0.0
-        return ops.energy(w + psi) - e0
+            psi[1, :] = psi[-2, :] = 0.0
+            psi[:, 1] = psi[:, -2] = 0.0
+        psi += w
+        return ops.evaluate(psi).energy - e0
 
     margins = np.empty(trials + 1)
     for i in range(trials):
-        psi = rng.uniform(-1.0, 1.0, size=w.shape)
+        psi = pad(rng.uniform(-1.0, 1.0, size=u.values.shape))
         if i % 2 == 1:
             psi = _smooth(psi)
         m = float(np.max(np.abs(psi)))

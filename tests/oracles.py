@@ -309,6 +309,106 @@ def csv_field_by_rows(path) -> Field:
 
 
 # ---------------------------------------------------------------------------
+# the difference pair, its boundary rules and the level product on the
+# unpadded layout: cell values (mx, my, N) copied into a zero ring for each
+# difference, and (mx+1, my+1, N) difference cells
+
+
+def zero_ring_differences(v: np.ndarray):
+    """Forward differences of cell values over a zero ring, each of shape
+    ``(mx+1, my+1, N)``: ``dx[I, J] = ring[I+1, J] - ring[I, J]``,
+    ``dy[I, J] = ring[I, J+1] - ring[I, J]``, ring node ``(i+1, j+1)``
+    being ``v[i, j]``."""
+    mx, my, n = v.shape
+    ring = np.zeros((mx + 2, my + 2, n))
+    ring[1:-1, 1:-1] = v
+    base = ring[:-1, :-1]
+    return ring[1:, :-1] - base, ring[:-1, 1:] - base
+
+
+def zero_ring_adjoint(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """The adjoint of ``zero_ring_differences``: cell values (mx, my, N)."""
+    out = fx[:-1, 1:] - fx[1:, 1:]
+    out += fy[1:, :-1]
+    out -= fy[1:, 1:]
+    return out
+
+
+def zero_ring_offset(u0_ext: np.ndarray):
+    """A Dirichlet datum's constant ring differences on (mx+1, my+1, N)."""
+    ring = u0_ext.astype(float)
+    ring[1:-1, 1:-1] = 0.0
+    dx, dy = zero_ring_differences(ring)
+    return dx[1:-1, 1:-1], dy[1:-1, 1:-1]
+
+
+def zero_ring_live(mx: int, my: int):
+    """The homogeneous Neumann masks on (mx+1, my+1, 1): the differences
+    that link two values."""
+    live_x = np.zeros((mx + 1, my + 1, 1), dtype=bool)
+    live_x[1:-1, 1:] = True
+    live_y = np.zeros((mx + 1, my + 1, 1), dtype=bool)
+    live_y[1:, 1:-1] = True
+    return live_x, live_y
+
+
+def zero_ring_apply(txx, txy, tyy, mass, v):
+    """``A v`` of a level with cell tensors and mass on the unpadded
+    layout, in the operation order of ``multigrid.Level.apply``."""
+    dx, dy = zero_ring_differences(v)
+    fx = txx * dx
+    dx *= txy
+    fx += txy * dy
+    dy *= tyy
+    dy += dx
+    out = zero_ring_adjoint(fx, dy)
+    if mass is not None:
+        out += mass * v
+    return out
+
+
+def minimality_margins_unpadded(problem, reg, u, trials: int, seed: int,
+                                amplitude: float = 0.1) -> np.ndarray:
+    """The margins of ``solver.verify_minimality`` with its perturbations
+    drawn, smoothed and clamped on the (nx, ny, N) cell layout: each
+    smoothing pass adds the neighbours that exist, and a Dirichlet
+    perturbation vanishes on the outermost cells."""
+    from lingrow.energy import DirichletProblem, assemble_ops
+
+    def smooth(psi):
+        for _ in range(2):
+            acc = psi.copy()
+            acc[1:, :, :] += psi[:-1, :, :]
+            acc[:-1, :, :] += psi[1:, :, :]
+            acc[:, 1:, :] += psi[:, :-1, :]
+            acc[:, :-1, :] += psi[:, 1:, :]
+            psi = acc / 5.0
+        return psi
+
+    ops = assemble_ops(problem, reg)
+    w = u.values
+    e0, r = ops.energy(w), ops.residual(w)
+    rng = np.random.default_rng(seed)
+
+    def margin(psi):
+        if isinstance(problem, DirichletProblem):
+            psi[0, :, :] = psi[-1, :, :] = 0.0
+            psi[:, 0, :] = psi[:, -1, :] = 0.0
+        return ops.energy(w + psi) - e0
+
+    margins = np.empty(trials + 1)
+    for i in range(trials):
+        psi = rng.uniform(-1.0, 1.0, size=w.shape)
+        if i % 2 == 1:
+            psi = smooth(psi)
+        psi *= amplitude / float(np.max(np.abs(psi)))
+        margins[i] = margin(psi)
+    rmax = float(np.max(np.abs(r)))
+    margins[trials] = margin(-amplitude * r / rmax) if rmax > 0.0 else 0.0
+    return margins
+
+
+# ---------------------------------------------------------------------------
 # the ring differences and the coarse-tensor pooling in their two-array and
 # zero-padded reshape-sum forms
 
@@ -327,8 +427,9 @@ def ring_differences_two_arrays(v: np.ndarray):
 
 
 def coarse_tensors_by_reshape(level):
-    """``(txx, txy, tyy)`` of ``level.coarsen()``: the masked fine tensors
-    zero-padded to even sizes and summed over 2x2 blocks by a reshape."""
+    """``(txx, txy, tyy)`` of ``level.coarsen()`` without the slot
+    ``J = my+1``: the masked fine tensors zero-padded to even sizes and
+    summed over 2x2 blocks by a reshape."""
     mx, my = level.shape
     cx, cy = -(-mx // 2), -(-my // 2)
     jx = np.arange(mx + 1) % 2 == 0
@@ -343,5 +444,5 @@ def coarse_tensors_by_reshape(level):
         out[1:mx + 2, 1:my + 2] = t
         return out.reshape(cx + 1, 2, cy + 1, 2, -1).sum(axis=(1, 3))
 
-    return (pool(level.txx * jx), pool(level.txy * (jx & jy)),
-            pool(level.tyy * jy))
+    return (pool(level.txx[:, :-1] * jx), pool(level.txy[:, :-1] * (jx & jy)),
+            pool(level.tyy[:, :-1] * jy))

@@ -3,7 +3,8 @@
 Run ``pytest -v tests/test_acceptance.py`` to get one PASSED/FAILED row per
 criterion; each test also prints a one-line verdict.  The expensive 128x128
 continuation ladders are solved once in module fixtures and shared between
-the interior-boundedness criteria and the minimality audit.
+the interior-boundedness criteria, the minimality audit and a guard on their
+Newton and conjugate-gradient counts.
 """
 
 import json
@@ -331,6 +332,30 @@ def test_criterion_7_fidelity_interior_boundedness(inverse_run,
     if elapsed >= 300.0:
         failures.append(f"took {elapsed:.0f}s (budget 300s)")
     verdict(7, "fidelity interior boundedness", failures)
+
+
+# Newton steps and CG iterations per rung of the two 128^2 ladders at the
+# defaults, as the kernels on the unpadded cell layout took them
+LADDER_PINS = {"boundary spike": ((9, 6, 3, 3), (57, 47, 21, 17)),
+               "inverse sqrt": ((3, 4, 3, 2), (24, 28, 22, 12))}
+
+
+def test_ladder_iteration_counts_hold(spike_run, inverse_run):
+    """No rung of the 128^2 ladders takes more Newton steps or CG
+    iterations than its pin: a kernel or layout change that costs
+    iterations fails here, though its results still pass the criteria."""
+    failures = []
+    for name, trace in (("boundary spike", spike_run[2]),
+                        ("inverse sqrt", inverse_run[3])):
+        steps = tuple(rec.iters for rec in trace.records)
+        krylov = tuple(rec.krylov_iters for rec in trace.records)
+        pin_steps, pin_krylov = LADDER_PINS[name]
+        if len(steps) != len(pin_steps) or any(
+                got > pin for got, pin in zip(steps + krylov,
+                                              pin_steps + pin_krylov)):
+            failures.append(f"{name}: Newton {steps} / CG {krylov}, "
+                            f"pinned at most {pin_steps} / {pin_krylov}")
+    assert not failures, "; ".join(failures)
 
 
 def test_criterion_8_sequence_formulas():

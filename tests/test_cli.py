@@ -348,14 +348,18 @@ class TestSolve:
          "bad synthetic datum: the data are too large"),
         ({"kind": "dirichlet", "u0": {"csv": {"path": "u0.csv"}}},
          "bad dirichlet datum: the data are too large"),
-        ({"lambda": 1e20}, "bad fidelity problem: lam must lie in (0, 1e8]"),
+        ({"lambda": 1e20},
+         "bad fidelity problem: lam must lie in [1e-12, 1e8]"),
+        ({"lambda": 1e-300},
+         "bad fidelity problem: lam must lie in [1e-12, 1e8]"),
     ], ids=["f-1e160", "cap-1e300", "noise-1e300", "spike-1e200",
-            "affine-1e200", "csv-dirichlet-1e200", "lambda-1e20"])
+            "affine-1e200", "csv-dirichlet-1e200", "lambda-1e20",
+            "lambda-1e-300"])
     def test_data_past_the_float_range_exit_two_before_solving(
             self, tmp_path, capsys, problem, reason):
         """Data whose energy without the delta term overflows a float, or
-        a data weight above 1e8, are a malformed config, caught before the
-        solve."""
+        a data weight outside [1e-12, 1e8], are a malformed config, caught
+        before the solve."""
         spike = np.zeros((16, 16, 1))
         spike[8, 8, 0] = 1e200
         field_to_csv(tmp_path / "u0.csv", Field(Grid2(16, 16, 1.0 / 16), spike))

@@ -7,8 +7,8 @@ import pytest
 
 from lingrow.energy import (DirichletProblem, FidelityProblem,
                             RegularizationState, assemble_ops, clip_data)
-from lingrow.grids import (Field, Grid2, Mask, neumann_live, ring_adjoint,
-                           ring_differences)
+from lingrow.grids import (Field, Grid2, Mask, neumann_live, pad,
+                           ring_adjoint, ring_differences)
 from lingrow.profiles import (certify_conditions, minimal_surface, phi_mu,
                               profile_eval)
 
@@ -197,8 +197,8 @@ def _fused_cases():
 @pytest.mark.parametrize("delta", [None, 0.05])
 def test_fused_evaluation_is_bit_identical_to_the_kernels(case, delta):
     problem, w = list(_fused_cases())[case]
-    values = w.values.copy()
-    values[:3, :3, :] = 0.0  # flat cells exercise the origin limit of d1/t
+    values = pad(w.values)
+    values[1:4, 1:4, :] = 0.0  # flat cells exercise the origin limit of d1/t
     before = values.copy()
     reg = None if delta is None else \
         RegularizationState(delta, 1.5, problem.kind)
@@ -208,9 +208,10 @@ def test_fused_evaluation_is_bit_identical_to_the_kernels(case, delta):
     hess = point.hessian(0.1)
     res = point.residual()
     fresh = ops.evaluate(values)
-    assert point.energy == ops.energy(values)
+    assert point.energy == ops.energy(values[1:-1, 1:-1])
     assert np.array_equal(res, fresh.residual())
-    v = np.random.default_rng(case).normal(size=values.shape)
+    assert np.array_equal(res[1:-1, 1:-1], ops.residual(values[1:-1, 1:-1]))
+    v = pad(np.random.default_rng(case).normal(size=w.values.shape))
     assert np.array_equal(hess.apply(v), fresh.hessian(0.1).apply(v))
     assert np.array_equal(values, before)  # w is not written
 
@@ -221,7 +222,7 @@ def test_non_finite_iterate_raises():
     values[2, 3, 0] = np.inf
     with pytest.raises(ValueError, match="not finite"), \
             np.errstate(invalid="ignore"):
-        assemble_ops(problem, None).evaluate(values)
+        assemble_ops(problem, None).evaluate(pad(values))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +240,7 @@ def test_hessian_matches_residual_differences(case, delta):
     ops = assemble_ops(problem, reg)
     values = w.values.copy()
     values[:2, :2, :] = 0.5  # flat cells exercise the origin limit
-    hv_of = ops.evaluate(values).hessian().apply
+    hv_of = ops.evaluate(pad(values)).hessian().apply
     rng = np.random.default_rng(case)
     for _ in range(3):
         v = rng.normal(size=values.shape)
@@ -247,7 +248,7 @@ def test_hessian_matches_residual_differences(case, delta):
         step = 1e-8
         fd = (ops.residual(values + step * v)
               - ops.residual(values - step * v)) / (2 * step)
-        hv = hv_of(v)
+        hv = hv_of(pad(v))[1:-1, 1:-1]
         assert np.max(np.abs(hv - fd)) <= 1e-6 * np.max(np.abs(hv))
 
 
@@ -256,10 +257,10 @@ def test_hessian_matches_residual_differences(case, delta):
 def test_hessian_is_symmetric_and_positive(case, theta):
     problem, w = list(_fused_cases())[case]
     ops = assemble_ops(problem, RegularizationState(0.05, 1.5, problem.kind))
-    hess = ops.evaluate(w.values).hessian(theta)
+    hess = ops.evaluate(pad(w.values)).hessian(theta)
     rng = np.random.default_rng(7 + case)
-    u = rng.normal(size=w.values.shape)
-    v = rng.normal(size=w.values.shape)
+    u = pad(rng.normal(size=w.values.shape))
+    v = pad(rng.normal(size=w.values.shape))
     uhv = float(np.sum(u * hess.apply(v)))
     vhu = float(np.sum(v * hess.apply(u)))
     assert uhv == pytest.approx(vhu, rel=1e-12, abs=1e-14)
@@ -271,10 +272,10 @@ def test_curvature_floor_one_is_lagged_diffusivity():
     with d2 <= d1/t leaves the isotropic operator (d1/t) I per cell."""
     problem, w = random_fidelity(n=8, seed=3)
     ops = assemble_ops(problem, RegularizationState(0.1, 1.5, "fidelity"))
-    point = ops.evaluate(w.values)
+    point = ops.evaluate(pad(w.values))
     hess = point.hessian(1.0)
     assert np.all(hess.b == 0.0)
-    v = np.random.default_rng(4).normal(size=w.values.shape)
+    v = pad(np.random.default_rng(4).normal(size=w.values.shape))
     ratio = point.ratio()[:, :, None]
     vx, vy = ring_differences(v)
     live_x, live_y = neumann_live(problem.grid)
@@ -340,7 +341,7 @@ def test_growth_sandwich_transfers_to_energy():
     problem, w = random_dirichlet(seed=9, density=phi_mu(1.5))
     c = certify_conditions(problem.density, 100.0, 1000).constants
     area = problem.grid.lx * problem.grid.ly
-    point = assemble_ops(problem, None).evaluate(w.values)
+    point = assemble_ops(problem, None).evaluate(pad(w.values))
     tv, e = point.total_variation(), point.energy
     assert c.nu1 * tv - c.nu2 * area - 1e-10 <= e <= c.nu3 * tv + c.nu4 * area + 1e-10
 
@@ -350,7 +351,7 @@ def test_total_variation_of_affine_field():
     fn = lambda x, y: 3.0 * x + 4.0 * y
     problem = DirichletProblem.from_function(g, fn, phi_mu(2.0))
     w = Field.from_function(g, fn)
-    tv = assemble_ops(problem, None).evaluate(w.values).total_variation()
+    tv = assemble_ops(problem, None).evaluate(pad(w.values)).total_variation()
     assert tv == pytest.approx(5.0, rel=1e-12)
 
 

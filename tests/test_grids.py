@@ -8,12 +8,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lingrow.energy import DirichletProblem
-from lingrow.grids import (Ball, Field, Grid2, Mask, neumann_live,
+from lingrow.grids import (Ball, Field, Grid2, Mask, neumann_live, pad,
                            ring_adjoint, ring_differences, sup_on)
 from lingrow.moser import BallFamily, moser_report, radii
 from lingrow.profiles import minimal_surface
 
-from .oracles import naive_ball_integral, ring_differences_two_arrays
+from lingrow.multigrid import Level
+
+from .oracles import (naive_ball_integral, ring_differences_two_arrays,
+                      zero_ring_adjoint, zero_ring_apply,
+                      zero_ring_differences, zero_ring_live, zero_ring_offset)
 
 
 def unit_grid(n):
@@ -89,35 +93,99 @@ def test_ball_validation():
 
 
 def dirichlet_slopes(u, problem):
-    """Differences of u inside the problem's ghost ring, over h."""
-    dx, dy = ring_differences(u.values)
+    """Differences of u inside the problem's ghost ring, over h, on the
+    difference cells (the slot ``J = ny+1`` left out)."""
+    dx, dy = ring_differences(pad(u.values))
     ox, oy = problem.ring_offset()
-    return (dx + ox) / u.grid.h, (dy + oy) / u.grid.h
+    return (dx + ox)[:, :-1] / u.grid.h, (dy + oy)[:, :-1] / u.grid.h
 
 
 def neumann_slopes(u):
-    dx, dy = ring_differences(u.values)
+    dx, dy = ring_differences(pad(u.values))
     live_x, live_y = neumann_live(u.grid)
-    return dx * live_x / u.grid.h, dy * live_y / u.grid.h
+    return (dx * live_x)[:, :-1] / u.grid.h, (dy * live_y)[:, :-1] / u.grid.h
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (9, 13), (128, 128)])
 @pytest.mark.parametrize("channels", [1, 2, 3])
 def test_ring_differences_match_the_two_array_form_bit_for_bit(shape,
                                                               channels):
-    """The one zero-ringed copy gives the same bits, signed zeros and
-    non-finite values included, as one zeroed array per difference."""
+    """The padded layout gives the same bits, signed zeros and non-finite
+    values included, as one zeroed array per difference, and exact zeros
+    in the slot ``J = my+1``."""
     rng = np.random.default_rng(shape[0] * 10 + channels)
     v = rng.normal(size=shape + (channels,))
     v.flat[::5] = -0.0
     v.flat[1::7] = 1e308
     v.flat[2::11] = -np.inf
     with np.errstate(invalid="ignore", over="ignore"):
-        got = ring_differences(v)
+        got = ring_differences(pad(v))
         ref = ring_differences_two_arrays(v)
     for a, b in zip(got, ref):
-        assert a.shape == b.shape == (shape[0] + 1, shape[1] + 1, channels)
-        assert a.tobytes() == b.tobytes()
+        assert a.shape == (shape[0] + 1, shape[1] + 2, channels)
+        assert a[:, :-1].tobytes() == b.tobytes()
+        assert np.all(a[:, -1] == 0.0)
+
+
+@given(st.integers(1, 11), st.integers(1, 11), st.integers(1, 3),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_padded_pair_and_level_match_the_zero_ring_reference(
+        mx, my, channels, with_mass, seed):
+    """On odd and non-square grids, sides of 1 included, the padded pair,
+    both boundary rules and ``Level.apply`` give the bits of the zero-ring
+    reference on the cells; the slot ``J = my+1`` and the ring come out as
+    exact zeros, and the adjoint identity holds."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(mx, my, channels))
+    p = pad(v)
+    dx, dy = ring_differences(p)
+    rx, ry = zero_ring_differences(v)
+    for got, ref in ((dx, rx), (dy, ry)):
+        assert got.shape == (mx + 1, my + 2, channels)
+        assert got[:, :-1].tobytes() == ref.tobytes()
+        assert np.all(got[:, -1] == 0.0)
+
+    def ring_is_zero(a):
+        return not (a[0].any() or a[-1].any() or a[:, 0].any()
+                    or a[:, -1].any())
+
+    # fluxes in the slot J = my+1 reach only the ring, which stays zero
+    fx, fy = rng.normal(size=(2, mx + 1, my + 2, channels))
+    adj = ring_adjoint(fx, fy)
+    assert adj.shape == p.shape and ring_is_zero(adj)
+    assert adj[1:-1, 1:-1].tobytes() == zero_ring_adjoint(
+        fx[:, :-1], fy[:, :-1]).tobytes()
+    lhs = float(np.sum(dx * fx + dy * fy))
+    rhs = float(np.sum(p * adj))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+    # a level of random positive semi-definite tensors, 0 in the slot
+    a, b = rng.normal(size=(2, mx + 1, my + 2, channels))
+    txx, tyy, txy = a * a, b * b, 0.5 * a * b
+    for t in (txx, tyy, txy):
+        t[:, -1] = 0.0
+    mass = pad(rng.random((mx, my, channels))) if with_mass else None
+    got = Level(txx, txy, tyy, mass).apply(p)
+    ref = zero_ring_apply(txx[:, :-1], txy[:, :-1], tyy[:, :-1],
+                          None if mass is None else mass[1:-1, 1:-1], v)
+    assert ring_is_zero(got)
+    assert got[1:-1, 1:-1].tobytes() == ref.tobytes()
+
+    if min(mx, my) >= 2:  # a grid has at least two cells per axis
+        grid = Grid2(mx, my, 0.5)
+        datum = rng.normal(size=(mx + 2, my + 2, channels))
+        ox, oy = DirichletProblem(grid, datum, minimal_surface()).ring_offset()
+        rox, roy = zero_ring_offset(datum)
+        assert np.all(ox[:, -1] == 0.0) and np.all(oy[:, -1] == 0.0)
+        assert (dx + ox)[:, :-1].tobytes() == (rx + rox).tobytes()
+        assert (dy + oy)[:, :-1].tobytes() == (ry + roy).tobytes()
+        live_x, live_y = neumann_live(grid)
+        ref_x, ref_y = zero_ring_live(mx, my)
+        assert not live_x[:, -1].any() and not live_y[:, -1].any()
+        assert np.array_equal(live_x[:, :-1], ref_x)
+        assert np.array_equal(live_y[:, :-1], ref_y)
+        assert (dx * live_x)[:, :-1].tobytes() == (rx * ref_x).tobytes()
+        assert (dy * live_y)[:, :-1].tobytes() == (ry * ref_y).tobytes()
 
 
 def test_dirichlet_offset_is_the_ghost_ring_subtraction():
@@ -132,11 +200,14 @@ def test_dirichlet_offset_is_the_ghost_ring_subtraction():
             v = rng.normal(size=(nx, ny, channels))
             ext = datum.copy()
             ext[1:-1, 1:-1] = v
-            dx, dy = ring_differences(v)
+            dx, dy = ring_differences(pad(v))
             ox, oy = problem.ring_offset()
-            assert dx.shape == ox.shape == (nx + 1, ny + 1, channels)
-            assert np.array_equal(dx + ox, ext[1:, :-1] - ext[:-1, :-1])
-            assert np.array_equal(dy + oy, ext[:-1, 1:] - ext[:-1, :-1])
+            assert dx.shape == ox.shape == (nx + 1, ny + 2, channels)
+            assert np.array_equal((dx + ox)[:, :-1],
+                                  ext[1:, :-1] - ext[:-1, :-1])
+            assert np.array_equal((dy + oy)[:, :-1],
+                                  ext[:-1, 1:] - ext[:-1, :-1])
+            assert np.all(ox[:, -1] == 0.0) and np.all(oy[:, -1] == 0.0)
 
 
 def test_gradient_exact_on_affine_dirichlet():
@@ -166,6 +237,8 @@ def test_neumann_dead_slots_are_exact_zeros():
     live_x, live_y = neumann_live(g)
     assert live_x.sum() == (g.nx - 1) * g.ny
     assert live_y.sum() == g.nx * (g.ny - 1)
+    assert not live_x[:, -1].any() and not live_y[:, -1].any()
+    live_x, live_y = live_x[:, :-1], live_y[:, :-1]
     gx, gy = neumann_slopes(Field(g, rng.normal(size=(5, 7, 3))))
     assert np.all(gx[~live_x[:, :, 0]] == 0.0)
     assert np.all(gy[~live_y[:, :, 0]] == 0.0)
@@ -196,8 +269,8 @@ def test_adjoint_identity_both_rules():
         live_x, live_y = neumann_live(g)
         for channels in (1, 2, 3):
             for _ in range(5):
-                u = rng.normal(size=(nx, ny, channels))
-                fx, fy = rng.normal(size=(2, nx + 1, ny + 1, channels))
+                u = pad(rng.normal(size=(nx, ny, channels)))
+                fx, fy = rng.normal(size=(2, nx + 1, ny + 2, channels))
                 dx, dy = ring_differences(u)
                 lhs = float(np.sum(dx * fx + dy * fy))
                 rhs = float(np.sum(u * ring_adjoint(fx, fy)))
@@ -211,12 +284,12 @@ def test_adjoint_identity_both_rules():
 
 def test_constant_flux_telescopes_to_zero():
     g = Grid2(4, 6, 0.25)
-    ones = np.ones((5, 7, 1))
+    ones = np.ones((5, 8, 1))
     assert np.all(ring_adjoint(ones, ones) == 0.0)
     # Neumann: interior cells telescope; the edges carry the dead slots
     live_x, live_y = neumann_live(g)
     div = ring_adjoint(ones * live_x, ones * live_y)
-    assert np.all(div[1:-1, 1:-1] == 0.0)
+    assert np.all(div[2:-2, 2:-2] == 0.0)
     assert np.any(div != 0.0)
 
 

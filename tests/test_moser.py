@@ -463,7 +463,11 @@ def _vanishing_inside(g):
                                   "skipped-levels", "deep-n5"])
 def test_moser_report_matches_the_per_ball_oracle(case, request):
     """Reports built on one shared geometry equal, byte for byte, those
-    built from a fresh mask per ball, level and s."""
+    built from a fresh mask per ball, level and s, except for the cutoff
+    checks: these sum over the outer ball's cells only, a different order
+    of the same non-negative terms, so their constants agree to a few
+    rounding errors of each sum (64 eps relative; the variation, a relative
+    difference of two constants, to 128 eps (2 + variation))."""
     rng = np.random.default_rng(5)
     if case == "spike-ladder-64":
         fields = request.getfixturevalue("spike_rungs_64")
@@ -483,8 +487,26 @@ def test_moser_report_matches_the_per_ball_oracle(case, request):
         g = Grid2(128, 128, 1.0 / 128)
         fields = [Field(g, rng.uniform(0.5, 2.0, (128, 128, 1)))]
         bf = BallFamily((0.5, 0.5), 0.45, n=5, j_max=300)
+    eps = np.finfo(float).eps
     for u in fields:
-        rep = moser_report(u, bf, epsilon0=0.25)
-        ref = moser_report_per_ball(u, bf, epsilon0=0.25)
-        assert json.dumps(rep.to_dict()) == json.dumps(ref.to_dict())
-        assert rep.to_csv() == ref.to_csv()
+        rep = moser_report(u, bf, epsilon0=0.25).to_dict()
+        ref = moser_report_per_ball(u, bf, epsilon0=0.25).to_dict()
+        got, want = rep.pop("caccioppoli"), ref.pop("caccioppoli")
+        assert json.dumps(rep) == json.dumps(ref)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a["s"], a["passed"], a["note"]) == \
+                (b["s"], b["passed"], b["note"])
+            ca, cb = np.array(a["c_levels"]), np.array(b["c_levels"])
+            assert ca.shape == cb.shape
+            assert np.array_equal(np.isfinite(ca), np.isfinite(cb))
+            finite = np.isfinite(cb)
+            assert np.array_equal(ca[~finite], cb[~finite], equal_nan=True)
+            assert np.allclose(ca[finite], cb[finite], rtol=64 * eps, atol=0.0)
+            va, vb = a["variation"], b["variation"]
+            if vb is None or not math.isfinite(vb):
+                assert va == vb
+            else:
+                assert abs(va - vb) <= 128 * eps * (2.0 + vb)
+        assert moser_report(u, bf).to_csv() == moser_report_per_ball(
+            u, bf).to_csv()

@@ -6,7 +6,7 @@ import pytest
 
 from lingrow.energy import (DirichletProblem, FidelityProblem,
                             RegularizationState, assemble_ops)
-from lingrow.grids import Field, Grid2, Mask
+from lingrow.grids import Field, Grid2, Mask, pad
 from lingrow.multigrid import Level, Multigrid, prolong, restrict
 from lingrow.profiles import minimal_surface, phi_mu
 from lingrow.solver import _pcg
@@ -29,17 +29,24 @@ def hessian_on(kind, channels=1, shape=(9, 13)):
             Mask.from_rect(g, 0.2, 0.3, 0.5, 0.7), 0.7, minimal_surface())
     ops = assemble_ops(problem, RegularizationState(0.05, 1.5, kind))
     w = rng.normal(size=(nx, ny, channels))
-    return ops.evaluate(w).hessian()
+    return ops.evaluate(pad(w)).hessian()
 
 
 def multigrid_of(hess):
     return Multigrid(Level(*hess.cell_tensors()))
 
 
+def on_cells(apply):
+    """A map on padded arrays as a map on (mx, my, N) cell values."""
+    return lambda v: apply(pad(v))[1:-1, 1:-1]
+
+
 def dense_matrix(apply, shape):
-    """The matrix of a linear map on one-channel fields, cells in C order."""
+    """The matrix of a linear map on one-channel padded fields, cells in C
+    order."""
     m = shape[0] * shape[1]
-    cols = [apply(e.reshape(shape + (1,))).ravel() for e in np.eye(m)]
+    cols = [on_cells(apply)(e.reshape(shape + (1,))).ravel()
+            for e in np.eye(m)]
     return np.array(cols).T
 
 
@@ -51,25 +58,32 @@ def test_fine_level_is_the_channelwise_hessian(kind, channels):
     """The cell tensors give H for one channel; for several they give each
     channel's own block of H, dropping only the coupling between them."""
     hess = hessian_on(kind, channels)
-    fine = Level(*hess.cell_tensors())
+    level = Level(*hess.cell_tensors())
+    for t in (level.txx, level.txy, level.tyy):
+        assert t.shape == (10, 15, channels) and not t[:, -1].any()
+    fine, h_apply = on_cells(level.apply), on_cells(hess.apply)
     rng = np.random.default_rng(3)
     v = rng.normal(size=(9, 13, channels))
     if channels == 1:
-        assert np.allclose(fine.apply(v), hess.apply(v), rtol=1e-12,
-                           atol=1e-12 * np.max(np.abs(hess.apply(v))))
-    # the Jacobi smoother's diagonal is H's own, on every cell and channel
+        assert np.allclose(fine(v), h_apply(v), rtol=1e-12,
+                           atol=1e-12 * np.max(np.abs(h_apply(v))))
+    # the Jacobi smoother's diagonal is H's own, on every cell and channel,
+    # and 0 on the ring
     diag = np.empty(v.shape)
     for idx in np.ndindex(*v.shape):
         e = np.zeros(v.shape)
         e[idx] = 1.0
-        diag[idx] = hess.apply(e)[idx]
-    assert np.allclose(1.0 / fine.inv_diag, diag, rtol=1e-12, atol=0.0)
+        diag[idx] = h_apply(e)[idx]
+    inv_diag = level.inv_diag
+    assert not (inv_diag[0].any() or inv_diag[-1].any()
+                or inv_diag[:, 0].any() or inv_diag[:, -1].any())
+    assert np.allclose(1.0 / inv_diag[1:-1, 1:-1], diag, rtol=1e-12, atol=0.0)
     for c in range(channels):
         only = np.zeros_like(v)
         only[:, :, c] = v[:, :, c]
-        assert np.allclose(fine.apply(only)[:, :, c],
-                           hess.apply(only)[:, :, c], rtol=1e-12, atol=1e-10)
-        assert np.allclose(fine.apply(v)[:, :, c], fine.apply(only)[:, :, c],
+        assert np.allclose(fine(only)[:, :, c],
+                           h_apply(only)[:, :, c], rtol=1e-12, atol=1e-10)
+        assert np.allclose(fine(v)[:, :, c], fine(only)[:, :, c],
                            rtol=1e-12, atol=1e-12)
 
 
@@ -82,7 +96,7 @@ def test_scalar_cg_operator_is_the_hessian(kind):
     assert len(mg.levels) > 2
     rng = np.random.default_rng(4)
     for _ in range(3):
-        v = rng.normal(size=(40, 33, 1))
+        v = pad(rng.normal(size=(40, 33, 1)))
         hv = hess.apply(v)
         diff = np.linalg.norm(mg.levels[0].apply(v) - hv)
         assert diff <= 1e-12 * np.linalg.norm(hv)
@@ -98,8 +112,8 @@ def test_coarse_levels_are_galerkin_products(kind, channels):
         mg = multigrid_of(hessian_on(kind, channels, shape))
         assert [lev.shape for lev in mg.levels] == pin
         for fine, coarse in zip(mg.levels, mg.levels[1:]):
-            v = rng.normal(size=coarse.shape + (channels,))
-            pv = prolong(v, np.zeros(fine.shape + (channels,)))
+            v = pad(rng.normal(size=coarse.shape + (channels,)))
+            pv = prolong(v, pad(np.zeros(fine.shape + (channels,))))
             galerkin = restrict(fine.apply(pv))
             assert np.allclose(coarse.apply(v), galerkin, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(galerkin)))
@@ -111,13 +125,14 @@ def test_coarse_levels_are_galerkin_products(kind, channels):
 def test_coarse_tensors_match_the_reshape_pooling(kind, channels, shape):
     """The strided slice sums give the zero-padded reshape-sum's coarse
     tensors on odd and even shapes, to round-off in the order of the four
-    terms."""
+    terms, and a zero slot ``J = my+1``."""
     fine = Level(*hessian_on(kind, channels, shape).cell_tensors())
     coarse = fine.coarsen()
     for got, ref in zip((coarse.txx, coarse.txy, coarse.tyy),
                         coarse_tensors_by_reshape(fine)):
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+        assert got[:, :-1].shape == ref.shape
+        assert np.max(np.abs(got[:, :-1] - ref)) <= 1e-15 * np.max(np.abs(ref))
+        assert np.all(got[:, -1] == 0.0)
 
 
 @pytest.mark.parametrize("kind,channels", CASES)
@@ -130,9 +145,9 @@ def test_coarsest_inverse_is_symmetric(kind, channels, shape):
 
 def test_restrict_is_the_transpose_of_prolong():
     rng = np.random.default_rng(6)
-    fine = rng.normal(size=(9, 13, 2))
-    coarse = rng.normal(size=(5, 7, 2))
-    pc = prolong(coarse, np.zeros((9, 13, 2)))
+    fine = pad(rng.normal(size=(9, 13, 2)))
+    coarse = pad(rng.normal(size=(5, 7, 2)))
+    pc = prolong(coarse, pad(np.zeros((9, 13, 2))))
     assert float(np.sum(fine * pc)) == pytest.approx(
         float(np.sum(restrict(fine) * coarse)), rel=1e-13)
 
@@ -143,8 +158,8 @@ def test_vcycle_is_symmetric_positive_definite(kind, channels):
         mg = multigrid_of(hessian_on(kind, channels, shape))
         rng = np.random.default_rng(8)
         for _ in range(3):
-            u = rng.normal(size=shape + (channels,))
-            v = rng.normal(size=shape + (channels,))
+            u = pad(rng.normal(size=shape + (channels,)))
+            v = pad(rng.normal(size=shape + (channels,)))
             assert float(np.sum(u * mg.vcycle(v))) == pytest.approx(
                 float(np.sum(v * mg.vcycle(u))), rel=1e-11)
             assert float(np.sum(u * mg.vcycle(u))) > 0.0
@@ -161,15 +176,15 @@ def test_small_grid_vcycle_is_the_exact_inverse(kind, channels, shape):
     mg = Multigrid(fine)
     assert len(mg.levels) == 1
     rng = np.random.default_rng(10)
-    r = rng.normal(size=shape + (channels,))
-    x = mg.vcycle(r)
+    r = pad(rng.normal(size=shape + (channels,)))
+    x = mg.vcycle(r)[1:-1, 1:-1]
     for c in range(channels):
         one = slice(c, c + 1)
         block = Level(fine.txx[..., one], fine.txy[..., one],
                       fine.tyy[..., one],
                       None if fine.mass is None else fine.mass[..., one])
         a = dense_matrix(block.apply, shape)
-        ref = np.linalg.solve(a, r[:, :, c].ravel())
+        ref = np.linalg.solve(a, r[1:-1, 1:-1, c].ravel())
         assert np.allclose(x[:, :, c].ravel(), ref, rtol=1e-10,
                            atol=1e-10 * np.max(np.abs(ref)))
     if channels == 1:
@@ -187,14 +202,14 @@ def test_singular_neumann_system_is_solved():
     mg = Multigrid(neumann)
     coarse = mg.levels[-1]
     assert coarse.shape == (5, 7)
-    assert not np.any(coarse.apply(np.ones((5, 7, 1))))
+    assert not np.any(coarse.apply(pad(np.ones((5, 7, 1)))))
     a = dense_matrix(coarse.apply, coarse.shape)
     pinv = dense_matrix(Multigrid(coarse).vcycle, coarse.shape)
     assert np.allclose(pinv, np.linalg.pinv(a), rtol=1e-9,
                        atol=1e-9 * np.max(np.abs(pinv)))
     rng = np.random.default_rng(9)
     r = rng.normal(size=(9, 13, 1))
-    r -= r.mean()
+    r = pad(r - r.mean())
     d, iters = _pcg(neumann, mg, r, 1e-10)
     assert iters < 100
     assert np.max(np.abs(neumann.apply(d) + r)) <= 1e-8 * np.max(np.abs(r))
@@ -208,14 +223,15 @@ def test_nearly_singular_coarse_level_is_inverted(scale):
     (The constant itself is determined by ``1 . r`` only up to its
     round-off over the mass.)"""
     txx, txy, tyy, _ = hessian_on("fidelity", shape=(7, 8)).cell_tensors()
-    mass = np.zeros((7, 8, 1))
-    mass[3, 2] = scale * float(np.max(txx))
+    mass = np.zeros((9, 10, 1))
+    mass[4, 3] = scale * float(np.max(txx))
     level = Level(txx, txy, tyy, mass)
     x = np.random.default_rng(11).normal(size=(7, 8, 1))
-    x += 2.0
+    x = pad(x + 2.0)
     r = level.apply(x)
     got = Multigrid(level).vcycle(r)
     res = level.apply(got) - r
+    got, x = got[1:-1, 1:-1], x[1:-1, 1:-1]
     assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(r)
     assert np.allclose(got - got.mean(), x - x.mean(), rtol=0.0,
                        atol=1e-6 * np.max(np.abs(x)))

@@ -8,7 +8,7 @@ import pytest
 from lingrow import energy, solver
 from lingrow.energy import (DirichletProblem, FidelityProblem,
                             RegularizationState, assemble_ops)
-from lingrow.grids import Ball, Field, Grid2, Mask
+from lingrow.grids import Ball, Field, Grid2, Mask, pad
 from lingrow.instances import (dirichlet_boundary_spike,
                                fidelity_inverse_sqrt)
 from lingrow.profiles import minimal_surface, phi_mu
@@ -16,7 +16,7 @@ from lingrow.solver import (SolverConfig, SolveTrace, SolverError,
                             continuation_solve, default_interior_ball,
                             minimize_fixed_delta, verify_minimality)
 
-from .oracles import newton_solve
+from .oracles import minimality_margins_unpadded, newton_solve
 
 
 def denoise_problem(n=8, seed=5, lam=0.7, mask=None):
@@ -446,7 +446,7 @@ def test_armijo_gives_up_after_its_backtracks():
     problem = denoise_problem(seed=3)
     ops = energy.assemble_ops(problem, RegularizationState(0.01, 1.5,
                                                           "fidelity"))
-    point = ops.evaluate(Field.zeros(problem.grid).values)
+    point = ops.evaluate(pad(Field.zeros(problem.grid).values))
     r = point.residual()
     # still a long step after 60 halvings: every trial raises the energy
     d = -1e20 * r
@@ -468,15 +468,15 @@ class _Diagonal:
 
 
 def test_pcg_stops_where_the_operator_has_no_curvature():
-    r = np.ones(5)
-    d, k = solver._pcg(_Diagonal(-np.ones(5)), _Identity(), r, 0.1)
+    r = pad(np.ones((1, 5, 1)))
+    d, k = solver._pcg(_Diagonal(-r), _Identity(), r, 0.1)
     # the preconditioned steepest-descent direction, no CG step taken
     assert k == 0 and np.array_equal(d, -r)
 
 
 def test_pcg_stops_at_its_iteration_cap():
-    diag = np.geomspace(1.0, 1e8, 1000)
-    r = np.ones(1000)
+    diag = pad(np.geomspace(1.0, 1e8, 1000).reshape(1, 1000, 1))
+    r = pad(np.ones((1, 1000, 1)))
     d, k = solver._pcg(_Diagonal(diag), _Identity(), r, 1e-30)
     assert k == solver._MAX_KRYLOV
     # a capped solve is still a descent direction of the quadratic model
@@ -571,7 +571,7 @@ def test_an_overflowing_trial_is_a_rejected_trial():
     problem = denoise_problem()
     reg = RegularizationState(0.1, 1.5, "fidelity")
     ops = solver.assemble_ops(problem, reg)
-    point = ops.evaluate(ops.default_init())
+    point = ops.evaluate(pad(ops.default_init()))
     r = point.residual()
     d = -1e300 * r / np.max(np.abs(r))
     accepted, backtracks = solver._armijo(ops, point.w, point.energy, d,
@@ -643,6 +643,28 @@ def test_minimality_catches_perturbed_solution():
     report = verify_minimality(problem, reg, bad, trials=20)
     assert not report.passed
     assert report.margins[-1] < 0.0  # energy decreases along -residual
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "fidelity"])
+def test_minimality_margins_match_the_unpadded_audit(kind):
+    """The audit on padded values draws, smooths and clamps the same
+    perturbations as on the cell layout: every margin is bit for bit the
+    same, at two seeds."""
+    if kind == "dirichlet":
+        problem = dirichlet_boundary_spike(12, 10)
+        rng = np.random.default_rng(2)
+        u = Field(problem.grid, problem.u0_interior().values
+                  + 0.01 * rng.normal(size=(12, 10, 1)))
+    else:
+        problem = denoise_problem(n=11, seed=19, mask=None)
+        u, _ = minimize_fixed_delta(problem,
+                                    RegularizationState(0.1, 1.5, kind),
+                                    Field.zeros(problem.grid))
+    reg = RegularizationState(0.1, 1.5, kind)
+    for seed in (0, 3):
+        report = verify_minimality(problem, reg, u, trials=9, seed=seed)
+        ref = minimality_margins_unpadded(problem, reg, u, 9, seed)
+        assert report.margins.tobytes() == ref.tobytes()
 
 
 def test_minimality_validation():
