@@ -25,9 +25,9 @@ exact gradient of the discrete energy with respect to the cell values
 (finite-difference checkable), and ``Hessian`` its matrix-free derivative,
 which the Newton solver inverts.  ``evaluate``, the residual and the
 Hessian work on padded arrays (``grids.pad``); ``energy`` and ``residual``
-take and give ``(nx, ny, N)`` cell values.  Every sum that gives a number
-runs over the cells in C order, so it has the bits of the same sum on the
-unpadded layout.
+take and give ``(nx, ny, N)`` cell values.  The energy sums run over the
+padded arrays as stored: the ring and the slot ``J = ny+1`` add exact
+zeros.
 """
 
 from __future__ import annotations
@@ -133,8 +133,7 @@ class DirichletProblem:
         ring = self.u0_ext.astype(float)
         ring[1:-1, 1:-1, :] = 0.0
         dx, dy = ring_differences(ring)
-        dx[:, -1] = 0.0
-        dy[:, -1] = 0.0
+        dx[:, -1] = dy[:, -1] = 0.0
         return dx, dy
 
     def coarsen(self) -> "DirichletProblem":
@@ -278,13 +277,6 @@ def _slopes(p: np.ndarray, h: float, offset=None, live=None):
     return gx, gy, t
 
 
-def _sum_cells(a: np.ndarray) -> float:
-    """The sum over the difference cells of ``a`` (shape ``(mx+1, my+2)``),
-    slot ``J = my+1`` left out, in C order from a contiguous copy: the
-    pairwise sum of the same values without the slot, bit for bit."""
-    return float(np.sum(a[:, :-1].copy()))
-
-
 class StencilPoint:
     """Everything the kernels derive from one forward-difference pass at
     the padded values w.
@@ -305,18 +297,13 @@ class StencilPoint:
             # anywhere in w makes the energy sum non-finite and is caught here
             raise ValueError(f"energy is not finite ({energy!r}) at this "
                              "iterate")
-        self.ops = ops
-        self.w = w
-        self.gx = gx
-        self.gy = gy
-        self.at = at
-        self.energy = energy
-        self._ratio = None
+        self.ops, self.w, self.gx, self.gy = ops, w, gx, gy
+        self.at, self.energy, self._ratio = at, energy, None
 
     def total_variation(self) -> float:
         """Discrete integral of ``|grad w|`` under the problem's boundary
         rule: the cell-weighted sum of the slopes of this pass."""
-        return self.ops.rho * self.ops.h2 * _sum_cells(self.at.t)
+        return self.ops.rho * self.ops.h2 * float(np.sum(self.at.t))
 
     def ratio(self) -> np.ndarray:
         """``d1(t)/t`` per difference cell, 0 in the slot ``J = my+1``."""
@@ -420,11 +407,12 @@ class _Ops:
     at the boundary.  Slopes live on the difference cells of
     ``grids.ring_differences``, and the boundary rule is data: ``offset``,
     the constant ring differences of a Dirichlet datum, or ``live``, the
-    masks of the Neumann differences that link two values; a dead slot has
-    slope 0, and ``F(0) = 0``, so it adds nothing to the energy.  The cell
-    weight is ``rho * h^2``.  Subclasses set these and supply the data term
-    (its energy, its padded Hessian ``mass`` and its padded datum ``fd``)
-    and the default initial field, as cell values.
+    masks of the Neumann differences that link two values; a dead slot and
+    the slot ``J = ny+1`` have slope 0, and ``F(0) = 0``, so they add
+    nothing to the energy.  The cell weight is ``rho * h^2``.  Subclasses
+    set these and supply the data term (its energy, its padded Hessian
+    ``mass`` and its padded datum ``fd``) and the default initial field, as
+    cell values.
     """
 
     offset = None
@@ -451,7 +439,7 @@ class _Ops:
     def evaluate(self, w: np.ndarray) -> StencilPoint:
         gx, gy, t = _slopes(w, self.h, self.offset, self.live)
         at = ProfileAt(self.profile, t)
-        energy = self.rho * self.h2 * _sum_cells(at.value())
+        energy = self.rho * self.h2 * float(np.sum(at.value()))
         if self.mass is not None:
             energy += self._data_energy(w)
         return StencilPoint(self, w, gx, gy, at, energy)
@@ -485,17 +473,16 @@ class FidelityOps(_Ops):
                  reg: RegularizationState | None):
         super().__init__(problem, reg)
         self.live = neumann_live(problem.grid)
-        self.lam = problem.lam
         self.outside = (~problem.mask.member)[:, :, None]
-        self.mass = pad(2.0 * self.lam * self.h2 * self.outside)
+        self.mass = pad(2.0 * problem.lam * self.h2 * self.outside)
         f = problem.f if reg is None else clip_data(problem.f, reg.delta)
         self.fd = pad(f.values)
 
     def _data_energy(self, w: np.ndarray) -> float:
-        diff = w[1:-1, 1:-1] - self.fd[1:-1, 1:-1]
-        diff *= self.outside
+        """``1/2 sum mass (w - fd)^2`` over the padded arrays."""
+        diff = w - self.fd
         diff *= diff
-        return self.lam * self.h2 * float(np.sum(diff))
+        return 0.5 * float(np.vdot(self.mass, diff))
 
     def default_init(self) -> np.ndarray:
         fd = self.fd[1:-1, 1:-1]

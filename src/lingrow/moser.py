@@ -139,14 +139,25 @@ def _log_masses(outer_mag: np.ndarray, outer_d2: np.ndarray, rr: np.ndarray,
     gathered in C order.  The midpoint-rule integral of |u|^(q^j) is
     factored through its maximum, so large exponents neither overflow nor
     underflow.  An inner ball's cells are the same cells in the same order
-    as a mask of the whole grid would give, so each sum is too."""
+    as a mask of the whole grid would give, so each sum is too.  A level
+    whose ball holds as many cells as the one before (the sorted distances
+    count them) reuses their ratios to the maximum; once the largest ratio
+    below 1 to the power ``q^j`` is exactly 0, the sum is the count of the
+    maxima, the same bits.  So a deep family costs per cell set."""
     out = np.zeros(len(rr))  # log max(1, integral); 0 where u vanishes
+    order, held = np.sort(outer_d2, axis=None), -1
     for j, r in enumerate(rr):
-        p = q ** j
-        mj = outer_mag[outer_d2 < r ** 2]
-        m = float(np.max(mj))
+        p, r2 = q ** j, r ** 2
+        count = int(np.searchsorted(order, r2))  # cells with d2 < r2
+        if count != held:
+            held, mj = count, outer_mag[outer_d2 < r2]
+            m = float(np.max(mj))
+            if m > 0.0:
+                ratios = mj / m
+                maxima = float(np.count_nonzero(ratios == 1.0))
+                below = float(np.max(ratios, where=ratios != 1.0, initial=0.0))
         if m > 0.0:
-            s = float(np.sum((mj / m) ** p))
+            s = maxima if below ** p == 0.0 else float(np.sum(ratios ** p))
             out[j] = max(0.0, p * np.log(m) + np.log(s) + 2.0 * np.log(h))
     return out
 

@@ -30,8 +30,8 @@ A rung costs ``1 + iterations + backtracks`` energy evaluations and
 residual and every CG and V-cycle vector stay on the padded layout
 (``grids.pad``), so a product is one contiguous difference pair with no
 copy of its input (``Level.apply`` about 0.09 ms at 128^2, against 0.15 ms
-on the unpadded layout); the inner products run over the cells in C order,
-from contiguous copies, so they have the bits of the unpadded ones.
+on the unpadded layout), and an inner product is one ``np.vdot`` over the
+padded arrays, whose zero ring adds nothing.
 
 ``continuation_solve`` walks a decreasing delta schedule, warm-starting each
 rung from the previous solution and re-clipping the datum at each delta.
@@ -165,12 +165,6 @@ def _armijo(ops, w: np.ndarray, e: float, d: np.ndarray, slope: float):
     return None, _MAX_BACKTRACKS
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """``a . b`` over the cells of two padded arrays, from contiguous copies
-    in C order: the same sum, bit for bit, as over the unpadded arrays."""
-    return float(np.vdot(a[1:-1, 1:-1].copy(), b[1:-1, 1:-1].copy()))
-
-
 def _pcg(hess, precond: Multigrid, r: np.ndarray, eta: float):
     """Preconditioned CG on ``H d = -r`` from ``d = 0``, stopped once
     ``|H d + r|_2 <= eta |r|_2``; returns (d, iterations).  Every vector is
@@ -181,12 +175,12 @@ def _pcg(hess, precond: Multigrid, r: np.ndarray, eta: float):
     """
     d = np.zeros_like(r)
     res = -r
-    target = eta * float(np.sqrt(_dot(r, r)))
+    target = eta * float(np.sqrt(np.vdot(r, r)))
     p = precond.vcycle(res)
-    rz = _dot(res, p)
+    rz = float(np.vdot(res, p))
     for k in range(1, _MAX_KRYLOV + 1):
         q = hess.apply(p)
-        pq = _dot(p, q)
+        pq = float(np.vdot(p, q))
         if not (pq > 0.0 and rz > 0.0):
             # no curvature left along p (round-off at tiny residuals)
             return (d if k > 1 else p), k - 1
@@ -196,10 +190,10 @@ def _pcg(hess, precond: Multigrid, r: np.ndarray, eta: float):
         np.multiply(p, alpha, out=q)
         d += q
         q = None  # freed before the V-cycle allocates
-        if float(np.sqrt(_dot(res, res))) <= target:
+        if float(np.sqrt(np.vdot(res, res))) <= target:
             return d, k
         z = precond.vcycle(res)
-        rz_new = _dot(res, z)
+        rz_new = float(np.vdot(res, z))
         p *= rz_new / rz
         p += z
         z = None
@@ -245,7 +239,7 @@ def _newton(problem, reg: RegularizationState | None, init: Field,
             return Field(problem.grid, w[1:-1, 1:-1].copy()), stats
         if iters == cfg.max_iters:
             break
-        rnorm = float(np.sqrt(_dot(r, r)))
+        rnorm = float(np.sqrt(np.vdot(r, r)))
         if rnorm_prev is not None:
             eta = min(_EW_GAMMA * (rnorm / rnorm_prev) ** 2, _ETA_MAX)
         rnorm_prev = rnorm
@@ -259,7 +253,7 @@ def _newton(problem, reg: RegularizationState | None, init: Field,
         d, k = _pcg(op, mg, r, max(eta, 0.5 * tol / rnorm))
         op = mg = None
         krylov += k
-        slope = _dot(r, d)
+        slope = float(np.vdot(r, d))
         if slope >= 0.0:
             stalled = True
             break

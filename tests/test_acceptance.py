@@ -335,15 +335,19 @@ def test_criterion_7_fidelity_interior_boundedness(inverse_run,
 
 
 # Newton steps and CG iterations per rung of the two 128^2 ladders at the
-# defaults, as the kernels on the unpadded cell layout took them
+# defaults, as the kernels on the unpadded cell layout took them, and per
+# coarse copy of rung 0's nested start (16^2, 32^2, 64^2)
 LADDER_PINS = {"boundary spike": ((9, 6, 3, 3), (57, 47, 21, 17)),
                "inverse sqrt": ((3, 4, 3, 2), (24, 28, 22, 12))}
+COARSE_PINS = {"boundary spike": ((11, 27), (7, 22), (7, 31)),
+               "inverse sqrt": ((7, 19), (4, 14), (3, 18))}
 
 
 def test_ladder_iteration_counts_hold(spike_run, inverse_run):
-    """No rung of the 128^2 ladders takes more Newton steps or CG
-    iterations than its pin: a kernel or layout change that costs
-    iterations fails here, though its results still pass the criteria."""
+    """No rung of the 128^2 ladders, and no coarse copy of rung 0's nested
+    start, takes more Newton steps or CG iterations than its pin: a kernel
+    or layout change that costs iterations fails here, though its results
+    still pass the criteria."""
     failures = []
     for name, trace in (("boundary spike", spike_run[2]),
                         ("inverse sqrt", inverse_run[3])):
@@ -355,6 +359,14 @@ def test_ladder_iteration_counts_hold(spike_run, inverse_run):
                                               pin_steps + pin_krylov)):
             failures.append(f"{name}: Newton {steps} / CG {krylov}, "
                             f"pinned at most {pin_steps} / {pin_krylov}")
+        coarse = tuple((c.iters, c.krylov_iters)
+                       for c in trace.records[0].coarse)
+        pins = COARSE_PINS[name]
+        if len(coarse) != len(pins) or any(
+                got > pin for pair, pin_pair in zip(coarse, pins)
+                for got, pin in zip(pair, pin_pair)):
+            failures.append(f"{name}: nested start Newton/CG {coarse}, "
+                            f"pinned at most {pins}")
     assert not failures, "; ".join(failures)
 
 

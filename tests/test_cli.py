@@ -20,6 +20,7 @@ import pytest
 import lingrow
 from lingrow import cli
 from lingrow.cli import main
+from lingrow.config import parse_config
 from lingrow.grids import Field, Grid2
 from lingrow.pgmio import field_from_csv, field_to_csv, read_pgm
 
@@ -142,6 +143,21 @@ class TestDensityCheck:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == "lingrow: 'density_check.t_max' must be at most 1e8\n"
+        assert not out.exists()
+
+    def test_samples_past_their_bound_exit_two_with_one_line(self, tmp_path,
+                                                             capsys):
+        """The count is refused at parse, before any sample is allocated;
+        10^6, the bound, parses."""
+        cfg = density_config(kind="phi_mu", mu=1.5)
+        cfg["density_check"]["samples"] = 10 ** 6
+        assert parse_config(cfg).density_samples == 10 ** 6
+        cfg["density_check"]["samples"] = 10 ** 13
+        rc, out = run(tmp_path, "density-check", cfg)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == ("lingrow: 'density_check.samples' must be at most "
+                       "1000000\n")
         assert not out.exists()
 
     def test_sub_linear_mu_rejected_at_parse(self, tmp_path, capsys):

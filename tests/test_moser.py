@@ -462,12 +462,13 @@ def _vanishing_inside(g):
                                   "vanishing-inner-balls",
                                   "skipped-levels", "deep-n5"])
 def test_moser_report_matches_the_per_ball_oracle(case, request):
-    """Reports built on one shared geometry equal, byte for byte, those
-    built from a fresh mask per ball, level and s, except for the cutoff
-    checks: these sum over the outer ball's cells only, a different order
-    of the same non-negative terms, so their constants agree to a few
-    rounding errors of each sum (64 eps relative; the variation, a relative
-    difference of two constants, to 128 eps (2 + variation))."""
+    """Reports built on one shared geometry, with the level masses'
+    shortcuts for deep families, equal, byte for byte, those built from a
+    fresh mask per ball, level and s, except for the cutoff checks: these
+    sum over the outer ball's cells only, a different order of the same
+    non-negative terms, so their constants agree to a few rounding errors
+    of each sum (64 eps relative; the variation, a relative difference of
+    two constants, to 128 eps (2 + variation))."""
     rng = np.random.default_rng(5)
     if case == "spike-ladder-64":
         fields = request.getfixturevalue("spike_rungs_64")
@@ -487,6 +488,15 @@ def test_moser_report_matches_the_per_ball_oracle(case, request):
         g = Grid2(128, 128, 1.0 / 128)
         fields = [Field(g, rng.uniform(0.5, 2.0, (128, 128, 1)))]
         bf = BallFamily((0.5, 0.5), 0.45, n=5, j_max=300)
+        # both shortcuts of the level masses are taken: levels whose ball
+        # holds the cells of the level before (301 levels, 24 cell sets),
+        # and levels where the largest ratio below 1 to the maximum, raised
+        # to q^j, is exactly 0 (233 levels)
+        d2, mag = g.sq_distances(bf.center), fields[0].magnitude()
+        held = [d2 < r ** 2 for r in radii(bf)]
+        assert len({int(np.count_nonzero(b)) for b in held}) == 24
+        last = mag[held[-1]] / np.max(mag[held[-1]])
+        assert np.max(last[last < 1.0]) ** bf.q ** bf.j_max == 0.0
     eps = np.finfo(float).eps
     for u in fields:
         rep = moser_report(u, bf, epsilon0=0.25).to_dict()

@@ -7,7 +7,7 @@ import pytest
 from lingrow.energy import (DirichletProblem, FidelityProblem,
                             RegularizationState, assemble_ops)
 from lingrow.grids import Field, Grid2, Mask, pad
-from lingrow.multigrid import Level, Multigrid, prolong, restrict
+from lingrow.multigrid import _OMEGA, Level, Multigrid, prolong, restrict
 from lingrow.profiles import minimal_surface, phi_mu
 from lingrow.solver import _pcg
 
@@ -67,17 +67,17 @@ def test_fine_level_is_the_channelwise_hessian(kind, channels):
     if channels == 1:
         assert np.allclose(fine(v), h_apply(v), rtol=1e-12,
                            atol=1e-12 * np.max(np.abs(h_apply(v))))
-    # the Jacobi smoother's diagonal is H's own, on every cell and channel,
-    # and 0 on the ring
+    # the Jacobi smoother's diagonal, through the hierarchy's damped
+    # factor, is H's own, on every cell and channel, and 0 on the ring
     diag = np.empty(v.shape)
     for idx in np.ndindex(*v.shape):
         e = np.zeros(v.shape)
         e[idx] = 1.0
         diag[idx] = h_apply(e)[idx]
-    inv_diag = level.inv_diag
-    assert not (inv_diag[0].any() or inv_diag[-1].any()
-                or inv_diag[:, 0].any() or inv_diag[:, -1].any())
-    assert np.allclose(1.0 / inv_diag[1:-1, 1:-1], diag, rtol=1e-12, atol=0.0)
+    jacobi = Multigrid(level).jacobi[0]
+    assert not (jacobi[0].any() or jacobi[-1].any()
+                or jacobi[:, 0].any() or jacobi[:, -1].any())
+    assert np.allclose(_OMEGA / jacobi[1:-1, 1:-1], diag, rtol=1e-12, atol=0.0)
     for c in range(channels):
         only = np.zeros_like(v)
         only[:, :, c] = v[:, :, c]
