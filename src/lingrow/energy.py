@@ -133,7 +133,8 @@ class DirichletProblem:
         ring = self.u0_ext.astype(float)
         ring[1:-1, 1:-1, :] = 0.0
         dx, dy = ring_differences(ring)
-        dx[:, -1] = dy[:, -1] = 0.0
+        dx[:, -1] = 0.0
+        dy[:, -1] = 0.0
         return dx, dy
 
     def coarsen(self) -> "DirichletProblem":
@@ -297,8 +298,13 @@ class StencilPoint:
             # anywhere in w makes the energy sum non-finite and is caught here
             raise ValueError(f"energy is not finite ({energy!r}) at this "
                              "iterate")
-        self.ops, self.w, self.gx, self.gy = ops, w, gx, gy
-        self.at, self.energy, self._ratio = at, energy, None
+        self.ops = ops
+        self.w = w
+        self.gx = gx
+        self.gy = gy
+        self.at = at
+        self.energy = energy
+        self._ratio = None
 
     def total_variation(self) -> float:
         """Discrete integral of ``|grad w|`` under the problem's boundary
@@ -476,7 +482,8 @@ class FidelityOps(_Ops):
         self.outside = (~problem.mask.member)[:, :, None]
         self.mass = pad(2.0 * problem.lam * self.h2 * self.outside)
         f = problem.f if reg is None else clip_data(problem.f, reg.delta)
-        self.fd = pad(f.values)
+        # 0 under the mask, where the datum does not enter the energy
+        self.fd = pad(np.where(self.outside, f.values, 0.0))
 
     def _data_energy(self, w: np.ndarray) -> float:
         """``1/2 sum mass (w - fd)^2`` over the padded arrays."""

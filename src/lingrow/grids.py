@@ -222,9 +222,11 @@ def ring_adjoint(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
     np.subtract(fx[:m - s], fx[s:], out=body)
     body += fy[s - 1:m - 1]
     body -= fy[s:]
-    out[:s] = out[m:] = 0.0
+    out[:s] = 0.0
+    out[m:] = 0.0
     out = out.reshape(rows + 1, s, n)
-    out[:, 0] = out[:, -1] = 0.0
+    out[:, 0] = 0.0
+    out[:, -1] = 0.0
     return out
 
 

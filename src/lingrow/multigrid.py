@@ -31,11 +31,10 @@ on the constants and inverted once per hierarchy by one ``np.linalg.inv``
 (``Level.dense_inverse``).  A singular level, a pure Neumann operator
 without mass (it annihilates constants), gets its pseudo-inverse, and a
 nearly singular one (little mass) stays exact.  One V-cycle smooths with
-damped Jacobi on the exact diagonal (the hierarchy stores the damped
-inverse diagonal of each level above the coarsest, so a sweep is one
-multiply), the same sweep before and after the coarse correction; it is a
-symmetric positive definite preconditioner (every level has ``A <= 3 D``,
-and the damping keeps ``omega * 3 < 2``).
+damped Jacobi on the exact diagonal (each level stores its damped inverse
+diagonal, so a sweep is one multiply), the same sweep before and after the
+coarse correction; it is a symmetric positive definite preconditioner
+(every level has ``A <= 3 D``, and the damping keeps ``omega * 3 < 2``).
 A grid no larger than the dense threshold is a single level, where the
 V-cycle is ``A^-1``.
 """
@@ -55,15 +54,34 @@ _DENSE_MAX = 8
 
 
 class Level:
-    """One level's operator alone: cell tensors and a mass on the padded
-    layout.  Its smoother's factor is the hierarchy's (``Multigrid``)."""
+    """One level's operator: cell tensors and a mass on the padded layout."""
 
-    __slots__ = ("txx", "txy", "tyy", "mass", "shape")
+    __slots__ = ("txx", "txy", "tyy", "mass", "shape", "jacobi")
 
     def __init__(self, txx: np.ndarray, txy: np.ndarray, tyy: np.ndarray,
                  mass: np.ndarray | None):
         self.txx, self.txy, self.tyy, self.mass = txx, txy, tyy, mass
-        self.shape = (txx.shape[0] - 1, txx.shape[1] - 2)
+        rows, s, n = txx.shape
+        self.shape = (rows - 1, s - 2)
+        m = rows * s
+        xx, xy, yy = (t.reshape(m, n) for t in (txx, txy, tyy))
+        # node k collects its own cell (both differences -1), the cell
+        # before it in x (+1 in x) and the one before it in y (+1 in y)
+        diag = np.zeros((m + s, n))
+        body = diag[s:m]
+        np.add(xx[s:], 2.0 * xy[s:], out=body)
+        body += yy[s:]
+        body += xx[:m - s]
+        body += yy[s - 1:m - 1]
+        diag = diag.reshape(rows + 1, s, n)
+        diag[:, 0] = 0.0
+        diag[:, -1] = 0.0
+        if mass is not None:
+            diag += mass
+        # the damped Jacobi sweep's factor: 0 on the ring, and where a
+        # level has nothing to invert (a lone Neumann cell)
+        self.jacobi = _OMEGA * np.divide(1.0, diag, out=np.zeros_like(diag),
+                                         where=diag > 0.0)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         dx, dy = ring_differences(v)
@@ -146,29 +164,6 @@ def _pool(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jacobi(level: Level) -> np.ndarray:
-    """The damped Jacobi factor ``omega / diag(A)`` of a level, padded: 0 on
-    the ring, and where a level has nothing to invert (a lone Neumann
-    cell)."""
-    rows, s, n = level.txx.shape
-    m = rows * s
-    xx, xy, yy = (t.reshape(m, n) for t in (level.txx, level.txy, level.tyy))
-    # node k collects its own cell (both differences -1), the cell before
-    # it in x (+1 in x) and the one before it in y (+1 in y)
-    diag = np.zeros((m + s, n))
-    body = diag[s:m]
-    np.add(xx[s:], 2.0 * xy[s:], out=body)
-    body += yy[s:]
-    body += xx[:m - s]
-    body += yy[s - 1:m - 1]
-    diag = diag.reshape(rows + 1, s, n)
-    diag[:, 0] = diag[:, -1] = 0.0
-    if level.mass is not None:
-        diag += level.mass
-    return _OMEGA * np.divide(1.0, diag, out=np.zeros_like(diag),
-                              where=diag > 0.0)
-
-
 def restrict(r: np.ndarray) -> np.ndarray:
     """``P^T r``: sums over the 2x2 aggregates, padded in and out.  Coarse
     node ``(I, J)`` sums fine nodes ``2I-1`` and ``2I`` of each axis, where
@@ -210,15 +205,12 @@ class Multigrid:
     ``_DENSE_MAX`` cells per axis, whose inverse is stored dense.
 
     ``vcycle`` is a loop over the list of levels, so nothing but this
-    object holds the level arrays, and they go when it does.  ``jacobi``
-    holds the damped Jacobi factor of each level that ``vcycle`` smooths.
+    object holds the level arrays, and they go when it does.
     """
 
     def __init__(self, fine: Level):
         self.levels = [fine]
-        self.jacobi = []
         while max(fine.shape) > _DENSE_MAX:
-            self.jacobi.append(_jacobi(fine))
             fine = fine.coarsen()
             self.levels.append(fine)
         self.coarse_inv = fine.dense_inverse()
@@ -227,9 +219,9 @@ class Multigrid:
         """One V-cycle from a zero guess: an approximation of ``A^-1 r``,
         padded like ``r``."""
         stack = []
-        for level, jacobi in zip(self.levels, self.jacobi):
-            x = jacobi * r
-            stack.append((level, jacobi, r, x))
+        for level in self.levels[:-1]:
+            x = level.jacobi * r
+            stack.append((level, r, x))
             res = level.apply(x)
             np.subtract(r, res, out=res)
             r = restrict(res)
@@ -239,10 +231,10 @@ class Multigrid:
         x = np.einsum("cij,jc->ic", inv, rc)
         x += z * (np.einsum("ic,ic->c", z, rc) / rho)
         x = pad(x.reshape(cells.shape))
-        for level, jacobi, r, x_fine in reversed(stack):
+        for level, r, x_fine in reversed(stack):
             x = prolong(x, x_fine)
             res = level.apply(x)
             np.subtract(r, res, out=res)
-            res *= jacobi
+            res *= level.jacobi
             x += res
         return x

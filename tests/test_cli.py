@@ -390,6 +390,24 @@ class TestSolve:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_a_huge_datum_under_the_mask_does_not_enter_the_solve(
+            self, tmp_path, capsys):
+        """A datum past the float range where the mask hides it is not
+        data: the run solves as with a tame value there."""
+        solutions = []
+        for under in (1e200, 2.5):
+            values = np.full((16, 16, 1), 2.5)
+            values[4:12, 4:12, 0] = under
+            field_to_csv(tmp_path / "f.csv",
+                         Field(Grid2(16, 16, 1.0 / 16), values))
+            cfg = denoise_config(nx=16)
+            cfg["problem"]["f"] = {"csv": {"path": "f.csv"}}
+            cfg["problem"]["mask"] = {"rect": [0.25, 0.25, 0.75, 0.75]}
+            rc, out = run(tmp_path, "solve", cfg, out=f"out-{under}")
+            assert rc == 0, capsys.readouterr().err
+            solutions.append((out / "solution_final.csv").read_bytes())
+        assert solutions[0] == solutions[1]
+
     @pytest.mark.parametrize("out", ["afile", "afile/sub"],
                              ids=["file", "below-a-file"])
     def test_out_that_cannot_be_a_directory_exits_two_before_solving(

@@ -67,14 +67,14 @@ def test_fine_level_is_the_channelwise_hessian(kind, channels):
     if channels == 1:
         assert np.allclose(fine(v), h_apply(v), rtol=1e-12,
                            atol=1e-12 * np.max(np.abs(h_apply(v))))
-    # the Jacobi smoother's diagonal, through the hierarchy's damped
-    # factor, is H's own, on every cell and channel, and 0 on the ring
+    # the Jacobi smoother's diagonal, through its damped factor, is H's
+    # own, on every cell and channel, and 0 on the ring
     diag = np.empty(v.shape)
     for idx in np.ndindex(*v.shape):
         e = np.zeros(v.shape)
         e[idx] = 1.0
         diag[idx] = h_apply(e)[idx]
-    jacobi = Multigrid(level).jacobi[0]
+    jacobi = level.jacobi
     assert not (jacobi[0].any() or jacobi[-1].any()
                 or jacobi[:, 0].any() or jacobi[:, -1].any())
     assert np.allclose(_OMEGA / jacobi[1:-1, 1:-1], diag, rtol=1e-12, atol=0.0)
