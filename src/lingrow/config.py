@@ -133,16 +133,25 @@ def _real(value, name: str, least: float | None = None,
     return float(value)
 
 
+# a density nests at most this many ``base`` levels: the profiles and the
+# report writers recurse once or twice per level, and 600 levels overflow
+# the interpreter's stack while ``condition_report.json`` is written
+_DENSITY_DEPTH_MAX = 32
+
+
 def _parse_density(spec) -> RadialProfile:
     """A density whose numbers, a nested ``base``'s included, are JSON
     numbers: none is converted."""
-    part = spec
+    part, depth = spec, 0
     while isinstance(part, dict):
+        _expect(depth <= _DENSITY_DEPTH_MAX, "a density nests at most "
+                f"{_DENSITY_DEPTH_MAX} 'base' levels")
         _kind_keys(part, "density", _DENSITY_KEYS)
         for key in ("mu", "delta"):
             if key in part:
                 _real(part[key], key)
         part = part.get("base")
+        depth += 1
     return RadialProfile.from_dict(spec)
 
 
@@ -344,6 +353,10 @@ def parse_config(raw: dict, base_dir: str = ".",
     if "minimality_trials" in raw:
         cfg.minimality_trials = _count(raw["minimality_trials"],
                                        "minimality_trials", 1)
+        # a trial costs about 0.5 ms at 128^2 (101 take 49-58 ms), so 10^5
+        # take about a minute
+        _expect(cfg.minimality_trials <= 10 ** 5,
+                "'minimality_trials' must be at most 100000")
     return cfg
 
 
@@ -356,5 +369,7 @@ def load_config(path: str | os.PathLike,
         raise ConfigError(f"cannot read config: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
+    except RecursionError as err:
+        raise ConfigError("config is nested too deeply to parse") from err
     return parse_config(raw, base_dir=os.path.dirname(os.fspath(path)) or ".",
                         seed_override=seed_override)

@@ -27,7 +27,10 @@ which the Newton solver inverts.  ``evaluate``, the residual and the
 Hessian work on padded arrays (``grids.pad``); ``energy`` and ``residual``
 take and give ``(nx, ny, N)`` cell values.  The energy sums run over the
 padded arrays as stored: the ring and the slot ``J = ny+1`` add exact
-zeros.
+zeros.  Each pass keeps its slope array ``t`` and evaluates the density's
+orders on it as plain functions (``profiles.derivative``, ``d1_over_t``,
+``radial_excess``); only ``d1/t``, which the residual and the Hessian
+share, is kept once formed.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ import numpy as np
 
 from .grids import (Field, Grid2, Mask, neumann_live, pad, ring_adjoint,
                     ring_differences)
-from .profiles import ProfileAt, RadialProfile, combined, profile_d2
+from .profiles import (RadialProfile, combined, d1_over_t, derivative,
+                       radial_excess)
 
 __all__ = [
     "DirichletProblem",
@@ -282,17 +286,17 @@ class StencilPoint:
     """Everything the kernels derive from one forward-difference pass at
     the padded values w.
 
-    ``ops.evaluate(w)`` takes the pass once: the slopes ``(gx, gy, t)`` and
-    the energy.  ``residual()`` and ``hessian()`` are then derived on that
-    same state and share ``d1(t)/t``, computed at most once for both, so the
-    solver pays no extra gradient pass for the residual and the Hessian at
-    an accepted step.
+    ``ops.evaluate(w)`` takes the pass once: the differences ``(gx, gy)``,
+    the slopes ``t`` and the energy.  ``residual()`` and ``hessian()`` are
+    then derived on that same state and share ``d1(t)/t``, computed at most
+    once for both, so the solver pays no extra gradient pass for the
+    residual and the Hessian at an accepted step.
     """
 
-    __slots__ = ("ops", "w", "gx", "gy", "at", "energy", "_ratio")
+    __slots__ = ("ops", "w", "gx", "gy", "t", "energy", "_ratio")
 
     def __init__(self, ops, w: np.ndarray, gx: np.ndarray, gy: np.ndarray,
-                 at: ProfileAt, energy: float):
+                 t: np.ndarray, energy: float):
         if not math.isfinite(energy):
             # the hot path skips per-array validation; a non-finite value
             # anywhere in w makes the energy sum non-finite and is caught here
@@ -302,19 +306,19 @@ class StencilPoint:
         self.w = w
         self.gx = gx
         self.gy = gy
-        self.at = at
+        self.t = t
         self.energy = energy
         self._ratio = None
 
     def total_variation(self) -> float:
         """Discrete integral of ``|grad w|`` under the problem's boundary
         rule: the cell-weighted sum of the slopes of this pass."""
-        return self.ops.rho * self.ops.h2 * float(np.sum(self.at.t))
+        return self.ops.rho * self.ops.h2 * float(np.sum(self.t))
 
     def ratio(self) -> np.ndarray:
         """``d1(t)/t`` per difference cell, 0 in the slot ``J = my+1``."""
         if self._ratio is None:
-            ratio = self.at.slope_ratio(self.ops.d2_origin)
+            ratio = d1_over_t(self.ops.profile, self.t)
             ratio[:, -1] = 0.0
             self._ratio = ratio
         return self._ratio
@@ -360,7 +364,7 @@ class Hessian:
         self.ops = pt.ops
         self.gx, self.gy = pt.gx, pt.gy
         self.a = pt.ratio()
-        self.b = pt.at.radial_excess(self.a, theta)
+        self.b = radial_excess(pt.ops.profile, pt.t, self.a, theta)
         self.ax = self.ay = self.a[:, :, None]
         if self.ops.live is not None:
             self.ax = self.ax * self.ops.live[0]
@@ -428,7 +432,6 @@ class _Ops:
     def __init__(self, problem, reg: RegularizationState | None):
         self.problem = problem
         self.profile = _check_state(problem, reg)
-        self.d2_origin = profile_d2(self.profile, 0.0)
         self.mass = None  # diagonal of the data term's Hessian, if any
         g = problem.grid
         self.h = g.h
@@ -444,11 +447,11 @@ class _Ops:
 
     def evaluate(self, w: np.ndarray) -> StencilPoint:
         gx, gy, t = _slopes(w, self.h, self.offset, self.live)
-        at = ProfileAt(self.profile, t)
-        energy = self.rho * self.h2 * float(np.sum(at.value()))
+        density = derivative(self.profile, t, 0)
+        energy = self.rho * self.h2 * float(np.sum(density))
         if self.mass is not None:
             energy += self._data_energy(w)
-        return StencilPoint(self, w, gx, gy, at, energy)
+        return StencilPoint(self, w, gx, gy, t, energy)
 
     def energy(self, w: np.ndarray) -> float:
         return self.evaluate(pad(w)).energy

@@ -10,6 +10,13 @@ supported:
 * ``combined``: ``delta * phi_mu + base``, the regularized density used by
   the continuation solver.
 
+Every order is a plain function of the slope array: ``derivative(p, t,
+order)`` evaluates the closed forms without validation, and ``d1_over_t``
+and ``radial_excess`` build on it.  The stencil kernels call these
+directly; ``profile_eval``, ``profile_d1``, ``profile_d2`` and
+``slope_ratio`` validate ``t`` and then run the same code, so both give the
+same bits.
+
 ``certify_conditions`` samples a profile and fits the tightest constants for
 the structural conditions every density must satisfy (zero value and slope at
 the origin, linear-growth sandwich, convexity, curvature decay, and the
@@ -131,78 +138,13 @@ def _check_t(t) -> tuple[np.ndarray, bool]:
     return arr, scalar
 
 
-class ProfileAt:
-    """A profile evaluated on one array of slopes ``t``, without validation.
+# The closed forms take an array of slopes ``t`` of at least one dimension,
+# finite and non-negative, and return fresh arrays that they update in
+# place; each in-place step applies the same operation to the same operands
+# as the plain expression it replaces, so the values are bit-identical to it.
 
-    This is the internal fast path of the stencil kernels: ``t`` must be
-    finite and non-negative, which the caller guarantees.  ``log1p(t)``,
-    ``t^2`` and ``sqrt(1 + t^2)`` are each computed at most once and shared
-    by the value, the slope and the curvature.  The public ``profile_*``
-    functions validate ``t`` and then run this same code.
-    """
-
-    __slots__ = ("p", "t", "_log1p", "_tt", "_root")
-
-    def __init__(self, p: RadialProfile, t: np.ndarray):
-        self.p = p
-        self.t = t
-        self._log1p = self._tt = self._root = None
-
-    def log1p(self) -> np.ndarray:
-        if self._log1p is None:
-            self._log1p = np.log1p(self.t)
-        return self._log1p
-
-    def tt(self) -> np.ndarray:
-        if self._tt is None:
-            self._tt = self.t * self.t
-        return self._tt
-
-    def root(self) -> np.ndarray:
-        """``sqrt(1 + t^2)``."""
-        if self._root is None:
-            root = 1.0 + self.tt()
-            self._root = np.sqrt(root, out=root)
-        return self._root
-
-    def value(self) -> np.ndarray:
-        return _eval_impl(self.p, self, 0)
-
-    def d1(self) -> np.ndarray:
-        return _eval_impl(self.p, self, 1)
-
-    def d2(self) -> np.ndarray:
-        return _eval_impl(self.p, self, 2)
-
-    def slope_ratio(self, d2_origin: float) -> np.ndarray:
-        """``d1(t)/t``, with ``d2_origin = d2(0)`` below the origin cutoff."""
-        t = self.t
-        small = t < _ORIGIN_CUTOFF
-        if not small.any():
-            return self.d1() / t
-        return np.where(small, d2_origin, self.d1() / np.where(small, 1.0, t))
-
-    def radial_excess(self, ratio: np.ndarray, theta: float) -> np.ndarray:
-        """``(max(d2, theta * ratio) - ratio) / t^2`` for ``ratio = d1/t``:
-        the coefficient of ``P P^T`` in the Hessian of ``F(|P|)`` with the
-        radial curvature floored at ``theta * ratio``; 0 below the origin
-        cutoff, where the Hessian is ``d2(0) I``."""
-        t = self.t
-        out = np.maximum(self.d2(), theta * ratio)
-        out -= ratio
-        small = t < _ORIGIN_CUTOFF
-        out /= np.where(small, 1.0, t * t)
-        out[small] = 0.0
-        return out
-
-
-# The closed forms return fresh arrays and update them in place; each
-# in-place step applies the same operation to the same operands as the
-# plain expression it replaces, so the values are bit-identical to it.
-
-def _phi_eval(mu: float, at: ProfileAt) -> np.ndarray:
-    t = at.t
-    L = at.log1p()
+def _phi_eval(mu: float, t: np.ndarray) -> np.ndarray:
+    L = np.log1p(t)
     eps = mu - 2.0
     if abs(eps) < _MU2_WINDOW:
         # series in (mu - 2) around the logarithmic form t - log(1+t)
@@ -228,33 +170,39 @@ def _phi_eval(mu: float, at: ProfileAt) -> np.ndarray:
     return v
 
 
-def _phi_d1(mu: float, at: ProfileAt) -> np.ndarray:
-    # -expm1((1 - mu) * L) / (mu - 1)
-    v = (1.0 - mu) * at.log1p()
+def _phi_d1(mu: float, t: np.ndarray) -> np.ndarray:
+    # -expm1((1 - mu) * log1p(t)) / (mu - 1)
+    v = np.log1p(t)
+    v *= 1.0 - mu
     np.expm1(v, out=v)
     np.negative(v, out=v)
     v /= mu - 1.0
     return v
 
 
-def _phi_d2(mu: float, at: ProfileAt) -> np.ndarray:
-    v = 1.0 + at.t
+def _phi_d2(mu: float, t: np.ndarray) -> np.ndarray:
+    v = 1.0 + t
     v **= -mu
     return v
 
 
-def _ms_eval(mu: None, at: ProfileAt) -> np.ndarray:
-    v = 1.0 + at.root()
-    np.divide(at.tt(), v, out=v)
+def _ms_eval(mu: None, t: np.ndarray) -> np.ndarray:
+    # t^2 / (1 + sqrt(1 + t^2))
+    tt = t * t
+    v = 1.0 + tt
+    np.sqrt(v, out=v)
+    v += 1.0
+    np.divide(tt, v, out=v)
     return v
 
 
-def _ms_d1(mu: None, at: ProfileAt) -> np.ndarray:
-    return at.t / at.root()
+def _ms_d1(mu: None, t: np.ndarray) -> np.ndarray:
+    return t / np.sqrt(1.0 + t * t)
 
 
-def _ms_d2(mu: None, at: ProfileAt) -> np.ndarray:
-    v = 1.0 + at.tt()
+def _ms_d2(mu: None, t: np.ndarray) -> np.ndarray:
+    v = t * t
+    v += 1.0
     v **= -1.5
     return v
 
@@ -265,41 +213,69 @@ _TERMS = {
 }
 
 
-def _eval_impl(p: RadialProfile, at: ProfileAt, order: int) -> np.ndarray:
+def derivative(p: RadialProfile, t: np.ndarray, order: int) -> np.ndarray:
+    """The ``order``-th derivative of ``p`` (0 is the value) on an array of
+    slopes, without validation: ``t`` must be finite, non-negative and at
+    least one-dimensional.  The stencil kernels call this directly; the
+    public ``profile_*`` functions validate ``t`` and then call it."""
     if p.kind == "combined":
         # delta * phi_mu + base, evaluated term by term
-        v = _TERMS["phi_mu"][order](p.mu, at)
+        v = _TERMS["phi_mu"][order](p.mu, t)
         v *= p.delta
-        v += _eval_impl(p.base, at, order)
+        v += derivative(p.base, t, order)
         return v
-    return _TERMS[p.kind][order](p.mu, at)
+    return _TERMS[p.kind][order](p.mu, t)
+
+
+def d1_over_t(p: RadialProfile, t: np.ndarray) -> np.ndarray:
+    """``d1(t)/t`` on an array of slopes, without validation, with its limit
+    ``d2(0)`` below the origin cutoff."""
+    small = t < _ORIGIN_CUTOFF
+    ratio = derivative(p, t, 1)
+    np.divide(ratio, t, out=ratio, where=~small)
+    ratio[small] = derivative(p, np.zeros(1), 2)[0]
+    return ratio
+
+
+def radial_excess(p: RadialProfile, t: np.ndarray, ratio: np.ndarray,
+                  theta: float) -> np.ndarray:
+    """``(max(d2, theta * ratio) - ratio) / t^2`` for ``ratio = d1/t``, without
+    validation: the coefficient of ``P P^T`` in the Hessian of ``F(|P|)``
+    with the radial curvature floored at ``theta * ratio``; 0 below the
+    origin cutoff, where the Hessian is ``d2(0) I``."""
+    small = t < _ORIGIN_CUTOFF
+    out = np.maximum(derivative(p, t, 2), theta * ratio)
+    out -= ratio
+    np.divide(out, t * t, out=out, where=~small)
+    out[small] = 0.0
+    return out
 
 
 def profile_eval(p: RadialProfile, t):
     """Profile value at ``t >= 0`` (scalar or array)."""
     arr, scalar = _check_t(t)
-    out = ProfileAt(p, arr).value()
+    out = derivative(p, arr, 0)
     return float(out[0]) if scalar else out
 
 
 def profile_d1(p: RadialProfile, t):
     """First derivative; non-negative, non-decreasing, bounded."""
     arr, scalar = _check_t(t)
-    out = ProfileAt(p, arr).d1()
+    out = derivative(p, arr, 1)
     return float(out[0]) if scalar else out
 
 
 def profile_d2(p: RadialProfile, t):
     """Second derivative; non-negative, decaying at infinity."""
     arr, scalar = _check_t(t)
-    out = ProfileAt(p, arr).d2()
+    out = derivative(p, arr, 2)
     return float(out[0]) if scalar else out
 
 
 def slope_ratio(p: RadialProfile, t):
     """``d1(t)/t`` with its limit ``d2(0)`` used below the origin cutoff."""
     arr, scalar = _check_t(t)
-    out = ProfileAt(p, arr).slope_ratio(profile_d2(p, 0.0))
+    out = d1_over_t(p, arr)
     return float(out[0]) if scalar else out
 
 

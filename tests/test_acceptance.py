@@ -23,8 +23,8 @@ from lingrow.grids import Field, Grid2, Mask
 from lingrow.instances import dirichlet_boundary_spike, fidelity_inverse_sqrt
 from lingrow.moser import (BallFamily, exponents, moser_report, radii,
                            select_radius)
-from lingrow.profiles import (ProfileAt, certify_conditions, minimal_surface,
-                              phi_mu, profile_eval, slope_ratio)
+from lingrow.profiles import (certify_conditions, minimal_surface, phi_mu,
+                              profile_eval, radial_excess, slope_ratio)
 from lingrow.solver import SolverConfig, continuation_solve, verify_minimality
 from .oracles import (energy_grad_fd, grad_fd, hess_quadform_fd, newton_solve,
                       phi_dblquad, phi_quad)
@@ -159,7 +159,7 @@ def test_criterion_2_derivative_consistency():
         # the residual's flux and the Hessian's cell form a|Q|^2 + b(P.Q)^2,
         # exactly as energy.StencilPoint and energy.Hessian build them
         a = slope_ratio(p, np.array([t]))
-        b = ProfileAt(p, np.array([t])).radial_excess(a, 0.0)
+        b = radial_excess(p, np.array([t]), a, 0.0)
         g = a[0] * P
         g_fd = grad_fd(F, P, 0.01 * t)
         rel_g = float(np.max(np.abs(g - g_fd)) / np.max(np.abs(g)))

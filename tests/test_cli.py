@@ -20,7 +20,7 @@ import pytest
 import lingrow
 from lingrow import cli
 from lingrow.cli import main
-from lingrow.config import parse_config
+from lingrow.config import ConfigError, parse_config
 from lingrow.grids import Field, Grid2
 from lingrow.pgmio import field_from_csv, field_to_csv, read_pgm
 
@@ -185,6 +185,43 @@ class TestDensityCheck:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == "lingrow: unknown solver key(s): a\\nb\\nc\n"
+
+    def test_an_over_deep_json_file_exits_two_with_one_line(self, tmp_path,
+                                                            capsys):
+        """JSON nested past the interpreter's stack is a malformed config,
+        not a traceback."""
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "out"
+        rc = main(["density-check", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "lingrow: config is nested too deeply to parse\n"
+        assert not out.exists()
+
+    def test_a_density_nested_past_its_bound_exits_two_with_one_line(
+            self, tmp_path, capsys):
+        """32 'base' levels certify; 600 are refused at parse, before the
+        report writer would overflow the stack on them."""
+        def nest(depth):
+            density = {"kind": "minimal_surface"}
+            for _ in range(depth):
+                density = {"kind": "combined", "delta": 0.1, "mu": 1.5,
+                           "base": density}
+            return density
+        cfg = density_config(**nest(32))
+        rc, out = run(tmp_path, "density-check", cfg, out="ok")
+        assert rc == 0 and (out / "condition_report.json").is_file()
+        cfg["density"] = nest(33)
+        with pytest.raises(ConfigError, match="at most 32 'base' levels"):
+            parse_config(cfg)
+        cfg["density"] = nest(600)
+        rc, out = run(tmp_path, "density-check", cfg)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "lingrow: bad density: a density nests at most 32 'base' "
+            "levels\n")
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["density-check", "--config", str(tmp_path / "nope.json"),
@@ -599,6 +636,21 @@ class TestMoser:
         rc, out = run(tmp_path, "solve", cfg)
         assert rc == 2
         assert "minimality_trials" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_minimality_trials_past_their_bound_exit_two_before_solving(
+            self, tmp_path, capsys):
+        """The count is refused at parse, before the ladder runs and before
+        the audit would allocate one energy per trial; 10^5, the bound,
+        parses."""
+        cfg = denoise_config()
+        cfg["minimality_trials"] = 10 ** 5
+        assert parse_config(cfg).minimality_trials == 10 ** 5
+        cfg["minimality_trials"] = 10 ** 12
+        rc, out = run(tmp_path, "solve", cfg)
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "lingrow: 'minimality_trials' must be at most 100000\n"
         assert not out.exists()
 
 

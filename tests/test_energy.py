@@ -211,7 +211,8 @@ def test_fused_evaluation_is_bit_identical_to_the_kernels(case, delta):
     assert point.energy == ops.energy(values[1:-1, 1:-1])
     # the energy and total-variation sums run over the slot J = ny+1 too,
     # where the slope and the density are exact zeros
-    assert not (point.at.t[:, -1].any() or point.at.value()[:, -1].any())
+    assert not (point.t[:, -1].any()
+                or profile_eval(ops.profile, point.t)[:, -1].any())
     assert np.array_equal(res, fresh.residual())
     assert np.array_equal(res[1:-1, 1:-1], ops.residual(values[1:-1, 1:-1]))
     v = pad(np.random.default_rng(case).normal(size=w.values.shape))

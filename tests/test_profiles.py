@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lingrow import profiles
-from lingrow.profiles import (ProfileAt, RadialProfile, certify_conditions,
-                              combined, minimal_surface, phi_mu, profile_d1,
-                              profile_d2, profile_eval, recession_slope,
+from lingrow.profiles import (RadialProfile, certify_conditions, combined,
+                              minimal_surface, phi_mu, profile_d1, profile_d2,
+                              profile_eval, radial_excess, recession_slope,
                               slope_ratio)
 
 from .oracles import d1_fd, d2_fd, grad_fd, hess_quadform_fd, phi_dblquad, phi_quad
@@ -32,9 +32,9 @@ def cell_form(p, P, Q):
     """The Hessian of ``F`` at P applied to (Q, Q) as ``energy.Hessian``
     forms it per difference cell at theta 0: ``a |Q|^2 + b (P.Q)^2`` with
     ``a = d1/t`` and ``b`` the radial excess ``(d2 - a)/t^2``."""
-    at = ProfileAt(p, np.array([np.sqrt(np.sum(P * P))]))
-    a = at.slope_ratio(profile_d2(p, 0.0))
-    b = at.radial_excess(a, 0.0)
+    t = np.array([np.sqrt(np.sum(P * P))])
+    a = slope_ratio(p, t)
+    b = radial_excess(p, t, a, 0.0)
     return float(a[0] * np.sum(Q * Q) + b[0] * np.sum(P * Q) ** 2)
 
 
@@ -244,26 +244,24 @@ def test_combined_additivity_is_exact():
         assert np.array_equal(lhs, rhs), order
 
 
-def test_profile_at_computes_each_shared_intermediate_once(monkeypatch):
-    """value, d1 and d2 on one ``ProfileAt`` of a combined profile share
-    ``log1p(t)``, ``t^2`` and ``sqrt(1 + t^2)``: every read of each gets
-    the array of the first, and the orders equal the public functions."""
-    p = combined(0.1, 1.5, minimal_surface())
-    t = np.geomspace(1e-3, 1e3, 25)
-    expected = [fn(p, t) for fn in (profile_eval, profile_d1, profile_d2)]
-    reads = {"log1p": [], "tt": [], "root": []}
-    for name, seen in reads.items():
-        def recording(self, _method=getattr(ProfileAt, name), _seen=seen):
-            out = _method(self)
-            _seen.append(out)
-            return out
-        monkeypatch.setattr(ProfileAt, name, recording)
-    at = ProfileAt(p, t)
-    for order, want in zip((at.value, at.d1, at.d2), expected):
-        assert np.array_equal(order(), want)
-    for name, seen in reads.items():
-        assert len(seen) >= 2, name  # read by at least two orders
-        assert all(a is seen[0] for a in seen), name
+@pytest.mark.parametrize("p", [phi_mu(1.5), minimal_surface(),
+                               combined(0.1, 1.5, minimal_surface())])
+@pytest.mark.parametrize("theta", [0.0, 1e-2, 1.0])
+def test_the_origin_cutoff_splits_the_slope_ratio_and_the_excess(p, theta):
+    """Below t = 1e-8 the slope ratio is its limit d2(0) and the radial
+    excess 0; from 1e-8 on they are d1(t)/t and the floored formula, bit
+    for bit, on the array path and the scalar path alike."""
+    t = np.array([0.0, 0.5e-8, 1e-8, 2e-8, 1.0])
+    ratio = slope_ratio(p, t)
+    excess = radial_excess(p, t, ratio, theta)
+    assert [slope_ratio(p, float(x)) for x in t] == list(ratio)
+    d2_origin = profile_d2(p, 0.0)
+    assert list(ratio[:2]) == [d2_origin, d2_origin]
+    assert list(excess[:2]) == [0.0, 0.0]
+    above = t[2:]
+    assert np.array_equal(ratio[2:], profile_d1(p, above) / above)
+    floored = np.maximum(profile_d2(p, above), theta * ratio[2:])
+    assert np.array_equal(excess[2:], (floored - ratio[2:]) / (above * above))
 
 
 # ---------------------------------------------------------------------------
