@@ -85,7 +85,9 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _delta_tag(delta: float) -> str:
-    return f"{delta:.6g}".replace(".", "p").replace("-", "m")
+    """A file-name tag per rung: ``repr`` is unique for distinct floats
+    (0.1 gives ``0p1``, 1e-05 gives ``1em05``)."""
+    return repr(delta).replace(".", "p").replace("-", "m")
 
 
 def cmd_density_check(cfg: RunConfig, out_dir: str) -> int:

@@ -133,6 +133,8 @@ def _real(value, name: str, least: float | None = None,
     return float(value)
 
 
+# the delta schedule and the Moser exponents hold at most this many entries
+_LIST_MAX = 64
 # a density nests at most this many ``base`` levels: the profiles and the
 # report writers recurse once or twice per level, and 600 levels overflow
 # the interpreter's stack while ``condition_report.json`` is written
@@ -346,9 +348,16 @@ def parse_config(raw: dict, base_dir: str = ".",
                 cfg.ball = BallFamily(center, r0, n=cfg.ball_n,
                                       j_max=cfg.ball_j_max)
 
+    # each rung's field stays in the trace, and each s value costs three
+    # whole-grid power arrays per Moser level: 4000 rungs of a 128^2 solve
+    # took 559 MB, 20000 s values of a 32^2 audit 404 MB
+    _expect(len(cfg.solver.delta_schedule) <= _LIST_MAX,
+            f"'solver.delta_schedule' holds at most {_LIST_MAX} deltas")
     if "s_values" in raw:
         s = raw["s_values"]
         _expect(isinstance(s, list) and s, "'s_values' must be a non-empty list")
+        _expect(len(s) <= _LIST_MAX,
+                f"'s_values' holds at most {_LIST_MAX} values")
         cfg.s_values = tuple(_real(x, "s_values", 0.0) for x in s)
     if "minimality_trials" in raw:
         cfg.minimality_trials = _count(raw["minimality_trials"],

@@ -19,11 +19,13 @@ aggregates (``ceil(m/2)`` per axis, so odd sizes and ``mx != my`` work) is
 again of this form, one level down.  Fine cell ``i`` lands in coarse cell
 ``(i+1)//2``; its x difference survives only when its two nodes lie in
 different aggregates (``i`` even, or the last cell, whose right node is the
-ring), and likewise in y.  So the coarse tensors are sums of the fine ones
-with the vanishing differences masked out, pooled one axis at a time by
-strided slices (even rows copied, odd rows added onto the next coarse
-row), and no stencil is ever formed.  ``restrict`` and ``prolong`` read
-and write the interiors of padded arrays.
+ring), and likewise in y.  So the coarse ``txx`` is the fine one at the
+selected x cells, pair-summed along y by strided slices (even cells
+copied, odd cells added onto the next coarse cell); ``tyy`` is the fine
+one at the selected y cells, pair-summed along x; ``txy`` is the fine one
+at the cells selected along both axes.  No stencil is ever formed.
+``restrict`` and ``prolong`` read and write the interiors of padded
+arrays.
 
 Coarsening stops at the first level with at most ``_DENSE_MAX`` cells per
 axis, which is solved exactly: its matrix is assembled per channel, shifted
@@ -99,14 +101,14 @@ class Level:
 
     def coarsen(self) -> "Level":
         mx, my = self.shape
-        jx = np.arange(mx + 1) % 2 == 0
-        jx[-1] = True
-        jy = np.arange(my + 2) % 2 == 0  # _pool leaves out the slot my+1
-        jy[my] = True
-        jx, jy = jx[:, None, None], jy[None, :, None]
+        # the differences that link two aggregates: even cells and the last;
+        # in y the zero slot my+1 comes last and gives the coarse one
+        kx = np.minimum(np.arange(0, mx + 2, 2), mx)
+        ky = np.append(np.minimum(np.arange(0, my + 2, 2), my), my + 1)
         mass = None if self.mass is None else restrict(self.mass)
-        return Level(_pool(self.txx * jx), _pool(self.txy * (jx & jy)),
-                     _pool(self.tyy * jy), mass)
+        return Level(_pair_sum(self.txx[kx], 1, ky.size),
+                     self.txy[np.ix_(kx, ky)],
+                     _pair_sum(self.tyy[:, ky], 0, kx.size), mass)
 
     def dense_inverse(self):
         """``A^-1`` per channel for ``m`` cells in C order, as a factor
@@ -148,19 +150,15 @@ class Level:
         return np.stack(invs), np.stack(zs, axis=1), np.array(rhos)
 
 
-def _pool(t: np.ndarray) -> np.ndarray:
-    """Coarse cell ``I`` sums fine cells ``2I-1`` and ``2I`` of each axis:
-    even rows are copied, odd rows added onto the next one.  The fine slot
-    ``J = my+1`` is left out, and the coarse one is 0."""
-    nx, ny = t.shape[0], t.shape[1] - 1
-    rows = np.empty((nx // 2 + 1,) + t.shape[1:])
-    rows[:(nx + 1) // 2] = t[0::2]
-    rows[(nx + 1) // 2:] = 0.0
-    rows[1:] += t[1::2]
-    out = np.empty((rows.shape[0], ny // 2 + 2, t.shape[2]))
-    out[:, :(ny + 1) // 2] = rows[:, 0:ny:2]
-    out[:, (ny + 1) // 2:] = 0.0
-    out[:, 1:ny // 2 + 1] += rows[:, 1:ny:2]
+def _pair_sum(t: np.ndarray, axis: int, n: int) -> np.ndarray:
+    """``n`` coarse cells along ``axis``: cell ``I`` sums fine cells ``2I-1``
+    and ``2I`` (even cells copied, odd ones added onto the next cell), and
+    is 0 past the end of ``t``."""
+    out = np.zeros(t.shape[:axis] + (n,) + t.shape[axis + 1:])
+    fine, coarse = np.moveaxis(t, axis, 0), np.moveaxis(out, axis, 0)
+    even, odd = fine[0::2], fine[1::2]
+    coarse[:len(even)] = even
+    coarse[1:len(odd) + 1] += odd
     return out
 
 

@@ -653,6 +653,31 @@ class TestMoser:
             "lingrow: 'minimality_trials' must be at most 100000\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,key", [
+        ("solve", "solver.delta_schedule"), ("moser", "s_values")])
+    def test_lists_past_their_bound_exit_two_before_solving(
+            self, tmp_path, capsys, command, key):
+        """A delta schedule keeps every rung's field in the trace, and each
+        s value costs three power arrays per Moser level: both lists are
+        refused past 64 entries at parse, before anything is written; 64
+        parse."""
+        cfg = zero_moser_config()
+        values = [0.9 ** (k + 1) for k in range(65)]
+        if key == "s_values":
+            cfg["s_values"] = values[:64]
+            assert len(parse_config(cfg).s_values) == 64
+            cfg["s_values"] = values
+            message = "'s_values' holds at most 64 values"
+        else:
+            cfg["solver"]["delta_schedule"] = values[:64]
+            assert len(parse_config(cfg).solver.delta_schedule) == 64
+            cfg["solver"]["delta_schedule"] = values
+            message = "'solver.delta_schedule' holds at most 64 deltas"
+        rc, out = run(tmp_path, command, cfg)
+        assert rc == 2
+        assert capsys.readouterr().err == f"lingrow: {message}\n"
+        assert not out.exists()
+
 
 class TestFullReport:
     def full_config(self):
@@ -713,6 +738,37 @@ class TestFullReport:
         assert (out / "trace.csv").exists()
         assert (out / "sup_vs_delta.csv").exists()
         assert (out / "moser_0p01.csv").exists()
+
+
+def test_rungs_that_agree_to_six_digits_get_their_own_files(tmp_path):
+    """Each rung's PGM and Moser JSON/CSV pair is named by the ``repr`` of
+    its delta, so deltas that agree to six significant digits do not
+    overwrite each other's files."""
+    cfg = {
+        "grid": {"nx": 32, "ny": 32, "h": 1.0 / 32},
+        "solver": {"mu": 1.5, "delta_schedule": [0.1000001, 0.1, 0.01]},
+        "problem": {"kind": "dirichlet",
+                    "density": {"kind": "minimal_surface"},
+                    "u0": {"synthetic": {"kind": "edge_spike",
+                                         "height": 100.0, "width": 0.1,
+                                         "center": [0.5, 0.0],
+                                         "background": [2.0, 1.0, 1.0]}}},
+        "ball": {"center": [0.5, 0.5], "r0": 0.3, "j_max": 3},
+        "minimality_trials": 10,
+    }
+    rc, out = run(tmp_path, "full-report", cfg)
+    assert rc == 0
+    records = read_json(out / "trace.json")["records"]
+    names = [rec["pgm"] for rec in records]
+    assert names == ["solution_0p1000001.pgm", "solution_0p1.pgm",
+                     "solution_0p01.pgm"]
+    files = os.listdir(out)
+    assert sorted(f for f in files if f.startswith("solution_")
+                  and f.endswith(".pgm")) == sorted(names)
+    for ext in ("json", "csv"):
+        assert sorted(f for f in files if f.startswith("moser_")
+                      and f.endswith("." + ext)) == sorted(
+            f"moser_{tag}.{ext}" for tag in ("0p1000001", "0p1", "0p01"))
 
 
 def test_reports_write_non_finite_floats_as_null(tmp_path):

@@ -111,6 +111,8 @@ def test_coarse_levels_are_galerkin_products(kind, channels):
                        ((19, 27), [(19, 27), (10, 14), (5, 7)])):
         mg = multigrid_of(hessian_on(kind, channels, shape))
         assert [lev.shape for lev in mg.levels] == pin
+        assert all(t.flags.c_contiguous for lev in mg.levels
+                   for t in (lev.txx, lev.txy, lev.tyy))
         for fine, coarse in zip(mg.levels, mg.levels[1:]):
             v = pad(rng.normal(size=coarse.shape + (channels,)))
             pv = prolong(v, pad(np.zeros(fine.shape + (channels,))))
@@ -119,20 +121,41 @@ def test_coarse_levels_are_galerkin_products(kind, channels):
                                atol=1e-12 * np.max(np.abs(galerkin)))
 
 
+def assert_coarse_matches_the_reshape_pooling(fine):
+    coarse = fine.coarsen()
+    for got, ref in zip((coarse.txx, coarse.txy, coarse.tyy),
+                        coarse_tensors_by_reshape(fine)):
+        assert got.flags.c_contiguous
+        assert got[:, :-1].shape == ref.shape
+        assert np.max(np.abs(got[:, :-1] - ref)) <= 1e-15 * np.max(np.abs(ref))
+        assert np.all(got[:, -1] == 0.0)
+
+
 @pytest.mark.parametrize("kind,channels", CASES)
 @pytest.mark.parametrize("shape", [(9, 13), (16, 16), (19, 27), (40, 33),
                                    (2, 3)])
 def test_coarse_tensors_match_the_reshape_pooling(kind, channels, shape):
-    """The strided slice sums give the zero-padded reshape-sum's coarse
-    tensors on odd and even shapes, to round-off in the order of the four
-    terms, and a zero slot ``J = my+1``."""
-    fine = Level(*hessian_on(kind, channels, shape).cell_tensors())
-    coarse = fine.coarsen()
-    for got, ref in zip((coarse.txx, coarse.txy, coarse.tyy),
-                        coarse_tensors_by_reshape(fine)):
-        assert got[:, :-1].shape == ref.shape
-        assert np.max(np.abs(got[:, :-1] - ref)) <= 1e-15 * np.max(np.abs(ref))
-        assert np.all(got[:, -1] == 0.0)
+    """The selected and pair-summed differences give the zero-padded
+    reshape-sum's coarse tensors on odd and even shapes, to round-off in
+    the order of the four terms, and a zero slot ``J = my+1``."""
+    assert_coarse_matches_the_reshape_pooling(
+        Level(*hessian_on(kind, channels, shape).cell_tensors()))
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_coarse_tensors_of_random_levels_match_the_reshape_pooling(channels):
+    """The same on levels built from random tensors, with 1 to 13 cells
+    per axis: sides of 1, both parities and every pairing of the two."""
+    rng = np.random.default_rng(12 + channels)
+    for mx in range(1, 14):
+        for my in range(1, 14):
+            txx, txy, tyy = (rng.normal(size=(mx + 1, my + 2, channels))
+                             for _ in range(3))
+            for t in (txx, txy, tyy):
+                t[:, -1] = 0.0
+            mass = pad(rng.uniform(size=(mx, my, channels)))
+            assert_coarse_matches_the_reshape_pooling(
+                Level(txx, txy, tyy, mass))
 
 
 @pytest.mark.parametrize("kind,channels", CASES)

@@ -645,6 +645,30 @@ def test_minimality_catches_perturbed_solution():
     assert report.margins[-1] < 0.0  # energy decreases along -residual
 
 
+@pytest.mark.parametrize("make", [dirichlet_boundary_spike,
+                                  fidelity_inverse_sqrt])
+def test_minimality_reports_the_residual_trial_apart(make):
+    """At a converged solution the worst margin is the random trials', the
+    residual trial's is reported on its own, and the pass rule reads both.
+    The residual there is round-off, so its trial's margin moves when the
+    solution moves by one ulp; the random trials' worst does not."""
+    problem = make(32, 32)
+    final = continuation_solve(
+        problem, SolverConfig(delta_schedule=(0.1, 0.01))).final
+    reg = RegularizationState(final.delta, 1.5, problem.kind)
+    report = verify_minimality(problem, reg, final.u, trials=100)
+    assert report.residual_margin == report.margins[-1]
+    assert report.worst_margin == np.min(report.margins[:-1])
+    assert report.passed == (np.min(report.margins) >= -report.threshold)
+    assert report.to_dict()["residual_margin"] == report.residual_margin
+    vals = final.u.values.copy()
+    vals.reshape(-1)[::10] = np.nextafter(vals.reshape(-1)[::10], np.inf)
+    moved = verify_minimality(problem, reg, Field(problem.grid, vals),
+                              trials=100)
+    assert moved.worst_margin == pytest.approx(report.worst_margin,
+                                               rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("kind", ["dirichlet", "fidelity"])
 def test_minimality_margins_match_the_unpadded_audit(kind):
     """The audit on padded values draws, smooths and clamps the same
