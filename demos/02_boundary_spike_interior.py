@@ -39,7 +39,7 @@ trace = continuation_solve(problem, config,
                            interior_ball=family.limit_ball())
 print("\ndelta      iters  interior sup   total variation")
 for rec in trace.records:
-    print(f"{rec.delta:<9g} {rec.iters:>6d}  {rec.interior_sup:>12.6f}"
+    print(f"{rec.delta:<9g} {rec.stats.iters:>6d}  {rec.interior_sup:>12.6f}"
           f"  {rec.tv:>16.4f}")
 
 sups = [rec.interior_sup for rec in trace.records]

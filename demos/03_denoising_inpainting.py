@@ -43,7 +43,7 @@ for rec in trace.records:
     gap = float(np.sqrt(np.sum(
         (clip_data(problem.f, rec.delta).values - problem.f.values) ** 2)
         * h2))
-    print(f"{rec.delta:<9g} {rec.iters:>6d}  {rec.interior_sup:>12.6f}"
+    print(f"{rec.delta:<9g} {rec.stats.iters:>6d}  {rec.interior_sup:>12.6f}"
           f"  {gap:>18.6f}")
 
 # ---------------------------------------------------------------------------

@@ -138,16 +138,21 @@ def _write_trace(cfg: RunConfig, trace: SolveTrace, out_dir: str) -> dict:
         lo = float(rec.u.values.min())
         hi = float(rec.u.values.max())
         if hi <= lo:
-            hi = lo + 1.0
+            # a flat solution: one unit up, or one ulp where that rounds away
+            hi = max(lo + 1.0, math.nextafter(lo, math.inf))
         name = f"solution_{_delta_tag(rec.delta)}.pgm"
         if rec.u.channels == 1:
             write_pgm(os.path.join(out_dir, name), rec.u, lo, hi)
+        stats = rec.stats
         entries.append({
-            "delta": rec.delta, "energy": rec.energy,
-            "plain_energy": rec.plain_energy, "residual": rec.residual,
-            "iters": rec.iters, "backtracks": rec.backtracks,
-            "krylov_iters": rec.krylov_iters, "tv": rec.tv,
-            "coarse": [c.to_dict() for c in rec.coarse],
+            "delta": rec.delta, "energy": stats.energy,
+            "plain_energy": rec.plain_energy,
+            "residual": stats.final_residual,
+            "iters": stats.iters, "backtracks": stats.backtracks,
+            "krylov_iters": stats.krylov_iters, "tv": rec.tv,
+            "coarse": [{"grid": [g.nx, g.ny], "iters": c.iters,
+                        "krylov_iters": c.krylov_iters,
+                        "converged": c.converged} for g, c in rec.coarse],
             "interior_sup": rec.interior_sup,
             "pgm": name if rec.u.channels == 1 else None,
             "pgm_lo": lo, "pgm_hi": hi,

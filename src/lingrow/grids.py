@@ -41,11 +41,13 @@ __all__ = [
 ]
 
 _MAX_CELLS = 2 ** 24
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
 class Grid2:
-    """Uniform grid: cell counts nx, ny >= 2 and spacing h > 0."""
+    """Uniform grid: cell counts nx, ny >= 2 and spacing h > 0, with h^2
+    at least the smallest normal float and the squared side finite."""
 
     nx: int
     ny: int
@@ -63,6 +65,10 @@ class Grid2:
         if not np.isfinite(side * side):
             raise ValueError("h is too large: the squared side of the "
                              "domain overflows a float")
+        # the energies weigh each cell by h^2, a normal float
+        if self.h * self.h < _TINY:
+            raise ValueError("h is too small: its square underflows the "
+                             "normal floats")
 
     @property
     def lx(self) -> float:
@@ -147,7 +153,10 @@ class Field:
         return cls(grid, out)
 
     def magnitude(self) -> np.ndarray:
-        """Per-cell euclidean norm across channels, shape (nx, ny)."""
+        """Per-cell euclidean norm across channels, shape (nx, ny).  One
+        channel's is its absolute value, whose square cannot overflow."""
+        if self.channels == 1:
+            return np.abs(self.values[:, :, 0])
         return np.sqrt(np.sum(self.values * self.values, axis=2))
 
 

@@ -153,12 +153,14 @@ def _log_masses(outer_mag: np.ndarray, outer_d2: np.ndarray, rr: np.ndarray,
             held, mj = count, outer_mag[outer_d2 < r2]
             m = float(np.max(mj))
             if m > 0.0:
+                # a Python float: p * log_m overflows to -inf silently
+                log_m = float(np.log(m))
                 ratios = mj / m
                 maxima = float(np.count_nonzero(ratios == 1.0))
                 below = float(np.max(ratios, where=ratios != 1.0, initial=0.0))
         if m > 0.0:
             s = maxima if below ** p == 0.0 else float(np.sum(ratios ** p))
-            out[j] = max(0.0, p * np.log(m) + np.log(s) + 2.0 * np.log(h))
+            out[j] = max(0.0, p * log_m + np.log(s) + 2.0 * np.log(h))
     return out
 
 

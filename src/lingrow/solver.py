@@ -51,6 +51,9 @@ on a copy costs about a quarter of one on the next finer grid: on the 128^2
 edge spike the coarse solves (11, 7 and 7 steps at 16^2, 32^2 and 64^2)
 cost about as much as three fine steps, and the fine rung 0, started near
 its minimizer instead of at the datum, takes 9 Newton steps instead of 29.
+Every Newton run, a rung's or a copy's, is reported by one ``SolveStats``:
+a rung's ``DeltaRecord`` holds it as ``stats``, and rung 0's ``coarse``
+pairs each copy's grid with its own.
 ``verify_minimality`` audits a candidate by random energy-increase trials
 and one along the negative residual, and reports their margins apart.
 """
@@ -62,14 +65,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import DirichletProblem, RegularizationState, assemble_ops
-from .grids import Ball, Field, pad, sup_on
+from .grids import Ball, Field, Grid2, pad, sup_on
 from .multigrid import Level, Multigrid
 
 __all__ = [
     "SolverConfig",
     "SolveStats",
     "DeltaRecord",
-    "CoarseSolve",
     "SolveTrace",
     "SolverError",
     "minimize_fixed_delta",
@@ -124,6 +126,8 @@ class SolverConfig:
 
 @dataclass
 class SolveStats:
+    """The record of one Newton run: a rung's, or a nested-start copy's."""
+
     iters: int
     final_residual: float
     energy: float
@@ -278,24 +282,10 @@ def _newton(problem, reg: RegularizationState | None, init: Field,
 
 
 def default_interior_ball(grid) -> Ball:
-    """Centered ball of radius min(lx, ly)/4, used when none is configured."""
-    return Ball((grid.lx / 2.0, grid.ly / 2.0), 0.25 * min(grid.lx, grid.ly))
-
-
-@dataclass(frozen=True)
-class CoarseSolve:
-    """One coarse level of rung 0's nested start: its grid and its cost."""
-
-    nx: int
-    ny: int
-    iters: int
-    krylov_iters: int
-    converged: bool
-
-    def to_dict(self) -> dict:
-        return {"grid": [self.nx, self.ny], "iters": self.iters,
-                "krylov_iters": self.krylov_iters,
-                "converged": self.converged}
+    """Centered ball of radius min(lx, ly)/4, used when none is configured.
+    A side of 2 cells widens it to 3h/4, so that it holds a cell centre."""
+    side = max(min(grid.lx, grid.ly), 3 * grid.h)
+    return Ball((grid.lx / 2.0, grid.ly / 2.0), 0.25 * side)
 
 
 def _interpolate(v: np.ndarray) -> np.ndarray:
@@ -324,7 +314,8 @@ def _nested_start(problem, reg: RegularizationState, cfg: SolverConfig):
     interpolated bilinearly, starts the next finer copy; the last one
     starts the fine rung.  A coarse level that fails hands its best
     iterate up: only the fine rung decides success.  Returns the fine
-    start and the coarse solves, coarsest first.
+    start and each coarse grid with its run's ``SolveStats``, coarsest
+    first.
     """
     chain = [problem]
     g = problem.grid
@@ -338,8 +329,7 @@ def _nested_start(problem, reg: RegularizationState, cfg: SolverConfig):
             u, stats = _newton(coarse, reg, Field(coarse.grid, w), cfg)
         except SolverError as err:
             u, stats = err.best, err.stats
-        solves.append(CoarseSolve(coarse.grid.nx, coarse.grid.ny, stats.iters,
-                                  stats.krylov_iters, stats.converged))
+        solves.append((coarse.grid, stats))
         w = _interpolate(u.values)
     return Field(problem.grid, w), tuple(solves)
 
@@ -348,16 +338,13 @@ def _nested_start(problem, reg: RegularizationState, cfg: SolverConfig):
 class DeltaRecord:
     delta: float
     u: Field
-    energy: float
+    stats: SolveStats  # the rung's Newton run
     plain_energy: float
-    residual: float
-    iters: int
     tv: float
     interior_sup: float
-    backtracks: int
-    krylov_iters: int
-    # the nested start's coarse solves, coarsest first (rung 0 only)
-    coarse: tuple[CoarseSolve, ...] = ()
+    # the nested start's coarse grids with their runs, coarsest first
+    # (rung 0 only)
+    coarse: tuple[tuple[Grid2, SolveStats], ...] = ()
 
 
 @dataclass
@@ -373,8 +360,10 @@ class SolveTrace:
     def to_csv(self) -> str:
         lines = ["delta,energy,plain_energy,residual,iters,tv,interior_sup"]
         for r in self.records:
-            lines.append(f"{r.delta!r},{r.energy!r},{r.plain_energy!r},"
-                         f"{r.residual!r},{r.iters},{r.tv!r},{r.interior_sup!r}")
+            s = r.stats
+            lines.append(f"{r.delta!r},{s.energy!r},{r.plain_energy!r},"
+                         f"{s.final_residual!r},{s.iters},{r.tv!r},"
+                         f"{r.interior_sup!r}")
         return "\n".join(lines) + "\n"
 
 
@@ -385,9 +374,12 @@ def continuation_solve(problem, cfg: SolverConfig = SolverConfig(),
 
     The default initial guess is the boundary datum (Dirichlet) or the
     clipped datum with its off-mask mean filling the masked cells (fidelity).
-    ``SolverError`` from a rung is re-raised annotated with its delta.
+    ``SolverError`` from a rung is re-raised annotated with its delta.  An
+    ``interior_ball`` outside the domain, or holding no cell centre, raises
+    ``ValueError`` before any Newton step.
     """
     ball = interior_ball or default_interior_ball(problem.grid)
+    sup_on(Field.zeros(problem.grid), ball)  # a bad ball fails before rung 0
     plain_ops = assemble_ops(problem, None)
     trace = SolveTrace()
     u = init
@@ -404,11 +396,9 @@ def continuation_solve(problem, cfg: SolverConfig = SolverConfig(),
                               err.stats) from err
         plain = plain_ops.evaluate(pad(u.values))
         trace.records.append(DeltaRecord(
-            delta=delta, u=u, energy=stats.energy, plain_energy=plain.energy,
-            residual=stats.final_residual, iters=stats.iters,
-            tv=plain.total_variation(),
-            interior_sup=sup_on(u, ball), backtracks=stats.backtracks,
-            krylov_iters=stats.krylov_iters, coarse=coarse))
+            delta=delta, u=u, stats=stats, plain_energy=plain.energy,
+            tv=plain.total_variation(), interior_sup=sup_on(u, ball),
+            coarse=coarse))
         plain = None  # its slope arrays would outlive the next rung's solve
     return trace
 

@@ -351,8 +351,8 @@ def test_ladder_iteration_counts_hold(spike_run, inverse_run):
     failures = []
     for name, trace in (("boundary spike", spike_run[2]),
                         ("inverse sqrt", inverse_run[3])):
-        steps = tuple(rec.iters for rec in trace.records)
-        krylov = tuple(rec.krylov_iters for rec in trace.records)
+        steps = tuple(rec.stats.iters for rec in trace.records)
+        krylov = tuple(rec.stats.krylov_iters for rec in trace.records)
         pin_steps, pin_krylov = LADDER_PINS[name]
         if len(steps) != len(pin_steps) or any(
                 got > pin for got, pin in zip(steps + krylov,
@@ -360,7 +360,7 @@ def test_ladder_iteration_counts_hold(spike_run, inverse_run):
             failures.append(f"{name}: Newton {steps} / CG {krylov}, "
                             f"pinned at most {pin_steps} / {pin_krylov}")
         coarse = tuple((c.iters, c.krylov_iters)
-                       for c in trace.records[0].coarse)
+                       for _, c in trace.records[0].coarse)
         pins = COARSE_PINS[name]
         if len(coarse) != len(pins) or any(
                 got > pin for pair, pin_pair in zip(coarse, pins)

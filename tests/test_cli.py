@@ -74,6 +74,12 @@ def zero_moser_config(j_max=3):
     return cfg
 
 
+# what `solve` writes on the default four-rung schedule
+SOLVE_FILES = ["solution_0p0001.pgm", "solution_0p001.pgm",
+               "solution_0p01.pgm", "solution_0p1.pgm", "solution_final.csv",
+               "trace.csv", "trace.json"]
+
+
 def run(tmp_path, command, payload, out="out", extra=()):
     cfg = write_config(tmp_path, payload)
     out_dir = tmp_path / out
@@ -299,6 +305,61 @@ class TestSolve:
         # the quantized image of an x-increasing affine field is monotone
         ints, _ = read_pgm(out / "solution_0p01.pgm")
         assert np.all(np.diff(ints, axis=0) >= 0)
+
+    @pytest.mark.parametrize("grid, problem", [
+        ({"nx": 2, "ny": 2, "h": 0.5},
+         {"kind": "dirichlet", "density": {"kind": "minimal_surface"},
+          "u0": {"synthetic": {"kind": "affine", "ax": 1.0, "ay": 2.0,
+                               "c": 0.0}}}),
+        ({"nx": 2, "ny": 9, "h": 0.1},
+         {"kind": "fidelity", "density": {"kind": "minimal_surface"},
+          "f": {"synthetic": {"kind": "constant", "value": 1.0}}}),
+    ], ids=["dirichlet-2x2", "fidelity-2x9"])
+    def test_a_grid_two_cells_wide_solves(self, tmp_path, grid, problem):
+        """The default interior ball holds a cell centre on a side of 2
+        cells, so the run writes all its files."""
+        cfg = {"grid": grid, "solver": {"mu": 1.5}, "problem": problem}
+        rc, out = run(tmp_path, "solve", cfg)
+        assert rc == 0
+        assert sorted(os.listdir(out)) == SOLVE_FILES
+        assert read_json(out / "trace.json")["minimality"]["passed"] is True
+
+    @pytest.mark.parametrize("h", [1e-160, 1e-300])
+    def test_a_spacing_whose_square_underflows_exits_two_before_solving(
+            self, tmp_path, capsys, h):
+        cfg = affine_dirichlet_config(nx=8)
+        cfg["grid"]["h"] = h
+        rc, out = run(tmp_path, "solve", cfg)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "lingrow: bad grid: h is too small: its square underflows the "
+            "normal floats\n")
+        assert not out.exists()
+
+    def test_a_spacing_of_1e_150_still_solves(self, tmp_path):
+        cfg = affine_dirichlet_config(nx=8)
+        cfg["grid"]["h"] = 1e-150
+        rc, out = run(tmp_path, "solve", cfg)
+        assert rc == 0
+        assert (out / "trace.json").is_file()
+
+    def test_a_flat_solution_past_1e16_writes_its_images(self, tmp_path):
+        """A flat range widens to lo + 1, or to the next float where that
+        rounds back to lo."""
+        cfg = affine_dirichlet_config(nx=8)
+        del cfg["solver"]["delta_schedule"]
+        cfg["problem"]["u0"] = {"synthetic": {"kind": "constant",
+                                              "value": 1e300}}
+        rc, out = run(tmp_path, "solve", cfg)
+        assert rc == 0
+        assert sorted(os.listdir(out)) == SOLVE_FILES
+        records = read_json(out / "trace.json")["records"]
+        assert len(records) == 4
+        for rec in records:
+            assert rec["pgm_lo"] == 1e300 == rec["interior_sup"]
+            assert rec["pgm_hi"] == math.nextafter(1e300, math.inf)
+            ints, _ = read_pgm(out / rec["pgm"])
+            assert np.all(ints == 0)
 
     def test_matches_committed_newton_fixture(self, tmp_path):
         out_dir = tmp_path / "out"

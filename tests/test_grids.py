@@ -46,6 +46,26 @@ def test_grid_validation():
         Grid2(2 ** 13, 2 ** 13, 1e-4)  # above the cell cap
 
 
+@pytest.mark.parametrize("h", [1e-160, 1e-300,
+                               np.nextafter(2.0 ** -511, 0.0)])
+def test_a_spacing_whose_square_underflows_is_rejected(h):
+    with pytest.raises(ValueError, match="h is too small"):
+        Grid2(8, 8, h)
+
+
+@pytest.mark.parametrize("h", [1e-150, 2.0 ** -511])
+def test_a_spacing_whose_square_is_a_normal_float_is_kept(h):
+    assert Grid2(8, 8, h).h == h
+
+
+def test_one_channel_magnitude_is_its_absolute_value():
+    """No square is formed, so values near the float range keep theirs."""
+    values = np.array([[1e300, -1e300], [-2.5, 0.0]])
+    f = Field(unit_grid(2), values)
+    with np.errstate(all="raise"):
+        assert np.array_equal(f.magnitude(), np.abs(values))
+
+
 def test_grid_geometry():
     g = Grid2(4, 8, 0.25)
     assert g.lx == pytest.approx(1.0)

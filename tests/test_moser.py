@@ -3,6 +3,7 @@ cutoff checks, and the whole report against the per-ball oracle."""
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -119,6 +120,17 @@ def test_deepest_family_a_float_holds_is_audited():
     u = Field(Grid2(32, 32, 1.0 / 32), rng.uniform(0.0, 3.0, (32, 32, 1)))
     rep = moser_report(u, bf, s_values=(0.0,))
     assert np.all(np.isfinite(rep.masses)) and rep.bound.predicted < math.inf
+
+
+def test_a_deep_family_on_a_small_field_warns_nothing():
+    """At j_max 1023 a level maximum below e^-2 raised to 2^1023 is far
+    below 1: its log mass clamps to 0 with no overflow on the way."""
+    bf = BallFamily((0.5, 0.5), 0.45, j_max=1023)
+    u = Field.full(Grid2(64, 64, 1.0 / 64), 0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = moser_report(u, bf)
+    assert np.array_equal(rep.masses, np.ones(1024))
 
 
 # ---------------------------------------------------------------------------

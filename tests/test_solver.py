@@ -107,8 +107,9 @@ def test_trace_records_and_monotonicity():
     trace = continuation_solve(problem, cfg)
     assert [r.delta for r in trace.records] == [1e-1, 1e-2, 1e-3, 1e-4]
     for rec in trace.records:
-        assert rec.residual <= 1e-10
-        assert rec.plain_energy <= rec.energy  # the delta term is nonnegative
+        assert rec.stats.final_residual <= 1e-10
+        # the delta term is nonnegative
+        assert rec.plain_energy <= rec.stats.energy
     plain = [rec.plain_energy for rec in trace.records]
     for a, b in zip(plain, plain[1:]):
         assert b <= a + 1e-8 * (1.0 + abs(a))
@@ -142,6 +143,21 @@ def test_translation_covariance():
 def test_default_interior_ball():
     b = default_interior_ball(Grid2(8, 4, 0.25))
     assert b.center == (1.0, 0.5) and b.radius == 0.25
+
+
+@pytest.mark.parametrize("nx, ny, h", [
+    (2, 2, 0.5), (2, 9, 0.1), (9, 2, 0.1), (3, 3, 0.1), (3, 8, 0.3),
+    (4, 4, 0.7), (5, 2, 1e-3), (128, 128, 1.0 / 128)])
+def test_the_default_ball_holds_a_cell_centre_on_every_grid(nx, ny, h):
+    """A side of 2 cells widens the radius to 3h/4; at 3 cells or more it
+    stays min(lx, ly)/4, bit for bit."""
+    g = Grid2(nx, ny, h)
+    b = default_interior_ball(g)
+    assert g.contains_ball(b) and g.cells_in_ball(b).any()
+    if min(nx, ny) >= 3:
+        assert b.radius == 0.25 * min(g.lx, g.ly)
+    else:
+        assert b.radius == 0.25 * (3 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +282,7 @@ def spike_ladders():
 def test_newton_steps_are_mesh_independent(spike_ladders):
     """Refining the spike ladder from 64^2 to 128^2 costs at most half as
     many Newton steps again; the descent it replaced needed about twice."""
-    steps = [sum(rec.iters for rec in spike_ladders[n].records)
+    steps = [sum(rec.stats.iters for rec in spike_ladders[n].records)
              for n in (64, 128)]
     assert steps[1] <= 1.5 * steps[0], steps
 
@@ -275,7 +291,7 @@ def test_warm_rungs_enter_below_the_lagged_diffusivity(spike_ladders):
     """Rungs after the first start from the previous rung's solution and
     enter at the curvature floor 1e-2, not 1: the 64^2 spike ladder takes
     6/4/3/3 Newton steps where entering every rung at 1 took 6/6/4/4."""
-    steps = [rec.iters for rec in spike_ladders[64].records]
+    steps = [rec.stats.iters for rec in spike_ladders[64].records]
     assert sum(steps) <= 16, steps
 
 
@@ -288,7 +304,7 @@ def test_krylov_iterations_on_the_64_ladders(spike_ladders):
             ("spike", spike_ladders[64], 166),
             ("fidelity", continuation_solve(fidelity_inverse_sqrt(64, 64),
                                             SolverConfig(mu=1.5)), 131)):
-        total = sum(rec.krylov_iters for rec in trace.records)
+        total = sum(rec.stats.krylov_iters for rec in trace.records)
         assert total <= bound, (name, total)
 
 
@@ -318,9 +334,9 @@ def test_nested_start_cuts_the_fine_rung_0(spike_ladders):
     started from its solutions at 16^2, 32^2 and 64^2 it takes at most 10."""
     records = spike_ladders[128].records
     coarse = records[0].coarse
-    assert [(c.nx, c.ny) for c in coarse] == [(16, 16), (32, 32), (64, 64)]
-    assert all(c.converged and c.iters >= 1 for c in coarse)
-    assert records[0].iters <= 10, records[0].iters
+    assert [(g.nx, g.ny) for g, _ in coarse] == [(16, 16), (32, 32), (64, 64)]
+    assert all(c.converged and c.iters >= 1 for _, c in coarse)
+    assert records[0].stats.iters <= 10, records[0].stats.iters
     assert all(rec.coarse == () for rec in records[1:])
 
 
@@ -375,11 +391,11 @@ def test_failing_coarse_level_hands_its_best_iterate_up(monkeypatch):
 
     monkeypatch.setattr(solver, "_newton", one_step_on_coarse_grids)
     trace = continuation_solve(problem, cfg)
-    (coarse,) = trace.records[0].coarse
-    assert (coarse.nx, coarse.ny, coarse.iters) == (16, 16, 1)
+    ((grid, coarse),) = trace.records[0].coarse
+    assert (grid.nx, grid.ny, coarse.iters) == (16, 16, 1)
     assert not coarse.converged and coarse.krylov_iters >= 1
     for rec, ref in zip(trace.records, expected.records):
-        assert rec.residual <= 1e-8 * (1.0 + abs(rec.energy))
+        assert rec.stats.final_residual <= 1e-8 * (1.0 + abs(rec.stats.energy))
         assert np.max(np.abs(rec.u.values - ref.u.values)) <= 1e-6
 
 
@@ -403,13 +419,27 @@ def test_two_channel_nested_ladder_matches_the_cold_ladder():
     cfg = SolverConfig(mu=1.5, delta_schedule=(0.1, 0.01),
                        residual_tol=1e-11)
     trace = continuation_solve(problem, cfg)
-    assert [(c.nx, c.ny) for c in trace.records[0].coarse] == [(16, 16)]
+    assert [(g.nx, g.ny) for g, _ in trace.records[0].coarse] == [(16, 16)]
     for rec, u in zip(trace.records, cold_ladder(problem, cfg)):
         assert np.max(np.abs(rec.u.values - u.values)) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
 # failure paths
+
+
+@pytest.mark.parametrize("ball", [Ball((0.5, 0.5), 1e-4),
+                                  Ball((0.5, 0.5), 0.6)],
+                         ids=["no-cell-centre", "outside-the-domain"])
+def test_a_ball_sup_on_cannot_read_is_rejected_before_any_newton_step(
+        monkeypatch, ball):
+    def no_newton(*args, **kwargs):
+        raise AssertionError("a Newton run started")
+
+    monkeypatch.setattr(solver, "_newton", no_newton)
+    with pytest.raises(ValueError, match="ball"):
+        continuation_solve(dirichlet_boundary_spike(32, 32), SolverConfig(),
+                           interior_ball=ball)
 
 
 def test_budget_exhaustion_carries_best():
@@ -595,7 +625,7 @@ def test_a_ladder_at_mu_next_to_one_converges():
     reaches its tolerance."""
     trace = continuation_solve(fidelity_inverse_sqrt(16, 16),
                                SolverConfig(mu=1.0 + 1e-10, max_iters=30))
-    assert all(rec.iters <= 16 for rec in trace.records)
+    assert all(rec.stats.iters <= 16 for rec in trace.records)
 
 
 def test_init_mismatch_rejected():
