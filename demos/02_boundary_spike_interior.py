@@ -55,7 +55,7 @@ print(f"\naudit at delta={trace.final.delta:g}: "
 print("level masses a_j:", np.round(report.masses, 4))
 print("recursion constants c_j:", np.round(report.recursion.c, 4),
       " c_max:", round(report.recursion.c_max, 4))
-b = report.bound
+b = report.sup_bound
 print(f"sup bound: predicted {b.predicted:.3f} >= observed {b.observed:.3f}"
       f"  (prefactor {b.prefactor:g}, Lq norm {b.lq_norm:.3f})")
 for check in report.caccioppoli:

@@ -21,10 +21,13 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
 from .energy import FidelityProblem, RegularizationState
@@ -68,8 +71,16 @@ def _keep_freed_memory() -> None:
 
 
 def _finite_or_null(obj):
-    """``obj`` with every non-finite float replaced by None: strict JSON has
-    no inf or nan, so a report writes them as null."""
+    """``obj`` as JSON data: an object that defines ``to_dict`` as that
+    dict, any other dataclass as its fields, a numpy array or scalar by
+    ``tolist``, and every non-finite float as None: strict JSON has no inf
+    or nan, so a report writes them as null."""
+    if hasattr(obj, "to_dict"):
+        obj = obj.to_dict()
+    elif dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    elif isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {k: _finite_or_null(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -77,7 +88,7 @@ def _finite_or_null(obj):
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _write_json(path: str, payload) -> None:
     with open(path, "w", newline="\n") as fh:
         json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True,
                   allow_nan=False)
@@ -93,8 +104,7 @@ def _delta_tag(delta: float) -> str:
 def cmd_density_check(cfg: RunConfig, out_dir: str) -> int:
     report = certify_conditions(cfg.require_density(), cfg.density_t_max,
                                 cfg.density_samples)
-    _write_json(os.path.join(out_dir, "condition_report.json"),
-                report.to_dict())
+    _write_json(os.path.join(out_dir, "condition_report.json"), report)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
@@ -129,7 +139,9 @@ def _run_solve(cfg: RunConfig, out_dir: str, summary: str, ball=None,
         return None
 
 
-def _write_trace(cfg: RunConfig, trace: SolveTrace, out_dir: str) -> dict:
+def _write_trace(cfg: RunConfig, trace: SolveTrace, out_dir: str) -> bool:
+    """Write the trace, the rung images and the final solution; return
+    whether the final solution passed the minimality audit."""
     with open(os.path.join(out_dir, "trace.csv"), "w", newline="\n") as fh:
         fh.write(trace.to_csv())
     problem = cfg.require_problem()
@@ -162,42 +174,39 @@ def _write_trace(cfg: RunConfig, trace: SolveTrace, out_dir: str) -> dict:
     reg = RegularizationState(final.delta, cfg.solver.mu, problem.kind)
     audit = verify_minimality(problem, reg, final.u,
                               trials=cfg.minimality_trials, seed=cfg.seed)
-    payload = {"records": entries, "minimality": audit.to_dict()}
-    _write_json(os.path.join(out_dir, "trace.json"), payload)
-    return payload
+    _write_json(os.path.join(out_dir, "trace.json"),
+                {"records": entries, "minimality": audit})
+    return audit.passed
 
 
 def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
     trace = _run_solve(cfg, out_dir, "trace.json")
     if trace is None:
         return EXIT_CHECK_FAILED
-    payload = _write_trace(cfg, trace, out_dir)
-    ok = payload["minimality"]["passed"]
+    ok = _write_trace(cfg, trace, out_dir)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _moser_payload(cfg: RunConfig, trace: SolveTrace, out_dir: str,
                    ball: BallFamily, eps0: float | None) -> dict:
-    reports = [moser_report(rec.u, ball, s_values=cfg.s_values,
-                            epsilon0=eps0) for rec in trace.records]
-
+    """Audit and write every rung; return the summary of the audits."""
     sup_lines = ["delta,interior_sup"]
     all_passed = True
-    for rec, rep in zip(trace.records, reports):
+    for rec in trace.records:
+        rep = moser_report(rec.u, ball, s_values=cfg.s_values, epsilon0=eps0)
         tag = _delta_tag(rec.delta)
-        _write_json(os.path.join(out_dir, f"moser_{tag}.json"), rep.to_dict())
+        _write_json(os.path.join(out_dir, f"moser_{tag}.json"), rep)
         with open(os.path.join(out_dir, f"moser_{tag}.csv"), "w",
                   newline="\n") as fh:
             fh.write(rep.to_csv())
-        sup_lines.append(f"{rec.delta!r},{rep.bound.observed!r}")
+        sup_lines.append(f"{rec.delta!r},{rep.sup_bound.observed!r}")
         all_passed = all_passed and rep.passed
     with open(os.path.join(out_dir, "sup_vs_delta.csv"), "w",
               newline="\n") as fh:
         fh.write("\n".join(sup_lines) + "\n")
     return {"passed": all_passed,
             "ball": {"center": list(ball.center), "r0": ball.r0,
-                     "n": ball.n, "j_max": ball.j_max, "epsilon0": eps0},
-            "reports": [r.to_dict() for r in reports]}
+                     "n": ball.n, "j_max": ball.j_max, "epsilon0": eps0}}
 
 
 def cmd_moser(cfg: RunConfig, out_dir: str) -> int:
@@ -206,8 +215,7 @@ def cmd_moser(cfg: RunConfig, out_dir: str) -> int:
     if trace is None:
         return EXIT_CHECK_FAILED
     payload = _moser_payload(cfg, trace, out_dir, ball, eps0)
-    _write_json(os.path.join(out_dir, "moser_summary.json"),
-                {"passed": payload["passed"], "ball": payload["ball"]})
+    _write_json(os.path.join(out_dir, "moser_summary.json"), payload)
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
 
@@ -217,18 +225,18 @@ def cmd_full_report(cfg: RunConfig, out_dir: str) -> int:
     density_report = certify_conditions(problem.density, cfg.density_t_max,
                                         cfg.density_samples)
     _write_json(os.path.join(out_dir, "condition_report.json"),
-                density_report.to_dict())
+                density_report)
     trace = _run_solve(cfg, out_dir, "report.json", ball=ball,
                        density_passed=density_report.all_passed)
     if trace is None:
         return EXIT_CHECK_FAILED
-    trace_payload = _write_trace(cfg, trace, out_dir)
+    minimality_passed = _write_trace(cfg, trace, out_dir)
     moser_payload = _moser_payload(cfg, trace, out_dir, ball, eps0)
-    ok = (density_report.all_passed and trace_payload["minimality"]["passed"]
+    ok = (density_report.all_passed and minimality_passed
           and moser_payload["passed"])
     _write_json(os.path.join(out_dir, "report.json"), {
         "density_passed": density_report.all_passed,
-        "minimality_passed": trace_payload["minimality"]["passed"],
+        "minimality_passed": minimality_passed,
         "moser_passed": moser_payload["passed"],
         "ball": moser_payload["ball"],
         "passed": ok,

@@ -190,8 +190,7 @@ def _parse_field(spec, grid: Grid2, rng: np.random.Generator,
             # sampled silently: the field rejects a sample that is not
             # finite, with one message
             with np.errstate(all="ignore"):
-                return make_field(grid, spec["synthetic"], rng,
-                                  snap_center=True)
+                return make_field(grid, spec["synthetic"], rng)
     if "pgm" in spec:
         p = _keys(_keys(spec, "field", "pgm")["pgm"], "pgm field", "path",
                   "lo", "hi")
@@ -348,9 +347,9 @@ def parse_config(raw: dict, base_dir: str = ".",
                 cfg.ball = BallFamily(center, r0, n=cfg.ball_n,
                                       j_max=cfg.ball_j_max)
 
-    # each rung's field stays in the trace, and each s value costs three
-    # whole-grid power arrays per Moser level: 4000 rungs of a 128^2 solve
-    # took 559 MB, 20000 s values of a 32^2 audit 404 MB
+    # each rung's field stays in the trace (4000 rungs of a 128^2 solve
+    # took 559 MB), and each s value costs three power arrays of the outer
+    # ball's cells per report
     _expect(len(cfg.solver.delta_schedule) <= _LIST_MAX,
             f"'solver.delta_schedule' holds at most {_LIST_MAX} deltas")
     if "s_values" in raw:

@@ -88,11 +88,12 @@ def make_function(spec: dict):
     raise ValueError(f"unknown synthetic field kind {kind!r}")
 
 
-def make_field(grid: Grid2, spec: dict, rng: np.random.Generator | None = None,
-               snap_center: bool = False) -> Field:
-    """Sample a synthetic description at cell centers, plus optional noise."""
+def make_field(grid: Grid2, spec: dict,
+               rng: np.random.Generator | None = None) -> Field:
+    """Sample a synthetic description at cell centers, with its ``center``
+    snapped to the nearest one, plus optional noise."""
     spec = dict(spec)
-    if snap_center and "center" in spec:
+    if "center" in spec:
         spec["center"] = snap_to_cell(grid, tuple(spec["center"]))
     u = Field.from_function(grid, make_function(spec))
     sigma = float(spec.get("noise", 0.0))
@@ -136,8 +137,7 @@ def fidelity_inverse_sqrt(nx: int = 128, ny: int = 128,
     ``mask_rect=None`` gives pure denoising.
     """
     grid = Grid2(nx, ny, 1.0 / nx)
-    center = snap_to_cell(grid, (0.8, 0.8))
-    f = make_field(grid, {"kind": "inverse_sqrt_spike", "center": center,
+    f = make_field(grid, {"kind": "inverse_sqrt_spike", "center": (0.8, 0.8),
                           "cap": 100.0, "noise": 0.5},
                    np.random.default_rng(0))
     mask = Mask.empty(grid) if mask_rect is None \

@@ -45,12 +45,11 @@ __all__ = [
     "check_geometry",
     "MoserReport",
     "moser_report",
-    "min_cells_per_ball",
 ]
 
 # smallest admissible cell count inside the innermost ball for the
 # level integrals to mean anything
-min_cells_per_ball = 50
+_MIN_CELLS_PER_BALL = 50
 
 
 class MoserGeometryError(ValueError):
@@ -112,7 +111,7 @@ def exponents(bf: BallFamily) -> np.ndarray:
 def check_geometry(grid: Grid2, bf: BallFamily) -> None:
     """Raise ``MoserGeometryError`` unless ``moser_report`` can audit the
     family on this grid: the outer ball strictly inside the domain, at
-    least ``min_cells_per_ball`` cell centres in the innermost ball, and a
+    least ``_MIN_CELLS_PER_BALL`` cell centres in the innermost ball, and a
     first annulus at least two cells wide, which the cutoff checks need.
     The limit ball, whose sup the bound compares, is at least half as wide
     as the innermost one, so it then holds a cell centre too.  Only the grid
@@ -122,10 +121,10 @@ def check_geometry(grid: Grid2, bf: BallFamily) -> None:
             f"ball of radius {bf.r0:g} at {bf.center} is not strictly "
             "inside the domain")
     count = int(grid.cells_in_ball(bf.ball(bf.j_max)).sum())
-    if count < min_cells_per_ball:
+    if count < _MIN_CELLS_PER_BALL:
         raise MoserGeometryError(
             f"innermost ball holds {count} cell centres; "
-            f"at least {min_cells_per_ball} required")
+            f"at least {_MIN_CELLS_PER_BALL} required")
     r0, r1 = radii(bf)[:2]
     if r0 - r1 < 2.0 * grid.h:
         raise MoserGeometryError("no annulus is at least two cells wide; "
@@ -171,10 +170,6 @@ class RecursionCheck:
     passed: bool
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {"c": list(self.c), "c_max": self.c_max,
-                "passed": bool(self.passed), "note": self.note}
-
 
 def _recursion(log_a: np.ndarray, bf: BallFamily) -> RecursionCheck:
     """Measure c_j = a_{j+1}^((n-1)/n) / ((n/(n-1))^(2j) a_j) per level
@@ -204,11 +199,6 @@ class SupBoundCheck:
     prefactor: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {"predicted": self.predicted, "observed": self.observed,
-                "lq_norm": self.lq_norm, "prefactor": self.prefactor,
-                "passed": bool(self.passed)}
-
 
 def _sup_bound(check: RecursionCheck, mag: np.ndarray, d2: np.ndarray,
                bf: BallFamily, h: float) -> SupBoundCheck:
@@ -216,14 +206,22 @@ def _sup_bound(check: RecursionCheck, mag: np.ndarray, d2: np.ndarray,
 
     predicted = c_max^(n-1) * (n/(n-1))^(2n(n-1)) * max(1, ||u||_{L^q}) over
     the whole domain; observed = sup of |u| over the limit ball.  For n = 2
-    the middle factor is exactly 16.
+    the middle factor is exactly 16.  Where the plain integral of |u|^q
+    overflows, the norm is factored through max |u|, so it is finite
+    whenever |u| is.
     """
     q = bf.q
     n = bf.n
     prefactor = q ** (2 * n * (n - 1))
     # L^q norm over the whole domain via the largest inscribed concentric ball
     # would undercount; integrate over all cells directly.
-    lq = float(np.sum(mag ** q) * h ** 2) ** (1.0 / q)
+    with np.errstate(over="ignore"):
+        integral = float(np.sum(mag ** q) * h ** 2)
+    if math.isinf(integral):
+        m = float(np.max(mag))
+        lq = m * (float(np.sum((mag / m) ** q)) * h ** 2) ** (1.0 / q)
+    else:
+        lq = integral ** (1.0 / q)
     predicted = check.c_max ** (n - 1) * prefactor * max(1.0, lq)
     observed = float(np.max(mag[d2 < bf.r_inf ** 2]))
     return SupBoundCheck(predicted=predicted, observed=observed, lq_norm=lq,
@@ -238,11 +236,6 @@ class CaccioppoliCheck:
     variation: float
     passed: bool
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {"s": self.s, "c_levels": list(self.c_levels),
-                "variation": self.variation, "passed": bool(self.passed),
-                "note": self.note}
 
 
 # a power of |u| past the float range makes a level integral inf or nan;
@@ -328,7 +321,9 @@ def select_radius(f: Field, mask: Mask, lam: float,
     eps0 solves ``2 lam sqrt(eps0) = 1/2`` i.e. eps0 = 1/(16 lam^2).  The
     radius starts at half the distance from x0 to the boundary and halves
     until the data mass ``integral of f^2 over B(x0, r) minus the mask``
-    drops below eps0; radii at or below 3h are rejected.
+    drops below eps0; radii at or below 3h are rejected.  Only the cells off
+    the mask and inside the first ball are squared; a mass that overflows
+    is too large.
     """
     if not (lam > 0.0):
         raise ValueError("lam must be positive")
@@ -342,15 +337,18 @@ def select_radius(f: Field, mask: Mask, lam: float,
                                  "finite eps0 = 1/(16 lam^2)")
     dist = g.boundary_distance(x0[0], x0[1])
     r = dist / 2.0
-    f2 = f.magnitude() ** 2
-    outside = ~mask.member
     d2 = g.sq_distances(x0)
+    cells = (d2 < r ** 2) & ~mask.member
+    # the cells of every smaller ball, in the same order as a full-grid mask
+    d2 = d2[cells]
     h2 = g.h * g.h
-    while r > 3.0 * g.h:
-        data_mass = h2 * float(np.sum(f2[(d2 < r ** 2) & outside]))
-        if data_mass < eps0:
-            return r, eps0
-        r /= 2.0
+    with np.errstate(over="ignore"):
+        f2 = f.magnitude()[cells] ** 2
+        while r > 3.0 * g.h:
+            data_mass = h2 * float(np.sum(f2[d2 < r ** 2]))
+            if data_mass < eps0:
+                return r, eps0
+            r /= 2.0
     raise MoserGeometryError(
         "no admissible radius above 3h: data mass stays too large")
 
@@ -366,27 +364,14 @@ class MoserReport:
     exponents: np.ndarray
     masses: np.ndarray
     recursion: RecursionCheck
-    bound: SupBoundCheck
+    sup_bound: SupBoundCheck
     caccioppoli: list[CaccioppoliCheck] = field(default_factory=list)
     epsilon0: float | None = None
+    passed: bool = field(init=False)
 
-    @property
-    def passed(self) -> bool:
-        return (self.recursion.passed and self.bound.passed
-                and all(c.passed for c in self.caccioppoli))
-
-    def to_dict(self) -> dict:
-        return {
-            "center": list(self.center), "r0": self.r0, "r_inf": self.r_inf,
-            "n": self.n, "j_max": self.j_max,
-            "radii": list(self.radii), "exponents": list(self.exponents),
-            "masses": list(self.masses),
-            "recursion": self.recursion.to_dict(),
-            "sup_bound": self.bound.to_dict(),
-            "caccioppoli": [c.to_dict() for c in self.caccioppoli],
-            "epsilon0": self.epsilon0,
-            "passed": self.passed,
-        }
+    def __post_init__(self) -> None:
+        self.passed = (self.recursion.passed and self.sup_bound.passed
+                       and all(c.passed for c in self.caccioppoli))
 
     def to_csv(self) -> str:
         """Per-level table: j, R_j, s_j, a_j, c_j (c blank at the last level)."""
@@ -419,7 +404,7 @@ def moser_report(u: Field, bf: BallFamily, s_values=(0.0, 1.0, 3.0),
         center=bf.center, r0=bf.r0, r_inf=bf.r_inf, n=bf.n, j_max=bf.j_max,
         radii=rr, exponents=exponents(bf),
         masses=np.exp(np.minimum(log_a, 700.0)), recursion=rec,
-        bound=_sup_bound(rec, mag, d2, bf, g.h),
+        sup_bound=_sup_bound(rec, mag, d2, bf, g.h),
         caccioppoli=_caccioppoli(outer_mag, np.sqrt(outer_d2), rr, bf.q, g.h,
                                  s_values),
         epsilon0=epsilon0)

@@ -88,14 +88,9 @@ class RadialProfile:
             raise ValueError(f"unknown profile kind {self.kind!r}")
 
     def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.mu is not None:
-            d["mu"] = self.mu
-        if self.delta is not None:
-            d["delta"] = self.delta
-        if self.base is not None:
-            d["base"] = self.base.to_dict()
-        return d
+        """The notation ``from_dict`` reads, without the unset fields."""
+        return {k: v.to_dict() if isinstance(v, RadialProfile) else v
+                for k, v in vars(self).items() if v is not None}
 
     @staticmethod
     def from_dict(d: dict) -> "RadialProfile":
@@ -315,13 +310,6 @@ class GrowthConstants:
         if (self.nu6 is None) != (self.mu_certified is None):
             raise ValueError("nu6 and mu_certified come together")
 
-    def to_dict(self) -> dict:
-        return {
-            "nu1": self.nu1, "nu2": self.nu2, "nu3": self.nu3,
-            "nu4": self.nu4, "nu5": self.nu5, "nu6": self.nu6,
-            "mu_certified": self.mu_certified,
-        }
-
 
 @dataclass(frozen=True)
 class ConditionCheck:
@@ -331,13 +319,6 @@ class ConditionCheck:
     at_t: float | None = None
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name, "passed": bool(self.passed),
-            "worst_violation": self.worst_violation,
-            "at_t": self.at_t, "note": self.note,
-        }
-
 
 @dataclass
 class ConditionReport:
@@ -346,20 +327,10 @@ class ConditionReport:
     sample_count: int
     checks: dict[str, ConditionCheck] = field(default_factory=dict)
     constants: GrowthConstants | None = None
+    all_passed: bool = field(init=False)
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "profile": self.profile.to_dict(),
-            "t_max": self.t_max,
-            "sample_count": self.sample_count,
-            "all_passed": self.all_passed,
-            "checks": {k: c.to_dict() for k, c in self.checks.items()},
-            "constants": self.constants.to_dict() if self.constants else None,
-        }
+    def __post_init__(self) -> None:
+        self.all_passed = all(c.passed for c in self.checks.values())
 
 
 def _sample_grid(t_max: float, samples: int) -> np.ndarray:

@@ -30,9 +30,9 @@ A rung costs ``1 + iterations + backtracks`` energy evaluations and
 ``iterations`` Hessian builds.  The iterate, the Newton direction, the
 residual and every CG and V-cycle vector stay on the padded layout
 (``grids.pad``), so a product is one contiguous difference pair with no
-copy of its input (``Level.apply`` about 0.09 ms at 128^2, against 0.15 ms
-on the unpadded layout), and an inner product is one ``np.vdot`` over the
-padded arrays, whose zero ring adds nothing.
+copy of its input (``Level.apply`` about 0.09 ms at 128^2), and an inner
+product is one ``np.vdot`` over the padded arrays, whose zero ring adds
+nothing.
 
 ``continuation_solve`` walks a decreasing delta schedule, warm-starting each
 rung from the previous solution and re-clipping the datum at each delta.
@@ -288,6 +288,20 @@ def default_interior_ball(grid) -> Ball:
     return Ball((grid.lx / 2.0, grid.ly / 2.0), 0.25 * side)
 
 
+def _check_ball(grid: Grid2, ball: Ball) -> None:
+    """Raise the ``ValueError`` that ``sup_on`` raises for a ball outside
+    the domain or holding no cell centre, from the two axes alone.  The
+    nearest centre's squared distance is ``min_i (x_i - cx)^2 + min_j (y_j -
+    cy)^2``; rounding is monotone, so the test agrees with
+    ``grid.cells_in_ball(ball).any()``."""
+    if not grid.contains_ball(ball):
+        raise ValueError("ball is not contained in the domain")
+    cx, cy = ball.center
+    d2 = np.min((grid.xs() - cx) ** 2) + np.min((grid.ys() - cy) ** 2)
+    if not d2 < ball.radius ** 2:
+        raise ValueError("ball contains no cell centers")
+
+
 def _interpolate(v: np.ndarray) -> np.ndarray:
     """Bilinear cell-centred prolongation onto the grid with twice the
     cells per axis: each fine cell takes 9/16 of its coarse cell, 3/16 of
@@ -379,7 +393,7 @@ def continuation_solve(problem, cfg: SolverConfig = SolverConfig(),
     ``ValueError`` before any Newton step.
     """
     ball = interior_ball or default_interior_ball(problem.grid)
-    sup_on(Field.zeros(problem.grid), ball)  # a bad ball fails before rung 0
+    _check_ball(problem.grid, ball)  # a bad ball fails before rung 0
     plain_ops = assemble_ops(problem, None)
     trace = SolveTrace()
     u = init
@@ -414,12 +428,8 @@ class MinimalityReport:
     margins: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials, "amplitude": self.amplitude,
-            "worst_margin": self.worst_margin,
-            "residual_margin": self.residual_margin,
-            "threshold": self.threshold, "passed": bool(self.passed),
-        }
+        """The report as its file holds it: without the per-trial margins."""
+        return {k: v for k, v in vars(self).items() if k != "margins"}
 
 
 def _smooth(psi: np.ndarray) -> np.ndarray:

@@ -227,7 +227,7 @@ def moser_report_per_ball(u, bf, s_values=(0.0, 1.0, 3.0), epsilon0=None):
     return MoserReport(
         center=bf.center, r0=bf.r0, r_inf=bf.r_inf, n=bf.n, j_max=bf.j_max,
         radii=rr, exponents=exponents(bf),
-        masses=np.exp(np.minimum(log_a, 700.0)), recursion=rec, bound=bound,
+        masses=np.exp(np.minimum(log_a, 700.0)), recursion=rec, sup_bound=bound,
         caccioppoli=checks, epsilon0=epsilon0)
 
 

@@ -279,7 +279,7 @@ def test_criterion_6_dirichlet_interior_boundedness(spike_run):
     if spread(c_maxes) > 0.25:
         failures.append(f"recursion c_max varies {spread(c_maxes):.1%}")
     for rep, rec in zip(reports, trace.records):
-        if not rep.bound.passed:
+        if not rep.sup_bound.passed:
             failures.append(f"sup_bound fails at delta={rec.delta:g}")
         if not rep.recursion.passed:
             failures.append(f"recursion check fails at delta={rec.delta:g}")
@@ -386,7 +386,7 @@ def test_criterion_8_sequence_formulas():
                 failures.append(f"n={n} j={j}: exponent off closed form")
     grid = Grid2(32, 32, 1.0 / 32)
     fam2 = BallFamily((0.5, 0.5), 0.3, n=2, j_max=4)
-    prefactor = moser_report(Field.zeros(grid), fam2).bound.prefactor
+    prefactor = moser_report(Field.zeros(grid), fam2).sup_bound.prefactor
     if prefactor != 16.0:
         failures.append(f"n=2 prefactor {prefactor!r} is not 16")
     verdict(8, "sequence closed forms", failures)

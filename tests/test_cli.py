@@ -6,6 +6,7 @@ fixture pair under ``tests/fixtures`` pins an 8x8 denoising run against an
 independently computed dense-Newton solution.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -832,16 +833,32 @@ def test_rungs_that_agree_to_six_digits_get_their_own_files(tmp_path):
             f"moser_{tag}.{ext}" for tag in ("0p1000001", "0p1", "0p01"))
 
 
+@dataclasses.dataclass
+class _Check:
+    worst: float
+    levels: np.ndarray
+    note: str = ""
+
+
 def test_reports_write_non_finite_floats_as_null(tmp_path):
     """A recursion constant past the float range is inf; a report writes it,
-    and nan, as null, and a finite payload exactly as ``json.dump`` does."""
+    and nan, as null, and a finite payload exactly as ``json.dump`` does.
+    A dataclass is written as its fields, a numpy array or scalar as its
+    ``tolist``."""
     path = tmp_path / "r.json"
     cli._write_json(str(path), {"c": [1.0, math.inf, np.float64(-np.inf)],
                                 "x": math.nan, "t": (2.5, math.inf),
-                                "ok": True, "note": "", "n": 3})
+                                "ok": True, "note": "", "n": 3,
+                                "flag": np.bool_(True),
+                                "a": np.array([[0.5, np.nan], [np.inf, 2.0]]),
+                                "check": _Check(math.inf,
+                                                np.array([1.0, -np.inf]))})
     assert read_json(path) == {"c": [1.0, None, None], "x": None,
                                "t": [2.5, None], "ok": True, "note": "",
-                               "n": 3}
+                               "n": 3, "flag": True,
+                               "a": [[0.5, None], [None, 2.0]],
+                               "check": {"worst": None, "levels": [1.0, None],
+                                         "note": ""}}
     finite = {"b": [0.1, np.float64(1e-300)], "a": {"z": 2, "y": None}}
     cli._write_json(str(path), finite)
     assert path.read_text() == json.dumps(finite, indent=2,

@@ -74,7 +74,7 @@ def test_make_field_noise():
 def test_make_field_snaps_center():
     g = Grid2(8, 8, 0.125)
     spec = {"kind": "inverse_sqrt_spike", "center": (0.3, 0.7), "cap": 10.0}
-    u = make_field(g, spec, snap_center=True)
+    u = make_field(g, spec)
     assert float(np.max(u.values)) == 10.0  # cap attained on the grid
 
 

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lingrow.cli import _finite_or_null
 from lingrow.grids import Ball, Field, Grid2, Mask
 from lingrow.instances import dirichlet_boundary_spike
 from lingrow.moser import (BallFamily, MoserGeometryError, check_geometry,
-                           exponents, min_cells_per_ball, moser_report, radii,
-                           select_radius)
-from lingrow.moser import _log_masses, _recursion, _sup_bound
+                           exponents, moser_report, radii, select_radius)
+from lingrow.moser import (_MIN_CELLS_PER_BALL, _log_masses, _recursion,
+                           _sup_bound)
 from lingrow.solver import SolverConfig, continuation_solve
 
 from .oracles import moser_report_per_ball, naive_ball_integral
@@ -119,7 +120,8 @@ def test_deepest_family_a_float_holds_is_audited():
     rng = np.random.default_rng(8)
     u = Field(Grid2(32, 32, 1.0 / 32), rng.uniform(0.0, 3.0, (32, 32, 1)))
     rep = moser_report(u, bf, s_values=(0.0,))
-    assert np.all(np.isfinite(rep.masses)) and rep.bound.predicted < math.inf
+    assert np.all(np.isfinite(rep.masses))
+    assert rep.sup_bound.predicted < math.inf
 
 
 def test_a_deep_family_on_a_small_field_warns_nothing():
@@ -216,7 +218,7 @@ def test_recursion_past_the_float_range_warns_nothing():
 def test_sup_bound_zero_field():
     u = Field.zeros(big_grid())
     bf = centered_family(j_max=6)
-    check = moser_report(u, bf).bound
+    check = moser_report(u, bf).sup_bound
     assert check.prefactor == 16.0
     assert check.predicted == pytest.approx(16.0, rel=1e-12)
     assert check.observed == 0.0
@@ -228,7 +230,7 @@ def test_sup_bound_prefactor_n3():
     g = Grid2(64, 64, 0.1)
     u = Field.zeros(g)
     bf = BallFamily((3.2, 3.2), 2.0, n=3, j_max=4)
-    check = moser_report(u, bf).bound
+    check = moser_report(u, bf).sup_bound
     assert check.prefactor == 1.5 ** 12 == 129.746337890625
 
 
@@ -237,11 +239,26 @@ def test_sup_bound_dominates_on_smooth_field():
     u = Field.from_function(g, lambda x, y: np.sin(x) * np.cos(y))
     bf = centered_family(j_max=6)
     rep = moser_report(u, bf)
-    rec, check = rep.recursion, rep.bound
+    rec, check = rep.recursion, rep.sup_bound
     assert rec.passed and check.passed
     assert check.predicted == pytest.approx(
         rec.c_max * 16.0 * max(1.0, check.lq_norm), rel=1e-12)
     assert check.predicted >= check.observed
+
+
+@pytest.mark.parametrize("value", [1e300, -1e300, 2e200])
+def test_sup_bound_of_a_huge_flat_field_is_finite(value):
+    """|u|^2 overflows, so the L^2 norm is factored through max |u|: it is
+    then |u| times the root of the unit square's area, with no warning, and
+    the bound built on it is finite."""
+    u = Field.full(Grid2(32, 32, 1.0 / 32), value)
+    bf = BallFamily((0.5, 0.5), 0.3, j_max=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check = moser_report(u, bf).sup_bound
+    assert check.lq_norm == abs(value)
+    assert check.observed == abs(value)
+    assert math.isfinite(check.predicted) and check.passed
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +378,34 @@ def test_select_radius_failure_and_validation():
         select_radius(loud, Mask.empty(g), 0.0, (0.5, 0.5))
 
 
+def test_select_radius_squares_no_masked_cell():
+    """A masked cell of 1e200, whose square overflows, is never squared: the
+    selected ball holds it, and the radius is the one its absence gives,
+    with no warning."""
+    g = Grid2(64, 64, 1.0 / 64)
+    rng = np.random.default_rng(2)
+    values = rng.uniform(0.0, 1.0, (64, 64, 1))
+    mask = Mask.from_rect(g, 0.1, 0.4, 0.3, 0.6)
+    x0 = (0.25, 0.45)
+    quiet = select_radius(Field(g, values), mask, 0.5, x0)
+    values[12, 28, 0] = 1e200
+    assert mask.member[12, 28]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loud = select_radius(Field(g, values), mask, 0.5, x0)
+    assert loud == quiet
+    assert g.sq_distances(x0)[12, 28] < loud[0] ** 2
+
+
+def test_select_radius_treats_an_overflowing_mass_as_too_large():
+    g = Grid2(32, 32, 1.0 / 32)
+    f = Field.full(g, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MoserGeometryError, match="no admissible radius"):
+            select_radius(f, Mask.empty(g), 0.5, (0.5, 0.5))
+
+
 def test_select_radius_mask_removes_data_mass():
     g = Grid2(64, 64, 1.0 / 64)
     f = Field.full(g, 10.0)
@@ -380,14 +425,14 @@ def test_moser_report_structure_and_determinism():
     u = Field(g, rng.uniform(-1.0, 1.0, size=(64, 64, 1)))
     bf = centered_family(j_max=4)
     rep = moser_report(u, bf, s_values=(0.0, 1.0), epsilon0=0.25)
-    d = rep.to_dict()
+    d = _finite_or_null(rep)
     assert set(d) == {"center", "r0", "r_inf", "n", "j_max", "radii",
                       "exponents", "masses", "recursion", "sup_bound",
                       "caccioppoli", "epsilon0", "passed"}
     assert d["epsilon0"] == 0.25
     assert len(d["caccioppoli"]) == 2
     again = moser_report(u, bf, s_values=(0.0, 1.0), epsilon0=0.25)
-    assert json.dumps(rep.to_dict()) == json.dumps(again.to_dict())
+    assert json.dumps(d) == json.dumps(_finite_or_null(again))
 
     csv = rep.to_csv().strip().split("\n")
     assert csv[0] == "j,R_j,s_j,a_j,c_j"
@@ -403,7 +448,7 @@ def test_moser_report_enforces_cell_count():
     bf = BallFamily((0.5, 0.5), 0.2, j_max=6)
     with pytest.raises(MoserGeometryError, match="at least 50 required"):
         moser_report(u, bf)
-    assert min_cells_per_ball == 50
+    assert _MIN_CELLS_PER_BALL == 50
 
 
 def test_check_geometry_needs_only_the_grid():
@@ -511,22 +556,29 @@ def test_moser_report_matches_the_per_ball_oracle(case, request):
         assert np.max(last[last < 1.0]) ** bf.q ** bf.j_max == 0.0
     eps = np.finfo(float).eps
     for u in fields:
-        rep = moser_report(u, bf, epsilon0=0.25).to_dict()
-        ref = moser_report_per_ball(u, bf, epsilon0=0.25).to_dict()
-        got, want = rep.pop("caccioppoli"), ref.pop("caccioppoli")
-        assert json.dumps(rep) == json.dumps(ref)
+        rep = moser_report(u, bf, epsilon0=0.25)
+        ref = moser_report_per_ball(u, bf, epsilon0=0.25)
+        rep_json, ref_json = _finite_or_null(rep), _finite_or_null(ref)
+        del rep_json["caccioppoli"], ref_json["caccioppoli"]
+        assert json.dumps(rep_json) == json.dumps(ref_json)
+        # the file writes inf and nan alike as null: the values that can be
+        # either are compared as numbers too
+        def unbounded(r):
+            return np.r_[r.recursion.c, r.recursion.c_max,
+                         r.sup_bound.predicted, r.sup_bound.lq_norm]
+        assert np.array_equal(unbounded(rep), unbounded(ref), equal_nan=True)
+        got, want = rep.caccioppoli, ref.caccioppoli
         assert len(got) == len(want)
         for a, b in zip(got, want):
-            assert (a["s"], a["passed"], a["note"]) == \
-                (b["s"], b["passed"], b["note"])
-            ca, cb = np.array(a["c_levels"]), np.array(b["c_levels"])
+            assert (a.s, a.passed, a.note) == (b.s, b.passed, b.note)
+            ca, cb = a.c_levels, b.c_levels
             assert ca.shape == cb.shape
             assert np.array_equal(np.isfinite(ca), np.isfinite(cb))
             finite = np.isfinite(cb)
             assert np.array_equal(ca[~finite], cb[~finite], equal_nan=True)
             assert np.allclose(ca[finite], cb[finite], rtol=64 * eps, atol=0.0)
-            va, vb = a["variation"], b["variation"]
-            if vb is None or not math.isfinite(vb):
+            va, vb = a.variation, b.variation
+            if not math.isfinite(vb):
                 assert va == vb
             else:
                 assert abs(va - vb) <= 128 * eps * (2.0 + vb)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lingrow import profiles
+from lingrow.cli import _finite_or_null
 from lingrow.profiles import (RadialProfile, certify_conditions, combined,
                               minimal_surface, phi_mu, profile_d1, profile_d2,
                               profile_eval, radial_excess, recession_slope,
@@ -354,7 +355,7 @@ def test_underflowing_floor_certifies_no_mu(t_max):
 
 def test_report_serializes_one_entry_per_condition():
     rep = certify_conditions(phi_mu(2.0), 100.0, 1000)
-    payload = json.loads(json.dumps(rep.to_dict()))
+    payload = json.loads(json.dumps(_finite_or_null(rep)))
     assert payload["all_passed"] is True
     assert set(payload["checks"]) == {
         "value_zero_at_origin", "slope_zero_at_origin", "convexity",

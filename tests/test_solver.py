@@ -1,6 +1,7 @@
 """Continuation solver: Newton steps, traces, Newton oracle, minimality."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from lingrow import energy, solver
 from lingrow.energy import (DirichletProblem, FidelityProblem,
                             RegularizationState, assemble_ops)
-from lingrow.grids import Ball, Field, Grid2, Mask, pad
+from lingrow.grids import Ball, Field, Grid2, Mask, pad, sup_on
 from lingrow.instances import (dirichlet_boundary_spike,
                                fidelity_inverse_sqrt)
 from lingrow.profiles import minimal_surface, phi_mu
@@ -440,6 +441,49 @@ def test_a_ball_sup_on_cannot_read_is_rejected_before_any_newton_step(
     with pytest.raises(ValueError, match="ball"):
         continuation_solve(dirichlet_boundary_spike(32, 32), SolverConfig(),
                            interior_ball=ball)
+
+
+def _ball_verdict(check, *args):
+    try:
+        check(*args)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("grid", [Grid2(2, 2, 0.5), Grid2(3, 9, 1.0 / 9),
+                                  Grid2(5, 7, 0.3), Grid2(32, 32, 1.0 / 32),
+                                  Grid2(16, 16, 1e-3)],
+                         ids=["2x2", "3x9", "5x7", "32x32", "tiny-h"])
+def test_the_early_ball_check_agrees_with_sup_on(grid):
+    """The separable test reads from the two axes what ``sup_on`` reads from
+    the cell mask, on random balls, on balls whose circle passes within an
+    ulp of the nearest cell centre, and on balls that touch the edge."""
+    rng = np.random.default_rng(grid.nx * grid.ny)
+    xs, ys = grid.xs(), grid.ys()
+    lx, ly = grid.lx, grid.ly
+    balls = []
+    for _ in range(100):
+        centre = (rng.uniform(-0.1, 1.1) * lx, rng.uniform(-0.1, 1.1) * ly)
+        balls.append(Ball(centre, min(lx, ly) * 10.0 ** rng.uniform(-4, 0)))
+    for _ in range(50):
+        cx = xs[rng.integers(grid.nx)] + rng.uniform(-1.0, 1.0) * grid.h
+        cy = ys[rng.integers(grid.ny)] + rng.uniform(-1.0, 1.0) * grid.h
+        near = math.sqrt(np.min((xs - cx) ** 2) + np.min((ys - cy) ** 2))
+        edge = min(cx, lx - cx, cy, ly - cy)
+        for r in (near, edge):
+            balls += [Ball((cx, cy), rr) for rr in
+                      (r, np.nextafter(r, 0.0), np.nextafter(r, np.inf))
+                      if rr > 0.0]
+    seen = set()
+    for b in balls:
+        verdict = _ball_verdict(solver._check_ball, grid, b)
+        assert verdict == _ball_verdict(sup_on, Field.zeros(grid), b)
+        if grid.contains_ball(b):
+            assert (verdict is None) == grid.cells_in_ball(b).any()
+        seen.add(verdict)
+    assert seen == {None, "ball contains no cell centers",
+                    "ball is not contained in the domain"}
 
 
 def test_budget_exhaustion_carries_best():
