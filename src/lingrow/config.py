@@ -180,8 +180,7 @@ def _check_synthetic(spec) -> None:
     _kind_keys(spec, "synthetic datum", _SYNTHETIC_KEYS, "noise")
 
 
-def _parse_field(spec, grid: Grid2, rng: np.random.Generator,
-                 base_dir: str) -> Field:
+def _parse_field(spec, grid: Grid2, seed: int, base_dir: str) -> Field:
     _expect(isinstance(spec, dict), "field description must be an object")
     if "synthetic" in spec:
         _keys(spec, "field", "synthetic")
@@ -190,7 +189,7 @@ def _parse_field(spec, grid: Grid2, rng: np.random.Generator,
             # sampled silently: the field rejects a sample that is not
             # finite, with one message
             with np.errstate(all="ignore"):
-                return make_field(grid, spec["synthetic"], rng)
+                return make_field(grid, spec["synthetic"], seed)
     if "pgm" in spec:
         p = _keys(_keys(spec, "field", "pgm")["pgm"], "pgm field", "path",
                   "lo", "hi")
@@ -227,8 +226,7 @@ def _parse_mask(spec, grid: Grid2, base_dir: str) -> Mask:
     raise ConfigError("mask must be 'rect' or 'pgm'")
 
 
-def _parse_problem(spec, grid: Grid2 | None, rng: np.random.Generator,
-                   base_dir: str):
+def _parse_problem(spec, grid: Grid2 | None, seed: int, base_dir: str):
     _expect(isinstance(spec, dict), "'problem' must be an object")
     _expect(grid is not None, "'problem' needs a 'grid' section")
     kind = spec.get("kind")
@@ -252,12 +250,12 @@ def _parse_problem(spec, grid: Grid2 | None, rng: np.random.Generator,
                 with np.errstate(all="ignore"):  # as in _parse_field
                     return DirichletProblem.from_function(
                         grid, make_function(syn), density)
-        u0 = _parse_field(u0_spec, grid, rng, base_dir)
+        u0 = _parse_field(u0_spec, grid, seed, base_dir)
         with _section("bad dirichlet datum"):
             return DirichletProblem.from_field(u0, density)
     if kind == "fidelity":
         _expect("f" in spec, "fidelity problem needs 'f'")
-        f = _parse_field(spec["f"], grid, rng, base_dir)
+        f = _parse_field(spec["f"], grid, seed, base_dir)
         mask = _parse_mask(spec.get("mask"), grid, base_dir)
         with _section("bad fidelity problem"):
             lam = _real(spec.get("lambda", 1.0), "lambda", 0.0, strict=True)
@@ -272,7 +270,8 @@ def parse_config(raw: dict, base_dir: str = ".",
     cfg = RunConfig()
     cfg.seed = _count(raw.get("seed", 0) if seed_override is None
                       else seed_override, "seed", 0)
-    rng = np.random.default_rng(cfg.seed)
+    # the audit's SplitMix64 counter is 64 bits wide
+    _expect(cfg.seed < 2 ** 64, "'seed' must be less than 2^64")
 
     if "density" in raw:
         with _section("bad density"):
@@ -321,7 +320,8 @@ def parse_config(raw: dict, base_dir: str = ".",
             cfg.solver = SolverConfig(**given)
 
     if "problem" in raw:
-        cfg.problem = _parse_problem(raw["problem"], cfg.grid, rng, base_dir)
+        cfg.problem = _parse_problem(raw["problem"], cfg.grid, cfg.seed,
+                                     base_dir)
 
     if "ball" in raw:
         b = raw["ball"]

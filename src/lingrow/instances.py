@@ -88,18 +88,20 @@ def make_function(spec: dict):
     raise ValueError(f"unknown synthetic field kind {kind!r}")
 
 
-def make_field(grid: Grid2, spec: dict,
-               rng: np.random.Generator | None = None) -> Field:
+def make_field(grid: Grid2, spec: dict, seed: int | None = None) -> Field:
     """Sample a synthetic description at cell centers, with its ``center``
-    snapped to the nearest one, plus optional noise."""
+    snapped to the nearest one, plus optional noise: ``noise`` times
+    ``np.random.default_rng(seed).standard_normal``, the one use of
+    ``numpy.random`` in the package."""
     spec = dict(spec)
     if "center" in spec:
         spec["center"] = snap_to_cell(grid, tuple(spec["center"]))
     u = Field.from_function(grid, make_function(spec))
     sigma = float(spec.get("noise", 0.0))
     if sigma > 0.0:
-        if rng is None:
-            raise ValueError("noisy synthetic fields need a seeded generator")
+        if seed is None:
+            raise ValueError("noisy synthetic fields need a seed")
+        rng = np.random.default_rng(seed)
         u = Field(grid, u.values + sigma * rng.standard_normal(u.values.shape))
     return u
 
@@ -138,8 +140,7 @@ def fidelity_inverse_sqrt(nx: int = 128, ny: int = 128,
     """
     grid = Grid2(nx, ny, 1.0 / nx)
     f = make_field(grid, {"kind": "inverse_sqrt_spike", "center": (0.8, 0.8),
-                          "cap": 100.0, "noise": 0.5},
-                   np.random.default_rng(0))
+                          "cap": 100.0, "noise": 0.5}, seed=0)
     mask = Mask.empty(grid) if mask_rect is None \
         else Mask.from_rect(grid, *mask_rect)
     return FidelityProblem(grid, f, mask, 0.5, minimal_surface())

@@ -55,7 +55,10 @@ Every Newton run, a rung's or a copy's, is reported by one ``SolveStats``:
 a rung's ``DeltaRecord`` holds it as ``stats``, and rung 0's ``coarse``
 pairs each copy's grid with its own.
 ``verify_minimality`` audits a candidate by random energy-increase trials
-and one along the negative residual, and reports their margins apart.
+and one along the negative residual, and reports their margins apart.  Its
+draws come from a SplitMix64 stream (Steele, Lea and Flood, OOPSLA 2014),
+evaluated on a whole trial at once, so the audit needs no ``numpy.random``
+and its draws do not depend on the installed numpy.
 """
 
 from __future__ import annotations
@@ -451,6 +454,46 @@ def _smooth(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
+# SplitMix64: the counter's increment and the output function's multipliers
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_SEED_END = 2 ** 64
+
+
+def _splitmix64(state: np.ndarray) -> np.ndarray:
+    """SplitMix64's output for each counter state, as a new array; array
+    arithmetic on ``uint64`` wraps modulo 2^64 without a warning."""
+    z = state >> 30
+    z ^= state
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
+    return z
+
+
+def _uniform_trials(seed: int, shape):
+    """Uniform draws on [-1, 1), one array of ``shape`` per trial, from the
+    SplitMix64 stream whose state starts at ``seed``.  Trial ``i`` reads the
+    next ``M`` outputs in C order: cell ``k`` gets output ``n = i*M + k + 1``,
+    the mix of ``seed + n * 0x9E3779B97F4A7C15 mod 2^64``, mapped as numpy's
+    ``uniform`` maps a 64-bit output, ``-1 + 2 * ((z >> 11) * 2^-53)``."""
+    m = int(np.prod(shape))
+    state = np.arange(1, m + 1, dtype=np.uint64)
+    state *= np.uint64(_GOLDEN)
+    state += np.uint64(seed)
+    step = np.uint64(m * _GOLDEN % _SEED_END)
+    while True:
+        z = _splitmix64(state)
+        z >>= 11
+        x = z * 2.0 ** -53
+        x *= 2.0
+        x -= 1.0
+        yield x.reshape(shape)
+        state += step
+
+
 def verify_minimality(problem, reg: RegularizationState | None, u: Field,
                       trials: int = 100, seed: int = 0) -> MinimalityReport:
     """Energy-increase audit around u.
@@ -461,19 +504,23 @@ def verify_minimality(problem, reg: RegularizationState | None, u: Field,
     directions miss the descent cone.  Dirichlet perturbations
     vanish on the outermost cell ring.  Passes when every margin
     ``energy(u + psi) - energy(u)`` stays above ``-1e-9 * (1 + |energy(u)|)``.
-    The trials run on padded values, one at a time.  The report gives the
-    random trials' worst margin and the residual trial's margin apart: at a
-    converged ``u`` the residual is round-off, and so is its direction.
+    The draws are ``_uniform_trials(seed, ...)``, so ``seed`` must lie in
+    [0, 2^64).  The trials run on padded values, one at a time.  The report
+    gives the random trials' worst margin and the residual trial's margin
+    apart: at a converged ``u`` the residual is round-off, and so is its
+    direction.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not 0 <= seed < _SEED_END:
+        raise ValueError("seed must be in [0, 2^64)")
     ops = assemble_ops(problem, reg)
     w = pad(u.values)
     point = ops.evaluate(w)
     e0, r = point.energy, point.residual()
     point = None
     threshold = 1e-9 * (1.0 + abs(e0))
-    rng = np.random.default_rng(seed)
+    draws = _uniform_trials(seed, u.values.shape)
     dirichlet = isinstance(problem, DirichletProblem)
 
     def margin(psi: np.ndarray) -> float:
@@ -485,7 +532,7 @@ def verify_minimality(problem, reg: RegularizationState | None, u: Field,
 
     margins = np.empty(trials + 1)
     for i in range(trials):
-        psi = pad(rng.uniform(-1.0, 1.0, size=u.values.shape))
+        psi = pad(next(draws))
         if i % 2 == 1:
             psi = _smooth(psi)
         m = float(np.max(np.abs(psi)))

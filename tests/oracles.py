@@ -367,12 +367,38 @@ def zero_ring_apply(txx, txy, tyy, mass, v):
     return out
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(state: int, count: int) -> list[int]:
+    """The next ``count`` SplitMix64 outputs from ``state`` (Steele, Lea and
+    Flood, OOPSLA 2014), in Python integers masked to 64 bits."""
+    out = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def splitmix64_uniform(seed: int, shape, trials: int) -> list[np.ndarray]:
+    """Each trial's draws on [-1, 1): the stream's next ``prod(shape)``
+    outputs in C order, each mapped to ``-1 + 2 * ((z >> 11) * 2^-53)``."""
+    m = math.prod(shape)
+    outputs = splitmix64(seed, trials * m)
+    return [np.array([-1.0 + 2.0 * ((z >> 11) * 2.0 ** -53)
+                      for z in outputs[i * m:(i + 1) * m]]).reshape(shape)
+            for i in range(trials)]
+
+
 def minimality_margins_unpadded(problem, reg, u, trials: int, seed: int,
                                 amplitude: float = 0.1) -> np.ndarray:
     """The margins of ``solver.verify_minimality`` with its perturbations
-    drawn, smoothed and clamped on the (nx, ny, N) cell layout: each
-    smoothing pass adds the neighbours that exist, and a Dirichlet
-    perturbation vanishes on the outermost cells."""
+    drawn by ``splitmix64_uniform``, smoothed and clamped on the (nx, ny, N)
+    cell layout: each smoothing pass adds the neighbours that exist, and a
+    Dirichlet perturbation vanishes on the outermost cells."""
     from lingrow.energy import DirichletProblem, assemble_ops
 
     def smooth(psi):
@@ -388,7 +414,7 @@ def minimality_margins_unpadded(problem, reg, u, trials: int, seed: int,
     ops = assemble_ops(problem, reg)
     w = u.values
     e0, r = ops.energy(w), ops.residual(w)
-    rng = np.random.default_rng(seed)
+    draws = splitmix64_uniform(seed, w.shape, trials)
 
     def margin(psi):
         if isinstance(problem, DirichletProblem):
@@ -398,7 +424,7 @@ def minimality_margins_unpadded(problem, reg, u, trials: int, seed: int,
 
     margins = np.empty(trials + 1)
     for i in range(trials):
-        psi = rng.uniform(-1.0, 1.0, size=w.shape)
+        psi = draws[i]
         if i % 2 == 1:
             psi = smooth(psi)
         psi *= amplitude / float(np.max(np.abs(psi)))

@@ -380,6 +380,25 @@ class TestSolve:
         ref = field_from_csv(os.path.join(FIXTURES, "oracle8_solution.csv"))
         assert np.max(np.abs(got.values - ref.values)) > 1e-3
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_a_seed_of_2_to_the_64_exits_two_with_one_line(
+            self, tmp_path, capsys, where):
+        """The audit's SplitMix64 counter is 64 bits wide, so seeds that
+        agree modulo 2^64 would draw alike; 2^64 - 1 is the largest."""
+        cfg = denoise_config()
+        cfg["seed"] = 2 ** 64 - 1
+        assert parse_config(cfg).seed == 2 ** 64 - 1
+        extra = ()
+        if where == "config":
+            cfg["seed"] = 2 ** 64
+        else:
+            extra = ("--seed", str(2 ** 64))
+        rc, out = run(tmp_path, "solve", cfg, extra=extra)
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "lingrow: 'seed' must be less than 2^64\n"
+        assert not out.exists()
+
     def test_exhausted_budget_exits_one_with_error_note(self, tmp_path,
                                                         capsys):
         cfg = denoise_config(noise=1.0, schedule=(0.1,), tol=1e-14,
@@ -912,6 +931,29 @@ print(rc, "numpy.ma" in sys.modules)
                               str(tmp_path / "out"))
     assert rc == "0"
     assert imported == "False"
+
+
+def test_a_noise_free_full_report_does_not_import_numpy_random(tmp_path):
+    """``numpy.random`` brings in ``secrets``, ``hashlib`` and OpenSSL,
+    about 6 MB of resident memory: ``python -m lingrow full-report`` draws
+    its minimality trials from SplitMix64 and imports none of them unless
+    a synthetic datum is noisy.  No ball family fits a side of fewer than
+    17 cells; 20x20 is the grid of the ``numpy.ma`` check above."""
+    cfg = affine_dirichlet_config(nx=20)
+    cfg["ball"] = {"center": [0.5, 0.5], "r0": 0.45, "j_max": 2}
+    code = """
+import runpy, sys
+sys.argv[0] = "lingrow"
+try:
+    runpy.run_module("lingrow", run_name="__main__", alter_sys=True)
+except SystemExit as done:
+    print(done.code, *(name in sys.modules
+                       for name in ("numpy.random", "secrets", "_hashlib")))
+"""
+    words = run_python("-c", code, "full-report", "--config",
+                       write_config(tmp_path, cfg), "--out",
+                       str(tmp_path / "out"))
+    assert words == ["0", "False", "False", "False"]
 
 
 # ---------------------------------------------------------------------------

@@ -63,12 +63,32 @@ def test_snap_to_cell():
 def test_make_field_noise():
     g = Grid2(8, 8, 0.125)
     spec = {"kind": "constant", "value": 1.0, "noise": 0.5}
-    a = make_field(g, spec, np.random.default_rng(3))
-    b = make_field(g, spec, np.random.default_rng(3))
+    a = make_field(g, spec, 3)
+    b = make_field(g, spec, 3)
     assert np.array_equal(a.values, b.values)
     assert np.std(a.values) > 0.1
-    with pytest.raises(ValueError, match="seeded generator"):
+    with pytest.raises(ValueError, match="need a seed"):
         make_field(g, spec)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 64 - 1])
+def test_a_noisy_datum_is_the_seeds_normal_draws(seed):
+    """The noise of a synthetic datum is ``noise`` times the seed's
+    ``default_rng`` standard normals, bit for bit, through the config as
+    through ``make_field``."""
+    g = Grid2(12, 10, 0.1)
+    syn = {"kind": "inverse_sqrt_spike", "center": [0.8, 0.8], "cap": 100.0}
+    clean = make_field(g, syn).values
+    want = clean + 0.5 * np.random.default_rng(seed).standard_normal(
+        clean.shape)
+    noisy = dict(syn, noise=0.5)
+    assert make_field(g, noisy, seed).values.tobytes() == want.tobytes()
+    cfg = parse_config({
+        "seed": seed, "grid": {"nx": 12, "ny": 10, "h": 0.1},
+        "problem": {"kind": "fidelity",
+                    "density": {"kind": "minimal_surface"},
+                    "f": {"synthetic": noisy}}})
+    assert cfg.problem.f.values.tobytes() == want.tobytes()
 
 
 def test_make_field_snaps_center():
@@ -101,8 +121,11 @@ def test_fidelity_inverse_sqrt_instance():
     assert int(problem.mask.member.sum()) == int(Mask.from_rect(
         problem.grid, 0.1, 0.4, 0.3, 0.6).member.sum())
     assert float(np.max(problem.f.values)) >= 98.0  # cap plus noise
-    again = fidelity_inverse_sqrt()
-    assert np.array_equal(problem.f.values, again.f.values)
+    # the datum's noise is seed 0's, as a config at seed 0 draws it
+    again = make_field(problem.grid, {"kind": "inverse_sqrt_spike",
+                                      "center": (0.8, 0.8), "cap": 100.0,
+                                      "noise": 0.5}, 0)
+    assert problem.f.values.tobytes() == again.values.tobytes()
     pure = fidelity_inverse_sqrt(mask_rect=None)
     assert int(pure.mask.member.sum()) == 0
 
@@ -333,6 +356,7 @@ def as_fidelity(raw, **entries):
                                           "center": [0.5, 0.5],
                                           "cap": "100"}}),
      "'cap' must be a finite number"),
+    (lambda r: r.update(seed=2 ** 64), "'seed' must be less than 2\\^64"),
 ])
 def test_parse_config_errors(mutate, fragment):
     raw = base_config()

@@ -17,7 +17,8 @@ from lingrow.solver import (SolverConfig, SolveTrace, SolverError,
                             continuation_solve, default_interior_ball,
                             minimize_fixed_delta, verify_minimality)
 
-from .oracles import minimality_margins_unpadded, newton_solve
+from .oracles import (minimality_margins_unpadded, newton_solve,
+                      splitmix64, splitmix64_uniform)
 
 
 def denoise_problem(n=8, seed=5, lam=0.7, mask=None):
@@ -770,6 +771,49 @@ def test_minimality_validation():
     u = Field.zeros(problem.grid)
     with pytest.raises(ValueError):
         verify_minimality(problem, None, u, trials=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70])
+def test_minimality_refuses_a_seed_outside_64_bits(seed):
+    """Seeds that agree modulo 2^64 would draw alike."""
+    problem = denoise_problem()
+    u = Field.zeros(problem.grid)
+    with pytest.raises(ValueError, match="seed"):
+        verify_minimality(problem, None, u, trials=1, seed=seed)
+    report = verify_minimality(problem, None, u, trials=1, seed=2 ** 64 - 1)
+    assert report.trials == 2
+
+
+def test_the_audits_draws_are_the_splitmix64_stream():
+    """The first outputs from state 0 are the published ones; the vector
+    stream reads the plain-integer one trial by trial; at 128^2 the draws
+    lie in [-1, 1) with mean 0 and variance 1/3 (each within five standard
+    errors of the cell mean and of the variance for n = 16384 cells), and
+    two seeds or two trials of one seed differ."""
+    assert splitmix64(0, 3) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                                0x06C45D188009454F]
+    state = np.arange(1, 4, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    assert solver._splitmix64(state).tolist() == splitmix64(0, 3)
+    for seed in (0, 3, 2 ** 64 - 1):
+        draws = solver._uniform_trials(seed, (5, 3, 2))
+        for want in splitmix64_uniform(seed, (5, 3, 2), 3):
+            assert next(draws).tobytes() == want.tobytes()
+
+    n = 128 * 128
+    trials = [solver._uniform_trials(seed, (128, 128, 1))
+              for seed in (0, 1)]
+    a, b = next(trials[0]), next(trials[0])
+    c = next(trials[1])
+    for x in (a, b, c):
+        assert x.shape == (128, 128, 1)
+        assert np.all(x >= -1.0) and np.all(x < 1.0)
+        assert abs(float(np.mean(x))) < 5.0 * math.sqrt(1.0 / 3.0 / n)
+        # x^2 has variance 1/5 - 1/9 = 4/45
+        assert abs(float(np.var(x)) - 1.0 / 3.0) < 5.0 * math.sqrt(4.0 / 45.0
+                                                                    / n)
+    assert not np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert float(np.mean(a == c)) < 1e-3
 
 
 def test_minimality_dirichlet_ring_is_untouched():
