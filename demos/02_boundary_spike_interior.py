@@ -12,7 +12,6 @@ family of shrinking concentric balls.
 
 import numpy as np
 
-from lingrow.grids import sup_on
 from lingrow.instances import dirichlet_boundary_spike
 from lingrow.moser import BallFamily, moser_report
 from lingrow.solver import SolverConfig, continuation_solve
@@ -35,22 +34,22 @@ print("ball radii:", np.round(family.ball(0).radius, 4), "->",
 # continuation in delta: solve 1e-1 -> 1e-4, warm-starting each rung
 
 config = SolverConfig(mu=1.5)
-trace = continuation_solve(problem, config,
-                           interior_ball=family.limit_ball())
+records = continuation_solve(problem, config,
+                             interior_ball=family.limit_ball())
 print("\ndelta      iters  interior sup   total variation")
-for rec in trace.records:
+for rec in records:
     print(f"{rec.delta:<9g} {rec.stats.iters:>6d}  {rec.interior_sup:>12.6f}"
           f"  {rec.tv:>16.4f}")
 
-sups = [rec.interior_sup for rec in trace.records]
+sups = [rec.interior_sup for rec in records]
 print("interior sup stays near the background level "
       f"(spike/10 = 10, worst = {max(sups):.3f})")
 
 # ---------------------------------------------------------------------------
 # the iteration audit at the smallest delta
 
-report = moser_report(trace.final.u, family, s_values=(0.0, 1.0, 3.0))
-print(f"\naudit at delta={trace.final.delta:g}: "
+report = moser_report(records[-1].u, family, s_values=(0.0, 1.0, 3.0))
+print(f"\naudit at delta={records[-1].delta:g}: "
       f"{'PASS' if report.passed else 'FAIL'}")
 print("level masses a_j:", np.round(report.masses, 4))
 print("recursion constants c_j:", np.round(report.recursion.c, 4),
@@ -62,6 +61,10 @@ for check in report.caccioppoli:
     print(f"cutoff constants s={check.s:g}: "
           f"{np.round(check.c_levels, 4)}  variation {check.variation:.1%}")
 
-# the CSV rendering is what the command line tool writes per rung
-print("\nper-level table:")
-print(report.to_csv())
+# the per-level table, whose columns the command line tool writes per rung
+# as moser_<delta>.csv (c_j is not defined at the last level)
+print("\n  j       R_j       s_j             a_j       c_j")
+for j in range(report.j_max + 1):
+    c = f"{report.recursion.c[j]:9.4f}" if j < report.j_max else ""
+    print(f"{j:>3d} {report.radii[j]:9.5f} {report.exponents[j]:9g} "
+          f"{report.masses[j]:15.6g} {c}")

@@ -35,11 +35,11 @@ family = BallFamily(x0, r0, n=2, j_max=5)
 # continuation ladder; the data term uses f clipped at +-1/delta, so the
 # effective datum converges to f as delta shrinks
 
-trace = continuation_solve(problem, SolverConfig(mu=1.5),
-                           interior_ball=family.limit_ball())
+records = continuation_solve(problem, SolverConfig(mu=1.5),
+                             interior_ball=family.limit_ball())
 h2 = problem.grid.h ** 2
 print("\ndelta      iters  interior sup   ||f_delta - f||_L2")
-for rec in trace.records:
+for rec in records:
     gap = float(np.sqrt(np.sum(
         (clip_data(problem.f, rec.delta).values - problem.f.values) ** 2)
         * h2))
@@ -51,8 +51,8 @@ for rec in trace.records:
 
 from lingrow.energy import RegularizationState
 
-reg = RegularizationState(trace.final.delta, 1.5, "fidelity")
-audit = verify_minimality(problem, reg, trace.final.u, trials=100, seed=0)
+reg = RegularizationState(records[-1].delta, 1.5, "fidelity")
+audit = verify_minimality(problem, reg, records[-1].u, trials=100, seed=0)
 print(f"\nminimality: {'PASS' if audit.passed else 'FAIL'} "
       f"(worst energy increase {audit.worst_margin:.3e} "
       f"over {audit.trials} probes)")
@@ -67,6 +67,6 @@ finals = []
 for seed in (101, 202):
     rng = np.random.default_rng(seed)
     init = Field(pure.grid, rng.uniform(-1.0, 1.0, size=(64, 64, 1)))
-    finals.append(continuation_solve(pure, cfg, init=init).final.u)
+    finals.append(continuation_solve(pure, cfg, init=init)[-1].u)
 gap = float(np.sqrt(np.sum((finals[0].values - finals[1].values) ** 2) * h2))
 print(f"pure denoising, two random starts: L2 gap {gap:.3e}")

@@ -35,7 +35,7 @@ from .moser import (BallFamily, MoserGeometryError, check_geometry,
                     moser_report, select_radius)
 from .pgmio import field_to_csv, write_pgm
 from .profiles import certify_conditions
-from .solver import (SolverError, SolveTrace, continuation_solve,
+from .solver import (DeltaRecord, SolverError, continuation_solve,
                      verify_minimality)
 
 __all__ = ["main", "run_main", "cmd_density_check", "cmd_solve", "cmd_moser",
@@ -95,6 +95,17 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
+def _write_table(path: str, header: str, rows) -> None:
+    """A CSV table: the header line, then one line per row, each value by
+    ``repr`` (the rows hold Python scalars: numpy 2 writes
+    ``np.float64(x)``) and None as an empty field."""
+    lines = [header]
+    lines += [",".join("" if v is None else repr(v) for v in row)
+              for row in rows]
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def _delta_tag(delta: float) -> str:
     """A file-name tag per rung: ``repr`` is unique for distinct floats
     (0.1 gives ``0p1``, 1e-05 gives ``1em05``)."""
@@ -127,7 +138,7 @@ def _resolve_ball(cfg: RunConfig, problem) -> tuple[BallFamily, float | None]:
 
 
 def _run_solve(cfg: RunConfig, out_dir: str, summary: str, ball=None,
-               **extra) -> SolveTrace | None:
+               **extra) -> list[DeltaRecord] | None:
     """The continuation solve.  A failed one writes its error, with
     ``extra``, to the command's ``summary`` file and returns None."""
     problem = cfg.require_problem()
@@ -139,14 +150,18 @@ def _run_solve(cfg: RunConfig, out_dir: str, summary: str, ball=None,
         return None
 
 
-def _write_trace(cfg: RunConfig, trace: SolveTrace, out_dir: str) -> bool:
+def _write_trace(cfg: RunConfig, records: list[DeltaRecord],
+                 out_dir: str) -> bool:
     """Write the trace, the rung images and the final solution; return
     whether the final solution passed the minimality audit."""
-    with open(os.path.join(out_dir, "trace.csv"), "w", newline="\n") as fh:
-        fh.write(trace.to_csv())
+    _write_table(os.path.join(out_dir, "trace.csv"),
+                 "delta,energy,plain_energy,residual,iters,tv,interior_sup",
+                 [(r.delta, r.stats.energy, r.plain_energy,
+                   r.stats.final_residual, r.stats.iters, r.tv,
+                   r.interior_sup) for r in records])
     problem = cfg.require_problem()
     entries = []
-    for rec in trace.records:
+    for rec in records:
         lo = float(rec.u.values.min())
         hi = float(rec.u.values.max())
         if hi <= lo:
@@ -169,41 +184,44 @@ def _write_trace(cfg: RunConfig, trace: SolveTrace, out_dir: str) -> bool:
             "pgm": name if rec.u.channels == 1 else None,
             "pgm_lo": lo, "pgm_hi": hi,
         })
-    final = trace.final
+    final = records[-1]
     field_to_csv(os.path.join(out_dir, "solution_final.csv"), final.u)
     reg = RegularizationState(final.delta, cfg.solver.mu, problem.kind)
     audit = verify_minimality(problem, reg, final.u,
                               trials=cfg.minimality_trials, seed=cfg.seed)
+    minimality = {k: v for k, v in vars(audit).items() if k != "margins"}
     _write_json(os.path.join(out_dir, "trace.json"),
-                {"records": entries, "minimality": audit})
+                {"records": entries, "minimality": minimality})
     return audit.passed
 
 
 def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
-    trace = _run_solve(cfg, out_dir, "trace.json")
-    if trace is None:
+    records = _run_solve(cfg, out_dir, "trace.json")
+    if records is None:
         return EXIT_CHECK_FAILED
-    ok = _write_trace(cfg, trace, out_dir)
+    ok = _write_trace(cfg, records, out_dir)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _moser_payload(cfg: RunConfig, trace: SolveTrace, out_dir: str,
+def _moser_payload(cfg: RunConfig, records: list[DeltaRecord], out_dir: str,
                    ball: BallFamily, eps0: float | None) -> dict:
     """Audit and write every rung; return the summary of the audits."""
-    sup_lines = ["delta,interior_sup"]
+    sups = []
     all_passed = True
-    for rec in trace.records:
+    for rec in records:
         rep = moser_report(rec.u, ball, s_values=cfg.s_values, epsilon0=eps0)
         tag = _delta_tag(rec.delta)
         _write_json(os.path.join(out_dir, f"moser_{tag}.json"), rep)
-        with open(os.path.join(out_dir, f"moser_{tag}.csv"), "w",
-                  newline="\n") as fh:
-            fh.write(rep.to_csv())
-        sup_lines.append(f"{rec.delta!r},{rep.sup_bound.observed!r}")
+        # per level j: R_j, s_j, a_j and c_j, which the last level lacks
+        _write_table(os.path.join(out_dir, f"moser_{tag}.csv"),
+                     "j,R_j,s_j,a_j,c_j",
+                     zip(range(rep.j_max + 1), rep.radii.tolist(),
+                         rep.exponents.tolist(), rep.masses.tolist(),
+                         rep.recursion.c.tolist() + [None]))
+        sups.append((rec.delta, rep.sup_bound.observed))
         all_passed = all_passed and rep.passed
-    with open(os.path.join(out_dir, "sup_vs_delta.csv"), "w",
-              newline="\n") as fh:
-        fh.write("\n".join(sup_lines) + "\n")
+    _write_table(os.path.join(out_dir, "sup_vs_delta.csv"),
+                 "delta,interior_sup", sups)
     return {"passed": all_passed,
             "ball": {"center": list(ball.center), "r0": ball.r0,
                      "n": ball.n, "j_max": ball.j_max, "epsilon0": eps0}}
@@ -211,10 +229,10 @@ def _moser_payload(cfg: RunConfig, trace: SolveTrace, out_dir: str,
 
 def cmd_moser(cfg: RunConfig, out_dir: str) -> int:
     ball, eps0 = _resolve_ball(cfg, cfg.require_problem())
-    trace = _run_solve(cfg, out_dir, "moser_summary.json", ball=ball)
-    if trace is None:
+    records = _run_solve(cfg, out_dir, "moser_summary.json", ball=ball)
+    if records is None:
         return EXIT_CHECK_FAILED
-    payload = _moser_payload(cfg, trace, out_dir, ball, eps0)
+    payload = _moser_payload(cfg, records, out_dir, ball, eps0)
     _write_json(os.path.join(out_dir, "moser_summary.json"), payload)
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
@@ -226,12 +244,12 @@ def cmd_full_report(cfg: RunConfig, out_dir: str) -> int:
                                         cfg.density_samples)
     _write_json(os.path.join(out_dir, "condition_report.json"),
                 density_report)
-    trace = _run_solve(cfg, out_dir, "report.json", ball=ball,
-                       density_passed=density_report.all_passed)
-    if trace is None:
+    records = _run_solve(cfg, out_dir, "report.json", ball=ball,
+                         density_passed=density_report.all_passed)
+    if records is None:
         return EXIT_CHECK_FAILED
-    minimality_passed = _write_trace(cfg, trace, out_dir)
-    moser_payload = _moser_payload(cfg, trace, out_dir, ball, eps0)
+    minimality_passed = _write_trace(cfg, records, out_dir)
+    moser_payload = _moser_payload(cfg, records, out_dir, ball, eps0)
     ok = (density_report.all_passed and minimality_passed
           and moser_payload["passed"])
     _write_json(os.path.join(out_dir, "report.json"), {

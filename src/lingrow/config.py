@@ -347,7 +347,7 @@ def parse_config(raw: dict, base_dir: str = ".",
                 cfg.ball = BallFamily(center, r0, n=cfg.ball_n,
                                       j_max=cfg.ball_j_max)
 
-    # each rung's field stays in the trace (4000 rungs of a 128^2 solve
+    # each rung's field stays in the records (4000 rungs of a 128^2 solve
     # took 559 MB), and each s value costs three power arrays of the outer
     # ball's cells per report
     _expect(len(cfg.solver.delta_schedule) <= _LIST_MAX,

@@ -37,6 +37,7 @@ __all__ = [
     "pad",
     "ring_differences",
     "ring_adjoint",
+    "check_ball",
     "sup_on",
 ]
 
@@ -250,11 +251,22 @@ def neumann_live(grid: Grid2) -> tuple[np.ndarray, np.ndarray]:
     return live_x, live_y
 
 
-def sup_on(u: Field, b: Ball) -> float:
-    """Max of the per-cell magnitude over cells strictly inside the ball."""
-    if not u.grid.contains_ball(b):
+def check_ball(grid: Grid2, b: Ball) -> None:
+    """Raise ``ValueError`` unless the ball lies strictly inside the domain
+    and holds a cell centre, read from the two axes alone: the nearest
+    centre's squared distance is ``min_i (x_i - cx)^2 + min_j (y_j -
+    cy)^2``, and rounding is monotone, so the test agrees with
+    ``grid.cells_in_ball(b).any()``."""
+    if not grid.contains_ball(b):
         raise ValueError("ball is not contained in the domain")
-    inside = u.grid.cells_in_ball(b)
-    if not inside.any():
+    cx, cy = b.center
+    d2 = np.min((grid.xs() - cx) ** 2) + np.min((grid.ys() - cy) ** 2)
+    if not d2 < b.radius ** 2:
         raise ValueError("ball contains no cell centers")
-    return float(np.max(u.magnitude()[inside]))
+
+
+def sup_on(u: Field, b: Ball) -> float:
+    """Max of the per-cell magnitude over cells strictly inside the ball;
+    ``check_ball`` decides which balls it reads."""
+    check_ball(u.grid, b)
+    return float(np.max(u.magnitude()[u.grid.cells_in_ball(b)]))

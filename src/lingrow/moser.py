@@ -373,16 +373,6 @@ class MoserReport:
         self.passed = (self.recursion.passed and self.sup_bound.passed
                        and all(c.passed for c in self.caccioppoli))
 
-    def to_csv(self) -> str:
-        """Per-level table: j, R_j, s_j, a_j, c_j (c blank at the last level)."""
-        lines = ["j,R_j,s_j,a_j,c_j"]
-        for j in range(self.j_max + 1):
-            c = f"{float(self.recursion.c[j])!r}" if j < self.j_max else ""
-            lines.append(f"{j},{float(self.radii[j])!r},"
-                         f"{float(self.exponents[j])!r},"
-                         f"{float(self.masses[j])!r},{c}")
-        return "\n".join(lines) + "\n"
-
 
 def moser_report(u: Field, bf: BallFamily, s_values=(0.0, 1.0, 3.0),
                  epsilon0: float | None = None) -> MoserReport:

@@ -21,11 +21,13 @@ coefficients at the new iterate; one more pass per backtrack; one
 multigrid hierarchy (the fine level stored from the Hessian's cell
 tensors; each coarse level selects the fine differences that cross
 aggregates and pair-sums them, down to at most 8x8 cells, whose dense
-inverse is formed once: about 0.6 ms at 128^2); and per
-CG iteration one fine product and one V-cycle (two products and two
-Jacobi sweeps, one multiply each, per level above the coarsest, one small
-dense product there).  For one channel the CG product is the
-stored fine level's; several channels use the coupled ``Hessian.apply``.
+inverse is formed once: 0.8-1.5 ms per Newton step inside a 128^2 solve on
+a 2-core x86-64, about 0.45 ms of it the dense inverse, and about 15% of
+the solve in all); and per CG iteration one fine product and one V-cycle
+(two products and two Jacobi sweeps, one multiply each, per level above
+the coarsest, one small dense product there).  For one channel the CG
+product is the stored fine level's; several channels use the coupled
+``Hessian.apply``.
 A rung costs ``1 + iterations + backtracks`` energy evaluations and
 ``iterations`` Hessian builds.  The iterate, the Newton direction, the
 residual and every CG and V-cycle vector stay on the padded layout
@@ -63,19 +65,18 @@ and its draws do not depend on the installed numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import DirichletProblem, RegularizationState, assemble_ops
-from .grids import Ball, Field, Grid2, pad, sup_on
+from .grids import Ball, Field, Grid2, check_ball, pad, sup_on
 from .multigrid import Level, Multigrid
 
 __all__ = [
     "SolverConfig",
     "SolveStats",
     "DeltaRecord",
-    "SolveTrace",
     "SolverError",
     "minimize_fixed_delta",
     "continuation_solve",
@@ -291,20 +292,6 @@ def default_interior_ball(grid) -> Ball:
     return Ball((grid.lx / 2.0, grid.ly / 2.0), 0.25 * side)
 
 
-def _check_ball(grid: Grid2, ball: Ball) -> None:
-    """Raise the ``ValueError`` that ``sup_on`` raises for a ball outside
-    the domain or holding no cell centre, from the two axes alone.  The
-    nearest centre's squared distance is ``min_i (x_i - cx)^2 + min_j (y_j -
-    cy)^2``; rounding is monotone, so the test agrees with
-    ``grid.cells_in_ball(ball).any()``."""
-    if not grid.contains_ball(ball):
-        raise ValueError("ball is not contained in the domain")
-    cx, cy = ball.center
-    d2 = np.min((grid.xs() - cx) ** 2) + np.min((grid.ys() - cy) ** 2)
-    if not d2 < ball.radius ** 2:
-        raise ValueError("ball contains no cell centers")
-
-
 def _interpolate(v: np.ndarray) -> np.ndarray:
     """Bilinear cell-centred prolongation onto the grid with twice the
     cells per axis: each fine cell takes 9/16 of its coarse cell, 3/16 of
@@ -364,30 +351,12 @@ class DeltaRecord:
     coarse: tuple[tuple[Grid2, SolveStats], ...] = ()
 
 
-@dataclass
-class SolveTrace:
-    records: list[DeltaRecord] = field(default_factory=list)
-
-    @property
-    def final(self) -> DeltaRecord:
-        if not self.records:
-            raise ValueError("empty trace")
-        return self.records[-1]
-
-    def to_csv(self) -> str:
-        lines = ["delta,energy,plain_energy,residual,iters,tv,interior_sup"]
-        for r in self.records:
-            s = r.stats
-            lines.append(f"{r.delta!r},{s.energy!r},{r.plain_energy!r},"
-                         f"{s.final_residual!r},{s.iters},{r.tv!r},"
-                         f"{r.interior_sup!r}")
-        return "\n".join(lines) + "\n"
-
-
 def continuation_solve(problem, cfg: SolverConfig = SolverConfig(),
                        init: Field | None = None,
-                       interior_ball: Ball | None = None) -> SolveTrace:
-    """Warm-started walk down the delta schedule.
+                       interior_ball: Ball | None = None
+                       ) -> list[DeltaRecord]:
+    """Warm-started walk down the delta schedule; returns one record per
+    rung, the final rung last.
 
     The default initial guess is the boundary datum (Dirichlet) or the
     clipped datum with its off-mask mean filling the masked cells (fidelity).
@@ -396,9 +365,9 @@ def continuation_solve(problem, cfg: SolverConfig = SolverConfig(),
     ``ValueError`` before any Newton step.
     """
     ball = interior_ball or default_interior_ball(problem.grid)
-    _check_ball(problem.grid, ball)  # a bad ball fails before rung 0
+    check_ball(problem.grid, ball)  # a bad ball fails before rung 0
     plain_ops = assemble_ops(problem, None)
-    trace = SolveTrace()
+    records = []
     u = init
     for rung, delta in enumerate(cfg.delta_schedule):
         reg = RegularizationState(delta, cfg.mu, problem.kind)
@@ -412,12 +381,12 @@ def continuation_solve(problem, cfg: SolverConfig = SolverConfig(),
             raise SolverError(f"delta={delta:g}: {err}", err.best,
                               err.stats) from err
         plain = plain_ops.evaluate(pad(u.values))
-        trace.records.append(DeltaRecord(
+        records.append(DeltaRecord(
             delta=delta, u=u, stats=stats, plain_energy=plain.energy,
             tv=plain.total_variation(), interior_sup=sup_on(u, ball),
             coarse=coarse))
         plain = None  # its slope arrays would outlive the next rung's solve
-    return trace
+    return records
 
 
 @dataclass
@@ -429,10 +398,6 @@ class MinimalityReport:
     threshold: float
     passed: bool
     margins: np.ndarray
-
-    def to_dict(self) -> dict:
-        """The report as its file holds it: without the per-trial margins."""
-        return {k: v for k, v in vars(self).items() if k != "margins"}
 
 
 def _smooth(psi: np.ndarray) -> np.ndarray:

@@ -472,3 +472,40 @@ def coarse_tensors_by_reshape(level):
 
     return (pool(level.txx[:, :-1] * jx), pool(level.txy[:, :-1] * (jx & jy)),
             pool(level.tyy[:, :-1] * jy))
+
+
+# ---------------------------------------------------------------------------
+# report tables, rendered row by row with f-strings, apart from the CLI's
+# table writer
+
+
+def trace_csv(records) -> str:
+    """``trace.csv`` of a continuation solve's rung records."""
+    lines = ["delta,energy,plain_energy,residual,iters,tv,interior_sup"]
+    for r in records:
+        s = r.stats
+        lines.append(f"{r.delta!r},{s.energy!r},{r.plain_energy!r},"
+                     f"{s.final_residual!r},{s.iters},{r.tv!r},"
+                     f"{r.interior_sup!r}")
+    return "\n".join(lines) + "\n"
+
+
+def moser_csv(report) -> str:
+    """``moser_<tag>.csv``: j, R_j, s_j, a_j, c_j per level, c_j blank at
+    the last level."""
+    lines = ["j,R_j,s_j,a_j,c_j"]
+    for j in range(report.j_max + 1):
+        c = f"{float(report.recursion.c[j])!r}" if j < report.j_max else ""
+        lines.append(f"{j},{float(report.radii[j])!r},"
+                     f"{float(report.exponents[j])!r},"
+                     f"{float(report.masses[j])!r},{c}")
+    return "\n".join(lines) + "\n"
+
+
+def sup_vs_delta_csv(records, reports) -> str:
+    """``sup_vs_delta.csv``: each rung's delta and its report's observed
+    sup on the limit ball."""
+    lines = ["delta,interior_sup"]
+    for rec, rep in zip(records, reports):
+        lines.append(f"{rec.delta!r},{rep.sup_bound.observed!r}")
+    return "\n".join(lines) + "\n"

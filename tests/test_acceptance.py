@@ -80,9 +80,9 @@ def spike_run():
     problem = dirichlet_boundary_spike()
     family = BallFamily((0.5, 0.5), 0.3, n=2, j_max=8)
     t0 = time.time()
-    trace = continuation_solve(problem, SolverConfig(mu=1.5),
-                               interior_ball=family.limit_ball())
-    return problem, family, trace, time.time() - t0
+    records = continuation_solve(problem, SolverConfig(mu=1.5),
+                                 interior_ball=family.limit_ball())
+    return problem, family, records, time.time() - t0
 
 
 @pytest.fixture(scope="module")
@@ -92,9 +92,9 @@ def inverse_run():
     r0, eps0 = select_radius(problem.f, problem.mask, problem.lam,
                              (0.25, 0.45))
     family = BallFamily((0.25, 0.45), r0, n=2, j_max=6)
-    trace = continuation_solve(problem, SolverConfig(mu=1.5),
-                               interior_ball=family.limit_ball())
-    return problem, family, eps0, trace, time.time() - t0
+    records = continuation_solve(problem, SolverConfig(mu=1.5),
+                                 interior_ball=family.limit_ball())
+    return problem, family, eps0, records, time.time() - t0
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +106,7 @@ def uniqueness_runs():
         rng = np.random.default_rng(seed)
         init = Field(problem.grid,
                      rng.uniform(-1.0, 1.0, size=(128, 128, 1)))
-        finals.append(continuation_solve(problem, cfg, init=init).final.u)
+        finals.append(continuation_solve(problem, cfg, init=init)[-1].u)
     return problem, finals
 
 
@@ -214,12 +214,12 @@ def test_criterion_4_newton_equivalence(small_fidelity_run,
                                         small_dirichlet_run):
     failures = []
     t0 = time.time()
-    for label, (problem, trace), start in (
+    for label, (problem, records), start in (
             ("fidelity", small_fidelity_run,
              lambda p: p.f.values.copy()),
             ("dirichlet", small_dirichlet_run,
              lambda p: p.u0_interior().values)):
-        for rec in trace.records:
+        for rec in records:
             reg = RegularizationState(rec.delta, 1.5, problem.kind)
             ref = newton_solve(assemble_ops(problem, reg).residual,
                                start(problem), tol=1e-12)
@@ -239,13 +239,13 @@ def test_criterion_5_minimality_audit(small_fidelity_run, small_dirichlet_run,
     failures = []
     instances = [
         ("small fidelity", small_fidelity_run[0],
-         small_fidelity_run[1].final.delta, small_fidelity_run[1].final.u),
+         small_fidelity_run[1][-1].delta, small_fidelity_run[1][-1].u),
         ("small dirichlet", small_dirichlet_run[0],
-         small_dirichlet_run[1].final.delta, small_dirichlet_run[1].final.u),
-        ("boundary spike", spike_run[0], spike_run[2].final.delta,
-         spike_run[2].final.u),
-        ("inverse sqrt", inverse_run[0], inverse_run[3].final.delta,
-         inverse_run[3].final.u),
+         small_dirichlet_run[1][-1].delta, small_dirichlet_run[1][-1].u),
+        ("boundary spike", spike_run[0], spike_run[2][-1].delta,
+         spike_run[2][-1].u),
+        ("inverse sqrt", inverse_run[0], inverse_run[3][-1].delta,
+         inverse_run[3][-1].u),
     ]
     uniq_problem, uniq_finals = uniqueness_runs
     for k, u in enumerate(uniq_finals):
@@ -262,11 +262,11 @@ def test_criterion_5_minimality_audit(small_fidelity_run, small_dirichlet_run,
 
 
 def test_criterion_6_dirichlet_interior_boundedness(spike_run):
-    problem, family, trace, solve_time = spike_run
+    problem, family, records, solve_time = spike_run
     failures = []
     t0 = time.time()
 
-    sups = [rec.interior_sup for rec in trace.records]
+    sups = [rec.interior_sup for rec in records]
     if spread(sups) > 0.10:
         failures.append(f"interior sup varies {spread(sups):.1%} across delta")
     if max(sups) > SPIKE_HEIGHT / 10.0:
@@ -274,11 +274,11 @@ def test_criterion_6_dirichlet_interior_boundedness(spike_run):
 
     s_values = (0.0, 1.0, 3.0)
     reports = [moser_report(rec.u, family, s_values=s_values)
-               for rec in trace.records]
+               for rec in records]
     c_maxes = [rep.recursion.c_max for rep in reports]
     if spread(c_maxes) > 0.25:
         failures.append(f"recursion c_max varies {spread(c_maxes):.1%}")
-    for rep, rec in zip(reports, trace.records):
+    for rep, rec in zip(reports, records):
         if not rep.sup_bound.passed:
             failures.append(f"sup_bound fails at delta={rec.delta:g}")
         if not rep.recursion.passed:
@@ -301,7 +301,7 @@ def test_criterion_6_dirichlet_interior_boundedness(spike_run):
 
 def test_criterion_7_fidelity_interior_boundedness(inverse_run,
                                                    uniqueness_runs):
-    problem, family, eps0, trace, solve_time = inverse_run
+    problem, family, eps0, records, solve_time = inverse_run
     failures = []
     t0 = time.time()
 
@@ -314,12 +314,12 @@ def test_criterion_7_fidelity_interior_boundedness(inverse_run,
     if family.r0 <= 3.0 * problem.grid.h:
         failures.append(f"selected radius {family.r0:g} is under-resolved")
 
-    sups = [rec.interior_sup for rec in trace.records]
+    sups = [rec.interior_sup for rec in records]
     if spread(sups) > 0.10:
         failures.append(f"interior sup varies {spread(sups):.1%} across delta")
 
     diffs = [l2_diff(problem.grid, clip_data(problem.f, rec.delta).values,
-                     problem.f.values) for rec in trace.records]
+                     problem.f.values) for rec in records]
     if any(b > a + 1e-12 for a, b in zip(diffs, diffs[1:])):
         failures.append(f"clipped-data distance not monotone: {diffs}")
 
@@ -349,10 +349,10 @@ def test_ladder_iteration_counts_hold(spike_run, inverse_run):
     or layout change that costs iterations fails here, though its results
     still pass the criteria."""
     failures = []
-    for name, trace in (("boundary spike", spike_run[2]),
-                        ("inverse sqrt", inverse_run[3])):
-        steps = tuple(rec.stats.iters for rec in trace.records)
-        krylov = tuple(rec.stats.krylov_iters for rec in trace.records)
+    for name, records in (("boundary spike", spike_run[2]),
+                          ("inverse sqrt", inverse_run[3])):
+        steps = tuple(rec.stats.iters for rec in records)
+        krylov = tuple(rec.stats.krylov_iters for rec in records)
         pin_steps, pin_krylov = LADDER_PINS[name]
         if len(steps) != len(pin_steps) or any(
                 got > pin for got, pin in zip(steps + krylov,
@@ -360,7 +360,7 @@ def test_ladder_iteration_counts_hold(spike_run, inverse_run):
             failures.append(f"{name}: Newton {steps} / CG {krylov}, "
                             f"pinned at most {pin_steps} / {pin_krylov}")
         coarse = tuple((c.iters, c.krylov_iters)
-                       for _, c in trace.records[0].coarse)
+                       for _, c in records[0].coarse)
         pins = COARSE_PINS[name]
         if len(coarse) != len(pins) or any(
                 got > pin for pair, pin_pair in zip(coarse, pins)

@@ -24,6 +24,9 @@ from lingrow.cli import main
 from lingrow.config import ConfigError, parse_config
 from lingrow.grids import Field, Grid2
 from lingrow.pgmio import field_from_csv, field_to_csv, read_pgm
+from lingrow.solver import MinimalityReport
+
+from . import oracles
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -850,6 +853,51 @@ def test_rungs_that_agree_to_six_digits_get_their_own_files(tmp_path):
         assert sorted(f for f in files if f.startswith("moser_")
                       and f.endswith("." + ext)) == sorted(
             f"moser_{tag}.{ext}" for tag in ("0p1000001", "0p1", "0p01"))
+
+
+def test_report_tables_match_the_oracle_byte_for_byte(tmp_path, monkeypatch):
+    """A 32^2 full-report writes ``trace.csv``, every ``moser_<tag>.csv``
+    and ``sup_vs_delta.csv`` exactly as the oracle renders the records and
+    reports the run computed, and ``trace.json`` holds the minimality
+    audit's fields without its per-trial margins."""
+    solved, audited = [], []
+
+    def solve(*args, **kwargs):
+        solved.extend(cli_solve(*args, **kwargs))
+        return solved
+
+    def audit(*args, **kwargs):
+        audited.append(cli_audit(*args, **kwargs))
+        return audited[-1]
+
+    cli_solve, cli_audit = cli.continuation_solve, cli.moser_report
+    monkeypatch.setattr(cli, "continuation_solve", solve)
+    monkeypatch.setattr(cli, "moser_report", audit)
+    cfg = {
+        "grid": {"nx": 32, "ny": 32, "h": 1.0 / 32},
+        "solver": {"mu": 1.5},
+        "problem": {"kind": "dirichlet",
+                    "density": {"kind": "minimal_surface"},
+                    "u0": {"synthetic": {"kind": "edge_spike",
+                                         "height": 100.0, "width": 0.1,
+                                         "center": [0.5, 0.0],
+                                         "background": [2.0, 1.0, 1.0]}}},
+        "ball": {"center": [0.5, 0.5], "r0": 0.3, "j_max": 3},
+        "minimality_trials": 10,
+    }
+    rc, out = run(tmp_path, "full-report", cfg)
+    assert rc == 0
+    assert len(solved) == len(audited) == 4
+    assert (out / "trace.csv").read_text() == oracles.trace_csv(solved)
+    for rec, rep in zip(solved, audited):
+        tag = cli._delta_tag(rec.delta)
+        assert (out / f"moser_{tag}.csv").read_text() == \
+            oracles.moser_csv(rep)
+    assert (out / "sup_vs_delta.csv").read_text() == \
+        oracles.sup_vs_delta_csv(solved, audited)
+    fields = {f.name for f in dataclasses.fields(MinimalityReport)}
+    minimality = read_json(out / "trace.json")["minimality"]
+    assert set(minimality) == fields - {"margins"}
 
 
 @dataclasses.dataclass

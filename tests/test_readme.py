@@ -31,4 +31,4 @@ def test_the_quick_start_runs():
     assert scope["report"].passed
     # the README's comment: the interior sup stays about 3 on every rung
     assert all(2.0 < rec.interior_sup < 4.0
-               for rec in scope["trace"].records)
+               for rec in scope["records"])

@@ -9,13 +9,13 @@ import pytest
 from lingrow import energy, solver
 from lingrow.energy import (DirichletProblem, FidelityProblem,
                             RegularizationState, assemble_ops)
-from lingrow.grids import Ball, Field, Grid2, Mask, pad, sup_on
+from lingrow.grids import Ball, Field, Grid2, Mask, check_ball, pad
 from lingrow.instances import (dirichlet_boundary_spike,
                                fidelity_inverse_sqrt)
 from lingrow.profiles import minimal_surface, phi_mu
-from lingrow.solver import (SolverConfig, SolveTrace, SolverError,
-                            continuation_solve, default_interior_ball,
-                            minimize_fixed_delta, verify_minimality)
+from lingrow.solver import (SolverConfig, SolverError, continuation_solve,
+                            default_interior_ball, minimize_fixed_delta,
+                            verify_minimality)
 
 from .oracles import (minimality_margins_unpadded, newton_solve,
                       splitmix64, splitmix64_uniform)
@@ -46,11 +46,6 @@ def test_config_validation():
         SolverConfig(max_iters=0)
 
 
-def test_empty_trace_final_raises():
-    with pytest.raises(ValueError):
-        SolveTrace().final
-
-
 # ---------------------------------------------------------------------------
 # exact minimizers
 
@@ -78,11 +73,11 @@ def test_affine_datum_is_fixed_point():
     assert stats.iters == 0
     assert np.array_equal(u.values, init.values)
 
-    trace = continuation_solve(problem, SolverConfig(mu=1.5))
-    assert len(trace.records) == 4
-    for rec in trace.records:
+    records = continuation_solve(problem, SolverConfig(mu=1.5))
+    assert len(records) == 4
+    for rec in records:
         assert np.max(np.abs(rec.u.values - init.values)) <= 1e-8
-    plain = [rec.plain_energy for rec in trace.records]
+    plain = [rec.plain_energy for rec in records]
     assert max(plain) - min(plain) <= 1e-12 * (1.0 + abs(plain[0]))
 
 
@@ -106,28 +101,30 @@ def test_descent_reduces_energy():
 def test_trace_records_and_monotonicity():
     problem = denoise_problem(n=12, seed=9)
     cfg = SolverConfig(mu=1.5, residual_tol=1e-10)
-    trace = continuation_solve(problem, cfg)
-    assert [r.delta for r in trace.records] == [1e-1, 1e-2, 1e-3, 1e-4]
-    for rec in trace.records:
+    records = continuation_solve(problem, cfg)
+    assert [r.delta for r in records] == [1e-1, 1e-2, 1e-3, 1e-4]
+    for rec in records:
         assert rec.stats.final_residual <= 1e-10
         # the delta term is nonnegative
         assert rec.plain_energy <= rec.stats.energy
-    plain = [rec.plain_energy for rec in trace.records]
+    plain = [rec.plain_energy for rec in records]
     for a, b in zip(plain, plain[1:]):
         assert b <= a + 1e-8 * (1.0 + abs(a))
-    tv = [rec.tv for rec in trace.records]
+    tv = [rec.tv for rec in records]
     assert max(tv) <= tv[0] * 1.10
 
 
 def test_trace_csv_shape():
+    """One record per rung, final rung last, holding the Python scalars
+    that ``trace.csv`` writes by ``repr``."""
     problem = denoise_problem()
-    trace = continuation_solve(problem, SolverConfig(mu=1.5))
-    text = trace.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "delta,energy,plain_energy,residual,iters,tv,interior_sup"
-    assert len(lines) == 5
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.1 and int(first[4]) >= 0
+    records = continuation_solve(problem, SolverConfig(mu=1.5))
+    assert [r.delta for r in records] == [1e-1, 1e-2, 1e-3, 1e-4]
+    for r in records:
+        row = (r.delta, r.stats.energy, r.plain_energy,
+               r.stats.final_residual, r.tv, r.interior_sup)
+        assert all(type(v) is float for v in row)
+        assert type(r.stats.iters) is int and r.stats.iters >= 0
 
 
 def test_translation_covariance():
@@ -138,7 +135,7 @@ def test_translation_covariance():
     cfg = SolverConfig(mu=1.5, residual_tol=1e-12)
     t1 = continuation_solve(DirichletProblem(g, ext, base), cfg)
     t2 = continuation_solve(DirichletProblem(g, ext + 3.0, base), cfg)
-    shift = t2.final.u.values - (t1.final.u.values + 3.0)
+    shift = t2[-1].u.values - (t1[-1].u.values + 3.0)
     assert np.max(np.abs(shift)) <= 1e-9
 
 
@@ -181,9 +178,9 @@ def test_single_rung_matches_newton():
 def test_smallest_rungs_match_newton():
     problem = denoise_problem(seed=5)
     cfg = SolverConfig(mu=1.5, residual_tol=1e-11)
-    trace = continuation_solve(problem, cfg)
+    records = continuation_solve(problem, cfg)
     h2 = problem.grid.h ** 2
-    for rec in trace.records[-2:]:
+    for rec in records[-2:]:
         reg = RegularizationState(rec.delta, 1.5, "fidelity")
         ref = newton_solve(assemble_ops(problem, reg).residual, rec.u.values,
                            tol=1e-12)
@@ -198,7 +195,7 @@ def test_denoising_solution_independent_of_init():
     for seed in (101, 202):
         rng = np.random.default_rng(seed)
         init = Field(problem.grid, rng.normal(size=(8, 8, 1)))
-        sols.append(continuation_solve(problem, cfg, init=init).final.u)
+        sols.append(continuation_solve(problem, cfg, init=init)[-1].u)
     diff = sols[0].values - sols[1].values
     l2 = float(np.sqrt(np.sum(diff ** 2) * problem.grid.h ** 2))
     assert l2 <= 1e-6
@@ -211,9 +208,9 @@ def test_two_channel_dirichlet_ladder_matches_newton():
                                minimal_surface())
     cfg = SolverConfig(mu=1.5, delta_schedule=(0.1, 0.01),
                        residual_tol=1e-11)
-    trace = continuation_solve(problem, cfg)
+    records = continuation_solve(problem, cfg)
     start = problem.u0_interior().values
-    for rec in trace.records:
+    for rec in records:
         reg = RegularizationState(rec.delta, 1.5, "dirichlet")
         ref = newton_solve(assemble_ops(problem, reg).residual, start,
                            tol=1e-12)
@@ -229,9 +226,9 @@ def test_two_channel_multilevel_ladder_matches_newton():
                                minimal_surface())
     cfg = SolverConfig(mu=1.5, delta_schedule=(0.1, 0.01),
                        residual_tol=1e-11)
-    trace = continuation_solve(problem, cfg)
+    records = continuation_solve(problem, cfg)
     start = problem.u0_interior().values
-    for rec in trace.records:
+    for rec in records:
         reg = RegularizationState(rec.delta, 1.5, "dirichlet")
         ref = newton_solve(assemble_ops(problem, reg).residual, start,
                            tol=1e-12)
@@ -284,7 +281,7 @@ def spike_ladders():
 def test_newton_steps_are_mesh_independent(spike_ladders):
     """Refining the spike ladder from 64^2 to 128^2 costs at most half as
     many Newton steps again; the descent it replaced needed about twice."""
-    steps = [sum(rec.stats.iters for rec in spike_ladders[n].records)
+    steps = [sum(rec.stats.iters for rec in spike_ladders[n])
              for n in (64, 128)]
     assert steps[1] <= 1.5 * steps[0], steps
 
@@ -293,7 +290,7 @@ def test_warm_rungs_enter_below_the_lagged_diffusivity(spike_ladders):
     """Rungs after the first start from the previous rung's solution and
     enter at the curvature floor 1e-2, not 1: the 64^2 spike ladder takes
     6/4/3/3 Newton steps where entering every rung at 1 took 6/6/4/4."""
-    steps = [rec.stats.iters for rec in spike_ladders[64].records]
+    steps = [rec.stats.iters for rec in spike_ladders[64]]
     assert sum(steps) <= 16, steps
 
 
@@ -302,11 +299,11 @@ def test_krylov_iterations_on_the_64_ladders(spike_ladders):
     iterations over the 64^2 ladders stay at or below 166 (spike) and 131
     (fidelity), the counts of the Jacobi-to-1x1 V-cycle; the dense coarse
     level takes 141 and 94."""
-    for name, trace, bound in (
+    for name, records, bound in (
             ("spike", spike_ladders[64], 166),
             ("fidelity", continuation_solve(fidelity_inverse_sqrt(64, 64),
                                             SolverConfig(mu=1.5)), 131)):
-        total = sum(rec.stats.krylov_iters for rec in trace.records)
+        total = sum(rec.stats.krylov_iters for rec in records)
         assert total <= bound, (name, total)
 
 
@@ -334,7 +331,7 @@ def cold_ladder(problem, cfg):
 def test_nested_start_cuts_the_fine_rung_0(spike_ladders):
     """The cold-started rung 0 of the 128^2 spike took 29 Newton steps;
     started from its solutions at 16^2, 32^2 and 64^2 it takes at most 10."""
-    records = spike_ladders[128].records
+    records = spike_ladders[128]
     coarse = records[0].coarse
     assert [(g.nx, g.ny) for g, _ in coarse] == [(16, 16), (32, 32), (64, 64)]
     assert all(c.converged and c.iters >= 1 for _, c in coarse)
@@ -351,9 +348,9 @@ def test_grids_without_a_coarse_copy_keep_the_cold_start(make):
     coarse level, and every rung is bit-identical to the cold ladder."""
     problem = make()
     cfg = SolverConfig(mu=1.5)
-    trace = continuation_solve(problem, cfg)
-    assert trace.records[0].coarse == ()
-    for rec, u in zip(trace.records, cold_ladder(problem, cfg)):
+    records = continuation_solve(problem, cfg)
+    assert records[0].coarse == ()
+    for rec, u in zip(records, cold_ladder(problem, cfg)):
         assert np.array_equal(rec.u.values, u.values)
 
 
@@ -392,11 +389,11 @@ def test_failing_coarse_level_hands_its_best_iterate_up(monkeypatch):
         return real(p, reg, init, c, theta)
 
     monkeypatch.setattr(solver, "_newton", one_step_on_coarse_grids)
-    trace = continuation_solve(problem, cfg)
-    ((grid, coarse),) = trace.records[0].coarse
+    records = continuation_solve(problem, cfg)
+    ((grid, coarse),) = records[0].coarse
     assert (grid.nx, grid.ny, coarse.iters) == (16, 16, 1)
     assert not coarse.converged and coarse.krylov_iters >= 1
-    for rec, ref in zip(trace.records, expected.records):
+    for rec, ref in zip(records, expected):
         assert rec.stats.final_residual <= 1e-8 * (1.0 + abs(rec.stats.energy))
         assert np.max(np.abs(rec.u.values - ref.u.values)) <= 1e-6
 
@@ -420,9 +417,9 @@ def test_two_channel_nested_ladder_matches_the_cold_ladder():
                                minimal_surface())
     cfg = SolverConfig(mu=1.5, delta_schedule=(0.1, 0.01),
                        residual_tol=1e-11)
-    trace = continuation_solve(problem, cfg)
-    assert [(g.nx, g.ny) for g, _ in trace.records[0].coarse] == [(16, 16)]
-    for rec, u in zip(trace.records, cold_ladder(problem, cfg)):
+    records = continuation_solve(problem, cfg)
+    assert [(g.nx, g.ny) for g, _ in records[0].coarse] == [(16, 16)]
+    for rec, u in zip(records, cold_ladder(problem, cfg)):
         assert np.max(np.abs(rec.u.values - u.values)) <= 1e-6
 
 
@@ -444,9 +441,9 @@ def test_a_ball_sup_on_cannot_read_is_rejected_before_any_newton_step(
                            interior_ball=ball)
 
 
-def _ball_verdict(check, *args):
+def _ball_verdict(grid, b):
     try:
-        check(*args)
+        check_ball(grid, b)
     except ValueError as err:
         return str(err)
     return None
@@ -457,9 +454,10 @@ def _ball_verdict(check, *args):
                                   Grid2(16, 16, 1e-3)],
                          ids=["2x2", "3x9", "5x7", "32x32", "tiny-h"])
 def test_the_early_ball_check_agrees_with_sup_on(grid):
-    """The separable test reads from the two axes what ``sup_on`` reads from
-    the cell mask, on random balls, on balls whose circle passes within an
-    ulp of the nearest cell centre, and on balls that touch the edge."""
+    """``grids.check_ball``, which ``sup_on`` and the solve raise through,
+    reads from the two axes what the cell mask holds, on random balls, on
+    balls whose circle passes within an ulp of the nearest cell centre, and
+    on balls that touch the edge."""
     rng = np.random.default_rng(grid.nx * grid.ny)
     xs, ys = grid.xs(), grid.ys()
     lx, ly = grid.lx, grid.ly
@@ -478,10 +476,13 @@ def test_the_early_ball_check_agrees_with_sup_on(grid):
                       if rr > 0.0]
     seen = set()
     for b in balls:
-        verdict = _ball_verdict(solver._check_ball, grid, b)
-        assert verdict == _ball_verdict(sup_on, Field.zeros(grid), b)
-        if grid.contains_ball(b):
-            assert (verdict is None) == grid.cells_in_ball(b).any()
+        verdict = _ball_verdict(grid, b)
+        if not grid.contains_ball(b):
+            assert verdict == "ball is not contained in the domain"
+        elif not grid.cells_in_ball(b).any():
+            assert verdict == "ball contains no cell centers"
+        else:
+            assert verdict is None
         seen.add(verdict)
     assert seen == {None, "ball contains no cell centers",
                     "ball is not contained in the domain"}
@@ -618,11 +619,11 @@ def test_ladder_evaluates_the_plain_energy_once_per_rung(monkeypatch):
     counts = {"assemble": 0, "evaluate": 0}
     count_evaluations(monkeypatch, counts, plain=True)
     problem = denoise_problem(n=12)
-    trace = continuation_solve(problem, SolverConfig(mu=1.5))
-    assert len(trace.records) == 4
+    records = continuation_solve(problem, SolverConfig(mu=1.5))
+    assert len(records) == 4
     assert counts == {"assemble": 1, "evaluate": 4}
     ops = assemble_ops(problem, None)
-    for rec in trace.records:
+    for rec in records:
         assert rec.plain_energy == ops.energy(rec.u.values)
 
 
@@ -668,9 +669,9 @@ def test_the_newton_budget_defaults_to_200_steps():
 def test_a_ladder_at_mu_next_to_one_converges():
     """At mu - 1 = 1e-10 the regularizer keeps its accuracy, so every rung
     reaches its tolerance."""
-    trace = continuation_solve(fidelity_inverse_sqrt(16, 16),
-                               SolverConfig(mu=1.0 + 1e-10, max_iters=30))
-    assert all(rec.stats.iters <= 16 for rec in trace.records)
+    records = continuation_solve(fidelity_inverse_sqrt(16, 16),
+                                 SolverConfig(mu=1.0 + 1e-10, max_iters=30))
+    assert all(rec.stats.iters <= 16 for rec in records)
 
 
 def test_init_mismatch_rejected():
@@ -693,7 +694,7 @@ def test_minimality_of_solved_instance():
     assert report.passed
     assert report.trials == 101
     assert report.worst_margin >= -report.threshold
-    assert report.to_dict()["passed"] is True
+    assert report.passed is True
 
 
 def test_minimality_margin_exactly_zero_at_constant_datum():
@@ -729,13 +730,12 @@ def test_minimality_reports_the_residual_trial_apart(make):
     solution moves by one ulp; the random trials' worst does not."""
     problem = make(32, 32)
     final = continuation_solve(
-        problem, SolverConfig(delta_schedule=(0.1, 0.01))).final
+        problem, SolverConfig(delta_schedule=(0.1, 0.01)))[-1]
     reg = RegularizationState(final.delta, 1.5, problem.kind)
     report = verify_minimality(problem, reg, final.u, trials=100)
     assert report.residual_margin == report.margins[-1]
     assert report.worst_margin == np.min(report.margins[:-1])
     assert report.passed == (np.min(report.margins) >= -report.threshold)
-    assert report.to_dict()["residual_margin"] == report.residual_margin
     vals = final.u.values.copy()
     vals.reshape(-1)[::10] = np.nextafter(vals.reshape(-1)[::10], np.inf)
     moved = verify_minimality(problem, reg, Field(problem.grid, vals),
