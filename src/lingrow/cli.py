@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
-from .energy import FidelityProblem, RegularizationState
+from .energy import RegularizationState
 from .moser import (BallFamily, MoserGeometryError, check_geometry,
                     moser_report, select_radius)
 from .pgmio import field_to_csv, write_pgm
@@ -121,11 +121,9 @@ def cmd_density_check(cfg: RunConfig, out_dir: str) -> int:
 
 def _resolve_ball(cfg: RunConfig, problem) -> tuple[BallFamily, float | None]:
     if cfg.ball is not None:
-        ball = cfg.ball
-        eps0 = None
+        ball, eps0 = cfg.ball, None
     elif cfg.ball_auto_x0 is not None:
-        if not isinstance(problem, FidelityProblem):
-            raise ConfigError("auto ball selection needs a fidelity problem")
+        # the config admits an auto ball only on a fidelity problem
         r0, eps0 = select_radius(problem.f, problem.mask, problem.lam,
                                  cfg.ball_auto_x0)
         ball = BallFamily(cfg.ball_auto_x0, r0, n=cfg.ball_n,
@@ -153,12 +151,9 @@ def _run_solve(cfg: RunConfig, out_dir: str, summary: str, ball=None,
 def _write_trace(cfg: RunConfig, records: list[DeltaRecord],
                  out_dir: str) -> bool:
     """Write the trace, the rung images and the final solution; return
-    whether the final solution passed the minimality audit."""
-    _write_table(os.path.join(out_dir, "trace.csv"),
-                 "delta,energy,plain_energy,residual,iters,tv,interior_sup",
-                 [(r.delta, r.stats.energy, r.plain_energy,
-                   r.stats.final_residual, r.stats.iters, r.tv,
-                   r.interior_sup) for r in records])
+    whether the final solution passed the minimality audit.  Each rung's
+    fields are mapped once, to its ``trace.json`` entry; ``trace.csv``
+    holds seven of them."""
     problem = cfg.require_problem()
     entries = []
     for rec in records:
@@ -184,6 +179,9 @@ def _write_trace(cfg: RunConfig, records: list[DeltaRecord],
             "pgm": name if rec.u.channels == 1 else None,
             "pgm_lo": lo, "pgm_hi": hi,
         })
+    header = "delta,energy,plain_energy,residual,iters,tv,interior_sup"
+    _write_table(os.path.join(out_dir, "trace.csv"), header,
+                 [[e[k] for k in header.split(",")] for e in entries])
     final = records[-1]
     field_to_csv(os.path.join(out_dir, "solution_final.csv"), final.u)
     reg = RegularizationState(final.delta, cfg.solver.mu, problem.kind)

@@ -19,7 +19,7 @@ import numpy as np
 from .energy import DirichletProblem, FidelityProblem
 from .grids import Field, Grid2, Mask
 from .instances import make_field, make_function, snap_to_cell
-from .moser import BallFamily
+from .moser import BallFamily, _check_depth
 from .pgmio import field_from_csv, field_from_pgm, mask_from_pgm
 from .profiles import RadialProfile
 from .solver import SolverConfig
@@ -335,6 +335,11 @@ def parse_config(raw: dict, base_dir: str = ".",
             x0 = b["x0"]
             _expect(isinstance(x0, list) and len(x0) == 2, "'x0' needs 2 numbers")
             cfg.ball_auto_x0 = (_real(x0[0], "x0"), _real(x0[1], "x0"))
+            # the radius waits for the datum; the rest is checked here
+            with _section("bad ball"):
+                _expect(not isinstance(cfg.problem, DirichletProblem),
+                        "auto ball selection needs a fidelity problem")
+                _check_depth(cfg.ball_n, cfg.ball_j_max)
         else:
             _expect("center" in b and "r0" in b,
                     "ball needs 'center' and 'r0' (or 'auto' with 'x0')")

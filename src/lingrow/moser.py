@@ -56,6 +56,18 @@ class MoserGeometryError(ValueError):
     """Ball family or radius search that the grid or a float cannot hold."""
 
 
+def _check_depth(n: int, j_max: int) -> None:
+    """Raise ``MoserGeometryError`` unless (n/(n-1))^j_max and
+    (n/(n-1))^(2n(n-1)) are finite floats: the depth rule of both ball forms."""
+    try:  # a float power that overflows raises, never returns inf
+        q = n / (n - 1.0)
+        q ** j_max, q ** (2 * n * (n - 1))
+    except OverflowError:
+        raise MoserGeometryError(
+            "ball family too deep or too wide: (n/(n-1))^j_max or "
+            "(n/(n-1))^(2n(n-1)) is not a finite float") from None
+
+
 @dataclass(frozen=True)
 class BallFamily:
     """Concentric shrinking balls around ``center`` with outer radius r0."""
@@ -72,12 +84,7 @@ class BallFamily:
             raise ValueError("dimension parameter n must be at least 2")
         if self.j_max < 1:
             raise ValueError("j_max must be at least 1")
-        try:  # a float power that overflows raises, never returns inf
-            self.q ** self.j_max, self.q ** (2 * self.n * (self.n - 1))
-        except OverflowError:
-            raise MoserGeometryError(
-                "ball family too deep or too wide: (n/(n-1))^j_max or "
-                "(n/(n-1))^(2n(n-1)) is not a finite float") from None
+        _check_depth(self.n, self.j_max)
 
     @property
     def q(self) -> float:
@@ -260,8 +267,7 @@ def _caccioppoli(mag: np.ndarray, r_cell: np.ndarray, rr: np.ndarray,
     powers = []
     for s in s_values:
         us1 = mag ** (s + 1.0)
-        powers.append((np.ones_like(mag) if s == 0.0 else mag ** s, us1,
-                       us1 ** q))
+        powers.append((mag ** s, us1, us1 ** q))  # x ** 0.0 is exactly 1.0
     levels = [[] for _ in s_values]
     failed = [False for _ in s_values]
     # Levels whose annulus is thinner than two cells cannot resolve the

@@ -119,20 +119,6 @@ def combined(delta: float, mu: float, base: RadialProfile) -> RadialProfile:
     return RadialProfile("combined", mu=float(mu), delta=float(delta), base=base)
 
 
-def _check_t(t) -> tuple[np.ndarray, bool]:
-    """Validated slopes as an array of at least one dimension, so that the
-    closed forms below can work in place; the flag says t was a scalar."""
-    arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    if scalar:
-        arr = arr.reshape(1)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("t must be finite")
-    if np.any(arr < 0.0):
-        raise ValueError("t must be non-negative")
-    return arr, scalar
-
-
 # The closed forms take an array of slopes ``t`` of at least one dimension,
 # finite and non-negative, and return fresh arrays that they update in
 # place; each in-place step applies the same operation to the same operands
@@ -246,32 +232,37 @@ def radial_excess(p: RadialProfile, t: np.ndarray, ratio: np.ndarray,
     return out
 
 
+def _validated(evaluate, p: RadialProfile, t, *args):
+    """``evaluate(p, t, *args)`` on validated slopes ``t``, made an array of
+    at least one dimension so that the closed forms can work in place; a
+    scalar ``t`` gives a float."""
+    arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("t must be finite")
+    if np.any(arr < 0.0):
+        raise ValueError("t must be non-negative")
+    out = evaluate(p, arr, *args)
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
 def profile_eval(p: RadialProfile, t):
     """Profile value at ``t >= 0`` (scalar or array)."""
-    arr, scalar = _check_t(t)
-    out = derivative(p, arr, 0)
-    return float(out[0]) if scalar else out
+    return _validated(derivative, p, t, 0)
 
 
 def profile_d1(p: RadialProfile, t):
     """First derivative; non-negative, non-decreasing, bounded."""
-    arr, scalar = _check_t(t)
-    out = derivative(p, arr, 1)
-    return float(out[0]) if scalar else out
+    return _validated(derivative, p, t, 1)
 
 
 def profile_d2(p: RadialProfile, t):
     """Second derivative; non-negative, decaying at infinity."""
-    arr, scalar = _check_t(t)
-    out = derivative(p, arr, 2)
-    return float(out[0]) if scalar else out
+    return _validated(derivative, p, t, 2)
 
 
 def slope_ratio(p: RadialProfile, t):
     """``d1(t)/t`` with its limit ``d2(0)`` used below the origin cutoff."""
-    arr, scalar = _check_t(t)
-    out = d1_over_t(p, arr)
-    return float(out[0]) if scalar else out
+    return _validated(d1_over_t, p, t)
 
 
 def recession_slope(p: RadialProfile) -> float:
@@ -359,38 +350,34 @@ def _ray(t_max: float) -> np.ndarray:
     return np.geomspace(end * 1e-4, end, 160)
 
 
-def _bounded_on_ray(fn, t_max: float) -> bool:
-    """True when ``fn`` does not increase on the last quarter of the ray."""
-    tail = np.asarray(fn(_ray(t_max)), dtype=float)[-40:]
+def _bounded_on_ray(values: np.ndarray) -> bool:
+    """True when ``values``, taken on the ray, do not increase on its last
+    quarter."""
+    tail = values[-40:]
     scale = max(1.0, float(np.max(np.abs(tail))))
     return bool(np.all(np.diff(tail) <= 1e-13 * scale))
-
-
-def _ellipticity_floor(p: RadialProfile, t: np.ndarray) -> np.ndarray:
-    """min(d2, d1/t) on the sample grid, with the t=0 limit handled."""
-    return np.minimum(profile_d2(p, t), slope_ratio(p, t))
 
 
 _MU_SCAN_STEP = 0.05
 
 
-def _floor_decay_exponent(p: RadialProfile, t_max: float) -> float:
+def _floor_decay_exponent(ray: np.ndarray, ray_floor: np.ndarray) -> float:
     """Decay rate beta of the ellipticity floor, ~ (1+t)^(-beta).
 
     The log-log slope between the last two ray points, where the floor
     follows its power law.  A floor that is not positive there (it decays
     faster than any power, or underflows) comes back as +inf.
     """
-    ray = _ray(t_max)[-2:]
-    f = _ellipticity_floor(p, ray)
+    f = ray_floor[-2:]
     if np.any(f <= 0.0):
         return math.inf
-    (f0, f1), (l0, l1) = np.log(f), np.log1p(ray)
+    (f0, f1), (l0, l1) = np.log(f), np.log1p(ray[-2:])
     return -float((f1 - f0) / (l1 - l0))
 
 
 def _certify_mu(p: RadialProfile, t: np.ndarray, floor: np.ndarray,
-                t_max: float) -> tuple[float, float] | None:
+                ray: np.ndarray, ray_floor: np.ndarray
+                ) -> tuple[float, float] | None:
     """Smallest exponent mu with ``floor >= nu6 (1+t)^(-mu)`` sustainable.
 
     A candidate mu supports a positive constant exactly when it is at least
@@ -403,7 +390,7 @@ def _certify_mu(p: RadialProfile, t: np.ndarray, floor: np.ndarray,
     sample grid.  Returns (mu, nu6) or None, also for a floor that vanishes
     on the grid: it does not increase, so it vanishes on the tail as well.
     """
-    beta = _floor_decay_exponent(p, t_max)
+    beta = _floor_decay_exponent(ray, ray_floor)
     if not math.isfinite(beta):
         return None
     nest = [p]
@@ -430,20 +417,22 @@ def certify_conditions(p: RadialProfile, t_max: float = 100.0,
         raise ValueError("t_max must be positive")
     if samples < 100:
         raise ValueError("samples must be at least 100")
+    # Each order is evaluated once per grid, by the unvalidated kernels:
+    # both grids are finite and non-negative by construction.
     t = _sample_grid(t_max, samples)
-    val = profile_eval(p, t)
-    d1 = profile_d1(p, t)
-    d2 = profile_d2(p, t)
+    val, d1, d2 = (derivative(p, t, order) for order in range(3))
+    ratio = d1_over_t(p, t)
+    ray = _ray(t_max)
+    ray_d1, ray_d2 = derivative(p, ray, 1), derivative(p, ray, 2)
 
     checks: dict[str, ConditionCheck] = {}
 
-    v0 = float(profile_eval(p, 0.0))
+    # t = 0 is the sample's first point
+    v0, s0 = abs(float(val[0])), abs(float(d1[0]))
     checks["value_zero_at_origin"] = ConditionCheck(
-        "value_zero_at_origin", abs(v0) <= _SIGN_TOL, abs(v0), 0.0)
-
-    s0 = float(profile_d1(p, 0.0))
+        "value_zero_at_origin", v0 <= _SIGN_TOL, v0, 0.0)
     checks["slope_zero_at_origin"] = ConditionCheck(
-        "slope_zero_at_origin", abs(s0) <= _SIGN_TOL, abs(s0), 0.0)
+        "slope_zero_at_origin", s0 <= _SIGN_TOL, s0, 0.0)
 
     worst_d2 = float(np.min(d2))
     k_d2 = int(np.argmin(d2))
@@ -465,8 +454,7 @@ def certify_conditions(p: RadialProfile, t_max: float = 100.0,
     # The slope d1 is non-decreasing for a convex profile, so checking it
     # against the analytic recession slope certifies F <= nu3 t + nu4 for
     # every t, not just on the sample.
-    slope_peak = max(float(np.max(d1)),
-                     float(np.max(profile_d1(p, _ray(t_max)))))
+    slope_peak = max(float(np.max(d1)), float(np.max(ray_d1)))
     growth_ok = slope_peak <= nu3 * (1.0 + 1e-9) + 1e-12
     checks["linear_growth_sandwich"] = ConditionCheck(
         "linear_growth_sandwich", nu1 > 0.0 and growth_ok,
@@ -475,13 +463,13 @@ def certify_conditions(p: RadialProfile, t_max: float = 100.0,
 
     # curvature decay: d2 <= nu5 / (1+t), and the full upper corridor
     # max(d2, d1/t) <= nu5 / (1+t) used by the Hessian bound.
-    ratio = slope_ratio(p, t)
     upper = np.maximum(d2, ratio) * (1.0 + t)
-    nu5_d2 = float(np.max(d2 * (1.0 + t)))
-    d2_bounded = _bounded_on_ray(lambda tt: profile_d2(p, tt) * (1.0 + tt), t_max)
+    d2_decay = d2 * (1.0 + t)
+    nu5_d2 = float(np.max(d2_decay))
+    d2_bounded = _bounded_on_ray(ray_d2 * (1.0 + ray))
     checks["curvature_decay"] = ConditionCheck(
         "curvature_decay", d2_bounded and nu5_d2 > 0.0, 0.0,
-        float(t[int(np.argmax(d2 * (1.0 + t)))]),
+        float(t[int(np.argmax(d2_decay))]),
         note=f"d2*(1+t) peak {nu5_d2:.6g}")
     # The corridor tends to the recession slope (d1 (1+t)/t -> nu3 while
     # the curvature part vanishes), so a globally valid constant is at
@@ -494,8 +482,8 @@ def certify_conditions(p: RadialProfile, t_max: float = 100.0,
         note=f"max(d2, d1/t)*(1+t) peak {peak:.6g}, recession floor {nu3:.6g}")
 
     # mu-ellipticity floor
-    floor = _ellipticity_floor(p, t)
-    cert = _certify_mu(p, t, floor, t_max)
+    floor = np.minimum(d2, ratio)
+    cert = _certify_mu(p, t, floor, ray, np.minimum(ray_d2, d1_over_t(p, ray)))
     if cert is None:
         checks["mu_ellipticity"] = ConditionCheck(
             "mu_ellipticity", False, float(np.min(floor)), None,

@@ -224,10 +224,10 @@ def minimize_fixed_delta(problem, reg: RegularizationState | None,
 
 def _newton(problem, reg: RegularizationState | None, init: Field,
             cfg: SolverConfig, theta: float = 1.0):
-    """The Newton-CG iteration of ``minimize_fixed_delta``, entered at the
-    curvature floor ``theta``; the nested start calls it directly, so a
-    coarse level is not counted as a rung.  Iterates, directions and
-    residuals are padded (``grids.pad``)."""
+    """Newton-CG on every rung and the nested start's coarse copies, from
+    curvature floor ``theta``; ``minimize_fixed_delta`` wraps it only for
+    the benchmark's tracer and the tests, until the tracer reads rungs from
+    the records.  Iterates, directions, residuals are padded (``grids.pad``)."""
     ops = assemble_ops(problem, reg)
     if init.grid != problem.grid or init.channels != problem.channels:
         raise ValueError("init does not match the problem")

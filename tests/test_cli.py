@@ -616,6 +616,35 @@ class TestMoser:
         assert rc == 2
         assert "fidelity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["density-check", "solve", "moser"])
+    @pytest.mark.parametrize("ball", [
+        {"center": [0.5, 0.5], "r0": 0.3, "j_max": 2000},
+        {"auto": True, "x0": [0.5, 0.5], "j_max": 2000},
+    ], ids=["explicit", "auto"])
+    def test_both_ball_forms_meet_the_depth_rule_when_the_config_loads(
+            self, tmp_path, capsys, ball, command):
+        """A family too deep for a float fails every command alike, whether
+        its radius is given or chosen from the datum."""
+        cfg = denoise_config(nx=16)
+        cfg["ball"] = ball
+        rc, out = run(tmp_path, command, cfg)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "lingrow: bad ball: ball family too deep or too wide: "
+            "(n/(n-1))^j_max or (n/(n-1))^(2n(n-1)) is not a finite float\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["density-check", "solve"])
+    def test_an_auto_ball_on_a_dirichlet_problem_fails_when_the_config_loads(
+            self, tmp_path, capsys, command):
+        cfg = affine_dirichlet_config()
+        cfg["ball"] = {"auto": True, "x0": [0.5, 0.5]}
+        rc, out = run(tmp_path, command, cfg)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "lingrow: bad ball: auto ball selection needs a fidelity problem\n")
+        assert not out.exists()
+
     def test_a_grid_whose_squared_side_overflows_exits_two(self, tmp_path,
                                                           capsys):
         cfg = zero_moser_config()
@@ -690,8 +719,8 @@ class TestMoser:
         err = capsys.readouterr().err
         assert err.startswith("lingrow:") and "ball family too deep" in err
         assert len(err.splitlines()) == 1
-        # an explicit family fails at parse time, before --out is made
-        assert not out.exists() or os.listdir(out) == []
+        # both forms fail when the config loads, before --out is made
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["moser", "full-report"])
     def test_annuli_thinner_than_two_cells_exit_two_before_solving(

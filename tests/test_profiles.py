@@ -291,6 +291,26 @@ def test_certify_minimal_surface():
     assert c.nu5 == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
+def test_a_certificate_evaluates_each_order_once_per_grid(monkeypatch):
+    """Value, d1, d2 and d1/t once on the sample grid, and d1, d2 and d1/t
+    once on the tail ray (d1/t takes two calls): nine in all.  Both grids
+    are built finite and non-negative, so neither is validated."""
+    calls, derivative = [], profiles.derivative
+
+    def counted(p, t, order):
+        calls.append(order)
+        return derivative(p, t, order)
+
+    def validated(*args):
+        raise AssertionError("the certificate validated its own grid")
+
+    monkeypatch.setattr(profiles, "derivative", counted)
+    monkeypatch.setattr(profiles, "_validated", validated)
+    rep = certify_conditions(minimal_surface())
+    assert rep.all_passed
+    assert len(calls) <= 9
+
+
 def test_certify_small_sample_run():
     rep = certify_conditions(phi_mu(1.5), 10.0, 100)
     assert rep.all_passed
@@ -338,10 +358,12 @@ def test_small_t_max_still_reads_the_tail(p, mu, t_max):
 
 
 def test_a_quotient_still_rising_on_the_tail_is_unbounded():
-    assert not profiles._bounded_on_ray(np.log1p, 100.0)
-    assert profiles._bounded_on_ray(lambda t: 1.0 / (1.0 + t), 100.0)
+    ray = profiles._ray(100.0)
+    assert not profiles._bounded_on_ray(np.log1p(ray))
+    assert profiles._bounded_on_ray(1.0 / (1.0 + ray))
     # flat within round-off counts as bounded
-    assert profiles._bounded_on_ray(lambda t: 2.0 + 1e-15 * t / t[-1], 1.0)
+    ray = profiles._ray(1.0)
+    assert profiles._bounded_on_ray(2.0 + 1e-15 * ray / ray[-1])
 
 
 @pytest.mark.parametrize("t_max", [1.0, 100.0])
