@@ -225,8 +225,8 @@ def _moser_payload(cfg: RunConfig, records: list[DeltaRecord], out_dir: str,
                      "n": ball.n, "j_max": ball.j_max, "epsilon0": eps0}}
 
 
-def cmd_moser(cfg: RunConfig, out_dir: str) -> int:
-    ball, eps0 = _resolve_ball(cfg, cfg.require_problem())
+def cmd_moser(cfg: RunConfig, out_dir: str, ball: BallFamily,
+              eps0: float | None) -> int:
     records = _run_solve(cfg, out_dir, "moser_summary.json", ball=ball)
     if records is None:
         return EXIT_CHECK_FAILED
@@ -235,9 +235,9 @@ def cmd_moser(cfg: RunConfig, out_dir: str) -> int:
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
 
-def cmd_full_report(cfg: RunConfig, out_dir: str) -> int:
+def cmd_full_report(cfg: RunConfig, out_dir: str, ball: BallFamily,
+                    eps0: float | None) -> int:
     problem = cfg.require_problem()
-    ball, eps0 = _resolve_ball(cfg, problem)
     density_report = certify_conditions(problem.density, cfg.density_t_max,
                                         cfg.density_samples)
     _write_json(os.path.join(out_dir, "condition_report.json"),
@@ -258,6 +258,18 @@ def cmd_full_report(cfg: RunConfig, out_dir: str) -> int:
         "passed": ok,
     })
     return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
+def _check(command: str, cfg: RunConfig) -> tuple:
+    """Every check of ``command`` that writes nothing, run before ``--out``
+    is made so that a rejected config leaves no directory: the sections it
+    reads and, for the Moser audits, the ball, resolved once here.
+    Returns the command's arguments after ``(cfg, out_dir)``."""
+    if command == "density-check":
+        cfg.require_density()
+        return ()
+    problem = cfg.require_problem()
+    return () if command == "solve" else _resolve_ball(cfg, problem)
 
 
 _COMMANDS = {
@@ -283,6 +295,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, seed_override=args.seed)
+        extra = _check(args.command, cfg)
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as err:
@@ -290,7 +303,7 @@ def main(argv=None) -> int:
                       f"{err.strerror}")
             return EXIT_BAD_CONFIG
         try:
-            return _COMMANDS[args.command](cfg, args.out)
+            return _COMMANDS[args.command](cfg, args.out, *extra)
         except OSError as err:  # a report file that cannot be written
             path = args.out if err.filename is None else err.filename
             _complain(f"cannot write {path!r}: {err.strerror}")

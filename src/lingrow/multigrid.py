@@ -24,8 +24,10 @@ selected x cells, pair-summed along y by strided slices (even cells
 copied, odd cells added onto the next coarse cell); ``tyy`` is the fine
 one at the selected y cells, pair-summed along x; ``txy`` is the fine one
 at the cells selected along both axes.  No stencil is ever formed.
-``restrict`` and ``prolong`` read and write the interiors of padded
-arrays.
+``restrict`` sums the four strided fine terms of each aggregate into the
+interior of a zero-ring coarse array, and ``prolong`` adds the coarse
+interior, each cell repeated twice per axis, onto the fine interior, so
+neither writes a ring.
 
 Coarsening stops at the first level with at most ``_DENSE_MAX`` cells per
 axis, which is solved exactly: its matrix is assembled per channel, shifted
@@ -165,35 +167,28 @@ def _pair_sum(t: np.ndarray, axis: int, n: int) -> np.ndarray:
 def restrict(r: np.ndarray) -> np.ndarray:
     """``P^T r``: sums over the 2x2 aggregates, padded in and out.  Coarse
     node ``(I, J)`` sums fine nodes ``2I-1`` and ``2I`` of each axis, where
-    an odd size reaches the zero ring."""
+    an odd size reaches the zero ring; the sum is taken into the interior
+    of the zero-ring coarse array."""
     cx, cy = (r.shape[0] - 1) // 2, (r.shape[1] - 1) // 2
     odd_x, even_x = slice(1, 2 * cx, 2), slice(2, 2 * cx + 1, 2)
     odd_y, even_y = slice(1, 2 * cy, 2), slice(2, 2 * cy + 1, 2)
-    out = np.add(r[odd_x, odd_y], r[even_x, odd_y])
-    out += r[odd_x, even_y]
-    out += r[even_x, even_y]
-    return pad(out)
+    out = np.zeros((cx + 2, cy + 2) + r.shape[2:])
+    cells = out[1:-1, 1:-1]
+    np.add(r[odd_x, odd_y], r[even_x, odd_y], out=cells)
+    cells += r[odd_x, even_y]
+    cells += r[even_x, even_y]
+    return out
 
 
 def prolong(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out += P x``: each aggregate's value added on its cells, padded in
-    and out.  The piecewise-constant copy of ``x`` is built in one array,
-    each coarse node repeated along y and then along x, and added in one
-    pass; its ring, where an odd size puts a coarse value, is zeroed."""
-    rows, s, n = out.shape
-    cr, cs = x.shape[0], x.shape[1]
-    along_y = np.empty((cr, cs, 2, n))
-    along_y[:, :, 0] = x
-    along_y[:, :, 1] = x
-    along_y = along_y.reshape(cr, 2 * cs, n)[:, 1:s + 1]
-    up = np.empty((cr, 2, s, n))
-    up[:, 0] = along_y
-    up[:, 1] = along_y
-    # fine node I takes coarse node (I+1)//2
-    up = up.reshape(2 * cr, s, n)[1:rows + 1]
-    up[-1] = 0.0
-    up[:, -1] = 0.0
-    out += up
+    and out.  Fine cell ``i`` takes coarse cell ``i//2`` (fine node ``I``
+    coarse node ``(I+1)//2``), so the coarse interior, each cell repeated
+    along x and then along y and cut to the fine size, is added onto the
+    fine interior in one pass; the ring of ``out`` is not written."""
+    mx, my = out.shape[0] - 2, out.shape[1] - 2
+    up = x[1:-1, 1:-1].repeat(2, axis=0)[:mx].repeat(2, axis=1)[:, :my]
+    out[1:-1, 1:-1] += up
     return out
 
 

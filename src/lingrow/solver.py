@@ -42,8 +42,8 @@ A warm rung is entered at ``theta`` 1e-2, not 1: its start is the previous
 rung's minimizer on the same grid, so the lagged-diffusivity steps that a
 cold start needs would only walk the floor down again (the 128^2 edge spike
 takes 9/6/3/3 Newton steps where entering every rung at 1 took 9/9/5/4).
-Rung 0, the nested start's coarse copies and ``minimize_fixed_delta``
-enter at 1.
+Rung 0 and the nested start's coarse copies enter at 1;
+``minimize_fixed_delta`` enters at its ``theta``, default 1.
 A cold start begins rung 0 by nested iteration (the full-multigrid start of
 Brandt, Math. Comp. 31, 1977): the problem is halved while both cell counts
 are even and at least 16 cells per axis remain, rung 0 is solved on the
@@ -212,22 +212,25 @@ def _pcg(hess, precond: Multigrid, r: np.ndarray, eta: float):
 
 
 def minimize_fixed_delta(problem, reg: RegularizationState | None,
-                         init: Field, cfg: SolverConfig = SolverConfig()):
-    """Minimize one rung of the ladder.  Returns (solution, stats).
+                         init: Field, cfg: SolverConfig = SolverConfig(),
+                         theta: float = 1.0):
+    """Minimize one rung of the ladder from curvature floor ``theta``.
+    Returns (solution, stats).
 
     Stops when the sup-norm of the Euler residual drops below the tolerance;
     raises ``SolverError`` (carrying the best iterate) when the iteration
     budget is exhausted or the line search stalls short of it.
     """
-    return _newton(problem, reg, init, cfg)
+    return _newton(problem, reg, init, cfg, theta)
 
 
 def _newton(problem, reg: RegularizationState | None, init: Field,
             cfg: SolverConfig, theta: float = 1.0):
-    """Newton-CG on every rung and the nested start's coarse copies, from
-    curvature floor ``theta``; ``minimize_fixed_delta`` wraps it only for
-    the benchmark's tracer and the tests, until the tracer reads rungs from
-    the records.  Iterates, directions, residuals are padded (``grids.pad``)."""
+    """Newton-CG from curvature floor ``theta``.  The ladder's rungs run it
+    through ``minimize_fixed_delta``, so perfbench's tracer and
+    ``make_reference.py``, which wrap that name, see each rung; the nested
+    start's coarse copies call it directly and are not counted as rungs.
+    Iterates, directions, residuals are padded (``grids.pad``)."""
     ops = assemble_ops(problem, reg)
     if init.grid != problem.grid or init.channels != problem.channels:
         raise ValueError("init does not match the problem")
@@ -375,8 +378,8 @@ def continuation_solve(problem, cfg: SolverConfig = SolverConfig(),
         if u is None:
             u, coarse = _nested_start(problem, reg, cfg)
         try:
-            u, stats = _newton(problem, reg, u, cfg,
-                               1.0 if rung == 0 else _THETA_WARM)
+            u, stats = minimize_fixed_delta(problem, reg, u, cfg,
+                                            1.0 if rung == 0 else _THETA_WARM)
         except SolverError as err:
             raise SolverError(f"delta={delta:g}: {err}", err.best,
                               err.stats) from err

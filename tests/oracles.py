@@ -475,6 +475,47 @@ def coarse_tensors_by_reshape(level):
 
 
 # ---------------------------------------------------------------------------
+# the aggregation transfers on padded arrays, with staging arrays: the
+# restriction summed unpadded and copied into a new zero ring, the
+# prolongation's piecewise-constant copy built in full and its ring zeroed
+
+
+def restrict_then_pad(r: np.ndarray) -> np.ndarray:
+    """``P^T r`` of ``multigrid.restrict``: the four strided terms of each
+    aggregate, in its order, summed and then copied into a zero ring."""
+    cx, cy = (r.shape[0] - 1) // 2, (r.shape[1] - 1) // 2
+    odd_x, even_x = slice(1, 2 * cx, 2), slice(2, 2 * cx + 1, 2)
+    odd_y, even_y = slice(1, 2 * cy, 2), slice(2, 2 * cy + 1, 2)
+    cells = np.add(r[odd_x, odd_y], r[even_x, odd_y])
+    cells += r[odd_x, even_y]
+    cells += r[even_x, even_y]
+    out = np.zeros((cx + 2, cy + 2) + r.shape[2:])
+    out[1:-1, 1:-1] = cells
+    return out
+
+
+def prolong_staged(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out += P x`` of ``multigrid.prolong``: the copy of ``x`` with each
+    coarse node repeated along y and then along x (fine node ``I`` takes
+    coarse node ``(I+1)//2``), its last row and column zeroed, added to
+    the whole of ``out``."""
+    rows, s, n = out.shape
+    cr, cs = x.shape[0], x.shape[1]
+    along_y = np.empty((cr, cs, 2, n))
+    along_y[:, :, 0] = x
+    along_y[:, :, 1] = x
+    along_y = along_y.reshape(cr, 2 * cs, n)[:, 1:s + 1]
+    up = np.empty((cr, 2, s, n))
+    up[:, 0] = along_y
+    up[:, 1] = along_y
+    up = up.reshape(2 * cr, s, n)[1:rows + 1]
+    up[-1] = 0.0
+    up[:, -1] = 0.0
+    out += up
+    return out
+
+
+# ---------------------------------------------------------------------------
 # report tables, rendered row by row with f-strings, apart from the CLI's
 # table writer
 

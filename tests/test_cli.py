@@ -607,7 +607,7 @@ class TestMoser:
         rc, out = run(tmp_path, "moser", denoise_config())
         assert rc == 2
         assert "needs a 'ball' section" in capsys.readouterr().err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_auto_ball_needs_fidelity(self, tmp_path, capsys):
         cfg = affine_dirichlet_config()
@@ -683,8 +683,8 @@ class TestMoser:
     @pytest.mark.parametrize("command", ["moser", "full-report"])
     def test_thin_innermost_ball_exits_two_before_solving(
             self, tmp_path, capsys, monkeypatch, command):
-        """Too few cells in the innermost ball is found before the solve:
-        no trace, solution or image is written."""
+        """Too few cells in the innermost ball is found before the solve
+        and before ``--out`` is made: nothing is written."""
         def no_solve(*args, **kwargs):
             raise AssertionError("solve started")
 
@@ -698,7 +698,7 @@ class TestMoser:
         assert err.startswith("lingrow:")
         assert "innermost ball holds 12 cell centres" in err
         assert len(err.splitlines()) == 1
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("ball", [
         {"center": [0.5, 0.5], "r0": 0.3, "j_max": 1024},
@@ -740,7 +740,7 @@ class TestMoser:
         assert capsys.readouterr().err == (
             "lingrow: no annulus is at least two cells wide; enlarge r0 or "
             "refine the grid\n")
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_minimality_trials_zero_exits_two_before_solving(
             self, tmp_path, capsys):
@@ -851,6 +851,71 @@ class TestFullReport:
         assert (out / "trace.csv").exists()
         assert (out / "sup_vs_delta.csv").exists()
         assert (out / "moser_0p01.csv").exists()
+
+
+def spike_config(**ball):
+    """The 32^2 edge spike with a ball family of r0 0.3, as keyed."""
+    return {
+        "grid": {"nx": 32, "ny": 32, "h": 0.03125},
+        "solver": {"mu": 1.5},
+        "problem": {"kind": "dirichlet",
+                    "density": {"kind": "minimal_surface"},
+                    "u0": {"synthetic": {"kind": "edge_spike",
+                                         "height": 100.0, "width": 0.1,
+                                         "center": [0.5, 0.0],
+                                         "background": [2.0, 1.0, 1.0]}}},
+        "ball": {"center": [0.5, 0.5], "r0": 0.3, "j_max": 3, **ball},
+    }
+
+
+def without(cfg, *keys):
+    return {k: v for k, v in cfg.items() if k not in keys}
+
+
+NO_RADIUS = {
+    "grid": {"nx": 16, "ny": 16, "h": 0.0625},
+    "solver": {"mu": 1.5},
+    "problem": {"kind": "fidelity", "density": {"kind": "minimal_surface"},
+                "f": {"synthetic": {"kind": "inverse_sqrt_spike",
+                                    "center": [0.5, 0.5], "cap": 1e6}},
+                "lambda": 0.5},
+    "ball": {"auto": True, "x0": [0.5, 0.5]},
+}
+
+
+@pytest.mark.parametrize("command,payload,message", [
+    ("moser", without(spike_config(), "ball"),
+     "config needs a 'ball' section for this command"),
+    ("full-report", without(spike_config(), "ball"),
+     "config needs a 'ball' section for this command"),
+    ("solve", without(spike_config(), "problem"),
+     "config needs a 'problem' section"),
+    ("moser", without(spike_config(), "problem"),
+     "config needs a 'problem' section"),
+    ("full-report", without(spike_config(), "problem"),
+     "config needs a 'problem' section"),
+    ("density-check", without(spike_config(), "problem"),
+     "config needs a 'density' or a 'problem'"),
+    ("moser", spike_config(r0=0.1),
+     "innermost ball holds 12 cell centres; at least 50 required"),
+    ("full-report", spike_config(r0=0.1),
+     "innermost ball holds 12 cell centres; at least 50 required"),
+    ("moser", NO_RADIUS, "no admissible radius above 3h: "),
+    ("full-report", NO_RADIUS, "no admissible radius above 3h: "),
+], ids=["moser-noball", "full-report-noball", "solve-noproblem",
+        "moser-noproblem", "full-report-noproblem",
+        "density-check-nodensity", "moser-thinball", "full-report-thinball",
+        "moser-noradius", "full-report-noradius"])
+def test_a_config_the_command_cannot_run_leaves_no_output_directory(
+        tmp_path, capsys, command, payload, message):
+    """A missing section, a family the grid cannot audit and an auto ball
+    with no admissible radius are found before ``--out`` is made."""
+    rc, out = run(tmp_path, command, payload)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lingrow: " + message)
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_rungs_that_agree_to_six_digits_get_their_own_files(tmp_path):

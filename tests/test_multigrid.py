@@ -11,7 +11,8 @@ from lingrow.multigrid import _OMEGA, Level, Multigrid, prolong, restrict
 from lingrow.profiles import minimal_surface, phi_mu
 from lingrow.solver import _pcg
 
-from .oracles import coarse_tensors_by_reshape
+from .oracles import (coarse_tensors_by_reshape, prolong_staged,
+                      restrict_then_pad)
 
 
 def hessian_on(kind, channels=1, shape=(9, 13)):
@@ -164,6 +165,27 @@ def test_coarsest_inverse_is_symmetric(kind, channels, shape):
     inv = multigrid_of(hessian_on(kind, channels, shape)).coarse_inv[0]
     for block in inv:
         assert np.max(np.abs(block - block.T)) <= 1e-14 * np.max(np.abs(block))
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (8, 8), (9, 13), (16, 9)])
+def test_transfers_match_the_staged_references_bit_for_bit(shape, channels):
+    """``restrict`` and ``prolong`` give the staged references' bits on
+    both parities of each axis, and ``prolong`` leaves the ring of its
+    ``out`` as given."""
+    rng = np.random.default_rng(sum(shape) * channels)
+    fine = pad(rng.normal(size=shape + (channels,)))
+    got = restrict(fine)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, restrict_then_pad(fine))
+    cx, cy = got.shape[0] - 2, got.shape[1] - 2
+    coarse = pad(rng.normal(size=(cx, cy, channels)))
+    base = rng.normal(size=fine.shape)
+    out = prolong(coarse, base.copy())
+    assert np.array_equal(out, prolong_staged(coarse, base.copy()))
+    ring = np.ones(fine.shape[:2], dtype=bool)
+    ring[1:-1, 1:-1] = False
+    assert np.array_equal(out[ring], base[ring])
 
 
 def test_restrict_is_the_transpose_of_prolong():

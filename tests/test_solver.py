@@ -323,7 +323,8 @@ def cold_ladder(problem, cfg):
                       solver.assemble_ops(problem, reg).default_init())
             u, _ = minimize_fixed_delta(problem, reg, u, cfg)
         else:
-            u, _ = solver._newton(problem, reg, u, cfg, solver._THETA_WARM)
+            u, _ = minimize_fixed_delta(problem, reg, u, cfg,
+                                        solver._THETA_WARM)
         out.append(u)
     return out
 
@@ -625,6 +626,28 @@ def test_ladder_evaluates_the_plain_energy_once_per_rung(monkeypatch):
     ops = assemble_ops(problem, None)
     for rec in records:
         assert rec.plain_energy == ops.energy(rec.u.values)
+
+
+def test_every_rung_and_no_coarse_copy_goes_through_minimize_fixed_delta(
+        monkeypatch):
+    """A wrapper over ``solver.minimize_fixed_delta`` sees each rung of the
+    32^2 spike ladder once, and not the nested start's 16^2 copy: the name
+    perfbench's tracer wraps to read the rungs."""
+    calls = []
+    real = solver.minimize_fixed_delta
+
+    def counted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append(result[1])
+        return result
+
+    monkeypatch.setattr(solver, "minimize_fixed_delta", counted)
+    records = continuation_solve(dirichlet_boundary_spike(32, 32),
+                                 SolverConfig(mu=1.5))
+    assert len(records) == 4 and len(records[0].coarse) == 1
+    assert len(calls) == 4
+    assert calls[-1].tol == records[-1].stats.tol
+    assert calls == [rec.stats for rec in records]
 
 
 def test_minimality_audit_evaluates_its_centre_once(monkeypatch):
