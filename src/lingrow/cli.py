@@ -14,7 +14,9 @@ converge (its error then goes to ``trace.json``, ``moser_summary.json`` or
 ``report.json``); 2 malformed configuration (data whose energy overflows
 a float and a data weight above 1e8 included), incompatible geometry, an
 output directory that cannot be created or a report file that cannot be
-written.  Runs are deterministic for a fixed config and seed.
+written, and a malformed command line.  Runs are deterministic for a
+fixed config, its ``seed`` included: the command line names only the
+config and the output directory.
 """
 
 from __future__ import annotations
@@ -280,21 +282,28 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line exits 2 with one line, as a malformed
+    config does, not with the usage text."""
+
+    def error(self, message):
+        _complain(message)
+        self.exit(EXIT_BAD_CONFIG)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lingrow",
         description="linear-growth energy minimization and "
                     "interior-boundedness audits")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON run config")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
     args = parser.parse_args(argv)
     _keep_freed_memory()
 
     try:
-        cfg = load_config(args.config, seed_override=args.seed)
+        cfg = load_config(args.config)
         extra = _check(args.command, cfg)
         try:
             os.makedirs(args.out, exist_ok=True)

@@ -263,13 +263,11 @@ def _parse_problem(spec, grid: Grid2 | None, seed: int, base_dir: str):
     raise ConfigError("problem kind must be 'dirichlet' or 'fidelity'")
 
 
-def parse_config(raw: dict, base_dir: str = ".",
-                 seed_override: int | None = None) -> RunConfig:
+def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     _keys(raw, "config", "seed", "density", "density_check", "grid",
           "solver", "problem", "ball", "s_values", "minimality_trials")
     cfg = RunConfig()
-    cfg.seed = _count(raw.get("seed", 0) if seed_override is None
-                      else seed_override, "seed", 0)
+    cfg.seed = _count(raw.get("seed", 0), "seed", 0)
     # the audit's SplitMix64 counter is 64 bits wide
     _expect(cfg.seed < 2 ** 64, "'seed' must be less than 2^64")
 
@@ -373,8 +371,7 @@ def parse_config(raw: dict, base_dir: str = ".",
     return cfg
 
 
-def load_config(path: str | os.PathLike,
-                seed_override: int | None = None) -> RunConfig:
+def load_config(path: str | os.PathLike) -> RunConfig:
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -384,5 +381,4 @@ def load_config(path: str | os.PathLike,
         raise ConfigError(f"config is not valid JSON: {err}") from err
     except RecursionError as err:
         raise ConfigError("config is nested too deeply to parse") from err
-    return parse_config(raw, base_dir=os.path.dirname(os.fspath(path)) or ".",
-                        seed_override=seed_override)
+    return parse_config(raw, base_dir=os.path.dirname(os.fspath(path)) or ".")

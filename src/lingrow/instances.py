@@ -20,10 +20,6 @@ from .grids import Field, Grid2, Mask
 from .profiles import minimal_surface
 
 __all__ = [
-    "constant_fn",
-    "affine_fn",
-    "edge_spike_fn",
-    "inverse_sqrt_fn",
     "make_function",
     "make_field",
     "snap_to_cell",
@@ -32,59 +28,45 @@ __all__ = [
 ]
 
 
-def constant_fn(value: float):
-    return lambda X, Y: np.full_like(np.asarray(X, dtype=float), value)
-
-
-def affine_fn(ax: float, ay: float, c: float):
-    return lambda X, Y: ax * X + ay * Y + c
-
-
-def edge_spike_fn(height: float, width: float, center=(0.5, 0.0),
-                  background=(0.0, 0.0, 0.0)):
-    """Pyramid of the given height and base radius sitting at ``center``.
-
-    ``background=(c, ax, ay)`` adds the affine field c + ax x + ay y.
-    """
-    cx, cy = center
-    c, ax, ay = background
-
-    def fn(X, Y):
-        r = np.sqrt((X - cx) ** 2 + (Y - cy) ** 2)
-        return height * np.maximum(0.0, 1.0 - r / width) + c + ax * X + ay * Y
-
-    return fn
-
-
-def inverse_sqrt_fn(center, cap: float):
-    """min(cap, |x - center|^(-1/2)); infinite at the center, then capped."""
-    cx, cy = center
-
-    def fn(X, Y):
-        r = np.sqrt((X - cx) ** 2 + (Y - cy) ** 2)
-        with np.errstate(divide="ignore"):
-            v = r ** (-0.5)
-        return np.minimum(cap, v)
-
-    return fn
-
-
 def make_function(spec: dict):
-    """Build a sampling function from a synthetic-field description."""
+    """Build a sampling function ``fn(X, Y)`` from a synthetic-field
+    description, by its ``kind``:
+
+    * ``constant``: ``value`` everywhere;
+    * ``affine``: ``c + ax x + ay y``;
+    * ``edge_spike``: a pyramid of ``height`` and base radius ``width``
+      sitting at ``center``, on the affine ``background = (c, ax, ay)``;
+    * ``inverse_sqrt_spike``: ``min(cap, |x - center|^(-1/2))``, infinite
+      at the center, then capped.
+    """
     kind = spec.get("kind")
     if kind == "constant":
-        return constant_fn(float(spec["value"]))
+        value = float(spec["value"])
+        return lambda X, Y: np.full_like(np.asarray(X, dtype=float), value)
     if kind == "affine":
-        return affine_fn(float(spec.get("ax", 0.0)), float(spec.get("ay", 0.0)),
-                         float(spec.get("c", 0.0)))
+        ax, ay, c = (float(spec.get(k, 0.0)) for k in ("ax", "ay", "c"))
+        return lambda X, Y: ax * X + ay * Y + c
     if kind == "edge_spike":
-        return edge_spike_fn(float(spec.get("height", 100.0)),
-                             float(spec.get("width", 0.1)),
-                             tuple(spec.get("center", (0.5, 0.0))),
-                             tuple(spec.get("background", (0.0, 0.0, 0.0))))
+        height = float(spec.get("height", 100.0))
+        width = float(spec.get("width", 0.1))
+        cx, cy = spec.get("center", (0.5, 0.0))
+        c, ax, ay = spec.get("background", (0.0, 0.0, 0.0))
+
+        def spike(X, Y):
+            r = np.sqrt((X - cx) ** 2 + (Y - cy) ** 2)
+            return (height * np.maximum(0.0, 1.0 - r / width)
+                    + c + ax * X + ay * Y)
+
+        return spike
     if kind == "inverse_sqrt_spike":
-        return inverse_sqrt_fn(tuple(spec["center"]),
-                               float(spec.get("cap", 100.0)))
+        (cx, cy), cap = spec["center"], float(spec.get("cap", 100.0))
+
+        def inverse_sqrt(X, Y):
+            r = np.sqrt((X - cx) ** 2 + (Y - cy) ** 2)
+            with np.errstate(divide="ignore"):
+                return np.minimum(cap, r ** (-0.5))
+
+        return inverse_sqrt
     raise ValueError(f"unknown synthetic field kind {kind!r}")
 
 
@@ -123,9 +105,11 @@ def dirichlet_boundary_spike(nx: int = 128, ny: int = 128) -> DirichletProblem:
     balls measure the spike's (lack of) influence rather than noise around
     zero.
     """
-    grid = Grid2(nx, ny, 1.0 / nx)
-    fn = edge_spike_fn(100.0, 0.1, (0.5, 0.0), (2.0, 1.0, 1.0))
-    return DirichletProblem.from_function(grid, fn, minimal_surface())
+    spike = {"kind": "edge_spike", "height": 100.0, "width": 0.1,
+             "center": (0.5, 0.0), "background": (2.0, 1.0, 1.0)}
+    return DirichletProblem.from_function(Grid2(nx, ny, 1.0 / nx),
+                                          make_function(spike),
+                                          minimal_surface())
 
 
 def fidelity_inverse_sqrt(nx: int = 128, ny: int = 128,

@@ -516,6 +516,30 @@ def prolong_staged(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# an exact solution of the minimal surface equation
+
+
+def scherk(a: float, angle: float = 0.0):
+    """Scherk's surface ``log(cos(a(y-1/2)) / cos(a(x-1/2))) / a``, rotated
+    by ``angle`` about (1/2, 1/2), as a function of ``(X, Y)``.
+
+    It solves the minimal surface equation wherever both rotated
+    coordinates times ``a`` stay below pi/2 in size; with a = 2 the unit
+    square and the ghost ring of a 16^2 grid or finer lie inside that
+    region (its rotated corners reach a|x'| <= 2 sqrt(2) 17/32 ~ 1.50), so
+    it is the minimal-surface minimizer for its own boundary values.
+    """
+    c, s = math.cos(angle), math.sin(angle)
+
+    def fn(X, Y):
+        x, y = X - 0.5, Y - 0.5
+        xr, yr = c * x + s * y, c * y - s * x
+        return np.log(np.cos(a * yr) / np.cos(a * xr)) / a
+
+    return fn
+
+
+# ---------------------------------------------------------------------------
 # report tables, rendered row by row with f-strings, apart from the CLI's
 # table writer
 

@@ -7,6 +7,7 @@ the interior-boundedness criteria, the minimality audit and a guard on their
 Newton and conjugate-gradient counts.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -343,6 +344,20 @@ COARSE_PINS = {"boundary spike": ((11, 27), (7, 22), (7, 31)),
                "inverse sqrt": ((7, 19), (4, 14), (3, 18))}
 
 
+def counts_over(name, records, pins):
+    """A failure line when the rungs' Newton steps or CG iterations exceed
+    ``pins = (steps, krylov)``, else None."""
+    steps = tuple(rec.stats.iters for rec in records)
+    krylov = tuple(rec.stats.krylov_iters for rec in records)
+    pin_steps, pin_krylov = pins
+    if len(steps) != len(pin_steps) or any(
+            got > pin for got, pin in zip(steps + krylov,
+                                          pin_steps + pin_krylov)):
+        return (f"{name}: Newton {steps} / CG {krylov}, "
+                f"pinned at most {pin_steps} / {pin_krylov}")
+    return None
+
+
 def test_ladder_iteration_counts_hold(spike_run, inverse_run):
     """No rung of the 128^2 ladders, and no coarse copy of rung 0's nested
     start, takes more Newton steps or CG iterations than its pin: a kernel
@@ -351,14 +366,9 @@ def test_ladder_iteration_counts_hold(spike_run, inverse_run):
     failures = []
     for name, records in (("boundary spike", spike_run[2]),
                           ("inverse sqrt", inverse_run[3])):
-        steps = tuple(rec.stats.iters for rec in records)
-        krylov = tuple(rec.stats.krylov_iters for rec in records)
-        pin_steps, pin_krylov = LADDER_PINS[name]
-        if len(steps) != len(pin_steps) or any(
-                got > pin for got, pin in zip(steps + krylov,
-                                              pin_steps + pin_krylov)):
-            failures.append(f"{name}: Newton {steps} / CG {krylov}, "
-                            f"pinned at most {pin_steps} / {pin_krylov}")
+        over = counts_over(name, records, LADDER_PINS[name])
+        if over:
+            failures.append(over)
         coarse = tuple((c.iters, c.krylov_iters)
                        for _, c in records[0].coarse)
         pins = COARSE_PINS[name]
@@ -367,6 +377,101 @@ def test_ladder_iteration_counts_hold(spike_run, inverse_run):
                 for got, pin in zip(pair, pin_pair)):
             failures.append(f"{name}: nested start Newton/CG {coarse}, "
                             f"pinned at most {pins}")
+    assert not failures, "; ".join(failures)
+
+
+# ---------------------------------------------------------------------------
+# the paper's class: the library instances on other base densities
+
+BASES = {"phi_mu(1.2)": phi_mu(1.2), "phi_mu(2)": phi_mu(2.0),
+         "minimal_surface": minimal_surface(), "phi_mu(3.5)": phi_mu(3.5),
+         "phi_mu(6)": phi_mu(6.0)}
+# Newton steps and CG iterations per rung of the default ladders, by
+# instance, side and base
+CLASS_PINS = {
+    ("spike", 32): {"phi_mu(1.2)": ((6, 3, 3, 2), (25, 15, 13, 7)),
+                    "phi_mu(2)": ((6, 3, 3, 2), (20, 10, 10, 6)),
+                    "minimal_surface": ((8, 4, 3, 3), (22, 15, 12, 10)),
+                    "phi_mu(3.5)": ((9, 4, 4, 3), (26, 21, 15, 12)),
+                    "phi_mu(6)": ((7, 7, 4, 4), (26, 36, 27, 21))},
+    ("spike", 64): {"phi_mu(1.2)": ((6, 3, 3, 2), (37, 21, 17, 10)),
+                    "phi_mu(2)": ((6, 4, 3, 2), (31, 23, 13, 8)),
+                    "minimal_surface": ((6, 4, 3, 3), (31, 25, 16, 13)),
+                    "phi_mu(3.5)": ((7, 7, 4, 3), (37, 42, 22, 17)),
+                    "phi_mu(6)": ((7, 9, 5, 3), (39, 71, 56, 30))},
+    ("fidelity", 32): {"phi_mu(1.2)": ((3, 5, 3, 3), (12, 16, 10, 9)),
+                       "phi_mu(2)": ((4, 7, 4, 3), (15, 20, 12, 8)),
+                       "minimal_surface": ((4, 6, 3, 3), (15, 18, 9, 9)),
+                       "phi_mu(3.5)": ((4, 14, 3, 3), (17, 31, 12, 10)),
+                       "phi_mu(6)": ((4, 15, 5, 4), (19, 45, 29, 24))},
+    ("fidelity", 64): {"phi_mu(1.2)": ((3, 4, 3, 3), (18, 21, 14, 12)),
+                       "phi_mu(2)": ((3, 4, 3, 3), (18, 22, 14, 13)),
+                       "minimal_surface": ((3, 4, 3, 3), (18, 21, 14, 12)),
+                       "phi_mu(3.5)": ((3, 9, 3, 3), (17, 31, 16, 14)),
+                       "phi_mu(6)": ((4, 20, 4, 4), (20, 72, 52, 42))},
+}
+
+
+@pytest.fixture(scope="module")
+def class_runs():
+    """The 32^2 and 64^2 spike and fidelity ladders on every base, solved
+    once, with the ball family each audit reads: criterion 6's around
+    (0.5, 0.5) for the spike, and for fidelity the automatic one at
+    (0.25, 0.45), at 64^2 only (at 32^2 its ball holds 18 cell centres,
+    fewer than an audit needs).  Maps (instance, side, base) to
+    ``(family, epsilon0, records)``."""
+    runs = {}
+    for name, base in BASES.items():
+        for n in (32, 64):
+            spike = dataclasses.replace(dirichlet_boundary_spike(n, n),
+                                        density=base)
+            family = BallFamily((0.5, 0.5), 0.3, n=2, j_max=3)
+            runs["spike", n, name] = (family, None, continuation_solve(
+                spike, SolverConfig(), interior_ball=family.limit_ball()))
+            fidelity = dataclasses.replace(fidelity_inverse_sqrt(n, n),
+                                           density=base)
+            family = eps0 = ball = None
+            if n == 64:
+                r0, eps0 = select_radius(fidelity.f, fidelity.mask,
+                                         fidelity.lam, (0.25, 0.45))
+                family = BallFamily((0.25, 0.45), r0, n=2, j_max=2)
+                ball = family.limit_ball()
+            runs["fidelity", n, name] = (family, eps0, continuation_solve(
+                fidelity, SolverConfig(), interior_ball=ball))
+    return runs
+
+
+def test_the_class_ladders_hold_their_iteration_counts(class_runs):
+    """The bases of the paper's class that the solver finds hardest,
+    phi_mu(6) above all, pinned as the 128^2 ladders are."""
+    failures = []
+    for (instance, n, name), (_, _, records) in class_runs.items():
+        over = counts_over(f"{instance} {n}^2 {name}", records,
+                           CLASS_PINS[instance, n][name])
+        if over:
+            failures.append(over)
+    assert not failures, "; ".join(failures)
+
+
+def test_every_base_keeps_the_interior_bound(class_runs):
+    """Criteria 6 and 7's interior bound (and the spike's cap at a tenth
+    of its height) and the Moser audit of every rung hold on every base."""
+    failures = []
+    for (instance, n, name), (family, eps0, records) in class_runs.items():
+        if family is None:
+            continue
+        where = f"{instance} {n}^2 {name}"
+        sups = [rec.interior_sup for rec in records]
+        if spread(sups) > 0.10:
+            failures.append(f"{where}: interior sup varies "
+                            f"{spread(sups):.1%} across delta")
+        if instance == "spike" and max(sups) > SPIKE_HEIGHT / 10.0:
+            failures.append(f"{where}: interior sup {max(sups):.3g} above "
+                            "spike/10")
+        for rec in records:
+            if not moser_report(rec.u, family, epsilon0=eps0).passed:
+                failures.append(f"{where}: Moser audit fails at "
+                                f"delta={rec.delta:g}")
     assert not failures, "; ".join(failures)
 
 

@@ -23,6 +23,7 @@ from lingrow import cli
 from lingrow.cli import main
 from lingrow.config import ConfigError, parse_config
 from lingrow.grids import Field, Grid2
+from lingrow.instances import make_function
 from lingrow.pgmio import field_from_csv, field_to_csv, read_pgm
 from lingrow.solver import MinimalityReport
 
@@ -84,10 +85,10 @@ SOLVE_FILES = ["solution_0p0001.pgm", "solution_0p001.pgm",
                "trace.csv", "trace.json"]
 
 
-def run(tmp_path, command, payload, out="out", extra=()):
+def run(tmp_path, command, payload, out="out"):
     cfg = write_config(tmp_path, payload)
     out_dir = tmp_path / out
-    rc = main([command, "--config", cfg, "--out", str(out_dir), *extra])
+    rc = main([command, "--config", cfg, "--out", str(out_dir)])
     if out_dir.is_dir():
         for name in os.listdir(out_dir):
             if name.endswith(".json"):
@@ -244,6 +245,25 @@ class TestDensityCheck:
             main(["frobnicate", "--config", "x", "--out", "y"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--config", "{cfg}"],
+        ["bogus", "--config", "{cfg}", "--out", "{out}"],
+        ["solve", "--config", "{cfg}", "--out", "{out}", "--seed", "abc"],
+        ["solve", "--config", "{cfg}", "--out", "{out}", "--seed", "7"],
+    ], ids=["no-out", "bogus-command", "seed-abc", "seed-7"])
+    def test_a_malformed_command_line_exits_two_with_one_line(
+            self, tmp_path, capsys, argv):
+        """No usage text: one ``lingrow:`` line, as for a malformed config.
+        The config's ``seed`` is the only seed, so ``--seed`` is unknown."""
+        cfg = write_config(tmp_path, denoise_config())
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(cfg=cfg, out=out) for a in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lingrow: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_a_misspelt_key_exits_two_with_one_line(self, tmp_path, capsys):
@@ -375,28 +395,24 @@ class TestSolve:
         assert np.max(np.abs(got.values - ref.values)) <= 1e-6
 
     def test_seed_override_changes_the_data(self, tmp_path):
-        out_dir = tmp_path / "out"
-        rc = main(["solve", "--config", os.path.join(FIXTURES, "oracle8.json"),
-                   "--out", str(out_dir), "--seed", "7"])
+        with open(os.path.join(FIXTURES, "oracle8.json")) as fh:
+            cfg = json.load(fh)
+        cfg["seed"] = 7
+        rc, out_dir = run(tmp_path, "solve", cfg)
         assert rc == 0
         got = field_from_csv(out_dir / "solution_final.csv")
         ref = field_from_csv(os.path.join(FIXTURES, "oracle8_solution.csv"))
         assert np.max(np.abs(got.values - ref.values)) > 1e-3
 
-    @pytest.mark.parametrize("where", ["config", "flag"])
-    def test_a_seed_of_2_to_the_64_exits_two_with_one_line(
-            self, tmp_path, capsys, where):
+    def test_a_seed_of_2_to_the_64_exits_two_with_one_line(self, tmp_path,
+                                                           capsys):
         """The audit's SplitMix64 counter is 64 bits wide, so seeds that
         agree modulo 2^64 would draw alike; 2^64 - 1 is the largest."""
         cfg = denoise_config()
         cfg["seed"] = 2 ** 64 - 1
         assert parse_config(cfg).seed == 2 ** 64 - 1
-        extra = ()
-        if where == "config":
-            cfg["seed"] = 2 ** 64
-        else:
-            extra = ("--seed", str(2 ** 64))
-        rc, out = run(tmp_path, "solve", cfg, extra=extra)
+        cfg["seed"] = 2 ** 64
+        rc, out = run(tmp_path, "solve", cfg)
         assert rc == 2
         assert capsys.readouterr().err == \
             "lingrow: 'seed' must be less than 2^64\n"
@@ -851,6 +867,42 @@ class TestFullReport:
         assert (out / "trace.csv").exists()
         assert (out / "sup_vs_delta.csv").exists()
         assert (out / "moser_0p01.csv").exists()
+
+    def test_a_two_channel_dirichlet_report(self, tmp_path):
+        """N = 2: the edge spike beside the affine x - y, read from CSV.
+        No rung writes a PGM, the final solution has two rows per cell,
+        the audits read magnitudes, and a second run writes the same
+        bytes."""
+        grid = Grid2(32, 32, 0.03125)
+        X, Y = grid.centers()
+        cfg = spike_config()
+        spike = make_function(cfg["problem"]["u0"]["synthetic"])
+        field_to_csv(tmp_path / "pair.csv",
+                     Field(grid, np.stack([spike(X, Y), X - Y], axis=-1)))
+        cfg["problem"]["u0"] = {"csv": {"path": "pair.csv"}}
+        rc, out = run(tmp_path, "full-report", cfg, out="a")
+        assert rc == 0
+        records = read_json(out / "trace.json")["records"]
+        assert len(records) == 4
+        assert all(rec["pgm"] is None for rec in records)
+        names = os.listdir(out)
+        assert not [name for name in names if name.endswith(".pgm")]
+        for suffix in (".json", ".csv"):
+            assert len([name for name in names if name.startswith("moser_")
+                        and name.endswith(suffix)]) == len(records)
+        lines = (out / "solution_final.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2 * 32 * 32
+        final = field_from_csv(out / "solution_final.csv")
+        assert final.grid == grid and final.channels == 2
+        # the audit's sup is that of |u| over the limit ball
+        audit = read_json(out / "moser_0p0001.json")
+        inside = (X - 0.5) ** 2 + (Y - 0.5) ** 2 < audit["r_inf"] ** 2
+        magnitude = np.hypot(final.values[:, :, 0], final.values[:, :, 1])
+        assert audit["sup_bound"]["observed"] == pytest.approx(
+            magnitude[inside].max(), rel=1e-15)
+        assert magnitude[inside].max() > np.abs(final.values[inside]).max()
+        rc, again = run(tmp_path, "full-report", cfg, out="b")
+        assert rc == 0 and tree_bytes(again) == tree_bytes(out)
 
 
 def spike_config(**ball):

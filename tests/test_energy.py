@@ -165,6 +165,32 @@ def test_fidelity_rejects_vector_fields():
         FidelityProblem(g, f, Mask.empty(g), 1.0, minimal_surface())
 
 
+def test_fidelity_data_and_mask_live_on_the_problem_grid():
+    g, other = unit_grid(4), unit_grid(6)
+    with pytest.raises(ValueError, match="live on the problem grid"):
+        FidelityProblem(g, Field.zeros(other), Mask.empty(g), 1.0,
+                        minimal_surface())
+    with pytest.raises(ValueError, match="live on the problem grid"):
+        FidelityProblem(g, Field.zeros(g), Mask.empty(other), 1.0,
+                        minimal_surface())
+
+
+def test_operators_reject_a_foreign_state_or_problem():
+    g = unit_grid(4)
+    problem = FidelityProblem(g, Field.zeros(g), Mask.empty(g), 1.0,
+                              minimal_surface())
+    with pytest.raises(ValueError, match="is for 'dirichlet' problems"):
+        assemble_ops(problem, RegularizationState(0.1, 1.5, "dirichlet"))
+    with pytest.raises(TypeError, match="DirichletProblem or FidelityProblem"):
+        assemble_ops(problem.f, None)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, math.nan])
+def test_clip_data_needs_delta_in_the_open_unit_interval(delta):
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+        clip_data(Field.zeros(unit_grid(4)), delta)
+
+
 def test_dirichlet_datum_sampled_from_a_function():
     g = Grid2(4, 5, 0.25)
     const = DirichletProblem.from_function(g, lambda x, y: 3.0, phi_mu(2.0))

@@ -87,6 +87,9 @@ def test_field_validation_and_promotion():
         Field(g, np.ones((5, 4)))
     f2 = Field.from_function(g, lambda x, y: x + 2 * y)
     assert f2.values[0, 0, 0] == pytest.approx(0.125 + 2 * 0.125)
+    # a function that ignores its arguments fills the grid
+    f3 = Field.from_function(g, lambda x, y: 2.5)
+    assert f3.values.shape == (4, 4, 1) and np.all(f3.values == 2.5)
 
 
 def test_mask_rules():
@@ -97,6 +100,8 @@ def test_mask_rules():
     assert int(Mask.empty(g).member.sum()) == 0
     with pytest.raises(ValueError):
         Mask(g, np.ones((4, 4), dtype=bool))  # covering everything
+    with pytest.raises(ValueError, match="mask shape"):
+        Mask(g, np.zeros((4, 5), dtype=bool))
 
 
 def test_ball_validation():

@@ -11,10 +11,8 @@ import pytest
 from lingrow.config import ConfigError, RunConfig, load_config, parse_config
 from lingrow.energy import DirichletProblem, FidelityProblem
 from lingrow.grids import Field, Grid2, Mask
-from lingrow.instances import (affine_fn, constant_fn, dirichlet_boundary_spike,
-                               edge_spike_fn, fidelity_inverse_sqrt,
-                               inverse_sqrt_fn, make_field, make_function,
-                               snap_to_cell)
+from lingrow.instances import (dirichlet_boundary_spike, fidelity_inverse_sqrt,
+                               make_field, make_function, snap_to_cell)
 from lingrow.pgmio import field_to_csv, write_pgm
 from lingrow.solver import SolverConfig
 
@@ -24,20 +22,24 @@ from lingrow.solver import SolverConfig
 
 
 def test_basic_functions():
-    assert constant_fn(3.0)(np.zeros(2), np.ones(2)).tolist() == [3.0, 3.0]
-    assert affine_fn(2.0, -1.0, 0.5)(1.0, 2.0) == 0.5 + 2.0 - 2.0
+    constant = make_function({"kind": "constant", "value": 3.0})
+    assert constant(np.zeros(2), np.ones(2)).tolist() == [3.0, 3.0]
+    affine = make_function({"kind": "affine", "ax": 2.0, "ay": -1.0,
+                            "c": 0.5})
+    assert affine(1.0, 2.0) == 0.5 + 2.0 - 2.0
 
 
 def test_edge_spike_geometry():
-    fn = edge_spike_fn(100.0, 0.1, center=(0.5, 0.0),
-                       background=(2.0, 1.0, 1.0))
+    fn = make_function({"kind": "edge_spike", "height": 100.0, "width": 0.1,
+                        "center": (0.5, 0.0), "background": (2.0, 1.0, 1.0)})
     assert fn(0.5, 0.0) == pytest.approx(100.0 + 2.0 + 0.5)
     assert fn(0.55, 0.0) == pytest.approx(50.0 + 2.0 + 0.55)
     assert fn(0.9, 0.9) == pytest.approx(2.0 + 0.9 + 0.9)  # background only
 
 
 def test_inverse_sqrt_cap_and_decay():
-    fn = inverse_sqrt_fn((0.5, 0.5), 100.0)
+    fn = make_function({"kind": "inverse_sqrt_spike", "center": (0.5, 0.5),
+                        "cap": 100.0})
     assert fn(0.5, 0.5) == 100.0  # the singular point is capped
     assert fn(0.75, 0.5) == pytest.approx(2.0)  # 0.25^(-1/2)
     assert fn(0.5 + 1e-9, 0.5) == 100.0
@@ -202,7 +204,7 @@ def test_seed_override_controls_noise():
         },
     }
     a = parse_config(raw)
-    b = parse_config(raw, seed_override=2)
+    b = parse_config(dict(raw, seed=2))
     c = parse_config(dict(raw, seed=2))
     assert b.seed == 2
     assert not np.array_equal(a.problem.f.values, b.problem.f.values)
@@ -296,6 +298,10 @@ def as_fidelity(raw, **entries):
         r, f={"synthetic": {"kind": "constant", "value": 1.0}},
         mask={"rect": ["0.1", 0.2, 0.3, 0.4]}),
      "'mask.rect' must be a finite number"),
+    (lambda r: as_fidelity(
+        r, f={"synthetic": {"kind": "constant", "value": 1.0}},
+        mask={"circle": [0.5, 0.5, 0.2]}),
+     "mask must be 'rect' or 'pgm'"),
     (lambda r: r["problem"]["u0"].update(synthetic=None),
      "synthetic datum must be an object"),
     (lambda r: r["problem"]["u0"]["synthetic"].update(center="ab"),
@@ -452,11 +458,6 @@ def test_solver_section_defaults_come_from_solver_config():
     assert parse_config(raw).solver == SolverConfig(max_iters=7)
     del raw["solver"]
     assert parse_config(raw).solver == SolverConfig()
-
-
-def test_negative_seed_override_is_a_config_error():
-    with pytest.raises(ConfigError, match="'seed'"):
-        parse_config(base_config(), seed_override=-3)
 
 
 def test_problem_requires_grid():

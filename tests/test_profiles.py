@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 
 from lingrow import profiles
 from lingrow.cli import _finite_or_null
-from lingrow.profiles import (RadialProfile, certify_conditions, combined,
+from lingrow.profiles import (GrowthConstants, RadialProfile,
+                              certify_conditions, combined,
                               minimal_surface, phi_mu, profile_d1, profile_d2,
                               profile_eval, radial_excess, recession_slope,
                               slope_ratio)
@@ -414,6 +415,43 @@ def test_parameter_validation():
                  + fn(minimal_surface(), t))
         assert np.allclose(fn(nested, t), terms, rtol=1e-14, atol=0.0)
     assert recession_slope(nested) == pytest.approx(0.1 / 0.5 + 0.2 / 0.3 + 1.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: RadialProfile("phi_mu", mu=2.0, delta=0.1), "takes no delta"),
+    (lambda: RadialProfile("phi_mu", mu=2.0, base=minimal_surface()),
+     "takes no delta or base"),
+    (lambda: RadialProfile("combined", mu=1.0, delta=0.1,
+                           base=minimal_surface()), "requires mu > 1"),
+    (lambda: RadialProfile("combined", mu=1.5, delta=0.1),
+     "requires a base profile"),
+    (lambda: RadialProfile.from_dict({"kind": "mystery"}),
+     "unknown profile kind 'mystery'"),
+])
+def test_profile_construction_rejects(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, [1.0, -math.inf]])
+def test_non_finite_argument_rejected(t):
+    for fn in (profile_eval, profile_d1, profile_d2):
+        with pytest.raises(ValueError, match="t must be finite"):
+            fn(phi_mu(2.0), t)
+
+
+@pytest.mark.parametrize("constants, message", [
+    ((2.0, 0.0, 1.0, 0.0, 1.0), "nu1 must not exceed nu3"),
+    ((1.0, -1.0, 1.0, 0.0, 1.0), "nu2 and nu4 must be non-negative"),
+    ((1.0, 0.0, 1.0, -1.0, 1.0), "nu2 and nu4 must be non-negative"),
+    ((1.0, 0.0, 1.0, 0.0, 0.0), "nu5 must be positive"),
+    ((1.0, 0.0, 1.0, 0.0, 1.0, 0.5), "nu6 and mu_certified come together"),
+])
+def test_growth_constants_invariants(constants, message):
+    """Only direct construction reaches these: ``certify_conditions``
+    fits constants that satisfy them."""
+    with pytest.raises(ValueError, match=message):
+        GrowthConstants(*constants)
 
 
 def test_negative_argument_rejected():

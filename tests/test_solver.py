@@ -17,7 +17,7 @@ from lingrow.solver import (SolverConfig, SolverError, continuation_solve,
                             default_interior_ball, minimize_fixed_delta,
                             verify_minimality)
 
-from .oracles import (minimality_margins_unpadded, newton_solve,
+from .oracles import (minimality_margins_unpadded, newton_solve, scherk,
                       splitmix64, splitmix64_uniform)
 
 
@@ -305,6 +305,37 @@ def test_krylov_iterations_on_the_64_ladders(spike_ladders):
                                             SolverConfig(mu=1.5)), 131)):
         total = sum(rec.stats.krylov_iters for rec in records)
         assert total <= bound, (name, total)
+
+
+# ---------------------------------------------------------------------------
+# an exact solution: Scherk's surface
+
+# sup errors of the final rung of the default ladder against Scherk's
+# surface (a = 2) at 16^2, 32^2 and 64^2, and the rates between them, by
+# rotation angle: each difference cell pairs the x and y differences of one
+# triangle of its square, which is first order
+SCHERK_PINS = {0.0: ((3.973e-3, 1.768e-3, 8.310e-4), (1.17, 1.09)),
+               0.5: ((6.526e-3, 2.182e-3, 9.350e-4), (1.58, 1.22))}
+
+
+@pytest.mark.parametrize("angle", sorted(SCHERK_PINS))
+def test_the_ladder_converges_to_scherks_surface(angle):
+    """Each sup error stays within 2% above its pin and each rate at most
+    0.05 below its pin, so a stencil, ring or weighting change that doubles
+    an error fails here."""
+    exact = scherk(2.0, angle)
+    errors = []
+    for n in (16, 32, 64):
+        grid = Grid2(n, n, 1.0 / n)
+        problem = DirichletProblem.from_function(grid, exact,
+                                                 minimal_surface())
+        u = continuation_solve(problem, SolverConfig())[-1].u
+        errors.append(float(np.max(np.abs(u.values[:, :, 0]
+                                          - exact(*grid.centers())))))
+    rates = [math.log2(e / f) for e, f in zip(errors, errors[1:])]
+    pin_errors, pin_rates = SCHERK_PINS[angle]
+    assert all(e <= 1.02 * p for e, p in zip(errors, pin_errors)), errors
+    assert all(r >= p - 0.05 for r, p in zip(rates, pin_rates)), rates
 
 
 # ---------------------------------------------------------------------------
