@@ -378,8 +378,7 @@ class Hessian:
         vy /= ops.h
         s = self.gx * vx
         s += self.gy * vy
-        if s.shape[2] > 1:
-            s = s.sum(axis=2, keepdims=True)
+        s = s.sum(axis=2, keepdims=True)
         s *= self.b[:, :, None]
         vx *= self.ax
         vx += s * self.gx

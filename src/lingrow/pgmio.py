@@ -45,29 +45,22 @@ def write_pgm(path: str | os.PathLike, u: Field, lo: float, hi: float) -> None:
 
 
 def _read_tokens(fh: io.BufferedReader, count: int) -> list[bytes]:
-    """Read whitespace-separated header tokens, honoring '#' comments."""
+    """Read whitespace-separated header tokens.  A '#' starts a comment
+    that runs to the end of its line and, like whitespace, ends a token."""
     tokens: list[bytes] = []
+    tok = b""
     while len(tokens) < count:
         ch = fh.read(1)
-        if not ch:
-            raise ValueError("truncated PGM header")
         if ch == b"#":
             while ch not in (b"\n", b""):
                 ch = fh.read(1)
-            continue
-        if ch.isspace():
-            continue
-        tok = ch
-        while True:
-            ch = fh.read(1)
-            if not ch or ch.isspace():
-                break
-            if ch == b"#":
-                while ch not in (b"\n", b""):
-                    ch = fh.read(1)
-                break
+        if ch and not ch.isspace():
             tok += ch
-        tokens.append(tok)
+        elif tok:
+            tokens.append(tok)
+            tok = b""
+        elif not ch:
+            raise ValueError("truncated PGM header")
     return tokens
 
 

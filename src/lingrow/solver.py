@@ -22,8 +22,8 @@ multigrid hierarchy (the fine level stored from the Hessian's cell
 tensors; each coarse level selects the fine differences that cross
 aggregates and pair-sums them, down to at most 8x8 cells, whose dense
 inverse is formed once: 0.8-1.5 ms per Newton step inside a 128^2 solve on
-a 2-core x86-64, about 0.45 ms of it the dense inverse, and about 15% of
-the solve in all); and per CG iteration one fine product and one V-cycle
+a 2-core x86-64, 0.21-0.23 ms of it the 8x8 dense inverse, and about 15%
+of the solve in all); and per CG iteration one fine product and one V-cycle
 (two products and two Jacobi sweeps, one multiply each, per level above
 the coarsest, one small dense product there).  For one channel the CG
 product is the stored fine level's; several channels use the coupled
@@ -32,9 +32,11 @@ A rung costs ``1 + iterations + backtracks`` energy evaluations and
 ``iterations`` Hessian builds.  The iterate, the Newton direction, the
 residual and every CG and V-cycle vector stay on the padded layout
 (``grids.pad``), so a product is one contiguous difference pair with no
-copy of its input (``Level.apply`` about 0.09 ms at 128^2), and an inner
+copy of its input (``Level.apply`` 0.065-0.09 ms at 128^2), and an inner
 product is one ``np.vdot`` over the padded arrays, whose zero ring adds
-nothing.
+nothing.  Both per-call times are in-process medians on the 128^2 rung-1
+Hessians of both ladders, with the CLI's allocator thresholds and one
+BLAS thread.
 
 ``continuation_solve`` walks a decreasing delta schedule, warm-starting each
 rung from the previous solution and re-clipping the datum at each delta.
@@ -445,8 +447,8 @@ def _uniform_trials(seed: int, shape):
     """Uniform draws on [-1, 1), one array of ``shape`` per trial, from the
     SplitMix64 stream whose state starts at ``seed``.  Trial ``i`` reads the
     next ``M`` outputs in C order: cell ``k`` gets output ``n = i*M + k + 1``,
-    the mix of ``seed + n * 0x9E3779B97F4A7C15 mod 2^64``, mapped as numpy's
-    ``uniform`` maps a 64-bit output, ``-1 + 2 * ((z >> 11) * 2^-53)``."""
+    the mix of ``seed + n * 0x9E3779B97F4A7C15 mod 2^64``, mapped to
+    ``(z >> 11) * 2^-52 - 1``, exactly numpy's ``uniform`` on [-1, 1)."""
     m = int(np.prod(shape))
     state = np.arange(1, m + 1, dtype=np.uint64)
     state *= np.uint64(_GOLDEN)
@@ -455,8 +457,7 @@ def _uniform_trials(seed: int, shape):
     while True:
         z = _splitmix64(state)
         z >>= 11
-        x = z * 2.0 ** -53
-        x *= 2.0
+        x = z * 2.0 ** -52
         x -= 1.0
         yield x.reshape(shape)
         state += step

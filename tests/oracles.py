@@ -12,7 +12,7 @@ import numpy as np
 from scipy import integrate
 
 from lingrow.energy import clip_data
-from lingrow.grids import Ball, Field, Grid2
+from lingrow.grids import Ball, Field, Grid2, ring_differences
 from lingrow.moser import (CaccioppoliCheck, MoserReport, SupBoundCheck,
                            _recursion, check_geometry, exponents, radii)
 from lingrow.profiles import profile_eval
@@ -512,6 +512,61 @@ def prolong_staged(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     up[-1] = 0.0
     up[:, -1] = 0.0
     out += up
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the PGM header tokenizer with its comment rule written twice, and the
+# one-channel Hessian product with no channel sum
+
+
+def read_tokens_two_rules(fh, count: int) -> list[bytes]:
+    """``pgmio._read_tokens`` with the comment skip written out twice:
+    between tokens it consumes the comment and reads on, inside a token it
+    consumes the comment and ends the token."""
+    tokens: list[bytes] = []
+    while len(tokens) < count:
+        ch = fh.read(1)
+        if not ch:
+            raise ValueError("truncated PGM header")
+        if ch == b"#":
+            while ch not in (b"\n", b""):
+                ch = fh.read(1)
+            continue
+        if ch.isspace():
+            continue
+        tok = ch
+        while True:
+            ch = fh.read(1)
+            if not ch or ch.isspace():
+                break
+            if ch == b"#":
+                while ch not in (b"\n", b""):
+                    ch = fh.read(1)
+                break
+            tok += ch
+        tokens.append(tok)
+    return tokens
+
+
+def hessian_apply_one_channel(hess, v: np.ndarray) -> np.ndarray:
+    """``energy.Hessian.apply`` for one channel with the channel sum
+    skipped: the slope product ``g . Dv`` of the one channel is used as it
+    is."""
+    ops = hess.ops
+    vx, vy = ring_differences(v)
+    vx /= ops.h
+    vy /= ops.h
+    s = hess.gx * vx
+    s += hess.gy * vy
+    s *= hess.b[:, :, None]
+    vx *= hess.ax
+    vx += s * hess.gx
+    vy *= hess.ay
+    vy += s * hess.gy
+    out = ops._divergence(vx, vy)
+    if ops.mass is not None:
+        out += ops.mass * v
     return out
 
 

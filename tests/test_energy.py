@@ -12,7 +12,8 @@ from lingrow.grids import (Field, Grid2, Mask, neumann_live, pad,
 from lingrow.profiles import (certify_conditions, minimal_surface, phi_mu,
                               profile_eval)
 
-from .oracles import energy_grad_fd, naive_energy_dirichlet, naive_energy_fidelity
+from .oracles import (energy_grad_fd, hessian_apply_one_channel,
+                      naive_energy_dirichlet, naive_energy_fidelity)
 
 
 def unit_grid(n):
@@ -295,6 +296,21 @@ def test_hessian_is_symmetric_and_positive(case, theta):
     vhu = float(np.sum(v * hess.apply(u)))
     assert uhv == pytest.approx(vhu, rel=1e-12, abs=1e-14)
     assert float(np.sum(u * hess.apply(u))) > 0.0
+
+
+@pytest.mark.parametrize("case", [0, 2])
+@pytest.mark.parametrize("theta", [0.0, 0.1])
+def test_one_channel_product_is_the_unsummed_form_bit_for_bit(case, theta):
+    """The channel sum of one channel changes no bit: on the 9^2 Dirichlet
+    and fidelity cases the product is that of the form without it."""
+    problem, w = list(_fused_cases())[case]
+    ops = assemble_ops(problem, RegularizationState(0.05, 1.5, problem.kind))
+    hess = ops.evaluate(pad(w.values)).hessian(theta)
+    rng = np.random.default_rng(11 + case)
+    for _ in range(3):
+        v = pad(rng.normal(size=w.values.shape))
+        assert (hess.apply(v).tobytes()
+                == hessian_apply_one_channel(hess, v).tobytes())
 
 
 def test_curvature_floor_one_is_lagged_diffusivity():

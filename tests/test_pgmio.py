@@ -1,5 +1,6 @@
 """PGM and CSV field serialization."""
 
+import io
 import os
 import tempfile
 import tracemalloc
@@ -9,10 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lingrow.grids import Field, Grid2
-from lingrow.pgmio import (field_from_csv, field_from_pgm, field_to_csv,
-                           mask_from_pgm, read_pgm, write_pgm)
+from lingrow.pgmio import (_read_tokens, field_from_csv, field_from_pgm,
+                           field_to_csv, mask_from_pgm, read_pgm, write_pgm)
 
-from .oracles import csv_field_by_rows
+from .oracles import csv_field_by_rows, read_tokens_two_rules
 
 
 def random_field(nx=7, ny=5, h=0.1, seed=0, channels=1):
@@ -195,6 +196,65 @@ def test_header_comments(tmp_path):
     path.write_bytes(b"P2 2#width\n2 9#maxval\n1 2 3 4\n")
     again, maxval = read_pgm(path)
     assert maxval == 9 and np.array_equal(again, ints)
+    path.write_bytes(b"P2\r\n2 2\r\n9\r\n1 2 3 4\r\n")
+    again, maxval = read_pgm(path)
+    assert maxval == 9 and np.array_equal(again, ints)
+
+
+# the header bytes: the six that bytes.isspace() accepts, '#', digits and
+# letters
+HEADER_BYTES = np.frombuffer(b" \r\n\t\x0b\x0c#0123456789Pab", dtype=np.uint8)
+
+
+def test_tokenizer_matches_the_two_rule_reference():
+    """On 20 000 seeded headers of ``HEADER_BYTES``, each cut at a random
+    length of 0 to 24 bytes, the tokenizer reads the reference's tokens and
+    leaves the same body bytes, or raises the same error."""
+    rng = np.random.default_rng(32)
+    rows = HEADER_BYTES[rng.integers(0, HEADER_BYTES.size, (20_000, 24))]
+    sizes = rng.integers(0, 25, rows.shape[0])
+    counts = rng.integers(1, 4, rows.shape[0])
+    for row, size, count in zip(rows, sizes.tolist(), counts.tolist()):
+        data = row[:size].tobytes()
+        seen = []
+        for read in (_read_tokens, read_tokens_two_rules):
+            fh = io.BytesIO(data)
+            try:
+                seen.append((read(fh, count), fh.read()))
+            except ValueError as err:
+                seen.append((str(err), fh.read()))
+        assert seen[0] == seen[1], data
+
+
+# a 2x2 8-bit P5 file with the tokens 2, 2, 255 and the body bytes its
+# header leaves: one whitespace byte or one comment, its newline included,
+# ends maxval, so a CRLF header leaves its LF to the body
+HEADER_CASES = {
+    "comment after the magic": (b"P5#c\n2 2\n255\n\x01\x02\x03\x04",
+                                b"\x01\x02\x03\x04"),
+    "comment after maxval": (b"P5 2 2\n255#c\n\n #\x01", b"\n #\x01"),
+    "CRLF": (b"P5\r\n2 2\r\n255\r\n\x01\x02\x03\x04",
+             b"\n\x01\x02\x03\x04"),
+    "EOF after maxval": (b"P5 2 2 255", b""),
+}
+
+
+@pytest.mark.parametrize("name", HEADER_CASES)
+def test_header_cases(tmp_path, name):
+    data, body = HEADER_CASES[name]
+    for read in (_read_tokens, read_tokens_two_rules):
+        fh = io.BytesIO(data[2:])
+        assert read(fh, 3) == [b"2", b"2", b"255"]
+        assert fh.read() == body
+    path = tmp_path / "h.pgm"
+    path.write_bytes(data)
+    if len(body) < 4:
+        with pytest.raises(ValueError):
+            read_pgm(path)
+        return
+    ints, maxval = read_pgm(path)
+    raster = np.frombuffer(body[:4], dtype=np.uint8).reshape(2, 2)
+    assert maxval == 255 and np.array_equal(ints, raster[::-1].T)
 
 
 def test_mask_from_pgm(tmp_path):

@@ -840,10 +840,11 @@ def test_minimality_refuses_a_seed_outside_64_bits(seed):
 
 def test_the_audits_draws_are_the_splitmix64_stream():
     """The first outputs from state 0 are the published ones; the vector
-    stream reads the plain-integer one trial by trial; at 128^2 the draws
-    lie in [-1, 1) with mean 0 and variance 1/3 (each within five standard
-    errors of the cell mean and of the variance for n = 16384 cells), and
-    two seeds or two trials of one seed differ."""
+    stream reads the plain-integer one trial by trial, and at seeds 0, 3
+    and 2^64 - 1 maps it as ``-1 + 2 * ((z >> 11) * 2^-53)``; at 128^2
+    the draws lie in [-1, 1) with mean 0 and variance 1/3 (each within five
+    standard errors of the cell mean and of the variance for n = 16384
+    cells), and two seeds or two trials of one seed differ."""
     assert splitmix64(0, 3) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
                                 0x06C45D188009454F]
     state = np.arange(1, 4, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
@@ -852,6 +853,15 @@ def test_the_audits_draws_are_the_splitmix64_stream():
         draws = solver._uniform_trials(seed, (5, 3, 2))
         for want in splitmix64_uniform(seed, (5, 3, 2), 3):
             assert next(draws).tobytes() == want.tobytes()
+        # five 128^2 trials against the map in three steps: (z >> 11) *
+        # 2^-53, times 2, minus 1
+        k = np.arange(1, 5 * 128 * 128 + 1, dtype=np.uint64)
+        z = solver._splitmix64(k * np.uint64(0x9E3779B97F4A7C15)
+                               + np.uint64(seed)) >> np.uint64(11)
+        want = (z * 2.0 ** -53 * 2.0 - 1.0).reshape(5, 128, 128, 1)
+        draws = solver._uniform_trials(seed, (128, 128, 1))
+        for trial in want:
+            assert next(draws).tobytes() == trial.tobytes()
 
     n = 128 * 128
     trials = [solver._uniform_trials(seed, (128, 128, 1))
