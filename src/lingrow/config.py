@@ -36,6 +36,10 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 @dataclass
 class RunConfig:
+    """A parsed run config: the density to certify and its sample grid, the
+    grid, problem and solver, the Moser ball family (or the point an
+    automatic one is chosen around) and the audits' settings."""
+
     seed: int = 0
     density: RadialProfile | None = None
     density_t_max: float = 100.0

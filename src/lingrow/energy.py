@@ -157,6 +157,9 @@ class DirichletProblem:
 
 @dataclass
 class FidelityProblem:
+    """A scalar datum ``f`` fitted with weight ``lam`` off the
+    missing-data ``mask``, with homogeneous Neumann differences."""
+
     grid: Grid2
     f: Field
     mask: Mask

@@ -189,6 +189,8 @@ class Mask:
 
 @dataclass(frozen=True)
 class Ball:
+    """The open disc of positive ``radius`` around ``center``."""
+
     center: tuple[float, float]
     radius: float
 

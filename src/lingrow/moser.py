@@ -172,6 +172,9 @@ def _log_masses(outer_mag: np.ndarray, outer_d2: np.ndarray, rr: np.ndarray,
 
 @dataclass
 class RecursionCheck:
+    """The recursion constant ``c_j`` per level, its maximum, and whether
+    the last levels show no growth trend."""
+
     c: np.ndarray
     c_max: float
     passed: bool
@@ -200,6 +203,9 @@ def _recursion(log_a: np.ndarray, bf: BallFamily) -> RecursionCheck:
 
 @dataclass
 class SupBoundCheck:
+    """The sup bound on the limit ball, predicted from the recursion, next
+    to the observed sup of |u| there."""
+
     predicted: float
     observed: float
     lq_norm: float
@@ -238,6 +244,9 @@ def _sup_bound(check: RecursionCheck, mag: np.ndarray, d2: np.ndarray,
 
 @dataclass
 class CaccioppoliCheck:
+    """The cutoff-inequality constant per ball level for one exponent
+    ``s``, and its variation relative to the smallest."""
+
     s: float
     c_levels: np.ndarray
     variation: float
@@ -361,6 +370,10 @@ def select_radius(f: Field, mask: Mask, lam: float,
 
 @dataclass
 class MoserReport:
+    """The whole Moser audit of one solution field: the ball family, the
+    level masses and the recursion, sup-bound and cutoff checks;
+    ``passed`` when all of them pass."""
+
     center: tuple[float, float]
     r0: float
     r_inf: float

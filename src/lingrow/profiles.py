@@ -25,7 +25,6 @@ mu-ellipticity lower bound).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -274,6 +273,23 @@ def recession_slope(p: RadialProfile) -> float:
     return p.delta / (p.mu - 1.0) + recession_slope(p.base)
 
 
+def _floor_exponent(p: RadialProfile) -> float:
+    """Smallest ``mu`` with ``min(d2, d1/t) >= nu6 (1+t)^(-mu)``, ``nu6 > 0``.
+
+    A ``phi_mu`` term's floor is ``(1+t)^(-mu)`` (its d1/t is a mean of
+    d2), and ``minimal_surface``'s is ``(1+t^2)^(-3/2) >= (1+t)^(-3)``.  The
+    d2 and d1/t of a sum are sums of non-negative terms, so its floor is at
+    least each weighted term's floor: the smallest exponent of the nest
+    holds.  No smaller one does, since the floor is at most d2, which
+    decays like that term.
+    """
+    if p.kind == "phi_mu":
+        return p.mu
+    if p.kind == "minimal_surface":
+        return 3.0
+    return min(p.mu, _floor_exponent(p.base))
+
+
 @dataclass(frozen=True)
 class GrowthConstants:
     """Tightest constants fitted on a sample grid.
@@ -304,6 +320,9 @@ class GrowthConstants:
 
 @dataclass(frozen=True)
 class ConditionCheck:
+    """One structural condition: whether it holds, its worst violation
+    and where."""
+
     name: str
     passed: bool
     worst_violation: float
@@ -313,6 +332,8 @@ class ConditionCheck:
 
 @dataclass
 class ConditionReport:
+    """Every condition of one profile, with its fitted constants."""
+
     profile: RadialProfile
     t_max: float
     sample_count: int
@@ -339,8 +360,10 @@ def _sample_grid(t_max: float, samples: int) -> np.ndarray:
     return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
-# The asymptotic conditions are read on a ray that ends at least here: every
-# profile ``RadialProfile`` admits follows its power-law tail by t = 1e3.
+# The tail ray ends at least here.  It serves the two conditions a finite
+# sample cannot settle: that the curvature quotient ``d2 (1+t)`` stays
+# bounded, and that the ellipticity floor has not vanished (it underflows
+# for a steep enough ``phi_mu``).
 _TAIL_END = 1e4
 
 
@@ -358,53 +381,6 @@ def _bounded_on_ray(values: np.ndarray) -> bool:
     return bool(np.all(np.diff(tail) <= 1e-13 * scale))
 
 
-_MU_SCAN_STEP = 0.05
-
-
-def _floor_decay_exponent(ray: np.ndarray, ray_floor: np.ndarray) -> float:
-    """Decay rate beta of the ellipticity floor, ~ (1+t)^(-beta).
-
-    The log-log slope between the last two ray points, where the floor
-    follows its power law.  A floor that is not positive there (it decays
-    faster than any power, or underflows) comes back as +inf.
-    """
-    f = ray_floor[-2:]
-    if np.any(f <= 0.0):
-        return math.inf
-    (f0, f1), (l0, l1) = np.log(f), np.log1p(ray[-2:])
-    return -float((f1 - f0) / (l1 - l0))
-
-
-def _certify_mu(p: RadialProfile, t: np.ndarray, floor: np.ndarray,
-                ray: np.ndarray, ray_floor: np.ndarray
-                ) -> tuple[float, float] | None:
-    """Smallest exponent mu with ``floor >= nu6 (1+t)^(-mu)`` sustainable.
-
-    A candidate mu supports a positive constant exactly when it is at least
-    the asymptotic decay rate of the floor, so candidates are screened
-    against the rate read on the tail (with half a scan step of slack).
-    The candidates are the exponents of the nest's ``phi_mu`` terms, the
-    smallest first (the floor of a sum decays like its slowest term),
-    whatever the nesting; a density without one is scanned instead.  The
-    reported nu6 is the minimum of ``floor * (1+t)^mu`` over the full
-    sample grid.  Returns (mu, nu6) or None, also for a floor that vanishes
-    on the grid: it does not increase, so it vanishes on the tail as well.
-    """
-    beta = _floor_decay_exponent(ray, ray_floor)
-    if not math.isfinite(beta):
-        return None
-    nest = [p]
-    while nest[-1].base is not None:
-        nest.append(nest[-1].base)
-    candidates = sorted(q.mu for q in nest if q.mu is not None) or [
-        round(m, 2) for m in np.arange(1.05, 6.001, _MU_SCAN_STEP)]
-    for mu in candidates:
-        if mu >= beta - 0.5 * _MU_SCAN_STEP:
-            nu6 = float(np.min(floor * np.exp(mu * np.log1p(t))))
-            return float(mu), nu6
-    return None
-
-
 def certify_conditions(p: RadialProfile, t_max: float = 100.0,
                        samples: int = 1000) -> ConditionReport:
     """Check the structural conditions on a sample grid and fit constants.
@@ -412,6 +388,7 @@ def certify_conditions(p: RadialProfile, t_max: float = 100.0,
     Requires ``t_max > 0`` and ``samples >= 100``.  Fitted constants are the
     tightest values valid on the sample grid up to ``t_max``; the
     asymptotic conditions are read on the tail up to ``max(t_max, 1e4)``.
+    The ellipticity exponent is the density's own (``_floor_exponent``).
     """
     if not (t_max > 0.0):
         raise ValueError("t_max must be positive")
@@ -481,16 +458,18 @@ def certify_conditions(p: RadialProfile, t_max: float = 100.0,
         float(t[int(np.argmax(upper))]),
         note=f"max(d2, d1/t)*(1+t) peak {peak:.6g}, recession floor {nu3:.6g}")
 
-    # mu-ellipticity floor
+    # mu-ellipticity floor: nu6 is its minimum against (1+t)^(-mu) on the
+    # sample grid.  The floor does not increase, so one that is not positive
+    # at the tail's end (it underflowed) bounds no power from below.
     floor = np.minimum(d2, ratio)
-    cert = _certify_mu(p, t, floor, ray, np.minimum(ray_d2, d1_over_t(p, ray)))
-    if cert is None:
+    if min(ray_d2[-1], ray_d1[-1] / ray[-1]) <= 0.0:
         checks["mu_ellipticity"] = ConditionCheck(
             "mu_ellipticity", False, float(np.min(floor)), None,
             note="no exponent certified the lower bound")
         nu6 = mu_cert = None
     else:
-        mu_cert, nu6 = cert
+        mu_cert = _floor_exponent(p)
+        nu6 = float(np.min(floor * np.exp(mu_cert * np.log1p(t))))
         checks["mu_ellipticity"] = ConditionCheck(
             "mu_ellipticity", nu6 > 0.0, 0.0, None,
             note=f"mu={mu_cert:g}, nu6={nu6:.6g}")

@@ -108,6 +108,10 @@ _AMPLITUDE = 0.1
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The continuation ladder: the regularizer's exponent, the strictly
+    decreasing delta schedule, the residual tolerance and the Newton step
+    cap of each run."""
+
     mu: float = 1.5
     delta_schedule: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4)
     residual_tol: float | None = None  # None: 1e-8 * (1 + |E(init)|)
@@ -345,6 +349,9 @@ def _nested_start(problem, reg: RegularizationState, cfg: SolverConfig):
 
 @dataclass
 class DeltaRecord:
+    """One rung of the ladder: its solution, its Newton run and the plain
+    energy, total variation and interior sup of the solution."""
+
     delta: float
     u: Field
     stats: SolveStats  # the rung's Newton run
@@ -396,6 +403,9 @@ def continuation_solve(problem, cfg: SolverConfig = SolverConfig(),
 
 @dataclass
 class MinimalityReport:
+    """The energy-increase audit around a solution: the margins of the
+    random trials and of the one along the negative residual."""
+
     trials: int
     amplitude: float
     worst_margin: float  # over the random trials

@@ -42,6 +42,11 @@ def density_config(**density):
     return {"density": density, "density_check": {"t_max": 50.0, "samples": 300}}
 
 
+# the regularized density of a small rung: delta phi_1.5 + minimal_surface
+REGULARIZED_MS = {"kind": "combined", "delta": 1e-6, "mu": 1.5,
+                  "base": {"kind": "minimal_surface"}}
+
+
 def denoise_config(value=2.5, noise=0.0, nx=8, lam=0.7, seed=3,
                    schedule=(0.1, 0.01), tol=1e-11, max_iters=20000):
     return {
@@ -138,6 +143,18 @@ class TestDensityCheck:
         report = read_json(out / "condition_report.json")
         assert report["constants"]["mu_certified"] == pytest.approx(3.0,
                                                                     abs=0.05)
+
+    def test_a_regularized_minimal_surface_certifies_its_delta_term(
+            self, tmp_path):
+        """The floor of delta phi_1.5 + minimal_surface is at least
+        delta (1+t)^-1.5, so 1.5 holds, though at delta 1e-6 the
+        minimal-surface term still dominates the floor at t = 1e4."""
+        rc, out = run(tmp_path, "density-check", density_config(
+            **REGULARIZED_MS))
+        assert rc == 0
+        report = read_json(out / "condition_report.json")
+        assert report["all_passed"] is True
+        assert report["constants"]["mu_certified"] == 1.5
 
     def test_t_max_at_its_bound_certifies(self, tmp_path):
         cfg = density_config(kind="minimal_surface")
@@ -854,6 +871,20 @@ class TestFullReport:
         summary = read_json(out / "report.json")
         assert summary["density_passed"] is report["all_passed"] is True
         assert rc == (0 if summary["passed"] else 1)
+
+    def test_a_regularized_density_passes_its_certificate(self, tmp_path):
+        """A Dirichlet problem on delta phi_1.5 + minimal_surface at delta
+        1e-6.  The grid is 20x20 because 16x16 holds no ball family: the
+        widest first annulus is r0/4 (n = 2), and two cells of it need r0
+        to be half the side."""
+        cfg = affine_dirichlet_config(nx=20)
+        cfg["problem"]["density"] = REGULARIZED_MS
+        cfg["ball"] = {"center": [0.5, 0.5], "r0": 0.45, "j_max": 1}
+        rc, out = run(tmp_path, "full-report", cfg)
+        assert read_json(out / "report.json")["density_passed"] is True
+        report = read_json(out / "condition_report.json")
+        assert report["constants"]["mu_certified"] == 1.5
+        assert rc == 0
 
     def test_report_summarizes_all_checks(self, tmp_path):
         rc, out = run(tmp_path, "full-report", self.full_config())
