@@ -6,7 +6,8 @@ A density is admissible when it grows linearly at infinity, has curvature
 decaying like 1/(1+t), and keeps a mu-elliptic lower curvature floor.
 This script builds the three built-in profiles, checks the closed forms
 against a brute-force Riemann sum, and prints the certification report,
-then the certified exponents of two regularized densities.
+then the certified exponent and nu6 of two regularized densities at three
+sample ranges.
 """
 
 import numpy as np
@@ -56,11 +57,13 @@ for profile in (p, ms, blend):
 
 # the certified mu is the density's own: mu for phi_mu, 3 for the minimal
 # surface integrand (its floor (1+t^2)^-1.5 is at least (1+t)^-3), and the
-# smallest term's for a sum, whose floor is at least each weighted term's
+# smallest term's for a sum, whose floor is at least the sum of its weighted
+# terms' floors; nu6 is the summed weight of the terms with that exponent
 
 # ---------------------------------------------------------------------------
-# regularized densities: a small delta term still sets the exponent, though
-# at t = 1e4 the floor has not yet settled on its slowest term
+# regularized densities: a small delta term still sets the exponent, and its
+# weight is nu6, though at t = 1e4 the floor has not yet settled on its
+# slowest term; both are read from the terms, so neither moves with t_max
 
 for profile, base in ((combined(1e-6, 1.5, ms), "minimal_surface"),
                       (combined(0.1, 1.2, phi_mu(1.5)), "phi_mu(1.5)")):

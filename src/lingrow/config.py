@@ -21,7 +21,7 @@ from .grids import Field, Grid2, Mask
 from .instances import make_field, make_function, snap_to_cell
 from .moser import BallFamily, _check_depth
 from .pgmio import field_from_csv, field_from_pgm, mask_from_pgm
-from .profiles import RadialProfile
+from .profiles import RadialProfile, combined, minimal_surface, phi_mu
 from .solver import SolverConfig
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
@@ -145,20 +145,23 @@ _LIST_MAX = 64
 _DENSITY_DEPTH_MAX = 32
 
 
-def _parse_density(spec) -> RadialProfile:
-    """A density whose numbers, a nested ``base``'s included, are JSON
-    numbers: none is converted."""
-    part, depth = spec, 0
-    while isinstance(part, dict):
-        _expect(depth <= _DENSITY_DEPTH_MAX, "a density nests at most "
-                f"{_DENSITY_DEPTH_MAX} 'base' levels")
-        _kind_keys(part, "density", _DENSITY_KEYS)
-        for key in ("mu", "delta"):
-            if key in part:
-                _real(part[key], key)
-        part = part.get("base")
-        depth += 1
-    return RadialProfile.from_dict(spec)
+def _parse_density(spec, depth: int = 0) -> RadialProfile:
+    """The density ``spec`` describes, ``depth`` levels down a nest, built in
+    the walk that checks its depth, keys and JSON numbers (none converted)."""
+    _expect(isinstance(spec, dict) and "kind" in spec,
+            "profile description must be a dict with a 'kind'")
+    _expect(depth <= _DENSITY_DEPTH_MAX, "a density nests at most "
+            f"{_DENSITY_DEPTH_MAX} 'base' levels")
+    _kind_keys(spec, "density", _DENSITY_KEYS)
+    kind = spec["kind"]
+    if kind == "phi_mu":
+        return phi_mu(_real(spec["mu"], "mu"))
+    if kind == "minimal_surface":
+        return minimal_surface()
+    if kind == "combined":
+        return combined(_real(spec["delta"], "delta"), _real(spec["mu"], "mu"),
+                        _parse_density(spec["base"], depth + 1))
+    raise ConfigError(f"unknown profile kind {kind!r}")
 
 
 # the numbers of a synthetic datum, and its points with their lengths

@@ -17,10 +17,10 @@ directly; ``profile_eval``, ``profile_d1``, ``profile_d2`` and
 ``slope_ratio`` validate ``t`` and then run the same code, so both give the
 same bits.
 
-``certify_conditions`` samples a profile and fits the tightest constants for
-the structural conditions every density must satisfy (zero value and slope at
-the origin, linear-growth sandwich, convexity, curvature decay, and the
-mu-ellipticity lower bound).
+``certify_conditions`` checks the structural conditions every density must
+satisfy (zero value and slope at the origin, linear-growth sandwich,
+convexity, curvature decay, mu-ellipticity), reading nu3, mu and nu6 from
+the profile's terms and fitting the rest on a sample.
 """
 
 from __future__ import annotations
@@ -87,23 +87,9 @@ class RadialProfile:
             raise ValueError(f"unknown profile kind {self.kind!r}")
 
     def to_dict(self) -> dict:
-        """The notation ``from_dict`` reads, without the unset fields."""
+        """A config's ``density`` notation, without the unset fields."""
         return {k: v.to_dict() if isinstance(v, RadialProfile) else v
                 for k, v in vars(self).items() if v is not None}
-
-    @staticmethod
-    def from_dict(d: dict) -> "RadialProfile":
-        if not isinstance(d, dict) or "kind" not in d:
-            raise ValueError("profile description must be a dict with a 'kind'")
-        kind = d["kind"]
-        if kind == "phi_mu":
-            return phi_mu(float(d["mu"]))
-        if kind == "minimal_surface":
-            return minimal_surface()
-        if kind == "combined":
-            return combined(float(d["delta"]), float(d["mu"]),
-                            RadialProfile.from_dict(d["base"]))
-        raise ValueError(f"unknown profile kind {kind!r}")
 
 
 def phi_mu(mu: float) -> RadialProfile:
@@ -266,37 +252,40 @@ def slope_ratio(p: RadialProfile, t):
 
 def recession_slope(p: RadialProfile) -> float:
     """Limit of value/t as t -> infinity (the slope at infinity)."""
-    if p.kind == "phi_mu":
-        return 1.0 / (p.mu - 1.0)
-    if p.kind == "minimal_surface":
-        return 1.0
-    return p.delta / (p.mu - 1.0) + recession_slope(p.base)
+    return _tail(p)[0]
 
 
-def _floor_exponent(p: RadialProfile) -> float:
-    """Smallest ``mu`` with ``min(d2, d1/t) >= nu6 (1+t)^(-mu)``, ``nu6 > 0``.
+def _tail(p: RadialProfile) -> tuple[float, float, float]:
+    """``(nu3, mu, nu6)`` from the terms of ``p``: the slope at infinity,
+    and the smallest ``mu``, with the largest ``nu6``, such that
+    ``min(d2, d1/t) >= nu6 (1+t)^(-mu)`` for every ``t``.
 
     A ``phi_mu`` term's floor is ``(1+t)^(-mu)`` (its d1/t is a mean of
-    d2), and ``minimal_surface``'s is ``(1+t^2)^(-3/2) >= (1+t)^(-3)``.  The
-    d2 and d1/t of a sum are sums of non-negative terms, so its floor is at
-    least each weighted term's floor: the smallest exponent of the nest
-    holds.  No smaller one does, since the floor is at most d2, which
-    decays like that term.
+    d2), and ``minimal_surface``'s is ``(1+t^2)^(-3/2) >= (1+t)^(-3)``,
+    tight at infinity.  The floor of a sum is at least the sum of its
+    terms' floors, and at most its d2, which tends to the summed weight of
+    the smallest-exponent terms times ``(1+t)^(-mu)``.
     """
     if p.kind == "phi_mu":
-        return p.mu
+        return 1.0 / (p.mu - 1.0), p.mu, 1.0
     if p.kind == "minimal_surface":
-        return 3.0
-    return min(p.mu, _floor_exponent(p.base))
+        return 1.0, 3.0, 1.0
+    nu3, mu, nu6 = _tail(p.base)
+    nu3 = p.delta / (p.mu - 1.0) + nu3
+    if p.mu < mu:
+        return nu3, p.mu, p.delta
+    return nu3, mu, nu6 + p.delta if p.mu == mu else nu6
 
 
 @dataclass(frozen=True)
 class GrowthConstants:
-    """Tightest constants fitted on a sample grid.
+    """The structural constants of a density.
 
     ``nu1 * t - nu2 <= value <= nu3 * t + nu4`` (linear growth sandwich),
     ``max(d2, d1/t) <= nu5 / (1+t)`` (curvature decay), and
     ``min(d2, d1/t) >= nu6 * (1+t)^(-mu_certified)`` (mu-ellipticity).
+    ``nu3``, ``mu_certified`` and ``nu6`` come from the density's terms,
+    ``nu5`` from the sample and the tail ray, the rest from the sample.
     """
 
     nu1: float
@@ -385,10 +374,10 @@ def certify_conditions(p: RadialProfile, t_max: float = 100.0,
                        samples: int = 1000) -> ConditionReport:
     """Check the structural conditions on a sample grid and fit constants.
 
-    Requires ``t_max > 0`` and ``samples >= 100``.  Fitted constants are the
-    tightest values valid on the sample grid up to ``t_max``; the
-    asymptotic conditions are read on the tail up to ``max(t_max, 1e4)``.
-    The ellipticity exponent is the density's own (``_floor_exponent``).
+    Requires ``t_max > 0`` and ``samples >= 100``.  ``nu1``, ``nu2``, ``nu4``
+    are fitted on the sample grid up to ``t_max``; ``nu5`` and the asymptotic
+    conditions also read the tail up to ``max(t_max, 1e4)``; ``nu3``, the
+    exponent and ``nu6`` are the density's own (``_tail``).
     """
     if not (t_max > 0.0):
         raise ValueError("t_max must be positive")
@@ -419,7 +408,7 @@ def certify_conditions(p: RadialProfile, t_max: float = 100.0,
     # linear-growth sandwich: two-pass fit.  nu3 is the slope at infinity
     # (d1 is non-decreasing so its limit equals the recession slope); nu1 is
     # the smallest chord slope at t >= 1, nu2 mops up what is left below.
-    nu3 = recession_slope(p)
+    nu3, mu_cert, nu6 = _tail(p)
     nu4 = max(0.0, float(np.max(val - nu3 * t)))
     big = t >= 1.0
     if np.any(big):
@@ -441,6 +430,7 @@ def certify_conditions(p: RadialProfile, t_max: float = 100.0,
     # curvature decay: d2 <= nu5 / (1+t), and the full upper corridor
     # max(d2, d1/t) <= nu5 / (1+t) used by the Hessian bound.
     upper = np.maximum(d2, ratio) * (1.0 + t)
+    ray_upper = np.maximum(ray_d2, ray_d1 / ray) * (1.0 + ray)
     d2_decay = d2 * (1.0 + t)
     nu5_d2 = float(np.max(d2_decay))
     d2_bounded = _bounded_on_ray(ray_d2 * (1.0 + ray))
@@ -451,27 +441,28 @@ def certify_conditions(p: RadialProfile, t_max: float = 100.0,
     # The corridor tends to the recession slope (d1 (1+t)/t -> nu3 while
     # the curvature part vanishes), so a globally valid constant is at
     # least nu3; boundedness follows from the slope and curvature audits.
-    peak = float(np.max(upper))
+    # Its peak is read on the sample and on the ray (from t = 1); a tie
+    # keeps the sample's point.
+    k, j = int(np.argmax(upper)), int(np.argmax(ray_upper))
+    at_t, peak = ((float(t[k]), float(upper[k])) if upper[k] >= ray_upper[j]
+                  else (float(ray[j]), float(ray_upper[j])))
     nu5 = max(peak, nu3)
     checks["hessian_upper_corridor"] = ConditionCheck(
         "hessian_upper_corridor", d2_bounded and growth_ok and nu5 > 0.0, 0.0,
-        float(t[int(np.argmax(upper))]),
+        at_t,
         note=f"max(d2, d1/t)*(1+t) peak {peak:.6g}, recession floor {nu3:.6g}")
 
-    # mu-ellipticity floor: nu6 is its minimum against (1+t)^(-mu) on the
-    # sample grid.  The floor does not increase, so one that is not positive
-    # at the tail's end (it underflowed) bounds no power from below.
-    floor = np.minimum(d2, ratio)
+    # mu-ellipticity floor: the density's terms bound it by nu6 (1+t)^(-mu)
+    # (_tail).  The floor does not increase, so one that is not positive at
+    # the tail's end (it underflowed) bounds no power from below.
     if min(ray_d2[-1], ray_d1[-1] / ray[-1]) <= 0.0:
         checks["mu_ellipticity"] = ConditionCheck(
-            "mu_ellipticity", False, float(np.min(floor)), None,
-            note="no exponent certified the lower bound")
+            "mu_ellipticity", False, float(np.min(np.minimum(d2, ratio))),
+            None, note="no exponent certified the lower bound")
         nu6 = mu_cert = None
     else:
-        mu_cert = _floor_exponent(p)
-        nu6 = float(np.min(floor * np.exp(mu_cert * np.log1p(t))))
         checks["mu_ellipticity"] = ConditionCheck(
-            "mu_ellipticity", nu6 > 0.0, 0.0, None,
+            "mu_ellipticity", True, 0.0, None,
             note=f"mu={mu_cert:g}, nu6={nu6:.6g}")
 
     constants = GrowthConstants(nu1=nu1, nu2=nu2, nu3=nu3, nu4=nu4, nu5=nu5,

@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from lingrow import profiles
 from lingrow.cli import _finite_or_null
+from lingrow.config import ConfigError, parse_config
 from lingrow.profiles import (GrowthConstants, RadialProfile,
                               certify_conditions, combined,
                               minimal_surface, phi_mu, profile_d1, profile_d2,
@@ -322,7 +323,7 @@ def test_certify_combined_profiles():
     rep = certify_conditions(combined(0.1, 1.5, minimal_surface()), 100.0, 1000)
     assert rep.all_passed
     assert rep.constants.mu_certified == 1.5
-    assert 0.1 < rep.constants.nu6 < 0.11
+    assert rep.constants.nu6 == 0.1
 
     # the smallest exponent of the nest, not the outer one
     rep = certify_conditions(combined(0.05, 1.9, phi_mu(1.2)), 100.0, 1000)
@@ -387,19 +388,42 @@ def nests(depth):
     return st.builds(nest, base, layers)
 
 
-@given(nests(3), st.floats(-3.0, 8.0).map(lambda e: 10.0 ** e))
-@example(combined(0.1, 4.0, minimal_surface()), 100.0)
-def test_a_nest_certifies_its_smallest_term_with_its_weight(p, t_max):
+@given(nests(3), st.floats(-3.0, 8.0).map(lambda e: 10.0 ** e),
+       st.integers(100, 2000))
+@example(combined(0.1, 4.0, minimal_surface()), 100.0, 1000)
+def test_a_nest_certifies_its_smallest_term_with_its_weight(p, t_max,
+                                                            samples):
     """The floor min(d2, d1/t) of a sum is at least the sum of its terms'
-    floors, so the smallest exponent holds with nu6 at least the weight of
-    the terms that carry it."""
+    floors, and tends to it at infinity, so the smallest exponent holds
+    with nu6 the weight of the terms that carry it, whatever the sample."""
     terms = term_exponents(p)
     mu = min(m for m, _ in terms)
-    rep = certify_conditions(p, t_max, 1000)
+    rep = certify_conditions(p, t_max, samples)
     assert rep.all_passed, [k for k, c in rep.checks.items() if not c.passed]
     assert rep.constants.mu_certified == mu
     weight = sum(w for m, w in terms if m == mu)
-    assert rep.constants.nu6 >= (1.0 - 1e-9) * weight
+    assert rep.constants.nu6 == pytest.approx(weight, rel=1e-12)
+    assert rep.constants.nu6 == certify_conditions(p).constants.nu6
+
+
+@pytest.mark.parametrize("t_max", [0.1, 0.5, 1.0, 100.0])
+@pytest.mark.parametrize("p", [
+    minimal_surface(),
+    combined(1e-6, 1.5, minimal_surface()),
+    combined(0.1, 1.5, minimal_surface()),
+], ids=["ms", "combined_1e-6", "combined_0.1"])
+def test_the_corridor_constants_hold_off_the_sample(p, t_max):
+    """nu6 bounds the floor and nu5 the corridor on twenty decades of
+    slopes, however short the sample: the corridor of minimal_surface peaks
+    at sqrt(2) at t = 1, and a small delta term sets the floor only far
+    beyond t_max."""
+    c = certify_conditions(p, t_max, 1000).constants
+    t = np.concatenate(([0.0], np.geomspace(1e-8, 1e12, 2001)))
+    d2, ratio = profile_d2(p, t), slope_ratio(p, t)
+    floor = np.minimum(d2, ratio) * (1.0 + t) ** c.mu_certified
+    assert np.min(floor) >= c.nu6 * (1.0 - 1e-9)
+    upper = np.maximum(d2, ratio) * (1.0 + t)
+    assert c.nu5 >= (1.0 - 1e-4) * np.max(upper)
 
 
 @pytest.mark.parametrize("t_max", [1e-3, 1.0, 10.0])
@@ -481,7 +505,7 @@ def test_parameter_validation():
                            base=minimal_surface()), "requires mu > 1"),
     (lambda: RadialProfile("combined", mu=1.5, delta=0.1),
      "requires a base profile"),
-    (lambda: RadialProfile.from_dict({"kind": "mystery"}),
+    (lambda: parse_config({"density": {"kind": "mystery"}}),
      "unknown profile kind 'mystery'"),
 ])
 def test_profile_construction_rejects(make, message):
@@ -524,12 +548,11 @@ def test_certify_input_validation():
 
 
 def test_profile_dict_round_trip():
-    p = combined(0.1, 1.7, minimal_surface())
-    assert RadialProfile.from_dict(p.to_dict()) == p
-    q = phi_mu(2.5)
-    assert RadialProfile.from_dict(q.to_dict()) == q
-    with pytest.raises(ValueError):
-        RadialProfile.from_dict({"mu": 2.0})
+    """``to_dict`` writes the config notation that builds the profile."""
+    for p in (combined(0.1, 1.7, minimal_surface()), phi_mu(2.5)):
+        assert parse_config({"density": p.to_dict()}).density == p
+    with pytest.raises(ConfigError, match="must be a dict with a 'kind'"):
+        parse_config({"density": {"mu": 2.0}})
 
 
 # ---------------------------------------------------------------------------
