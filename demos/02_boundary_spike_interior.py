@@ -24,9 +24,10 @@ u0 = problem.u0_interior()
 print("datum sup:", round(float(np.max(u0.values)), 2),
       " background at center about 3")
 
-# shrinking balls around the domain center; the limit ball has half the
-# starting radius (n = 2), and the audit runs on every ladder rung
-family = BallFamily(center=(0.5, 0.5), r0=0.3, n=2, j_max=6)
+# shrinking balls around the domain center, two-dimensional as the grid is:
+# the limit ball has half the starting radius, the exponents double from
+# level to level, and the audit runs on every ladder rung
+family = BallFamily(center=(0.5, 0.5), r0=0.3, j_max=6)
 print("ball radii:", np.round(family.ball(0).radius, 4), "->",
       np.round(family.limit_ball().radius, 4))
 

@@ -29,7 +29,8 @@ print("datum sup:", round(float(np.max(problem.f.values)), 1),
 x0 = (0.25, 0.45)
 r0, eps0 = select_radius(problem.f, problem.mask, problem.lam, x0)
 print(f"selected radius {r0:g} at {x0}, threshold epsilon0 = {eps0:g}")
-family = BallFamily(x0, r0, n=2, j_max=5)
+# five levels of shrinking balls from r0 toward the limit ball of r0/2
+family = BallFamily(x0, r0, j_max=5)
 
 # ---------------------------------------------------------------------------
 # continuation ladder; the data term uses f clipped at +-1/delta, so the

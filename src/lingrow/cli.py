@@ -128,8 +128,7 @@ def _resolve_ball(cfg: RunConfig, problem) -> tuple[BallFamily, float | None]:
         # the config admits an auto ball only on a fidelity problem
         r0, eps0 = select_radius(problem.f, problem.mask, problem.lam,
                                  cfg.ball_auto_x0)
-        ball = BallFamily(cfg.ball_auto_x0, r0, n=cfg.ball_n,
-                          j_max=cfg.ball_j_max)
+        ball = BallFamily(cfg.ball_auto_x0, r0, j_max=cfg.ball_j_max)
     else:
         raise ConfigError("config needs a 'ball' section for this command")
     # the audit's geometry is checked before the solve, not after it
@@ -224,7 +223,7 @@ def _moser_payload(cfg: RunConfig, records: list[DeltaRecord], out_dir: str,
                  "delta,interior_sup", sups)
     return {"passed": all_passed,
             "ball": {"center": list(ball.center), "r0": ball.r0,
-                     "n": ball.n, "j_max": ball.j_max, "epsilon0": eps0}}
+                     "j_max": ball.j_max, "epsilon0": eps0}}
 
 
 def cmd_moser(cfg: RunConfig, out_dir: str, ball: BallFamily,

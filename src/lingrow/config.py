@@ -49,7 +49,6 @@ class RunConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     ball: BallFamily | None = None
     ball_auto_x0: tuple[float, float] | None = None
-    ball_n: int = 2
     ball_j_max: int = 6
     s_values: tuple[float, ...] = (0.0, 1.0, 3.0)
     minimality_trials: int = 100
@@ -331,11 +330,12 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     if "ball" in raw:
         b = raw["ball"]
         _expect(isinstance(b, dict), "'ball' must be an object")
-        _keys(b, "ball", "auto", "n", "j_max",
-              *(("x0",) if b.get("auto") else ("center", "r0")))
-        cfg.ball_n = _count(b.get("n", 2), "ball.n", 2)
+        auto = b.get("auto", False)
+        _expect(isinstance(auto, bool), "'ball.auto' must be true or false")
+        _keys(b, "ball", "auto", "j_max",
+              *(("x0",) if auto else ("center", "r0")))
         cfg.ball_j_max = _count(b.get("j_max", 6), "ball.j_max", 1)
-        if b.get("auto"):
+        if auto:
             _expect("x0" in b, "auto ball selection needs 'x0'")
             x0 = b["x0"]
             _expect(isinstance(x0, list) and len(x0) == 2, "'x0' needs 2 numbers")
@@ -344,7 +344,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
             with _section("bad ball"):
                 _expect(not isinstance(cfg.problem, DirichletProblem),
                         "auto ball selection needs a fidelity problem")
-                _check_depth(cfg.ball_n, cfg.ball_j_max)
+                _check_depth(cfg.ball_j_max)
         else:
             _expect("center" in b and "r0" in b,
                     "ball needs 'center' and 'r0' (or 'auto' with 'x0')")
@@ -354,8 +354,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
             center = (_real(c[0], "center"), _real(c[1], "center"))
             r0 = _real(b["r0"], "r0")
             with _section("bad ball"):
-                cfg.ball = BallFamily(center, r0, n=cfg.ball_n,
-                                      j_max=cfg.ball_j_max)
+                cfg.ball = BallFamily(center, r0, j_max=cfg.ball_j_max)
 
     # each rung's field stays in the records (4000 rungs of a 128^2 solve
     # took 559 MB), and each s value costs three power arrays of the outer

@@ -66,9 +66,9 @@ class RegularizationState:
             raise ValueError("delta must lie in (0, 1)")
         if self.kind not in ("dirichlet", "fidelity"):
             raise ValueError("kind must be 'dirichlet' or 'fidelity'")
-        # the regularizer's exponent window: 1 < mu < 1 + 2/n for the
-        # Dirichlet class and 1 < mu < 2 for the fidelity class, the same
-        # interval on these 2D grids
+        # the regularizer's exponent window: 1 < mu < 2, the fidelity
+        # class's, and the Dirichlet class's 1 < mu < 1 + 2/n at the grids'
+        # dimension n = 2
         if not (1.0 < self.mu < 2.0):
             raise ValueError("mu must lie in (1, 2)")
 

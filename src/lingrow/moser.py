@@ -2,14 +2,16 @@
 
 The estimate chain behind the interior sup bounds is made measurable: for a
 shrinking family of concentric balls ``B_j`` with radii
-``R_j = R0 (n-1)/n + ((n-1)/n)^j R0/n`` and exponents
-``s_j = (n/(n-1))^j - 1``, the truncated masses
-``a_j = max(1, integral of |u|^(s_j+1) over B_j)`` must satisfy a one-step
-recursion ``a_{j+1}^((n-1)/n) <= c (n/(n-1))^(2j) a_j`` with a level-stable
-constant; iterating it to the limit ball of radius ``R0 (n-1)/n`` yields
+``R_j = R0/2 + 2^-(j+1) R0`` and exponents ``s_j = 2^j - 1``, the truncated
+masses ``a_j = max(1, integral of |u|^(s_j+1) over B_j)`` must satisfy a
+one-step recursion ``a_{j+1}^(1/2) <= c 4^j a_j`` with a level-stable
+constant; iterating it to the limit ball of radius ``R0/2`` yields
 
-    sup |u| on the limit ball <= c^(n-1) (n/(n-1))^(2n(n-1))
-                                 * max(1, ||u||_{L^{n/(n-1)}}).
+    sup |u| on the limit ball <= 16 c max(1, ||u||_{L^2}).
+
+The ratio 2 of the exponents is the Sobolev exponent n/(n-1) of the grids'
+dimension n = 2, which fixes the radii, the recursion and the prefactor
+16 = 2^(2n(n-1)).
 
 ``moser_report`` measures the level masses and the per-level constants,
 evaluates the limit inequality and measures the cutoff inequality the
@@ -50,22 +52,25 @@ __all__ = [
 # smallest admissible cell count inside the innermost ball for the
 # level integrals to mean anything
 _MIN_CELLS_PER_BALL = 50
+# the exponents' ratio n/(n-1) and the sup bound's prefactor
+# (n/(n-1))^(2n(n-1)) in the grids' dimension n = 2
+_Q = 2.0
+_PREFACTOR = 16.0
 
 
 class MoserGeometryError(ValueError):
     """Ball family or radius search that the grid or a float cannot hold."""
 
 
-def _check_depth(n: int, j_max: int) -> None:
-    """Raise ``MoserGeometryError`` unless (n/(n-1))^j_max and
-    (n/(n-1))^(2n(n-1)) are finite floats: the depth rule of both ball forms."""
+def _check_depth(j_max: int) -> None:
+    """Raise ``MoserGeometryError`` unless 2^j_max, the scale of the top
+    exponent, is a finite float (j_max at most 1023): the depth rule of
+    both ball forms."""
     try:  # a float power that overflows raises, never returns inf
-        q = n / (n - 1.0)
-        q ** j_max, q ** (2 * n * (n - 1))
+        _Q ** j_max
     except OverflowError:
         raise MoserGeometryError(
-            "ball family too deep or too wide: (n/(n-1))^j_max or "
-            "(n/(n-1))^(2n(n-1)) is not a finite float") from None
+            "ball family too deep: 2^j_max is not a finite float") from None
 
 
 @dataclass(frozen=True)
@@ -74,26 +79,18 @@ class BallFamily:
 
     center: tuple[float, float]
     r0: float
-    n: int = 2
     j_max: int = 6
 
     def __post_init__(self) -> None:
         if not (self.r0 > 0.0):
             raise ValueError("r0 must be positive")
-        if self.n < 2:
-            raise ValueError("dimension parameter n must be at least 2")
         if self.j_max < 1:
             raise ValueError("j_max must be at least 1")
-        _check_depth(self.n, self.j_max)
-
-    @property
-    def q(self) -> float:
-        """Iteration ratio n/(n-1)."""
-        return self.n / (self.n - 1.0)
+        _check_depth(self.j_max)
 
     @property
     def r_inf(self) -> float:
-        return self.r0 * (self.n - 1.0) / self.n
+        return 0.5 * self.r0
 
     def ball(self, j: int) -> Ball:
         return Ball(self.center, radii(self)[j])
@@ -105,24 +102,23 @@ class BallFamily:
 def radii(bf: BallFamily) -> np.ndarray:
     """R_0 ... R_{j_max}; strictly decreasing toward ``bf.r_inf``."""
     j = np.arange(bf.j_max + 1)
-    shrink = ((bf.n - 1.0) / bf.n) ** j
-    return bf.r_inf + shrink * bf.r0 / bf.n
+    return bf.r_inf + 0.5 ** j * bf.r0 / 2.0
 
 
 def exponents(bf: BallFamily) -> np.ndarray:
-    """s_j = (n/(n-1))^j - 1 for j = 0 ... j_max."""
+    """s_j = 2^j - 1 for j = 0 ... j_max."""
     j = np.arange(bf.j_max + 1)
-    return bf.q ** j - 1.0
+    return _Q ** j - 1.0
 
 
 def check_geometry(grid: Grid2, bf: BallFamily) -> None:
     """Raise ``MoserGeometryError`` unless ``moser_report`` can audit the
     family on this grid: the outer ball strictly inside the domain, at
     least ``_MIN_CELLS_PER_BALL`` cell centres in the innermost ball, and a
-    first annulus at least two cells wide, which the cutoff checks need.
-    The limit ball, whose sup the bound compares, is at least half as wide
-    as the innermost one, so it then holds a cell centre too.  Only the grid
-    is needed, so a run can check before it solves."""
+    first annulus, of width r0/4, at least two cells wide, which the cutoff
+    checks need.  The limit ball, whose sup the bound compares, is at least
+    half as wide as the innermost one, so it then holds a cell centre too.
+    Only the grid is needed, so a run can check before it solves."""
     if not grid.contains_ball(bf.ball(0)):
         raise MoserGeometryError(
             f"ball of radius {bf.r0:g} at {bf.center} is not strictly "
@@ -139,21 +135,21 @@ def check_geometry(grid: Grid2, bf: BallFamily) -> None:
 
 
 def _log_masses(outer_mag: np.ndarray, outer_d2: np.ndarray, rr: np.ndarray,
-                q: float, h: float) -> np.ndarray:
+                h: float) -> np.ndarray:
     """log a_j for the radii ``rr``, from the magnitudes ``outer_mag`` and
     squared centre distances ``outer_d2`` of the outer ball's cells,
-    gathered in C order.  The midpoint-rule integral of |u|^(q^j) is
+    gathered in C order.  The midpoint-rule integral of |u|^(2^j) is
     factored through its maximum, so large exponents neither overflow nor
     underflow.  An inner ball's cells are the same cells in the same order
     as a mask of the whole grid would give, so each sum is too.  A level
     whose ball holds as many cells as the one before (the sorted distances
     count them) reuses their ratios to the maximum; once the largest ratio
-    below 1 to the power ``q^j`` is exactly 0, the sum is the count of the
+    below 1 to the power ``2^j`` is exactly 0, the sum is the count of the
     maxima, the same bits.  So a deep family costs per cell set."""
     out = np.zeros(len(rr))  # log max(1, integral); 0 where u vanishes
     order, held = np.sort(outer_d2, axis=None), -1
     for j, r in enumerate(rr):
-        p, r2 = q ** j, r ** 2
+        p, r2 = _Q ** j, r ** 2
         count = int(np.searchsorted(order, r2))  # cells with d2 < r2
         if count != held:
             held, mj = count, outer_mag[outer_d2 < r2]
@@ -182,15 +178,14 @@ class RecursionCheck:
 
 
 def _recursion(log_a: np.ndarray, bf: BallFamily) -> RecursionCheck:
-    """Measure c_j = a_{j+1}^((n-1)/n) / ((n/(n-1))^(2j) a_j) per level
-    from ``log_a``, the log masses.
+    """Measure c_j = a_{j+1}^(1/2) / (4^j a_j) per level from ``log_a``,
+    the log masses.
 
     Passes when the level constants show no growth trend across the last
     half of the levels (consecutive ratios <= 1.05).
     """
-    q = bf.q
     j = np.arange(bf.j_max)
-    log_c = log_a[1:] / q - 2.0 * j * math.log(q) - log_a[:-1]
+    log_c = log_a[1:] / _Q - 2.0 * j * math.log(_Q) - log_a[:-1]
     # a c_j past the float range reads inf; the growth test needs only logs
     with np.errstate(over="ignore"):
         c = np.exp(log_c)
@@ -217,28 +212,24 @@ def _sup_bound(check: RecursionCheck, mag: np.ndarray, d2: np.ndarray,
                bf: BallFamily, h: float) -> SupBoundCheck:
     """Evaluate the limit inequality with the measured recursion constant.
 
-    predicted = c_max^(n-1) * (n/(n-1))^(2n(n-1)) * max(1, ||u||_{L^q}) over
-    the whole domain; observed = sup of |u| over the limit ball.  For n = 2
-    the middle factor is exactly 16.  Where the plain integral of |u|^q
-    overflows, the norm is factored through max |u|, so it is finite
+    predicted = 16 c_max max(1, ||u||_{L^2}) over the whole domain;
+    observed = sup of |u| over the limit ball.  Where the plain integral of
+    |u|^2 overflows, the norm is factored through max |u|, so it is finite
     whenever |u| is.
     """
-    q = bf.q
-    n = bf.n
-    prefactor = q ** (2 * n * (n - 1))
-    # L^q norm over the whole domain via the largest inscribed concentric ball
+    # L^2 norm over the whole domain via the largest inscribed concentric ball
     # would undercount; integrate over all cells directly.
     with np.errstate(over="ignore"):
-        integral = float(np.sum(mag ** q) * h ** 2)
+        integral = float(np.sum(mag ** _Q) * h ** 2)
     if math.isinf(integral):
         m = float(np.max(mag))
-        lq = m * (float(np.sum((mag / m) ** q)) * h ** 2) ** (1.0 / q)
+        lq = m * (float(np.sum((mag / m) ** _Q)) * h ** 2) ** (1.0 / _Q)
     else:
-        lq = integral ** (1.0 / q)
-    predicted = check.c_max ** (n - 1) * prefactor * max(1.0, lq)
+        lq = integral ** (1.0 / _Q)
+    predicted = check.c_max * _PREFACTOR * max(1.0, lq)
     observed = float(np.max(mag[d2 < bf.r_inf ** 2]))
     return SupBoundCheck(predicted=predicted, observed=observed, lq_norm=lq,
-                         prefactor=float(prefactor),
+                         prefactor=_PREFACTOR,
                          passed=bool(predicted >= observed))
 
 
@@ -258,14 +249,14 @@ class CaccioppoliCheck:
 # that s then fails with its own note, not with a warning
 @np.errstate(over="ignore", invalid="ignore")
 def _caccioppoli(mag: np.ndarray, r_cell: np.ndarray, rr: np.ndarray,
-                 q: float, h: float, s_values) -> list[CaccioppoliCheck]:
+                 h: float, s_values) -> list[CaccioppoliCheck]:
     """Measure the cutoff-inequality constant per ball level for each s.
 
     With the radial ramp eta_j (1 on B_{j+1}, 0 outside B_j, linear in the
     annulus, |grad eta_j| = 1/(R_j - R_{j+1})) of the cell radii ``r_cell``,
     over the outer ball's cells ``mag`` (the ramps vanish outside it):
 
-        c_j = (integral |u|^((s+1)q) eta^(2q))^(1/q)
+        c_j = (integral |u|^(2(s+1)) eta^4)^(1/2)
               / ((s+1) * (integral |u|^s eta^2 + integral |u|^(s+1) eta |grad eta|))
 
     The measured quantity depends on u, the balls, and s alone.  Passes when
@@ -276,7 +267,7 @@ def _caccioppoli(mag: np.ndarray, r_cell: np.ndarray, rr: np.ndarray,
     powers = []
     for s in s_values:
         us1 = mag ** (s + 1.0)
-        powers.append((mag ** s, us1, us1 ** q))  # x ** 0.0 is exactly 1.0
+        powers.append((mag ** s, us1, us1 ** _Q))  # x ** 0.0 is exactly 1.0
     levels = [[] for _ in s_values]
     failed = [False for _ in s_values]
     # Levels whose annulus is thinner than two cells cannot resolve the
@@ -289,9 +280,9 @@ def _caccioppoli(mag: np.ndarray, r_cell: np.ndarray, rr: np.ndarray,
         eta = np.clip((r_hi - r_cell) / (r_hi - r_lo), 0.0, 1.0)
         geta = np.where((r_cell > r_lo) & (r_cell < r_hi),
                         1.0 / (r_hi - r_lo), 0.0)
-        eta2q = eta ** (2.0 * q)
+        eta2q = eta ** (2.0 * _Q)
         for k, (s, (us, us1, us1q)) in enumerate(zip(s_values, powers)):
-            lhs = (h2 * float(np.sum(us1q * eta2q))) ** (1.0 / q)
+            lhs = (h2 * float(np.sum(us1q * eta2q))) ** (1.0 / _Q)
             bracket = h2 * float(np.sum(us * eta * eta)) \
                 + h2 * float(np.sum(us1 * eta * geta))
             if not (math.isfinite(lhs) and math.isfinite(bracket)):
@@ -377,7 +368,6 @@ class MoserReport:
     center: tuple[float, float]
     r0: float
     r_inf: float
-    n: int
     j_max: int
     radii: np.ndarray
     exponents: np.ndarray
@@ -407,13 +397,13 @@ def moser_report(u: Field, bf: BallFamily, s_values=(0.0, 1.0, 3.0),
     mag = u.magnitude()
     inside = d2 < rr[0] ** 2
     outer_mag, outer_d2 = mag[inside], d2[inside]
-    log_a = _log_masses(outer_mag, outer_d2, rr, bf.q, g.h)
+    log_a = _log_masses(outer_mag, outer_d2, rr, g.h)
     rec = _recursion(log_a, bf)
     return MoserReport(
-        center=bf.center, r0=bf.r0, r_inf=bf.r_inf, n=bf.n, j_max=bf.j_max,
+        center=bf.center, r0=bf.r0, r_inf=bf.r_inf, j_max=bf.j_max,
         radii=rr, exponents=exponents(bf),
         masses=np.exp(np.minimum(log_a, 700.0)), recursion=rec,
         sup_bound=_sup_bound(rec, mag, d2, bf, g.h),
-        caccioppoli=_caccioppoli(outer_mag, np.sqrt(outer_d2), rr, bf.q, g.h,
+        caccioppoli=_caccioppoli(outer_mag, np.sqrt(outer_d2), rr, g.h,
                                  s_values),
         epsilon0=epsilon0)

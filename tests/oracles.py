@@ -163,7 +163,7 @@ def moser_report_per_ball(u, bf, s_values=(0.0, 1.0, 3.0), epsilon0=None):
     rr = radii(bf)
     log_a = np.empty(bf.j_max + 1)
     for j in range(bf.j_max + 1):
-        p = bf.q ** j
+        p = 2.0 ** j
         mag = _ball_magnitudes(u, Ball(bf.center, rr[j]))
         m = float(np.max(mag))
         lg = -np.inf
@@ -173,13 +173,14 @@ def moser_report_per_ball(u, bf, s_values=(0.0, 1.0, 3.0), epsilon0=None):
         log_a[j] = max(0.0, lg)
     rec = _recursion(log_a, bf)
 
-    q, n = bf.q, bf.n
-    prefactor = q ** (2 * n * (n - 1))
+    # the exponents' ratio n/(n-1) and the prefactor (n/(n-1))^(2n(n-1))
+    # at n = 2
+    q, prefactor = 2.0, 16.0
     lq = float(np.sum(u.magnitude() ** q) * g.h ** 2) ** (1.0 / q)
-    predicted = rec.c_max ** (n - 1) * prefactor * max(1.0, lq)
+    predicted = rec.c_max * prefactor * max(1.0, lq)
     observed = float(np.max(_ball_magnitudes(u, bf.limit_ball())))
     bound = SupBoundCheck(predicted=predicted, observed=observed, lq_norm=lq,
-                          prefactor=float(prefactor),
+                          prefactor=prefactor,
                           passed=bool(predicted >= observed))
 
     checks = []
@@ -225,7 +226,7 @@ def moser_report_per_ball(u, bf, s_values=(0.0, 1.0, 3.0), epsilon0=None):
                                        passed=bool(variation <= 0.5),
                                        note=note))
     return MoserReport(
-        center=bf.center, r0=bf.r0, r_inf=bf.r_inf, n=bf.n, j_max=bf.j_max,
+        center=bf.center, r0=bf.r0, r_inf=bf.r_inf, j_max=bf.j_max,
         radii=rr, exponents=exponents(bf),
         masses=np.exp(np.minimum(log_a, 700.0)), recursion=rec, sup_bound=bound,
         caccioppoli=checks, epsilon0=epsilon0)

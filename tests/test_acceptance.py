@@ -79,7 +79,7 @@ def small_dirichlet_run():
 @pytest.fixture(scope="module")
 def spike_run():
     problem = dirichlet_boundary_spike()
-    family = BallFamily((0.5, 0.5), 0.3, n=2, j_max=8)
+    family = BallFamily((0.5, 0.5), 0.3, j_max=8)
     t0 = time.time()
     records = continuation_solve(problem, SolverConfig(mu=1.5),
                                  interior_ball=family.limit_ball())
@@ -92,7 +92,7 @@ def inverse_run():
     t0 = time.time()
     r0, eps0 = select_radius(problem.f, problem.mask, problem.lam,
                              (0.25, 0.45))
-    family = BallFamily((0.25, 0.45), r0, n=2, j_max=6)
+    family = BallFamily((0.25, 0.45), r0, j_max=6)
     records = continuation_solve(problem, SolverConfig(mu=1.5),
                                  interior_ball=family.limit_ball())
     return problem, family, eps0, records, time.time() - t0
@@ -425,7 +425,7 @@ def class_runs():
         for n in (32, 64):
             spike = dataclasses.replace(dirichlet_boundary_spike(n, n),
                                         density=base)
-            family = BallFamily((0.5, 0.5), 0.3, n=2, j_max=3)
+            family = BallFamily((0.5, 0.5), 0.3, j_max=3)
             runs["spike", n, name] = (family, None, continuation_solve(
                 spike, SolverConfig(), interior_ball=family.limit_ball()))
             fidelity = dataclasses.replace(fidelity_inverse_sqrt(n, n),
@@ -434,7 +434,7 @@ def class_runs():
             if n == 64:
                 r0, eps0 = select_radius(fidelity.f, fidelity.mask,
                                          fidelity.lam, (0.25, 0.45))
-                family = BallFamily((0.25, 0.45), r0, n=2, j_max=2)
+                family = BallFamily((0.25, 0.45), r0, j_max=2)
                 ball = family.limit_ball()
             runs["fidelity", n, name] = (family, eps0, continuation_solve(
                 fidelity, SolverConfig(), interior_ball=ball))
@@ -477,23 +477,21 @@ def test_every_base_keeps_the_interior_bound(class_runs):
 
 def test_criterion_8_sequence_formulas():
     failures = []
-    for n in (2, 3):
-        fam = BallFamily((0.0, 0.0), 1.0, n=n, j_max=20)
-        rr = radii(fam)
-        ss = exponents(fam)
-        base = Fraction(n - 1, n)
-        for j in range(21):
-            r_exact = base ** j / n + base
-            if abs(rr[j] - float(r_exact)) > 1e-14 * float(r_exact):
-                failures.append(f"n={n} j={j}: radius off closed form")
-            s_exact = Fraction(n, n - 1) ** j - 1
-            if abs(ss[j] - float(s_exact)) > 1e-14 * max(float(s_exact), 1.0):
-                failures.append(f"n={n} j={j}: exponent off closed form")
+    fam = BallFamily((0.0, 0.0), 1.0, j_max=20)
+    rr = radii(fam)
+    ss = exponents(fam)
+    for j in range(21):
+        r_exact = Fraction(1, 2) ** (j + 1) + Fraction(1, 2)
+        if abs(rr[j] - float(r_exact)) > 1e-14 * float(r_exact):
+            failures.append(f"j={j}: radius off closed form")
+        s_exact = 2 ** j - 1
+        if abs(ss[j] - float(s_exact)) > 1e-14 * max(float(s_exact), 1.0):
+            failures.append(f"j={j}: exponent off closed form")
     grid = Grid2(32, 32, 1.0 / 32)
-    fam2 = BallFamily((0.5, 0.5), 0.3, n=2, j_max=4)
+    fam2 = BallFamily((0.5, 0.5), 0.3, j_max=4)
     prefactor = moser_report(Field.zeros(grid), fam2).sup_bound.prefactor
     if prefactor != 16.0:
-        failures.append(f"n=2 prefactor {prefactor!r} is not 16")
+        failures.append(f"prefactor {prefactor!r} is not 16")
     verdict(8, "sequence closed forms", failures)
 
 

@@ -663,8 +663,8 @@ class TestMoser:
         rc, out = run(tmp_path, command, cfg)
         assert rc == 2
         assert capsys.readouterr().err == (
-            "lingrow: bad ball: ball family too deep or too wide: "
-            "(n/(n-1))^j_max or (n/(n-1))^(2n(n-1)) is not a finite float\n")
+            "lingrow: bad ball: ball family too deep: 2^j_max is not a "
+            "finite float\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["density-check", "solve"])
@@ -735,10 +735,8 @@ class TestMoser:
 
     @pytest.mark.parametrize("ball", [
         {"center": [0.5, 0.5], "r0": 0.3, "j_max": 1024},
-        {"center": [0.5, 0.5], "r0": 0.3, "n": 3, "j_max": 2000},
-        {"center": [0.5, 0.5], "r0": 0.3, "n": 10 ** 400},
         {"auto": True, "x0": [0.5, 0.5], "j_max": 1024},
-    ], ids=["n2-j1024", "n3-j2000", "n-huge", "auto-j1024"])
+    ], ids=["n2-j1024", "auto-j1024"])
     def test_a_family_too_deep_for_a_float_exits_two_before_solving(
             self, tmp_path, capsys, monkeypatch, ball):
         def no_solve(*args, **kwargs):
@@ -755,10 +753,27 @@ class TestMoser:
         # both forms fail when the config loads, before --out is made
         assert not out.exists()
 
+    @pytest.mark.parametrize("ball", [
+        {"center": [0.5, 0.5], "r0": 0.3, "n": 2},
+        {"auto": True, "x0": [0.5, 0.5], "n": 2},
+    ], ids=["explicit", "auto"])
+    def test_a_dimension_key_exits_two_before_solving(
+            self, tmp_path, capsys, ball):
+        """The family is two-dimensional, as the grids are: ``n`` is no
+        ball key, for either form, and nothing is written."""
+        cfg = zero_moser_config()
+        cfg["ball"] = ball
+        rc, out = run(tmp_path, "moser", cfg)
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "lingrow: unknown ball key(s): n\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["moser", "full-report"])
     def test_annuli_thinner_than_two_cells_exit_two_before_solving(
             self, tmp_path, capsys, monkeypatch, command):
-        """A wide family (n 355: R_0 - R_1 = r0/n^2) passes the cell count,
+        """A family whose first annulus (R_0 - R_1 = r0/4 = 0.05) is
+        thinner than two cells (0.0625) passes the cell count (j_max 1),
         but no annulus can carry the Caccioppoli cutoff; this is found
         before the solve, with no artifact and no numpy warning."""
         def no_solve(*args, **kwargs):
@@ -766,8 +781,7 @@ class TestMoser:
 
         monkeypatch.setattr(cli, "continuation_solve", no_solve)
         cfg = zero_moser_config()
-        cfg["ball"] = {"center": [0.5, 0.5], "r0": 0.3, "n": 355,
-                       "j_max": 20000}
+        cfg["ball"] = {"center": [0.5, 0.5], "r0": 0.2, "j_max": 1}
         rc, out = run(tmp_path, command, cfg)
         assert rc == 2
         assert capsys.readouterr().err == (

@@ -42,7 +42,7 @@ FIDELITY = {
                                     "noise": 0.5}},
                 "mask": {"rect": [0.1, 0.4, 0.3, 0.6]},
                 "lambda": 0.5},
-    "ball": {"auto": True, "x0": [0.3, 0.5], "n": 2, "j_max": 2},
+    "ball": {"auto": True, "x0": [0.3, 0.5], "j_max": 2},
     "s_values": [0.0, 1.0],
     "minimality_trials": 5,
 }

@@ -27,7 +27,7 @@ def unit_grid(n):
 def level_masses(u, center, r0, j_max):
     """``moser_report``'s level masses a_j = max(1, integral of |u|^(2^j)
     over B_j) for the n = 2 family around ``center`` with outer radius r0."""
-    bf = BallFamily(center, r0, n=2, j_max=j_max)
+    bf = BallFamily(center, r0, j_max=j_max)
     return moser_report(u, bf, s_values=()).masses
 
 
@@ -373,7 +373,7 @@ def test_lp_on_log_handles_huge_exponents():
     u = Field.full(g, 1000.0)
     # level 4 (exponent 16) of the family with r0 = 0.25 * 32/17 has
     # radius 0.25
-    bf = BallFamily((0.5, 0.5), 0.25 * 32.0 / 17.0, n=2, j_max=4)
+    bf = BallFamily((0.5, 0.5), 0.25 * 32.0 / 17.0, j_max=4)
     lg = math.log(moser_report(u, bf, s_values=()).masses[4])
     area = float(np.sum(g.cells_in_ball(bf.ball(4)))) * g.h ** 2
     assert bf.ball(4).radius == pytest.approx(0.25, rel=1e-15)
@@ -399,7 +399,7 @@ def test_lp_matches_naive_oracle_on_random_field():
     u = Field(g, 3.0 * rng.normal(size=(24, 24, 2)))
     center, r0 = (0.4, 0.6), 0.35
     a = level_masses(u, center, r0, 2)
-    rr = radii(BallFamily(center, r0, n=2, j_max=2))
+    rr = radii(BallFamily(center, r0, j_max=2))
     for j, p in enumerate((1.0, 2.0, 4.0)):
         ref = naive_ball_integral(u, center, rr[j], p)
         assert ref > 1.0  # above the mass floor

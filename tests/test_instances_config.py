@@ -256,8 +256,10 @@ def as_fidelity(raw, **entries):
      "'density_check.t_max' must be"),
     (lambda r: r.update(s_values=["a"]), "'s_values' must be a number >= 0"),
     (lambda r: r.update(s_values=[1.0, -2.0]), "'s_values' must be"),
-    (lambda r: r["ball"].update(n="x"), "'ball.n' must be an integer >= 2"),
-    (lambda r: r["ball"].update(n=1), "'ball.n' must be"),
+    # "auto" is a JSON boolean, never read by its truthiness
+    *((lambda r, v=v: r["ball"].update(auto=v),
+       "'ball.auto' must be true or false")
+      for v in ("false", "no", 1, 0.5, 0, None, "", [])),
     (lambda r: r["ball"].update(j_max=2.5), "'ball.j_max' must be an integer"),
     (lambda r: r.update(ball={"auto": True, "x0": ["a", 0.5]}),
      "'x0' must be a finite number"),

@@ -15,8 +15,7 @@ from lingrow.grids import Ball, Field, Grid2, Mask
 from lingrow.instances import dirichlet_boundary_spike
 from lingrow.moser import (BallFamily, MoserGeometryError, check_geometry,
                            exponents, moser_report, radii, select_radius)
-from lingrow.moser import (_MIN_CELLS_PER_BALL, _log_masses, _recursion,
-                           _sup_bound)
+from lingrow.moser import _MIN_CELLS_PER_BALL, _PREFACTOR, _recursion
 from lingrow.solver import SolverConfig, continuation_solve
 
 from .oracles import moser_report_per_ball, naive_ball_integral
@@ -40,78 +39,51 @@ def caccioppoli_check(u, bf, s):
 
 
 def test_radii_frozen_values():
-    bf = BallFamily((0.0, 0.0), 1.0, n=2, j_max=2)
+    bf = BallFamily((0.0, 0.0), 1.0, j_max=2)
     assert np.allclose(radii(bf), [1.0, 0.75, 0.625], rtol=0, atol=1e-15)
     assert bf.r_inf == 0.5
 
 
 def test_radii_limit():
-    bf = BallFamily((0.0, 0.0), 1.0, n=2, j_max=60)
+    bf = BallFamily((0.0, 0.0), 1.0, j_max=60)
     assert abs(radii(bf)[-1] - bf.r_inf) <= 1e-12
 
 
-def test_radii_n3():
-    bf = BallFamily((0.0, 0.0), 0.9, n=3, j_max=1)
-    assert radii(bf)[1] == pytest.approx(0.8, abs=1e-15)
-
-
 def test_exponents_frozen_values():
-    bf = BallFamily((0.0, 0.0), 1.0, n=2, j_max=4)
+    bf = BallFamily((0.0, 0.0), 1.0, j_max=4)
     assert np.allclose(exponents(bf), [0.0, 1.0, 3.0, 7.0, 15.0],
                        rtol=0, atol=1e-14)
-    bf3 = BallFamily((0.0, 0.0), 1.0, n=3, j_max=2)
-    assert exponents(bf3)[0] == 0.0
-    assert exponents(bf3)[2] == pytest.approx(1.25, abs=1e-15)
 
 
-@pytest.mark.parametrize("n,r0", [(2, 1.0), (3, 0.9)])
-def test_closed_forms_exact_rational(n, r0):
-    # rational arithmetic as the independent oracle
-    bf = BallFamily((0.0, 0.0), r0, n=n, j_max=20)
+def test_closed_forms_exact_rational():
+    # rational arithmetic as the independent oracle: R_j = R0/2 +
+    # 2^-(j+1) R0, rounded once, and s_j = 2^j - 1
+    r0 = 0.9
+    bf = BallFamily((0.0, 0.0), r0, j_max=20)
     rr = radii(bf)
     ss = exponents(bf)
-    fr0 = Fraction(r0).limit_denominator(10)
+    fr0 = Fraction(r0)
     for j in range(21):
-        shrink = Fraction(n - 1, n) ** j
-        r_exact = fr0 * Fraction(n - 1, n) + shrink * fr0 / n
-        s_exact = Fraction(n, n - 1) ** j - 1
-        assert abs(rr[j] - float(r_exact)) <= 1e-14 * float(r_exact)
-        assert abs(ss[j] - float(s_exact)) <= 1e-14 * max(1.0, float(s_exact))
+        assert rr[j] == float(fr0 / 2 + fr0 / 2 ** (j + 1))
+        assert ss[j] == 2 ** j - 1
 
 
 def test_family_validation():
     with pytest.raises(ValueError):
         BallFamily((0.0, 0.0), 0.0)
     with pytest.raises(ValueError):
-        BallFamily((0.0, 0.0), 1.0, n=1)
-    with pytest.raises(ValueError):
         BallFamily((0.0, 0.0), 1.0, j_max=0)
     bf = BallFamily((1.0, 2.0), 1.0)
-    assert bf.q == 2.0
     assert bf.ball(0).radius == 1.0
     assert bf.limit_ball().radius == 0.5
 
 
-@pytest.mark.parametrize("n, j_max", [(2, 1024), (3, 2000), (10 ** 400, 1),
-                                      (356, 6)],
-                         ids=["n2-j1024", "n3-j2000", "n-huge", "n356"])
-def test_family_too_deep_for_a_float_rejected(n, j_max):
-    """The top exponent q^j_max and the sup bound's prefactor q^(2n(n-1))
-    must be finite floats."""
-    with pytest.raises(MoserGeometryError, match="too deep or too wide"):
-        BallFamily((0.5, 0.5), 0.3, n=n, j_max=j_max)
-
-
-def test_widest_family_a_float_holds_is_bounded():
-    g = Grid2(32, 32, 1.0 / 32)
-    u = Field(g, np.random.default_rng(9).uniform(0.0, 2.0, (32, 32, 1)))
-    bf = BallFamily((0.5, 0.5), 0.3, n=355, j_max=6)
-    # its annuli are far thinner than a cell, so moser_report refuses it;
-    # the recursion and the bound still hold a float
-    mag, d2 = u.magnitude(), g.sq_distances(bf.center)
-    log_a = _log_masses(mag, d2, radii(bf), bf.q, g.h)
-    bound = _sup_bound(_recursion(log_a, bf), mag, d2, bf, g.h)
-    assert bound.prefactor < math.inf and bound.passed
+@pytest.mark.parametrize("j_max", [1024, 10 ** 400],
+                         ids=["n2-j1024", "n2-j-huge"])
+def test_family_too_deep_for_a_float_rejected(j_max):
+    """The top exponent's scale 2^j_max must be a finite float."""
+    with pytest.raises(MoserGeometryError, match="ball family too deep"):
+        BallFamily((0.5, 0.5), 0.3, j_max=j_max)
 
 
 def test_deepest_family_a_float_holds_is_audited():
@@ -164,7 +136,7 @@ def test_masses_match_naive_oracle():
     a = moser_report(u, bf).masses
     rr = radii(bf)
     for j in range(4):
-        ref = max(1.0, naive_ball_integral(u, bf.center, rr[j], bf.q ** j))
+        ref = max(1.0, naive_ball_integral(u, bf.center, rr[j], 2.0 ** j))
         assert a[j] == pytest.approx(ref, rel=1e-12)
 
 
@@ -177,7 +149,7 @@ def test_masses_scaling():
     a2 = moser_report(Field(g, 2.0 * vals), bf).masses
     assert np.all(a1 > 1.0)  # floors do not bind on this instance
     for j in range(4):
-        assert a2[j] == pytest.approx(2.0 ** (bf.q ** j) * a1[j], rel=1e-12)
+        assert a2[j] == pytest.approx(2.0 ** (2.0 ** j) * a1[j], rel=1e-12)
 
 
 def test_masses_require_contained_ball():
@@ -203,7 +175,7 @@ def test_recursion_past_the_float_range_warns_nothing():
     """A level constant beyond exp(709) reads inf without an overflow
     warning (the suite turns warnings into errors), and the growth test on
     its logarithms fails the trend with no inf/inf."""
-    bf = BallFamily((0.0, 0.0), 1.0, n=2, j_max=4)
+    bf = BallFamily((0.0, 0.0), 1.0, j_max=4)
     rising = _recursion(np.array([0.0, 0.0, 0.0, 0.0, 2000.0]), bf)
     assert rising.c[-1] == np.inf and rising.c_max == np.inf
     assert np.all(np.isfinite(rising.c[:-1]))
@@ -225,13 +197,13 @@ def test_sup_bound_zero_field():
     assert check.passed
 
 
-def test_sup_bound_prefactor_n3():
-    # (3/2)^12 = 531441/4096, exactly representable
+def test_sup_bound_prefactor():
+    # (n/(n-1))^(2n(n-1)) at n = 2
     g = Grid2(64, 64, 0.1)
     u = Field.zeros(g)
-    bf = BallFamily((3.2, 3.2), 2.0, n=3, j_max=4)
+    bf = BallFamily((3.2, 3.2), 2.0, j_max=4)
     check = moser_report(u, bf).sup_bound
-    assert check.prefactor == 1.5 ** 12 == 129.746337890625
+    assert check.prefactor == _PREFACTOR == 2.0 ** 4 == 16.0
 
 
 def test_sup_bound_dominates_on_smooth_field():
@@ -270,7 +242,7 @@ def hand_caccioppoli(u: Field, bf: BallFamily, s: float, j: int) -> float:
     g = u.grid
     rr = radii(bf)
     r_hi, r_lo = rr[j], rr[j + 1]
-    q = bf.q
+    q = 2.0
     h2 = g.h * g.h
     lhs = bracket = 0.0
     for i in range(g.nx):
@@ -426,7 +398,7 @@ def test_moser_report_structure_and_determinism():
     bf = centered_family(j_max=4)
     rep = moser_report(u, bf, s_values=(0.0, 1.0), epsilon0=0.25)
     d = _finite_or_null(rep)
-    assert set(d) == {"center", "r0", "r_inf", "n", "j_max", "radii",
+    assert set(d) == {"center", "r0", "r_inf", "j_max", "radii",
                       "exponents", "masses", "recursion", "sup_bound",
                       "caccioppoli", "epsilon0", "passed"}
     assert d["epsilon0"] == 0.25
@@ -460,15 +432,14 @@ def test_check_geometry_needs_only_the_grid():
                                                          j_max=3))
 
 
-@given(st.integers(16, 64), st.floats(0.05, 0.45), st.integers(2, 6),
-       st.integers(1, 6))
+@given(st.integers(16, 64), st.floats(0.05, 0.45), st.integers(1, 6))
 def test_check_geometry_rejects_the_families_caccioppoli_cannot_measure(
-        n, r0, dim, j_max):
+        n, r0, j_max):
     """moser_report names thin annuli exactly when the first annulus is
     thinner than two cells, and otherwise measures the cutoff constant on
     at least one level."""
     g = Grid2(n, n, 1.0 / n)
-    bf = BallFamily((0.5, 0.5), r0, n=dim, j_max=j_max)
+    bf = BallFamily((0.5, 0.5), r0, j_max=j_max)
     u = Field.full(g, 1.0)
     r_0, r_1 = radii(bf)[:2]
     thin = r_0 - r_1 < 2.0 * g.h
@@ -482,13 +453,12 @@ def test_check_geometry_rejects_the_families_caccioppoli_cannot_measure(
 
 
 @given(st.integers(16, 64), st.floats(0.2, 0.8), st.floats(0.2, 0.8),
-       st.floats(0.05, 0.4), st.integers(2, 4), st.integers(1, 8))
-def test_checked_family_has_a_cell_in_its_limit_ball(n, cx, cy, r0, dim,
-                                                     j_max):
+       st.floats(0.05, 0.4), st.integers(1, 8))
+def test_checked_family_has_a_cell_in_its_limit_ball(n, cx, cy, r0, j_max):
     """The limit ball is at least half as wide as the innermost one, so a
     family that passes the check can always take its sup."""
     g = Grid2(n, n, 1.0 / n)
-    bf = BallFamily((cx, cy), r0, n=dim, j_max=j_max)
+    bf = BallFamily((cx, cy), r0, j_max=j_max)
     try:
         check_geometry(g, bf)
     except MoserGeometryError:
@@ -516,7 +486,7 @@ def _vanishing_inside(g):
 
 @pytest.mark.parametrize("case", ["spike-ladder-64", "two-channel",
                                   "vanishing-inner-balls",
-                                  "skipped-levels", "deep-n5"])
+                                  "skipped-levels", "deep"])
 def test_moser_report_matches_the_per_ball_oracle(case, request):
     """Reports built on one shared geometry, with the level masses'
     shortcuts for deep families, equal, byte for byte, those built from a
@@ -528,31 +498,34 @@ def test_moser_report_matches_the_per_ball_oracle(case, request):
     rng = np.random.default_rng(5)
     if case == "spike-ladder-64":
         fields = request.getfixturevalue("spike_rungs_64")
-        bf = BallFamily((0.5, 0.5), 0.3, n=2, j_max=8)
+        bf = BallFamily((0.5, 0.5), 0.3, j_max=8)
     elif case == "two-channel":
         g = Grid2(48, 48, 1.0 / 48)
         fields = [Field(g, rng.uniform(-2.0, 2.0, (48, 48, 2)))]
-        bf = BallFamily((0.45, 0.55), 0.4, n=2, j_max=4)
+        bf = BallFamily((0.45, 0.55), 0.4, j_max=4)
     elif case == "vanishing-inner-balls":
         fields = [_vanishing_inside(Grid2(64, 64, 1.0 / 64))]
-        bf = BallFamily((0.5, 0.5), 0.45, n=2, j_max=4)
+        bf = BallFamily((0.5, 0.5), 0.45, j_max=4)
     elif case == "skipped-levels":
         g = Grid2(32, 32, 1.0 / 32)
         fields = [Field(g, rng.uniform(0.5, 2.0, (32, 32, 1)))]
-        bf = BallFamily((0.5, 0.5), 0.4, n=2, j_max=3)
+        bf = BallFamily((0.5, 0.5), 0.4, j_max=3)
     else:
         g = Grid2(128, 128, 1.0 / 128)
         fields = [Field(g, rng.uniform(0.5, 2.0, (128, 128, 1)))]
-        bf = BallFamily((0.5, 0.5), 0.45, n=5, j_max=300)
+        bf = BallFamily((0.5, 0.5), 0.45, j_max=300)
         # both shortcuts of the level masses are taken: levels whose ball
-        # holds the cells of the level before (301 levels, 24 cell sets),
+        # holds the cells of the level before (301 levels, 11 cell sets),
         # and levels where the largest ratio below 1 to the maximum, raised
-        # to q^j, is exactly 0 (233 levels)
+        # to 2^j, is exactly 0 (279 levels)
         d2, mag = g.sq_distances(bf.center), fields[0].magnitude()
         held = [d2 < r ** 2 for r in radii(bf)]
-        assert len({int(np.count_nonzero(b)) for b in held}) == 24
-        last = mag[held[-1]] / np.max(mag[held[-1]])
-        assert np.max(last[last < 1.0]) ** bf.q ** bf.j_max == 0.0
+        assert len({int(np.count_nonzero(b)) for b in held}) == 11
+        below = []
+        for b in held:
+            ratios = mag[b] / np.max(mag[b])
+            below.append(np.max(ratios[ratios < 1.0]))
+        assert sum(m ** 2.0 ** j == 0.0 for j, m in enumerate(below)) == 279
     eps = np.finfo(float).eps
     for u in fields:
         rep = moser_report(u, bf, epsilon0=0.25)
