@@ -10,7 +10,7 @@ past every edge, and differ only in data:
   are added to every gradient.  The cell sum is normalized by
   ``nx*ny / ((nx+1)*(ny+1))`` so the energy of an affine field is exactly
   ``area * F(A)`` and affine data are exact critical points.
-* ``FidelityProblem``: minimize ``F(grad w)`` plus ``lam * (w - f_delta)^2``
+* ``FidelityProblem``: minimize ``F(grad w)`` plus ``lam * |w - f_delta|^2``
   off the missing-data mask, with homogeneous Neumann differences: a mask
   keeps only the differences between two values, and the dead slots have
   slope 0, where every density vanishes.
@@ -157,7 +157,7 @@ class DirichletProblem:
 
 @dataclass
 class FidelityProblem:
-    """A scalar datum ``f`` fitted with weight ``lam`` off the
+    """A datum ``f`` of N channels fitted with weight ``lam`` off the
     missing-data ``mask``, with homogeneous Neumann differences."""
 
     grid: Grid2
@@ -169,8 +169,6 @@ class FidelityProblem:
     def __post_init__(self) -> None:
         if self.f.grid != self.grid or self.mask.grid != self.grid:
             raise ValueError("data and mask must live on the problem grid")
-        if self.f.channels != 1:
-            raise ValueError("fidelity problems are scalar")
         if not (_LAM_MIN <= self.lam <= _LAM_MAX):
             raise ValueError("lam must lie in [1e-12, 1e8]")
         # at the zero field the energy is the size of the data term
@@ -178,7 +176,7 @@ class FidelityProblem:
 
     @property
     def channels(self) -> int:
-        return 1
+        return self.f.channels
 
     @property
     def kind(self) -> str:
@@ -247,7 +245,8 @@ def _block_sums(a: np.ndarray) -> np.ndarray:
 
 
 def clip_data(f: Field, delta: float) -> Field:
-    """Symmetric clamp of the datum at height 1/delta."""
+    """Clamp of each channel of the datum to [-1/delta, 1/delta]: a box
+    projection, which grows no difference, so no Frobenius ``|grad f|``."""
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     cap = 1.0 / delta
@@ -484,7 +483,9 @@ class FidelityOps(_Ops):
                  reg: RegularizationState | None):
         super().__init__(problem, reg)
         self.live = neumann_live(problem.grid)
-        self.outside = (~problem.mask.member)[:, :, None]
+        # one mask per channel, so the mass has the layout of multigrid.Level
+        self.outside = np.broadcast_to((~problem.mask.member)[:, :, None],
+                                       problem.f.values.shape)
         self.mass = pad(2.0 * problem.lam * self.h2 * self.outside)
         f = problem.f if reg is None else clip_data(problem.f, reg.delta)
         # 0 under the mask, where the datum does not enter the energy
@@ -498,7 +499,7 @@ class FidelityOps(_Ops):
 
     def default_init(self) -> np.ndarray:
         fd = self.fd[1:-1, 1:-1]
-        fill = float(np.mean(fd[self.outside])) if self.outside.any() else 0.0
+        fill = fd[self.outside[:, :, 0]].mean(axis=0)
         return np.where(self.outside, fd, fill)
 
 

@@ -154,11 +154,9 @@ class Field:
         return cls(grid, out)
 
     def magnitude(self) -> np.ndarray:
-        """Per-cell euclidean norm across channels, shape (nx, ny).  One
-        channel's is its absolute value, whose square cannot overflow."""
-        if self.channels == 1:
-            return np.abs(self.values[:, :, 0])
-        return np.sqrt(np.sum(self.values * self.values, axis=2))
+        """Per-cell euclidean norm over the channels, shape (nx, ny): a
+        running ``hypot``, which overflows only where the norm itself does."""
+        return np.hypot.reduce(self.values, axis=2)
 
 
 @dataclass

@@ -108,7 +108,8 @@ def naive_energy_dirichlet(problem, reg, w: np.ndarray) -> float:
 
 
 def naive_energy_fidelity(problem, reg, w: np.ndarray) -> float:
-    """Loop evaluation with one-sided zero differences at the far edges."""
+    """Loop evaluation with one-sided zero differences at the far edges,
+    the channels coupled through the slope and summed in the data term."""
     g = problem.grid
     h = g.h
     dens = problem.density if reg is None else reg.apply(problem.density)
@@ -116,12 +117,16 @@ def naive_energy_fidelity(problem, reg, w: np.ndarray) -> float:
     total = 0.0
     for i in range(g.nx):
         for j in range(g.ny):
-            gx = (w[i + 1, j, 0] - w[i, j, 0]) / h if i + 1 < g.nx else 0.0
-            gy = (w[i, j + 1, 0] - w[i, j, 0]) / h if j + 1 < g.ny else 0.0
-            total += h * h * profile_eval(dens, math.hypot(gx, gy))
+            s = 0.0
+            for c in range(problem.channels):
+                gx = (w[i + 1, j, c] - w[i, j, c]) / h if i + 1 < g.nx else 0.0
+                gy = (w[i, j + 1, c] - w[i, j, c]) / h if j + 1 < g.ny else 0.0
+                s += gx * gx + gy * gy
+            total += h * h * profile_eval(dens, math.sqrt(s))
             if not problem.mask.member[i, j]:
-                diff = w[i, j, 0] - fd[i, j, 0]
-                total += problem.lam * h * h * diff * diff
+                for c in range(problem.channels):
+                    diff = w[i, j, c] - fd[i, j, c]
+                    total += problem.lam * h * h * diff * diff
     return total
 
 

@@ -22,8 +22,9 @@ import lingrow
 from lingrow import cli
 from lingrow.cli import main
 from lingrow.config import ConfigError, parse_config
-from lingrow.grids import Field, Grid2
+from lingrow.grids import Field, Grid2, Mask
 from lingrow.instances import make_function
+from lingrow.moser import select_radius
 from lingrow.pgmio import field_from_csv, field_to_csv, read_pgm
 from lingrow.solver import MinimalityReport
 
@@ -945,6 +946,51 @@ class TestFullReport:
         magnitude = np.hypot(final.values[:, :, 0], final.values[:, :, 1])
         assert audit["sup_bound"]["observed"] == pytest.approx(
             magnitude[inside].max(), rel=1e-15)
+        assert magnitude[inside].max() > np.abs(final.values[inside]).max()
+        rc, again = run(tmp_path, "full-report", cfg, out="b")
+        assert rc == 0 and tree_bytes(again) == tree_bytes(out)
+
+    def test_a_two_channel_fidelity_report(self, tmp_path):
+        """N = 2 with a data term: the inverse-sqrt spike beside the affine
+        x - y, read from CSV, fitted off the mask, with an automatic ball.
+        No rung writes a PGM, the final solution has two rows per cell, the
+        ball is chosen from |f| and the audit's sup is that of |u|, and a
+        second run writes the same bytes."""
+        grid = Grid2(64, 64, 0.015625)
+        X, Y = grid.centers()
+        spike = make_function({"kind": "inverse_sqrt_spike",
+                               "center": [0.8, 0.8], "cap": 100.0})
+        datum = Field(grid, np.stack([spike(X, Y), X - Y], axis=-1))
+        field_to_csv(tmp_path / "pair.csv", datum)
+        cfg = {"grid": {"nx": 64, "ny": 64, "h": 0.015625},
+               "solver": {"mu": 1.5},
+               "problem": {"kind": "fidelity",
+                           "density": {"kind": "minimal_surface"},
+                           "f": {"csv": {"path": "pair.csv"}},
+                           "mask": {"rect": [0.1, 0.4, 0.3, 0.6]},
+                           "lambda": 0.5},
+               "ball": {"auto": True, "x0": [0.25, 0.45], "j_max": 2}}
+        rc, out = run(tmp_path, "full-report", cfg, out="a")
+        assert rc == 0
+        records = read_json(out / "trace.json")["records"]
+        assert len(records) == 4
+        assert all(rec["pgm"] is None for rec in records)
+        assert not [name for name in os.listdir(out) if name.endswith(".pgm")]
+        lines = (out / "solution_final.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2 * 64 * 64
+        final = field_from_csv(out / "solution_final.csv")
+        assert final.grid == grid and final.channels == 2
+        # r0 and eps0 are those of the datum's magnitude |f|
+        f = Field(grid, np.hypot(datum.values[:, :, 0], datum.values[:, :, 1]))
+        chosen = select_radius(f, Mask.from_rect(grid, 0.1, 0.4, 0.3, 0.6),
+                               0.5, (0.25, 0.45))
+        ball = read_json(out / "report.json")["ball"]
+        assert (ball["r0"], ball["epsilon0"]) == chosen == (0.125, 0.25)
+        # the audit's sup is that of |u| over the limit ball
+        audit = read_json(out / "moser_0p0001.json")
+        inside = (X - 0.25) ** 2 + (Y - 0.45) ** 2 < audit["r_inf"] ** 2
+        magnitude = np.hypot(final.values[:, :, 0], final.values[:, :, 1])
+        assert audit["sup_bound"]["observed"] == magnitude[inside].max()
         assert magnitude[inside].max() > np.abs(final.values[inside]).max()
         rc, again = run(tmp_path, "full-report", cfg, out="b")
         assert rc == 0 and tree_bytes(again) == tree_bytes(out)

@@ -29,16 +29,17 @@ def random_dirichlet(n=8, channels=1, seed=0, density=None):
     return problem, w
 
 
-def random_fidelity(n=8, seed=0, lam=0.7, density=None, with_mask=True):
+def random_fidelity(n=8, channels=1, seed=0, lam=0.7, density=None,
+                    with_mask=True):
     rng = np.random.default_rng(seed)
     g = unit_grid(n)
-    f = Field(g, 3.0 * rng.normal(size=(n, n, 1)))
+    f = Field(g, 3.0 * rng.normal(size=(n, n, channels)))
     if with_mask:
         mask = Mask.from_rect(g, 0.25, 0.25, 0.75, 0.75)
     else:
         mask = Mask.empty(g)
     problem = FidelityProblem(g, f, mask, lam, density or minimal_surface())
-    w = Field(g, rng.normal(size=(n, n, 1)))
+    w = Field(g, rng.normal(size=(n, n, channels)))
     return problem, w
 
 
@@ -138,12 +139,13 @@ def test_dirichlet_energy_matches_naive_loop():
 
 
 def test_fidelity_energy_matches_naive_loop():
-    problem, w = random_fidelity()
-    reg = RegularizationState(0.1, 1.5, "fidelity")
-    for r in (None, reg):
-        a = assemble_ops(problem, r).energy(w.values)
-        b = naive_energy_fidelity(problem, r, w.values)
-        assert a == pytest.approx(b, rel=1e-12)
+    for channels, seed in ((1, 0), (2, 1)):
+        problem, w = random_fidelity(channels=channels, seed=seed)
+        reg = RegularizationState(0.1, 1.5, "fidelity")
+        for r in (None, reg):
+            a = assemble_ops(problem, r).energy(w.values)
+            b = naive_energy_fidelity(problem, r, w.values)
+            assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_fidelity_energy_trivial_cases():
@@ -159,11 +161,23 @@ def test_fidelity_energy_trivial_cases():
     assert e == pytest.approx(0.7 * g.h ** 2 * g.nx * g.ny, rel=1e-13)
 
 
-def test_fidelity_rejects_vector_fields():
-    g = unit_grid(4)
-    f = Field(g, np.zeros((4, 4, 2)))
-    with pytest.raises(ValueError):
-        FidelityProblem(g, f, Mask.empty(g), 1.0, minimal_surface())
+@pytest.mark.parametrize("channels", [1, 3])
+def test_fidelity_starts_from_each_channels_mean_off_the_mask(channels):
+    """The default start is the datum off the mask and, under it, the mean
+    of the datum's channel off it, channel by channel (for one channel, the
+    mean of the flat array of the data off the mask, bit for bit)."""
+    problem, _ = random_fidelity(channels=channels, seed=4)
+    assert problem.channels == channels
+    start = assemble_ops(problem, None).default_init()
+    f, masked = problem.f.values, problem.mask.member
+    assert masked.any() and start.shape == f.shape
+    assert np.array_equal(start[~masked], f[~masked])
+    for c in range(channels):
+        mean = float(np.mean(f[~masked, c]))
+        if channels == 1:
+            assert np.all(start[masked, c] == mean)
+        assert start[masked, c] == pytest.approx(
+            np.full(masked.sum(), mean), rel=1e-15)
 
 
 def test_fidelity_data_and_mask_live_on_the_problem_grid():
@@ -218,9 +232,10 @@ def _fused_cases():
     for channels in (1, 2):
         yield random_dirichlet(n=9, channels=channels, seed=20 + channels)
     yield random_fidelity(n=9, seed=23)
+    yield random_fidelity(n=9, channels=2, seed=24)
 
 
-@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("case", range(4))
 @pytest.mark.parametrize("delta", [None, 0.05])
 def test_fused_evaluation_is_bit_identical_to_the_kernels(case, delta):
     problem, w = list(_fused_cases())[case]
@@ -260,7 +275,7 @@ def test_non_finite_iterate_raises():
 # Hessian operator
 
 
-@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("case", range(4))
 @pytest.mark.parametrize("delta", [None, 0.05])
 def test_hessian_matches_residual_differences(case, delta):
     """apply(v) is the directional derivative of the residual, channel
@@ -283,7 +298,7 @@ def test_hessian_matches_residual_differences(case, delta):
         assert np.max(np.abs(hv - fd)) <= 1e-6 * np.max(np.abs(hv))
 
 
-@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("case", range(4))
 @pytest.mark.parametrize("theta", [0.0, 0.1, 1.0])
 def test_hessian_is_symmetric_and_positive(case, theta):
     problem, w = list(_fused_cases())[case]

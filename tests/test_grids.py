@@ -66,6 +66,29 @@ def test_one_channel_magnitude_is_its_absolute_value():
         assert np.array_equal(f.magnitude(), np.abs(values))
 
 
+@pytest.mark.parametrize("channels", [2, 3])
+def test_magnitude_of_several_channels_squares_nothing(channels):
+    """One running hypot for every channel count: no square is formed, so
+    a norm near either end of the float range is kept where a sum of
+    squares overflows (1e300) or underflows (1e-200), and the sup over a
+    ball of a flat 1e300 field is finite."""
+    g = unit_grid(2)
+    values = np.zeros((2, 2, channels))
+    values[0, 0] = 1e300
+    values[0, 1, :2] = (3e-200, -4e-200)
+    values[1, 0, :2] = (-3.0, 4.0)
+    f = Field(g, values)
+    with np.errstate(all="raise"):
+        mag = f.magnitude()
+    big = 0.0
+    for _ in range(channels):
+        big = math.hypot(big, 1e300)
+    assert mag.tolist() == [[big, math.hypot(3e-200, 4e-200)], [5.0, 0.0]]
+    flat = Field.full(unit_grid(16), 1e300, channels=channels)
+    with np.errstate(all="raise"):
+        assert sup_on(flat, Ball((0.5, 0.5), 0.3)) == big
+
+
 def test_grid_geometry():
     g = Grid2(4, 8, 0.25)
     assert g.lx == pytest.approx(1.0)

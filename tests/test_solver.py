@@ -235,6 +235,52 @@ def test_two_channel_multilevel_ladder_matches_newton():
         assert np.max(np.abs(rec.u.values - ref)) <= 1e-6
 
 
+def two_channel_fidelity(nx, ny, seed):
+    """Noise of two channels fitted off a rectangular mask."""
+    rng = np.random.default_rng(seed)
+    g = Grid2(nx, ny, 1.0 / nx)
+    return FidelityProblem(g, Field(g, rng.normal(size=(nx, ny, 2))),
+                           Mask.from_rect(g, 0.2, 0.3, 0.6, 0.7), 0.7,
+                           minimal_surface())
+
+
+@pytest.mark.parametrize("nx,ny", [(8, 7), (16, 16)],
+                         ids=["dense", "multilevel"])
+def test_two_channel_fidelity_ladder_matches_newton(nx, ny):
+    """Two coupled channels with a data term, on one dense level and past
+    the dense coarse threshold, where a multi-level V-cycle runs."""
+    problem = two_channel_fidelity(nx, ny, 59)
+    cfg = SolverConfig(mu=1.5, delta_schedule=(0.1, 0.01),
+                       residual_tol=1e-11)
+    records = continuation_solve(problem, cfg)
+    start = assemble_ops(problem, None).default_init()
+    for rec in records:
+        reg = RegularizationState(rec.delta, 1.5, "fidelity")
+        ref = newton_solve(assemble_ops(problem, reg).residual, start,
+                           tol=1e-12)
+        assert np.max(np.abs(rec.u.values - ref)) <= 1e-6
+
+
+def test_two_channel_fidelity_solves_are_odd_and_channel_symmetric():
+    """Bit for bit on a 32^2 ladder with a nested start: the datum
+    (f, -f) solves to (v, -v), and swapping the datum's channels swaps the
+    solution's."""
+    problem = two_channel_fidelity(32, 32, 61)
+    f = problem.f.values
+
+    def ladder(values):
+        datum = dataclasses.replace(problem, f=Field(problem.grid, values))
+        return [rec.u.values for rec in continuation_solve(datum, cfg)]
+
+    cfg = SolverConfig(mu=1.5)
+    for u in ladder(np.stack([f[:, :, 0], -f[:, :, 0]], axis=-1)):
+        assert np.array_equal(u[:, :, 1], -u[:, :, 0])
+    plain, swapped = ladder(f), ladder(f[:, :, ::-1])
+    assert len(plain) == len(swapped) == len(cfg.delta_schedule)
+    for u, v in zip(plain, swapped):
+        assert np.array_equal(v, u[:, :, ::-1])
+
+
 def test_masked_fidelity_with_one_data_cell_converges():
     """A mask over every cell but one (a mask may not cover them all): the
     data term pins one cell, so the Hessian is nearly singular on constants
