@@ -23,8 +23,11 @@ the strictly elliptic energies the continuation solver walks down.
 ``assemble_ops(problem, reg)`` holds the kernels: its ``residual`` is the
 exact gradient of the discrete energy with respect to the cell values
 (finite-difference checkable), and ``Hessian`` its matrix-free derivative,
-which the Newton solver inverts.  ``evaluate``, the residual and the
-Hessian work on padded arrays (``grids.pad``); ``energy`` and ``residual``
+which the Newton solver inverts.  The Hessian is one product for every
+channel count: the fine ``multigrid.Level`` of its cell tensors, plus a
+cross-channel coupling when there are several channels; it takes no
+stencil pass of its own.  ``evaluate``, the residual and the Hessian work
+on padded arrays (``grids.pad``); ``energy`` and ``residual``
 take and give ``(nx, ny, N)`` cell values.  The energy sums run over the
 padded arrays as stored: the ring and the slot ``J = ny+1`` add exact
 zeros.  Each pass keeps its slope array ``t`` and evaluates the density's
@@ -42,6 +45,7 @@ import numpy as np
 
 from .grids import (Field, Grid2, Mask, neumann_live, pad, ring_adjoint,
                     ring_differences)
+from .multigrid import Level
 from .profiles import (RadialProfile, combined, d1_over_t, derivative,
                        radial_excess)
 
@@ -343,71 +347,49 @@ class StencilPoint:
 
 class Hessian:
     """The energy Hessian at a ``StencilPoint``, as a matrix-free operator
-    on padded arrays.
+    on padded arrays: the fine ``multigrid.Level`` of its cell tensors,
+    plus the cross-channel coupling when there are several channels.
 
     Per difference cell the density's Hessian is ``A = a I + b g g^T`` on
     the cell's 2N slopes ``g``, with ``a = d1/t`` and
     ``b = (d2' - a)/t^2``, where ``d2' = max(d2, theta * a)`` floors the
     radial curvature (``b = 0`` below the origin cutoff, where ``A`` is
     ``d2(0) I``).  ``theta = 1`` gives the lagged-diffusivity operator
-    ``a I`` wherever ``d2 <= a``; ``theta = 0`` the exact Hessian.  ``apply``
-    runs the forward difference and the divergence of the residual on a
-    perturbation (no datum: it vanishes on the ring), and adds the data
-    mass of the fidelity term.  It is exact for N channels, coupling
-    included.  ``ax`` and ``ay`` are ``a`` per direction, 0 in the slot
+    ``a I`` wherever ``d2 <= a``; ``theta = 0`` the exact Hessian.
+    ``level`` holds each channel's 2x2 block ``a I + b g_c g_c^T`` in
+    difference units (the cell weight included, ``1/h^2`` folded out) and
+    the data mass; each block is positive definite, because
+    ``|g_c| <= t``, so the V-cycle is built on it.  ``a`` is 0 in the slot
     ``J = my+1`` and in the dead slots of the Neumann rule, where ``g`` is
     0 too, so such a slot carries nothing (``a = d1/t`` itself is not 0 at
-    ``t = 0``).
+    ``t = 0``).  For several channels ``coupling`` holds ``(rho b, gx,
+    gy)``, the rest of ``b g g^T``, and ``apply`` is exact for N channels,
+    coupling included; for one channel it is ``level.apply`` alone.
     """
 
-    __slots__ = ("ops", "gx", "gy", "a", "b", "ax", "ay")
+    __slots__ = ("level", "coupling")
 
     def __init__(self, pt: StencilPoint, theta: float):
-        self.ops = pt.ops
-        self.gx, self.gy = pt.gx, pt.gy
-        self.a = pt.ratio()
-        self.b = radial_excess(pt.ops.profile, pt.t, self.a, theta)
-        self.ax = self.ay = self.a[:, :, None]
-        if self.ops.live is not None:
-            self.ax = self.ax * self.ops.live[0]
-            self.ay = self.ay * self.ops.live[1]
+        ops = pt.ops
+        a = pt.ratio()
+        b = radial_excess(ops.profile, pt.t, a, theta)[:, :, None]
+        ax = ay = a[:, :, None]
+        if ops.live is not None:
+            ax = ax * ops.live[0]
+            ay = ay * ops.live[1]
+        gx, gy = pt.gx, pt.gy
+        txx = b * gx * gx
+        txx += ax
+        tyy = b * gy * gy
+        tyy += ay
+        txy = b * gx * gy
+        self.level = Level(ops.rho * txx, ops.rho * txy, ops.rho * tyy,
+                           ops.mass)
+        self.coupling = None if gx.shape[2] == 1 else (ops.rho * b, gx, gy)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """``H v``."""
-        ops = self.ops
-        vx, vy = ring_differences(v)
-        vx /= ops.h
-        vy /= ops.h
-        s = self.gx * vx
-        s += self.gy * vy
-        s = s.sum(axis=2, keepdims=True)
-        s *= self.b[:, :, None]
-        vx *= self.ax
-        vx += s * self.gx
-        vy *= self.ay
-        vy += s * self.gy
-        del s
-        out = ops._divergence(vx, vy)
-        if ops.mass is not None:
-            out += ops.mass * v
-        return out
-
-    def cell_tensors(self):
-        """Per-channel 2x2 cell tensors ``a I + b g_c g_c^T`` in difference
-        units (the cell weight included, ``1/h^2`` folded out) on the padded
-        layout of ``multigrid.Level``, plus the diagonal mass.  For one
-        channel they give ``H`` itself; for several they drop the coupling
-        between channels, which keeps each tensor positive definite,
-        because ``|g_c| <= t``."""
-        ops = self.ops
-        b = self.b[:, :, None]
-        gx, gy = self.gx, self.gy
-        txx = b * gx * gx
-        txx += self.ax
-        tyy = b * gy * gy
-        tyy += self.ay
-        txy = b * gx * gy
-        return ops.rho * txx, ops.rho * txy, ops.rho * tyy, ops.mass
+        return self.level.apply(v, self.coupling)
 
 
 class _Ops:

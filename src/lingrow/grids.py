@@ -155,8 +155,12 @@ class Field:
 
     def magnitude(self) -> np.ndarray:
         """Per-cell euclidean norm over the channels, shape (nx, ny): a
-        running ``hypot``, which overflows only where the norm itself does."""
-        return np.hypot.reduce(self.values, axis=2)
+        running ``hypot`` over the channel slices in order, which overflows
+        only where the norm itself does."""
+        m = np.abs(self.values[:, :, 0])
+        for c in range(1, self.channels):
+            np.hypot(m, self.values[:, :, c], out=m)
+        return m
 
 
 @dataclass

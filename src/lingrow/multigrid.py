@@ -9,12 +9,16 @@ ring nodes are 0) and adds ``d^T T d`` for the differences
 semi-definite 2x2 tensor ``T`` per cell, plus a diagonal mass.  The tensors
 are ``(mx+1, my+2, N)`` arrays, 0 in the slot ``J = my+1``; the mass, the
 Jacobi factor and every vector are padded ``(mx+2, my+2, N)`` arrays with a
-zero ring.  The channels do not couple.
+zero ring.  The channels do not couple in the hierarchy.
 
-The finest level is stored once per Newton step, built from the Hessian's
-cell tensors (``Level``); for one channel it is the Hessian itself, so its
-``apply`` serves as the conjugate-gradient product as well as the
-smoother's.  The coarse operator ``P^T A P`` of 2x2 piecewise-constant
+The finest level is ``energy.Hessian.level``, built once per Newton step
+from the Hessian's cell tensors.  Its ``apply`` is the conjugate-gradient
+product for every channel count: given the Hessian's ``coupling`` it adds
+the cross-channel term of several channels to the tensor flux, from the
+differences it already takes.  The V-cycle's smoother applies it without
+the coupling, so the preconditioner stays channelwise on every level.
+
+The coarse operator ``P^T A P`` of 2x2 piecewise-constant
 aggregates (``ceil(m/2)`` per axis, so odd sizes and ``mx != my`` work) is
 again of this form, one level down.  Fine cell ``i`` lands in coarse cell
 ``(i+1)//2``; its x difference survives only when its two nodes lie in
@@ -87,13 +91,30 @@ class Level:
         self.jacobi = _OMEGA * np.divide(1.0, diag, out=np.zeros_like(diag),
                                          where=diag > 0.0)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    def apply(self, v: np.ndarray, coupling=None) -> np.ndarray:
+        """``A v``; a ``coupling`` ``(rb, gx, gy)`` adds to channel ``c``'s
+        flux the cross-channel term ``rb g_c sum_{d != c} g_d . Dv_d``."""
         dx, dy = ring_differences(v)
+        if coupling is not None:
+            rb, gx, gy = coupling
+            s = gx * dx
+            s += gy * dy
+            total = s[:, :, 0].copy()
+            for c in range(1, s.shape[2]):
+                total += s[:, :, c]
+            np.subtract(total[:, :, None], s, out=s)
+            s *= rb
         fx = self.txx * dx
         dx *= self.txy
         fx += self.txy * dy
         dy *= self.tyy
         dy += dx  # fy
+        if coupling is not None:
+            np.multiply(s, gx, out=dx)
+            fx += dx
+            np.multiply(s, gy, out=dx)
+            dy += dx
+            del s
         del dx
         out = ring_adjoint(fx, dy)
         del fx

@@ -25,9 +25,9 @@ inverse is formed once: 0.8-1.5 ms per Newton step inside a 128^2 solve on
 a 2-core x86-64, 0.21-0.23 ms of it the 8x8 dense inverse, and about 15%
 of the solve in all); and per CG iteration one fine product and one V-cycle
 (two products and two Jacobi sweeps, one multiply each, per level above
-the coarsest, one small dense product there).  For one channel the CG
-product is the stored fine level's; several channels use the coupled
-``Hessian.apply``.
+the coarsest, one small dense product there).  The CG product is
+``Hessian.apply`` for every channel count: the stored fine level's, plus
+the cross-channel coupling when there are several channels.
 A rung costs ``1 + iterations + backtracks`` energy evaluations and
 ``iterations`` Hessian builds.  The iterate, the Newton direction, the
 residual and every CG and V-cycle vector stay on the padded layout
@@ -73,7 +73,7 @@ import numpy as np
 
 from .energy import DirichletProblem, RegularizationState, assemble_ops
 from .grids import Ball, Field, Grid2, check_ball, pad, sup_on
-from .multigrid import Level, Multigrid
+from .multigrid import Multigrid
 
 __all__ = [
     "SolverConfig",
@@ -264,13 +264,9 @@ def _newton(problem, reg: RegularizationState | None, init: Field,
         rnorm_prev = rnorm
         hess = point.hessian(theta)
         point = None  # the trials below allocate their own state
-        mg = Multigrid(Level(*hess.cell_tensors()))
-        # the stored fine level is H for one channel; several channels
-        # need the coupled product
-        op = mg.levels[0] if r.shape[2] == 1 else hess
-        hess = None
-        d, k = _pcg(op, mg, r, max(eta, 0.5 * tol / rnorm))
-        op = mg = None
+        mg = Multigrid(hess.level)
+        d, k = _pcg(hess, mg, r, max(eta, 0.5 * tol / rnorm))
+        hess = mg = None
         krylov += k
         slope = float(np.vdot(r, d))
         if slope >= 0.0:

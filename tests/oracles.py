@@ -15,7 +15,7 @@ from lingrow.energy import clip_data
 from lingrow.grids import Ball, Field, Grid2, ring_differences
 from lingrow.moser import (CaccioppoliCheck, MoserReport, SupBoundCheck,
                            _recursion, check_geometry, exponents, radii)
-from lingrow.profiles import profile_eval
+from lingrow.profiles import profile_eval, radial_excess
 
 # ---------------------------------------------------------------------------
 # quadrature for the canonical profile: double integral of (1+t)^(-mu)
@@ -523,7 +523,7 @@ def prolong_staged(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the PGM header tokenizer with its comment rule written twice, and the
-# one-channel Hessian product with no channel sum
+# Hessian product as a stencil pass of its own
 
 
 def read_tokens_two_rules(fh, count: int) -> list[bytes]:
@@ -555,21 +555,29 @@ def read_tokens_two_rules(fh, count: int) -> list[bytes]:
     return tokens
 
 
-def hessian_apply_one_channel(hess, v: np.ndarray) -> np.ndarray:
-    """``energy.Hessian.apply`` for one channel with the channel sum
-    skipped: the slope product ``g . Dv`` of the one channel is used as it
-    is."""
-    ops = hess.ops
+def hessian_apply_coupled(point, theta: float, v: np.ndarray) -> np.ndarray:
+    """``energy.Hessian(point, theta).apply(v)`` as its own stencil pass:
+    the differences of ``v`` over h, the slope products ``g . Dv`` summed
+    over the channels, the flux ``a Dv + b g (g . Dv)`` per direction and
+    the divergence with the cell weight, plus the data mass."""
+    ops = point.ops
+    a = point.ratio()
+    b = radial_excess(ops.profile, point.t, a, theta)
+    ax = ay = a[:, :, None]
+    if ops.live is not None:
+        ax = ax * ops.live[0]
+        ay = ay * ops.live[1]
     vx, vy = ring_differences(v)
     vx /= ops.h
     vy /= ops.h
-    s = hess.gx * vx
-    s += hess.gy * vy
-    s *= hess.b[:, :, None]
-    vx *= hess.ax
-    vx += s * hess.gx
-    vy *= hess.ay
-    vy += s * hess.gy
+    s = point.gx * vx
+    s += point.gy * vy
+    s = s.sum(axis=2, keepdims=True)
+    s *= b[:, :, None]
+    vx *= ax
+    vx += s * point.gx
+    vy *= ay
+    vy += s * point.gy
     out = ops._divergence(vx, vy)
     if ops.mass is not None:
         out += ops.mass * v

@@ -10,9 +10,9 @@ from lingrow.energy import (DirichletProblem, FidelityProblem,
 from lingrow.grids import (Field, Grid2, Mask, neumann_live, pad,
                            ring_adjoint, ring_differences)
 from lingrow.profiles import (certify_conditions, minimal_surface, phi_mu,
-                              profile_eval)
+                              profile_eval, radial_excess)
 
-from .oracles import (energy_grad_fd, hessian_apply_one_channel,
+from .oracles import (energy_grad_fd, hessian_apply_coupled,
                       naive_energy_dirichlet, naive_energy_fidelity)
 
 
@@ -313,19 +313,45 @@ def test_hessian_is_symmetric_and_positive(case, theta):
     assert float(np.sum(u * hess.apply(u))) > 0.0
 
 
-@pytest.mark.parametrize("case", [0, 2])
-@pytest.mark.parametrize("theta", [0.0, 0.1])
-def test_one_channel_product_is_the_unsummed_form_bit_for_bit(case, theta):
-    """The channel sum of one channel changes no bit: on the 9^2 Dirichlet
-    and fidelity cases the product is that of the form without it."""
-    problem, w = list(_fused_cases())[case]
+def _product_case(case, channels):
+    """The 9^2 Dirichlet and masked-fidelity cases, and an odd 7x12
+    Dirichlet grid, with flat cells at the origin limit of d1/t."""
+    if case == "odd":
+        rng = np.random.default_rng(30 + channels)
+        g = Grid2(7, 12, 1.0 / 12)
+        problem = DirichletProblem(g, rng.normal(size=(9, 14, channels)),
+                                   phi_mu(2.0))
+        w = Field(g, rng.normal(size=(7, 12, channels)))
+    elif case == "dirichlet":
+        problem, w = random_dirichlet(n=9, channels=channels, seed=25)
+    else:
+        problem, w = random_fidelity(n=9, channels=channels, seed=26)
+    values = pad(w.values)
+    values[1:4, 1:4, :] = 0.0
+    return problem, values
+
+
+@pytest.mark.parametrize("case", ["dirichlet", "fidelity", "odd"])
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("theta", [0.0, 0.1, 1.0])
+def test_the_product_is_the_fine_level_plus_the_coupling(case, channels,
+                                                         theta):
+    """One product for every channel count: the fine multigrid level's,
+    bit for bit for one channel, and with the cross-channel coupling the
+    product of the separate stencil pass to round-off for several."""
+    problem, values = _product_case(case, channels)
     ops = assemble_ops(problem, RegularizationState(0.05, 1.5, problem.kind))
-    hess = ops.evaluate(pad(w.values)).hessian(theta)
-    rng = np.random.default_rng(11 + case)
+    point = ops.evaluate(values)
+    hess = point.hessian(theta)
+    assert (hess.coupling is None) == (channels == 1)
+    rng = np.random.default_rng(11 + channels)
     for _ in range(3):
-        v = pad(rng.normal(size=w.values.shape))
-        assert (hess.apply(v).tobytes()
-                == hessian_apply_one_channel(hess, v).tobytes())
+        v = pad(rng.normal(size=values[1:-1, 1:-1].shape))
+        got = hess.apply(v)
+        if channels == 1:
+            assert got.tobytes() == hess.level.apply(v).tobytes()
+        ref = hessian_apply_coupled(point, theta, v)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_curvature_floor_one_is_lagged_diffusivity():
@@ -335,7 +361,8 @@ def test_curvature_floor_one_is_lagged_diffusivity():
     ops = assemble_ops(problem, RegularizationState(0.1, 1.5, "fidelity"))
     point = ops.evaluate(pad(w.values))
     hess = point.hessian(1.0)
-    assert np.all(hess.b == 0.0)
+    assert np.all(radial_excess(ops.profile, point.t, point.ratio(), 1.0)
+                  == 0.0)
     v = pad(np.random.default_rng(4).normal(size=w.values.shape))
     ratio = point.ratio()[:, :, None]
     vx, vy = ring_differences(v)

@@ -89,6 +89,21 @@ def test_magnitude_of_several_channels_squares_nothing(channels):
         assert sup_on(flat, Ball((0.5, 0.5), 0.3)) == big
 
 
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+def test_magnitude_is_the_hypot_reduction_bit_for_bit(channels, scale):
+    """The running hypot over the channel slices gives the bits of numpy's
+    ``hypot.reduce`` over the channel axis, signs and zeros included."""
+    values = scale * np.random.default_rng(channels).normal(
+        size=(9, 7, channels))
+    values[0, 0] = 0.0
+    values[1, 1, 0] = 0.0
+    f = Field(Grid2(9, 7, 0.1), values)
+    with np.errstate(all="raise"):
+        assert (f.magnitude().tobytes()
+                == np.hypot.reduce(values, axis=2).tobytes())
+
+
 def test_grid_geometry():
     g = Grid2(4, 8, 0.25)
     assert g.lx == pytest.approx(1.0)

@@ -11,12 +11,12 @@ from lingrow.multigrid import _OMEGA, Level, Multigrid, prolong, restrict
 from lingrow.profiles import minimal_surface, phi_mu
 from lingrow.solver import _pcg
 
-from .oracles import (coarse_tensors_by_reshape, prolong_staged,
-                      restrict_then_pad)
+from .oracles import (coarse_tensors_by_reshape, hessian_apply_coupled,
+                      prolong_staged, restrict_then_pad)
 
 
-def hessian_on(kind, channels=1, shape=(9, 13)):
-    """The exact Hessian at a random state; the default grid is odd and
+def point_on(kind, channels=1, shape=(9, 13)):
+    """The stencil point at a random state; the default grid is odd and
     non-square."""
     rng = np.random.default_rng(17 + channels)
     nx, ny = shape
@@ -30,11 +30,16 @@ def hessian_on(kind, channels=1, shape=(9, 13)):
             Mask.from_rect(g, 0.2, 0.3, 0.5, 0.7), 0.7, minimal_surface())
     ops = assemble_ops(problem, RegularizationState(0.05, 1.5, kind))
     w = rng.normal(size=(nx, ny, channels))
-    return ops.evaluate(pad(w)).hessian()
+    return ops.evaluate(pad(w))
+
+
+def hessian_on(kind, channels=1, shape=(9, 13)):
+    """The exact Hessian at ``point_on``'s state."""
+    return point_on(kind, channels, shape).hessian()
 
 
 def multigrid_of(hess):
-    return Multigrid(Level(*hess.cell_tensors()))
+    return Multigrid(hess.level)
 
 
 def on_cells(apply):
@@ -56,13 +61,14 @@ CASES = [("dirichlet", 1), ("dirichlet", 2), ("fidelity", 1)]
 
 @pytest.mark.parametrize("kind,channels", CASES)
 def test_fine_level_is_the_channelwise_hessian(kind, channels):
-    """The cell tensors give H for one channel; for several they give each
+    """The fine level gives H for one channel; for several it gives each
     channel's own block of H, dropping only the coupling between them."""
-    hess = hessian_on(kind, channels)
-    level = Level(*hess.cell_tensors())
+    point = point_on(kind, channels)
+    level = point.hessian().level
     for t in (level.txx, level.txy, level.tyy):
         assert t.shape == (10, 15, channels) and not t[:, -1].any()
-    fine, h_apply = on_cells(level.apply), on_cells(hess.apply)
+    fine = on_cells(level.apply)
+    h_apply = on_cells(lambda v: hessian_apply_coupled(point, 0.0, v))
     rng = np.random.default_rng(3)
     v = rng.normal(size=(9, 13, channels))
     if channels == 1:
@@ -91,14 +97,15 @@ def test_fine_level_is_the_channelwise_hessian(kind, channels):
 @pytest.mark.parametrize("kind", ["dirichlet", "fidelity"])
 def test_scalar_cg_operator_is_the_hessian(kind):
     """For one channel the solver's CG product is the stored fine level;
-    it equals ``Hessian.apply`` to round-off on a multi-level grid."""
-    hess = hessian_on(kind, 1, shape=(40, 33))
-    mg = multigrid_of(hess)
+    it equals the Hessian's stencil pass to round-off on a multi-level
+    grid."""
+    point = point_on(kind, 1, shape=(40, 33))
+    mg = multigrid_of(point.hessian())
     assert len(mg.levels) > 2
     rng = np.random.default_rng(4)
     for _ in range(3):
         v = pad(rng.normal(size=(40, 33, 1)))
-        hv = hess.apply(v)
+        hv = hessian_apply_coupled(point, 0.0, v)
         diff = np.linalg.norm(mg.levels[0].apply(v) - hv)
         assert diff <= 1e-12 * np.linalg.norm(hv)
 
@@ -140,7 +147,7 @@ def test_coarse_tensors_match_the_reshape_pooling(kind, channels, shape):
     reshape-sum's coarse tensors on odd and even shapes, to round-off in
     the order of the four terms, and a zero slot ``J = my+1``."""
     assert_coarse_matches_the_reshape_pooling(
-        Level(*hessian_on(kind, channels, shape).cell_tensors()))
+        hessian_on(kind, channels, shape).level)
 
 
 @pytest.mark.parametrize("channels", [1, 2, 3])
@@ -217,7 +224,7 @@ def test_small_grid_vcycle_is_the_exact_inverse(kind, channels, shape):
     returns ``A^-1 r`` per channel, and PCG on one channel converges in
     one iteration."""
     hess = hessian_on(kind, channels, shape)
-    fine = Level(*hess.cell_tensors())
+    fine = hess.level
     mg = Multigrid(fine)
     assert len(mg.levels) == 1
     rng = np.random.default_rng(10)
@@ -233,7 +240,7 @@ def test_small_grid_vcycle_is_the_exact_inverse(kind, channels, shape):
         assert np.allclose(x[:, :, c].ravel(), ref, rtol=1e-10,
                            atol=1e-10 * np.max(np.abs(ref)))
     if channels == 1:
-        d, iters = _pcg(fine, mg, r, 1e-10)
+        d, iters = _pcg(hess, mg, r, 1e-10)
         assert iters == 1
         assert np.linalg.norm(hess.apply(d) + r) <= 1e-10 * np.linalg.norm(r)
 
@@ -242,8 +249,8 @@ def test_singular_neumann_system_is_solved():
     """Without the data mass the operator is singular on constants: the
     dense coarsest level stores its pseudo-inverse, and PCG still solves a
     consistent (zero-mean) system."""
-    txx, txy, tyy, _ = hessian_on("fidelity").cell_tensors()
-    neumann = Level(txx, txy, tyy, None)
+    fine = hessian_on("fidelity").level
+    neumann = Level(fine.txx, fine.txy, fine.tyy, None)
     mg = Multigrid(neumann)
     coarse = mg.levels[-1]
     assert coarse.shape == (5, 7)
@@ -267,10 +274,10 @@ def test_nearly_singular_coarse_level_is_inverted(scale):
     although its inverse on constants exceeds the rest by ``1 / scale``.
     (The constant itself is determined by ``1 . r`` only up to its
     round-off over the mass.)"""
-    txx, txy, tyy, _ = hessian_on("fidelity", shape=(7, 8)).cell_tensors()
+    fine = hessian_on("fidelity", shape=(7, 8)).level
     mass = np.zeros((9, 10, 1))
-    mass[4, 3] = scale * float(np.max(txx))
-    level = Level(txx, txy, tyy, mass)
+    mass[4, 3] = scale * float(np.max(fine.txx))
+    level = Level(fine.txx, fine.txy, fine.tyy, mass)
     x = np.random.default_rng(11).normal(size=(7, 8, 1))
     x = pad(x + 2.0)
     r = level.apply(x)
