@@ -37,14 +37,13 @@ _FLOAT_MAX = float(np.finfo(float).max)
 @dataclass
 class RunConfig:
     """A parsed run config: the density to certify and its sample grid, the
-    grid, problem and solver, the Moser ball family (or the point an
-    automatic one is chosen around) and the audits' settings."""
+    problem and solver, the Moser ball family (or the point an automatic
+    one is chosen around) and the audits' settings."""
 
     seed: int = 0
     density: RadialProfile | None = None
     density_t_max: float = 100.0
     density_samples: int = 1000
-    grid: Grid2 | None = None
     problem: DirichletProblem | FidelityProblem | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     ball: BallFamily | None = None
@@ -293,12 +292,13 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     _expect(cfg.density_samples <= 10 ** 6,
             "'density_check.samples' must be at most 1000000")
 
+    grid = None
     if "grid" in raw:
         g = _keys(raw["grid"], "grid", "nx", "ny", "h")
         with _section("bad grid"):
-            cfg.grid = Grid2(_count(g["nx"], "grid.nx", 2),
-                             _count(g["ny"], "grid.ny", 2),
-                             _real(g["h"], "grid.h", 0.0, strict=True))
+            grid = Grid2(_count(g["nx"], "grid.nx", 2),
+                         _count(g["ny"], "grid.ny", 2),
+                         _real(g["h"], "grid.h", 0.0, strict=True))
 
     if "solver" in raw:
         s = _keys(raw["solver"], "solver",
@@ -318,14 +318,10 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
             if s.get("residual_tol") is not None:
                 given["residual_tol"] = _real(s["residual_tol"],
                                               "solver.residual_tol")
-            if "max_iters" in s:
-                given["max_iters"] = _count(s["max_iters"],
-                                            "solver.max_iters", 1)
             cfg.solver = SolverConfig(**given)
 
     if "problem" in raw:
-        cfg.problem = _parse_problem(raw["problem"], cfg.grid, cfg.seed,
-                                     base_dir)
+        cfg.problem = _parse_problem(raw["problem"], grid, cfg.seed, base_dir)
 
     if "ball" in raw:
         b = raw["ball"]

@@ -218,10 +218,11 @@ _LAM_MIN = 1e-12
 def _check_representable(problem, *starts: np.ndarray) -> None:
     """Reject data too large for the kernels: the energy without the delta
     term must be a finite float at the solver's default start and at each
-    of ``starts``."""
+    of ``starts``.  The default start's off-mask mean may overflow too: it
+    is taken silently, and its energy then fails."""
     ops = assemble_ops(problem, None)
-    for w in (ops.default_init(),) + starts:
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w in (ops.default_init(),) + starts:
             try:
                 ops.evaluate(pad(w))
             except ValueError:

@@ -99,9 +99,13 @@ def read_pgm(path: str | os.PathLike) -> tuple[np.ndarray, int]:
 
 def field_from_pgm(path: str | os.PathLike, h: float, lo: float,
                    hi: float) -> Field:
-    """Read a PGM and map its integers linearly onto [lo, hi]."""
+    """Read a PGM and map its integers linearly onto [lo, hi], whose width
+    ``hi - lo`` must be a finite float."""
     if not (hi > lo):
         raise ValueError("declared range must have hi > lo")
+    if not np.isfinite(hi - lo):
+        raise ValueError("declared range is too wide: hi - lo overflows "
+                         "a float")
     ints, maxval = read_pgm(path)
     values = lo + ints.astype(float) / maxval * (hi - lo)
     grid = Grid2(ints.shape[0], ints.shape[1], h)

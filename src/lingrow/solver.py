@@ -8,11 +8,13 @@ the relative residual ``eta`` of Eisenstat and Walker's second choice
 Galerkin aggregation multigrid (``multigrid.Multigrid``).  An Armijo line
 search from the full step (sufficient decrease 1e-4 of the slope, halving
 per backtrack; fixed, not options) verifies every step, so accepted
-energies are non-increasing.  Far from the minimizer the radial curvature
-in ``H`` is floored at ``theta * d1/t``: ``theta`` starts at 1 on a cold
-rung (the lagged-diffusivity operator), drops tenfold after each step
-accepted at once, rises tenfold per backtrack (at most a hundredfold, and
-never above 1), and becomes 0 (exact Newton) below 1e-6.
+energies are non-increasing.  Each Newton run, a rung's or a nested-start
+copy's, may take at most 200 steps (also fixed).  Far from the minimizer
+the radial curvature in ``H`` is floored at ``theta * d1/t``: ``theta``
+starts at 1 on a cold rung (the lagged-diffusivity operator), drops
+tenfold after each step accepted at once, rises tenfold per backtrack (at
+most a hundredfold, and never above 1), and becomes 0 (exact Newton)
+below 1e-6.
 The step count then stays nearly flat as the mesh is refined.
 
 Cost of one step: the fused stencil pass of the accepted trial
@@ -96,6 +98,8 @@ _MAX_BACKTRACKS = 60
 _EW_GAMMA = 0.9
 _ETA_MAX = 0.5
 _MAX_KRYLOV = 200
+# Newton steps per run, a rung's or a nested-start copy's
+_MAX_NEWTON = 200
 # curvature floor: 1 on entry to a cold rung, _THETA_WARM on entry to a rung
 # started from the previous rung's solution, 0 (exact Newton) below _THETA_MIN
 _THETA_WARM = 1e-2
@@ -109,13 +113,11 @@ _AMPLITUDE = 0.1
 @dataclass(frozen=True)
 class SolverConfig:
     """The continuation ladder: the regularizer's exponent, the strictly
-    decreasing delta schedule, the residual tolerance and the Newton step
-    cap of each run."""
+    decreasing delta schedule and the residual tolerance."""
 
     mu: float = 1.5
     delta_schedule: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4)
     residual_tol: float | None = None  # None: 1e-8 * (1 + |E(init)|)
-    max_iters: int = 200
 
     def __post_init__(self) -> None:
         if not (1.0 < self.mu < 2.0):
@@ -130,8 +132,6 @@ class SolverConfig:
         object.__setattr__(self, "delta_schedule", sched)
         if self.residual_tol is not None and not (self.residual_tol > 0.0):
             raise ValueError("residual_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
@@ -247,16 +247,14 @@ def _newton(problem, reg: RegularizationState | None, init: Field,
 
     r = point.residual()
     backtracks = krylov = 0
-    iters = 0
-    rmax = np.inf
     stalled = False
     eta, rnorm_prev = _ETA_MAX, None
-    for iters in range(cfg.max_iters + 1):
+    for iters in range(_MAX_NEWTON + 1):
         rmax = float(np.max(np.abs(r)))
         if rmax <= tol:
             stats = SolveStats(iters, rmax, e, tol, backtracks, krylov, True)
             return Field(problem.grid, w[1:-1, 1:-1].copy()), stats
-        if iters == cfg.max_iters:
+        if iters == _MAX_NEWTON:
             break
         rnorm = float(np.sqrt(np.vdot(r, r)))
         if rnorm_prev is not None:

@@ -503,7 +503,7 @@ def test_criterion_9_deterministic_reports(tmp_path):
         "density_check": {"t_max": 50.0, "samples": 400},
         "grid": {"nx": 32, "ny": 32, "h": 1.0 / 32},
         "solver": {"mu": 1.5, "delta_schedule": list(SCHEDULE),
-                   "residual_tol": 1e-9, "max_iters": 50000},
+                   "residual_tol": 1e-9},
         "problem": {"kind": "fidelity",
                     "density": {"kind": "minimal_surface"},
                     "f": {"synthetic": {"kind": "inverse_sqrt_spike",

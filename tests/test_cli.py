@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import lingrow
-from lingrow import cli
+from lingrow import cli, solver
 from lingrow.cli import main
 from lingrow.config import ConfigError, parse_config
 from lingrow.grids import Field, Grid2, Mask
@@ -49,12 +49,12 @@ REGULARIZED_MS = {"kind": "combined", "delta": 1e-6, "mu": 1.5,
 
 
 def denoise_config(value=2.5, noise=0.0, nx=8, lam=0.7, seed=3,
-                   schedule=(0.1, 0.01), tol=1e-11, max_iters=20000):
+                   schedule=(0.1, 0.01), tol=1e-11):
     return {
         "seed": seed,
         "grid": {"nx": nx, "ny": nx, "h": 1.0 / nx},
         "solver": {"mu": 1.5, "delta_schedule": list(schedule),
-                   "residual_tol": tol, "max_iters": max_iters},
+                   "residual_tol": tol},
         "problem": {"kind": "fidelity",
                     "density": {"kind": "minimal_surface"},
                     "f": {"synthetic": {"kind": "constant", "value": value,
@@ -437,9 +437,9 @@ class TestSolve:
         assert not out.exists()
 
     def test_exhausted_budget_exits_one_with_error_note(self, tmp_path,
-                                                        capsys):
-        cfg = denoise_config(noise=1.0, schedule=(0.1,), tol=1e-14,
-                             max_iters=2)
+                                                        capsys, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_NEWTON", 2)
+        cfg = denoise_config(noise=1.0, schedule=(0.1,), tol=1e-14)
         rc, out = run(tmp_path, "solve", cfg)
         assert rc == 1
         assert capsys.readouterr().err == ""
@@ -454,12 +454,12 @@ class TestSolve:
         ("full-report", "report.json", {"error", "density_passed"}),
     ])
     def test_every_command_notes_an_exhausted_budget(
-            self, tmp_path, capsys, command, summary, keys):
+            self, tmp_path, capsys, monkeypatch, command, summary, keys):
         """Each command writes the failed solve to its summary file, and
         nothing to stderr.  At 20x20 the first annulus of the ball is two
         cells wide, so the audit's geometry passes before the solve."""
-        cfg = denoise_config(nx=20, noise=1.0, schedule=(0.1,), tol=1e-14,
-                             max_iters=2)
+        monkeypatch.setattr(solver, "_MAX_NEWTON", 2)
+        cfg = denoise_config(nx=20, noise=1.0, schedule=(0.1,), tol=1e-14)
         cfg["density"] = {"kind": "minimal_surface"}
         cfg["ball"] = {"center": [0.5, 0.5], "r0": 0.45, "j_max": 1}
         rc, out = run(tmp_path, command, cfg)
@@ -502,6 +502,21 @@ class TestSolve:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_a_pgm_range_too_wide_for_a_float_exits_two_with_one_line(
+            self, tmp_path, capsys):
+        """hi - lo overflows a float: the range is rejected before the
+        samples are mapped, so no warning precedes the one line."""
+        (tmp_path / "f.pgm").write_text("P2\n8 8\n255\n" + "0 5 " * 32 + "\n")
+        cfg = denoise_config()
+        cfg["problem"]["f"] = {"pgm": {"path": "f.pgm", "lo": -1.7e308,
+                                       "hi": 1.7e308}}
+        rc, out = run(tmp_path, "solve", cfg)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "lingrow: bad PGM field: declared range is too wide: hi - lo "
+            "overflows a float\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("problem, reason", [
         ({"f": {"synthetic": {"kind": "constant", "value": 1e160}}},
          "bad fidelity problem: the data are too large"),
@@ -510,6 +525,13 @@ class TestSolve:
          "bad fidelity problem: the data are too large"),
         ({"f": {"synthetic": {"kind": "constant", "value": 1.0,
                               "noise": 1e300}}},
+         "bad fidelity problem: the data are too large"),
+        # the default start's off-mask mean overflows as well
+        ({"f": {"synthetic": {"kind": "affine", "ax": 1e307}}},
+         "bad fidelity problem: the data are too large"),
+        ({"f": {"synthetic": {"kind": "constant", "value": 1e308}}},
+         "bad fidelity problem: the data are too large"),
+        ({"f": {"csv": {"path": "f.csv"}}},
          "bad fidelity problem: the data are too large"),
         ({"kind": "dirichlet",
           "u0": {"synthetic": {"kind": "edge_spike", "height": 1e200}}},
@@ -523,17 +545,20 @@ class TestSolve:
          "bad fidelity problem: lam must lie in [1e-12, 1e8]"),
         ({"lambda": 1e-300},
          "bad fidelity problem: lam must lie in [1e-12, 1e8]"),
-    ], ids=["f-1e160", "cap-1e300", "noise-1e300", "spike-1e200",
+    ], ids=["f-1e160", "cap-1e300", "noise-1e300", "affine-1e307",
+            "f-1e308", "csv-fidelity-1e308", "spike-1e200",
             "affine-1e200", "csv-dirichlet-1e200", "lambda-1e20",
             "lambda-1e-300"])
     def test_data_past_the_float_range_exit_two_before_solving(
             self, tmp_path, capsys, problem, reason):
         """Data whose energy without the delta term overflows a float, or
         a data weight outside [1e-12, 1e8], are a malformed config, caught
-        before the solve."""
+        before the solve with one line and no warning."""
+        g = Grid2(16, 16, 1.0 / 16)
         spike = np.zeros((16, 16, 1))
         spike[8, 8, 0] = 1e200
-        field_to_csv(tmp_path / "u0.csv", Field(Grid2(16, 16, 1.0 / 16), spike))
+        field_to_csv(tmp_path / "u0.csv", Field(g, spike))
+        field_to_csv(tmp_path / "f.csv", Field.full(g, 1e308))
         cfg = denoise_config(nx=16)
         if problem.get("kind") == "dirichlet":
             del cfg["problem"]["f"], cfg["problem"]["lambda"]
@@ -848,7 +873,7 @@ class TestFullReport:
             "density_check": {"t_max": 20.0, "samples": 200},
             "grid": {"nx": 24, "ny": 24, "h": 1.0 / 24},
             "solver": {"mu": 1.5, "delta_schedule": [0.1, 0.01],
-                       "residual_tol": 1e-9, "max_iters": 20000},
+                       "residual_tol": 1e-9},
             "problem": {"kind": "fidelity",
                         "density": {"kind": "minimal_surface"},
                         "f": {"synthetic": {"kind": "inverse_sqrt_spike",

@@ -33,7 +33,7 @@ FIDELITY = {
     "density_check": {"t_max": 50.0, "samples": 200},
     "grid": {"nx": 64, "ny": 64, "h": 0.015625},
     "solver": {"mu": 1.5, "delta_schedule": [0.1, 0.01],
-               "residual_tol": 1e-9, "max_iters": 100},
+               "residual_tol": 1e-9},
     "problem": {"kind": "fidelity",
                 "density": {"kind": "combined", "delta": 0.1, "mu": 1.5,
                             "base": {"kind": "minimal_surface"}},

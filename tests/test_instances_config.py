@@ -143,7 +143,7 @@ def base_config():
         "density_check": {"t_max": 50.0, "samples": 400},
         "grid": {"nx": 16, "ny": 16, "h": 0.0625},
         "solver": {"mu": 1.5, "delta_schedule": [0.1, 0.01],
-                   "residual_tol": 1e-9, "max_iters": 2000},
+                   "residual_tol": 1e-9},
         "problem": {
             "kind": "dirichlet",
             "density": {"kind": "minimal_surface"},
@@ -160,7 +160,7 @@ def test_parse_full_dirichlet_config():
     assert cfg.seed == 7
     assert cfg.density.kind == "phi_mu" and cfg.density.mu == 2.0
     assert cfg.density_t_max == 50.0 and cfg.density_samples == 400
-    assert cfg.grid == Grid2(16, 16, 0.0625)
+    assert cfg.problem.grid == Grid2(16, 16, 0.0625)
     assert isinstance(cfg.problem, DirichletProblem)
     assert cfg.solver.residual_tol == 1e-9
     assert cfg.solver.delta_schedule == (0.1, 0.01)
@@ -276,16 +276,16 @@ def as_fidelity(raw, **entries):
     # values of the wrong type or range inside the converted sections
     (lambda r: r.update(grid={"nx": float("inf"), "ny": 16, "h": 0.0625}),
      "bad grid: 'grid.nx' must be an integer >= 2"),
-    (lambda r: r.update(solver={"max_iters": float("inf")}),
-     "bad solver section: 'solver.max_iters' must be an integer >= 1"),
+    (lambda r: r.update(solver={"residual_tol": float("inf")}),
+     "bad solver section: 'solver.residual_tol' must be a finite number"),
     # numbers must be JSON numbers and counts integers: none is coerced
     (lambda r: r["grid"].update(nx=16.9), "'grid.nx' must be an integer"),
     (lambda r: r["grid"].update(nx="16"), "'grid.nx' must be an integer"),
     (lambda r: r["grid"].update(h=True), "'grid.h' must be a number > 0"),
-    (lambda r: r.update(solver={"max_iters": 2.9}),
-     "'solver.max_iters' must be an int"),
-    (lambda r: r.update(solver={"max_iters": True}),
-     "'solver.max_iters' must be an int"),
+    (lambda r: r.update(seed=True), "'seed' must be an integer"),
+    # the Newton budget is fixed, not a key
+    (lambda r: r.update(solver={"max_iters": 200}),
+     "unknown solver key\\(s\\): max_iters"),
     (lambda r: r.update(solver={"delta_schedule": {"0.1": 1}}),
      "'solver.delta_schedule' must be a list of numbers"),
     (lambda r: r.update(solver={"mu": "1.5"}),
@@ -456,8 +456,8 @@ def test_a_non_finite_synthetic_datum_warns_nothing(mutate):
 
 def test_solver_section_defaults_come_from_solver_config():
     raw = base_config()
-    raw["solver"] = {"max_iters": 7}
-    assert parse_config(raw).solver == SolverConfig(max_iters=7)
+    raw["solver"] = {"residual_tol": 1e-7}
+    assert parse_config(raw).solver == SolverConfig(residual_tol=1e-7)
     del raw["solver"]
     assert parse_config(raw).solver == SolverConfig()
 
@@ -495,7 +495,7 @@ def test_load_config_round_trip(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(base_config()))
     cfg = load_config(path)
-    assert cfg.grid.nx == 16
+    assert cfg.problem.grid.nx == 16
 
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config(tmp_path / "missing.json")

@@ -42,8 +42,6 @@ def test_config_validation():
         SolverConfig(delta_schedule=(1.5, 0.1))
     with pytest.raises(ValueError):
         SolverConfig(residual_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iters=0)
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +457,11 @@ def test_failing_coarse_level_hands_its_best_iterate_up(monkeypatch):
     problem = dirichlet_boundary_spike(32, 32)
     cfg = SolverConfig(mu=1.5)
     expected = continuation_solve(problem, cfg)
-    real = solver._newton
+    real, budget = solver._newton, solver._MAX_NEWTON
 
     def one_step_on_coarse_grids(p, reg, init, c, theta=1.0):
-        if p.grid != problem.grid:
-            c = dataclasses.replace(c, max_iters=1)
+        monkeypatch.setattr(solver, "_MAX_NEWTON",
+                            1 if p.grid != problem.grid else budget)
         return real(p, reg, init, c, theta)
 
     monkeypatch.setattr(solver, "_newton", one_step_on_coarse_grids)
@@ -476,9 +474,10 @@ def test_failing_coarse_level_hands_its_best_iterate_up(monkeypatch):
         assert np.max(np.abs(rec.u.values - ref.u.values)) <= 1e-6
 
 
-def test_fine_rung_failure_after_a_nested_start_names_its_rung():
+def test_fine_rung_failure_after_a_nested_start_names_its_rung(monkeypatch):
     problem = dirichlet_boundary_spike(32, 32)
-    cfg = SolverConfig(mu=1.5, max_iters=2)
+    cfg = SolverConfig(mu=1.5)
+    monkeypatch.setattr(solver, "_MAX_NEWTON", 2)
     with pytest.raises(SolverError,
                        match=r"^delta=0\.1: iteration budget") as info:
         continuation_solve(problem, cfg)
@@ -566,10 +565,11 @@ def test_the_early_ball_check_agrees_with_sup_on(grid):
                     "ball is not contained in the domain"}
 
 
-def test_budget_exhaustion_carries_best():
+def test_budget_exhaustion_carries_best(monkeypatch):
     problem = denoise_problem(seed=3)
     reg = RegularizationState(0.01, 1.5, "fidelity")
-    cfg = SolverConfig(mu=1.5, max_iters=2, residual_tol=1e-14)
+    cfg = SolverConfig(mu=1.5, residual_tol=1e-14)
+    monkeypatch.setattr(solver, "_MAX_NEWTON", 2)
     with pytest.raises(SolverError) as info:
         minimize_fixed_delta(problem, reg, Field.zeros(problem.grid), cfg)
     err = info.value
@@ -638,9 +638,10 @@ def test_pcg_stops_at_its_iteration_cap():
     assert 0.5 * float(np.vdot(d, diag * d)) + float(np.vdot(r, d)) < 0.0
 
 
-def test_continuation_error_annotated_with_delta():
+def test_continuation_error_annotated_with_delta(monkeypatch):
     problem = denoise_problem(seed=3)
-    cfg = SolverConfig(mu=1.5, max_iters=2, residual_tol=1e-14)
+    cfg = SolverConfig(mu=1.5, residual_tol=1e-14)
+    monkeypatch.setattr(solver, "_MAX_NEWTON", 2)
     with pytest.raises(SolverError, match=r"delta=0\.1:"):
         continuation_solve(problem, cfg)
 
@@ -759,7 +760,7 @@ def test_an_overflowing_trial_is_a_rejected_trial():
 def test_the_newton_budget_defaults_to_200_steps():
     """Every rung the tests converge takes at most 16 Newton steps; an
     unreachable tolerance ends the rung after the default budget."""
-    assert SolverConfig().max_iters == 200
+    assert solver._MAX_NEWTON == 200
     with pytest.raises(SolverError, match="iteration budget") as info:
         continuation_solve(dirichlet_boundary_spike(16, 16),
                            SolverConfig(residual_tol=1e-300))
@@ -770,7 +771,7 @@ def test_a_ladder_at_mu_next_to_one_converges():
     """At mu - 1 = 1e-10 the regularizer keeps its accuracy, so every rung
     reaches its tolerance."""
     records = continuation_solve(fidelity_inverse_sqrt(16, 16),
-                                 SolverConfig(mu=1.0 + 1e-10, max_iters=30))
+                                 SolverConfig(mu=1.0 + 1e-10))
     assert all(rec.stats.iters <= 16 for rec in records)
 
 

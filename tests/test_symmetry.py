@@ -6,9 +6,15 @@ difference cell's lower-left triangle to itself, so the whole ladder
 commutes with it up to the order of its sums: the solutions agree to
 round-off, ``1e-13 * (1 + max |u|)``, far below the solve's tolerance.
 Negating a Dirichlet datum and swapping the channels of a two-channel one
-change no sum's order, so those ladders agree bit for bit.  A slip of an
-index or an orientation in the stencils, the masks, the ring or the
-multigrid transfers breaks a symmetry at the solve's tolerance or above.
+change no sum's order, so those ladders agree bit for bit.  Adding a
+constant to a Dirichlet datum leaves every difference as it was, up to the
+rounding of the shifted values, so the solutions shift by the constant to
+round-off and every Newton and CG count stays.  The Moser report reads
+only the magnitude of the solution and the distances to the ball's
+centre, so on a ball centred on the diagonal the report of the transposed
+solution is the original's to round-off.  A slip of an index or an
+orientation in the stencils, the masks, the ring or the multigrid
+transfers breaks a symmetry at the solve's tolerance or above.
 """
 
 import dataclasses
@@ -20,6 +26,7 @@ import pytest
 from lingrow.energy import DirichletProblem
 from lingrow.grids import Field, Mask
 from lingrow.instances import dirichlet_boundary_spike, fidelity_inverse_sqrt
+from lingrow.moser import BallFamily, moser_report
 from lingrow.solver import SolverConfig, continuation_solve
 
 CFG = SolverConfig(mu=1.5)
@@ -91,3 +98,58 @@ def test_swapped_channels_of_a_dirichlet_datum_swap_the_solution():
         problem, u0_ext=problem.u0_ext[:, :, ::-1].copy()))
     for u, v in zip(us, vs):
         assert np.array_equal(v, u[:, :, ::-1])
+
+
+def counts(records):
+    """The Newton, CG and backtrack counts of each run of a ladder: every
+    rung's, and rung 0's nested-start copies'."""
+    runs = [rec.stats for rec in records]
+    runs += [stats for _, stats in records[0].coarse]
+    return [(s.iters, s.krylov_iters, s.backtracks) for s in runs]
+
+
+@functools.cache
+def spike_records(n):
+    problem = dirichlet_boundary_spike(n, n)
+    return problem, continuation_solve(problem, CFG)
+
+
+@pytest.mark.parametrize("c", [1.0, 1000.0, -3.25])
+def test_a_constant_added_to_a_dirichlet_datum_shifts_the_solution(c):
+    """On the 32^2 spike, whose rung 0 starts from a 16^2 copy."""
+    problem, recs = spike_records(32)
+    assert recs[0].coarse
+    shifted = continuation_solve(
+        dataclasses.replace(problem, u0_ext=problem.u0_ext + c), CFG)
+    assert counts(shifted) == counts(recs)
+    for rec, sh in zip(recs, shifted):
+        u = rec.u.values
+        tol = 1e-13 * (1.0 + float(np.max(np.abs(u))))
+        assert np.max(np.abs(sh.u.values - c - u)) <= tol
+
+
+def test_the_moser_report_of_a_transposed_solution_on_a_diagonal_ball():
+    """Each rung of the 32^2 spike, on the ball at (0.5, 0.5) of r0 0.3
+    and four levels: the transposed solution's report is the original's."""
+    _, recs = spike_records(32)
+    bf = BallFamily((0.5, 0.5), 0.3, j_max=4)
+
+    def close(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return bool(np.all(np.abs(a - b) <= 1e-13 * (1.0 + np.abs(a))))
+
+    for rec in recs:
+        u = rec.u
+        a = moser_report(u, bf)
+        b = moser_report(Field(u.grid, u.values.transpose(1, 0, 2).copy()),
+                         bf)
+        assert b.sup_bound.observed == a.sup_bound.observed
+        assert close(a.masses, b.masses)
+        assert close(a.recursion.c, b.recursion.c)
+        assert close(a.recursion.c_max, b.recursion.c_max)
+        assert close(a.sup_bound.predicted, b.sup_bound.predicted)
+        assert len(a.caccioppoli) == len(b.caccioppoli) == 3
+        for x, y in zip(a.caccioppoli, b.caccioppoli):
+            assert close(x.c_levels, y.c_levels)
+            assert close(x.variation, y.variation)
+        assert a.passed == b.passed
