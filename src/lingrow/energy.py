@@ -190,18 +190,17 @@ class FidelityProblem:
         """The same problem with half the cells per axis (both counts even).
 
         A coarse cell is masked only when all four of its fine cells are;
-        its datum is the mean of their unmasked data (of all four when
-        none is unmasked, where the datum does not enter the energy).
-        ``lam`` and the density are unchanged.
+        its datum is the mean of their unmasked data, and 0 when none is
+        unmasked, where no energy reads the datum.  ``lam`` and the density
+        are unchanged.
         """
         grid = _coarse_grid(self.grid)
         live = (~self.mask.member)[:, :, None]
         count = _block_sums(live.astype(float))
         total = _block_sums(np.where(live, self.f.values, 0.0))
-        masked = count == 0.0
-        f = np.where(masked, 0.25 * _block_sums(self.f.values),
-                     total / np.maximum(count, 1.0))
-        return FidelityProblem(grid, Field(grid, f), Mask(grid, masked[:, :, 0]),
+        f = total / np.maximum(count, 1.0)
+        return FidelityProblem(grid, Field(grid, f),
+                               Mask(grid, count[:, :, 0] == 0.0),
                                self.lam, self.density)
 
 
@@ -218,10 +217,11 @@ _LAM_MIN = 1e-12
 def _check_representable(problem, *starts: np.ndarray) -> None:
     """Reject data too large for the kernels: the energy without the delta
     term must be a finite float at the solver's default start and at each
-    of ``starts``.  The default start's off-mask mean may overflow too: it
-    is taken silently, and its energy then fails."""
-    ops = assemble_ops(problem, None)
+    of ``starts``.  The kernels' ring differences and mass, and the
+    default start's off-mask mean, may overflow too: they are built
+    silently, and the energy then fails."""
     with np.errstate(over="ignore", invalid="ignore"):
+        ops = assemble_ops(problem, None)
         for w in (ops.default_init(),) + starts:
             try:
                 ops.evaluate(pad(w))
@@ -237,10 +237,10 @@ def _coarse_grid(g: Grid2) -> Grid2:
 
 
 def _pair_means(a: np.ndarray, axis: int) -> np.ndarray:
-    """Means of consecutive pairs along an axis of even length."""
-    s = a.shape
-    return a.reshape(s[:axis] + (s[axis] // 2, 2) + s[axis + 1:]).mean(
-        axis=axis + 1)
+    """Means of consecutive pairs along an axis of even length, taken as
+    the sum of their halves, so the pair sum never overflows."""
+    a = np.moveaxis(a, axis, 0)
+    return np.moveaxis(0.5 * a[0::2] + 0.5 * a[1::2], 0, axis)
 
 
 def _block_sums(a: np.ndarray) -> np.ndarray:

@@ -269,7 +269,6 @@ def _caccioppoli(mag: np.ndarray, r_cell: np.ndarray, rr: np.ndarray,
         us1 = mag ** (s + 1.0)
         powers.append((mag ** s, us1, us1 ** _Q))  # x ** 0.0 is exactly 1.0
     levels = [[] for _ in s_values]
-    failed = [False for _ in s_values]
     # Levels whose annulus is thinner than two cells cannot resolve the
     # cutoff ramp, so the measured constant there reflects rasterization,
     # not the inequality; they are skipped.  check_geometry ensures the
@@ -289,12 +288,11 @@ def _caccioppoli(mag: np.ndarray, r_cell: np.ndarray, rr: np.ndarray,
                 levels[k].append(math.nan)  # the only source of a nan level
             elif bracket == 0.0:
                 levels[k].append(0.0 if lhs == 0.0 else math.inf)
-                failed[k] = failed[k] or lhs != 0.0
             else:
                 levels[k].append(lhs / ((s + 1.0) * bracket))
 
     checks = []
-    for s, c_levels, bad in zip(s_values, map(np.asarray, levels), failed):
+    for s, c_levels in zip(s_values, map(np.asarray, levels)):
         note = "" if len(c_levels) == len(rr) - 1 else (
             f"levels beyond {len(c_levels) - 1} have sub-grid annuli and "
             "were skipped")
@@ -305,14 +303,8 @@ def _caccioppoli(mag: np.ndarray, r_cell: np.ndarray, rr: np.ndarray,
                 note=f"the level integrals of |u|^(s+1) overflow a float "
                      f"at s = {s:g}"))
             continue
-        finite = c_levels[np.isfinite(c_levels)]
-        if bad or len(finite) == 0:
-            checks.append(CaccioppoliCheck(
-                s=float(s), c_levels=c_levels, variation=math.inf,
-                passed=False, note="zero bracket with nonzero level integral"))
-            continue
-        lo = float(np.min(finite))
-        hi = float(np.max(finite))
+        lo = float(np.min(c_levels))
+        hi = float(np.max(c_levels))
         variation = 0.0 if hi == 0.0 else (hi - lo) / max(lo, 1e-300)
         checks.append(CaccioppoliCheck(
             s=float(s), c_levels=c_levels, variation=variation,

@@ -15,7 +15,7 @@ from lingrow.energy import clip_data
 from lingrow.grids import Ball, Field, Grid2, ring_differences
 from lingrow.moser import (CaccioppoliCheck, MoserReport, SupBoundCheck,
                            _recursion, check_geometry, exponents, radii)
-from lingrow.profiles import profile_eval, radial_excess
+from lingrow.profiles import derivative, profile_eval, radial_excess
 
 # ---------------------------------------------------------------------------
 # quadrature for the canonical profile: double integral of (1+t)^(-mu)
@@ -198,7 +198,6 @@ def moser_report_per_ball(u, bf, s_values=(0.0, 1.0, 3.0), epsilon0=None):
         us = np.ones_like(mag) if s == 0.0 else mag ** s
         us1 = mag ** (s + 1.0)
         levels = []
-        failed = False
         for j in range(bf.j_max):
             r_hi, r_lo = rr[j], rr[j + 1]
             if r_hi - r_lo < 2.0 * g.h:
@@ -212,19 +211,12 @@ def moser_report_per_ball(u, bf, s_values=(0.0, 1.0, 3.0), epsilon0=None):
                 + g.h * g.h * float(np.sum(us1 * eta * geta))
             if bracket == 0.0:
                 levels.append(0.0 if lhs == 0.0 else math.inf)
-                failed = failed or lhs != 0.0
             else:
                 levels.append(lhs / ((s + 1.0) * bracket))
         c = np.asarray(levels)
         note = "" if len(levels) == bf.j_max else \
             f"levels beyond {len(levels) - 1} have sub-grid annuli and were skipped"
-        finite = c[np.isfinite(c)]
-        if failed or len(finite) == 0:
-            checks.append(CaccioppoliCheck(
-                s=float(s), c_levels=c, variation=math.inf, passed=False,
-                note="zero bracket with nonzero level integral"))
-            continue
-        lo, hi = float(np.min(finite)), float(np.max(finite))
+        lo, hi = float(np.min(c)), float(np.max(c))
         variation = 0.0 if hi == 0.0 else (hi - lo) / max(lo, 1e-300)
         checks.append(CaccioppoliCheck(s=float(s), c_levels=c,
                                        variation=variation,
@@ -606,6 +598,44 @@ def scherk(a: float, angle: float = 0.0):
         return np.log(np.cos(a * yr) / np.cos(a * xr)) / a
 
     return fn
+
+
+# ---------------------------------------------------------------------------
+# a manufactured exact solution of the fidelity problem
+
+
+def manufactured(grid: Grid2, density, lam: float, amplitude: float):
+    """The datum ``f`` for which ``u* = A cos(pi x) cos(pi y)`` minimizes
+    ``integral F(grad u) + lam integral (u - f)^2`` on the unit square with
+    no mask, and ``u*``, both sampled at the cell centres.
+
+    ``u*`` has zero normal derivative on the square's edges, so it meets
+    the Neumann condition, and the Euler equation
+    ``-div(grad F(grad u)) + 2 lam (u - f) = 0`` gives
+    ``f = u* - div(a grad u*) / (2 lam)`` with ``a = F'(t)/t``, ``t =
+    |grad u*|`` and
+
+        div(a grad u) = a Lap u + (F''(t) - a) (grad u . D^2 u grad u) / t^2.
+
+    ``grad u*`` vanishes only at the square's corners and centre, which no
+    cell centre of an even grid hits, so ``t > 0`` wherever it is sampled.
+    """
+    X, Y = grid.centers()
+    cx, sx = np.cos(math.pi * X), np.sin(math.pi * X)
+    cy, sy = np.cos(math.pi * Y), np.sin(math.pi * Y)
+    A, pi2 = amplitude, math.pi ** 2
+    u = A * cx * cy
+    ux, uy = -A * math.pi * sx * cy, -A * math.pi * cx * sy
+    uxx = uyy = -A * pi2 * cx * cy
+    uxy = A * pi2 * sx * sy
+    t2 = ux * ux + uy * uy
+    t = np.sqrt(t2).ravel()
+    a = (derivative(density, t, 1) / t).reshape(X.shape)
+    d2 = derivative(density, t, 2).reshape(X.shape)
+    quad = ux * ux * uxx + 2.0 * ux * uy * uxy + uy * uy * uyy
+    div = a * (uxx + uyy) + (d2 - a) * quad / t2
+    f = u - div / (2.0 * lam)
+    return Field(grid, f[:, :, None]), Field(grid, u[:, :, None])
 
 
 # ---------------------------------------------------------------------------

@@ -541,14 +541,17 @@ class TestSolve:
          "bad synthetic datum: the data are too large"),
         ({"kind": "dirichlet", "u0": {"csv": {"path": "u0.csv"}}},
          "bad dirichlet datum: the data are too large"),
+        # neighbouring values of +-1.5e308 overflow their ring difference
+        ({"kind": "dirichlet", "u0": {"csv": {"path": "ring.csv"}}},
+         "bad dirichlet datum: the data are too large"),
         ({"lambda": 1e20},
          "bad fidelity problem: lam must lie in [1e-12, 1e8]"),
         ({"lambda": 1e-300},
          "bad fidelity problem: lam must lie in [1e-12, 1e8]"),
     ], ids=["f-1e160", "cap-1e300", "noise-1e300", "affine-1e307",
             "f-1e308", "csv-fidelity-1e308", "spike-1e200",
-            "affine-1e200", "csv-dirichlet-1e200", "lambda-1e20",
-            "lambda-1e-300"])
+            "affine-1e200", "csv-dirichlet-1e200", "csv-ring-1.5e308",
+            "lambda-1e20", "lambda-1e-300"])
     def test_data_past_the_float_range_exit_two_before_solving(
             self, tmp_path, capsys, problem, reason):
         """Data whose energy without the delta term overflows a float, or
@@ -559,6 +562,10 @@ class TestSolve:
         spike[8, 8, 0] = 1e200
         field_to_csv(tmp_path / "u0.csv", Field(g, spike))
         field_to_csv(tmp_path / "f.csv", Field.full(g, 1e308))
+        ring = np.zeros((16, 16, 1))
+        ring[0::2] = 1.5e308
+        ring[1::2] = -1.5e308
+        field_to_csv(tmp_path / "ring.csv", Field(g, ring))
         cfg = denoise_config(nx=16)
         if problem.get("kind") == "dirichlet":
             del cfg["problem"]["f"], cfg["problem"]["lambda"]
@@ -587,6 +594,49 @@ class TestSolve:
             assert rc == 0, capsys.readouterr().err
             solutions.append((out / "solution_final.csv").read_bytes())
         assert solutions[0] == solutions[1]
+
+    @pytest.mark.parametrize("value", [9e307, 1e308])
+    def test_a_flat_dirichlet_datum_near_the_float_range_solves(
+            self, tmp_path, capsys, value):
+        """The nested start halves the 32^2 ring by means of halves, so
+        no pair sum overflows."""
+        cfg = affine_dirichlet_config(nx=32)
+        cfg["problem"]["u0"] = {"synthetic": {"kind": "constant",
+                                              "value": value}}
+        rc, out = run(tmp_path, "solve", cfg)
+        assert rc == 0
+        assert (out / "trace.json").is_file()
+        assert capsys.readouterr().err == ""
+
+    def test_a_masked_datum_of_1e308_solves(self, tmp_path, capsys):
+        """The nested start's coarse copy reads no datum under the mask,
+        so four masked values of 1e308 are never summed."""
+        values = np.full((32, 32, 1), 2.5)
+        values[8:16, 8:16, 0] = 1e308
+        field_to_csv(tmp_path / "f.csv",
+                     Field(Grid2(32, 32, 1.0 / 32), values))
+        cfg = denoise_config(nx=32)
+        cfg["problem"]["f"] = {"csv": {"path": "f.csv"}}
+        cfg["problem"]["mask"] = {"rect": [0.25, 0.25, 0.5, 0.5]}
+        rc, out = run(tmp_path, "solve", cfg)
+        assert rc == 0
+        assert (out / "trace.json").is_file()
+        assert capsys.readouterr().err == ""
+
+    def test_a_mass_that_overflows_exits_two_with_one_line(self, tmp_path,
+                                                            capsys):
+        """A spacing of 1e150 with lam 1e8 overflows the data term's mass:
+        the data are rejected with one line and no warning."""
+        cfg = denoise_config(nx=16, lam=1e8)
+        cfg["grid"]["h"] = 1e150
+        cfg["problem"]["mask"] = {"rect": [4e150, 4e150, 12e150, 12e150]}
+        rc, out = run(tmp_path, "solve", cfg)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lingrow: bad fidelity problem: the data are "
+                              "too large"), err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("out", ["afile", "afile/sub"],
                              ids=["file", "below-a-file"])

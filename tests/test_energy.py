@@ -494,8 +494,8 @@ def test_fidelity_coarsen_masks_all_masked_blocks_and_averages_the_rest():
     assert c[1, 0] == pytest.approx(f[2:4, 0:2].mean(), abs=1e-15)
     assert c[1, 1] == pytest.approx((f[2, 2] + f[2, 3] + f[3, 2]) / 3.0,
                                     abs=1e-15)
-    # a masked coarse cell takes the mean of all four (it has no data term)
-    assert c[0, 0] == pytest.approx(f[0:2, 0:2].mean(), abs=1e-15)
+    # a masked coarse cell holds 0 (it has no data term)
+    assert c[0, 0] == 0.0
     with pytest.raises(ValueError):
         FidelityProblem(Grid2(3, 4, 0.25), Field.zeros(Grid2(3, 4, 0.25)),
                         Mask.empty(Grid2(3, 4, 0.25)), 0.7,

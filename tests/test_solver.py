@@ -12,13 +12,13 @@ from lingrow.energy import (DirichletProblem, FidelityProblem,
 from lingrow.grids import Ball, Field, Grid2, Mask, check_ball, pad
 from lingrow.instances import (dirichlet_boundary_spike,
                                fidelity_inverse_sqrt)
-from lingrow.profiles import minimal_surface, phi_mu
+from lingrow.profiles import combined, minimal_surface, phi_mu
 from lingrow.solver import (SolverConfig, SolverError, continuation_solve,
                             default_interior_ball, minimize_fixed_delta,
                             verify_minimality)
 
-from .oracles import (minimality_margins_unpadded, newton_solve, scherk,
-                      splitmix64, splitmix64_uniform)
+from .oracles import (manufactured, minimality_margins_unpadded,
+                      newton_solve, scherk, splitmix64, splitmix64_uniform)
 
 
 def denoise_problem(n=8, seed=5, lam=0.7, mask=None):
@@ -378,6 +378,44 @@ def test_the_ladder_converges_to_scherks_surface(angle):
                                           - exact(*grid.centers())))))
     rates = [math.log2(e / f) for e, f in zip(errors, errors[1:])]
     pin_errors, pin_rates = SCHERK_PINS[angle]
+    assert all(e <= 1.02 * p for e, p in zip(errors, pin_errors)), errors
+    assert all(r >= p - 0.05 for r, p in zip(rates, pin_rates)), rates
+
+
+# ---------------------------------------------------------------------------
+# manufactured exact solutions of the fidelity problem
+
+# sup errors of the final rung of the default ladder against
+# u* = cos(pi x) cos(pi y), whose datum is made for that rung's density
+# combined(1e-4, 1.5, base) with lam 1 and no mask, at 16^2, 32^2 and 64^2,
+# and the rates between them, by base density
+MANUFACTURED_PINS = {
+    "phi_mu(1.2)": (phi_mu(1.2), (3.593e-2, 1.678e-2, 7.926e-3), (1.09, 1.08)),
+    "phi_mu(2)": (phi_mu(2.0), (6.164e-2, 2.959e-2, 1.413e-2), (1.05, 1.06)),
+    "minimal_surface": (minimal_surface(), (1.221e-1, 5.108e-2, 2.347e-2),
+                        (1.25, 1.12)),
+    "phi_mu(3.5)": (phi_mu(3.5), (9.976e-2, 4.917e-2, 2.356e-2), (1.02, 1.06)),
+    "phi_mu(6)": (phi_mu(6.0), (1.962e-1, 8.216e-2, 3.584e-2), (1.25, 1.19))}
+
+
+@pytest.mark.parametrize("name", list(MANUFACTURED_PINS))
+def test_the_ladder_converges_to_a_manufactured_solution(name):
+    """Each sup error stays within 2% above its pin and each rate at most
+    0.05 below its pin, so a change to the fidelity problem's stencil, its
+    Neumann rule or a base density that doubles an error fails here."""
+    base, pin_errors, pin_rates = MANUFACTURED_PINS[name]
+    cfg = SolverConfig()
+    density = combined(cfg.delta_schedule[-1], cfg.mu, base)
+    errors = []
+    for n in (16, 32, 64):
+        grid = Grid2(n, n, 1.0 / n)
+        f, exact = manufactured(grid, density, 1.0, 1.0)
+        # clip_data does not bind on the last rung
+        assert np.max(np.abs(f.values)) < 1.0 / cfg.delta_schedule[-1]
+        problem = FidelityProblem(grid, f, Mask.empty(grid), 1.0, base)
+        u = continuation_solve(problem, cfg)[-1].u
+        errors.append(float(np.max(np.abs(u.values - exact.values))))
+    rates = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
     assert all(e <= 1.02 * p for e, p in zip(errors, pin_errors)), errors
     assert all(r >= p - 0.05 for r, p in zip(rates, pin_rates)), rates
 
