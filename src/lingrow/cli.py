@@ -158,13 +158,15 @@ def _write_trace(cfg: RunConfig, records: list[DeltaRecord],
     problem = cfg.require_problem()
     entries = []
     for rec in records:
-        lo = float(rec.u.values.min())
-        hi = float(rec.u.values.max())
-        if hi <= lo:
-            # a flat solution: one unit up, or one ulp where that rounds away
-            hi = max(lo + 1.0, math.nextafter(lo, math.inf))
-        name = f"solution_{_delta_tag(rec.delta)}.pgm"
+        # a solution of several channels has no render, so no render range
+        name = lo = hi = None
         if rec.u.channels == 1:
+            lo = float(rec.u.values.min())
+            hi = float(rec.u.values.max())
+            if hi <= lo:
+                # flat: one unit up, or one ulp where that rounds away
+                hi = max(lo + 1.0, math.nextafter(lo, math.inf))
+            name = f"solution_{_delta_tag(rec.delta)}.pgm"
             write_pgm(os.path.join(out_dir, name), rec.u, lo, hi)
         stats = rec.stats
         entries.append({
@@ -177,8 +179,7 @@ def _write_trace(cfg: RunConfig, records: list[DeltaRecord],
                         "krylov_iters": c.krylov_iters,
                         "converged": c.converged} for g, c in rec.coarse],
             "interior_sup": rec.interior_sup,
-            "pgm": name if rec.u.channels == 1 else None,
-            "pgm_lo": lo, "pgm_hi": hi,
+            "pgm": name, "pgm_lo": lo, "pgm_hi": hi,
         })
     header = "delta,energy,plain_energy,residual,iters,tv,interior_sup"
     _write_table(os.path.join(out_dir, "trace.csv"), header,

@@ -185,6 +185,10 @@ class Mask:
     @classmethod
     def from_rect(cls, grid: Grid2, x0: float, y0: float,
                   x1: float, y1: float) -> "Mask":
+        """The cells whose centres lie strictly inside the rectangle
+        ``(x0, x1) x (y0, y1)``, which must have area."""
+        if not (x0 < x1 and y0 < y1):
+            raise ValueError("rect [x0, y0, x1, y1] needs x0 < x1 and y0 < y1")
         X, Y = grid.centers()
         return cls(grid, (X > x0) & (X < x1) & (Y > y0) & (Y < y1))
 

@@ -156,6 +156,7 @@ class TestDensityCheck:
         report = read_json(out / "condition_report.json")
         assert report["all_passed"] is True
         assert report["constants"]["mu_certified"] == 1.5
+        assert report["constants"]["nu6"] == 1e-6
 
     def test_t_max_at_its_bound_certifies(self, tmp_path):
         cfg = density_config(kind="minimal_surface")
@@ -357,12 +358,14 @@ class TestSolve:
          {"kind": "fidelity", "density": {"kind": "minimal_surface"},
           "f": {"synthetic": {"kind": "constant", "value": 1.0}}}),
     ], ids=["dirichlet-2x2", "fidelity-2x9"])
-    def test_a_grid_two_cells_wide_solves(self, tmp_path, grid, problem):
+    def test_a_grid_two_cells_wide_solves(self, tmp_path, capsys, grid,
+                                          problem):
         """The default interior ball holds a cell centre on a side of 2
         cells, so the run writes all its files."""
         cfg = {"grid": grid, "solver": {"mu": 1.5}, "problem": problem}
         rc, out = run(tmp_path, "solve", cfg)
         assert rc == 0
+        assert capsys.readouterr().err == ""
         assert sorted(os.listdir(out)) == SOLVE_FILES
         assert read_json(out / "trace.json")["minimality"]["passed"] is True
 
@@ -385,7 +388,8 @@ class TestSolve:
         assert rc == 0
         assert (out / "trace.json").is_file()
 
-    def test_a_flat_solution_past_1e16_writes_its_images(self, tmp_path):
+    def test_a_flat_solution_past_1e16_writes_its_images(self, tmp_path,
+                                                         capsys):
         """A flat range widens to lo + 1, or to the next float where that
         rounds back to lo."""
         cfg = affine_dirichlet_config(nx=8)
@@ -394,6 +398,7 @@ class TestSolve:
                                               "value": 1e300}}
         rc, out = run(tmp_path, "solve", cfg)
         assert rc == 0
+        assert capsys.readouterr().err == ""
         assert sorted(os.listdir(out)) == SOLVE_FILES
         records = read_json(out / "trace.json")["records"]
         assert len(records) == 4
@@ -989,36 +994,40 @@ class TestFullReport:
         assert (out / "sup_vs_delta.csv").exists()
         assert (out / "moser_0p01.csv").exists()
 
-    def test_a_two_channel_dirichlet_report(self, tmp_path):
-        """N = 2: the edge spike beside the affine x - y, read from CSV.
-        No rung writes a PGM, the final solution has two rows per cell,
-        the audits read magnitudes, and a second run writes the same
-        bytes."""
+    @pytest.mark.parametrize("channels", [2, 3])
+    def test_a_multi_channel_dirichlet_report(self, tmp_path, channels):
+        """N = 2: the edge spike beside the affine x - y; N = 3: the spike,
+        its transpose and x - y, whose Newton product couples each channel
+        to two others; both read from CSV.  No rung writes a PGM or a
+        render range, the final solution has N rows per cell, the audits
+        read magnitudes, and a second run writes the same bytes."""
         grid = Grid2(32, 32, 0.03125)
         X, Y = grid.centers()
         cfg = spike_config()
         spike = make_function(cfg["problem"]["u0"]["synthetic"])
-        field_to_csv(tmp_path / "pair.csv",
-                     Field(grid, np.stack([spike(X, Y), X - Y], axis=-1)))
-        cfg["problem"]["u0"] = {"csv": {"path": "pair.csv"}}
+        stack = [spike(X, Y), spike(Y, X)][:channels - 1] + [X - Y]
+        field_to_csv(tmp_path / "u0.csv",
+                     Field(grid, np.stack(stack, axis=-1)))
+        cfg["problem"]["u0"] = {"csv": {"path": "u0.csv"}}
         rc, out = run(tmp_path, "full-report", cfg, out="a")
         assert rc == 0
         records = read_json(out / "trace.json")["records"]
         assert len(records) == 4
-        assert all(rec["pgm"] is None for rec in records)
+        assert all(rec["pgm"] is rec["pgm_lo"] is rec["pgm_hi"] is None
+                   for rec in records)
         names = os.listdir(out)
         assert not [name for name in names if name.endswith(".pgm")]
         for suffix in (".json", ".csv"):
             assert len([name for name in names if name.startswith("moser_")
                         and name.endswith(suffix)]) == len(records)
         lines = (out / "solution_final.csv").read_text().splitlines()
-        assert len(lines) == 1 + 2 * 32 * 32
+        assert len(lines) == 1 + channels * 32 * 32
         final = field_from_csv(out / "solution_final.csv")
-        assert final.grid == grid and final.channels == 2
+        assert final.grid == grid and final.channels == channels
         # the audit's sup is that of |u| over the limit ball
         audit = read_json(out / "moser_0p0001.json")
         inside = (X - 0.5) ** 2 + (Y - 0.5) ** 2 < audit["r_inf"] ** 2
-        magnitude = np.hypot(final.values[:, :, 0], final.values[:, :, 1])
+        magnitude = np.linalg.norm(final.values, axis=-1)
         assert audit["sup_bound"]["observed"] == pytest.approx(
             magnitude[inside].max(), rel=1e-15)
         assert magnitude[inside].max() > np.abs(final.values[inside]).max()
@@ -1049,7 +1058,8 @@ class TestFullReport:
         assert rc == 0
         records = read_json(out / "trace.json")["records"]
         assert len(records) == 4
-        assert all(rec["pgm"] is None for rec in records)
+        assert all(rec["pgm"] is rec["pgm_lo"] is rec["pgm_hi"] is None
+                   for rec in records)
         assert not [name for name in os.listdir(out) if name.endswith(".pgm")]
         lines = (out / "solution_final.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 64 * 64
@@ -1090,6 +1100,10 @@ def without(cfg, *keys):
     return {k: v for k, v in cfg.items() if k not in keys}
 
 
+def with_problem(cfg, **entries):
+    return {**cfg, "problem": {**cfg["problem"], **entries}}
+
+
 NO_RADIUS = {
     "grid": {"nx": 16, "ny": 16, "h": 0.0625},
     "solver": {"mu": 1.5},
@@ -1098,6 +1112,19 @@ NO_RADIUS = {
                                     "center": [0.5, 0.5], "cap": 1e6}},
                 "lambda": 0.5},
     "ball": {"auto": True, "x0": [0.5, 0.5]},
+}
+
+# a 64^2 inpainting datum whose one masked cell holds a spike of 1e200, with
+# a ball chosen from the datum
+MASKED = {
+    "grid": {"nx": 64, "ny": 64, "h": 0.015625},
+    "solver": {"mu": 1.5},
+    "problem": {"kind": "fidelity", "density": {"kind": "minimal_surface"},
+                "f": {"synthetic": {"kind": "inverse_sqrt_spike",
+                                    "center": [0.2, 0.45], "cap": 1e200}},
+                "mask": {"rect": [0.1, 0.4, 0.3, 0.6]},
+                "lambda": 0.5},
+    "ball": {"auto": True, "x0": [0.25, 0.45], "j_max": 2},
 }
 
 
@@ -1120,20 +1147,54 @@ NO_RADIUS = {
      "innermost ball holds 12 cell centres; at least 50 required"),
     ("moser", NO_RADIUS, "no admissible radius above 3h: "),
     ("full-report", NO_RADIUS, "no admissible radius above 3h: "),
+    ("solve", {**MASKED, "ball": {**MASKED["ball"], "auto": "false"}},
+     "'ball.auto' must be true or false"),
+    ("solve", {**spike_config(), "solver": {"mu": 1.5, "max_iters": 200}},
+     "unknown solver key(s): max_iters"),
+    ("solve", with_problem(denoise_config(nx=16),
+                           mask={"rect": [0.6, 0.6, 0.2, 0.2]}),
+     "bad mask rect: rect [x0, y0, x1, y1] needs x0 < x1 and y0 < y1"),
 ], ids=["moser-noball", "full-report-noball", "solve-noproblem",
         "moser-noproblem", "full-report-noproblem",
         "density-check-nodensity", "moser-thinball", "full-report-thinball",
-        "moser-noradius", "full-report-noradius"])
+        "moser-noradius", "full-report-noradius", "solve-autostring",
+        "solve-maxiters", "solve-emptyrect"])
 def test_a_config_the_command_cannot_run_leaves_no_output_directory(
         tmp_path, capsys, command, payload, message):
-    """A missing section, a family the grid cannot audit and an auto ball
-    with no admissible radius are found before ``--out`` is made."""
+    """A missing section, a family the grid cannot audit, an auto ball
+    with no admissible radius and a key, a flag or a rect the config does
+    not take are found before ``--out`` is made."""
     rc, out = run(tmp_path, command, payload)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("lingrow: " + message)
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("payload,code", [
+    # 2^1023 is the largest power of two a float holds
+    (with_problem({**spike_config(r0=0.45, j_max=1023),
+                   "grid": {"nx": 64, "ny": 64, "h": 0.015625}},
+                  u0={"synthetic": {"kind": "edge_spike", "height": 100.0,
+                                    "width": 0.1, "center": [0.5, 0.0],
+                                    "background": [0.0, 0.0, 0.0]}}), 0),
+    # an L^2 norm or a magnitude of 1e300 overflows unless factored; the
+    # audits fail their cutoff checks
+    (with_problem(spike_config(), u0={"synthetic": {"kind": "constant",
+                                                    "value": 1e300}}), 1),
+    (with_problem(spike_config(), u0={"csv": {"path": "flat-pair.csv"}}), 1),
+    (MASKED, 0),
+], ids=["family-1023", "flat-1e300", "flat-pair-1e300", "masked-1e200"])
+def test_an_audit_near_the_float_range_leaves_stderr_empty(
+        tmp_path, capsys, payload, code):
+    """Each run exits 0 or 1 on its audit's verdict, with no warning."""
+    field_to_csv(tmp_path / "flat-pair.csv",
+                 Field.full(Grid2(32, 32, 0.03125), 1e300, channels=2))
+    rc, out = run(tmp_path, "moser", payload)
+    assert rc == code
+    assert capsys.readouterr().err == ""
+    assert read_json(out / "moser_summary.json")["passed"] is (code == 0)
 
 
 def test_rungs_that_agree_to_six_digits_get_their_own_files(tmp_path):

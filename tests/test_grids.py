@@ -140,6 +140,11 @@ def test_mask_rules():
         Mask(g, np.ones((4, 4), dtype=bool))  # covering everything
     with pytest.raises(ValueError, match="mask shape"):
         Mask(g, np.zeros((4, 5), dtype=bool))
+    # a rect with no area is refused; one with area but no centre is empty
+    for rect in ([0.6, 0.6, 0.2, 0.2], [0.3, 0.0, 0.3, 1.0]):
+        with pytest.raises(ValueError, match="x0 < x1 and y0 < y1"):
+            Mask.from_rect(g, *rect)
+    assert not Mask.from_rect(g, 0.0, 0.0, 0.1, 0.1).member.any()
 
 
 def test_ball_validation():

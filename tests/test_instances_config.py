@@ -365,6 +365,11 @@ def as_fidelity(raw, **entries):
                                           "cap": "100"}}),
      "'cap' must be a finite number"),
     (lambda r: r.update(seed=2 ** 64), "'seed' must be less than 2\\^64"),
+    # a rect with no area is refused, not read as no mask
+    (lambda r: as_fidelity(
+        r, f={"synthetic": {"kind": "constant", "value": 1.0}},
+        mask={"rect": [0.6, 0.6, 0.2, 0.2]}),
+     "bad mask rect: rect \\[x0, y0, x1, y1\\] needs x0 < x1 and y0 < y1"),
 ])
 def test_parse_config_errors(mutate, fragment):
     raw = base_config()
