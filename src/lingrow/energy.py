@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (Field, Grid2, Mask, neumann_live, pad, ring_adjoint,
-                    ring_differences)
+from .grids import (Field, Grid2, Mask, dot, neumann_live, pad,
+                    ring_adjoint, ring_differences)
 from .multigrid import Level
 from .profiles import (RadialProfile, combined, d1_over_t, derivative,
                        radial_excess)
@@ -478,7 +478,7 @@ class FidelityOps(_Ops):
         """``1/2 sum mass (w - fd)^2`` over the padded arrays."""
         diff = w - self.fd
         diff *= diff
-        return 0.5 * float(np.vdot(self.mass, diff))
+        return 0.5 * dot(self.mass, diff)
 
     def default_init(self) -> np.ndarray:
         fd = self.fd[1:-1, 1:-1]

@@ -9,7 +9,8 @@ a C-contiguous ``(mx+2, my+2, N)`` array whose ring of nodes is zero, node
 rows apart in x, one row apart in y.
 
 Differences of cell values are formed in one place, ``ring_differences``,
-and ``ring_adjoint`` is its exact adjoint.  Difference cell ``(I, J)``,
+and ``ring_adjoint`` is its exact adjoint; inner products of padded arrays
+are formed in one place too, ``dot``.  Difference cell ``(I, J)``,
 ``0 <= I <= mx``, links node ``(I, J)`` to ``(I+1, J)`` and to
 ``(I, J+1)`` and sits on the row of node ``(I, J)``, so a difference array
 has shape ``(mx+1, my+2, N)``.  Its last slot ``J = my+1`` links two ring
@@ -35,6 +36,7 @@ __all__ = [
     "Ball",
     "neumann_live",
     "pad",
+    "dot",
     "ring_differences",
     "ring_adjoint",
     "check_ball",
@@ -212,6 +214,14 @@ def pad(v: np.ndarray) -> np.ndarray:
     p = np.zeros((mx + 2, my + 2, n))
     p[1:-1, 1:-1] = v
     return p
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The inner product ``sum(a * b)`` of two arrays of one shape, summed by
+    numpy's own loop in one fixed order.  ``np.vdot`` would hand a long
+    vector to BLAS, which may split the sum over its threads, so the thread
+    count would pick the rounding of every inner product."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
 def ring_differences(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -158,6 +158,15 @@ class TestDensityCheck:
         assert report["constants"]["mu_certified"] == 1.5
         assert report["constants"]["nu6"] == 1e-6
 
+    def test_the_report_gives_where_the_origin_checks_were_read(
+            self, tmp_path):
+        rc, out = run(tmp_path, "density-check", density_config(
+            kind="minimal_surface"))
+        assert rc == 0
+        checks = read_json(out / "condition_report.json")["checks"]
+        assert checks["value_zero_at_origin"]["at_t"] == 0.0
+        assert checks["slope_zero_at_origin"]["at_t"] == 0.0
+
     def test_t_max_at_its_bound_certifies(self, tmp_path):
         cfg = density_config(kind="minimal_surface")
         cfg["density_check"]["t_max"] = 1e8
@@ -1081,10 +1090,10 @@ class TestFullReport:
         assert rc == 0 and tree_bytes(again) == tree_bytes(out)
 
 
-def spike_config(**ball):
-    """The 32^2 edge spike with a ball family of r0 0.3, as keyed."""
+def spike_config(n=32, **ball):
+    """The n^2 edge spike with a ball family of r0 0.3, as keyed."""
     return {
-        "grid": {"nx": 32, "ny": 32, "h": 0.03125},
+        "grid": {"nx": n, "ny": n, "h": 1.0 / n},
         "solver": {"mu": 1.5},
         "problem": {"kind": "dirichlet",
                     "density": {"kind": "minimal_surface"},
@@ -1305,17 +1314,39 @@ def test_reports_write_non_finite_floats_as_null(tmp_path):
                                           sort_keys=True) + "\n"
 
 
-def run_python(*args):
-    """Run a fresh interpreter that imports lingrow from this checkout;
-    return the words of its standard output."""
+def run_python(*args, threads=1):
+    """Run a fresh interpreter that imports lingrow from this checkout,
+    with ``threads`` BLAS/OpenMP threads; return the words of its standard
+    output."""
     src = os.path.dirname(os.path.dirname(lingrow.__file__))
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, OMP_NUM_THREADS=str(threads),
+               OPENBLAS_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="one CPU: BLAS may run one thread whatever it is "
+                           "asked for, so the comparison would check nothing")
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """OpenBLAS splits a dot product over its threads above 10 000
+    elements, so an inner product handed to BLAS would round by the thread
+    count.  A 100x100 grid has 102^2 = 10 404 padded elements, past that
+    cutoff; a 96x96 grid (9 604) would stay under it and check nothing."""
+    cfg = write_config(tmp_path, spike_config(100, j_max=5))
+    outs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        run_python("-m", "lingrow", "full-report", "--config", cfg,
+                   "--out", str(out), threads=threads)
+        outs.append(tree_bytes(out))
+    assert "solution_final.csv" in outs[0]
+    assert outs[0].keys() == outs[1].keys()
+    assert [name for name in outs[0] if outs[0][name] != outs[1][name]] == []
 
 
 @pytest.mark.parametrize("module", ["lingrow", "lingrow.cli"])
@@ -1435,16 +1466,8 @@ def test_a_128_solve_does_not_churn_page_faults(tmp_path):
     process around ``cli.main``.  Measured on Linux x86-64, glibc 2.36:
     1 133-1 135 with the thresholds set, 25 000-33 500 with glibc's
     defaults, which unmap or trim every freed 128-133 KiB temporary."""
-    cfg = write_config(tmp_path, {
-        "seed": 1,
-        "grid": {"nx": 128, "ny": 128, "h": 1.0 / 128},
-        "solver": {"mu": 1.5},
-        "problem": {"kind": "dirichlet",
-                    "density": {"kind": "minimal_surface"},
-                    "u0": {"synthetic": {
-                        "kind": "edge_spike", "height": 100.0, "width": 0.1,
-                        "center": [0.5, 0.0], "background": [2.0, 1.0, 1.0]}}},
-    })
+    cfg = write_config(tmp_path,
+                       {**without(spike_config(128), "ball"), "seed": 1})
     code = """
 import resource, sys
 from lingrow.cli import main

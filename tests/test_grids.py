@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lingrow.energy import DirichletProblem
-from lingrow.grids import (Ball, Field, Grid2, Mask, neumann_live, pad,
+from lingrow.grids import (Ball, Field, Grid2, Mask, dot, neumann_live, pad,
                            ring_adjoint, ring_differences, sup_on)
 from lingrow.moser import BallFamily, moser_report, radii
 from lingrow.profiles import minimal_surface
@@ -348,6 +348,19 @@ def test_adjoint_identity_both_rules():
                 rhs = float(np.sum(u * ring_adjoint(live_x * fx,
                                                     live_y * fy)))
                 assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+def test_dot_is_the_inner_product_of_the_cell_values():
+    """The zero ring adds nothing: ``dot`` of two padded arrays is the sum
+    of their cell products, within the error bound of summing n terms in
+    any order, n eps times the sum of their magnitudes."""
+    rng = np.random.default_rng(7)
+    v, w = rng.normal(size=(2, 100, 100, 2))
+    products = (v * w).ravel()
+    got = dot(pad(v), pad(w))
+    assert isinstance(got, float)
+    assert abs(got - math.fsum(products)) <= products.size * np.finfo(
+        float).eps * math.fsum(np.abs(products))
 
 
 def test_constant_flux_telescopes_to_zero():

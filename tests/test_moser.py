@@ -350,6 +350,25 @@ def test_select_radius_failure_and_validation():
         select_radius(loud, Mask.empty(g), 0.0, (0.5, 0.5))
 
 
+def test_select_radius_keeps_a_radius_just_above_3h():
+    """The halving stops at the first data mass below eps0 as long as the
+    radius exceeds 3h: here 0.03125, between 3h (0.0234) and 4.5h
+    (0.0352), the first ball that holds only the zero cells."""
+    g = Grid2(128, 128, 1.0 / 128)
+    x0 = (0.5, 0.5)
+    quiet = Field(g, np.where(g.sq_distances(x0) < 0.04 ** 2, 0.0, 10.0))
+    assert select_radius(quiet, Mask.empty(g), 0.5, x0) == (0.03125, 0.25)
+
+
+def test_select_radius_takes_an_x0_next_to_the_edge_as_inside():
+    """x0 = (5e-4, 0.5) lies inside the unit square, so the search runs and
+    fails on the boundary distance: no radius above 3h fits."""
+    g = Grid2(128, 128, 1.0 / 128)
+    with pytest.raises(MoserGeometryError,
+                       match="no admissible radius above 3h"):
+        select_radius(Field.zeros(g), Mask.empty(g), 0.5, (5e-4, 0.5))
+
+
 def test_select_radius_squares_no_masked_cell():
     """A masked cell of 1e200, whose square overflows, is never squared: the
     selected ball holds it, and the radius is the one its absence gives,

@@ -240,7 +240,7 @@ def test_small_grid_vcycle_is_the_exact_inverse(kind, channels, shape):
         assert np.allclose(x[:, :, c].ravel(), ref, rtol=1e-10,
                            atol=1e-10 * np.max(np.abs(ref)))
     if channels == 1:
-        d, iters = _pcg(hess, mg, r, 1e-10)
+        d, iters = _pcg(hess, mg, r, 1e-10 * np.linalg.norm(r))
         assert iters == 1
         assert np.linalg.norm(hess.apply(d) + r) <= 1e-10 * np.linalg.norm(r)
 
@@ -262,7 +262,7 @@ def test_singular_neumann_system_is_solved():
     rng = np.random.default_rng(9)
     r = rng.normal(size=(9, 13, 1))
     r = pad(r - r.mean())
-    d, iters = _pcg(neumann, mg, r, 1e-10)
+    d, iters = _pcg(neumann, mg, r, 1e-10 * np.linalg.norm(r))
     assert iters < 100
     assert np.max(np.abs(neumann.apply(d) + r)) <= 1e-8 * np.max(np.abs(r))
 

@@ -456,6 +456,20 @@ def test_underflowing_floor_certifies_no_mu(t_max):
     assert rep.constants.mu_certified is None
 
 
+@pytest.mark.parametrize("p", [phi_mu(1.5), minimal_surface(),
+                               combined(1e-6, 1.5, minimal_surface())],
+                         ids=["phi_mu", "minimal_surface", "combined"])
+def test_the_origin_checks_report_the_first_sample_point(p):
+    """Both origin conditions are read at the sample grid's first point,
+    t = 0, and say so."""
+    rep = certify_conditions(p, 50.0, 300)
+    first = float(profiles._sample_grid(50.0, 300)[0])
+    assert first == 0.0
+    for name in ("value_zero_at_origin", "slope_zero_at_origin"):
+        assert rep.checks[name].passed
+        assert rep.checks[name].at_t == first
+
+
 def test_report_serializes_one_entry_per_condition():
     rep = certify_conditions(phi_mu(2.0), 100.0, 1000)
     payload = json.loads(json.dumps(_finite_or_null(rep)))

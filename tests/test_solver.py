@@ -44,6 +44,19 @@ def test_config_validation():
         SolverConfig(residual_tol=0.0)
 
 
+def test_the_default_tolerance_is_relative_to_the_start_energy():
+    """``residual_tol`` None stops a run at ``1e-8 (1 + |E(init)|)``: the
+    energy of the start, not of the minimizer."""
+    problem = denoise_problem(seed=3)
+    reg = RegularizationState(0.1, 1.5, "fidelity")
+    init = Field(problem.grid,
+                 np.random.default_rng(2).normal(0.0, 3.0, size=(8, 8, 1)))
+    e_init = assemble_ops(problem, reg).evaluate(pad(init.values)).energy
+    _, stats = minimize_fixed_delta(problem, reg, init, SolverConfig())
+    assert stats.converged and stats.energy < e_init
+    assert stats.tol == 1e-8 * (1.0 + abs(e_init))
+
+
 # ---------------------------------------------------------------------------
 # exact minimizers
 
@@ -622,7 +635,7 @@ def test_newton_stalls_when_no_step_descends(monkeypatch, scale):
     too long exhausts the Armijo backtracks.  Either way the rung stops
     with "line search stalled" and the start as its best iterate."""
     monkeypatch.setattr(solver, "_pcg",
-                        lambda op, mg, r, eta: (scale * r, 1))
+                        lambda op, mg, r, target: (scale * r, 1))
     problem = denoise_problem(seed=3)
     reg = RegularizationState(0.01, 1.5, "fidelity")
     init = Field.zeros(problem.grid)
@@ -661,7 +674,8 @@ class _Diagonal:
 
 def test_pcg_stops_where_the_operator_has_no_curvature():
     r = pad(np.ones((1, 5, 1)))
-    d, k = solver._pcg(_Diagonal(-r), _Identity(), r, 0.1)
+    d, k = solver._pcg(_Diagonal(-r), _Identity(), r,
+                       0.1 * np.linalg.norm(r))
     # the preconditioned steepest-descent direction, no CG step taken
     assert k == 0 and np.array_equal(d, -r)
 
@@ -669,7 +683,8 @@ def test_pcg_stops_where_the_operator_has_no_curvature():
 def test_pcg_stops_at_its_iteration_cap():
     diag = pad(np.geomspace(1.0, 1e8, 1000).reshape(1, 1000, 1))
     r = pad(np.ones((1, 1000, 1)))
-    d, k = solver._pcg(_Diagonal(diag), _Identity(), r, 1e-30)
+    d, k = solver._pcg(_Diagonal(diag), _Identity(), r,
+                       1e-30 * np.linalg.norm(r))
     assert k == solver._MAX_KRYLOV
     # a capped solve is still a descent direction of the quadratic model
     assert float(np.vdot(r, d)) < 0.0
