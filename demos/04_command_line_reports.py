@@ -22,7 +22,6 @@ from lingrow.pgmio import read_pgm
 config = {
     "seed": 5,
     "density": {"kind": "minimal_surface"},
-    "density_check": {"t_max": 50.0, "samples": 400},
     "grid": {"nx": 32, "ny": 32, "h": 1.0 / 32},
     "solver": {"mu": 1.5, "delta_schedule": [0.1, 0.01, 0.001],
                "residual_tol": 1e-9},

@@ -115,8 +115,7 @@ def _delta_tag(delta: float) -> str:
 
 
 def cmd_density_check(cfg: RunConfig, out_dir: str) -> int:
-    report = certify_conditions(cfg.require_density(), cfg.density_t_max,
-                                cfg.density_samples)
+    report = certify_conditions(cfg.require_density())
     _write_json(os.path.join(out_dir, "condition_report.json"), report)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
@@ -240,8 +239,7 @@ def cmd_moser(cfg: RunConfig, out_dir: str, ball: BallFamily,
 def cmd_full_report(cfg: RunConfig, out_dir: str, ball: BallFamily,
                     eps0: float | None) -> int:
     problem = cfg.require_problem()
-    density_report = certify_conditions(problem.density, cfg.density_t_max,
-                                        cfg.density_samples)
+    density_report = certify_conditions(problem.density)
     _write_json(os.path.join(out_dir, "condition_report.json"),
                 density_report)
     records = _run_solve(cfg, out_dir, "report.json", ball=ball,

@@ -36,14 +36,12 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 @dataclass
 class RunConfig:
-    """A parsed run config: the density to certify and its sample grid, the
-    problem and solver, the Moser ball family (or the point an automatic
-    one is chosen around) and the audits' settings."""
+    """A parsed run config: the density to certify, the problem and solver,
+    the Moser ball family (or the point an automatic one is chosen around)
+    and the audits' settings."""
 
     seed: int = 0
     density: RadialProfile | None = None
-    density_t_max: float = 100.0
-    density_samples: int = 1000
     problem: DirichletProblem | FidelityProblem | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     ball: BallFamily | None = None
@@ -269,8 +267,8 @@ def _parse_problem(spec, grid: Grid2 | None, seed: int, base_dir: str):
 
 
 def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
-    _keys(raw, "config", "seed", "density", "density_check", "grid",
-          "solver", "problem", "ball", "s_values", "minimality_trials")
+    _keys(raw, "config", "seed", "density", "grid", "solver", "problem",
+          "ball", "s_values", "minimality_trials")
     cfg = RunConfig()
     cfg.seed = _count(raw.get("seed", 0), "seed", 0)
     # the audit's SplitMix64 counter is 64 bits wide
@@ -279,18 +277,6 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     if "density" in raw:
         with _section("bad density"):
             cfg.density = _parse_density(raw["density"])
-    dc = _keys(raw.get("density_check", {}), "density_check", "t_max",
-               "samples")
-    cfg.density_t_max = _real(dc.get("t_max", 100.0), "density_check.t_max",
-                              0.0, strict=True)
-    # far below where the profiles' closed forms overflow on the tail
-    _expect(cfg.density_t_max <= 1e8,
-            "'density_check.t_max' must be at most 1e8")
-    cfg.density_samples = _count(dc.get("samples", 1000),
-                                 "density_check.samples", 100)
-    # 10^6 samples take about 0.3 s and 120 MB to certify
-    _expect(cfg.density_samples <= 10 ** 6,
-            "'density_check.samples' must be at most 1000000")
 
     grid = None
     if "grid" in raw:

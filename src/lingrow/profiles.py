@@ -19,8 +19,9 @@ same bits.
 
 ``certify_conditions`` checks the structural conditions every density must
 satisfy (zero value and slope at the origin, linear-growth sandwich,
-convexity, curvature decay, mu-ellipticity), reading nu3, mu and nu6 from
-the profile's terms and fitting the rest on a sample.
+convexity, curvature decay, mu-ellipticity) on one fixed sample, reading
+nu1 and nu4 from the profile's values at 1 and 0, nu3, mu and nu6 from its
+terms, and bounding nu2 and nu5 from the sample.
 """
 
 from __future__ import annotations
@@ -284,8 +285,11 @@ class GrowthConstants:
     ``nu1 * t - nu2 <= value <= nu3 * t + nu4`` (linear growth sandwich),
     ``max(d2, d1/t) <= nu5 / (1+t)`` (curvature decay), and
     ``min(d2, d1/t) >= nu6 * (1+t)^(-mu_certified)`` (mu-ellipticity).
-    ``nu3``, ``mu_certified`` and ``nu6`` come from the density's terms,
-    ``nu5`` from the sample and the tail ray, the rest from the sample.
+    ``nu1`` is the value at 1 and ``nu4`` the value at 0, floored at 0;
+    ``nu3``, ``mu_certified`` and ``nu6`` come from the density's terms;
+    ``nu2`` is the sample's maximum of ``nu1 * t - value`` plus a bound on
+    what lies between its points, and ``nu5`` is the corridor's peak on the
+    sample and the tail ray.
     """
 
     nu1: float
@@ -321,11 +325,9 @@ class ConditionCheck:
 
 @dataclass
 class ConditionReport:
-    """Every condition of one profile, with its fitted constants."""
+    """Every condition of one profile, with its constants."""
 
     profile: RadialProfile
-    t_max: float
-    sample_count: int
     checks: dict[str, ConditionCheck] = field(default_factory=dict)
     constants: GrowthConstants | None = None
     all_passed: bool = field(init=False)
@@ -334,32 +336,26 @@ class ConditionReport:
         self.all_passed = all(c.passed for c in self.checks.values())
 
 
-def _sample_grid(t_max: float, samples: int) -> np.ndarray:
-    """Log-spaced grid on (0, t_max] with a linear cluster in [0, 1] and 0."""
-    n_lin = max(samples // 4, 8)
-    n_log = max(samples - n_lin, 8)
-    lo = min(1e-8, t_max * 1e-8)
+def _sample_grid() -> np.ndarray:
+    """0, 250 linear points on [0, 1] (1.0 among them) and 750 log points
+    from 1e-8 to 100, sorted and deduplicated."""
     grid = np.concatenate([
-        [0.0],
-        np.linspace(0.0, min(1.0, t_max), n_lin),
-        np.geomspace(lo, t_max, n_log),
-    ])
+        [0.0], np.linspace(0.0, 1.0, 250), np.geomspace(1e-8, 100.0, 750)])
     # sorted and deduplicated by hand: np.unique imports numpy.ma
     grid.sort()
     return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
-# The tail ray ends at least here.  It serves the two conditions a finite
-# sample cannot settle: that the curvature quotient ``d2 (1+t)`` stays
-# bounded, and that the ellipticity floor has not vanished (it underflows
-# for a steep enough ``phi_mu``).
+# The tail ray ends here.  It serves the two conditions a finite sample
+# cannot settle: that the curvature quotient ``d2 (1+t)`` stays bounded,
+# and that the ellipticity floor has not vanished (it underflows for a
+# steep enough ``phi_mu``).
 _TAIL_END = 1e4
 
 
-def _ray(t_max: float) -> np.ndarray:
+def _ray() -> np.ndarray:
     """160 uniform-log points over the four decades below the tail's end."""
-    end = max(t_max, _TAIL_END)
-    return np.geomspace(end * 1e-4, end, 160)
+    return np.geomspace(_TAIL_END * 1e-4, _TAIL_END, 160)
 
 
 def _bounded_on_ray(values: np.ndarray) -> bool:
@@ -370,25 +366,21 @@ def _bounded_on_ray(values: np.ndarray) -> bool:
     return bool(np.all(np.diff(tail) <= 1e-13 * scale))
 
 
-def certify_conditions(p: RadialProfile, t_max: float = 100.0,
-                       samples: int = 1000) -> ConditionReport:
-    """Check the structural conditions on a sample grid and fit constants.
+def certify_conditions(p: RadialProfile) -> ConditionReport:
+    """Check the structural conditions on the fixed sample and read the
+    constants.
 
-    Requires ``t_max > 0`` and ``samples >= 100``.  ``nu1``, ``nu2``, ``nu4``
-    are fitted on the sample grid up to ``t_max``; ``nu5`` and the asymptotic
-    conditions also read the tail up to ``max(t_max, 1e4)``; ``nu3``, the
-    exponent and ``nu6`` are the density's own (``_tail``).
+    ``nu1`` and ``nu4`` are the density's values at 1 and 0 (``nu4``
+    floored at 0), ``nu3``, the exponent and ``nu6`` come from its terms;
+    ``nu2`` is bounded from the sample on [0, 1], and ``nu5`` and the
+    asymptotic conditions also read the tail ray up to 1e4.
     """
-    if not (t_max > 0.0):
-        raise ValueError("t_max must be positive")
-    if samples < 100:
-        raise ValueError("samples must be at least 100")
     # Each order is evaluated once per grid, by the unvalidated kernels:
     # both grids are finite and non-negative by construction.
-    t = _sample_grid(t_max, samples)
+    t = _sample_grid()
     val, d1, d2 = (derivative(p, t, order) for order in range(3))
     ratio = d1_over_t(p, t)
-    ray = _ray(t_max)
+    ray = _ray()
     ray_d1, ray_d2 = derivative(p, ray, 1), derivative(p, ray, 2)
 
     checks: dict[str, ConditionCheck] = {}
@@ -405,18 +397,19 @@ def certify_conditions(p: RadialProfile, t_max: float = 100.0,
     checks["convexity"] = ConditionCheck(
         "convexity", worst_d2 >= -_SIGN_TOL, max(0.0, -worst_d2), float(t[k_d2]))
 
-    # linear-growth sandwich: two-pass fit.  nu3 is the slope at infinity
-    # (d1 is non-decreasing so its limit equals the recession slope); nu1 is
-    # the smallest chord slope at t >= 1, nu2 mops up what is left below.
+    # linear-growth sandwich.  The kinds are convex with value 0 at 0, so
+    # the chord slope value/t does not decrease and value - nu3 t does not
+    # increase: nu1 = value(1) bounds the chord slopes at t >= 1, and nu4 =
+    # value(0), floored at 0, bounds value - nu3 t.  nu1 t - value is then
+    # at most 0 from t = 1 on; on [0, 1] it is concave with curvature d2 <=
+    # d2(0) (d2 does not increase for any term), so between two sample
+    # points a gap apart it exceeds the larger end by at most d2(0) gap^2/8.
     nu3, mu_cert, nu6 = _tail(p)
-    nu4 = max(0.0, float(np.max(val - nu3 * t)))
-    big = t >= 1.0
-    if np.any(big):
-        nu1 = float(np.min(val[big] / t[big]))
-    else:
-        nu1 = float(d1[-1])
-    nu1 = min(nu1, nu3)
-    nu2 = max(0.0, float(np.max(nu1 * t - val)))
+    one = int(np.searchsorted(t, 1.0))  # t[one] == 1.0, t[0] == 0.0
+    nu1, nu4 = float(val[one]), max(0.0, float(val[0]))
+    gap = float(np.max(np.diff(t[:one + 1])))
+    nu2 = (max(0.0, float(np.max(nu1 * t - val)))
+           + float(d2[0]) * gap * gap / 8.0)
     # The slope d1 is non-decreasing for a convex profile, so checking it
     # against the analytic recession slope certifies F <= nu3 t + nu4 for
     # every t, not just on the sample.
@@ -425,7 +418,7 @@ def certify_conditions(p: RadialProfile, t_max: float = 100.0,
     checks["linear_growth_sandwich"] = ConditionCheck(
         "linear_growth_sandwich", nu1 > 0.0 and growth_ok,
         max(0.0, slope_peak - nu3), None,
-        note="constants fitted on the sample")
+        note="nu1 = value(1), nu4 = value(0); nu2 bounded between samples")
 
     # curvature decay: d2 <= nu5 / (1+t), and the full upper corridor
     # max(d2, d1/t) <= nu5 / (1+t) used by the Hessian bound.
@@ -467,6 +460,4 @@ def certify_conditions(p: RadialProfile, t_max: float = 100.0,
 
     constants = GrowthConstants(nu1=nu1, nu2=nu2, nu3=nu3, nu4=nu4, nu5=nu5,
                                 nu6=nu6, mu_certified=mu_cert)
-    return ConditionReport(profile=p, t_max=float(t_max),
-                           sample_count=len(t), checks=checks,
-                           constants=constants)
+    return ConditionReport(profile=p, checks=checks, constants=constants)

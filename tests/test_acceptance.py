@@ -121,7 +121,7 @@ def test_criterion_1_density_certification():
     ts = np.logspace(-3.0, 2.0, 1000)
     for mu in (1.2, 1.5, 2.0, 2.5, 3.0):
         p = phi_mu(mu)
-        report = certify_conditions(p, 100.0, 1000)
+        report = certify_conditions(p)
         if not report.all_passed:
             failures.append(f"mu={mu}: certification failed")
         if profile_eval(p, 0.0) != 0.0:
@@ -146,7 +146,7 @@ def test_criterion_1_density_certification():
 def test_criterion_2_derivative_consistency():
     failures = []
     p = phi_mu(1.5)
-    constants = certify_conditions(p, 1000.0, 2000).constants
+    constants = certify_conditions(p).constants
     F = lambda P: profile_eval(p, float(np.sqrt(np.sum(P * P))))
     rng = np.random.default_rng(2024)
     for i in range(100):
@@ -500,7 +500,6 @@ def test_criterion_9_deterministic_reports(tmp_path):
     config = {
         "seed": 11,
         "density": {"kind": "minimal_surface"},
-        "density_check": {"t_max": 50.0, "samples": 400},
         "grid": {"nx": 32, "ny": 32, "h": 1.0 / 32},
         "solver": {"mu": 1.5, "delta_schedule": list(SCHEDULE),
                    "residual_tol": 1e-9},

@@ -30,7 +30,6 @@ from lingrow.solver import SolverConfig, SolverError, SolveStats
 FIDELITY = {
     "seed": 3,
     "density": {"kind": "phi_mu", "mu": 1.5},
-    "density_check": {"t_max": 50.0, "samples": 200},
     "grid": {"nx": 64, "ny": 64, "h": 0.015625},
     "solver": {"mu": 1.5, "delta_schedule": [0.1, 0.01],
                "residual_tol": 1e-9},

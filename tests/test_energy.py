@@ -427,7 +427,7 @@ def test_energy_convex_along_segments(kind):
 
 def test_growth_sandwich_transfers_to_energy():
     problem, w = random_dirichlet(seed=9, density=phi_mu(1.5))
-    c = certify_conditions(problem.density, 100.0, 1000).constants
+    c = certify_conditions(problem.density).constants
     area = problem.grid.lx * problem.grid.ly
     point = assemble_ops(problem, None).evaluate(pad(w.values))
     tv, e = point.total_variation(), point.energy

@@ -140,7 +140,6 @@ def base_config():
     return {
         "seed": 7,
         "density": {"kind": "phi_mu", "mu": 2.0},
-        "density_check": {"t_max": 50.0, "samples": 400},
         "grid": {"nx": 16, "ny": 16, "h": 0.0625},
         "solver": {"mu": 1.5, "delta_schedule": [0.1, 0.01],
                    "residual_tol": 1e-9},
@@ -159,7 +158,6 @@ def test_parse_full_dirichlet_config():
     cfg = parse_config(base_config())
     assert cfg.seed == 7
     assert cfg.density.kind == "phi_mu" and cfg.density.mu == 2.0
-    assert cfg.density_t_max == 50.0 and cfg.density_samples == 400
     assert cfg.problem.grid == Grid2(16, 16, 0.0625)
     assert isinstance(cfg.problem, DirichletProblem)
     assert cfg.solver.residual_tol == 1e-9
@@ -246,14 +244,6 @@ def as_fidelity(raw, **entries):
     (lambda r: r.update(seed=-1), "'seed' must be an integer >= 0"),
     (lambda r: r.update(minimality_trials=0), "'minimality_trials' must be"),
     (lambda r: r.update(minimality_trials="x"), "'minimality_trials' must be"),
-    (lambda r: r.update(density_check={"samples": "x"}),
-     "'density_check.samples' must be an integer >= 100"),
-    (lambda r: r.update(density_check={"samples": 10}),
-     "'density_check.samples' must be"),
-    (lambda r: r.update(density_check={"t_max": -1}),
-     "'density_check.t_max' must be a number > 0"),
-    (lambda r: r.update(density_check={"t_max": "x"}),
-     "'density_check.t_max' must be"),
     (lambda r: r.update(s_values=["a"]), "'s_values' must be a number >= 0"),
     (lambda r: r.update(s_values=[1.0, -2.0]), "'s_values' must be"),
     # "auto" is a JSON boolean, never read by its truthiness
@@ -386,8 +376,8 @@ COMBINED_MS = {"kind": "combined", "delta": 0.1, "mu": 1.5,
 @pytest.mark.parametrize("mutate, message", [
     (lambda r: r.update(minimality_trial=5, s_value=[1.0]),
      "unknown config key(s): minimality_trial, s_value"),
-    (lambda r: r["density_check"].update(t_mx=10.0),
-     "unknown density_check key(s): t_mx"),
+    (lambda r: r.update(density_check={"t_max": 10.0}),
+     "unknown config key(s): density_check"),
     (lambda r: r["grid"].update(hx=0.1), "unknown grid key(s): hx"),
     (lambda r: r["problem"].update(f=CONSTANT), "unknown problem key(s): f"),
     (lambda r: as_fidelity(r, f=CONSTANT, lamda=0.5),
@@ -433,9 +423,8 @@ def test_an_unknown_key_is_a_config_error(mutate, message):
 
 @pytest.mark.parametrize("mutate", [
     lambda r: r.update(s_values=[10 ** 400]),
-    lambda r: r.update(density_check={"t_max": 10 ** 400}),
     lambda r: r["ball"].update(r0=-10 ** 400),
-], ids=["s_values", "t_max", "r0"])
+], ids=["s_values", "r0"])
 def test_an_integer_too_large_for_a_float_is_a_config_error(mutate):
     raw = base_config()
     mutate(raw)
