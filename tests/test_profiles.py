@@ -475,6 +475,20 @@ def test_a_floor_that_underflows_on_the_tail_ray_certifies_no_mu(mu,
     assert (rep.constants.mu_certified == mu) is certified
 
 
+@pytest.mark.parametrize("factor", [1.0, 100.0])
+def test_underflowing_floor_certifies_no_mu(factor):
+    # (1+t)^-1000 underflows to 0 beyond t ~ 2, and a steeper power sooner,
+    # so no power bounds the floor from below on the tail, alone or summed;
+    # every other condition still holds
+    mu = 1000.0 * factor
+    for p in (phi_mu(mu), combined(0.5, mu, phi_mu(mu))):
+        rep = certify_conditions(p)
+        assert not rep.checks["mu_ellipticity"].passed
+        assert rep.constants.mu_certified is None
+        failed = [k for k, c in rep.checks.items() if not c.passed]
+        assert failed == ["mu_ellipticity"]
+
+
 @pytest.mark.parametrize("p", [phi_mu(1.5), minimal_surface(),
                                combined(1e-6, 1.5, minimal_surface())],
                          ids=["phi_mu", "minimal_surface", "combined"])
